@@ -7,12 +7,17 @@ target data, relative to a from-scratch baseline trained under the same
 budget and schedule, is the raw similarity score p. The final score blends
 p with the normalized budget; symmetrized complements of the scores feed
 hierarchy derivation as distances.
+
+Every transfer toward one target shares its data slices, decoder
+initialization and batch schedule, so the K-1 source encoders and the
+scratch reference toward that target train together as one stacked SGD
+(see :func:`fine_tune_stack`); each result is bit-identical to tuning that
+encoder alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,8 +25,11 @@ from .errors import DataError
 from .nets import (
     Mlp,
     SgdConfig,
+    forward_trace,
     init_mlp,
-    reconstruction_loss,
+    params_to_mlp,
+    sgd_reconstruction,
+    stack_params,
     task_seed,
     train_reconstruction,
 )
@@ -68,10 +76,8 @@ class AffinityConfig:
     beta: float = 0.5
     holdout_fraction: float = 0.2
     min_examples: int = 10
-    symmetrization: str = "mean"
     freeze_encoder: bool = False
     seed: int = 0
-    n_threads: int = 1
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
@@ -80,8 +86,31 @@ class AffinityConfig:
             raise ValueError("holdout_fraction must be in (0, 1)")
         if self.budget < 0 or self.b_max < 0 or self.budget > self.b_max:
             raise ValueError("need 0 <= budget <= b_max")
-        if self.symmetrization not in SYMMETRIZATIONS:
-            raise ValueError(f"unknown symmetrization {self.symmetrization!r}")
+
+
+_CONFIG_FORMAT = "hierclass-affinity-config-v1"
+
+
+def affinity_config_to_json(cfg: AffinityConfig) -> dict:
+    """Every field of the config, nested configs included, under a format tag."""
+    return {"format": _CONFIG_FORMAT, **asdict(cfg)}
+
+
+def affinity_config_from_json(obj: dict) -> AffinityConfig:
+    if not isinstance(obj, dict) or obj.get("format") != _CONFIG_FORMAT:
+        found = obj.get("format") if isinstance(obj, dict) else None
+        raise DataError(f"unsupported affinity config format {found!r}")
+    try:
+        fields = {k: v for k, v in obj.items() if k != "format"}
+        return AffinityConfig(
+            encoder=EncoderConfig(**fields.pop("encoder")),
+            pretrain=SgdConfig(**fields.pop("pretrain")),
+            warmup=SgdConfig(**fields.pop("warmup")),
+            finetune=SgdConfig(**fields.pop("finetune")),
+            **fields,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad affinity config: {exc}") from None
 
 
 def make_encoder(input_dim: int, cfg: EncoderConfig, rng) -> Mlp:
@@ -119,36 +148,53 @@ def train_autoencoder(
     return encoder, decoder, history[-1]
 
 
+def _held_out_count(n: int, fraction: float) -> int:
+    """Rows held out of n: about ``fraction`` of them, but at least one on
+    each side of the split when n > 1."""
+    return min(max(1, int(round(fraction * n))), n - 1) if n > 1 else 0
+
+
+def capped_budget(n_rows: int, cfg: AffinityConfig) -> int:
+    """The number of target rows a transfer toward ``n_rows`` examples
+    trains on: ``cfg.budget``, capped at the pool left after holding out."""
+    return min(cfg.budget, n_rows - _held_out_count(n_rows, cfg.holdout_fraction))
+
+
 def _holdout_split(n: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """(pool, heldout) index split; at least one row on each side when n > 1."""
     order = rng.permutation(n)
-    n_held = max(1, int(round(fraction * n))) if n > 1 else 0
-    n_held = min(n_held, n - 1) if n > 1 else 0
+    n_held = _held_out_count(n, fraction)
     return order[n_held:], order[:n_held]
 
 
-def fine_tune(
-    encoder: Mlp,
+def fine_tune_stack(
+    encoders: list[Mlp],
     target_data: np.ndarray,
     budget: int,
     cfg: AffinityConfig,
     seed: int,
-) -> tuple[Mlp, float]:
-    """Fine-tune a copy of the encoder toward a target concept.
+) -> list[tuple[Mlp, float]]:
+    """Fine-tune copies of same-shaped encoders toward one target concept.
 
-    A fresh decoder is first trained alone (warmup), then jointly with a
-    copy of the encoder, on exactly ``budget`` target examples drawn from
-    the non-held-out pool; the returned loss is measured on the held-out
-    slice. With budget 0 the encoder is left untouched and only the fresh
-    decoder is trained (on the pool), scoring the source representation
-    as-is. All randomness (slices, decoder init, batch schedule) derives
-    from ``seed`` alone, so runs toward the same target are directly
-    comparable.
+    For each encoder, a fresh decoder is first trained alone (warmup), then
+    jointly with a copy of the encoder, on exactly ``budget`` target
+    examples drawn from the non-held-out pool; the returned loss is
+    measured on the held-out slice. With budget 0 the encoder is left
+    untouched and only the fresh decoder is trained (on the pool), scoring
+    the source representation as-is. All randomness (slices, decoder init,
+    batch schedule) derives from ``seed`` alone, so runs toward the same
+    target are directly comparable.
+
+    That shared randomness is what lets the encoders train as one stack:
+    the frozen encoders' latents on the training rows are computed once and
+    the warmup trains only the decoders on them, and the joint phase runs
+    the stack through 3-D matmuls. Member s returns exactly what tuning
+    ``encoders[s]`` alone returns. Returns one (encoder, loss) per member.
     """
     target_data = np.asarray(target_data, dtype=float)
     if target_data.ndim != 2 or target_data.shape[0] < 2:
         raise ValueError("need at least 2 target examples (one is held out)")
-    if target_data.shape[1] != encoder.input_dim:
+    if any(target_data.shape[1] != encoder.input_dim for encoder in encoders):
         raise ValueError("target feature dim does not match the encoder")
     pool, heldout = _holdout_split(
         target_data.shape[0], cfg.holdout_fraction, np.random.default_rng([seed, 0])
@@ -158,19 +204,47 @@ def fine_tune(
             f"budget {budget} exceeds the {pool.size} target examples available "
             f"after holding out {heldout.size}"
         )
-    decoder = make_decoder(encoder.input_dim, cfg.encoder, np.random.default_rng([seed, 1]))
+    decoder = make_decoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 1]))
     train_rng = np.random.default_rng([seed, 2])
     rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
-    _, decoder, _ = train_reconstruction(
-        encoder, decoder, rows, cfg.warmup, train_rng, update_encoder=False
-    )
-    encoder_out = encoder
-    if budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0:
-        encoder_out, decoder, _ = train_reconstruction(
-            encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
+    enc_params = stack_params(encoders)
+    dec_params = stack_params([decoder] * len(encoders))
+    enc_acts = [layer.activation for layer in encoders[0].layers]
+    dec_acts = [layer.activation for layer in decoder.layers]
+
+    latents = forward_trace(enc_params, enc_acts, rows)[0][-1]
+    sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, train_rng)
+    joint = budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0
+    if joint:
+        sgd_reconstruction(
+            enc_params + dec_params, enc_acts + dec_acts, rows, rows, cfg.finetune, train_rng
         )
-    l_ft = reconstruction_loss(encoder_out, decoder, target_data[heldout])
-    return encoder_out, l_ft
+
+    held = target_data[heldout]
+    out = forward_trace(enc_params + dec_params, enc_acts + dec_acts, held)[0][-1]
+    return [
+        (
+            params_to_mlp([[w[s], b[s]] for w, b in enc_params], encoder) if joint else encoder,
+            float(np.mean((out[s] - held) ** 2)),
+        )
+        for s, encoder in enumerate(encoders)
+    ]
+
+
+def fine_tune(
+    encoder: Mlp,
+    target_data: np.ndarray,
+    budget: int,
+    cfg: AffinityConfig,
+    seed: int,
+) -> tuple[Mlp, float]:
+    """Fine-tune a copy of one encoder toward a target concept: the
+    one-member case of :func:`fine_tune_stack`."""
+    return fine_tune_stack([encoder], target_data, budget, cfg, seed)[0]
+
+
+def _fresh_encoder(input_dim: int, cfg: AffinityConfig, seed: int) -> Mlp:
+    return make_encoder(input_dim, cfg.encoder, np.random.default_rng([seed, 3]))
 
 
 def scratch_reference(
@@ -179,7 +253,7 @@ def scratch_reference(
     """Held-out loss of a freshly initialized encoder under the same budget,
     slices, decoder init, and batch schedule as :func:`fine_tune`."""
     target_data = np.asarray(target_data, dtype=float)
-    fresh = make_encoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
+    fresh = _fresh_encoder(target_data.shape[1], cfg, seed)
     _, l_ref = fine_tune(fresh, target_data, budget, cfg, seed)
     return l_ref
 
@@ -306,9 +380,9 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     """Run the full affinity analysis over every ordered concept pair.
 
     Concepts with fewer than ``cfg.min_examples`` examples are skipped and
-    reported; their pairs are left missing. Pair tasks are independent and
-    fan out over ``cfg.n_threads`` threads, with per-task seeds derived from
-    (seed, source, target) so the result does not depend on thread count.
+    reported; their pairs are left missing. Per target, one
+    :func:`fine_tune_stack` call tunes every source encoder plus the
+    scratch reference, all under seeds derived from (seed, target).
     """
     catalog = dataset.catalog
     support = dataset.support()
@@ -321,71 +395,45 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         )
 
     per_concept = {cid: dataset.of_concept(cid) for cid in usable}
+    encoders = {
+        cid: train_autoencoder(per_concept[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0]
+        for cid in usable
+    }
 
-    def pretrain(cid: int) -> tuple[int, Mlp]:
-        encoder, _, _ = train_autoencoder(per_concept[cid], cfg, seed=task_seed(cfg.seed, 1, cid))
-        return cid, encoder
-
-    def target_seed(cid: int) -> int:
-        # shared by every fine-tune toward cid: same slices and schedule
-        return task_seed(cfg.seed, 2, cid)
-
-    def actual_budget(cid: int) -> int:
-        pool = per_concept[cid].shape[0] - max(
-            1, int(round(cfg.holdout_fraction * per_concept[cid].shape[0]))
-        )
-        return min(cfg.budget, pool)
-
-    def reference(cid: int) -> tuple[int, float]:
-        return cid, scratch_reference(per_concept[cid], actual_budget(cid), cfg, target_seed(cid))
-
-    def transfer(pair: tuple[int, int]) -> tuple[tuple[int, int], Mlp, float]:
-        src, dst = pair
-        tuned, l_ft = fine_tune(
-            encoders[src], per_concept[dst], actual_budget(dst), cfg, target_seed(dst)
-        )
-        return pair, tuned, l_ft
-
-    pairs = [(i, j) for i in usable for j in usable if i != j]
-    if cfg.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            encoders = dict(pool.map(pretrain, usable))
-            refs = dict(pool.map(reference, usable))
-            transfers = list(pool.map(transfer, pairs))
-    else:
-        encoders = dict(map(pretrain, usable))
-        refs = dict(map(reference, usable))
-        transfers = list(map(transfer, pairs))
-
-    records = []
-    pair_encoders = {}
-    for (src, dst), tuned, l_ft in transfers:
-        pair_encoders[(src, dst)] = tuned
-        b = actual_budget(dst)
-        p = raw_transfer_score(l_ft, refs[dst])
-        records.append(
-            AffinityRecord(
+    transfers = {}
+    for dst in usable:
+        rows = per_concept[dst]
+        seed = task_seed(cfg.seed, 2, dst)  # shared by every fine-tune toward dst
+        budget = capped_budget(rows.shape[0], cfg)
+        sources = [src for src in usable if src != dst]
+        stack = [encoders[src] for src in sources] + [_fresh_encoder(rows.shape[1], cfg, seed)]
+        *tuned, (_, l_ref) = fine_tune_stack(stack, rows, budget, cfg, seed)
+        for src, (encoder, l_ft) in zip(sources, tuned):
+            p = raw_transfer_score(l_ft, l_ref)
+            record = AffinityRecord(
                 source=src,
                 target=dst,
                 p=p,
-                budget=b,
-                score=final_score(p, b, cfg.b_max, cfg.alpha, cfg.beta),
+                budget=budget,
+                score=final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta),
             )
-        )
+            transfers[(src, dst)] = (record, encoder)
+
+    pairs = sorted(transfers)
     matrix = AffinityMatrix(
         catalog=catalog,
         alpha=cfg.alpha,
         beta=cfg.beta,
         b_max=cfg.b_max,
         seed=cfg.seed,
-        records=tuple(records),
+        records=tuple(transfers[pair][0] for pair in pairs),
         skipped=skipped,
         encoder=cfg.encoder,
     )
     return AffinityArtifacts(
         matrix=matrix,
         concept_encoders=encoders,
-        pair_encoders=pair_encoders,
+        pair_encoders={pair: transfers[pair][1] for pair in pairs},
         config=cfg,
         input_dim=dataset.n_features,
     )

@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON file of option defaults; flags override")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default=".", help="directory for emitted artifacts")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="number of hierarchies over k concepts")
@@ -228,7 +227,6 @@ def _affinity_config(args) -> aff.AffinityConfig:
         min_examples=args.min_examples,
         freeze_encoder=args.freeze_encoder,
         seed=args.seed,
-        n_threads=args.threads,
     )
 
 
@@ -324,9 +322,7 @@ def _cmd_affinity(args) -> int:
         arts_obj = {
             "matrix": aff.affinity_to_json(artifacts.matrix),
             "input_dim": artifacts.input_dim,
-            "config": {"budget": cfg.budget, "b_max": cfg.b_max,
-                       "hidden_dim": cfg.encoder.hidden_dim, "latent_dim": cfg.encoder.latent_dim,
-                       "seed": cfg.seed},
+            "config": aff.affinity_config_to_json(cfg),
             "concept_encoders": {str(c): mlp_to_json(m) for c, m in artifacts.concept_encoders.items()},
             "pair_encoders": {f"{i},{j}": mlp_to_json(m) for (i, j), m in artifacts.pair_encoders.items()},
         }
@@ -341,33 +337,20 @@ def _cmd_affinity(args) -> int:
     return 0
 
 
-def _load_artifacts(path: str, cfg: aff.AffinityConfig) -> aff.AffinityArtifacts:
+def _load_artifacts(path: str) -> aff.AffinityArtifacts:
     obj = load_json(path)
     try:
-        matrix = aff.affinity_from_json(obj["matrix"])
-        stored = obj["config"]
-        cfg = replace(
-            cfg,
-            budget=int(stored["budget"]),
-            b_max=int(stored["b_max"]),
-            seed=int(stored["seed"]),
-            encoder=replace(
-                cfg.encoder,
-                hidden_dim=int(stored["hidden_dim"]),
-                latent_dim=int(stored["latent_dim"]),
-            ),
-        )
         return aff.AffinityArtifacts(
-            matrix=matrix,
+            matrix=aff.affinity_from_json(obj["matrix"]),
             concept_encoders={int(c): mlp_from_json(m) for c, m in obj["concept_encoders"].items()},
             pair_encoders={
                 tuple(int(x) for x in key.split(",")): mlp_from_json(m)
                 for key, m in obj["pair_encoders"].items()
             },
-            config=cfg,
+            config=aff.affinity_config_from_json(obj["config"]),
             input_dim=int(obj["input_dim"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad artifacts file: {exc}") from None
 
 
@@ -419,7 +402,7 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     artifacts = None
     if args.artifacts:
-        artifacts = _load_artifacts(args.artifacts, _default_affinity_config(args))
+        artifacts = _load_artifacts(args.artifacts)
     classifier = hmodel.train_hierarchical(tree, dataset, cfg, artifacts=artifacts)
     if args.refine_epochs > 0:
         result = hmodel.refine_global(
@@ -443,10 +426,6 @@ def _cmd_train(args) -> int:
     atomic_write_json(out, obj)
     print(f"classifier ({hmodel.parameter_count(classifier)} parameters) -> {out}")
     return 0
-
-
-def _default_affinity_config(args) -> aff.AffinityConfig:
-    return aff.AffinityConfig(seed=args.seed, n_threads=args.threads)
 
 
 def _cmd_predict(args) -> int:
@@ -513,9 +492,7 @@ def _cmd_search(args) -> int:
         dataset, (1.0 - args.val_fraction, args.val_fraction), seed=args.seed, stratified=True
     )
     cfg = _train_config(args)
-    result = hmodel.exhaustive_search(
-        train, val, cfg, metric=args.metric, cap=args.cap, n_threads=args.threads
-    )
+    result = hmodel.exhaustive_search(train, val, cfg, metric=args.metric, cap=args.cap)
     lines = ["tree,score"]
     for tree, score in result.table:
         lines.append(f'"{treespace.tree_to_text(tree, dataset.catalog)}",{score!r}')

@@ -13,7 +13,6 @@ penalty.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .affinity import (
     AffinityArtifacts,
     AffinityConfig,
     EncoderConfig,
+    capped_budget,
     fine_tune,
     train_autoencoder,
 )
@@ -249,11 +249,6 @@ def _best_pair(members: tuple[int, ...], artifacts: AffinityArtifacts) -> tuple[
     return max(candidates, key=lambda p: (index.get(p, -1.0), -p[0], -p[1]))
 
 
-def _capped_budget(n_rows: int, cfg: AffinityConfig) -> int:
-    pool = n_rows - max(1, int(round(cfg.holdout_fraction * n_rows)))
-    return min(cfg.budget, pool)
-
-
 def assign_representations(
     tree: Tree,
     artifacts: AffinityArtifacts,
@@ -280,7 +275,7 @@ def assign_representations(
 
     def union_tune(start: Mlp, key: tuple[int, ...]) -> Mlp:
         rows = dataset.restrict(key).features
-        budget = _capped_budget(rows.shape[0], cfg)
+        budget = capped_budget(rows.shape[0], cfg)
         tuned, _ = fine_tune(start, rows, budget, cfg, task_seed(cfg.seed, 4, *key))
         return tuned
 
@@ -670,7 +665,6 @@ def exhaustive_search(
     cfg: HierTrainConfig,
     metric: str = "accuracy",
     cap: int = 5,
-    n_threads: int = 1,
 ) -> SearchResult:
     """Train a classifier for every hierarchy over the catalog and rank them.
 
@@ -694,12 +688,7 @@ def exhaustive_search(
             np.mean([h_loss(clf.tree, int(p), int(t)) for p, t in zip(preds, val_data.labels)])
         )
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            scores = list(pool.map(score, trees))
-    else:
-        scores = [score(t) for t in trees]
-    table = tuple(zip(trees, scores))
+    table = tuple((tree, score(tree)) for tree in trees)
     best_tree = max(table, key=lambda row: row[1])[0]
     return SearchResult(best_tree=best_tree, table=table, metric=metric)
 

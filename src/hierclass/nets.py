@@ -3,7 +3,12 @@
 Everything is plain numpy float64. Networks are small (a hidden layer or
 two); training is mini-batch SGD with an explicit divergence guard. Mlp
 values are immutable once built: their arrays are copied and marked
-read-only so they can be shared across threads.
+read-only, so a published network never changes under its users.
+
+Training parameters may carry a leading stack axis (weights (S, out, in),
+biases (S, out)): S same-shaped networks then train as one SGD through 3-D
+``np.matmul``, sharing inputs and batch order, and every stack member
+computes bit for bit what it would compute alone.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(z)
     if name == "relu":
         return (z > 0.0).astype(float)
     if name == "sigmoid":
@@ -128,13 +131,24 @@ def params_to_mlp(params: list[list[np.ndarray]], template: Mlp) -> Mlp:
     )
 
 
+def stack_params(mlps: Sequence[Mlp]) -> list[list[np.ndarray]]:
+    """Training parameters of same-shaped networks on a leading stack axis."""
+    return [
+        [np.stack([m.layers[i].weights for m in mlps]), np.stack([m.layers[i].bias for m in mlps])]
+        for i in range(len(mlps[0].layers))
+    ]
+
+
 def forward_trace(params, acts, x):
-    """Forward keeping per-layer preactivations and outputs for backprop."""
+    """Forward keeping per-layer preactivations and outputs for backprop.
+
+    With stacked parameters, ``x`` is (N, in) shared by every member or
+    (S, N, in) with one slice per member."""
     a = x
     outputs = [x]
     preacts = []
     for (w, b), act in zip(params, acts):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
         a = _apply_activation(act, z)
         preacts.append(z)
         outputs.append(a)
@@ -146,9 +160,12 @@ def backprop(params, acts, outputs, preacts, delta):
     grads = [None] * len(params)
     for i in range(len(params) - 1, -1, -1):
         w, _ = params[i]
-        dz = delta * _activation_deriv(acts[i], preacts[i], outputs[i + 1])
-        grads[i] = [dz.T @ outputs[i], dz.sum(axis=0)]
-        delta = dz @ w
+        dz = delta
+        if acts[i] != "identity":
+            dz = delta * _activation_deriv(acts[i], preacts[i], outputs[i + 1])
+        grads[i] = [dz.swapaxes(-1, -2) @ outputs[i], dz.sum(axis=-2)]
+        if i > 0:
+            delta = dz @ w
     return grads
 
 
@@ -159,13 +176,19 @@ def reconstruction_loss(encoder: Mlp, decoder: Mlp, x: np.ndarray) -> float:
     return float(np.mean((out - x) ** 2))
 
 
+def _mse_grads(params, acts, x, target):
+    """Residuals of net(x) against target and the per-layer gradients of
+    their mean square (per stack member)."""
+    outputs, preacts = forward_trace(params, acts, x)
+    resid = outputs[-1] - target
+    delta = 2.0 * resid / (resid.shape[-2] * resid.shape[-1])
+    return resid, backprop(params, acts, outputs, preacts, delta)
+
+
 def reconstruction_grads(params, acts, x):
     """Full-batch MSE loss and per-layer gradients for a chained net on x."""
-    outputs, preacts = forward_trace(params, acts, x)
-    resid = outputs[-1] - x
-    loss = float(np.mean(resid**2))
-    delta = 2.0 * resid / resid.size
-    return loss, backprop(params, acts, outputs, preacts, delta)
+    resid, grads = _mse_grads(params, acts, x, x)
+    return float(np.mean(resid**2)), grads
 
 
 @dataclass(frozen=True)
@@ -174,6 +197,31 @@ class SgdConfig:
     batch_size: int = 32
     learning_rate: float = 0.05
     divergence_limit: float = 1e6
+
+
+def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_trainable: int = 0):
+    """Mini-batch SGD, in place, on the mean squared error of net(x) against
+    ``target`` (N, dim); only layers from ``first_trainable`` on move.
+
+    ``x`` is (N, in), or (S, N, in) for stacked parameters whose members read
+    different inputs (say, cached latents of a frozen encoder stack); all
+    members share the batch order drawn from ``rng``. Returns the full-data
+    loss of every member per epoch (entry 0 is the pre-training loss).
+    Raises NumericError as soon as any member's loss diverges or goes
+    non-finite.
+    """
+    history = [_member_losses(params, acts, x, target, cfg)]
+    n = target.shape[0]
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            _, grads = _mse_grads(params, acts, x[..., rows, :], target[rows])
+            for i in range(first_trainable, len(params)):
+                params[i][0] -= cfg.learning_rate * grads[i][0]
+                params[i][1] -= cfg.learning_rate * grads[i][1]
+        history.append(_member_losses(params, acts, x, target, cfg, epoch=epoch))
+    return history
 
 
 def train_reconstruction(
@@ -200,34 +248,26 @@ def train_reconstruction(
     n_enc = len(encoder.layers)
     params = mlp_params(encoder) + mlp_params(decoder)
     acts = [l.activation for l in encoder.layers] + [l.activation for l in decoder.layers]
-    first_trainable = 0 if update_encoder else n_enc
-
-    history = [_full_loss(params, acts, x, cfg)]
-    n = x.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = x[order[start : start + cfg.batch_size]]
-            _, grads = reconstruction_grads(params, acts, batch)
-            for i in range(first_trainable, len(params)):
-                params[i][0] -= cfg.learning_rate * grads[i][0]
-                params[i][1] -= cfg.learning_rate * grads[i][1]
-        history.append(_full_loss(params, acts, x, cfg, epoch=epoch))
+    history = sgd_reconstruction(params, acts, x, x, cfg, rng, 0 if update_encoder else n_enc)
     new_encoder = params_to_mlp(params[:n_enc], encoder) if update_encoder else encoder
     new_decoder = params_to_mlp(params[n_enc:], decoder)
-    return new_encoder, new_decoder, history
+    return new_encoder, new_decoder, [float(losses[0]) for losses in history]
 
 
-def _full_loss(params, acts, x, cfg, epoch=None):
+def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
     outputs, _ = forward_trace(params, acts, x)
-    loss = float(np.mean((outputs[-1] - x) ** 2))
-    if not np.isfinite(loss) or loss > cfg.divergence_limit:
+    losses = np.atleast_1d(np.mean((outputs[-1] - target) ** 2, axis=(-2, -1)))
+    diverged = np.flatnonzero(~np.isfinite(losses) | (losses > cfg.divergence_limit))
+    if diverged.size:
+        member = int(diverged[0])
         where = "initial state" if epoch is None else f"epoch {epoch}"
+        if losses.size > 1:
+            where += f" (stack member {member})"
         raise NumericError(
-            f"reconstruction loss diverged at {where}: {loss!r} "
+            f"reconstruction loss diverged at {where}: {float(losses[member])!r} "
             f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
         )
-    return loss
+    return losses
 
 
 def task_seed(base: int, kind: int, *ids: int) -> int:

@@ -13,22 +13,29 @@ from hierclass.affinity import (
     AffinityRecord,
     DistanceMatrix,
     EncoderConfig,
+    affinity_config_from_json,
+    affinity_config_to_json,
     affinity_from_json,
     affinity_to_json,
     build_affinity_artifacts,
     build_affinity_matrix,
+    capped_budget,
     distance_to_csv,
     final_score,
     fine_tune,
+    fine_tune_stack,
     make_decoder,
     make_encoder,
     raw_transfer_score,
     symmetrize_to_distance,
     train_autoencoder,
 )
-from hierclass.errors import DataError
+from hierclass.errors import DataError, NumericError
 from hierclass.nets import (
+    Layer,
+    Mlp,
     SgdConfig,
+    task_seed,
     flatten_params,
     mlp_params,
     reconstruction_grads,
@@ -275,11 +282,155 @@ def test_identical_distribution_pair_beats_half():
     assert matrix.score(1, 0) > 0.5
 
 
-def test_matrix_build_is_deterministic_and_thread_invariant(triple_data_module):
-    serial = build_affinity_matrix(triple_data_module, AffinityConfig(seed=9))
-    again = build_affinity_matrix(triple_data_module, AffinityConfig(seed=9))
-    threaded = build_affinity_matrix(triple_data_module, AffinityConfig(seed=9, n_threads=3))
-    assert serial == again == threaded
+# --- batched build against the plain per-pair path -------------------------
+
+
+def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
+    """One transfer exactly as a serial per-pair loop runs it: the warmup
+    forwards and backpropagates through the frozen encoder on every batch."""
+    n = target_data.shape[0]
+    order = np.random.default_rng([seed, 0]).permutation(n)
+    n_held = max(1, int(round(cfg.holdout_fraction * n)))
+    pool, heldout = order[n_held:], order[:n_held]
+    decoder = make_decoder(encoder.input_dim, cfg.encoder, np.random.default_rng([seed, 1]))
+    train_rng = np.random.default_rng([seed, 2])
+    rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
+    _, decoder, _ = train_reconstruction(
+        encoder, decoder, rows, cfg.warmup, train_rng, update_encoder=False
+    )
+    if budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0:
+        encoder, decoder, _ = train_reconstruction(
+            encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
+        )
+    return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
+
+
+def _plain_build(dataset, cfg):
+    """Records and pair encoders of a serial loop over every ordered pair."""
+    ids = dataset.catalog.ids
+    data = {cid: dataset.of_concept(cid) for cid in ids}
+    encoders = {
+        cid: train_autoencoder(data[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0] for cid in ids
+    }
+    records, tuned = [], {}
+    for src in ids:
+        for dst in ids:
+            if src == dst:
+                continue
+            n = data[dst].shape[0]
+            budget = min(cfg.budget, n - max(1, int(round(cfg.holdout_fraction * n))))
+            seed = task_seed(cfg.seed, 2, dst)
+            fresh = make_encoder(data[dst].shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
+            _, l_ref = _plain_fine_tune(fresh, data[dst], budget, cfg, seed)
+            tuned[(src, dst)], l_ft = _plain_fine_tune(encoders[src], data[dst], budget, cfg, seed)
+            p = raw_transfer_score(l_ft, l_ref)
+            score = final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta)
+            records.append(AffinityRecord(src, dst, p, budget, score))
+    return tuple(records), tuned
+
+
+def _same_mlp(a, b):
+    return all(
+        la.activation == lb.activation
+        and np.array_equal(la.weights, lb.weights)
+        and np.array_equal(la.bias, lb.bias)
+        for la, lb in zip(a.layers, b.layers, strict=True)
+    )
+
+
+def _assert_build_matches_plain(dataset, cfg):
+    artifacts = build_affinity_artifacts(dataset, cfg)
+    records, tuned = _plain_build(dataset, cfg)
+    assert artifacts.matrix.records == records  # exact float equality
+    assert list(artifacts.pair_encoders) == list(tuned)
+    for pair, encoder in tuned.items():
+        assert _same_mlp(artifacts.pair_encoders[pair], encoder), pair
+    return artifacts
+
+
+def test_build_matches_plain_path_on_triple(triple_data_module):
+    cfg = AffinityConfig(seed=9)
+    artifacts = _assert_build_matches_plain(triple_data_module, cfg)
+    assert build_affinity_artifacts(triple_data_module, cfg).matrix == artifacts.matrix
+
+
+def test_build_matches_plain_path_on_k5_planted_spec():
+    cat = Catalog(tuple(f"c{i}" for i in range(5)))
+    tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3), leaf(4)])])
+    data = generate_planted(PlantedSpec(cat, tree, 8, 60, (6.0, 2.0), 1.0), seed=1)
+    cfg = AffinityConfig(
+        encoder=EncoderConfig(hidden_dim=10, latent_dim=3),
+        pretrain=SgdConfig(epochs=15, batch_size=32, learning_rate=0.1),
+        warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1),
+        budget=30,
+        seed=4,
+    )
+    _assert_build_matches_plain(data, cfg)
+
+
+@pytest.mark.parametrize("variant", [{"freeze_encoder": True}, {"budget": 0}])
+def test_build_matches_plain_path_without_joint_phase(triple_data_module, variant):
+    cfg = replace(AffinityConfig(seed=2, warmup=SgdConfig(epochs=30, batch_size=16, learning_rate=0.1)), **variant)
+    artifacts = _assert_build_matches_plain(triple_data_module, cfg)
+    # no joint phase: every pair encoder is its source encoder, untouched
+    for (src, _), encoder in artifacts.pair_encoders.items():
+        assert encoder is artifacts.concept_encoders[src]
+
+
+def test_one_diverging_stack_member_raises():
+    linear = EncoderConfig(hidden_dim=4, latent_dim=2,
+                           hidden_activation="identity", latent_activation="identity")
+    cfg = AffinityConfig(encoder=linear, budget=20)
+    data = np.random.default_rng(0).normal(size=(40, 6))
+    calm = make_encoder(6, linear, np.random.default_rng(1))
+    wild = Mlp(tuple(Layer(l.weights * 1e3, l.bias, l.activation) for l in calm.layers))
+    fine_tune(calm, data, 20, cfg, seed=3)  # each calm member trains fine on its own
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1"):
+        fine_tune_stack([calm, wild, calm], data, 20, cfg, seed=3)
+
+
+def test_fine_tune_stack_members_match_single_calls(triple_data_module):
+    cfg = AffinityConfig(warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1))
+    target = triple_data_module.of_concept(2)
+    encoders = [train_autoencoder(triple_data_module.of_concept(c), cfg, seed=c)[0] for c in (0, 1)]
+    stacked = fine_tune_stack(encoders, target, 50, cfg, seed=11)
+    for encoder, (tuned, l_ft) in zip(encoders, stacked):
+        alone, l_alone = fine_tune(encoder, target, 50, cfg, seed=11)
+        assert l_ft == l_alone and _same_mlp(tuned, alone)
+
+
+# --- holdout and budget arithmetic --------------------------------------------
+
+
+def test_capped_budget_is_the_pool_size_of_the_split():
+    from hierclass.affinity import _holdout_split
+
+    for n in range(2, 30):
+        for fraction in (0.01, 0.2, 0.5, 0.9, 0.96, 0.99):
+            cfg = AffinityConfig(holdout_fraction=fraction, budget=100, b_max=100)
+            pool, held = _holdout_split(n, fraction, np.random.default_rng(0))
+            assert capped_budget(n, cfg) == pool.size >= 1 and held.size >= 1
+
+
+def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch):
+    # n=10 at holdout 0.96 leaves a one-row pool: the transfer trains on it
+    import hierclass.affinity as affinity_module
+
+    rows_seen = []
+    real = affinity_module.sgd_reconstruction
+
+    def spy(params, acts, x, target, cfg, rng, first_trainable=0):
+        rows_seen.append((cfg, target.shape[0]))
+        return real(params, acts, x, target, cfg, rng, first_trainable)
+
+    monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
+    rng = np.random.default_rng(5)
+    feats = np.vstack([rng.normal(size=(10, 4)), rng.normal(size=(10, 4)) + 3])
+    data = LabeledDataset(feats, np.array([0] * 10 + [1] * 10), Catalog(("a", "b")))
+    cfg = AffinityConfig(holdout_fraction=0.96, encoder=EncoderConfig(hidden_dim=6, latent_dim=2))
+    matrix = build_affinity_matrix(data, cfg)
+    assert rows_seen == [(cfg.warmup, 1), (cfg.finetune, 1)] * 2  # the joint phase ran
+    assert [r.budget for r in matrix.records] == [1, 1]
 
 
 def test_insufficient_concepts_are_skipped_and_reported():
@@ -373,6 +524,21 @@ def test_budget_annotations(triple_artifacts):
 def test_affinity_json_roundtrip(triple_artifacts):
     obj = json.loads(json.dumps(affinity_to_json(triple_artifacts.matrix)))
     assert affinity_from_json(obj) == triple_artifacts.matrix
+
+
+def test_affinity_config_json_roundtrip():
+    cfg = AffinityConfig(
+        encoder=EncoderConfig(5, 2, "sigmoid", "identity"),
+        warmup=SgdConfig(epochs=7, batch_size=8, learning_rate=0.3, divergence_limit=1e4),
+        budget=3, b_max=9, alpha=0.2, beta=0.7, holdout_fraction=0.3,
+        min_examples=4, freeze_encoder=True, seed=11,
+    )
+    obj = json.loads(json.dumps(affinity_config_to_json(cfg)))
+    assert affinity_config_from_json(obj) == cfg
+    with pytest.raises(DataError, match="format"):
+        affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v0"})
+    with pytest.raises(DataError, match="n_threads"):
+        affinity_config_from_json({**obj, "n_threads": 2})
 
 
 def test_affinity_json_has_documented_keys(triple_artifacts):

@@ -197,6 +197,66 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_config_file_rejects_removed_threads_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 5, "threads": 2}))
+    assert run("--config", cfg, "count") == 2
+    assert "threads" in capsys.readouterr().err
+
+
+FAST_AFF = ["--pretrain-epochs", "15", "--warmup-epochs", "5", "--finetune-epochs", "2",
+            "--budget", "20", "--hidden-dim", "8", "--latent-dim", "2", "--freeze-encoder"]
+
+
+def test_train_reuses_the_saved_affinity_config(tmp_path, planted_csv, capsys):
+    from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
+    from hierclass.hmodel import (ErmConfig, HierTrainConfig, classifier_to_json,
+                                  train_hierarchical)
+    from hierclass.nets import SgdConfig
+    from hierclass.synth import load_csv
+    from hierclass.treespace import parse_tree
+
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "--seed", "4", "affinity", "--data", data,
+               "--out", "aff.json", "--artifacts", "arts.json", *FAST_AFF) == 0
+    assert run("--out-dir", tmp_path, "--seed", "4", "train", "--data", data,
+               "--tree", tmp_path / "tree.nwk", "--artifacts", tmp_path / "arts.json",
+               "--out", "clf.json", *FAST) == 0
+
+    # the same run in-process, with the affinity config the flags spelled out
+    dataset = load_csv(data)
+    aff_cfg = AffinityConfig(
+        encoder=EncoderConfig(hidden_dim=8, latent_dim=2),
+        pretrain=SgdConfig(epochs=15, batch_size=32, learning_rate=0.1),
+        warmup=SgdConfig(epochs=5, batch_size=16, learning_rate=0.1),
+        finetune=SgdConfig(epochs=2, batch_size=16, learning_rate=0.02),
+        budget=20,
+        freeze_encoder=True,
+        seed=4,
+    )
+    train_cfg = HierTrainConfig(erm=ErmConfig(epochs=15, learning_rate=0.1), seed=4)
+    tree = parse_tree("((c1,c2),(c3,c4))", dataset.catalog)
+    clf = train_hierarchical(tree, dataset, train_cfg,
+                             artifacts=build_affinity_artifacts(dataset, aff_cfg))
+    cli_doc = json.loads((tmp_path / "clf.json").read_text())
+    assert cli_doc["nodes"] == classifier_to_json(clf)["nodes"]
+
+
+def test_artifacts_with_unknown_config_format_are_a_data_error(tmp_path, planted_csv, capsys):
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "arts.json").read_text())
+    arts["config"]["format"] = "hierclass-affinity-config-v0"
+    (tmp_path / "arts.json").write_text(json.dumps(arts))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    assert "hierclass-affinity-config-v0" in capsys.readouterr().err
+
+
 def test_predict_dimension_mismatch_is_data_error(tmp_path, planted_csv, capsys):
     data, _ = planted_csv
     (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")

@@ -358,14 +358,15 @@ def test_exhaustive_search_cap(triple_setup):
         exhaustive_search(data, data, HierTrainConfig(seed=0), cap=2)
 
 
-def test_exhaustive_search_threads_match_serial(triple_setup):
+def test_exhaustive_search_repeats_exactly(triple_setup):
     catalog, tree, data, _ = triple_setup
     from hierclass.synth import split
 
     train, val = split(data, (0.7, 0.3), seed=3, stratified=True)
-    serial = exhaustive_search(train, val, HierTrainConfig(seed=3))
-    threaded = exhaustive_search(train, val, HierTrainConfig(seed=3), n_threads=4)
-    assert serial.table == threaded.table
+    first = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="neg_h_loss")
+    again = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="neg_h_loss")
+    assert first.table == again.table
+    assert first.best_tree == again.best_tree
 
 
 # --- serialization ---------------------------------------------------------------
