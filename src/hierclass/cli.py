@@ -456,13 +456,17 @@ def _read_feature_csv(path: str, label_col: str, classifier) -> tuple[np.ndarray
         skip = header.index(label_col) if has_labels else -1
         rows = []
         for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
             try:
                 rows.append([float(c) for i, c in enumerate(row) if i != skip])
             except ValueError:
                 raise DataError(f"{path}:{row_no}: non-numeric feature cell") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=float), has_labels
+    features = np.array(rows, dtype=float)
+    synth.check_finite_cells(features, path, [h for i, h in enumerate(header) if i != skip])
+    return features, has_labels
 
 
 def _cmd_evaluate(args) -> int:

@@ -121,6 +121,8 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
     dim = classifier.input_dim
     if dim is not None and x.shape[1] != dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match classifier dim {dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite feature values")
     out = np.empty(x.shape[0], dtype=int)
 
     def descend(node: Tree, rows: np.ndarray) -> None:
@@ -161,18 +163,25 @@ def erm_risk_and_grads(
 
     Risk = mean over examples of the summed per-child hinge terms plus
     l2 * ||W||^2; labels are +1 for the example's child, -1 otherwise.
+    Scorers may carry a leading member axis (W (P, n, d), b (P, n) with
+    child_idx (P, m)) over one shared z (m, d); the risk is then a (P,)
+    array. Returns (risk, dW, db, ds), ds being d(risk)/d(scores), which
+    refinement backpropagates into the encoder.
     """
     m = z.shape[0]
-    scores = z @ scorer_w.T + scorer_b
-    y = -np.ones_like(scores)
-    y[np.arange(m), child_idx] = 1.0
+    scores = z @ scorer_w.swapaxes(-1, -2) + scorer_b[..., None, :]
+    y = np.full(scores.shape, -1.0)
+    y.reshape(-1, y.shape[-1])[np.arange(child_idx.size), child_idx.ravel()] = 1.0
     margins = 1.0 - y * scores
     active = margins > 0
-    risk = float(np.where(active, margins, 0.0).sum() / m + l2 * (scorer_w**2).sum())
+    # per-member sums over one contiguous run, as a single member sums alone
+    members = scores.shape[:-2]
+    hinge = np.where(active, margins, 0.0).reshape(members + (-1,)).sum(axis=-1)
+    risk = hinge / m + l2 * (scorer_w**2).reshape(members + (-1,)).sum(axis=-1)
     ds = -(y * active) / m
-    dw = ds.T @ z + 2.0 * l2 * scorer_w
-    db = ds.sum(axis=0)
-    return risk, dw, db
+    dw = ds.swapaxes(-1, -2) @ z + 2.0 * l2 * scorer_w
+    db = ds.sum(axis=-2)
+    return (risk if members else float(risk)), dw, db, ds
 
 
 @dataclass(frozen=True)
@@ -196,33 +205,45 @@ def train_node_erm(
     The encoder is frozen here; scorers start at zero. The best iterate by
     full-data risk is returned, so the reported risk never exceeds the
     initial one. Returns (weights, bias, risk_history).
+
+    ``child_idx`` of shape (P, m) trains P groupings of the same rows into
+    ``n_children`` children as one stacked SGD. The members share the
+    encoder, the zero start and the batch order drawn from ``seed``, so
+    member p gets bit for bit what the (m,) call with ``child_idx[p]`` gets;
+    weights (P, n, d), bias (P, n) and each history entry (P,) then carry
+    the member axis. Each member keeps its own best iterate.
     """
     features = np.asarray(features, dtype=float)
     child_idx = np.asarray(child_idx, dtype=int)
-    counts = np.bincount(child_idx, minlength=n_children)
-    if (counts == 0).any():
-        raise DataError(f"empty child group(s): {np.flatnonzero(counts == 0).tolist()}")
+    for p, row in enumerate(np.atleast_2d(child_idx)):
+        counts = np.bincount(row, minlength=n_children)
+        if (counts == 0).any():
+            where = f" in stack member {p}" if child_idx.ndim == 2 else ""
+            raise DataError(f"empty child group(s){where}: {np.flatnonzero(counts == 0).tolist()}")
     z = mlp_forward(encoder, features)
-    w = np.zeros((n_children, z.shape[1]))
-    b = np.zeros(n_children)
+    members = child_idx.shape[:-1]  # () for one grouping, (P,) for a stack
+    w = np.zeros(members + (n_children, z.shape[1]))
+    b = np.zeros(members + (n_children,))
     rng = np.random.default_rng(seed)
 
-    risk, _, _ = erm_risk_and_grads(w, b, z, child_idx, cfg.l2)
+    risk = erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]
     history = [risk]
-    best = (risk, w.copy(), b.copy())
+    best_risk, best_w, best_b = risk, w.copy(), b.copy()
     m = z.shape[0]
     for _ in range(cfg.epochs):
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            _, dw, db = erm_risk_and_grads(w, b, z[rows], child_idx[rows], cfg.l2)
+            _, dw, db, _ = erm_risk_and_grads(w, b, z[rows], child_idx[..., rows], cfg.l2)
             w -= cfg.learning_rate * dw
             b -= cfg.learning_rate * db
-        risk, _, _ = erm_risk_and_grads(w, b, z, child_idx, cfg.l2)
+        risk = erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]
         history.append(risk)
-        if risk < best[0]:
-            best = (risk, w.copy(), b.copy())
-    return best[1], best[2], history
+        better = np.asarray(risk < best_risk)
+        best_risk = np.where(better, risk, best_risk)
+        np.copyto(best_w, w, where=better[..., None, None])
+        np.copyto(best_b, b, where=better[..., None])
+    return best_w, best_b, history
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +332,24 @@ class HierTrainConfig:
     seed: int = 0
 
 
-def _scratch_representations(
-    tree: Tree, dataset: LabeledDataset, cfg: HierTrainConfig
-) -> dict[tuple[int, ...], Mlp]:
+def _scratch_encoder(dataset: LabeledDataset, key: tuple[int, ...], cfg: HierTrainConfig) -> Mlp:
+    """The node encoder trained from scratch on the rows of concept set ``key``."""
     affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
-    assignment = {}
-    for node in tree.internal_nodes():
-        key = node_key(node)
-        rows = dataset.restrict(key).features
-        encoder, _, _ = train_autoencoder(rows, affinity_cfg, seed=task_seed(cfg.seed, 5, *key))
-        assignment[key] = encoder
-    return assignment
+    rows = dataset.restrict(key).features
+    encoder, _, _ = train_autoencoder(rows, affinity_cfg, seed=task_seed(cfg.seed, 5, *key))
+    return encoder
 
 
-def child_index_labels(node: Tree, labels: np.ndarray) -> np.ndarray:
-    """Map concept labels to the index of the child subtree containing them."""
-    lookup = {}
-    for ci, child in enumerate(node.children):
-        for cid in child.leaf_ids():
-            lookup[cid] = ci
-    return np.array([lookup[int(l)] for l in labels], dtype=int)
+def _child_keys(node: Tree) -> tuple[tuple[int, ...], ...]:
+    return tuple(node_key(c) for c in node.children)
+
+
+def child_index_labels(child_keys: tuple[tuple[int, ...], ...], labels: np.ndarray) -> np.ndarray:
+    """Map concept labels to the index of the child (by its key) containing them."""
+    lookup = np.full(max(max(ck) for ck in child_keys) + 1, -1, dtype=int)
+    for ci, ck in enumerate(child_keys):
+        lookup[list(ck)] = ci
+    return lookup[np.asarray(labels, dtype=int)]
 
 
 def train_hierarchical(
@@ -352,27 +371,23 @@ def train_hierarchical(
     else:
         if cfg.rep_mode == "fuse":
             tree = fuse_tree(tree)
-        encoders = _scratch_representations(tree, dataset, cfg)
+        encoders = {node_key(n): _scratch_encoder(dataset, node_key(n), cfg) for n in tree.internal_nodes()}
 
     models = {}
     for node in tree.internal_nodes():
         key = node_key(node)
+        child_keys = _child_keys(node)
         sub = dataset.restrict(key)
-        child_idx = child_index_labels(node, sub.labels)
         w, b, _ = train_node_erm(
             encoders[key],
             sub.features,
-            child_idx,
-            len(node.children),
+            child_index_labels(child_keys, sub.labels),
+            len(child_keys),
             cfg.erm,
             seed=task_seed(cfg.seed, 6, *key),
         )
         models[key] = NodeModel(
-            key=key,
-            encoder=encoders[key],
-            scorer_weights=w,
-            scorer_bias=b,
-            child_keys=tuple(node_key(c) for c in node.children),
+            key=key, encoder=encoders[key], scorer_weights=w, scorer_bias=b, child_keys=child_keys
         )
     return HierarchicalClassifier(
         tree=tree,
@@ -450,26 +465,18 @@ def _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, act
         start, end = spans[key]
         enc_params = params[start : end - 1]
         scorer_w, scorer_b = params[end - 1]
-        node = _node_by_key(classifier.tree, key)
         sub = dataset.restrict(key)
-        child_idx = child_index_labels(node, sub.labels)
+        child_idx = child_index_labels(classifier.models[key].child_keys, sub.labels)
         outputs, preacts = forward_trace(enc_params, acts[key], sub.features)
-        z = outputs[-1]
-        m = z.shape[0]
-        scores = z @ scorer_w.T + scorer_b
-        y = -np.ones_like(scores)
-        y[np.arange(m), child_idx] = 1.0
-        margins = 1.0 - y * scores
-        active = margins > 0
-        risk = float(np.where(active, margins, 0.0).sum() / m + l2 * (scorer_w**2).sum())
+        risk, dw, db, ds = erm_risk_and_grads(scorer_w, scorer_b, outputs[-1], child_idx, l2)
         node_risks[key] = risk
         total += risk
-        ds = -(y * active) / m
-        grads[end - 1][0] += ds.T @ z + 2.0 * l2 * scorer_w
-        grads[end - 1][1] += ds.sum(axis=0)
-        for g, (dw, db) in zip(grads[start : end - 1], backprop(enc_params, acts[key], outputs, preacts, ds @ scorer_w)):
-            g[0] += dw
-            g[1] += db
+        grads[end - 1][0] += dw
+        grads[end - 1][1] += db
+        enc_grads = backprop(enc_params, acts[key], outputs, preacts, ds @ scorer_w)
+        for g, (gw, gb) in zip(grads[start : end - 1], enc_grads):
+            g[0] += gw
+            g[1] += gb
 
     penalty = 0.0
     if lambda_orth != 0.0:
@@ -484,13 +491,6 @@ def _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, act
             grads[p_idx][0] += lambda_orth * 2.0 * cross.T @ c_map
     total += lambda_orth * penalty
     return total, grads, node_risks, penalty
-
-
-def _node_by_key(tree: Tree, key: tuple[int, ...]) -> Tree:
-    for node in tree.internal_nodes():
-        if node_key(node) == key:
-            return node
-    raise KeyError(key)
 
 
 @dataclass(frozen=True)
@@ -671,6 +671,15 @@ def exhaustive_search(
     All trainings share budgets and the seed discipline; scoring is on the
     validation split, with accuracy or negated mean hierarchical loss as the
     metric (higher is better for both).
+
+    Each classifier equals ``train_hierarchical(tree, train_data, cfg)``, but
+    no node is trained twice. A scratch node depends only on its concept
+    set (encoder and rows) and on how its children split that set (ERM), so
+    the search first collects the distinct nodes of all trees. It trains one
+    encoder per concept set, and one stacked ``train_node_erm`` per concept
+    set and child count, since those groupings share the encoder, rows, zero
+    start and batch order. Each tree's classifier is then composed from this
+    node table.
     """
     if metric not in ("accuracy", "neg_h_loss"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -678,17 +687,38 @@ def exhaustive_search(
     if k > cap:
         raise ValueError(f"{k} concepts exceed the exhaustive-search cap {cap}")
     trees = enumerate_hierarchies(range(k), cap=cap)
+    shaped = [canonicalize(tree) for tree in trees]
+    if cfg.rep_mode == "fuse":
+        shaped = [fuse_tree(tree) for tree in shaped]
+
+    # concept set -> child count -> distinct child partitions (insertion-ordered)
+    plan: dict[tuple[int, ...], dict[int, dict]] = {}
+    for tree in shaped:
+        for node in tree.internal_nodes():
+            by_count = plan.setdefault(node_key(node), {})
+            by_count.setdefault(len(node.children), {})[_child_keys(node)] = None
+    nodes: dict = {}
+    for key, by_count in plan.items():
+        sub = train_data.restrict(key)
+        encoder = _scratch_encoder(train_data, key, cfg)
+        for n_children, partitions in by_count.items():
+            child_idx = np.stack([child_index_labels(ck, sub.labels) for ck in partitions])
+            w, b, _ = train_node_erm(
+                encoder, sub.features, child_idx, n_children, cfg.erm, seed=task_seed(cfg.seed, 6, *key)
+            )
+            for ck, wp, bp in zip(partitions, w, b):
+                nodes[key, ck] = NodeModel(key, encoder, wp, bp, ck)
 
     def score(tree: Tree) -> float:
-        clf = train_hierarchical(tree, train_data, cfg, artifacts=None)
-        preds = predict_batch(clf, val_data.features)
+        models = {node_key(n): nodes[node_key(n), _child_keys(n)] for n in tree.internal_nodes()}
+        preds = predict_batch(HierarchicalClassifier(tree, train_data.catalog, models), val_data.features)
         if metric == "accuracy":
             return float(np.mean(preds == val_data.labels))
-        return -float(
-            np.mean([h_loss(clf.tree, int(p), int(t)) for p, t in zip(preds, val_data.labels)])
-        )
+        # H-loss depends only on the (predicted, true) leaf pair of this tree
+        table = np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)])
+        return -float(np.mean(table[preds, val_data.labels]))
 
-    table = tuple((tree, score(tree)) for tree in trees)
+    table = tuple((tree, score(shape)) for tree, shape in zip(trees, shaped))
     best_tree = max(table, key=lambda row: row[1])[0]
     return SearchResult(best_tree=best_tree, table=table, metric=metric)
 

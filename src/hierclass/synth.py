@@ -214,6 +214,8 @@ def load_csv(
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
+    features = np.array(rows, dtype=float)
+    check_finite_cells(features, path, feature_names)
     if catalog is None:
         catalog = Catalog(tuple(sorted(set(labels))))
     try:
@@ -222,7 +224,7 @@ def load_csv(
         unknown = sorted(set(labels) - set(catalog.names))
         raise DataError(f"{path}: unknown labels {unknown}") from None
     return LabeledDataset(
-        np.array(rows, dtype=float),
+        features,
         label_ids,
         catalog,
         provenance={
@@ -232,6 +234,17 @@ def load_csv(
             "feature_names": feature_names,
         },
     )
+
+
+def check_finite_cells(features: np.ndarray, path, columns: Sequence[str]) -> None:
+    """Raise DataError naming file:row:column of the first non-finite cell of
+    a feature matrix read from a header-ed CSV (the header is row 1)."""
+    bad = ~np.isfinite(features)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}:{row + 2}: column {columns[col]!r}: not a finite number: {features[row, col]!r}"
+        )
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path, label_column: str = "label") -> None:

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import TreeParseError
 
@@ -58,10 +58,6 @@ class Catalog:
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(range(len(self.names)))
-
-
-def make_catalog(names: Iterable[str]) -> Catalog:
-    return Catalog(tuple(names))
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,3 @@ def _tree_from_json(obj, catalog: Catalog) -> Tree:
             raise TreeParseError("groups need at least 2 children")
         return Tree(children=tuple(_tree_from_json(o, catalog) for o in obj))
     raise TreeParseError(f"expected name or array, got {type(obj).__name__}")
-
-
-def tree_text_roundtrip_check(tree: Tree, catalog: Catalog) -> bool:
-    return parse_tree(tree_to_text(tree, catalog), catalog) == canonicalize(tree)

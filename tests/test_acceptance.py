@@ -207,11 +207,10 @@ def test_criterion_04_gradient_checks():
         labels = rng.integers(0, 3, size=10)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        _, dw, db = erm_risk_and_grads(w, b, z, labels, l2=1e-3)
+        _, dw, db, _ = erm_risk_and_grads(w, b, z, labels, l2=1e-3)
 
         def f(vec):
-            risk, _, _ = erm_risk_and_grads(vec[:12].reshape(3, 4), vec[12:], z, labels, l2=1e-3)
-            return risk
+            return erm_risk_and_grads(vec[:12].reshape(3, 4), vec[12:], z, labels, l2=1e-3)[0]
 
         worst["hinge"] = max(
             worst["hinge"],

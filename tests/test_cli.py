@@ -270,6 +270,55 @@ def test_predict_dimension_mismatch_is_data_error(tmp_path, planted_csv, capsys)
                "--data", narrow, "--out", "r.json") == 2
 
 
+@pytest.fixture(scope="module")
+def trained_clf(tmp_path_factory, planted_csv):
+    data, _ = planted_csv
+    tmp = tmp_path_factory.mktemp("clf")
+    (tmp / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp, "train", "--data", data, "--tree", tmp / "tree.nwk",
+               "--out", "clf.json", *FAST) == 0
+    return tmp / "clf.json"
+
+
+def _with_bad_row(data, tmp_path, row_no, cells):
+    """A copy of the CSV whose data row ``row_no`` (the header is row 1) is replaced."""
+    lines = data.read_text().splitlines()
+    lines[row_no - 1] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def test_predict_on_nan_row_is_data_error(tmp_path, planted_csv, trained_clf, capsys):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[3].split(",")
+    cells[2] = "nan"
+    bad = _with_bad_row(data, tmp_path, 4, cells)
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "predict", "--clf", trained_clf, "--data", bad, "--out", "p.csv") == 2
+    assert f"{bad}:4: column 'f2'" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_on_ragged_row_is_data_error(tmp_path, planted_csv, trained_clf, capsys):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[5].split(",")
+    bad = _with_bad_row(data, tmp_path, 6, cells[:3] + cells[-1:])
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "predict", "--clf", trained_clf, "--data", bad, "--out", "p.csv") == 2
+    assert f"{bad}:6: expected 9 cells, got 4" in capsys.readouterr().err
+
+
+def test_evaluate_on_nan_row_names_file_row_and_column(tmp_path, planted_csv, trained_clf, capsys):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[9].split(",")
+    cells[7] = "inf"
+    bad = _with_bad_row(data, tmp_path, 10, cells)
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", bad, "--out", "r.json") == 2
+    assert f"{bad}:10: column 'f7'" in capsys.readouterr().err
+
+
 def test_segment_cli(tmp_path):
     stream = tmp_path / "stream.csv"
     rng = np.random.default_rng(0)

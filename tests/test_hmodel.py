@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, rel_err
-from hierclass.affinity import AffinityConfig, build_affinity_artifacts
+from hierclass import hmodel
+from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
 from hierclass.errors import DataError
 from hierclass.hmodel import (
     ErmConfig,
@@ -29,9 +31,10 @@ from hierclass.hmodel import (
     train_hierarchical,
     train_node_erm,
 )
-from hierclass.nets import Layer, Mlp
-from hierclass.synth import PlantedSpec, generate_planted
-from hierclass.treespace import Catalog, count_hierarchies, internal, leaf
+from hierclass.metrics import h_loss
+from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp
+from hierclass.synth import PlantedSpec, generate_planted, split
+from hierclass.treespace import Catalog, count_hierarchies, enumerate_hierarchies, internal, leaf
 
 
 def _identity_encoder(dim):
@@ -63,13 +66,12 @@ def test_erm_gradients_match_finite_differences():
     labels = rng.integers(0, 3, size=12)
     w0 = rng.normal(size=(3, 4))
     b0 = rng.normal(size=3)
-    _, dw, db = erm_risk_and_grads(w0, b0, z, labels, l2=1e-3)
+    _, dw, db, _ = erm_risk_and_grads(w0, b0, z, labels, l2=1e-3)
 
     def f(vec):
         w = vec[:12].reshape(3, 4)
         b = vec[12:]
-        risk, _, _ = erm_risk_and_grads(w, b, z, labels, l2=1e-3)
-        return risk
+        return erm_risk_and_grads(w, b, z, labels, l2=1e-3)[0]
 
     fd = central_difference(f, np.concatenate([w0.ravel(), b0.ravel()]))
     assert rel_err(np.concatenate([dw.ravel(), db.ravel()]), fd) < 1e-6
@@ -84,7 +86,7 @@ def test_train_node_erm_separates_separable_groups():
     routed = route_child(_node((0, 1), ((0,), (1,)), w, b), features)
     assert np.array_equal(routed, labels)
     # the returned scorers are the best iterate: risk never above the start
-    returned_risk, _, _ = erm_risk_and_grads(w, b, features, labels, ErmConfig().l2)
+    returned_risk = erm_risk_and_grads(w, b, features, labels, ErmConfig().l2)[0]
     assert returned_risk == min(history) <= history[0]
 
 
@@ -92,6 +94,56 @@ def test_train_node_erm_rejects_empty_child_group():
     encoder = _identity_encoder(3)
     with pytest.raises(DataError, match="empty child"):
         train_node_erm(encoder, np.zeros((4, 3)), np.array([0, 0, 0, 0]), 2, ErmConfig(), seed=0)
+    with pytest.raises(DataError, match="empty child group.* in stack member 1"):
+        train_node_erm(encoder, np.zeros((4, 3)), np.array([[0, 1, 0, 1], [0, 0, 0, 0]]), 2, ErmConfig(), seed=0)
+
+
+def _groupings(n_concepts, n_children):
+    """Every partition of concepts 0..n-1 into n_children blocks, as the block
+    index of each concept (blocks numbered by first member)."""
+    out = []
+    for assign in itertools.product(range(n_children), repeat=n_concepts):
+        firsts = [assign.index(c) for c in range(n_children) if c in assign]
+        if len(firsts) == n_children and firsts == sorted(firsts):
+            out.append(np.array(assign))
+    return out
+
+
+@pytest.mark.parametrize("n_children, expected", [(2, 7), (3, 6), (4, 1)])
+def test_stacked_erm_equals_serial_one_member_calls(n_children, expected):
+    rng = np.random.default_rng(11)
+    concepts = rng.integers(0, 4, size=90)
+    concepts[:4] = np.arange(4)  # every concept present
+    features = rng.normal(size=(90, 5)) + concepts[:, None]
+    encoder = init_mlp((5, 6, 3), ("relu", "identity"), rng)
+    cfg = ErmConfig(epochs=12, batch_size=16, learning_rate=0.1)
+    groupings = _groupings(4, n_children)
+    assert len(groupings) == expected  # Stirling numbers S(4, n)
+    child_idx = np.stack([g[concepts] for g in groupings])
+    w, b, history = train_node_erm(encoder, features, child_idx, n_children, cfg, seed=7)
+    assert w.shape == (expected, n_children, 3) and b.shape == (expected, n_children)
+    assert len(history) == cfg.epochs + 1 and history[0].shape == (expected,)
+    for p, idx in enumerate(child_idx):
+        w1, b1, h1 = train_node_erm(encoder, features, idx, n_children, cfg, seed=7)
+        assert np.array_equal(w[p], w1) and np.array_equal(b[p], b1)
+        assert [h[p] for h in history] == h1
+    # a stack of one is the one-member call
+    w1, b1, h1 = train_node_erm(encoder, features, child_idx[:1], n_children, cfg, seed=7)
+    assert np.array_equal(w1[0], w[0]) and np.array_equal(b1[0], b[0])
+    assert [h[0] for h in h1] == [h[0] for h in history]
+
+
+def test_stacked_erm_risk_matches_each_member():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(20, 4))
+    child_idx = rng.integers(0, 3, size=(5, 20))
+    w = rng.normal(size=(5, 3, 4))
+    b = rng.normal(size=(5, 3))
+    risk, dw, db, ds = erm_risk_and_grads(w, b, z, child_idx, l2=1e-3)
+    for p in range(5):
+        one = erm_risk_and_grads(w[p], b[p], z, child_idx[p], l2=1e-3)
+        assert risk[p] == one[0]
+        assert all(np.array_equal(a[p], c) for a, c in zip((dw, db, ds), one[1:]))
 
 
 # --- prediction --------------------------------------------------------------
@@ -138,6 +190,14 @@ def test_predict_tie_breaks_to_lowest_child_index(hand_classifier):
 def test_predict_dimension_mismatch(hand_classifier):
     with pytest.raises(ValueError, match="dim"):
         predict(hand_classifier, np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_batch_rejects_non_finite_rows(hand_classifier, bad):
+    x = np.zeros((3, 3))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        predict_batch(hand_classifier, x)
 
 
 def test_predict_is_deterministic_and_affine_invariant(hand_classifier):
@@ -367,6 +427,76 @@ def test_exhaustive_search_repeats_exactly(triple_setup):
     again = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="neg_h_loss")
     assert first.table == again.table
     assert first.best_tree == again.best_tree
+
+
+FAST_CFG = HierTrainConfig(
+    erm=ErmConfig(epochs=10, learning_rate=0.1),
+    encoder=EncoderConfig(hidden_dim=6, latent_dim=2),
+    pretrain=SgdConfig(epochs=8, batch_size=32, learning_rate=0.1),
+    seed=5,
+)
+
+
+def _search_split(k):
+    catalog = Catalog(tuple("abcd"[:k]))
+    planted = internal([internal([leaf(0), leaf(1)]), *([leaf(2)] if k == 3 else [internal([leaf(2), leaf(3)])])])
+    data = generate_planted(PlantedSpec(catalog, planted, 6, 40, (6.0, 2.0), 2.0), seed=k)
+    return split(data, (0.7, 0.3), seed=k, stratified=True)
+
+
+def _plain_search(train, val, cfg):
+    """The plain search: train and score every tree on its own."""
+    rows = []
+    for tree in enumerate_hierarchies(range(len(train.catalog))):
+        clf = train_hierarchical(tree, train, cfg)
+        preds = predict_batch(clf, val.features)
+        accuracy = float(np.mean(preds == val.labels))
+        neg_h = -float(np.mean([h_loss(clf.tree, int(p), int(t)) for p, t in zip(preds, val.labels)]))
+        rows.append((tree, clf, accuracy, neg_h))
+    return rows
+
+
+@pytest.mark.parametrize("k, rep_mode", [(3, "keep"), (4, "keep"), (4, "fuse")])
+def test_planned_search_equals_training_every_tree(monkeypatch, k, rep_mode):
+    train, val = _search_split(k)
+    cfg = replace(FAST_CFG, rep_mode=rep_mode)
+    plain = _plain_search(train, val, cfg)
+    composed = []
+    real_predict = hmodel.predict_batch
+
+    def spy(classifier, x):
+        composed.append(classifier)
+        return real_predict(classifier, x)
+
+    monkeypatch.setattr(hmodel, "predict_batch", spy)
+    for metric, column in (("accuracy", 2), ("neg_h_loss", 3)):
+        composed.clear()
+        result = exhaustive_search(train, val, cfg, metric=metric)
+        # bit-equal scores, neg_h_loss included: its K x K table mean equals the per-row mean
+        assert result.table == tuple((row[0], row[column]) for row in plain)
+        assert len(composed) == len(plain)
+        assert all(classifiers_equal(c, row[1]) for c, row in zip(composed, plain))
+
+
+def test_search_trains_each_distinct_node_once(monkeypatch):
+    train, val = _search_split(4)
+    calls = {"encoders": 0, "erms": 0, "members": 0}
+    real_autoencoder, real_erm = hmodel.train_autoencoder, hmodel.train_node_erm
+
+    def count_autoencoder(*args, **kwargs):
+        calls["encoders"] += 1
+        return real_autoencoder(*args, **kwargs)
+
+    def count_erm(encoder, features, child_idx, *args, **kwargs):
+        calls["erms"] += 1
+        calls["members"] += np.atleast_2d(child_idx).shape[0]
+        return real_erm(encoder, features, child_idx, *args, **kwargs)
+
+    monkeypatch.setattr(hmodel, "train_autoencoder", count_autoencoder)
+    monkeypatch.setattr(hmodel, "train_node_erm", count_erm)
+    exhaustive_search(train, val, FAST_CFG)
+    # 2^4-4-1 concept sets; sum C(4,s)(s-1) stacked calls over sum C(4,s)(B_s-1) groupings
+    assert calls == {"encoders": 11, "erms": 17, "members": 36}
 
 
 # --- serialization ---------------------------------------------------------------
