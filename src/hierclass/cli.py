@@ -430,7 +430,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     classifier = hmodel.classifier_from_json(load_json(args.clf))
-    rows, has_labels = _read_feature_csv(args.data, args.label_col, classifier)
+    rows, _, _ = synth.read_csv(args.data, args.label_col)
     expected = classifier.input_dim
     if expected is not None and rows.shape[1] != expected:
         raise DataError(
@@ -442,31 +442,6 @@ def _cmd_predict(args) -> int:
     atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"{len(preds)} predictions -> {out}")
     return 0
-
-
-def _read_feature_csv(path: str, label_col: str, classifier) -> tuple[np.ndarray, bool]:
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        has_labels = label_col in header
-        skip = header.index(label_col) if has_labels else -1
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
-            try:
-                rows.append([float(c) for i, c in enumerate(row) if i != skip])
-            except ValueError:
-                raise DataError(f"{path}:{row_no}: non-numeric feature cell") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    features = np.array(rows, dtype=float)
-    synth.check_finite_cells(features, path, [h for i, h in enumerate(header) if i != skip])
-    return features, has_labels
 
 
 def _cmd_evaluate(args) -> int:

@@ -26,7 +26,7 @@ from .affinity import (
     train_autoencoder,
 )
 from .errors import DataError
-from .metrics import h_loss
+from .metrics import h_loss_table
 from .nets import (
     Mlp,
     SgdConfig,
@@ -145,11 +145,6 @@ def predict(classifier: HierarchicalClassifier, x: np.ndarray) -> int:
 
 # ---------------------------------------------------------------------------
 # hinge-loss empirical risk minimization
-
-
-def hinge_loss(score: float, label: int) -> float:
-    """max(0, 1 - label*score) for label in {-1, +1}."""
-    return max(0.0, 1.0 - label * score)
 
 
 def erm_risk_and_grads(
@@ -513,82 +508,68 @@ def refine_global(
 ) -> RefineResult:
     """Joint full-batch descent on the combined objective with backtracking:
     a step that raises the loss is undone and the rate halved, so the
-    recorded trajectory never increases. With lambda_orth = 0 the nodes are
-    independent and each accepts or reverts its own steps."""
+    recorded trajectory never increases.
+
+    Steps are accepted per block, each block with its own rate. With
+    lambda_orth = 0 the nodes are independent and each node is a block that
+    accepts or reverts its own steps on its own risk; otherwise all nodes
+    form one block judged on the total. Each trial step is evaluated once,
+    and the kept state takes its risks and gradients from that evaluation.
+    """
     if lambda_orth < 0:
         raise ValueError("lambda_orth must be nonnegative")
     keys, params, acts, spans = _template(classifier)
+    blocks = [tuple(keys)] if lambda_orth else [(key,) for key in keys]
+    rates = [learning_rate] * len(blocks)
 
-    def masked(update_grads):
-        if not freeze_encoders:
-            return update_grads
-        masked_grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
-        for key in keys:
-            end = spans[key][1]
-            masked_grads[end - 1] = update_grads[end - 1]
-        return masked_grads
+    def indices(block, scorers_only=False):  # template positions; a node's scorer pair is last
+        return [i for key in block for i in range(*spans[key])[-1 if scorers_only else 0 :]]
+
+    owned = [indices(block) for block in blocks]
+    moved = [indices(block, scorers_only=freeze_encoders) for block in blocks]
+
+    def loss(risks, penalty, block):  # summed as _objective_on_params sums its total
+        total = 0.0
+        for key in block:
+            total += risks[key]
+        return total + lambda_orth * penalty
 
     total, grads, risks0, penalty = _objective_on_params(
         classifier, dataset, lambda_orth, l2, keys, params, acts, spans
     )
+    risks = dict(risks0)
     obj_history = [total]
     pen_history = [penalty]
-
-    if lambda_orth == 0.0:
-        rates = {key: learning_rate for key in keys}
-        for _ in range(epochs):
-            grads = masked(grads)
-            new_params = [[w.copy(), b.copy()] for w, b in params]
-            for key in keys:
-                start, end = spans[key]
-                for i in range(start, end):
-                    new_params[i][0] -= rates[key] * grads[i][0]
-                    new_params[i][1] -= rates[key] * grads[i][1]
-            new_total, new_grads, new_risks, new_pen = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, new_params, acts, spans
-            )
-            cur_total, _, cur_risks, _ = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, params, acts, spans
-            )
-            for key in keys:
-                start, end = spans[key]
-                if new_risks[key] <= cur_risks[key]:
-                    for i in range(start, end):
-                        params[i] = new_params[i]
-                else:
-                    rates[key] *= 0.5
-            total, grads, risks, penalty = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, params, acts, spans
-            )
-            obj_history.append(total)
-            pen_history.append(penalty)
-    else:
-        rate = learning_rate
-        for _ in range(epochs):
-            grads = masked(grads)
-            new_params = [
-                [w - rate * gw, b - rate * gb] for (w, b), (gw, gb) in zip(params, grads)
-            ]
-            new_total, new_grads, _, new_pen = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, new_params, acts, spans
-            )
-            if new_total <= total:
-                params, total, grads, penalty = new_params, new_total, new_grads, new_pen
+    for _ in range(epochs):
+        trial = list(params)
+        for idx, rate in zip(moved, rates):
+            for i in idx:
+                (w, b), (gw, gb) = params[i], grads[i]
+                trial[i] = [w - rate * gw, b - rate * gb]
+        _, new_grads, new_risks, new_pen = _objective_on_params(
+            classifier, dataset, lambda_orth, l2, keys, trial, acts, spans
+        )
+        kept = 0
+        for n, block in enumerate(blocks):
+            if loss(new_risks, new_pen, block) <= loss(risks, penalty, block):
+                for i in owned[n]:
+                    params[i], grads[i] = trial[i], new_grads[i]
+                risks.update((key, new_risks[key]) for key in block)
+                kept += 1
             else:
-                rate *= 0.5
-            obj_history.append(total)
-            pen_history.append(penalty)
+                rates[n] *= 0.5
+        if kept == len(blocks):  # the penalty couples nodes: known for a state from one evaluation
+            penalty = new_pen
+        obj_history.append(loss(risks, penalty, keys))
+        pen_history.append(penalty)
 
     refined = _with_params(classifier, keys, params, spans)
-    _, _, risks_after, _ = _objective_on_params(
-        refined, dataset, lambda_orth, l2, *_template(refined)
-    )
     return RefineResult(
         classifier=refined,
         objective_history=tuple(obj_history),
         penalty_history=tuple(pen_history),
         node_risks_before=risks0,
-        node_risks_after=risks_after,
+        node_risks_after=risks,
     )
 
 
@@ -714,9 +695,7 @@ def exhaustive_search(
         preds = predict_batch(HierarchicalClassifier(tree, train_data.catalog, models), val_data.features)
         if metric == "accuracy":
             return float(np.mean(preds == val_data.labels))
-        # H-loss depends only on the (predicted, true) leaf pair of this tree
-        table = np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)])
-        return -float(np.mean(table[preds, val_data.labels]))
+        return -float(np.mean(h_loss_table(tree)[preds, val_data.labels]))
 
     table = tuple((tree, score(shape)) for tree, shape in zip(trees, shaped))
     best_tree = max(table, key=lambda row: row[1])[0]

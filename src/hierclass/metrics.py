@@ -68,20 +68,8 @@ def node_indicator(tree: Tree, concept: int) -> np.ndarray:
     return marks
 
 
-def h_loss(tree: Tree, predicted_leaf: int, true_leaf: int) -> int:
-    """Count nodes whose indicators differ while all their ancestors agree."""
-    index = node_index(tree)
-    pred = node_indicator(tree, predicted_leaf)
-    true = node_indicator(tree, true_leaf)
-    loss = 0
-    for i in range(index.count):
-        if pred[i] != true[i] and all(pred[j] == true[j] for j in index.ancestors[i]):
-            loss += 1
-    return loss
-
-
 def charged_nodes(tree: Tree, predicted_leaf: int, true_leaf: int) -> list[int]:
-    """Node indices actually charged by h_loss (for antichain checks)."""
+    """Node indices whose indicators differ while all their ancestors agree."""
     index = node_index(tree)
     pred = node_indicator(tree, predicted_leaf)
     true = node_indicator(tree, true_leaf)
@@ -90,6 +78,17 @@ def charged_nodes(tree: Tree, predicted_leaf: int, true_leaf: int) -> list[int]:
         for i in range(index.count)
         if pred[i] != true[i] and all(pred[j] == true[j] for j in index.ancestors[i])
     ]
+
+
+def h_loss(tree: Tree, predicted_leaf: int, true_leaf: int) -> int:
+    """Number of nodes charged: nothing below a mistake is charged."""
+    return len(charged_nodes(tree, predicted_leaf, true_leaf))
+
+
+def h_loss_table(tree: Tree) -> np.ndarray:
+    """K x K H-loss indexed [predicted, true]; H-loss depends only on that pair."""
+    k = len(tree.leaf_ids())
+    return np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)], dtype=int)
 
 
 def cohen_kappa(labels_a, labels_b) -> float:
@@ -164,7 +163,7 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
     descendant of t, and scores it correct iff the node routes it into the
     child subtree containing that concept.
     """
-    from .hmodel import node_key, predict_batch, route_child
+    from .hmodel import child_index_labels, node_key, predict_batch, route_child
 
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -172,13 +171,8 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
     preds = predict_batch(classifier, dataset.features)
     truth = dataset.labels
     accuracy = float(np.mean(preds == truth))
-    mean_hl = float(
-        np.mean([h_loss(classifier.tree, int(p), int(t)) for p, t in zip(preds, truth)])
-    )
-
-    confusion = np.zeros((k, k), dtype=int)
-    for t, p in zip(truth, preds):
-        confusion[int(t), int(p)] += 1
+    mean_hl = float(np.mean(h_loss_table(classifier.tree)[preds, truth]))
+    confusion = np.bincount(truth * k + preds, minlength=k * k).reshape(k, k)
 
     per_concept = []
     for cid in range(k):
@@ -208,12 +202,7 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
             per_node.append({"node": list(key), "support": 0, "accuracy": 0.0})
             continue
         routed = route_child(model, dataset.features[member_mask])
-        want = np.array(
-            [
-                next(ci for ci, ck in enumerate(model.child_keys) if int(t) in ck)
-                for t in truth[member_mask]
-            ]
-        )
+        want = child_index_labels(model.child_keys, truth[member_mask])
         per_node.append(
             {
                 "node": list(key),

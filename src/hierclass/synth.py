@@ -172,6 +172,55 @@ def planted_spec_from_json(obj: dict) -> PlantedSpec:
 # CSV ingestion / export
 
 
+def read_csv(path: str | Path, label_column: str = "label"):
+    """Parse a header-ed CSV of numeric feature columns and an optional label column.
+
+    Returns (features (N, n), the label cells or None when the label column
+    is absent, the feature names). Errors are DataError naming the file and
+    the offending row (the header is row 1) and column.
+    """
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            label_idx = header.index(label_column) if label_column in header else None
+            columns = [i for i in range(len(header)) if i != label_idx]
+            rows, labels = [], []
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
+                try:
+                    rows.append([float(row[i]) for i in columns])
+                except ValueError:
+                    for i in columns:
+                        try:
+                            float(row[i])
+                        except ValueError:
+                            raise DataError(
+                                f"{path}:{row_no}: column {header[i]!r}: not a number: {row[i]!r}"
+                            ) from None
+                if label_idx is not None:
+                    labels.append(row[label_idx].strip())
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    names = [header[i] for i in columns]
+    features = np.array(rows, dtype=float)
+    bad = ~np.isfinite(features)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {features[row, col]!r}"
+        )
+    return features, (labels if label_idx is not None else None), names
+
+
 def load_csv(
     path: str | Path,
     label_column: str = "label",
@@ -183,39 +232,9 @@ def load_csv(
     Errors name the offending row and column.
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            if label_column not in header:
-                raise DataError(f"{path}: missing label column {label_column!r}")
-            label_idx = header.index(label_column)
-            feature_names = [h for i, h in enumerate(header) if i != label_idx]
-            rows, labels = [], []
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
-                values = []
-                for i, cell in enumerate(row):
-                    if i == label_idx:
-                        continue
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{row_no}: column {header[i]!r}: not a number: {cell!r}"
-                        ) from None
-                rows.append(values)
-                labels.append(row[label_idx].strip())
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    features = np.array(rows, dtype=float)
-    check_finite_cells(features, path, feature_names)
+    features, labels, feature_names = read_csv(path, label_column)
+    if labels is None:
+        raise DataError(f"{path}: missing label column {label_column!r}")
     if catalog is None:
         catalog = Catalog(tuple(sorted(set(labels))))
     try:
@@ -234,17 +253,6 @@ def load_csv(
             "feature_names": feature_names,
         },
     )
-
-
-def check_finite_cells(features: np.ndarray, path, columns: Sequence[str]) -> None:
-    """Raise DataError naming file:row:column of the first non-finite cell of
-    a feature matrix read from a header-ed CSV (the header is row 1)."""
-    bad = ~np.isfinite(features)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise DataError(
-            f"{path}:{row + 2}: column {columns[col]!r}: not a finite number: {features[row, col]!r}"
-        )
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path, label_column: str = "label") -> None:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,55 @@ def test_evaluate_on_nan_row_names_file_row_and_column(tmp_path, planted_csv, tr
     capsys.readouterr()
     assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", bad, "--out", "r.json") == 2
     assert f"{bad}:10: column 'f7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_non_utf8_csv_is_data_error_naming_the_file(tmp_path, planted_csv, trained_clf, capsys, command):
+    data, _ = planted_csv
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(data.read_bytes().replace(b"c3", "c\u00e9".encode("latin-1")))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, command, "--clf", trained_clf, "--data", bad, "--out", "o") == 2
+    assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
+
+
+def test_predict_on_missing_file_is_data_error(tmp_path, trained_clf, capsys):
+    missing = tmp_path / "missing.csv"
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "predict", "--clf", trained_clf, "--data", missing, "--out", "p.csv") == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_predict_on_non_numeric_cell_names_file_row_and_column(tmp_path, planted_csv, trained_clf, capsys):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[6].split(",")
+    cells[5] = "oops"
+    bad = _with_bad_row(data, tmp_path, 7, cells)
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "predict", "--clf", trained_clf, "--data", bad, "--out", "p.csv") == 2
+    assert f"{bad}:7: column 'f5': not a number: 'oops'" in capsys.readouterr().err
+
+
+def test_evaluate_on_unknown_label_is_data_error(tmp_path, planted_csv, trained_clf, capsys):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[2].split(",")
+    cells[-1] = "c9"
+    bad = _with_bad_row(data, tmp_path, 3, cells)
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", bad, "--out", "r.json") == 2
+    assert f"{bad}: unknown labels ['c9']" in capsys.readouterr().err
+
+
+def test_planted_pipeline_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_planted_pipeline.py"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seed", "0", "--refine-epochs", "3"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "mean H-loss" in proc.stdout
 
 
 def test_segment_cli(tmp_path):

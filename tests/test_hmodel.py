@@ -21,7 +21,6 @@ from hierclass.hmodel import (
     exhaustive_search,
     flat_tree,
     fuse_tree,
-    hinge_loss,
     parameter_count,
     predict,
     predict_batch,
@@ -55,9 +54,14 @@ def _node(key, child_keys, w, b, dim=None):
 # --- hinge ERM ---------------------------------------------------------------
 
 
-def test_hinge_at_zero_score_is_one():
-    assert hinge_loss(0.0, 1) == 1.0
-    assert hinge_loss(0.0, -1) == 1.0
+def test_erm_risk_at_zero_scorers_is_child_count():
+    # every child's hinge term is max(0, 1 - (+-1) * 0) = 1 on a zero score
+    z = np.array([[0.5, -2.0, 1.0]])
+    for n_children in (2, 3, 5):
+        w = np.zeros((n_children, 3))
+        b = np.zeros(n_children)
+        risk, _, _, _ = erm_risk_and_grads(w, b, z, np.array([1]), l2=0.0)
+        assert risk == n_children
 
 
 def test_erm_gradients_match_finite_differences():
@@ -351,6 +355,122 @@ def test_refine_large_lambda_decreases_penalty(trained_triple):
         b <= a + 1e-12
         for a, b in zip(result.objective_history, result.objective_history[1:])
     )
+
+
+def _two_branch_refine_global(
+    classifier, dataset, lambda_orth=0.1, epochs=30, learning_rate=0.1, l2=1e-3, freeze_encoders=False
+):
+    """Reference: the refinement loop as it was before its two branches were
+    merged, with three objective evaluations per epoch at lambda_orth = 0."""
+    from hierclass.hmodel import RefineResult, _objective_on_params, _template, _with_params
+
+    if lambda_orth < 0:
+        raise ValueError("lambda_orth must be nonnegative")
+    keys, params, acts, spans = _template(classifier)
+
+    def masked(update_grads):
+        if not freeze_encoders:
+            return update_grads
+        masked_grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+        for key in keys:
+            end = spans[key][1]
+            masked_grads[end - 1] = update_grads[end - 1]
+        return masked_grads
+
+    total, grads, risks0, penalty = _objective_on_params(
+        classifier, dataset, lambda_orth, l2, keys, params, acts, spans
+    )
+    obj_history = [total]
+    pen_history = [penalty]
+
+    if lambda_orth == 0.0:
+        rates = {key: learning_rate for key in keys}
+        for _ in range(epochs):
+            grads = masked(grads)
+            new_params = [[w.copy(), b.copy()] for w, b in params]
+            for key in keys:
+                start, end = spans[key]
+                for i in range(start, end):
+                    new_params[i][0] -= rates[key] * grads[i][0]
+                    new_params[i][1] -= rates[key] * grads[i][1]
+            new_total, new_grads, new_risks, new_pen = _objective_on_params(
+                classifier, dataset, lambda_orth, l2, keys, new_params, acts, spans
+            )
+            cur_total, _, cur_risks, _ = _objective_on_params(
+                classifier, dataset, lambda_orth, l2, keys, params, acts, spans
+            )
+            for key in keys:
+                start, end = spans[key]
+                if new_risks[key] <= cur_risks[key]:
+                    for i in range(start, end):
+                        params[i] = new_params[i]
+                else:
+                    rates[key] *= 0.5
+            total, grads, risks, penalty = _objective_on_params(
+                classifier, dataset, lambda_orth, l2, keys, params, acts, spans
+            )
+            obj_history.append(total)
+            pen_history.append(penalty)
+    else:
+        rate = learning_rate
+        for _ in range(epochs):
+            grads = masked(grads)
+            new_params = [
+                [w - rate * gw, b - rate * gb] for (w, b), (gw, gb) in zip(params, grads)
+            ]
+            new_total, new_grads, _, new_pen = _objective_on_params(
+                classifier, dataset, lambda_orth, l2, keys, new_params, acts, spans
+            )
+            if new_total <= total:
+                params, total, grads, penalty = new_params, new_total, new_grads, new_pen
+            else:
+                rate *= 0.5
+            obj_history.append(total)
+            pen_history.append(penalty)
+
+    refined = _with_params(classifier, keys, params, spans)
+    _, _, risks_after, _ = _objective_on_params(
+        refined, dataset, lambda_orth, l2, *_template(refined)
+    )
+    return RefineResult(
+        classifier=refined,
+        objective_history=tuple(obj_history),
+        penalty_history=tuple(pen_history),
+        node_risks_before=risks0,
+        node_risks_after=risks_after,
+    )
+
+
+REFINE_MODES = [
+    {"lambda_orth": 0.0},
+    {"lambda_orth": 0.1},
+    {"lambda_orth": 0.0, "freeze_encoders": True},
+    {"lambda_orth": 0.5, "freeze_encoders": True},
+]
+
+
+# at rate 10 steps are rejected and rates halve (lambda > 0: 3-7 of 12 epochs keep a flat objective)
+@pytest.mark.parametrize("learning_rate", [0.1, 10.0])
+@pytest.mark.parametrize("mode", REFINE_MODES, ids=lambda m: "-".join(f"{k}={v}" for k, v in m.items()))
+def test_refine_equals_two_branch_reference(trained_triple, mode, learning_rate):
+    clf, data = trained_triple
+    got = refine_global(clf, data, epochs=12, learning_rate=learning_rate, **mode)
+    want = _two_branch_refine_global(clf, data, epochs=12, learning_rate=learning_rate, **mode)
+    assert classifiers_equal(got.classifier, want.classifier)
+    assert got.objective_history == want.objective_history
+    assert got.penalty_history == want.penalty_history
+    assert got.node_risks_before == want.node_risks_before
+    assert got.node_risks_after == want.node_risks_after
+
+
+@pytest.mark.parametrize("lambda_orth", [0.0, 0.1])
+def test_refine_evaluates_the_objective_once_per_step(trained_triple, monkeypatch, lambda_orth):
+    clf, data = trained_triple
+    calls = []
+    original = hmodel._objective_on_params
+    monkeypatch.setattr(hmodel, "_objective_on_params", lambda *a: calls.append(1) or original(*a))
+    refine_global(clf, data, lambda_orth=lambda_orth, epochs=7)
+    assert len(calls) == 1 + 7
 
 
 def test_refine_freeze_encoders_only_moves_scorers(trained_triple):

@@ -4,13 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierclass.errors import DataError
-from hierclass.hmodel import HierarchicalClassifier, NodeModel, node_key
+from hierclass.hmodel import (
+    HierarchicalClassifier,
+    HierTrainConfig,
+    NodeModel,
+    node_key,
+    predict_batch,
+    route_child,
+    train_hierarchical,
+)
 from hierclass.metrics import (
     charged_nodes,
     cohen_kappa,
     confusion_to_csv,
     evaluate,
+    EvalReport,
     h_loss,
+    h_loss_table,
     hierarchy_agreement,
     node_index,
     node_indicator,
@@ -19,7 +29,7 @@ from hierclass.metrics import (
     report_to_json,
 )
 from hierclass.nets import Layer, Mlp
-from hierclass.synth import LabeledDataset
+from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import Catalog, enumerate_hierarchies, internal, leaf
 
 
@@ -73,6 +83,17 @@ def test_h_loss_matches_brute_force_over_all_k4_trees():
         for pred in range(4):
             for true in range(4):
                 assert h_loss(tree, pred, true) == brute_force_h_loss(tree, pred, true)
+
+
+def test_h_loss_table_matches_h_loss_over_all_k4_trees():
+    trees = enumerate_hierarchies(range(4))
+    assert len(trees) == 26
+    for tree in trees:
+        table = h_loss_table(tree)
+        assert table.shape == (4, 4)
+        for pred in range(4):
+            for true in range(4):
+                assert table[pred, true] == h_loss(tree, pred, true)
 
 
 def test_h_loss_symmetric_in_leaves():
@@ -258,3 +279,59 @@ def test_report_serialization(onehot_dataset, perfect_classifier):
     assert csv_text.startswith("metric,value")
     conf = confusion_to_csv(report)
     assert conf.splitlines()[0] == "true\\pred,c1,c2,c3"
+
+
+def _per_row_evaluate(classifier, dataset):
+    """Reference report: per-row H-loss, a Python confusion loop and a
+    per-row search for each example's child at every node."""
+    k = len(dataset.catalog)
+    preds = predict_batch(classifier, dataset.features)
+    truth = dataset.labels
+    accuracy = float(np.mean(preds == truth))
+    mean_hl = float(
+        np.mean([h_loss(classifier.tree, int(p), int(t)) for p, t in zip(preds, truth)])
+    )
+    confusion = np.zeros((k, k), dtype=int)
+    for t, p in zip(truth, preds):
+        confusion[int(t), int(p)] += 1
+    per_concept = []
+    for cid in range(k):
+        tp = confusion[cid, cid]
+        support = int(confusion[cid].sum())
+        predicted = int(confusion[:, cid].sum())
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / support if support else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_concept.append(
+            {"concept": dataset.catalog.name_of(cid), "precision": precision,
+             "recall": recall, "f1": f1, "support": support}
+        )
+    per_node = []
+    for node in classifier.tree.internal_nodes():
+        key = node_key(node)
+        model = classifier.models[key]
+        member_mask = np.isin(truth, key)
+        support = int(member_mask.sum())
+        routed = route_child(model, dataset.features[member_mask])
+        want = np.array(
+            [
+                next(ci for ci, ck in enumerate(model.child_keys) if int(t) in ck)
+                for t in truth[member_mask]
+            ]
+        )
+        per_node.append(
+            {"node": list(key), "support": support, "accuracy": float(np.mean(routed == want))}
+        )
+    return EvalReport(accuracy, mean_hl, tuple(per_node), tuple(per_concept), confusion,
+                      tuple(dataset.catalog.names))
+
+
+def test_evaluate_equals_per_row_reference_on_planted_k4():
+    catalog = Catalog(("c1", "c2", "c3", "c4"))
+    tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])])
+    spec = PlantedSpec(catalog, tree, 6, 80, (4.0, 1.5), 1.5)
+    train, test = split(generate_planted(spec, seed=0), (0.5, 0.5), seed=0, stratified=True)
+    clf = train_hierarchical(tree, train, HierTrainConfig(seed=0))
+    report = evaluate(clf, test)
+    assert 0.5 < report.accuracy < 1.0  # imperfect, so the confusion has off-diagonal counts
+    assert report_to_json(report) == report_to_json(_per_row_evaluate(clf, test))

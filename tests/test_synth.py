@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hierclass.synth import (
     load_csv,
     planted_spec_from_json,
     planted_spec_to_json,
+    read_csv,
     save_csv,
     segment_stream,
     split,
@@ -99,6 +103,50 @@ def test_csv_roundtrip(tmp_path, small_spec):
     assert back.catalog == data.catalog
     assert np.array_equal(back.labels, data.labels)
     assert np.array_equal(back.features, data.features)  # repr round-trips floats
+
+
+NAMES = ("walk", "sit down", "caf\u00e9", "a;b|c")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda dim: st.lists(
+            st.tuples(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+                st.integers(0, len(NAMES) - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+def test_csv_roundtrip_property(rows):
+    data = LabeledDataset(
+        np.array([r for r, _ in rows], dtype=float), np.array([c for _, c in rows]), Catalog(NAMES)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(data, path)
+        back = load_csv(path)
+    # bit-equal, so -0.0 and subnormals survive too
+    assert back.features.tobytes() == data.features.tobytes()
+    assert [back.catalog.name_of(c) for c in back.labels] == [NAMES[c] for c in data.labels]
+
+
+def test_read_csv_without_label_column(tmp_path):
+    path = tmp_path / "bare.csv"
+    path.write_text("f0,f1\n1.0,2.0\n3.0,-4.5\n", encoding="utf-8")
+    features, labels, names = read_csv(path)
+    assert labels is None and names == ["f0", "f1"]
+    assert np.array_equal(features, [[1.0, 2.0], [3.0, -4.5]])
+
+
+def test_csv_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("f0,label\n1.0,caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1.csv: not UTF-8"):
+        load_csv(path)
 
 
 def test_csv_error_coordinates(tmp_path):
