@@ -33,6 +33,7 @@ from .nets import (
     task_seed,
     train_reconstruction,
 )
+from .serialize import config_from_json
 from .synth import LabeledDataset
 from .treespace import Catalog
 
@@ -100,17 +101,8 @@ def affinity_config_from_json(obj: dict) -> AffinityConfig:
     if not isinstance(obj, dict) or obj.get("format") != _CONFIG_FORMAT:
         found = obj.get("format") if isinstance(obj, dict) else None
         raise DataError(f"unsupported affinity config format {found!r}")
-    try:
-        fields = {k: v for k, v in obj.items() if k != "format"}
-        return AffinityConfig(
-            encoder=EncoderConfig(**fields.pop("encoder")),
-            pretrain=SgdConfig(**fields.pop("pretrain")),
-            warmup=SgdConfig(**fields.pop("warmup")),
-            finetune=SgdConfig(**fields.pop("finetune")),
-            **fields,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad affinity config: {exc}") from None
+    fields = {k: v for k, v in obj.items() if k != "format"}
+    return config_from_json(AffinityConfig, fields, "affinity config")
 
 
 def make_encoder(input_dim: int, cfg: EncoderConfig, rng) -> Mlp:
@@ -241,21 +233,6 @@ def fine_tune(
     """Fine-tune a copy of one encoder toward a target concept: the
     one-member case of :func:`fine_tune_stack`."""
     return fine_tune_stack([encoder], target_data, budget, cfg, seed)[0]
-
-
-def _fresh_encoder(input_dim: int, cfg: AffinityConfig, seed: int) -> Mlp:
-    return make_encoder(input_dim, cfg.encoder, np.random.default_rng([seed, 3]))
-
-
-def scratch_reference(
-    target_data: np.ndarray, budget: int, cfg: AffinityConfig, seed: int
-) -> float:
-    """Held-out loss of a freshly initialized encoder under the same budget,
-    slices, decoder init, and batch schedule as :func:`fine_tune`."""
-    target_data = np.asarray(target_data, dtype=float)
-    fresh = _fresh_encoder(target_data.shape[1], cfg, seed)
-    _, l_ref = fine_tune(fresh, target_data, budget, cfg, seed)
-    return l_ref
 
 
 def raw_transfer_score(l_ft: float, l_ref: float) -> float:
@@ -406,7 +383,8 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         seed = task_seed(cfg.seed, 2, dst)  # shared by every fine-tune toward dst
         budget = capped_budget(rows.shape[0], cfg)
         sources = [src for src in usable if src != dst]
-        stack = [encoders[src] for src in sources] + [_fresh_encoder(rows.shape[1], cfg, seed)]
+        fresh = make_encoder(rows.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
+        stack = [encoders[src] for src in sources] + [fresh]  # fresh: the scratch reference
         *tuned, (_, l_ref) = fine_tune_stack(stack, rows, budget, cfg, seed)
         for src, (encoder, l_ft) in zip(sources, tuned):
             p = raw_transfer_score(l_ft, l_ref)
@@ -483,14 +461,7 @@ def affinity_to_json(matrix: AffinityMatrix) -> dict:
             for r in matrix.records
         ],
         "skipped": [{"concept": cid, "examples": n} for cid, n in matrix.skipped],
-        "encoder": None
-        if matrix.encoder is None
-        else {
-            "hidden_dim": matrix.encoder.hidden_dim,
-            "latent_dim": matrix.encoder.latent_dim,
-            "hidden_activation": matrix.encoder.hidden_activation,
-            "latent_activation": matrix.encoder.latent_activation,
-        },
+        "encoder": None if matrix.encoder is None else asdict(matrix.encoder),
     }
 
 
@@ -515,12 +486,7 @@ def affinity_from_json(obj: dict) -> AffinityMatrix:
             skipped=tuple((int(s["concept"]), int(s["examples"])) for s in obj.get("skipped", [])),
             encoder=None
             if obj.get("encoder") is None
-            else EncoderConfig(
-                hidden_dim=int(obj["encoder"]["hidden_dim"]),
-                latent_dim=int(obj["encoder"]["latent_dim"]),
-                hidden_activation=obj["encoder"]["hidden_activation"],
-                latent_activation=obj["encoder"]["latent_activation"],
-            ),
+            else config_from_json(EncoderConfig, obj["encoder"], "affinity encoder"),
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"bad affinity JSON: {exc}") from None

@@ -6,7 +6,9 @@ refine classifiers, predict, evaluate, search the tree space exhaustively,
 and compare derived/expert/random hierarchies. Artifacts are JSON/CSV/
 Newick/DOT files written atomically; JSON artifacts embed a provenance
 block (command, resolved config, seed, input hashes) sufficient to re-run
-them. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
+them. Flag defaults are the library's: each one is read from
+``AffinityConfig()`` or ``HierTrainConfig()``. Exit codes: 0 success,
+1 usage error, 2 data error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,6 @@ from . import affinity as aff
 from . import derive as drv
 from . import hmodel, metrics, synth, treespace
 from .errors import DataError, NumericError
-from .nets import SgdConfig
 from .serialize import (
     atomic_write_json,
     atomic_write_text,
@@ -34,20 +35,29 @@ from .serialize import (
 )
 
 
+_AFFINITY = aff.AffinityConfig()
+_TRAIN = hmodel.HierTrainConfig()
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
+
+
+def _add_training_flags(p) -> None:
+    """The node-training flags shared by train, search and compare."""
+    p.add_argument("--hidden-dim", type=int, default=_TRAIN.encoder.hidden_dim)
+    p.add_argument("--latent-dim", type=int, default=_TRAIN.encoder.latent_dim)
+    p.add_argument("--pretrain-epochs", type=int, default=_TRAIN.pretrain.epochs)
+    p.add_argument("--erm-epochs", type=int, default=_TRAIN.erm.epochs)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hierclass", description=__doc__)
     parser.add_argument("--config", help="JSON file of option defaults; flags override")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=_AFFINITY.seed)
     parser.add_argument("--out-dir", default=".", help="directory for emitted artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -77,17 +87,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="affinity JSON")
     p.add_argument("--artifacts", help="also save trained encoders for reuse by train")
     p.add_argument("--distance-csv", help="export the symmetrized distance matrix")
-    p.add_argument("--budget", type=int, default=80)
-    p.add_argument("--b-max", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--hidden-dim", type=int, default=24)
-    p.add_argument("--latent-dim", type=int, default=4)
-    p.add_argument("--min-examples", type=int, default=10)
-    p.add_argument("--pretrain-epochs", type=int, default=60)
-    p.add_argument("--warmup-epochs", type=int, default=80)
-    p.add_argument("--finetune-epochs", type=int, default=3)
-    p.add_argument("--freeze-encoder", action="store_true")
+    p.add_argument("--budget", type=int, default=_AFFINITY.budget)
+    p.add_argument("--b-max", type=int, default=_AFFINITY.b_max)
+    p.add_argument("--alpha", type=float, default=_AFFINITY.alpha)
+    p.add_argument("--beta", type=float, default=_AFFINITY.beta)
+    p.add_argument("--hidden-dim", type=int, default=_AFFINITY.encoder.hidden_dim)
+    p.add_argument("--latent-dim", type=int, default=_AFFINITY.encoder.latent_dim)
+    p.add_argument("--min-examples", type=int, default=_AFFINITY.min_examples)
+    p.add_argument("--pretrain-epochs", type=int, default=_AFFINITY.pretrain.epochs)
+    p.add_argument("--warmup-epochs", type=int, default=_AFFINITY.warmup.epochs)
+    p.add_argument("--finetune-epochs", type=int, default=_AFFINITY.finetune.epochs)
+    p.add_argument("--freeze-encoder", action="store_true", default=_AFFINITY.freeze_encoder)
 
     p = sub.add_parser("derive", help="derive a hierarchy from an affinity matrix")
     p.add_argument("--affinity", required=True)
@@ -109,11 +119,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", required=True, help="hierarchy file (Newick or JSON)")
     p.add_argument("--out", required=True, help="classifier JSON")
     p.add_argument("--artifacts", help="affinity artifacts JSON (reuses encoders)")
-    p.add_argument("--mode", choices=("keep", "fuse"), default="keep")
-    p.add_argument("--hidden-dim", type=int, default=24)
-    p.add_argument("--latent-dim", type=int, default=3)
-    p.add_argument("--pretrain-epochs", type=int, default=40)
-    p.add_argument("--erm-epochs", type=int, default=80)
+    p.add_argument("--mode", choices=("keep", "fuse"), default=_TRAIN.rep_mode)
+    _add_training_flags(p)
     p.add_argument("--refine-epochs", type=int, default=0)
     p.add_argument("--lambda-orth", type=float, default=0.1)
 
@@ -135,10 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--val-fraction", type=float, default=0.3)
     p.add_argument("--metric", choices=("accuracy", "neg_h_loss"), default="accuracy")
     p.add_argument("--cap", type=int, default=5)
-    p.add_argument("--hidden-dim", type=int, default=24)
-    p.add_argument("--latent-dim", type=int, default=3)
-    p.add_argument("--pretrain-epochs", type=int, default=40)
-    p.add_argument("--erm-epochs", type=int, default=80)
+    _add_training_flags(p)
     p.add_argument("--out", required=True, help="score table CSV")
 
     p = sub.add_parser("compare", help="derived vs expert vs random hierarchies")
@@ -148,10 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--random-samples", type=int, default=3)
     p.add_argument("--train-seeds", default="0,1,2", help="comma-separated seeds")
     p.add_argument("--val-fraction", type=float, default=0.3)
-    p.add_argument("--hidden-dim", type=int, default=24)
-    p.add_argument("--latent-dim", type=int, default=3)
-    p.add_argument("--pretrain-epochs", type=int, default=40)
-    p.add_argument("--erm-epochs", type=int, default=80)
+    _add_training_flags(p)
     p.add_argument("--out", required=True, help="comparison JSON")
     return parser
 
@@ -215,11 +216,13 @@ def _read_tree_file(path: str, catalog: treespace.Catalog) -> treespace.Tree:
 
 
 def _affinity_config(args) -> aff.AffinityConfig:
-    return aff.AffinityConfig(
-        encoder=aff.EncoderConfig(hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
-        pretrain=SgdConfig(epochs=args.pretrain_epochs, batch_size=32, learning_rate=0.1),
-        warmup=SgdConfig(epochs=args.warmup_epochs, batch_size=16, learning_rate=0.1),
-        finetune=SgdConfig(epochs=args.finetune_epochs, batch_size=16, learning_rate=0.02),
+    d = _AFFINITY
+    return replace(
+        d,
+        encoder=replace(d.encoder, hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
+        pretrain=replace(d.pretrain, epochs=args.pretrain_epochs),
+        warmup=replace(d.warmup, epochs=args.warmup_epochs),
+        finetune=replace(d.finetune, epochs=args.finetune_epochs),
         budget=args.budget,
         b_max=args.b_max,
         alpha=args.alpha,
@@ -231,15 +234,13 @@ def _affinity_config(args) -> aff.AffinityConfig:
 
 
 def _train_config(args) -> hmodel.HierTrainConfig:
-    return hmodel.HierTrainConfig(
-        erm=hmodel.ErmConfig(epochs=args.erm_epochs, learning_rate=0.1)
-        if hasattr(args, "erm_epochs")
-        else hmodel.ErmConfig(),
-        encoder=aff.EncoderConfig(hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
-        pretrain=SgdConfig(
-            epochs=getattr(args, "pretrain_epochs", 40), batch_size=32, learning_rate=0.1
-        ),
-        rep_mode=getattr(args, "mode", "keep"),
+    d = _TRAIN
+    return replace(
+        d,
+        erm=replace(d.erm, epochs=args.erm_epochs),
+        encoder=replace(d.encoder, hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
+        pretrain=replace(d.pretrain, epochs=args.pretrain_epochs),
+        rep_mode=getattr(args, "mode", d.rep_mode),  # only train has --mode
         seed=args.seed,
     )
 
@@ -306,12 +307,7 @@ def _cmd_affinity(args) -> int:
     cfg = _affinity_config(args)
     artifacts = aff.build_affinity_artifacts(dataset, cfg)
     obj = aff.affinity_to_json(artifacts.matrix)
-    obj["provenance"] = _provenance(
-        args, "affinity", [args.data], {"budget": cfg.budget, "b_max": cfg.b_max,
-                                        "alpha": cfg.alpha, "beta": cfg.beta,
-                                        "hidden_dim": cfg.encoder.hidden_dim,
-                                        "latent_dim": cfg.encoder.latent_dim},
-    )
+    obj["provenance"] = _provenance(args, "affinity", [args.data], aff.affinity_config_to_json(cfg))
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"affinity matrix ({len(artifacts.matrix.records)} pairs) -> {out}")
@@ -415,13 +411,8 @@ def _cmd_train(args) -> int:
         )
     obj = hmodel.classifier_to_json(classifier)
     inputs = [args.data, args.tree] + ([args.artifacts] if args.artifacts else [])
-    obj["provenance"].update(
-        _provenance(args, "train", inputs, {"mode": args.mode,
-                                            "hidden_dim": args.hidden_dim,
-                                            "latent_dim": args.latent_dim,
-                                            "refine_epochs": args.refine_epochs,
-                                            "lambda_orth": args.lambda_orth})
-    )
+    settings = {**asdict(cfg), "refine_epochs": args.refine_epochs, "lambda_orth": args.lambda_orth}
+    obj["provenance"].update(_provenance(args, "train", inputs, settings))
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"classifier ({hmodel.parameter_count(classifier)} parameters) -> {out}")
@@ -530,7 +521,8 @@ def _cmd_compare(args) -> int:
         ],
         "provenance": _provenance(
             args, "compare", [args.data, args.derived, args.expert],
-            {"train_seeds": seeds, "random_samples": args.random_samples},
+            {**asdict(base_cfg), "train_seeds": seeds, "random_samples": args.random_samples,
+             "val_fraction": args.val_fraction},
         ),
     }
     out = _out_path(args, args.out)

@@ -436,23 +436,13 @@ def _orth_pairs(tree: Tree) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
-def refine_objective_and_grads(
-    classifier: HierarchicalClassifier,
-    dataset: LabeledDataset,
-    lambda_orth: float,
-    l2: float,
-):
+def _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, acts, spans):
     """Total refinement loss and gradients in template order.
 
     Loss = sum of per-node regularized hinge risks plus lambda_orth times
     the squared Frobenius norm of P_child @ P_parent^T over internal
     parent/child pairs, P being each encoder's final linear map.
     """
-    keys, params, acts, spans = _template(classifier)
-    return _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, acts, spans)
-
-
-def _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, acts, spans):
     grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
     total = 0.0
     node_risks = {}

@@ -24,19 +24,18 @@ class NodeIndex:
     """Preorder indexing of the non-root nodes of a tree.
 
     ``ancestors[i]`` lists the (non-root) ancestors of node i, root side
-    first; ``leaf_position[c]`` is the index of concept c's leaf node.
+    first; ``leaf_paths[c]`` is concept c's root-to-leaf path of node
+    indices, its leaf's own index last.
     """
 
     count: int
     ancestors: tuple[tuple[int, ...], ...]
-    leaf_position: dict[int, int]
     leaf_paths: dict[int, tuple[int, ...]]
 
 
 @lru_cache(maxsize=256)
 def node_index(tree: Tree) -> NodeIndex:
     ancestors: list[tuple[int, ...]] = []
-    leaf_position: dict[int, int] = {}
     leaf_paths: dict[int, tuple[int, ...]] = {}
 
     def walk(node: Tree, above: tuple[int, ...]) -> None:
@@ -44,18 +43,12 @@ def node_index(tree: Tree) -> NodeIndex:
             idx = len(ancestors)
             ancestors.append(above)
             if child.is_leaf:
-                leaf_position[child.concept] = idx
                 leaf_paths[child.concept] = above + (idx,)
             else:
                 walk(child, above + (idx,))
 
     walk(tree, ())
-    return NodeIndex(
-        count=len(ancestors),
-        ancestors=tuple(ancestors),
-        leaf_position=leaf_position,
-        leaf_paths=leaf_paths,
-    )
+    return NodeIndex(count=len(ancestors), ancestors=tuple(ancestors), leaf_paths=leaf_paths)
 
 
 def node_indicator(tree: Tree, concept: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Bit-exact JSON encoding of numeric arrays plus atomic file helpers.
+"""Bit-exact JSON encoding of numeric arrays, strict config readers, and
+atomic file helpers.
 
 Arrays are stored as base64 of their little-endian float64 bytes in C
 order, alongside the shape, so save/load round-trips are exact on every
@@ -12,6 +13,8 @@ import hashlib
 import json
 import os
 import tempfile
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,33 @@ def mlp_from_json(obj: dict) -> Mlp:
     except (KeyError, TypeError) as exc:
         raise DataError(f"bad network encoding: {exc}") from None
     return Mlp(layers)
+
+
+def config_from_json(cls, obj, what: str):
+    """Rebuild the config dataclass ``cls`` from its ``asdict`` form.
+
+    The object must hold exactly the dataclass's fields, so a saved config
+    never silently picks up a default; nested config fields are read the
+    same way. A missing or unknown key is a DataError naming it.
+    """
+    if not isinstance(obj, dict):
+        raise DataError(f"{what}: expected an object, got {type(obj).__name__}")
+    names = [f.name for f in fields(cls)]
+    missing = [n for n in names if n not in obj]
+    if missing:
+        raise DataError(f"{what}: missing keys {missing}")
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise DataError(f"{what}: unknown keys {unknown}")
+    types = typing.get_type_hints(cls)
+    values = {
+        n: config_from_json(types[n], obj[n], f"{what}.{n}") if is_dataclass(types[n]) else obj[n]
+        for n in names
+    }
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what}: {exc}") from None
 
 
 def canonical_dumps(obj) -> str:

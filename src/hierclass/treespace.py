@@ -270,6 +270,11 @@ def parse_tree(text: str, catalog: Catalog) -> Tree:
     node, pos = _parse_node(text, 0, catalog)
     if text[pos:].strip():
         raise TreeParseError(f"trailing characters after tree: {text[pos:]!r}")
+    return _covering(node, catalog)
+
+
+def _covering(node: Tree, catalog: Catalog) -> Tree:
+    """``node`` canonicalized, once its leaves are checked to be exactly the catalog."""
     seen = node.leaf_ids()
     if len(set(seen)) != len(seen):
         raise TreeParseError("duplicate concept in tree")
@@ -322,15 +327,7 @@ def tree_to_json(tree: Tree, catalog: Catalog):
 
 
 def tree_from_json(obj, catalog: Catalog) -> Tree:
-    node = _tree_from_json(obj, catalog)
-    seen = node.leaf_ids()
-    if len(set(seen)) != len(seen):
-        raise TreeParseError("duplicate concept in tree")
-    missing = set(catalog.ids) - set(seen)
-    if missing:
-        names = ", ".join(catalog.name_of(i) for i in sorted(missing))
-        raise TreeParseError(f"tree does not cover concepts: {names}")
-    return canonicalize(node)
+    return _covering(_tree_from_json(obj, catalog), catalog)
 
 
 def _tree_from_json(obj, catalog: Catalog) -> Tree:

@@ -524,6 +524,13 @@ def test_budget_annotations(triple_artifacts):
 def test_affinity_json_roundtrip(triple_artifacts):
     obj = json.loads(json.dumps(affinity_to_json(triple_artifacts.matrix)))
     assert affinity_from_json(obj) == triple_artifacts.matrix
+    assert obj["encoder"] == {"hidden_dim": 24, "latent_dim": 4,
+                              "hidden_activation": "relu", "latent_activation": "sigmoid"}
+    with pytest.raises(DataError, match="'dropout'"):
+        affinity_from_json({**obj, "encoder": {**obj["encoder"], "dropout": 0.5}})
+    short = {k: v for k, v in obj["encoder"].items() if k != "hidden_dim"}
+    with pytest.raises(DataError, match="'hidden_dim'"):
+        affinity_from_json({**obj, "encoder": short})
 
 
 def test_affinity_config_json_roundtrip():
@@ -539,6 +546,14 @@ def test_affinity_config_json_roundtrip():
         affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v0"})
     with pytest.raises(DataError, match="n_threads"):
         affinity_config_from_json({**obj, "n_threads": 2})
+    with pytest.raises(DataError, match="warmup.*'momentum'"):
+        affinity_config_from_json({**obj, "warmup": {**obj["warmup"], "momentum": 0.9}})
+    # a missing key must not load as the library default (budget 80, latent 4)
+    with pytest.raises(DataError, match="'budget'"):
+        affinity_config_from_json({k: v for k, v in obj.items() if k != "budget"})
+    encoder = {k: v for k, v in obj["encoder"].items() if k != "latent_dim"}
+    with pytest.raises(DataError, match="encoder.*'latent_dim'"):
+        affinity_config_from_json({**obj, "encoder": encoder})
 
 
 def test_affinity_json_has_documented_keys(triple_artifacts):

@@ -180,6 +180,9 @@ def test_compare_identical_trees_reports_full_agreement(tmp_path, planted_csv, c
     assert rows["proposed"]["agreement"] == 1.0
     assert rows["expertise"]["agreement"] is None
     assert len(rows["random"]["trees"]) == 2
+    config = doc["provenance"]["config"]
+    assert config["erm"]["epochs"] == 10 and config["encoder"]["hidden_dim"] == 8
+    assert config["train_seeds"] == [0, 1] and config["val_fraction"] == 0.3
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -256,6 +259,54 @@ def test_artifacts_with_unknown_config_format_are_a_data_error(tmp_path, planted
     assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
     assert "hierclass-affinity-config-v0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_flag_defaults_resolve_to_the_library_defaults(seed):
+    from hierclass.affinity import AffinityConfig
+    from hierclass.cli import _affinity_config, _build_parser, _train_config
+    from hierclass.hmodel import HierTrainConfig
+
+    parser = _build_parser()
+    args = parser.parse_args(["--seed", str(seed), "affinity", "--data", "d.csv", "--out", "a.json"])
+    assert _affinity_config(args) == AffinityConfig(seed=seed)
+    for argv in (
+        ["train", "--data", "d.csv", "--tree", "t.nwk", "--out", "c.json"],
+        ["search", "--data", "d.csv", "--out", "s.csv"],
+        ["compare", "--data", "d.csv", "--derived", "t.nwk", "--expert", "e.nwk", "--out", "c.json"],
+    ):
+        args = parser.parse_args(["--seed", str(seed), *argv])
+        assert _train_config(args) == HierTrainConfig(seed=seed), argv[0]
+
+
+def test_provenance_records_the_whole_resolved_config(tmp_path, planted_csv, capsys):
+    from dataclasses import replace
+
+    from hierclass.affinity import AffinityConfig, affinity_config_from_json
+
+    data, _ = planted_csv
+    assert run("--out-dir", tmp_path, "--seed", "3", "affinity", "--data", data, "--out", "aff.json",
+               "--pretrain-epochs", "5", "--warmup-epochs", "4", "--budget", "20",
+               "--hidden-dim", "8", "--latent-dim", "2", "--min-examples", "12",
+               "--freeze-encoder") == 0
+    defaults = AffinityConfig()
+    used = replace(
+        defaults,
+        encoder=replace(defaults.encoder, hidden_dim=8, latent_dim=2),
+        pretrain=replace(defaults.pretrain, epochs=5),
+        warmup=replace(defaults.warmup, epochs=4),
+        budget=20, min_examples=12, freeze_encoder=True, seed=3,
+    )
+    prov = json.loads((tmp_path / "aff.json").read_text())["provenance"]
+    assert affinity_config_from_json(prov["config"]) == used
+
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--out", "clf.json", "--hidden-dim", "8", "--latent-dim", "2",
+               "--erm-epochs", "7", "--pretrain-epochs", "3") == 0
+    config = json.loads((tmp_path / "clf.json").read_text())["provenance"]["config"]
+    assert config["erm"]["epochs"] == 7 and config["pretrain"]["epochs"] == 3
+    assert config["encoder"]["latent_dim"] == 2 and config["refine_epochs"] == 0
 
 
 def test_predict_dimension_mismatch_is_data_error(tmp_path, planted_csv, capsys):
@@ -367,6 +418,18 @@ def test_planted_pipeline_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "mean H-loss" in proc.stdout
+
+
+def test_flat_vs_hier_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_flat_vs_hier.py"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seeds", "1", "--random-samples", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "mean margin over flat" in proc.stdout
 
 
 def test_segment_cli(tmp_path):
