@@ -24,7 +24,7 @@ from hierclass import (
     predict_batch,
     split,
     train_flat_baseline,
-    train_hierarchical,
+    train_hierarchies,
     tree_to_text,
 )
 from hierclass.hmodel import parameter_count
@@ -63,19 +63,14 @@ def main():
         matrix = build_affinity_matrix(train, AffinityConfig(seed=seed))
         derived = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5).tree
         cfg = HierTrainConfig(seed=seed)
-        hier = train_hierarchical(derived, train, cfg)
+        rng = np.random.default_rng([seed, 77])
+        random_trees = [sample_hierarchy(range(8), rng) for _ in range(args.random_samples)]
+        # the derived and random trees share their nodes, the all-concept root at least
+        hier, *rand = train_hierarchies([derived, *random_trees], train, cfg)
         hier_acc = accuracy(hier, val)
         flat = train_flat_baseline(train, cfg, target_params=parameter_count(hier))
         flat_acc = accuracy(flat.classifier, val)
-        rng = np.random.default_rng([seed, 77])
-        rand_acc = float(
-            np.mean(
-                [
-                    accuracy(train_hierarchical(sample_hierarchy(range(8), rng), train, cfg), val)
-                    for _ in range(args.random_samples)
-                ]
-            )
-        )
+        rand_acc = float(np.mean([accuracy(clf, val) for clf in rand]))
         rows.append((seed, hier_acc, flat_acc, rand_acc))
         print(
             f"seed {seed}: derived {hier_acc:.3f} | flat {flat_acc:.3f} "

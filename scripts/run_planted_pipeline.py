@@ -64,7 +64,7 @@ def main():
     clf = train_hierarchical(derived.tree, train, cfg,
                              artifacts=artifacts if args.use_artifacts else None)
     if args.refine_epochs:
-        result = refine_global(clf, train, lambda_orth=0.1, epochs=args.refine_epochs)
+        result = refine_global(clf, train, epochs=args.refine_epochs)
         print(f"refinement: objective {result.objective_history[0]:.4f} -> {result.objective_history[-1]:.4f}")
         clf = result.classifier
 

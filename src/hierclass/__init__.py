@@ -35,6 +35,7 @@ from .hmodel import (
     refine_global,
     train_flat_baseline,
     train_hierarchical,
+    train_hierarchies,
 )
 from .metrics import cohen_kappa, evaluate, h_loss, hierarchy_agreement
 from .synth import LabeledDataset, PlantedSpec, generate_planted, load_csv, save_csv, segment_stream, split

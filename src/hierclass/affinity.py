@@ -33,7 +33,7 @@ from .nets import (
     task_seed,
     train_reconstruction,
 )
-from .serialize import config_from_json
+from .serialize import check_keys, config_from_json
 from .synth import LabeledDataset
 from .treespace import Catalog
 
@@ -449,6 +449,9 @@ def symmetrize_to_distance(matrix: AffinityMatrix, method: str = "mean") -> Dist
 # wire formats
 
 
+_MATRIX_KEYS = ("concepts", "alpha", "beta", "b_max", "seed", "entries", "skipped", "encoder")
+
+
 def affinity_to_json(matrix: AffinityMatrix) -> dict:
     return {
         "concepts": list(matrix.catalog.names),
@@ -466,6 +469,9 @@ def affinity_to_json(matrix: AffinityMatrix) -> dict:
 
 
 def affinity_from_json(obj: dict) -> AffinityMatrix:
+    """Read exactly the keys ``affinity_to_json`` writes, plus the optional
+    ``provenance`` the ``affinity`` command adds; ``encoder`` may be null."""
+    check_keys(obj, _MATRIX_KEYS, "bad affinity JSON", optional=("provenance",))
     try:
         return AffinityMatrix(
             catalog=Catalog(tuple(obj["concepts"])),
@@ -483,9 +489,9 @@ def affinity_from_json(obj: dict) -> AffinityMatrix:
                 )
                 for e in obj["entries"]
             ),
-            skipped=tuple((int(s["concept"]), int(s["examples"])) for s in obj.get("skipped", [])),
+            skipped=tuple((int(s["concept"]), int(s["examples"])) for s in obj["skipped"]),
             encoder=None
-            if obj.get("encoder") is None
+            if obj["encoder"] is None
             else config_from_json(EncoderConfig, obj["encoder"], "affinity encoder"),
         )
     except (KeyError, TypeError) as exc:

@@ -122,7 +122,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("keep", "fuse"), default=_TRAIN.rep_mode)
     _add_training_flags(p)
     p.add_argument("--refine-epochs", type=int, default=0)
-    p.add_argument("--lambda-orth", type=float, default=0.1)
+    p.add_argument("--lambda-orth", type=float, default=hmodel.DEFAULT_LAMBDA_ORTH)
 
     p = sub.add_parser("predict", help="classify rows of a CSV")
     p.add_argument("--clf", required=True)
@@ -487,25 +487,23 @@ def _cmd_compare(args) -> int:
     ]
 
     base_cfg = _train_config(args)
+    trees = [expert, *random_trees, derived]
+    accs = {}  # (tree index, seed) -> accuracy; the trees of one seed share their nodes
+    for seed in seeds:
+        train, val = synth.split(
+            dataset, (1.0 - args.val_fraction, args.val_fraction), seed=seed, stratified=True
+        )
+        for i, clf in enumerate(hmodel.train_hierarchies(trees, train, replace(base_cfg, seed=seed))):
+            accs[i, seed] = float(np.mean(hmodel.predict_batch(clf, val.features) == val.labels))
 
-    def accuracies(tree) -> list[float]:
-        out = []
-        for seed in seeds:
-            train, val = synth.split(
-                dataset, (1.0 - args.val_fraction, args.val_fraction), seed=seed, stratified=True
-            )
-            clf = hmodel.train_hierarchical(tree, train, replace(base_cfg, seed=seed))
-            out.append(float(np.mean(hmodel.predict_batch(clf, val.features) == val.labels)))
-        return out
-
-    def row(method, tree_list, agreement):
-        accs = [a for t in tree_list for a in accuracies(t)]
+    def row(method, indices, agreement):
+        values = [accs[i, seed] for i in indices for seed in seeds]  # tree-major, then seed
         return {
             "method": method,
             "agreement": agreement,
-            "accuracy_mean": float(np.mean(accs)),
-            "accuracy_std": float(np.std(accs)),
-            "trees": [treespace.tree_to_text(t, dataset.catalog) for t in tree_list],
+            "accuracy_mean": float(np.mean(values)) if values else None,
+            "accuracy_std": float(np.std(values)) if values else None,
+            "trees": [treespace.tree_to_text(trees[i], dataset.catalog) for i in indices],
         }
 
     random_agreement = (
@@ -515,9 +513,9 @@ def _cmd_compare(args) -> int:
     )
     result = {
         "rows": [
-            row("expertise", [expert], None),
-            row("random", random_trees, random_agreement),
-            row("proposed", [derived], metrics.hierarchy_agreement(derived, expert)),
+            row("expertise", [0], None),
+            row("random", range(1, len(trees) - 1), random_agreement),
+            row("proposed", [len(trees) - 1], metrics.hierarchy_agreement(derived, expert)),
         ],
         "provenance": _provenance(
             args, "compare", [args.data, args.derived, args.expert],
@@ -529,7 +527,8 @@ def _cmd_compare(args) -> int:
     atomic_write_json(out, result)
     for r in result["rows"]:
         agree = "-" if r["agreement"] is None else f"{r['agreement']:.2f}"
-        print(f"{r['method']:<10} agree={agree:<5} perf={r['accuracy_mean']:.4f}±{r['accuracy_std']:.4f}")
+        perf = "-" if r["accuracy_mean"] is None else f"{r['accuracy_mean']:.4f}±{r['accuracy_std']:.4f}"
+        print(f"{r['method']:<10} agree={agree:<5} perf={perf}")
     return 0
 
 

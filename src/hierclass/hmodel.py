@@ -373,28 +373,54 @@ def train_hierarchical(
         key = node_key(node)
         child_keys = _child_keys(node)
         sub = dataset.restrict(key)
-        w, b, _ = train_node_erm(
-            encoders[key],
-            sub.features,
-            child_index_labels(child_keys, sub.labels),
-            len(child_keys),
-            cfg.erm,
-            seed=task_seed(cfg.seed, 6, *key),
-        )
-        models[key] = NodeModel(
-            key=key, encoder=encoders[key], scorer_weights=w, scorer_bias=b, child_keys=child_keys
-        )
-    return HierarchicalClassifier(
-        tree=tree,
-        catalog=dataset.catalog,
-        models=models,
-        provenance={
-            "tree": tree_to_text(tree, dataset.catalog),
-            "seed": cfg.seed,
-            "rep_mode": cfg.rep_mode,
-            "from_affinity_artifacts": artifacts is not None,
-        },
-    )
+        child_idx = child_index_labels(child_keys, sub.labels)
+        w, b, _ = train_node_erm(encoders[key], sub.features, child_idx, len(child_keys), cfg.erm,
+                                 seed=task_seed(cfg.seed, 6, *key))
+        models[key] = NodeModel(key, encoders[key], w, b, child_keys)
+    return _classifier(tree, dataset, cfg, models, artifacts is not None)
+
+
+def _classifier(tree, dataset, cfg, models, from_artifacts: bool) -> HierarchicalClassifier:
+    provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
+                  "rep_mode": cfg.rep_mode, "from_affinity_artifacts": from_artifacts}
+    return HierarchicalClassifier(tree, dataset.catalog, models, provenance)
+
+
+def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> list[HierarchicalClassifier]:
+    """``[train_hierarchical(t, dataset, cfg) for t in trees]``, bit for bit,
+    but training no node twice: one scratch encoder per distinct concept set,
+    and one stacked ``train_node_erm`` per concept set and child count (its
+    child splits share the encoder, rows, zero start and batch order). Each
+    tree's classifier is then composed from this node table.
+    """
+    shaped = []
+    for tree in trees:
+        tree = canonicalize(tree)
+        validate_tree(tree, len(dataset.catalog))
+        shaped.append(fuse_tree(tree) if cfg.rep_mode == "fuse" else tree)
+
+    # concept set -> child count -> distinct child partitions (insertion-ordered)
+    plan: dict[tuple[int, ...], dict[int, dict]] = {}
+    for tree in shaped:
+        for node in tree.internal_nodes():
+            by_count = plan.setdefault(node_key(node), {})
+            by_count.setdefault(len(node.children), {})[_child_keys(node)] = None
+    nodes: dict = {}
+    for key, by_count in plan.items():
+        sub = dataset.restrict(key)
+        encoder = _scratch_encoder(dataset, key, cfg)
+        for n_children, partitions in by_count.items():
+            child_idx = np.stack([child_index_labels(ck, sub.labels) for ck in partitions])
+            w, b, _ = train_node_erm(
+                encoder, sub.features, child_idx, n_children, cfg.erm, seed=task_seed(cfg.seed, 6, *key)
+            )
+            for ck, wp, bp in zip(partitions, w, b):
+                nodes[key, ck] = NodeModel(key, encoder, wp, bp, ck)
+    classifiers = []
+    for tree in shaped:
+        models = {node_key(n): nodes[node_key(n), _child_keys(n)] for n in tree.internal_nodes()}
+        classifiers.append(_classifier(tree, dataset, cfg, models, from_artifacts=False))
+    return classifiers
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +504,9 @@ def _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, act
     return total, grads, node_risks, penalty
 
 
+DEFAULT_LAMBDA_ORTH = 0.1
+
+
 @dataclass(frozen=True)
 class RefineResult:
     classifier: HierarchicalClassifier
@@ -490,7 +519,7 @@ class RefineResult:
 def refine_global(
     classifier: HierarchicalClassifier,
     dataset: LabeledDataset,
-    lambda_orth: float = 0.1,
+    lambda_orth: float = DEFAULT_LAMBDA_ORTH,
     epochs: int = 30,
     learning_rate: float = 0.1,
     l2: float = 1e-3,
@@ -643,14 +672,8 @@ def exhaustive_search(
     validation split, with accuracy or negated mean hierarchical loss as the
     metric (higher is better for both).
 
-    Each classifier equals ``train_hierarchical(tree, train_data, cfg)``, but
-    no node is trained twice. A scratch node depends only on its concept
-    set (encoder and rows) and on how its children split that set (ERM), so
-    the search first collects the distinct nodes of all trees. It trains one
-    encoder per concept set, and one stacked ``train_node_erm`` per concept
-    set and child count, since those groupings share the encoder, rows, zero
-    start and batch order. Each tree's classifier is then composed from this
-    node table.
+    The classifiers come from ``train_hierarchies``: each equals
+    ``train_hierarchical(tree, train_data, cfg)``, and no node trains twice.
     """
     if metric not in ("accuracy", "neg_h_loss"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -658,36 +681,14 @@ def exhaustive_search(
     if k > cap:
         raise ValueError(f"{k} concepts exceed the exhaustive-search cap {cap}")
     trees = enumerate_hierarchies(range(k), cap=cap)
-    shaped = [canonicalize(tree) for tree in trees]
-    if cfg.rep_mode == "fuse":
-        shaped = [fuse_tree(tree) for tree in shaped]
 
-    # concept set -> child count -> distinct child partitions (insertion-ordered)
-    plan: dict[tuple[int, ...], dict[int, dict]] = {}
-    for tree in shaped:
-        for node in tree.internal_nodes():
-            by_count = plan.setdefault(node_key(node), {})
-            by_count.setdefault(len(node.children), {})[_child_keys(node)] = None
-    nodes: dict = {}
-    for key, by_count in plan.items():
-        sub = train_data.restrict(key)
-        encoder = _scratch_encoder(train_data, key, cfg)
-        for n_children, partitions in by_count.items():
-            child_idx = np.stack([child_index_labels(ck, sub.labels) for ck in partitions])
-            w, b, _ = train_node_erm(
-                encoder, sub.features, child_idx, n_children, cfg.erm, seed=task_seed(cfg.seed, 6, *key)
-            )
-            for ck, wp, bp in zip(partitions, w, b):
-                nodes[key, ck] = NodeModel(key, encoder, wp, bp, ck)
-
-    def score(tree: Tree) -> float:
-        models = {node_key(n): nodes[node_key(n), _child_keys(n)] for n in tree.internal_nodes()}
-        preds = predict_batch(HierarchicalClassifier(tree, train_data.catalog, models), val_data.features)
+    def score(clf: HierarchicalClassifier) -> float:
+        preds = predict_batch(clf, val_data.features)
         if metric == "accuracy":
             return float(np.mean(preds == val_data.labels))
-        return -float(np.mean(h_loss_table(tree)[preds, val_data.labels]))
+        return -float(np.mean(h_loss_table(clf.tree)[preds, val_data.labels]))
 
-    table = tuple((tree, score(shape)) for tree, shape in zip(trees, shaped))
+    table = tuple((tree, score(clf)) for tree, clf in zip(trees, train_hierarchies(trees, train_data, cfg)))
     best_tree = max(table, key=lambda row: row[1])[0]
     return SearchResult(best_tree=best_tree, table=table, metric=metric)
 

@@ -65,22 +65,29 @@ def mlp_from_json(obj: dict) -> Mlp:
     return Mlp(layers)
 
 
+def check_keys(obj, names, what: str, optional=()) -> None:
+    """Require an object holding every key in ``names`` and nothing outside
+    ``names`` and ``optional``; a missing or unknown key is a DataError
+    naming it."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{what}: expected an object, got {type(obj).__name__}")
+    missing = [n for n in names if n not in obj]
+    if missing:
+        raise DataError(f"{what}: missing keys {missing}")
+    unknown = sorted(set(obj) - set(names) - set(optional))
+    if unknown:
+        raise DataError(f"{what}: unknown keys {unknown}")
+
+
 def config_from_json(cls, obj, what: str):
     """Rebuild the config dataclass ``cls`` from its ``asdict`` form.
 
     The object must hold exactly the dataclass's fields, so a saved config
     never silently picks up a default; nested config fields are read the
-    same way. A missing or unknown key is a DataError naming it.
+    same way.
     """
-    if not isinstance(obj, dict):
-        raise DataError(f"{what}: expected an object, got {type(obj).__name__}")
     names = [f.name for f in fields(cls)]
-    missing = [n for n in names if n not in obj]
-    if missing:
-        raise DataError(f"{what}: missing keys {missing}")
-    unknown = sorted(set(obj) - set(names))
-    if unknown:
-        raise DataError(f"{what}: unknown keys {unknown}")
+    check_keys(obj, names, what)
     types = typing.get_type_hints(cls)
     values = {
         n: config_from_json(types[n], obj[n], f"{what}.{n}") if is_dataclass(types[n]) else obj[n]

@@ -533,6 +533,26 @@ def test_affinity_json_roundtrip(triple_artifacts):
         affinity_from_json({**obj, "encoder": short})
 
 
+def test_affinity_json_rejects_unknown_top_level_keys(triple_artifacts):
+    obj = affinity_to_json(triple_artifacts.matrix)
+    with pytest.raises(DataError, match=r"unknown keys \['alpah', 'bogus'\]"):
+        affinity_from_json({**obj, "bogus": 1, "alpah": 0.9})
+
+
+@pytest.mark.parametrize("key", ["skipped", "encoder", "alpha"])
+def test_affinity_json_rejects_a_missing_top_level_key(triple_artifacts, key):
+    obj = {k: v for k, v in affinity_to_json(triple_artifacts.matrix).items() if k != key}
+    with pytest.raises(DataError, match=rf"missing keys \['{key}'\]"):
+        affinity_from_json(obj)
+
+
+def test_affinity_json_roundtrip_with_provenance(triple_artifacts):
+    obj = {**affinity_to_json(triple_artifacts.matrix), "provenance": {"command": "affinity", "seed": 3}}
+    assert affinity_from_json(json.loads(json.dumps(obj))) == triple_artifacts.matrix
+    null_encoder = replace(triple_artifacts.matrix, encoder=None)
+    assert affinity_from_json(json.loads(json.dumps(affinity_to_json(null_encoder)))) == null_encoder
+
+
 def test_affinity_config_json_roundtrip():
     cfg = AffinityConfig(
         encoder=EncoderConfig(5, 2, "sigmoid", "identity"),

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -185,6 +186,65 @@ def test_compare_identical_trees_reports_full_agreement(tmp_path, planted_csv, c
     assert config["train_seeds"] == [0, 1] and config["val_fraction"] == 0.3
 
 
+def _no_nan(constant):
+    raise AssertionError(f"{constant} is not valid JSON")
+
+
+def test_compare_without_random_trees_writes_null_not_nan(tmp_path, planted_csv, capsys):
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "compare", "--data", data,
+               "--derived", tmp_path / "tree.nwk", "--expert", tmp_path / "tree.nwk",
+               "--random-samples", "0", "--train-seeds", "0", *FAST, "--out", "cmp.json") == 0
+    doc = json.loads((tmp_path / "cmp.json").read_text(), parse_constant=_no_nan)
+    rows = {r["method"]: r for r in doc["rows"]}
+    assert rows["random"] == {"method": "random", "agreement": None, "accuracy_mean": None,
+                              "accuracy_std": None, "trees": []}
+    assert isinstance(rows["proposed"]["accuracy_mean"], float)
+    assert "random     agree=-     perf=-" in capsys.readouterr().out
+
+
+def test_compare_equals_training_each_tree_alone(tmp_path, planted_csv, capsys):
+    from dataclasses import asdict, replace
+
+    from hierclass import hmodel, synth
+    from hierclass.treespace import parse_tree
+
+    data, _ = planted_csv
+    (tmp_path / "derived.nwk").write_text("((c2,c1),c4,c3)\n")
+    (tmp_path / "expert.nwk").write_text("((c4,c3),(c1,c2))\n")
+    seeds = [2, 0]
+    assert run("--out-dir", tmp_path, "--seed", "4", "compare", "--data", data,
+               "--derived", tmp_path / "derived.nwk", "--expert", tmp_path / "expert.nwk",
+               "--random-samples", "3", "--train-seeds", "2,0", *FAST, "--out", "cmp.json") == 0
+    doc = json.loads((tmp_path / "cmp.json").read_text())
+    dataset = synth.load_csv(data)
+    d = hmodel.HierTrainConfig()
+    base = replace(d, erm=replace(d.erm, epochs=15), encoder=replace(d.encoder, hidden_dim=8, latent_dim=2),
+                   pretrain=replace(d.pretrain, epochs=10))
+    assert doc["provenance"]["config"] == {
+        **asdict(replace(base, seed=4)), "train_seeds": seeds, "random_samples": 3, "val_fraction": 0.3
+    }
+    assert [len(row["trees"]) for row in doc["rows"]] == [1, 3, 1]
+    for row in doc["rows"]:
+        values = []  # tree-major, then seed, each tree trained on its own
+        for text in row["trees"]:
+            tree = parse_tree(text, dataset.catalog)
+            for seed in seeds:
+                train, val = synth.split(dataset, (0.7, 0.3), seed=seed, stratified=True)
+                clf = hmodel.train_hierarchical(tree, train, replace(base, seed=seed))
+                values.append(float(np.mean(hmodel.predict_batch(clf, val.features) == val.labels)))
+        assert row["accuracy_mean"] == float(np.mean(values)), row["method"]
+        assert row["accuracy_std"] == float(np.std(values)), row["method"]
+
+
+def test_derive_rejects_unknown_top_level_affinity_key(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "affinity_3concepts.json").read_text())
+    (tmp_path / "aff.json").write_text(json.dumps({**obj, "bogus": 1}))
+    assert run("--out-dir", tmp_path, "derive", "--affinity", tmp_path / "aff.json", "--out", "t.nwk") == 2
+    assert "unknown keys ['bogus']" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5}))
@@ -265,7 +325,7 @@ def test_artifacts_with_unknown_config_format_are_a_data_error(tmp_path, planted
 def test_flag_defaults_resolve_to_the_library_defaults(seed):
     from hierclass.affinity import AffinityConfig
     from hierclass.cli import _affinity_config, _build_parser, _train_config
-    from hierclass.hmodel import HierTrainConfig
+    from hierclass.hmodel import HierTrainConfig, refine_global
 
     parser = _build_parser()
     args = parser.parse_args(["--seed", str(seed), "affinity", "--data", "d.csv", "--out", "a.json"])
@@ -277,6 +337,8 @@ def test_flag_defaults_resolve_to_the_library_defaults(seed):
     ):
         args = parser.parse_args(["--seed", str(seed), *argv])
         assert _train_config(args) == HierTrainConfig(seed=seed), argv[0]
+    args = parser.parse_args(["train", "--data", "d.csv", "--tree", "t.nwk", "--out", "c.json"])
+    assert args.lambda_orth == inspect.signature(refine_global).parameters["lambda_orth"].default
 
 
 def test_provenance_records_the_whole_resolved_config(tmp_path, planted_csv, capsys):

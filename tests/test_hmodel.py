@@ -33,7 +33,7 @@ from hierclass.hmodel import (
 from hierclass.metrics import h_loss
 from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp
 from hierclass.synth import PlantedSpec, generate_planted, split
-from hierclass.treespace import Catalog, count_hierarchies, enumerate_hierarchies, internal, leaf
+from hierclass.treespace import Catalog, canonicalize, count_hierarchies, enumerate_hierarchies, internal, leaf
 
 
 def _identity_encoder(dim):
@@ -617,6 +617,45 @@ def test_search_trains_each_distinct_node_once(monkeypatch):
     exhaustive_search(train, val, FAST_CFG)
     # 2^4-4-1 concept sets; sum C(4,s)(s-1) stacked calls over sum C(4,s)(B_s-1) groupings
     assert calls == {"encoders": 11, "erms": 17, "members": 36}
+
+
+# children deliberately out of canonical order
+_T = internal([internal([leaf(3), leaf(2)]), internal([leaf(1), leaf(0)])])
+_U = internal([internal([leaf(2), leaf(0)]), leaf(3), leaf(1)])
+_V = internal([leaf(3), internal([leaf(2), internal([leaf(1), leaf(0)])])])
+
+
+@pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
+def test_train_hierarchies_equals_training_each_tree(rep_mode):
+    train, _ = _search_split(4)
+    cfg = replace(FAST_CFG, rep_mode=rep_mode)
+    trees = [_T, _U, _T, _V, flat_tree(4), canonicalize(_V)]
+    shared = hmodel.train_hierarchies(trees, train, cfg)
+    assert len(shared) == len(trees)
+    for tree, clf in zip(trees, shared):
+        alone = train_hierarchical(tree, train, cfg)
+        assert classifiers_equal(clf, alone)
+        assert clf.provenance == alone.provenance
+
+
+def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):
+    train, _ = _search_split(4)
+    calls = {"encoders": 0, "erms": 0}
+    real_autoencoder, real_erm = hmodel.train_autoencoder, hmodel.train_node_erm
+
+    def count_autoencoder(*args, **kwargs):
+        calls["encoders"] += 1
+        return real_autoencoder(*args, **kwargs)
+
+    def count_erm(*args, **kwargs):
+        calls["erms"] += 1
+        return real_erm(*args, **kwargs)
+
+    monkeypatch.setattr(hmodel, "train_autoencoder", count_autoencoder)
+    monkeypatch.setattr(hmodel, "train_node_erm", count_erm)
+    hmodel.train_hierarchies([_T, _T, _U], train, FAST_CFG)
+    # concept sets {0,1,2,3}, {2,3}, {0,1}, {0,2}; the root splits two ways and three ways
+    assert calls == {"encoders": 4, "erms": 5}
 
 
 # --- serialization ---------------------------------------------------------------
