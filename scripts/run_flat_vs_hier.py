@@ -55,6 +55,8 @@ def main():
     def accuracy(clf, ds):
         return float(np.mean(predict_batch(clf, ds.features) == ds.labels))
 
+    # with no random trees there is no random accuracy: it prints as "-", with no margin over it
+    has_random = args.random_samples > 0
     t0 = time.time()
     rows = []
     for seed in range(args.seeds):
@@ -70,26 +72,26 @@ def main():
         hier_acc = accuracy(hier, val)
         flat = train_flat_baseline(train, cfg, target_params=parameter_count(hier))
         flat_acc = accuracy(flat.classifier, val)
-        rand_acc = float(np.mean([accuracy(clf, val) for clf in rand]))
+        rand_acc = float(np.mean([accuracy(clf, val) for clf in rand])) if has_random else None
         rows.append((seed, hier_acc, flat_acc, rand_acc))
         print(
             f"seed {seed}: derived {hier_acc:.3f} | flat {flat_acc:.3f} "
             f"({flat.parameter_count} vs {parameter_count(hier)} params) | "
-            f"random {rand_acc:.3f} | tree {tree_to_text(derived, catalog)}"
+            f"random {'-' if rand_acc is None else f'{rand_acc:.3f}'} | tree {tree_to_text(derived, catalog)}"
         )
 
     hier_accs = np.array([r[1] for r in rows])
     flat_accs = np.array([r[2] for r in rows])
-    rand_accs = np.array([r[3] for r in rows])
+    rand_accs = np.array([r[3] for r in rows]) if has_random else None
+    random_part = f"{rand_accs.mean():.4f}±{rand_accs.std():.4f}" if has_random else "-"
     print(
         f"\nderived {hier_accs.mean():.4f}±{hier_accs.std():.4f} | "
-        f"flat {flat_accs.mean():.4f}±{flat_accs.std():.4f} | "
-        f"random {rand_accs.mean():.4f}±{rand_accs.std():.4f}"
+        f"flat {flat_accs.mean():.4f}±{flat_accs.std():.4f} | random {random_part}"
     )
-    print(
-        f"mean margin over flat {np.mean(hier_accs - flat_accs):+.4f}, "
-        f"over random {np.mean(hier_accs - rand_accs):+.4f}  ({time.time() - t0:.0f}s)"
-    )
+    margins = f"mean margin over flat {np.mean(hier_accs - flat_accs):+.4f}"
+    if has_random:
+        margins += f", over random {np.mean(hier_accs - rand_accs):+.4f}"
+    print(f"{margins}  ({time.time() - t0:.0f}s)")
 
 
 if __name__ == "__main__":

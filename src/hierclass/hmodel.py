@@ -327,10 +327,9 @@ class HierTrainConfig:
     seed: int = 0
 
 
-def _scratch_encoder(dataset: LabeledDataset, key: tuple[int, ...], cfg: HierTrainConfig) -> Mlp:
-    """The node encoder trained from scratch on the rows of concept set ``key``."""
+def _scratch_encoder(rows: np.ndarray, key: tuple[int, ...], cfg: HierTrainConfig) -> Mlp:
+    """The node encoder trained from scratch on ``rows``, those of concept set ``key``."""
     affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
-    rows = dataset.restrict(key).features
     encoder, _, _ = train_autoencoder(rows, affinity_cfg, seed=task_seed(cfg.seed, 5, *key))
     return encoder
 
@@ -361,22 +360,22 @@ def train_hierarchical(
     """
     tree = canonicalize(tree)
     validate_tree(tree, len(dataset.catalog))
+    encoders = {}
     if artifacts is not None:
         tree, encoders = assign_representations(tree, artifacts, cfg.rep_mode, dataset)
-    else:
-        if cfg.rep_mode == "fuse":
-            tree = fuse_tree(tree)
-        encoders = {node_key(n): _scratch_encoder(dataset, node_key(n), cfg) for n in tree.internal_nodes()}
+    elif cfg.rep_mode == "fuse":
+        tree = fuse_tree(tree)
 
     models = {}
     for node in tree.internal_nodes():
         key = node_key(node)
         child_keys = _child_keys(node)
         sub = dataset.restrict(key)
+        encoder = encoders[key] if key in encoders else _scratch_encoder(sub.features, key, cfg)
         child_idx = child_index_labels(child_keys, sub.labels)
-        w, b, _ = train_node_erm(encoders[key], sub.features, child_idx, len(child_keys), cfg.erm,
+        w, b, _ = train_node_erm(encoder, sub.features, child_idx, len(child_keys), cfg.erm,
                                  seed=task_seed(cfg.seed, 6, *key))
-        models[key] = NodeModel(key, encoders[key], w, b, child_keys)
+        models[key] = NodeModel(key, encoder, w, b, child_keys)
     return _classifier(tree, dataset, cfg, models, artifacts is not None)
 
 
@@ -408,7 +407,7 @@ def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> l
     nodes: dict = {}
     for key, by_count in plan.items():
         sub = dataset.restrict(key)
-        encoder = _scratch_encoder(dataset, key, cfg)
+        encoder = _scratch_encoder(sub.features, key, cfg)
         for n_children, partitions in by_count.items():
             child_idx = np.stack([child_index_labels(ck, sub.labels) for ck in partitions])
             w, b, _ = train_node_erm(
@@ -427,32 +426,6 @@ def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> l
 # global refinement
 
 
-def _template(classifier: HierarchicalClassifier):
-    """Mutable parameter pairs for all nodes, in sorted-key order:
-    encoder layers first, then the scorer pair."""
-    keys = sorted(classifier.models)
-    params, acts, spans = [], {}, {}
-    for key in keys:
-        model = classifier.models[key]
-        start = len(params)
-        params.extend(mlp_params(model.encoder))
-        params.append([model.scorer_weights.copy(), model.scorer_bias.copy()])
-        acts[key] = [l.activation for l in model.encoder.layers]
-        spans[key] = (start, len(params))
-    return keys, params, acts, spans
-
-
-def _with_params(classifier: HierarchicalClassifier, keys, params, spans) -> HierarchicalClassifier:
-    models = {}
-    for key in keys:
-        start, end = spans[key]
-        model = classifier.models[key]
-        enc = params_to_mlp(params[start : end - 1], model.encoder)
-        w, b = params[end - 1]
-        models[key] = replace(model, encoder=enc, scorer_weights=w, scorer_bias=b)
-    return replace(classifier, models=models)
-
-
 def _orth_pairs(tree: Tree) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     pairs = []
     for node in tree.internal_nodes():
@@ -462,44 +435,52 @@ def _orth_pairs(tree: Tree) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
-def _objective_on_params(classifier, dataset, lambda_orth, l2, keys, params, acts, spans):
-    """Total refinement loss and gradients in template order.
+def _node_state(classifier: HierarchicalClassifier, dataset: LabeledDataset):
+    """Per-node refinement state, keyed by node in sorted order: ``params``
+    holds mutable copies of the encoder layers followed by the scorer pair,
+    ``problems`` the node's rows and their child indices."""
+    params, problems = {}, {}
+    for key in sorted(classifier.models):
+        model = classifier.models[key]
+        sub = dataset.restrict(key)
+        params[key] = mlp_params(model.encoder) + [[model.scorer_weights.copy(), model.scorer_bias.copy()]]
+        problems[key] = (sub.features, child_index_labels(model.child_keys, sub.labels))
+    return params, problems
+
+
+def _objective_on_params(classifier, problems, lambda_orth, l2, params):
+    """Total refinement loss and its gradients, per node like ``params``.
 
     Loss = sum of per-node regularized hinge risks plus lambda_orth times
     the squared Frobenius norm of P_child @ P_parent^T over internal
     parent/child pairs, P being each encoder's final linear map.
     """
-    grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+    grads = {key: [[np.zeros_like(w), np.zeros_like(b)] for w, b in pairs] for key, pairs in params.items()}
     total = 0.0
     node_risks = {}
-    for key in keys:
-        start, end = spans[key]
-        enc_params = params[start : end - 1]
-        scorer_w, scorer_b = params[end - 1]
-        sub = dataset.restrict(key)
-        child_idx = child_index_labels(classifier.models[key].child_keys, sub.labels)
-        outputs, preacts = forward_trace(enc_params, acts[key], sub.features)
+    for key, (features, child_idx) in problems.items():
+        *enc_params, (scorer_w, scorer_b) = params[key]
+        acts = [l.activation for l in classifier.models[key].encoder.layers]
+        outputs, preacts = forward_trace(enc_params, acts, features)
         risk, dw, db, ds = erm_risk_and_grads(scorer_w, scorer_b, outputs[-1], child_idx, l2)
         node_risks[key] = risk
         total += risk
-        grads[end - 1][0] += dw
-        grads[end - 1][1] += db
-        enc_grads = backprop(enc_params, acts[key], outputs, preacts, ds @ scorer_w)
-        for g, (gw, gb) in zip(grads[start : end - 1], enc_grads):
+        *enc_grads, scorer_grads = grads[key]
+        scorer_grads[0] += dw
+        scorer_grads[1] += db
+        for g, (gw, gb) in zip(enc_grads, backprop(enc_params, acts, outputs, preacts, ds @ scorer_w)):
             g[0] += gw
             g[1] += gb
 
     penalty = 0.0
     if lambda_orth != 0.0:
         for parent_key, child_key in _orth_pairs(classifier.tree):
-            p_idx = spans[parent_key][1] - 2  # final encoder layer of parent
-            c_idx = spans[child_key][1] - 2
-            p_map = params[p_idx][0]
-            c_map = params[c_idx][0]
+            p_map = params[parent_key][-2][0]  # final encoder layer
+            c_map = params[child_key][-2][0]
             cross = c_map @ p_map.T
             penalty += float((cross**2).sum())
-            grads[c_idx][0] += lambda_orth * 2.0 * cross @ p_map
-            grads[p_idx][0] += lambda_orth * 2.0 * cross.T @ c_map
+            grads[child_key][-2][0] += lambda_orth * 2.0 * cross @ p_map
+            grads[parent_key][-2][0] += lambda_orth * 2.0 * cross.T @ c_map
     total += lambda_orth * penalty
     return total, grads, node_risks, penalty
 
@@ -534,18 +515,14 @@ def refine_global(
     accepts or reverts its own steps on its own risk; otherwise all nodes
     form one block judged on the total. Each trial step is evaluated once,
     and the kept state takes its risks and gradients from that evaluation.
+    Each node's rows and child indices are set up once per call.
     """
     if lambda_orth < 0:
         raise ValueError("lambda_orth must be nonnegative")
-    keys, params, acts, spans = _template(classifier)
-    blocks = [tuple(keys)] if lambda_orth else [(key,) for key in keys]
+    params, problems = _node_state(classifier, dataset)
+    keys = tuple(params)
+    blocks = [keys] if lambda_orth else [(key,) for key in keys]
     rates = [learning_rate] * len(blocks)
-
-    def indices(block, scorers_only=False):  # template positions; a node's scorer pair is last
-        return [i for key in block for i in range(*spans[key])[-1 if scorers_only else 0 :]]
-
-    owned = [indices(block) for block in blocks]
-    moved = [indices(block, scorers_only=freeze_encoders) for block in blocks]
 
     def loss(risks, penalty, block):  # summed as _objective_on_params sums its total
         total = 0.0
@@ -553,27 +530,25 @@ def refine_global(
             total += risks[key]
         return total + lambda_orth * penalty
 
-    total, grads, risks0, penalty = _objective_on_params(
-        classifier, dataset, lambda_orth, l2, keys, params, acts, spans
-    )
+    total, grads, risks0, penalty = _objective_on_params(classifier, problems, lambda_orth, l2, params)
     risks = dict(risks0)
     obj_history = [total]
     pen_history = [penalty]
     for _ in range(epochs):
-        trial = list(params)
-        for idx, rate in zip(moved, rates):
-            for i in idx:
-                (w, b), (gw, gb) = params[i], grads[i]
-                trial[i] = [w - rate * gw, b - rate * gb]
-        _, new_grads, new_risks, new_pen = _objective_on_params(
-            classifier, dataset, lambda_orth, l2, keys, trial, acts, spans
-        )
+        trial = {}
+        for block, rate in zip(blocks, rates):
+            for key in block:
+                fixed = len(params[key]) - 1 if freeze_encoders else 0  # the scorer pair is last
+                trial[key] = params[key][:fixed]
+                for (w, b), (gw, gb) in zip(params[key][fixed:], grads[key][fixed:]):
+                    trial[key].append([w - rate * gw, b - rate * gb])
+        _, new_grads, new_risks, new_pen = _objective_on_params(classifier, problems, lambda_orth, l2, trial)
         kept = 0
         for n, block in enumerate(blocks):
             if loss(new_risks, new_pen, block) <= loss(risks, penalty, block):
-                for i in owned[n]:
-                    params[i], grads[i] = trial[i], new_grads[i]
-                risks.update((key, new_risks[key]) for key in block)
+                for key in block:
+                    params[key], grads[key] = trial[key], new_grads[key]
+                    risks[key] = new_risks[key]
                 kept += 1
             else:
                 rates[n] *= 0.5
@@ -582,9 +557,13 @@ def refine_global(
         obj_history.append(loss(risks, penalty, keys))
         pen_history.append(penalty)
 
-    refined = _with_params(classifier, keys, params, spans)
+    models = {}
+    for key, (*enc_params, (w, b)) in params.items():
+        model = classifier.models[key]
+        encoder = params_to_mlp(enc_params, model.encoder)
+        models[key] = replace(model, encoder=encoder, scorer_weights=w, scorer_bias=b)
     return RefineResult(
-        classifier=refined,
+        classifier=replace(classifier, models=models),
         objective_history=tuple(obj_history),
         penalty_history=tuple(pen_history),
         node_risks_before=risks0,

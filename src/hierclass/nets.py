@@ -275,7 +275,7 @@ def task_seed(base: int, kind: int, *ids: int) -> int:
     return int(np.random.SeedSequence([base, kind, *ids]).generate_state(1)[0])
 
 
-# --- parameter packing (used by gradient checks and refinement) ------------
+# --- parameter packing (used by the gradient checks) -----------------------
 
 
 def flatten_params(param_list) -> np.ndarray:

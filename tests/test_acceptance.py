@@ -38,7 +38,7 @@ from hierclass.hmodel import (
     train_flat_baseline,
     train_hierarchical,
 )
-from hierclass.hmodel import _objective_on_params, _template
+from hierclass.hmodel import _node_state, _objective_on_params
 from hierclass.metrics import charged_nodes, h_loss, hierarchy_agreement, node_index, node_indicator
 from hierclass.nets import (
     flatten_params,
@@ -229,22 +229,25 @@ def test_criterion_04_gradient_checks():
         tree3, data3,
         HierTrainConfig(seed=2, encoder=EncoderConfig(hidden_dim=4, latent_dim=2)),
     )
-    keys, params, acts, spans = _template(clf)
+    params, problems = _node_state(clf, data3)
+    flat = [pair for pairs in params.values() for pair in pairs]
+
+    def by_node(pairs):  # regroup a flat pair list per node, as params is grouped
+        it = iter(pairs)
+        return {key: [next(it) for _ in node_pairs] for key, node_pairs in params.items()}
+
     for point in range(20):
         rng = np.random.default_rng([45, point])
-        vec = rng.normal(scale=0.7, size=flatten_params(params).size)
-        p0 = unflatten_params(vec, params)
-        _, grads, _, _ = _objective_on_params(clf, data3, 0.7, 1e-3, keys, p0, acts, spans)
+        vec = rng.normal(scale=0.7, size=flatten_params(flat).size)
+        p0 = by_node(unflatten_params(vec, flat))
+        _, grads, _, _ = _objective_on_params(clf, problems, 0.7, 1e-3, p0)
 
         def f(v):
-            total, _, _, _ = _objective_on_params(
-                clf, data3, 0.7, 1e-3, keys, unflatten_params(v, params), acts, spans
-            )
+            total, _, _, _ = _objective_on_params(clf, problems, 0.7, 1e-3, by_node(unflatten_params(v, flat)))
             return total
 
-        worst["refine"] = max(
-            worst["refine"], rel_err(flatten_params(grads), central_difference(f, vec))
-        )
+        grad_vec = flatten_params([pair for pairs in grads.values() for pair in pairs])
+        worst["refine"] = max(worst["refine"], rel_err(grad_vec, central_difference(f, vec)))
 
     ok = all(v < 1e-4 for v in worst.values())
     detail = ", ".join(f"{k}: {v:.2e}" for k, v in worst.items())

@@ -470,28 +470,30 @@ def test_evaluate_on_unknown_label_is_data_error(tmp_path, planted_csv, trained_
     assert f"{bad}: unknown labels ['c9']" in capsys.readouterr().err
 
 
-def test_planted_pipeline_script_runs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_planted_pipeline.py"
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def _run_script(name, *args):
+    """Run a script under the suite's warning rule: a RuntimeWarning is an error."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(script), "--seed", "0", "--refine-epochs", "3"],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(root / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_planted_pipeline_script_runs():
+    proc = _run_script("run_planted_pipeline.py", "--seed", "0", "--refine-epochs", "3")
     assert proc.returncode == 0, proc.stderr
     assert "mean H-loss" in proc.stdout
 
 
 def test_flat_vs_hier_script_runs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_flat_vs_hier.py"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(script), "--seeds", "1", "--random-samples", "1"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _run_script("run_flat_vs_hier.py", "--seeds", "1", "--random-samples", "1")
     assert proc.returncode == 0, proc.stderr
-    assert "mean margin over flat" in proc.stdout
+    assert "mean margin over flat" in proc.stdout and "over random" in proc.stdout
+    proc = _run_script("run_flat_vs_hier.py", "--seeds", "1", "--random-samples", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "random -" in proc.stdout and "over random" not in proc.stdout
 
 
 def test_segment_cli(tmp_path):

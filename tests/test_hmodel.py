@@ -31,8 +31,8 @@ from hierclass.hmodel import (
     train_node_erm,
 )
 from hierclass.metrics import h_loss
-from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp
-from hierclass.synth import PlantedSpec, generate_planted, split
+from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
+from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import Catalog, canonicalize, count_hierarchies, enumerate_hierarchies, internal, leaf
 
 
@@ -362,24 +362,25 @@ def _two_branch_refine_global(
 ):
     """Reference: the refinement loop as it was before its two branches were
     merged, with three objective evaluations per epoch at lambda_orth = 0."""
-    from hierclass.hmodel import RefineResult, _objective_on_params, _template, _with_params
+    from hierclass.hmodel import RefineResult, _node_state, _objective_on_params
 
     if lambda_orth < 0:
         raise ValueError("lambda_orth must be nonnegative")
-    keys, params, acts, spans = _template(classifier)
+    params, problems = _node_state(classifier, dataset)
+    keys = list(params)
 
     def masked(update_grads):
         if not freeze_encoders:
             return update_grads
-        masked_grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
-        for key in keys:
-            end = spans[key][1]
-            masked_grads[end - 1] = update_grads[end - 1]
-        return masked_grads
+        return {
+            key: [[np.zeros_like(w), np.zeros_like(b)] for w, b in pairs[:-1]] + [update_grads[key][-1]]
+            for key, pairs in params.items()
+        }
 
-    total, grads, risks0, penalty = _objective_on_params(
-        classifier, dataset, lambda_orth, l2, keys, params, acts, spans
-    )
+    def objective(p):
+        return _objective_on_params(classifier, problems, lambda_orth, l2, p)
+
+    total, grads, risks0, penalty = objective(params)
     obj_history = [total]
     pen_history = [penalty]
 
@@ -387,40 +388,30 @@ def _two_branch_refine_global(
         rates = {key: learning_rate for key in keys}
         for _ in range(epochs):
             grads = masked(grads)
-            new_params = [[w.copy(), b.copy()] for w, b in params]
+            new_params = {key: [[w.copy(), b.copy()] for w, b in pairs] for key, pairs in params.items()}
             for key in keys:
-                start, end = spans[key]
-                for i in range(start, end):
-                    new_params[i][0] -= rates[key] * grads[i][0]
-                    new_params[i][1] -= rates[key] * grads[i][1]
-            new_total, new_grads, new_risks, new_pen = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, new_params, acts, spans
-            )
-            cur_total, _, cur_risks, _ = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, params, acts, spans
-            )
+                for i in range(len(params[key])):
+                    new_params[key][i][0] -= rates[key] * grads[key][i][0]
+                    new_params[key][i][1] -= rates[key] * grads[key][i][1]
+            new_total, new_grads, new_risks, new_pen = objective(new_params)
+            cur_total, _, cur_risks, _ = objective(params)
             for key in keys:
-                start, end = spans[key]
                 if new_risks[key] <= cur_risks[key]:
-                    for i in range(start, end):
-                        params[i] = new_params[i]
+                    params[key] = new_params[key]
                 else:
                     rates[key] *= 0.5
-            total, grads, risks, penalty = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, params, acts, spans
-            )
+            total, grads, risks, penalty = objective(params)
             obj_history.append(total)
             pen_history.append(penalty)
     else:
         rate = learning_rate
         for _ in range(epochs):
             grads = masked(grads)
-            new_params = [
-                [w - rate * gw, b - rate * gb] for (w, b), (gw, gb) in zip(params, grads)
-            ]
-            new_total, new_grads, _, new_pen = _objective_on_params(
-                classifier, dataset, lambda_orth, l2, keys, new_params, acts, spans
-            )
+            new_params = {
+                key: [[w - rate * gw, b - rate * gb] for (w, b), (gw, gb) in zip(pairs, grads[key])]
+                for key, pairs in params.items()
+            }
+            new_total, new_grads, _, new_pen = objective(new_params)
             if new_total <= total:
                 params, total, grads, penalty = new_params, new_total, new_grads, new_pen
             else:
@@ -428,9 +419,16 @@ def _two_branch_refine_global(
             obj_history.append(total)
             pen_history.append(penalty)
 
-    refined = _with_params(classifier, keys, params, spans)
+    models = {}
+    for key in keys:
+        model = classifier.models[key]
+        *enc_params, (w, b) = params[key]
+        models[key] = replace(
+            model, encoder=params_to_mlp(enc_params, model.encoder), scorer_weights=w, scorer_bias=b
+        )
+    refined = replace(classifier, models=models)
     _, _, risks_after, _ = _objective_on_params(
-        refined, dataset, lambda_orth, l2, *_template(refined)
+        refined, problems, lambda_orth, l2, _node_state(refined, dataset)[0]
     )
     return RefineResult(
         classifier=refined,
@@ -471,6 +469,16 @@ def test_refine_evaluates_the_objective_once_per_step(trained_triple, monkeypatc
     monkeypatch.setattr(hmodel, "_objective_on_params", lambda *a: calls.append(1) or original(*a))
     refine_global(clf, data, lambda_orth=lambda_orth, epochs=7)
     assert len(calls) == 1 + 7
+
+
+@pytest.mark.parametrize("lambda_orth", [0.0, 0.5])
+def test_refine_restricts_each_node_once(trained_triple, monkeypatch, lambda_orth):
+    clf, data = trained_triple
+    calls = []
+    original = LabeledDataset.restrict
+    monkeypatch.setattr(LabeledDataset, "restrict", lambda self, ids: calls.append(1) or original(self, ids))
+    refine_global(clf, data, lambda_orth=lambda_orth, epochs=7)
+    assert len(calls) == len(clf.models)
 
 
 def test_refine_freeze_encoders_only_moves_scorers(trained_triple):
