@@ -12,7 +12,9 @@ Every transfer toward one target shares its data slices, decoder
 initialization and batch schedule, so the K-1 source encoders and the
 scratch reference toward that target train together as one stacked SGD
 (see :func:`fine_tune_stack`); each result is bit-identical to tuning that
-encoder alone.
+encoder alone. The K concept autoencoders each have their own rows and
+seed; those with equal row counts pretrain as one stack too
+(:func:`train_autoencoder_stack`).
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .nets import (
     Mlp,
     SgdConfig,
     forward_trace,
     init_mlp,
-    params_to_mlp,
+    member_mlp,
     sgd_reconstruction,
     stack_params,
     task_seed,
-    train_reconstruction,
+    train_reconstruction_stack,
 )
 from .serialize import check_keys, config_from_json
 from .synth import LabeledDataset
@@ -121,23 +123,38 @@ def make_decoder(input_dim: int, cfg: EncoderConfig, rng) -> Mlp:
     return init_mlp((cfg.latent_dim, input_dim), ("identity",), rng)
 
 
+def train_autoencoder_stack(
+    data, cfg: AffinityConfig, seeds
+) -> list[tuple[Mlp, Mlp, float]]:
+    """Train one encoder/decoder pair per example matrix as one stacked SGD.
+
+    Every ``data[s]`` is a nonempty (N, dim) matrix of one shared shape.
+    Member s draws its initialization and batch order from ``seeds[s]``
+    alone, so it returns exactly what ``train_autoencoder(data[s], cfg,
+    seeds[s])`` returns: the trained pair plus the final held-in mean
+    reconstruction loss. A NumericError names the diverging member in its
+    ``member``.
+    """
+    x = np.stack([np.asarray(d, dtype=float) for d in data])
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise ValueError("need nonempty (N, dim) example matrices")
+    init_rngs = [np.random.default_rng([seed, 0]) for seed in seeds]
+    encoders = [make_encoder(x.shape[2], cfg.encoder, rng) for rng in init_rngs]
+    decoders = [make_decoder(x.shape[2], cfg.encoder, rng) for rng in init_rngs]
+    train_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
+    trained = train_reconstruction_stack(encoders, decoders, x, cfg.pretrain, train_rngs)
+    return [(encoder, decoder, history[-1]) for encoder, decoder, history in trained]
+
+
 def train_autoencoder(
     data: np.ndarray, cfg: AffinityConfig, seed: int
 ) -> tuple[Mlp, Mlp, float]:
-    """Train encoder/decoder on one concept's examples; deterministic in seed.
+    """Train encoder/decoder on one concept's examples; deterministic in seed:
+    the one-member case of :func:`train_autoencoder_stack`.
 
     Returns the trained pair plus the final held-in mean reconstruction loss.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("need a nonempty (N, dim) example matrix")
-    init_rng = np.random.default_rng([seed, 0])
-    encoder = make_encoder(data.shape[1], cfg.encoder, init_rng)
-    decoder = make_decoder(data.shape[1], cfg.encoder, init_rng)
-    encoder, decoder, history = train_reconstruction(
-        encoder, decoder, data, cfg.pretrain, np.random.default_rng([seed, 1])
-    )
-    return encoder, decoder, history[-1]
+    return train_autoencoder_stack([data], cfg, [seed])[0]
 
 
 def _held_out_count(n: int, fraction: float) -> int:
@@ -216,7 +233,7 @@ def fine_tune_stack(
     out = forward_trace(enc_params + dec_params, enc_acts + dec_acts, held)[0][-1]
     return [
         (
-            params_to_mlp([[w[s], b[s]] for w, b in enc_params], encoder) if joint else encoder,
+            member_mlp(enc_params, s, encoder) if joint else encoder,
             float(np.mean((out[s] - held) ** 2)),
         )
         for s, encoder in enumerate(encoders)
@@ -357,7 +374,9 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     """Run the full affinity analysis over every ordered concept pair.
 
     Concepts with fewer than ``cfg.min_examples`` examples are skipped and
-    reported; their pairs are left missing. Per target, one
+    reported; their pairs are left missing. Concepts with equal example
+    counts pretrain their autoencoders as one :func:`train_autoencoder_stack`
+    call, each under a seed derived from (seed, concept). Per target, one
     :func:`fine_tune_stack` call tunes every source encoder plus the
     scratch reference, all under seeds derived from (seed, target).
     """
@@ -372,10 +391,19 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         )
 
     per_concept = {cid: dataset.of_concept(cid) for cid in usable}
-    encoders = {
-        cid: train_autoencoder(per_concept[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0]
-        for cid in usable
-    }
+    by_rows: dict[int, list[int]] = {}
+    for cid in usable:
+        by_rows.setdefault(per_concept[cid].shape[0], []).append(cid)
+    pretrained = {}
+    for cids in by_rows.values():
+        seeds = [task_seed(cfg.seed, 1, cid) for cid in cids]
+        try:
+            stack = train_autoencoder_stack([per_concept[cid] for cid in cids], cfg, seeds)
+        except NumericError as exc:
+            name = catalog.name_of(cids[exc.member])
+            raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
+        pretrained.update((cid, encoder) for cid, (encoder, _, _) in zip(cids, stack))
+    encoders = {cid: pretrained[cid] for cid in usable}
 
     transfers = {}
     for dst in usable:

@@ -14,4 +14,11 @@ class TreeParseError(DataError):
 
 
 class NumericError(Exception):
-    """Numerical failure during training (divergence, non-finite loss)."""
+    """Numerical failure during training (divergence, non-finite loss).
+
+    ``member`` is the index of the failing problem when several trained as
+    one stack, so the caller can name it; None otherwise."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member

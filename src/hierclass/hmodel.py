@@ -24,17 +24,20 @@ from .affinity import (
     capped_budget,
     fine_tune,
     train_autoencoder,
+    train_autoencoder_stack,
 )
-from .errors import DataError
+from .errors import DataError, NumericError
 from .metrics import h_loss_table
 from .nets import (
     Mlp,
     SgdConfig,
     backprop,
+    epoch_order,
     forward_trace,
     mlp_forward,
     mlp_params,
     params_to_mlp,
+    take_rows,
     task_seed,
 )
 from .serialize import array_from_json, array_to_json, mlp_from_json, mlp_to_json
@@ -147,6 +150,31 @@ def predict(classifier: HierarchicalClassifier, x: np.ndarray) -> int:
 # hinge-loss empirical risk minimization
 
 
+# The kernel comes in parts so that SGD steps skip the risk and per-epoch
+# risks skip the gradients; ``y`` holds the +-1 child labels (..., m, n).
+
+
+def _signed_labels(child_idx: np.ndarray, n_children: int) -> np.ndarray:
+    """+1 where a row's child is the scorer's child, -1 elsewhere."""
+    return np.where(child_idx[..., None] == np.arange(n_children), 1.0, -1.0)
+
+
+def _hinge_margins(scorer_w, scorer_b, z, y):
+    return 1.0 - y * (z @ scorer_w.swapaxes(-1, -2) + scorer_b[..., None, :])
+
+
+def _hinge_risk(margins, scorer_w, l2):
+    # per-member sums over one contiguous run, as a single member sums alone
+    members = margins.shape[:-2]
+    hinge = np.where(margins > 0, margins, 0.0).reshape(members + (-1,)).sum(axis=-1)
+    return hinge / margins.shape[-2] + l2 * (scorer_w**2).reshape(members + (-1,)).sum(axis=-1)
+
+
+def _hinge_grads(margins, y, scorer_w, z, l2):
+    ds = -(y * (margins > 0)) / margins.shape[-2]
+    return ds.swapaxes(-1, -2) @ z + 2.0 * l2 * scorer_w, ds.sum(axis=-2), ds
+
+
 def erm_risk_and_grads(
     scorer_w: np.ndarray,
     scorer_b: np.ndarray,
@@ -163,20 +191,11 @@ def erm_risk_and_grads(
     array. Returns (risk, dW, db, ds), ds being d(risk)/d(scores), which
     refinement backpropagates into the encoder.
     """
-    m = z.shape[0]
-    scores = z @ scorer_w.swapaxes(-1, -2) + scorer_b[..., None, :]
-    y = np.full(scores.shape, -1.0)
-    y.reshape(-1, y.shape[-1])[np.arange(child_idx.size), child_idx.ravel()] = 1.0
-    margins = 1.0 - y * scores
-    active = margins > 0
-    # per-member sums over one contiguous run, as a single member sums alone
-    members = scores.shape[:-2]
-    hinge = np.where(active, margins, 0.0).reshape(members + (-1,)).sum(axis=-1)
-    risk = hinge / m + l2 * (scorer_w**2).reshape(members + (-1,)).sum(axis=-1)
-    ds = -(y * active) / m
-    dw = ds.swapaxes(-1, -2) @ z + 2.0 * l2 * scorer_w
-    db = ds.sum(axis=-2)
-    return (risk if members else float(risk)), dw, db, ds
+    y = _signed_labels(child_idx, scorer_w.shape[-2])
+    margins = _hinge_margins(scorer_w, scorer_b, z, y)
+    risk = _hinge_risk(margins, scorer_w, l2)
+    dw, db, ds = _hinge_grads(margins, y, scorer_w, z, l2)
+    return (risk if risk.ndim else float(risk)), dw, db, ds
 
 
 @dataclass(frozen=True)
@@ -187,6 +206,61 @@ class ErmConfig:
     l2: float = 1e-3
 
 
+def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: ErmConfig, seeds):
+    """Stochastic subgradient descent on the hinge risks of several node
+    problems as one stacked SGD.
+
+    Problem g has its own frozen encoder ``encoders[g]``, rows
+    ``features[g]`` (m, in), every problem with the same m, seed
+    ``seeds[g]`` and child indices ``child_idx[g]`` (P_g, m): P_g groupings
+    of its rows into ``n_children`` children. The groupings of one problem
+    share its encoded rows and the batch order drawn from its seed; each
+    problem draws its own order every epoch and its members gather their
+    own rows, so grouping p of problem g gets bit for bit what
+    ``train_node_erm(encoders[g], features[g], child_idx[g][p], ...)``
+    gets. Scorers start at zero and each member keeps its best iterate by
+    full-data risk. Returns one (weights (P_g, n, d), bias (P_g, n),
+    risk history of (P_g,) arrays) per problem.
+    """
+    sizes = [len(idx) for idx in child_idx]
+    members = np.concatenate([np.asarray(idx, dtype=int) for idx in child_idx])  # (P, m)
+    for p, row in enumerate(members):
+        counts = np.bincount(row, minlength=n_children)
+        if (counts == 0).any():
+            where = f" in stack member {p}" if len(members) > 1 else ""
+            raise DataError(f"empty child group(s){where}: {np.flatnonzero(counts == 0).tolist()}")
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    z = np.stack([mlp_forward(enc, f) for enc, f in zip(encoders, features)])[owner]
+    y = _signed_labels(members, n_children)
+    w = np.zeros((len(members), n_children, z.shape[-1]))
+    b = np.zeros((len(members), n_children))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    risk = _hinge_risk(_hinge_margins(w, b, z, y), w, cfg.l2)
+    history = [risk]
+    best_risk, best_w, best_b = risk, w.copy(), b.copy()
+    m = z.shape[-2]
+    for _ in range(cfg.epochs):
+        order = epoch_order(rngs, m)[owner]
+        z_epoch, y_epoch = take_rows(z, order), take_rows(y, order)
+        for start in range(0, m, cfg.batch_size):
+            zb, yb = z_epoch[:, start : start + cfg.batch_size], y_epoch[:, start : start + cfg.batch_size]
+            dw, db, _ = _hinge_grads(_hinge_margins(w, b, zb, yb), yb, w, zb, cfg.l2)
+            w -= cfg.learning_rate * dw
+            b -= cfg.learning_rate * db
+        risk = _hinge_risk(_hinge_margins(w, b, z, y), w, cfg.l2)
+        history.append(risk)
+        better = risk < best_risk
+        best_risk = np.where(better, risk, best_risk)
+        np.copyto(best_w, w, where=better[:, None, None])
+        np.copyto(best_b, b, where=better[:, None])
+    bounds = np.cumsum([0, *sizes])
+    return [
+        (best_w[lo:hi], best_b[lo:hi], [risks[lo:hi] for risks in history])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def train_node_erm(
     encoder: Mlp,
     features: np.ndarray,
@@ -195,50 +269,22 @@ def train_node_erm(
     cfg: ErmConfig,
     seed: int,
 ):
-    """Stochastic subgradient descent on the node's hinge risk.
+    """Stochastic subgradient descent on the node's hinge risk: the
+    one-problem case of :func:`train_node_erm_stack`.
 
     The encoder is frozen here; scorers start at zero. The best iterate by
     full-data risk is returned, so the reported risk never exceeds the
-    initial one. Returns (weights, bias, risk_history).
-
-    ``child_idx`` of shape (P, m) trains P groupings of the same rows into
-    ``n_children`` children as one stacked SGD. The members share the
-    encoder, the zero start and the batch order drawn from ``seed``, so
-    member p gets bit for bit what the (m,) call with ``child_idx[p]`` gets;
-    weights (P, n, d), bias (P, n) and each history entry (P,) then carry
-    the member axis. Each member keeps its own best iterate.
+    initial one. Returns (weights, bias, risk_history). ``child_idx`` of
+    shape (P, m) trains P groupings of the rows at once; weights (P, n, d),
+    bias (P, n) and each history entry (P,) then carry the member axis.
     """
-    features = np.asarray(features, dtype=float)
     child_idx = np.asarray(child_idx, dtype=int)
-    for p, row in enumerate(np.atleast_2d(child_idx)):
-        counts = np.bincount(row, minlength=n_children)
-        if (counts == 0).any():
-            where = f" in stack member {p}" if child_idx.ndim == 2 else ""
-            raise DataError(f"empty child group(s){where}: {np.flatnonzero(counts == 0).tolist()}")
-    z = mlp_forward(encoder, features)
-    members = child_idx.shape[:-1]  # () for one grouping, (P,) for a stack
-    w = np.zeros(members + (n_children, z.shape[1]))
-    b = np.zeros(members + (n_children,))
-    rng = np.random.default_rng(seed)
-
-    risk = erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]
-    history = [risk]
-    best_risk, best_w, best_b = risk, w.copy(), b.copy()
-    m = z.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            _, dw, db, _ = erm_risk_and_grads(w, b, z[rows], child_idx[..., rows], cfg.l2)
-            w -= cfg.learning_rate * dw
-            b -= cfg.learning_rate * db
-        risk = erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]
-        history.append(risk)
-        better = np.asarray(risk < best_risk)
-        best_risk = np.where(better, risk, best_risk)
-        np.copyto(best_w, w, where=better[..., None, None])
-        np.copyto(best_b, b, where=better[..., None])
-    return best_w, best_b, history
+    (w, b, history), = train_node_erm_stack(
+        [encoder], [features], [np.atleast_2d(child_idx)], n_children, cfg, [seed]
+    )
+    if child_idx.ndim == 1:
+        return w[0], b[0], [float(risk[0]) for risk in history]
+    return w, b, history
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +327,26 @@ def assign_representations(
     flattened first (mode="fuse"). Returns the effective tree and the
     node-key-to-encoder map.
     """
+    tree = _represented_tree(tree, mode)
+    return tree, _assigned_encoders(tree, artifacts, lambda key: dataset.restrict(key).features)
+
+
+def _represented_tree(tree: Tree, mode: str) -> Tree:
     if mode not in ("keep", "fuse"):
         raise ValueError(f"unknown representation mode {mode!r}")
     tree = canonicalize(tree)
-    if mode == "fuse":
-        tree = fuse_tree(tree)
+    return fuse_tree(tree) if mode == "fuse" else tree
+
+
+def _assigned_encoders(tree: Tree, artifacts: AffinityArtifacts, rows_of) -> dict[tuple[int, ...], Mlp]:
+    """The encoder of every internal node of ``tree``, as
+    :func:`assign_representations` describes; ``rows_of(key)`` gives the
+    feature rows of concept set ``key``."""
     cfg = artifacts.config
     assignment: dict[tuple[int, ...], Mlp] = {}
 
     def union_tune(start: Mlp, key: tuple[int, ...]) -> Mlp:
-        rows = dataset.restrict(key).features
+        rows = rows_of(key)
         budget = capped_budget(rows.shape[0], cfg)
         tuned, _ = fine_tune(start, rows, budget, cfg, task_seed(cfg.seed, 4, *key))
         return tuned
@@ -315,7 +371,7 @@ def assign_representations(
 
     if not tree.is_leaf:
         walk(tree)
-    return tree, assignment
+    return assignment
 
 
 @dataclass(frozen=True)
@@ -360,17 +416,18 @@ def train_hierarchical(
     """
     tree = canonicalize(tree)
     validate_tree(tree, len(dataset.catalog))
-    encoders = {}
     if artifacts is not None:
-        tree, encoders = assign_representations(tree, artifacts, cfg.rep_mode, dataset)
+        tree = _represented_tree(tree, cfg.rep_mode)
     elif cfg.rep_mode == "fuse":
         tree = fuse_tree(tree)
+    subs = {node_key(node): dataset.restrict(node_key(node)) for node in tree.internal_nodes()}
+    encoders = {} if artifacts is None else _assigned_encoders(tree, artifacts, lambda key: subs[key].features)
 
     models = {}
     for node in tree.internal_nodes():
         key = node_key(node)
         child_keys = _child_keys(node)
-        sub = dataset.restrict(key)
+        sub = subs[key]
         encoder = encoders[key] if key in encoders else _scratch_encoder(sub.features, key, cfg)
         child_idx = child_index_labels(child_keys, sub.labels)
         w, b, _ = train_node_erm(encoder, sub.features, child_idx, len(child_keys), cfg.erm,
@@ -387,10 +444,13 @@ def _classifier(tree, dataset, cfg, models, from_artifacts: bool) -> Hierarchica
 
 def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> list[HierarchicalClassifier]:
     """``[train_hierarchical(t, dataset, cfg) for t in trees]``, bit for bit,
-    but training no node twice: one scratch encoder per distinct concept set,
-    and one stacked ``train_node_erm`` per concept set and child count (its
-    child splits share the encoder, rows, zero start and batch order). Each
-    tree's classifier is then composed from this node table.
+    but training no node twice and stacking independent problems: one
+    scratch encoder per distinct concept set, trained in one
+    ``train_autoencoder_stack`` call per row count, and one scorer set per
+    distinct (concept set, child partition), trained in one
+    ``train_node_erm_stack`` call per (row count, child count); the
+    partitions of one concept set share its encoder, rows and batch order.
+    Each tree's classifier is then composed from this node table.
     """
     shaped = []
     for tree in trees:
@@ -398,23 +458,44 @@ def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> l
         validate_tree(tree, len(dataset.catalog))
         shaped.append(fuse_tree(tree) if cfg.rep_mode == "fuse" else tree)
 
-    # concept set -> child count -> distinct child partitions (insertion-ordered)
-    plan: dict[tuple[int, ...], dict[int, dict]] = {}
+    subs: dict[tuple[int, ...], LabeledDataset] = {}  # concept set -> its rows
+    # (row count, child count) -> concept set -> distinct child partitions (insertion-ordered)
+    by_shape: dict[tuple[int, int], dict] = {}
     for tree in shaped:
         for node in tree.internal_nodes():
-            by_count = plan.setdefault(node_key(node), {})
-            by_count.setdefault(len(node.children), {})[_child_keys(node)] = None
+            key = node_key(node)
+            if key not in subs:
+                subs[key] = dataset.restrict(key)
+            shape = (len(subs[key]), len(node.children))
+            by_shape.setdefault(shape, {}).setdefault(key, {})[_child_keys(node)] = None
+
+    encoders = {}
+    by_rows: dict[int, list] = {}
+    for key, sub in subs.items():
+        by_rows.setdefault(len(sub), []).append(key)
+    affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
+    for keys in by_rows.values():
+        seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
+        try:
+            stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
+        except NumericError as exc:
+            names = [dataset.catalog.name_of(cid) for cid in keys[exc.member]]
+            raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
+        encoders.update((key, encoder) for key, (encoder, _, _) in zip(keys, stack))
+
     nodes: dict = {}
-    for key, by_count in plan.items():
-        sub = dataset.restrict(key)
-        encoder = _scratch_encoder(sub.features, key, cfg)
-        for n_children, partitions in by_count.items():
-            child_idx = np.stack([child_index_labels(ck, sub.labels) for ck in partitions])
-            w, b, _ = train_node_erm(
-                encoder, sub.features, child_idx, n_children, cfg.erm, seed=task_seed(cfg.seed, 6, *key)
-            )
-            for ck, wp, bp in zip(partitions, w, b):
-                nodes[key, ck] = NodeModel(key, encoder, wp, bp, ck)
+    for (_, n_children), problems in by_shape.items():
+        stack = train_node_erm_stack(
+            [encoders[key] for key in problems],
+            [subs[key].features for key in problems],
+            [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts]) for key, parts in problems.items()],
+            n_children,
+            cfg.erm,
+            [task_seed(cfg.seed, 6, *key) for key in problems],
+        )
+        for (key, parts), (w, b, _) in zip(problems.items(), stack):
+            for ck, wp, bp in zip(parts, w, b):
+                nodes[key, ck] = NodeModel(key, encoders[key], wp, bp, ck)
     classifiers = []
     for tree in shaped:
         models = {node_key(n): nodes[node_key(n), _child_keys(n)] for n in tree.internal_nodes()}

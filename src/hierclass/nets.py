@@ -7,8 +7,11 @@ read-only, so a published network never changes under its users.
 
 Training parameters may carry a leading stack axis (weights (S, out, in),
 biases (S, out)): S same-shaped networks then train as one SGD through 3-D
-``np.matmul``, sharing inputs and batch order, and every stack member
-computes bit for bit what it would compute alone.
+``np.matmul``, and every stack member computes bit for bit what it would
+compute alone. Members either share their inputs and one batch order, or
+each trains on its own rows in the order drawn from its own ``Generator``
+(see :func:`epoch_order` and :func:`take_rows`); problems with different
+row counts go in different stacks, because padded rows would change the sums.
 """
 
 from __future__ import annotations
@@ -139,6 +142,31 @@ def stack_params(mlps: Sequence[Mlp]) -> list[list[np.ndarray]]:
     ]
 
 
+def member_mlp(params, s: int, template: Mlp) -> Mlp:
+    """Stack member ``s`` of stacked training parameters, as a network."""
+    return params_to_mlp([[w[s], b[s]] for w, b in params], template)
+
+
+def epoch_order(rng, n: int) -> np.ndarray:
+    """One epoch's batch order over ``n`` rows: a permutation (n,) from one
+    ``Generator``, or one per member (S, n) from a sequence of S of them,
+    each drawing exactly what it would draw alone."""
+    if isinstance(rng, np.random.Generator):
+        return rng.permutation(n)
+    return np.stack([r.permutation(n) for r in rng])
+
+
+def take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of ``a``: with rows (b,), those rows of every
+    member ((..., N, k) -> (..., b, k)); with rows (S, b), member s's own
+    rows of ``a[s]`` ((S, N, k) -> (S, b, k)). Gathering a whole epoch's
+    order once lets its batches be slices."""
+    if rows.ndim == 1:
+        return a[..., rows, :]
+    s, n = a.shape[0], a.shape[-2]  # one flat take is several times faster than a[arange, rows]
+    return np.take(a.reshape(s * n, -1), rows + n * np.arange(s)[:, None], axis=0)
+
+
 def forward_trace(params, acts, x):
     """Forward keeping per-layer preactivations and outputs for backprop.
 
@@ -201,22 +229,27 @@ class SgdConfig:
 
 def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_trainable: int = 0):
     """Mini-batch SGD, in place, on the mean squared error of net(x) against
-    ``target`` (N, dim); only layers from ``first_trainable`` on move.
+    ``target``; only layers from ``first_trainable`` on move.
 
-    ``x`` is (N, in), or (S, N, in) for stacked parameters whose members read
-    different inputs (say, cached latents of a frozen encoder stack); all
-    members share the batch order drawn from ``rng``. Returns the full-data
-    loss of every member per epoch (entry 0 is the pre-training loss).
-    Raises NumericError as soon as any member's loss diverges or goes
-    non-finite.
+    With one ``Generator`` as ``rng``, every member follows the batch order
+    drawn from it: ``target`` is (N, dim) and ``x`` is (N, in), or
+    (S, N, in) for stacked parameters whose members read different inputs
+    (say, cached latents of a frozen encoder stack). With a sequence of S
+    Generators, member s trains on its own rows, ``x[s]`` against
+    ``target[s]`` (both (S, N, .)), in the order drawn from ``rng[s]``.
+    Returns the full-data loss of every member per epoch (entry 0 is the
+    pre-training loss). Raises NumericError, naming the member, as soon as
+    any member's loss diverges or goes non-finite.
     """
     history = [_member_losses(params, acts, x, target, cfg)]
-    n = target.shape[0]
+    n = target.shape[-2]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = epoch_order(rng, n)
+        x_epoch = take_rows(x, order)
+        target_epoch = x_epoch if target is x else take_rows(target, order)
         for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            _, grads = _mse_grads(params, acts, x[..., rows, :], target[rows])
+            rows = slice(start, start + cfg.batch_size)
+            _, grads = _mse_grads(params, acts, x_epoch[..., rows, :], target_epoch[..., rows, :])
             for i in range(first_trainable, len(params)):
                 params[i][0] -= cfg.learning_rate * grads[i][0]
                 params[i][1] -= cfg.learning_rate * grads[i][1]
@@ -254,6 +287,34 @@ def train_reconstruction(
     return new_encoder, new_decoder, [float(losses[0]) for losses in history]
 
 
+def train_reconstruction_stack(
+    encoders: Sequence[Mlp],
+    decoders: Sequence[Mlp],
+    x: np.ndarray,
+    cfg: SgdConfig,
+    rngs: Sequence,
+) -> list[tuple[Mlp, Mlp, list[float]]]:
+    """S same-shaped autoencoders trained as one stacked SGD, member s on
+    its own rows ``x[s]`` of x (S, N, dim) in the batch order drawn from
+    ``rngs[s]``. Member s gets bit for bit what ``train_reconstruction(
+    encoders[s], decoders[s], x[s], cfg, rngs[s])`` gets. Returns one
+    (encoder, decoder, loss history) per member; a NumericError names the
+    diverging member in its ``member``.
+    """
+    n_enc = len(encoders[0].layers)
+    params = stack_params(encoders) + stack_params(decoders)
+    acts = [l.activation for l in encoders[0].layers] + [l.activation for l in decoders[0].layers]
+    history = sgd_reconstruction(params, acts, x, x, cfg, rngs)
+    return [
+        (
+            member_mlp(params[:n_enc], s, encoder),
+            member_mlp(params[n_enc:], s, decoder),
+            [float(losses[s]) for losses in history],
+        )
+        for s, (encoder, decoder) in enumerate(zip(encoders, decoders))
+    ]
+
+
 def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
     outputs, _ = forward_trace(params, acts, x)
     losses = np.atleast_1d(np.mean((outputs[-1] - target) ** 2, axis=(-2, -1)))
@@ -265,7 +326,8 @@ def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
             where += f" (stack member {member})"
         raise NumericError(
             f"reconstruction loss diverged at {where}: {float(losses[member])!r} "
-            f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
+            f"(lr={cfg.learning_rate}, batch={cfg.batch_size})",
+            member,
         )
     return losses
 

@@ -29,6 +29,7 @@ from hierclass.affinity import (
     raw_transfer_score,
     symmetrize_to_distance,
     train_autoencoder,
+    train_autoencoder_stack,
 )
 from hierclass.errors import DataError, NumericError
 from hierclass.nets import (
@@ -305,12 +306,23 @@ def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
     return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
 
 
+def _plain_autoencoder(data, cfg, seed):
+    """One concept's autoencoder trained alone by the one-network trainer."""
+    init_rng = np.random.default_rng([seed, 0])
+    encoder = make_encoder(data.shape[1], cfg.encoder, init_rng)
+    decoder = make_decoder(data.shape[1], cfg.encoder, init_rng)
+    encoder, decoder, history = train_reconstruction(
+        encoder, decoder, data, cfg.pretrain, np.random.default_rng([seed, 1])
+    )
+    return encoder, decoder, history[-1]
+
+
 def _plain_build(dataset, cfg):
     """Records and pair encoders of a serial loop over every ordered pair."""
     ids = dataset.catalog.ids
     data = {cid: dataset.of_concept(cid) for cid in ids}
     encoders = {
-        cid: train_autoencoder(data[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0] for cid in ids
+        cid: _plain_autoencoder(data[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0] for cid in ids
     }
     records, tuned = [], {}
     for src in ids:
@@ -366,6 +378,59 @@ def test_build_matches_plain_path_on_k5_planted_spec():
         seed=4,
     )
     _assert_build_matches_plain(data, cfg)
+
+
+def test_build_matches_plain_path_on_unequal_supports(monkeypatch):
+    # concepts 0 and 2 share a row count: pretraining runs as three stacks
+    import hierclass.affinity as affinity_module
+
+    cat = Catalog(("a", "b", "c", "d"))
+    tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])])
+    full = generate_planted(PlantedSpec(cat, tree, 8, 70, (6.0, 2.0), 1.0), seed=5)
+    keep = {0: 40, 1: 55, 2: 40, 3: 70}
+    data = full.take(np.concatenate([np.flatnonzero(full.labels == c)[:n] for c, n in keep.items()]))
+    assert data.support() == keep
+    cfg = AffinityConfig(
+        encoder=EncoderConfig(hidden_dim=10, latent_dim=3),
+        pretrain=SgdConfig(epochs=15, batch_size=32, learning_rate=0.1),
+        warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1),
+        budget=30,
+        seed=4,
+    )
+    stacks = []
+    real = affinity_module.train_autoencoder_stack
+    monkeypatch.setattr(affinity_module, "train_autoencoder_stack",
+                        lambda d, *a: stacks.append([x.shape[0] for x in d]) or real(d, *a))
+    _assert_build_matches_plain(data, cfg)
+    assert stacks == [[40, 40], [55], [70]]
+
+
+def test_autoencoder_stack_members_match_the_plain_path(triple_data_module):
+    cfg = AffinityConfig(pretrain=SgdConfig(epochs=6, batch_size=32, learning_rate=0.1))
+    data = [triple_data_module.of_concept(c) for c in range(3)]
+    seeds = [4, 9, 2]
+    plain = [_plain_autoencoder(d, cfg, seed) for d, seed in zip(data, seeds)]
+
+    def same(got, want):
+        return _same_mlp(got[0], want[0]) and _same_mlp(got[1], want[1]) and got[2] == want[2]
+
+    assert all(same(train_autoencoder(d, cfg, seed), p) for d, seed, p in zip(data, seeds, plain))
+    for members in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one
+        stacked = train_autoencoder_stack([data[s] for s in members], cfg, [seeds[s] for s in members])
+        assert all(same(got, plain[s]) for s, got in zip(members, stacked))
+
+
+def test_one_diverging_pretrain_member_names_its_concept():
+    cfg = AffinityConfig(encoder=EncoderConfig(hidden_dim=4, latent_dim=2))
+    calm = np.random.default_rng(0).normal(size=(40, 6))
+    wild = calm * 1e4
+    train_autoencoder(calm, cfg, seed=3)  # a calm member trains fine on its own
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1") as info:
+        train_autoencoder_stack([calm, wild, calm + 1], cfg, [3, 4, 5])
+    assert info.value.member == 1
+    data = LabeledDataset(np.vstack([calm, wild, calm + 1]), np.repeat([0, 1, 2], 40), Catalog(("a", "b", "c")))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"pretraining concept 'b': .*stack member 1"):
+        build_affinity_artifacts(data, cfg)
 
 
 @pytest.mark.parametrize("variant", [{"freeze_encoder": True}, {"budget": 0}])

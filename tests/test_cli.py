@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hierclass.cli import main
-from hierclass.synth import PlantedSpec, generate_planted, planted_spec_to_json, save_csv
+from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, planted_spec_to_json, save_csv
 from hierclass.treespace import Catalog, internal, leaf
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -243,6 +243,18 @@ def test_derive_rejects_unknown_top_level_affinity_key(tmp_path, capsys):
     (tmp_path / "aff.json").write_text(json.dumps({**obj, "bogus": 1}))
     assert run("--out-dir", tmp_path, "derive", "--affinity", tmp_path / "aff.json", "--out", "t.nwk") == 2
     assert "unknown keys ['bogus']" in capsys.readouterr().err
+
+
+def test_affinity_with_a_diverging_concept_exits_3_naming_it(tmp_path, capsys):
+    features = np.random.default_rng(0).normal(size=(90, 6))
+    features[30:60] *= 1e4  # the pretraining stack's member 1 diverges at once
+    data = LabeledDataset(features, np.repeat([0, 1, 2], 30), Catalog(("calm", "wild", "still")))
+    save_csv(data, tmp_path / "wild.csv")
+    with np.errstate(all="ignore"):
+        code = run("--out-dir", tmp_path, "affinity", "--data", tmp_path / "wild.csv", "--out", "a.json")
+    assert code == 3
+    assert "numeric error: pretraining concept 'wild'" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

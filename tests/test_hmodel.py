@@ -8,7 +8,7 @@ import pytest
 from conftest import central_difference, rel_err
 from hierclass import hmodel
 from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
-from hierclass.errors import DataError
+from hierclass.errors import DataError, NumericError
 from hierclass.hmodel import (
     ErmConfig,
     HierarchicalClassifier,
@@ -29,9 +29,10 @@ from hierclass.hmodel import (
     train_flat_baseline,
     train_hierarchical,
     train_node_erm,
+    train_node_erm_stack,
 )
 from hierclass.metrics import h_loss
-from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
+from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp, mlp_forward, params_to_mlp
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import Catalog, canonicalize, count_hierarchies, enumerate_hierarchies, internal, leaf
 
@@ -135,6 +136,57 @@ def test_stacked_erm_equals_serial_one_member_calls(n_children, expected):
     w1, b1, h1 = train_node_erm(encoder, features, child_idx[:1], n_children, cfg, seed=7)
     assert np.array_equal(w1[0], w[0]) and np.array_equal(b1[0], b[0])
     assert [h[0] for h in h1] == [h[0] for h in history]
+
+
+def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
+    """One node's ERM loop with every step and risk from erm_risk_and_grads."""
+    z = mlp_forward(encoder, features)
+    w = np.zeros((n_children, z.shape[1]))
+    b = np.zeros(n_children)
+    rng = np.random.default_rng(seed)
+    history = [erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]]
+    best = (history[0], w.copy(), b.copy())
+    for _ in range(cfg.epochs):
+        order = rng.permutation(z.shape[0])
+        for start in range(0, z.shape[0], cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            _, dw, db, _ = erm_risk_and_grads(w, b, z[rows], child_idx[rows], cfg.l2)
+            w -= cfg.learning_rate * dw
+            b -= cfg.learning_rate * db
+        history.append(erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0])
+        if history[-1] < best[0]:
+            best = (history[-1], w.copy(), b.copy())
+    return best[1], best[2], history
+
+
+def test_erm_stack_over_problems_equals_the_plain_loop():
+    # three concept sets, each with its own encoder, rows and seed, and 2, 1
+    # and 3 groupings of its rows that share that set's batch order
+    rng = np.random.default_rng(4)
+    cfg = ErmConfig(epochs=9, batch_size=16, learning_rate=0.1)
+    problems = []
+    for g, n_groupings in enumerate((2, 1, 3)):
+        concepts = np.arange(60) % 4
+        features = rng.normal(size=(60, 5)) + concepts[:, None] * (g + 1)
+        encoder = init_mlp((5, 6, 3), ("relu", "sigmoid"), rng)
+        groupings = [rng.permutation(_groupings(4, 3))[0] for _ in range(n_groupings)]
+        problems.append((encoder, features, np.stack([grp[concepts] for grp in groupings]), 30 + g))
+    plain = [
+        [_plain_node_erm(enc, f, idx, 3, cfg, seed) for idx in child_idx]
+        for enc, f, child_idx, seed in problems
+    ]
+    enc, f, child_idx, seed = problems[0]
+    w, b, history = train_node_erm(enc, f, child_idx[0], 3, cfg, seed)  # the one-problem call
+    assert np.array_equal(w, plain[0][0][0]) and np.array_equal(b, plain[0][0][1]) and history == plain[0][0][2]
+    for order in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one
+        encoders, features, child_idx, seeds = zip(*[problems[g] for g in order])
+        stacked = train_node_erm_stack(encoders, features, child_idx, 3, cfg, seeds)
+        assert len(stacked) == len(order)
+        for g, (w, b, history) in zip(order, stacked):
+            assert w.shape == (len(plain[g]), 3, 3) and len(history) == cfg.epochs + 1
+            for p, (w1, b1, h1) in enumerate(plain[g]):
+                assert np.array_equal(w[p], w1) and np.array_equal(b[p], b1)
+                assert [risks[p] for risks in history] == h1
 
 
 def test_stacked_erm_risk_matches_each_member():
@@ -319,6 +371,18 @@ def test_train_hierarchical_with_artifacts_predicts(triple_setup):
     acc = float(np.mean(predict_batch(clf, data.features) == data.labels))
     assert acc > 0.6
     assert clf.provenance["from_affinity_artifacts"] is True
+
+
+@pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
+@pytest.mark.parametrize("flat", [False, True], ids=["two-level", "flat"])
+def test_train_hierarchical_with_artifacts_restricts_each_node_once(triple_setup, monkeypatch, rep_mode, flat):
+    catalog, tree, data, artifacts = triple_setup
+    calls = []
+    original = LabeledDataset.restrict
+    monkeypatch.setattr(LabeledDataset, "restrict", lambda self, ids: calls.append(tuple(ids)) or original(self, ids))
+    cfg = replace(HierTrainConfig(seed=3), rep_mode=rep_mode)
+    clf = train_hierarchical(flat_tree(3) if flat else tree, data, cfg, artifacts=artifacts)
+    assert sorted(calls) == sorted(clf.models)
 
 
 # --- refinement ----------------------------------------------------------------
@@ -606,25 +670,61 @@ def test_planned_search_equals_training_every_tree(monkeypatch, k, rep_mode):
         assert all(classifiers_equal(c, row[1]) for c, row in zip(composed, plain))
 
 
+def _count_stacks(monkeypatch):
+    """Count stacked scratch-encoder and ERM calls and their members, with
+    each ERM stack's row counts."""
+    calls = {"encoder_stacks": 0, "encoders": 0, "erm_stacks": 0, "erms": 0}
+    erm_rows = []
+    real_autoencoders, real_erms = hmodel.train_autoencoder_stack, hmodel.train_node_erm_stack
+
+    def count_autoencoders(data, *args):
+        calls["encoder_stacks"] += 1
+        calls["encoders"] += len(data)
+        return real_autoencoders(data, *args)
+
+    def count_erms(encoders, features, child_idx, *args):
+        calls["erm_stacks"] += 1
+        calls["erms"] += sum(len(idx) for idx in child_idx)
+        erm_rows.append({len(f) for f in features})
+        return real_erms(encoders, features, child_idx, *args)
+
+    monkeypatch.setattr(hmodel, "train_autoencoder_stack", count_autoencoders)
+    monkeypatch.setattr(hmodel, "train_node_erm_stack", count_erms)
+    return calls, erm_rows
+
+
 def test_search_trains_each_distinct_node_once(monkeypatch):
     train, val = _search_split(4)
-    calls = {"encoders": 0, "erms": 0, "members": 0}
-    real_autoencoder, real_erm = hmodel.train_autoencoder, hmodel.train_node_erm
-
-    def count_autoencoder(*args, **kwargs):
-        calls["encoders"] += 1
-        return real_autoencoder(*args, **kwargs)
-
-    def count_erm(encoder, features, child_idx, *args, **kwargs):
-        calls["erms"] += 1
-        calls["members"] += np.atleast_2d(child_idx).shape[0]
-        return real_erm(encoder, features, child_idx, *args, **kwargs)
-
-    monkeypatch.setattr(hmodel, "train_autoencoder", count_autoencoder)
-    monkeypatch.setattr(hmodel, "train_node_erm", count_erm)
+    calls, _ = _count_stacks(monkeypatch)
     exhaustive_search(train, val, FAST_CFG)
-    # 2^4-4-1 concept sets; sum C(4,s)(s-1) stacked calls over sum C(4,s)(B_s-1) groupings
-    assert calls == {"encoders": 11, "erms": 17, "members": 36}
+    # 2^4-4-1 concept sets in one stack per set size (balanced rows);
+    # sum C(4,s)(B_s-1) groupings in one stack per (set size, child count)
+    assert calls == {"encoder_stacks": 3, "encoders": 11, "erm_stacks": 6, "erms": 36}
+
+
+def _unequal_split():
+    """The K=4 search split with concept supports 28, 20, 28 and 14."""
+    train, val = _search_split(4)
+    keep = {0: 28, 1: 20, 2: 28, 3: 14}
+    rows = np.concatenate([np.flatnonzero(train.labels == c)[:n] for c, n in keep.items()])
+    train = train.take(rows)
+    assert train.support() == keep
+    return train, val
+
+
+def test_search_on_unequal_supports_equals_training_every_tree(monkeypatch):
+    train, val = _unequal_split()
+    plain = _plain_search(train, val, FAST_CFG)
+    calls, erm_rows = _count_stacks(monkeypatch)
+    for metric, column in (("accuracy", 2), ("neg_h_loss", 3)):
+        calls.update(dict.fromkeys(calls, 0))
+        result = exhaustive_search(train, val, FAST_CFG, metric=metric)
+        assert result.table == tuple((row[0], row[column]) for row in plain)
+        # stacks split by row count: the 11 concept sets have 8 distinct row
+        # counts (4 among pairs, 3 among triples), and the 36 groupings fall
+        # into 13 (row count, child count) pairs
+        assert calls == {"encoder_stacks": 8, "encoders": 11, "erm_stacks": 13, "erms": 36}
+    assert all(len(rows) == 1 for rows in erm_rows)
 
 
 # children deliberately out of canonical order
@@ -648,22 +748,24 @@ def test_train_hierarchies_equals_training_each_tree(rep_mode):
 
 def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):
     train, _ = _search_split(4)
-    calls = {"encoders": 0, "erms": 0}
-    real_autoencoder, real_erm = hmodel.train_autoencoder, hmodel.train_node_erm
-
-    def count_autoencoder(*args, **kwargs):
-        calls["encoders"] += 1
-        return real_autoencoder(*args, **kwargs)
-
-    def count_erm(*args, **kwargs):
-        calls["erms"] += 1
-        return real_erm(*args, **kwargs)
-
-    monkeypatch.setattr(hmodel, "train_autoencoder", count_autoencoder)
-    monkeypatch.setattr(hmodel, "train_node_erm", count_erm)
+    calls, _ = _count_stacks(monkeypatch)
     hmodel.train_hierarchies([_T, _T, _U], train, FAST_CFG)
-    # concept sets {0,1,2,3}, {2,3}, {0,1}, {0,2}; the root splits two ways and three ways
-    assert calls == {"encoders": 4, "erms": 5}
+    # concept sets {0,1,2,3}, then {2,3}, {0,1}, {0,2} of equal size in one stack;
+    # the root splits two ways and three ways, the pairs two ways in one stack
+    assert calls == {"encoder_stacks": 2, "encoders": 4, "erm_stacks": 3, "erms": 5}
+
+
+def test_diverging_scratch_encoder_names_its_concept_set():
+    train, _ = _search_split(4)
+    features = train.features.copy()
+    features[train.labels == 3] += 200.0  # a mean square of about 4e4 on the rows of d
+    wild = LabeledDataset(features, train.labels, train.catalog)
+    # no epochs, just the initial check: the root (d a quarter of its rows)
+    # passes, and of the stack {a, b}, {c, d} only {c, d} (half) fails
+    cfg = replace(FAST_CFG, pretrain=SgdConfig(epochs=0, divergence_limit=1.5e4))
+    tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])])
+    with pytest.raises(NumericError, match=r"scratch encoder of concept set \['c', 'd'\]: .*stack member 1"):
+        hmodel.train_hierarchies([tree], wild, cfg)
 
 
 # --- serialization ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from hierclass.nets import (
     reconstruction_loss,
     task_seed,
     train_reconstruction,
+    train_reconstruction_stack,
     unflatten_params,
 )
 
@@ -132,3 +133,43 @@ def test_task_seed_is_stable_and_distinct():
     assert task_seed(0, 1, 2) == task_seed(0, 1, 2)
     assert task_seed(0, 1, 2) != task_seed(0, 1, 3)
     assert task_seed(0, 1) != task_seed(1, 1)
+
+
+def test_reconstruction_stack_members_match_single_calls():
+    # each member has its own rows, initialization and Generator
+    cfg = SgdConfig(epochs=6, batch_size=7, learning_rate=0.05)
+    x = np.random.default_rng(0).normal(size=(4, 30, 5)) + np.arange(4)[:, None, None]
+    encoders = [init_mlp((5, 4, 2), ("relu", "sigmoid"), np.random.default_rng([s, 0])) for s in range(4)]
+    decoders = [init_mlp((2, 5), ("identity",), np.random.default_rng([s, 1])) for s in range(4)]
+    alone = [
+        train_reconstruction(encoders[s], decoders[s], x[s], cfg, np.random.default_rng([s, 2]))
+        for s in range(4)
+    ]
+
+    def same(a, b):
+        return all(
+            np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+            for net_a, net_b in zip(a[:2], b[:2])
+            for la, lb in zip(net_a.layers, net_b.layers, strict=True)
+        ) and a[2] == b[2]
+
+    for members in ([0, 1, 2, 3], [2, 0, 3, 1], [3]):  # permuted, and a stack of one
+        stacked = train_reconstruction_stack(
+            [encoders[s] for s in members], [decoders[s] for s in members], x[members],
+            cfg, [np.random.default_rng([s, 2]) for s in members],
+        )
+        assert len(stacked) == len(members)
+        assert all(same(got, alone[s]) for s, got in zip(members, stacked))
+
+
+def test_diverging_reconstruction_stack_member_is_named():
+    rng = np.random.default_rng(0)
+    enc = init_mlp((3, 2), ("identity",), rng)
+    dec = init_mlp((2, 3), ("identity",), rng)
+    x = rng.normal(size=(3, 20, 3))
+    x[1] *= 1e4  # initial loss far beyond the divergence limit
+    cfg = SgdConfig(epochs=2, batch_size=4, learning_rate=0.01)
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    with pytest.raises(NumericError, match=r"initial state \(stack member 1\)") as info:
+        train_reconstruction_stack([enc] * 3, [dec] * 3, x, cfg, rngs)
+    assert info.value.member == 1
