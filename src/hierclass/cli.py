@@ -428,7 +428,8 @@ def _cmd_predict(args) -> int:
             f"{args.data}: {rows.shape[1]} feature columns but the classifier expects {expected}"
         )
     preds = hmodel.predict_batch(classifier, rows)
-    lines = ["prediction"] + [classifier.catalog.name_of(int(p)) for p in preds]
+    names = classifier.catalog.names
+    lines = ["prediction"] + [names[p] for p in preds.tolist()]
     out = _out_path(args, args.out)
     atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"{len(preds)} predictions -> {out}")

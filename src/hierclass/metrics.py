@@ -79,9 +79,18 @@ def h_loss(tree: Tree, predicted_leaf: int, true_leaf: int) -> int:
 
 
 def h_loss_table(tree: Tree) -> np.ndarray:
-    """K x K H-loss indexed [predicted, true]; H-loss depends only on that pair."""
-    k = len(tree.leaf_ids())
-    return np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)], dtype=int)
+    """K x K H-loss indexed [predicted, true]; H-loss depends only on that pair.
+
+    ``h_loss`` for every pair at once: a node is charged where the two leaf
+    indicator rows differ and no ancestor of the node differs.
+    """
+    index = node_index(tree)
+    marks = np.array([node_indicator(tree, c) for c in range(len(tree.leaf_ids()))])
+    above = np.zeros((index.count, index.count), dtype=bool)  # [node, ancestor]
+    for i, ancestors in enumerate(index.ancestors):
+        above[i, list(ancestors)] = True
+    differ = marks[:, None, :] != marks[None, :, :]
+    return (differ & ~(differ @ above.T)).sum(axis=-1)
 
 
 def cohen_kappa(labels_a, labels_b) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,45 +181,116 @@ def read_csv(path: str | Path, label_column: str = "label"):
     the offending row (the header is row 1) and column.
     """
     path = Path(path)
+    return _parse_csv(path, _read_bytes(path), label_column)
+
+
+def _read_bytes(path: Path) -> bytes:
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            label_idx = header.index(label_column) if label_column in header else None
-            columns = [i for i in range(len(header)) if i != label_idx]
-            rows, labels = [], []
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
-                try:
-                    rows.append([float(row[i]) for i in columns])
-                except ValueError:
-                    for i in columns:
-                        try:
-                            float(row[i])
-                        except ValueError:
-                            raise DataError(
-                                f"{path}:{row_no}: column {header[i]!r}: not a number: {row[i]!r}"
-                            ) from None
-                if label_idx is not None:
-                    labels.append(row[label_idx].strip())
+        return path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    names = [header[i] for i in columns]
-    features = np.array(rows, dtype=float)
+
+
+def _parse_csv(path: Path, data: bytes, label_column: str):
+    """``read_csv`` on the file's bytes: numpy's C reader where it agrees
+    with ``csv.reader`` and ``float``, the row loop everywhere else."""
+    header, label_idx, features, labels = _parse_block(data, label_column) or _parse_rows(
+        path, data, label_column
+    )
+    names = [name for i, name in enumerate(header) if i != label_idx]
     bad = ~np.isfinite(features)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataError(
             f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {features[row, col]!r}"
         )
-    return features, (labels if label_idx is not None else None), names
+    return features, labels, names
+
+
+def _parse_block(data: bytes, label_column: str):
+    """(header, label index, features, labels) from one ``np.loadtxt`` call,
+    or None wherever its rows could differ from the row loop's.
+
+    The loop then parses the file or names the offending cell. Routed there
+    up front: quotes, lone ``\\r`` line ends and NUL bytes (``csv.reader``
+    reads these differently; NUL only before Python 3.11), lines as long as
+    the CSV field size limit, and an empty header or first data row
+    (``loadtxt`` skips blank lines and warns on a body without data).
+    Afterwards: any ``loadtxt`` error, such as a cell ``float`` takes but
+    ``loadtxt`` does not (``1_0``, non-ASCII digits), and any table whose
+    shape is not one row per data line and one column per header cell.
+    """
+    head_end = data.find(b"\n")
+    if (
+        head_end <= 0
+        or data[head_end + 1 : head_end + 2] in (b"", b"\n", b"\r")
+        or b'"' in data
+        or b"\0" in data
+        or data.count(b"\r") != data.count(b"\r\n")
+    ):
+        return None
+    line_lengths = np.fromiter(map(len, io.BytesIO(data)), dtype=np.int64)
+    if line_lengths.max() > csv.field_size_limit():
+        return None
+    try:
+        header = data[:head_end].decode("utf-8").removesuffix("\r").split(",")
+    except UnicodeDecodeError:
+        return None
+    label_idx = header.index(label_column) if label_column in header else None
+    labels: list[str] = []
+    converters = None
+    if label_idx is not None:
+        # captures the label cell; the 0.0 stored in its place is dropped below
+        converters = {label_idx: lambda cell: labels.append(cell.strip()) or 0.0}
+    try:
+        table = np.loadtxt(
+            io.BytesIO(data), dtype=float, delimiter=",", comments=None, skiprows=1,
+            converters=converters, encoding="utf-8", ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape != (len(line_lengths) - 1, len(header)):
+        return None
+    if label_idx is None:
+        return header, None, table, None
+    return header, label_idx, np.delete(table, label_idx, axis=1), labels
+
+
+def _parse_rows(path: Path, data: bytes, label_column: str):
+    """The row loop behind ``_parse_block``: ``csv.reader`` and ``float``,
+    raising the DataError that names the first bad row and column."""
+    header = None
+    rows, labels = [], []
+    try:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        label_idx = header.index(label_column) if label_column in header else None
+        columns = [i for i in range(len(header)) if i != label_idx]
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
+            try:
+                rows.append([float(row[i]) for i in columns])
+            except ValueError:
+                for i in columns:
+                    try:
+                        float(row[i])
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{row_no}: column {header[i]!r}: not a number: {row[i]!r}"
+                        ) from None
+            if label_idx is not None:
+                labels.append(row[label_idx].strip())
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        # every row before the bad one was kept or raised
+        raise DataError(f"{path}:{1 if header is None else len(rows) + 2}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, label_idx, np.array(rows, dtype=float), (labels if label_idx is not None else None)
 
 
 def load_csv(
@@ -232,14 +304,16 @@ def load_csv(
     Errors name the offending row and column.
     """
     path = Path(path)
-    features, labels, feature_names = read_csv(path, label_column)
+    data = _read_bytes(path)
+    features, labels, feature_names = _parse_csv(path, data, label_column)
     if labels is None:
         raise DataError(f"{path}: missing label column {label_column!r}")
     if catalog is None:
         catalog = Catalog(tuple(sorted(set(labels))))
+    ids = {name: cid for cid, name in enumerate(catalog.names)}
     try:
-        label_ids = np.array([catalog.id_of(name) for name in labels])
-    except Exception:
+        label_ids = np.array([ids[name] for name in labels])
+    except KeyError:
         unknown = sorted(set(labels) - set(catalog.names))
         raise DataError(f"{path}: unknown labels {unknown}") from None
     return LabeledDataset(
@@ -249,7 +323,7 @@ def load_csv(
         provenance={
             "kind": "csv",
             "path": str(path),
-            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "sha256": hashlib.sha256(data).hexdigest(),
             "feature_names": feature_names,
         },
     )

@@ -76,6 +76,12 @@ class Tree:
                 raise ValueError("a leaf cannot have children")
             if self.concept < 0:
                 raise ValueError("concept ids are nonnegative")
+        # leaf ids once per node, kept outside the fields that equality and
+        # hashing read
+        leaves = (self.concept,) if self.is_leaf else tuple(
+            cid for child in self.children for cid in child.leaf_ids()
+        )
+        object.__setattr__(self, "_leaf_ids", leaves)
 
     @property
     def is_leaf(self) -> bool:
@@ -83,9 +89,7 @@ class Tree:
 
     def leaf_ids(self) -> tuple[int, ...]:
         """Leaf concept ids in left-to-right order."""
-        if self.is_leaf:
-            return (self.concept,)
-        return tuple(cid for child in self.children for cid in child.leaf_ids())
+        return self._leaf_ids
 
     def min_leaf(self) -> int:
         if self.is_leaf:

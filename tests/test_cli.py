@@ -472,6 +472,17 @@ def test_predict_on_non_numeric_cell_names_file_row_and_column(tmp_path, planted
     assert f"{bad}:7: column 'f5': not a number: 'oops'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_cell_over_the_csv_field_limit_is_data_error(tmp_path, planted_csv, trained_clf, capsys, command):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[2].split(",")
+    cells[1] = cells[1] + " " * 140_000  # float would take it; csv.reader refuses it
+    bad = _with_bad_row(data, tmp_path, 3, cells)
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, command, "--clf", trained_clf, "--data", bad, "--out", "o") == 2
+    assert f"data error: {bad}:3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_evaluate_on_unknown_label_is_data_error(tmp_path, planted_csv, trained_clf, capsys):
     data, _ = planted_csv
     cells = data.read_text().splitlines()[2].split(",")

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_difference, rel_err
 from hierclass import hmodel
@@ -396,6 +398,35 @@ def trained_triple():
     data = generate_planted(spec, seed=1)
     clf = train_hierarchical(tree, data, HierTrainConfig(seed=1))
     return clf, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 48).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.floats(-50, 50), min_size=8, max_size=8), min_size=n, max_size=n),
+            st.permutations(range(n)),
+            st.integers(1, n),
+        )
+    )
+)
+def test_predict_batch_labels_a_row_alike_in_any_batch(trained_triple, case):
+    """Sharded scoring relies on this: a row's label does not depend on the
+    rows batched with it, their order or the batch size. (Rows stay within
+    +-50, several times the data's spread: far larger ones overflow the
+    sigmoid's exp, a RuntimeWarning of its own.)"""
+    clf, data = trained_triple
+    rows, order, cut = case
+    # the generated rows next to training rows, which sit near the boundaries
+    x = np.vstack([np.array(rows), data.features[::7]])
+    whole = predict_batch(clf, x)
+    assert np.array_equal(predict_batch(clf, x), whole)
+    assert set(whole.tolist()) <= set(range(len(clf.catalog)))
+    n = len(rows)
+    assert np.array_equal(predict_batch(clf, x[:n][list(order)]), whole[:n][list(order)])
+    assert np.array_equal(predict_batch(clf, x[:cut]), whole[:cut])
+    assert np.array_equal(predict_batch(clf, np.tile(x, (40, 1))), np.tile(whole, 40))
+    assert [predict(clf, row) for row in x[:n]] == whole[:n].tolist()
 
 
 def test_refine_rejects_negative_lambda(trained_triple):

@@ -96,6 +96,14 @@ def test_h_loss_table_matches_h_loss_over_all_k4_trees():
                 assert table[pred, true] == h_loss(tree, pred, true)
 
 
+def test_h_loss_table_equals_the_per_pair_table_over_all_trees_up_to_k5():
+    for k in range(2, 6):
+        for tree in enumerate_hierarchies(range(k)):
+            per_pair = np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)], dtype=int)
+            table = h_loss_table(tree)
+            assert table.dtype == per_pair.dtype and np.array_equal(table, per_pair)
+
+
 def test_h_loss_symmetric_in_leaves():
     for pred in range(6):
         for true in range(6):

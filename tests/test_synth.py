@@ -1,11 +1,13 @@
+import csv
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hierclass import synth
 from hierclass.errors import DataError
 from hierclass.synth import (
     LabeledDataset,
@@ -176,6 +178,154 @@ def test_csv_row_count_and_support(tmp_path):
     data = load_csv(path)
     assert len(data) == 3
     assert data.support() == {0: 2, 1: 1}
+
+
+def reference_read_csv(path, label_column="label"):
+    """The row loop alone (``csv.reader`` and ``float`` on every cell): the
+    oracle that ``read_csv``'s numpy fast path must agree with."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            label_idx = header.index(label_column) if label_column in header else None
+            columns = [i for i in range(len(header)) if i != label_idx]
+            rows, labels = [], []
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
+                try:
+                    rows.append([float(row[i]) for i in columns])
+                except ValueError:
+                    for i in columns:
+                        try:
+                            float(row[i])
+                        except ValueError:
+                            raise DataError(
+                                f"{path}:{row_no}: column {header[i]!r}: not a number: {row[i]!r}"
+                            ) from None
+                if label_idx is not None:
+                    labels.append(row[label_idx].strip())
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    names = [header[i] for i in columns]
+    features = np.array(rows, dtype=float)
+    bad = ~np.isfinite(features)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {features[row, col]!r}"
+        )
+    return features, (labels if label_idx is not None else None), names
+
+
+# text ``float`` reads, some of which numpy's reader does not (``1_0``,
+# non-ASCII digits), and text neither reads
+ODD_NUMBERS = (
+    "-0.0", "0.0", "5e-324", "2.5e-310", "1e-400", "1e500", "-1e500", "nan", "-NaN", "+nan",
+    "inf", "-inf", "+Infinity", "infinity", "iNfInItY", "1_0", "1__0", "_1", "١٢",
+    "٣.5", "1e", "0x10", ".5", "5.", "+.5e-3", "--1", "1 2", "", "#", "#1", "1#2", "walk", "1\x00",
+)
+PADDING = st.sampled_from(["", "", "", " ", "  ", "\t", "\xa0", "\u2000", "\x0b", "\x0c", "\x85"])
+LABELS = st.sampled_from(["walk", "run", "sit down", "caf\u00e9", "", "#", "\u0661", "1.5", "a\x00b"])
+
+
+def _padded(cells):
+    return st.tuples(PADDING, cells, PADDING).map("".join)
+
+
+def _quoted(cells):
+    return cells.map(lambda c: f'"{c}"')
+
+
+@st.composite
+def csv_texts(draw):
+    """Whole CSV files. Each oddity is switched on per file, so that most
+    files hold at most a few: odd number cells, quotes, blank lines (the
+    header line included), ragged rows, and the mix of line ends."""
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    labels = LABELS
+    if draw(st.booleans()):
+        numbers = st.one_of(numbers, st.sampled_from(ODD_NUMBERS))
+    if draw(st.booleans()):
+        numbers = st.one_of(numbers, _quoted(numbers))
+        labels = st.one_of(labels, _quoted(labels), st.just('"a,b"'))
+    blank_lines = draw(st.booleans())
+    # extra cells: none, per row, or the same for every row
+    ragged = draw(st.sampled_from(["none", "rows", "all"]))
+    offset = draw(st.sampled_from([-1, 1]))
+    line_end_mixes = [["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]]
+    line_ends = st.sampled_from(draw(st.sampled_from(line_end_mixes)))
+
+    n_features = draw(st.integers(1, 3))
+    label_at = draw(st.one_of(st.none(), st.integers(0, n_features)))
+    header = [f"f{i}" for i in range(n_features)]
+    if label_at is not None:
+        header.insert(label_at, "label")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if blank_lines and draw(st.integers(0, 3)) == 0:
+            lines.append("")
+            continue
+        width = len(header)
+        if ragged == "all" or (ragged == "rows" and draw(st.booleans())):
+            width = max(width + offset, 0)
+        lines.append(",".join(draw(_padded(labels if i == label_at else numbers)) for i in range(width)))
+    if blank_lines and draw(st.integers(0, 3)) == 0:
+        lines.insert(0, "")
+    text = "".join(line + draw(line_ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read, path):
+    try:
+        features, labels, names = read(path)
+    except DataError as exc:
+        return ("error", str(exc))
+    return (features.dtype, features.shape, features.tobytes(), labels, names)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+@example("\n1\n")  # an empty header line
+@example('f0,label\n1.0,"walk"\n')  # a quoted label
+@example("f0\r1\n2\n")  # a lone CR inside the header line
+def test_read_csv_agrees_with_the_row_loop(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = _outcome(reference_read_csv, path)
+        except csv.Error as exc:
+            # the row loop alone lets this escape; read_csv names the row
+            with pytest.raises(DataError) as raised:
+                read_csv(path)
+            assert str(raised.value).startswith(f"{path}:") and str(raised.value).endswith(f": {exc}")
+            return
+        assert _outcome(read_csv, path) == expected
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+@pytest.mark.parametrize("with_label", [True, False])
+def test_saved_csv_takes_the_numpy_path(tmp_path, small_spec, line_end, with_label):
+    path = tmp_path / "data.csv"
+    save_csv(generate_planted(small_spec, seed=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not with_label:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    data = line_end.join(lines).encode("utf-8") + line_end.encode()
+    header, _, features, labels = synth._parse_block(data, "label")
+    path.write_bytes(data)
+    expected = reference_read_csv(path)
+    assert features.tobytes() == expected[0].tobytes()
+    assert labels == expected[1]
+    assert header == expected[2] + (["label"] if with_label else [])
 
 
 # --- segmentation ----------------------------------------------------------

@@ -96,6 +96,23 @@ def test_tree_construction_invariants():
         validate_tree(internal([leaf(0), leaf(2)]), 3)  # missing concept
 
 
+def _rebuilt(tree):
+    """An equal tree made of new nodes."""
+    return leaf(tree.concept) if tree.is_leaf else internal([_rebuilt(c) for c in tree.children])
+
+
+def test_equal_trees_still_compare_and_hash_equal_after_leaf_ids_is_read():
+    for tree in enumerate_hierarchies(range(4)):
+        twin = _rebuilt(tree)
+        for node in tree.subtrees():
+            node.leaf_ids()
+        assert tree == twin and twin == tree
+        assert hash(tree) == hash(twin)
+        assert len({tree, twin}) == 1
+        assert tree.leaf_ids() == twin.leaf_ids()
+        assert Tree(children=tree.children) == tree  # built again from its fields
+
+
 # --- serialization ---------------------------------------------------------
 
 
