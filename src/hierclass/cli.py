@@ -196,12 +196,15 @@ def _out_path(args, name: str | None) -> Path | None:
     return path if path.is_absolute() else Path(args.out_dir) / path
 
 
-def _provenance(args, command: str, inputs: list[str], settings: dict) -> dict:
+def _provenance(args, command: str, inputs: list[str], settings: dict, dataset=None) -> dict:
+    """What a command ran on and with; a ``dataset`` loaded from one of the
+    ``inputs`` gives the hash of that file as it was read."""
+    read = {} if dataset is None else {Path(dataset.provenance["path"]): dataset.provenance["sha256"]}
     return {
         "command": command,
         "seed": args.seed,
         "config": settings,
-        "inputs": {str(p): sha256_of_file(p) for p in inputs},
+        "inputs": {str(p): read.get(Path(p)) or sha256_of_file(p) for p in inputs},
     }
 
 
@@ -307,7 +310,7 @@ def _cmd_affinity(args) -> int:
     cfg = _affinity_config(args)
     artifacts = aff.build_affinity_artifacts(dataset, cfg)
     obj = aff.affinity_to_json(artifacts.matrix)
-    obj["provenance"] = _provenance(args, "affinity", [args.data], aff.affinity_config_to_json(cfg))
+    obj["provenance"] = _provenance(args, "affinity", [args.data], aff.affinity_config_to_json(cfg), dataset)
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"affinity matrix ({len(artifacts.matrix.records)} pairs) -> {out}")
@@ -412,7 +415,7 @@ def _cmd_train(args) -> int:
     obj = hmodel.classifier_to_json(classifier)
     inputs = [args.data, args.tree] + ([args.artifacts] if args.artifacts else [])
     settings = {**asdict(cfg), "refine_epochs": args.refine_epochs, "lambda_orth": args.lambda_orth}
-    obj["provenance"].update(_provenance(args, "train", inputs, settings))
+    obj["provenance"].update(_provenance(args, "train", inputs, settings, dataset))
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"classifier ({hmodel.parameter_count(classifier)} parameters) -> {out}")
@@ -446,7 +449,7 @@ def _cmd_evaluate(args) -> int:
         )
     report = metrics.evaluate(classifier, dataset)
     obj = metrics.report_to_json(report)
-    obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {})
+    obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, dataset)
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"accuracy {report.accuracy:.4f}, mean H-loss {report.mean_h_loss:.4f} -> {out}")
@@ -522,6 +525,7 @@ def _cmd_compare(args) -> int:
             args, "compare", [args.data, args.derived, args.expert],
             {**asdict(base_cfg), "train_seeds": seeds, "random_samples": args.random_samples,
              "val_fraction": args.val_fraction},
+            dataset,
         ),
     }
     out = _out_path(args, args.out)

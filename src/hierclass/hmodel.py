@@ -23,7 +23,6 @@ from .affinity import (
     EncoderConfig,
     capped_budget,
     fine_tune,
-    train_autoencoder,
     train_autoencoder_stack,
 )
 from .errors import DataError, NumericError
@@ -138,7 +137,10 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
             if sub.size:
                 descend(child, sub)
 
-    descend(classifier.tree, np.arange(x.shape[0]))
+    # a row near the float maximum can overflow a layer's sums to inf or NaN;
+    # argmax still routes it by its own scores alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        descend(classifier.tree, np.arange(x.shape[0]))
     return out
 
 
@@ -216,11 +218,12 @@ def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: Er
     of its rows into ``n_children`` children. The groupings of one problem
     share its encoded rows and the batch order drawn from its seed; each
     problem draws its own order every epoch and its members gather their
-    own rows, so grouping p of problem g gets bit for bit what
-    ``train_node_erm(encoders[g], features[g], child_idx[g][p], ...)``
-    gets. Scorers start at zero and each member keeps its best iterate by
-    full-data risk. Returns one (weights (P_g, n, d), bias (P_g, n),
-    risk history of (P_g,) arrays) per problem.
+    own rows, so grouping p of problem g gets bit for bit what it gets
+    trained alone, in a stack of one problem and one grouping. Scorers
+    start at zero and each member keeps its best iterate by full-data
+    risk, so its reported risk never exceeds the initial one. Returns one
+    (weights (P_g, n, d), bias (P_g, n), risk history of (P_g,) arrays)
+    per problem.
     """
     sizes = [len(idx) for idx in child_idx]
     members = np.concatenate([np.asarray(idx, dtype=int) for idx in child_idx])  # (P, m)
@@ -259,32 +262,6 @@ def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: Er
         (best_w[lo:hi], best_b[lo:hi], [risks[lo:hi] for risks in history])
         for lo, hi in zip(bounds, bounds[1:])
     ]
-
-
-def train_node_erm(
-    encoder: Mlp,
-    features: np.ndarray,
-    child_idx: np.ndarray,
-    n_children: int,
-    cfg: ErmConfig,
-    seed: int,
-):
-    """Stochastic subgradient descent on the node's hinge risk: the
-    one-problem case of :func:`train_node_erm_stack`.
-
-    The encoder is frozen here; scorers start at zero. The best iterate by
-    full-data risk is returned, so the reported risk never exceeds the
-    initial one. Returns (weights, bias, risk_history). ``child_idx`` of
-    shape (P, m) trains P groupings of the rows at once; weights (P, n, d),
-    bias (P, n) and each history entry (P,) then carry the member axis.
-    """
-    child_idx = np.asarray(child_idx, dtype=int)
-    (w, b, history), = train_node_erm_stack(
-        [encoder], [features], [np.atleast_2d(child_idx)], n_children, cfg, [seed]
-    )
-    if child_idx.ndim == 1:
-        return w[0], b[0], [float(risk[0]) for risk in history]
-    return w, b, history
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +304,26 @@ def assign_representations(
     flattened first (mode="fuse"). Returns the effective tree and the
     node-key-to-encoder map.
     """
-    tree = _represented_tree(tree, mode)
-    return tree, _assigned_encoders(tree, artifacts, lambda key: dataset.restrict(key).features)
+    tree = _represented_tree(canonicalize(tree), mode)
+    assigned = _assigned_encoders([tree], artifacts, lambda key: dataset.restrict(key).features)
+    return tree, {node_key(node): encoder for node, encoder in assigned.items()}
 
 
 def _represented_tree(tree: Tree, mode: str) -> Tree:
+    """The canonical ``tree`` as ``mode`` represents it."""
     if mode not in ("keep", "fuse"):
         raise ValueError(f"unknown representation mode {mode!r}")
-    tree = canonicalize(tree)
     return fuse_tree(tree) if mode == "fuse" else tree
 
 
-def _assigned_encoders(tree: Tree, artifacts: AffinityArtifacts, rows_of) -> dict[tuple[int, ...], Mlp]:
-    """The encoder of every internal node of ``tree``, as
-    :func:`assign_representations` describes; ``rows_of(key)`` gives the
-    feature rows of concept set ``key``."""
+def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tree, Mlp]:
+    """The encoder of every internal node of the canonical ``trees``, as
+    :func:`assign_representations` describes, keyed by the node's subtree:
+    a union-tuned encoder starts from its biggest internal child's, so it
+    depends on the whole subtree and not on the concept set alone.
+    ``rows_of(key)`` gives the feature rows of concept set ``key``."""
     cfg = artifacts.config
-    assignment: dict[tuple[int, ...], Mlp] = {}
+    assignment: dict[Tree, Mlp] = {}
 
     def union_tune(start: Mlp, key: tuple[int, ...]) -> Mlp:
         rows = rows_of(key)
@@ -352,6 +332,8 @@ def _assigned_encoders(tree: Tree, artifacts: AffinityArtifacts, rows_of) -> dic
         return tuned
 
     def walk(node: Tree) -> None:
+        if node in assignment:  # a subtree another tree shares
+            return
         for child in node.children:
             if not child.is_leaf:
                 walk(child)
@@ -361,16 +343,17 @@ def _assigned_encoders(tree: Tree, artifacts: AffinityArtifacts, rows_of) -> dic
             encoder = artifacts.pair_encoders[(src, dst)]
             if len(key) > 2:
                 encoder = union_tune(encoder, key)
-            assignment[key] = encoder
+            assignment[node] = encoder
         else:
             biggest = max(
                 (c for c in node.children if not c.is_leaf),
                 key=lambda c: (len(c.leaf_ids()), -c.min_leaf()),
             )
-            assignment[key] = union_tune(assignment[node_key(biggest)], key)
+            assignment[node] = union_tune(assignment[biggest], key)
 
-    if not tree.is_leaf:
-        walk(tree)
+    for tree in trees:
+        if not tree.is_leaf:
+            walk(tree)
     return assignment
 
 
@@ -381,13 +364,6 @@ class HierTrainConfig:
     pretrain: SgdConfig = SgdConfig(epochs=40, batch_size=32, learning_rate=0.1)
     rep_mode: str = "keep"
     seed: int = 0
-
-
-def _scratch_encoder(rows: np.ndarray, key: tuple[int, ...], cfg: HierTrainConfig) -> Mlp:
-    """The node encoder trained from scratch on ``rows``, those of concept set ``key``."""
-    affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
-    encoder, _, _ = train_autoencoder(rows, affinity_cfg, seed=task_seed(cfg.seed, 5, *key))
-    return encoder
 
 
 def _child_keys(node: Tree) -> tuple[tuple[int, ...], ...]:
@@ -408,58 +384,42 @@ def train_hierarchical(
     cfg: HierTrainConfig,
     artifacts: AffinityArtifacts | None = None,
 ) -> HierarchicalClassifier:
-    """Train every node model over the given tree.
+    """Train every node model over the given tree: the one-tree case of
+    :func:`train_hierarchies`."""
+    return train_hierarchies([tree], dataset, cfg, artifacts)[0]
+
+
+def train_hierarchies(
+    trees, dataset: LabeledDataset, cfg: HierTrainConfig, artifacts: AffinityArtifacts | None = None
+) -> list[HierarchicalClassifier]:
+    """Train every node model of each tree, composing the classifiers from
+    one node table.
 
     With affinity artifacts, representations are assigned from them per
-    ``cfg.rep_mode``; otherwise each node gets a scratch autoencoder trained
-    on its descendants' rows under the same seed discipline.
-    """
-    tree = canonicalize(tree)
-    validate_tree(tree, len(dataset.catalog))
-    if artifacts is not None:
-        tree = _represented_tree(tree, cfg.rep_mode)
-    elif cfg.rep_mode == "fuse":
-        tree = fuse_tree(tree)
-    subs = {node_key(node): dataset.restrict(node_key(node)) for node in tree.internal_nodes()}
-    encoders = {} if artifacts is None else _assigned_encoders(tree, artifacts, lambda key: subs[key].features)
+    ``cfg.rep_mode`` (see :func:`assign_representations`); otherwise each
+    node gets a scratch autoencoder trained on its descendants' rows. A
+    tree's classifier does not depend on the other trees in the call, but
+    no node trains twice and independent problems stack:
 
-    models = {}
-    for node in tree.internal_nodes():
-        key = node_key(node)
-        child_keys = _child_keys(node)
-        sub = subs[key]
-        encoder = encoders[key] if key in encoders else _scratch_encoder(sub.features, key, cfg)
-        child_idx = child_index_labels(child_keys, sub.labels)
-        w, b, _ = train_node_erm(encoder, sub.features, child_idx, len(child_keys), cfg.erm,
-                                 seed=task_seed(cfg.seed, 6, *key))
-        models[key] = NodeModel(key, encoder, w, b, child_keys)
-    return _classifier(tree, dataset, cfg, models, artifacts is not None)
-
-
-def _classifier(tree, dataset, cfg, models, from_artifacts: bool) -> HierarchicalClassifier:
-    provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
-                  "rep_mode": cfg.rep_mode, "from_affinity_artifacts": from_artifacts}
-    return HierarchicalClassifier(tree, dataset.catalog, models, provenance)
-
-
-def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> list[HierarchicalClassifier]:
-    """``[train_hierarchical(t, dataset, cfg) for t in trees]``, bit for bit,
-    but training no node twice and stacking independent problems: one
-    scratch encoder per distinct concept set, trained in one
-    ``train_autoencoder_stack`` call per row count, and one scorer set per
-    distinct (concept set, child partition), trained in one
-    ``train_node_erm_stack`` call per (row count, child count); the
-    partitions of one concept set share its encoder, rows and batch order.
-    Each tree's classifier is then composed from this node table.
+    - one scratch encoder per distinct concept set, trained in one
+      ``train_autoencoder_stack`` call per row count;
+    - one artifact encoder per distinct canonical subtree, as a union-tuned
+      encoder depends on the subtree below its node;
+    - one scorer set per distinct (encoder, child partition), trained in
+      one ``train_node_erm_stack`` call per (row count, child count); the
+      partitions of one encoder share its rows and batch order.
     """
     shaped = []
     for tree in trees:
         tree = canonicalize(tree)
         validate_tree(tree, len(dataset.catalog))
-        shaped.append(fuse_tree(tree) if cfg.rep_mode == "fuse" else tree)
+        shaped.append(_represented_tree(tree, cfg.rep_mode))
+
+    def problem_of(node: Tree):  # what a node's encoder is a function of
+        return node_key(node), (None if artifacts is None else node)
 
     subs: dict[tuple[int, ...], LabeledDataset] = {}  # concept set -> its rows
-    # (row count, child count) -> concept set -> distinct child partitions (insertion-ordered)
+    # (row count, child count) -> problem -> distinct child partitions (insertion-ordered)
     by_shape: dict[tuple[int, int], dict] = {}
     for tree in shaped:
         for node in tree.internal_nodes():
@@ -467,39 +427,53 @@ def train_hierarchies(trees, dataset: LabeledDataset, cfg: HierTrainConfig) -> l
             if key not in subs:
                 subs[key] = dataset.restrict(key)
             shape = (len(subs[key]), len(node.children))
-            by_shape.setdefault(shape, {}).setdefault(key, {})[_child_keys(node)] = None
+            by_shape.setdefault(shape, {}).setdefault(problem_of(node), {})[_child_keys(node)] = None
 
-    encoders = {}
-    by_rows: dict[int, list] = {}
-    for key, sub in subs.items():
-        by_rows.setdefault(len(sub), []).append(key)
-    affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
-    for keys in by_rows.values():
-        seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
-        try:
-            stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
-        except NumericError as exc:
-            names = [dataset.catalog.name_of(cid) for cid in keys[exc.member]]
-            raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
-        encoders.update((key, encoder) for key, (encoder, _, _) in zip(keys, stack))
+    if artifacts is not None:
+        assigned = _assigned_encoders(shaped, artifacts, lambda key: subs[key].features)
+        encoders = {problem_of(node): encoder for node, encoder in assigned.items()}
+    else:
+        encoders = {}
+        by_rows: dict[int, list] = {}
+        for key, sub in subs.items():
+            by_rows.setdefault(len(sub), []).append(key)
+        affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
+        for keys in by_rows.values():
+            seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
+            try:
+                stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
+            except NumericError as exc:
+                names = [dataset.catalog.name_of(cid) for cid in keys[exc.member]]
+                raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
+            encoders.update(((key, None), encoder) for key, (encoder, _, _) in zip(keys, stack))
 
     nodes: dict = {}
     for (_, n_children), problems in by_shape.items():
-        stack = train_node_erm_stack(
-            [encoders[key] for key in problems],
-            [subs[key].features for key in problems],
-            [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts]) for key, parts in problems.items()],
-            n_children,
-            cfg.erm,
-            [task_seed(cfg.seed, 6, *key) for key in problems],
-        )
-        for (key, parts), (w, b, _) in zip(problems.items(), stack):
+        try:
+            stack = train_node_erm_stack(
+                [encoders[problem] for problem in problems],
+                [subs[key].features for key, _ in problems],
+                [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts])
+                 for (key, _), parts in problems.items()],
+                n_children,
+                cfg.erm,
+                [task_seed(cfg.seed, 6, *key) for key, _ in problems],
+            )
+        except DataError as exc:  # an empty child group: name its node and child
+            key, child = next((key, child) for (key, _), parts in problems.items() for ck in parts
+                              for child in ck if not np.isin(subs[key].labels, child).any())
+            names = [dataset.catalog.name_of(cid) for cid in key]
+            empty = [dataset.catalog.name_of(cid) for cid in child]
+            raise DataError(f"node over concept set {names}: child {empty} has no rows") from exc
+        for (problem, parts), (w, b, _) in zip(problems.items(), stack):
             for ck, wp, bp in zip(parts, w, b):
-                nodes[key, ck] = NodeModel(key, encoders[key], wp, bp, ck)
+                nodes[problem, ck] = NodeModel(problem[0], encoders[problem], wp, bp, ck)
     classifiers = []
     for tree in shaped:
-        models = {node_key(n): nodes[node_key(n), _child_keys(n)] for n in tree.internal_nodes()}
-        classifiers.append(_classifier(tree, dataset, cfg, models, from_artifacts=False))
+        models = {node_key(n): nodes[problem_of(n), _child_keys(n)] for n in tree.internal_nodes()}
+        provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
+                      "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
+        classifiers.append(HierarchicalClassifier(tree, dataset.catalog, models, provenance))
     return classifiers
 
 
@@ -732,8 +706,8 @@ def exhaustive_search(
     validation split, with accuracy or negated mean hierarchical loss as the
     metric (higher is better for both).
 
-    The classifiers come from ``train_hierarchies``: each equals
-    ``train_hierarchical(tree, train_data, cfg)``, and no node trains twice.
+    The classifiers come from one ``train_hierarchies`` call, so each is
+    what its tree gets trained alone, and no node trains twice.
     """
     if metric not in ("accuracy", "neg_h_loss"):
         raise ValueError(f"unknown metric {metric!r}")

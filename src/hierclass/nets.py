@@ -32,7 +32,9 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) is inf below z of about -709: the sigmoid's limit 0 follows
+            e = np.exp(-z)
+        return 1.0 / (1.0 + e)
     raise ValueError(f"unknown activation {name!r}")
 
 

@@ -309,7 +309,15 @@ def load_csv(
     if labels is None:
         raise DataError(f"{path}: missing label column {label_column!r}")
     if catalog is None:
-        catalog = Catalog(tuple(sorted(set(labels))))
+        try:
+            catalog = Catalog(tuple(sorted(set(labels))))
+        except ValueError:  # an empty or reserved name: name the first row that has one
+            for row, name in enumerate(labels, start=2):
+                try:
+                    Catalog((name,))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{row}: column {label_column!r}: {exc}") from None
+            raise
     ids = {name: cid for cid, name in enumerate(catalog.names)}
     try:
         label_ids = np.array([ids[name] for name in labels])

@@ -1,10 +1,22 @@
-"""Shared test helpers: finite-difference oracles and planted fixtures."""
+"""Shared test helpers: finite-difference oracles, plain training loops
+that the stacked trainers are checked against, and planted fixtures."""
 
 import numpy as np
 import pytest
 
 from hierclass import Catalog, PlantedSpec, generate_planted
-from hierclass.treespace import internal, leaf
+from hierclass.affinity import AffinityConfig, make_decoder, make_encoder
+from hierclass.hmodel import (
+    HierarchicalClassifier,
+    NodeModel,
+    assign_representations,
+    child_index_labels,
+    erm_risk_and_grads,
+    fuse_tree,
+    node_key,
+)
+from hierclass.nets import mlp_forward, task_seed, train_reconstruction
+from hierclass.treespace import canonicalize, internal, leaf, tree_to_text, validate_tree
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -59,6 +71,68 @@ def brute_force_agglomerate(values: np.ndarray, method: str):
         active = [c for c in active if c not in (i, j)] + [next_id]
         next_id += 1
     return steps
+
+
+def _plain_autoencoder(data, cfg, seed):
+    """One concept's autoencoder trained alone by the one-network trainer."""
+    init_rng = np.random.default_rng([seed, 0])
+    encoder = make_encoder(data.shape[1], cfg.encoder, init_rng)
+    decoder = make_decoder(data.shape[1], cfg.encoder, init_rng)
+    encoder, decoder, history = train_reconstruction(
+        encoder, decoder, data, cfg.pretrain, np.random.default_rng([seed, 1])
+    )
+    return encoder, decoder, history[-1]
+
+
+def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
+    """One node's ERM loop with every step and risk from erm_risk_and_grads."""
+    z = mlp_forward(encoder, features)
+    w = np.zeros((n_children, z.shape[1]))
+    b = np.zeros(n_children)
+    rng = np.random.default_rng(seed)
+    history = [erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]]
+    best = (history[0], w.copy(), b.copy())
+    for _ in range(cfg.epochs):
+        order = rng.permutation(z.shape[0])
+        for start in range(0, z.shape[0], cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            _, dw, db, _ = erm_risk_and_grads(w, b, z[rows], child_idx[rows], cfg.l2)
+            w -= cfg.learning_rate * dw
+            b -= cfg.learning_rate * db
+        history.append(erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0])
+        if history[-1] < best[0]:
+            best = (history[-1], w.copy(), b.copy())
+    return best[1], best[2], history
+
+
+def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
+    """One hierarchy trained node by node: representations from
+    ``assign_representations`` or a plain scratch autoencoder per node, and
+    the plain ERM loop for each node's scorers."""
+    tree = canonicalize(tree)
+    validate_tree(tree, len(dataset.catalog))
+    if artifacts is None:
+        encoders = {}
+        tree = fuse_tree(tree) if cfg.rep_mode == "fuse" else tree
+    else:
+        tree, encoders = assign_representations(tree, artifacts, cfg.rep_mode, dataset)
+    scratch_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
+    models = {}
+    for node in tree.internal_nodes():
+        key = node_key(node)
+        child_keys = tuple(node_key(c) for c in node.children)
+        sub = dataset.restrict(key)
+        if key in encoders:
+            encoder = encoders[key]
+        else:
+            encoder, _, _ = _plain_autoencoder(sub.features, scratch_cfg, task_seed(cfg.seed, 5, *key))
+        child_idx = child_index_labels(child_keys, sub.labels)
+        w, b, _ = _plain_node_erm(encoder, sub.features, child_idx, len(child_keys), cfg.erm,
+                                  task_seed(cfg.seed, 6, *key))
+        models[key] = NodeModel(key, encoder, w, b, child_keys)
+    provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
+                  "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
+    return HierarchicalClassifier(tree, dataset.catalog, models, provenance)
 
 
 @pytest.fixture(scope="session")

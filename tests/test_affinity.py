@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, rel_err
+from conftest import _plain_autoencoder, central_difference, rel_err
 from hierclass.affinity import (
     AffinityConfig,
     AffinityMatrix,
@@ -304,17 +304,6 @@ def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
             encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
         )
     return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
-
-
-def _plain_autoencoder(data, cfg, seed):
-    """One concept's autoencoder trained alone by the one-network trainer."""
-    init_rng = np.random.default_rng([seed, 0])
-    encoder = make_encoder(data.shape[1], cfg.encoder, init_rng)
-    decoder = make_decoder(data.shape[1], cfg.encoder, init_rng)
-    encoder, decoder, history = train_reconstruction(
-        encoder, decoder, data, cfg.pretrain, np.random.default_rng([seed, 1])
-    )
-    return encoder, decoder, history[-1]
 
 
 def _plain_build(dataset, cfg):

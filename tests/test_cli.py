@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import _plain_hierarchy
 from hierclass.cli import main
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, planted_spec_to_json, save_csv
 from hierclass.treespace import Catalog, internal, leaf
@@ -232,7 +233,7 @@ def test_compare_equals_training_each_tree_alone(tmp_path, planted_csv, capsys):
             tree = parse_tree(text, dataset.catalog)
             for seed in seeds:
                 train, val = synth.split(dataset, (0.7, 0.3), seed=seed, stratified=True)
-                clf = hmodel.train_hierarchical(tree, train, replace(base, seed=seed))
+                clf = _plain_hierarchy(tree, train, replace(base, seed=seed))
                 values.append(float(np.mean(hmodel.predict_batch(clf, val.features) == val.labels)))
         assert row["accuracy_mean"] == float(np.mean(values)), row["method"]
         assert row["accuracy_std"] == float(np.std(values)), row["method"]
@@ -491,6 +492,33 @@ def test_evaluate_on_unknown_label_is_data_error(tmp_path, planted_csv, trained_
     capsys.readouterr()
     assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", bad, "--out", "r.json") == 2
     assert f"{bad}: unknown labels ['c9']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["", "a(b"], ids=["empty", "reserved"])
+@pytest.mark.parametrize("command", ["search", "train"])
+def test_bad_label_cell_is_data_error_naming_file_and_row(tmp_path, capsys, command, label):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"f0,label\n1.0,c1\n2.0,{label}\n")
+    (tmp_path / "tree.nwk").write_text("(c1,c2)\n")
+    args = ["--tree", tmp_path / "tree.nwk"] if command == "train" else []
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, command, "--data", bad, *args, "--out", "o.json") == 2
+    assert f"data error: {bad}:3: column 'label': " in capsys.readouterr().err
+
+
+def test_provenance_takes_the_loaded_data_hash(tmp_path, planted_csv, monkeypatch, capsys):
+    from hierclass import cli
+    from hierclass.serialize import sha256_of_file
+
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    hashed = []
+    monkeypatch.setattr(cli, "sha256_of_file", lambda path: hashed.append(path) or sha256_of_file(path))
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--out", "clf.json", *FAST) == 0
+    inputs = json.loads((tmp_path / "clf.json").read_text())["provenance"]["inputs"]
+    assert inputs == {str(data): sha256_of_file(data), str(tmp_path / "tree.nwk"): sha256_of_file(tmp_path / "tree.nwk")}
+    assert hashed == [str(tmp_path / "tree.nwk")]  # the data file was hashed once, as it was read
 
 
 def _run_script(name, *args):

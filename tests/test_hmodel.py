@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, rel_err
+from conftest import _plain_hierarchy, _plain_node_erm, central_difference, rel_err
 from hierclass import hmodel
 from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
 from hierclass.errors import DataError, NumericError
@@ -30,11 +30,10 @@ from hierclass.hmodel import (
     route_child,
     train_flat_baseline,
     train_hierarchical,
-    train_node_erm,
     train_node_erm_stack,
 )
 from hierclass.metrics import h_loss
-from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp, mlp_forward, params_to_mlp
+from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import Catalog, canonicalize, count_hierarchies, enumerate_hierarchies, internal, leaf
 
@@ -89,20 +88,21 @@ def test_train_node_erm_separates_separable_groups():
     features = np.vstack([rng.normal(size=(40, 4)) - 3, rng.normal(size=(40, 4)) + 3])
     labels = np.array([0] * 40 + [1] * 40)
     encoder = _identity_encoder(4)
-    w, b, history = train_node_erm(encoder, features, labels, 2, ErmConfig(), seed=0)
-    routed = route_child(_node((0, 1), ((0,), (1,)), w, b), features)
+    (w, b, history), = train_node_erm_stack([encoder], [features], [labels[None]], 2, ErmConfig(), [0])
+    routed = route_child(_node((0, 1), ((0,), (1,)), w[0], b[0]), features)
     assert np.array_equal(routed, labels)
     # the returned scorers are the best iterate: risk never above the start
-    returned_risk = erm_risk_and_grads(w, b, features, labels, ErmConfig().l2)[0]
-    assert returned_risk == min(history) <= history[0]
+    returned_risk = erm_risk_and_grads(w[0], b[0], features, labels, ErmConfig().l2)[0]
+    assert returned_risk == min(risk[0] for risk in history) <= history[0][0]
 
 
 def test_train_node_erm_rejects_empty_child_group():
     encoder = _identity_encoder(3)
-    with pytest.raises(DataError, match="empty child"):
-        train_node_erm(encoder, np.zeros((4, 3)), np.array([0, 0, 0, 0]), 2, ErmConfig(), seed=0)
+    with pytest.raises(DataError, match=r"empty child group\(s\): \[1\]"):
+        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 0, 0, 0]])], 2, ErmConfig(), [0])
     with pytest.raises(DataError, match="empty child group.* in stack member 1"):
-        train_node_erm(encoder, np.zeros((4, 3)), np.array([[0, 1, 0, 1], [0, 0, 0, 0]]), 2, ErmConfig(), seed=0)
+        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 1, 0, 1], [0, 0, 0, 0]])], 2,
+                             ErmConfig(), [0])
 
 
 def _groupings(n_concepts, n_children):
@@ -127,38 +127,13 @@ def test_stacked_erm_equals_serial_one_member_calls(n_children, expected):
     groupings = _groupings(4, n_children)
     assert len(groupings) == expected  # Stirling numbers S(4, n)
     child_idx = np.stack([g[concepts] for g in groupings])
-    w, b, history = train_node_erm(encoder, features, child_idx, n_children, cfg, seed=7)
+    (w, b, history), = train_node_erm_stack([encoder], [features], [child_idx], n_children, cfg, [7])
     assert w.shape == (expected, n_children, 3) and b.shape == (expected, n_children)
     assert len(history) == cfg.epochs + 1 and history[0].shape == (expected,)
     for p, idx in enumerate(child_idx):
-        w1, b1, h1 = train_node_erm(encoder, features, idx, n_children, cfg, seed=7)
+        w1, b1, h1 = _plain_node_erm(encoder, features, idx, n_children, cfg, seed=7)
         assert np.array_equal(w[p], w1) and np.array_equal(b[p], b1)
         assert [h[p] for h in history] == h1
-    # a stack of one is the one-member call
-    w1, b1, h1 = train_node_erm(encoder, features, child_idx[:1], n_children, cfg, seed=7)
-    assert np.array_equal(w1[0], w[0]) and np.array_equal(b1[0], b[0])
-    assert [h[0] for h in h1] == [h[0] for h in history]
-
-
-def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
-    """One node's ERM loop with every step and risk from erm_risk_and_grads."""
-    z = mlp_forward(encoder, features)
-    w = np.zeros((n_children, z.shape[1]))
-    b = np.zeros(n_children)
-    rng = np.random.default_rng(seed)
-    history = [erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0]]
-    best = (history[0], w.copy(), b.copy())
-    for _ in range(cfg.epochs):
-        order = rng.permutation(z.shape[0])
-        for start in range(0, z.shape[0], cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            _, dw, db, _ = erm_risk_and_grads(w, b, z[rows], child_idx[rows], cfg.l2)
-            w -= cfg.learning_rate * dw
-            b -= cfg.learning_rate * db
-        history.append(erm_risk_and_grads(w, b, z, child_idx, cfg.l2)[0])
-        if history[-1] < best[0]:
-            best = (history[-1], w.copy(), b.copy())
-    return best[1], best[2], history
 
 
 def test_erm_stack_over_problems_equals_the_plain_loop():
@@ -177,10 +152,7 @@ def test_erm_stack_over_problems_equals_the_plain_loop():
         [_plain_node_erm(enc, f, idx, 3, cfg, seed) for idx in child_idx]
         for enc, f, child_idx, seed in problems
     ]
-    enc, f, child_idx, seed = problems[0]
-    w, b, history = train_node_erm(enc, f, child_idx[0], 3, cfg, seed)  # the one-problem call
-    assert np.array_equal(w, plain[0][0][0]) and np.array_equal(b, plain[0][0][1]) and history == plain[0][0][2]
-    for order in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one
+    for order in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one problem with one grouping
         encoders, features, child_idx, seeds = zip(*[problems[g] for g in order])
         stacked = train_node_erm_stack(encoders, features, child_idx, 3, cfg, seeds)
         assert len(stacked) == len(order)
@@ -404,7 +376,8 @@ def trained_triple():
 @given(
     st.integers(1, 48).flatmap(
         lambda n: st.tuples(
-            st.lists(st.lists(st.floats(-50, 50), min_size=8, max_size=8), min_size=n, max_size=n),
+            st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8),
+                     min_size=n, max_size=n),
             st.permutations(range(n)),
             st.integers(1, n),
         )
@@ -412,9 +385,7 @@ def trained_triple():
 )
 def test_predict_batch_labels_a_row_alike_in_any_batch(trained_triple, case):
     """Sharded scoring relies on this: a row's label does not depend on the
-    rows batched with it, their order or the batch size. (Rows stay within
-    +-50, several times the data's spread: far larger ones overflow the
-    sigmoid's exp, a RuntimeWarning of its own.)"""
+    rows batched with it, their order or the batch size, for any finite row."""
     clf, data = trained_triple
     rows, order, cut = case
     # the generated rows next to training rows, which sit near the boundaries
@@ -427,6 +398,16 @@ def test_predict_batch_labels_a_row_alike_in_any_batch(trained_triple, case):
     assert np.array_equal(predict_batch(clf, x[:cut]), whole[:cut])
     assert np.array_equal(predict_batch(clf, np.tile(x, (40, 1))), np.tile(whole, 40))
     assert [predict(clf, row) for row in x[:n]] == whole[:n].tolist()
+
+
+@pytest.mark.parametrize("scale", [900.0, 1e6, 1e154, 1e300, np.finfo(float).max])
+def test_predict_batch_labels_far_rows_without_overflow_warnings(trained_triple, scale):
+    # the suite turns a RuntimeWarning into an error: the sigmoid's exp(-z)
+    # overflows from 900 on, with the right limit 0; near the float maximum
+    # the first layer's sums overflow, and the row still gets a label
+    clf, _ = trained_triple
+    x = scale * np.array([[1.0] * 8, [-1.0] * 8, [1.0, -1.0] * 4])
+    assert set(predict_batch(clf, x).tolist()) <= set(range(len(clf.catalog)))
 
 
 def test_refine_rejects_negative_lambda(trained_triple):
@@ -671,7 +652,7 @@ def _plain_search(train, val, cfg):
     """The plain search: train and score every tree on its own."""
     rows = []
     for tree in enumerate_hierarchies(range(len(train.catalog))):
-        clf = train_hierarchical(tree, train, cfg)
+        clf = _plain_hierarchy(tree, train, cfg)
         preds = predict_batch(clf, val.features)
         accuracy = float(np.mean(preds == val.labels))
         neg_h = -float(np.mean([h_loss(clf.tree, int(p), int(t)) for p, t in zip(preds, val.labels)]))
@@ -764,17 +745,61 @@ _U = internal([internal([leaf(2), leaf(0)]), leaf(3), leaf(1)])
 _V = internal([leaf(3), internal([leaf(2), internal([leaf(1), leaf(0)])])])
 
 
+# (((a,b),c),d) and ((a,(b,c)),d): the root has children ((a,b,c), (d)) in
+# both, but under artifacts in keep mode the union-tuned encoders of
+# (a,b,c), and so of the root, start from different child encoders
+_NESTED = [internal([internal([internal([leaf(0), leaf(1)]), leaf(2)]), leaf(3)]),
+           internal([internal([leaf(0), internal([leaf(1), leaf(2)])]), leaf(3)])]
+_TREES = [_T, _U, _T, _V, flat_tree(4), canonicalize(_V), *_NESTED]
+FAST_AFF_CFG = AffinityConfig(
+    encoder=EncoderConfig(hidden_dim=6, latent_dim=2),
+    pretrain=SgdConfig(epochs=8, batch_size=32, learning_rate=0.1),
+    warmup=SgdConfig(epochs=4, batch_size=16, learning_rate=0.1),
+    finetune=SgdConfig(epochs=2, batch_size=16, learning_rate=0.02),
+    budget=16,
+    seed=5,
+)
+
+
+@pytest.fixture(scope="module")
+def k4_artifacts():
+    train, _ = _search_split(4)
+    return train, build_affinity_artifacts(train, FAST_AFF_CFG)
+
+
+def _assert_table_equals_plain_hierarchies(trees, train, cfg, artifacts=None):
+    shared = hmodel.train_hierarchies(trees, train, cfg, artifacts)
+    assert len(shared) == len(trees)
+    for tree, clf in zip(trees, shared):
+        alone = _plain_hierarchy(tree, train, cfg, artifacts)
+        assert classifiers_equal(clf, alone)
+        assert clf.provenance == alone.provenance
+    return shared
+
+
 @pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
 def test_train_hierarchies_equals_training_each_tree(rep_mode):
     train, _ = _search_split(4)
-    cfg = replace(FAST_CFG, rep_mode=rep_mode)
-    trees = [_T, _U, _T, _V, flat_tree(4), canonicalize(_V)]
-    shared = hmodel.train_hierarchies(trees, train, cfg)
-    assert len(shared) == len(trees)
-    for tree, clf in zip(trees, shared):
-        alone = train_hierarchical(tree, train, cfg)
-        assert classifiers_equal(clf, alone)
-        assert clf.provenance == alone.provenance
+    _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode))
+
+
+@pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
+def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts, rep_mode):
+    train, artifacts = k4_artifacts
+    shared = _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode), artifacts)
+    if rep_mode == "keep":
+        first, second = shared[-2].models, shared[-1].models
+        for key in ((0, 1, 2), (0, 1, 2, 3)):  # the encoders differ, and so do the root's scorers
+            assert not np.array_equal(first[key].encoder.layers[0].weights, second[key].encoder.layers[0].weights)
+        assert not np.array_equal(first[0, 1, 2, 3].scorer_weights, second[0, 1, 2, 3].scorer_weights)
+
+
+@pytest.mark.parametrize("with_artifacts", [False, True], ids=["scratch", "artifacts"])
+def test_unknown_rep_mode_is_rejected(k4_artifacts, with_artifacts):
+    train, artifacts = k4_artifacts
+    cfg = replace(FAST_CFG, rep_mode="fusee")
+    with pytest.raises(ValueError, match="unknown representation mode 'fusee'"):
+        train_hierarchical(_T, train, cfg, artifacts if with_artifacts else None)
 
 
 def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):
@@ -797,6 +822,22 @@ def test_diverging_scratch_encoder_names_its_concept_set():
     tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])])
     with pytest.raises(NumericError, match=r"scratch encoder of concept set \['c', 'd'\]: .*stack member 1"):
         hmodel.train_hierarchies([tree], wild, cfg)
+
+
+@pytest.mark.parametrize(
+    "tree, node",
+    [
+        (internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])]), "'c', 'd'"),
+        (internal([leaf(0), leaf(1), leaf(2), leaf(3)]), "'a', 'b', 'c', 'd'"),
+    ],
+    ids=["pairs", "flat"],
+)
+def test_concept_without_rows_names_its_node_and_child(tree, node):
+    train, _ = _search_split(4)
+    keep = train.labels != 2
+    no_c = LabeledDataset(train.features[keep], train.labels[keep], train.catalog)
+    with pytest.raises(DataError, match=rf"node over concept set \[{node}\]: child \['c'\] has no rows"):
+        train_hierarchical(tree, no_c, FAST_CFG)
 
 
 # --- serialization ---------------------------------------------------------------
