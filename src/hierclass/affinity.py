@@ -33,7 +33,6 @@ from .nets import (
     sgd_reconstruction,
     stack_params,
     task_seed,
-    train_reconstruction_stack,
 )
 from .serialize import check_keys, config_from_json
 from .synth import LabeledDataset
@@ -142,8 +141,15 @@ def train_autoencoder_stack(
     encoders = [make_encoder(x.shape[2], cfg.encoder, rng) for rng in init_rngs]
     decoders = [make_decoder(x.shape[2], cfg.encoder, rng) for rng in init_rngs]
     train_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
-    trained = train_reconstruction_stack(encoders, decoders, x, cfg.pretrain, train_rngs)
-    return [(encoder, decoder, history[-1]) for encoder, decoder, history in trained]
+    n_enc = len(encoders[0].layers)
+    params = stack_params(encoders) + stack_params(decoders)
+    acts = [layer.activation for layer in encoders[0].layers + decoders[0].layers]
+    history = sgd_reconstruction(params, acts, x, x, cfg.pretrain, train_rngs)
+    return [
+        (member_mlp(params[:n_enc], s, encoders[0]), member_mlp(params[n_enc:], s, decoders[0]),
+         float(history[-1][s]))
+        for s in range(len(seeds))
+    ]
 
 
 def train_autoencoder(
@@ -361,10 +367,10 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class AffinityArtifacts:
-    """Everything the affinity stage learned, for reuse downstream."""
+    """The affinity matrix and the pair encoders tuned for it, for reuse
+    downstream; ``input_dim`` is the feature width they were trained on."""
 
     matrix: AffinityMatrix
-    concept_encoders: dict[int, Mlp]
     pair_encoders: dict[tuple[int, int], Mlp]
     config: AffinityConfig
     input_dim: int
@@ -403,7 +409,6 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
             name = catalog.name_of(cids[exc.member])
             raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
         pretrained.update((cid, encoder) for cid, (encoder, _, _) in zip(cids, stack))
-    encoders = {cid: pretrained[cid] for cid in usable}
 
     transfers = {}
     for dst in usable:
@@ -412,7 +417,7 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         budget = capped_budget(rows.shape[0], cfg)
         sources = [src for src in usable if src != dst]
         fresh = make_encoder(rows.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
-        stack = [encoders[src] for src in sources] + [fresh]  # fresh: the scratch reference
+        stack = [pretrained[src] for src in sources] + [fresh]  # fresh: the scratch reference
         *tuned, (_, l_ref) = fine_tune_stack(stack, rows, budget, cfg, seed)
         for src, (encoder, l_ft) in zip(sources, tuned):
             p = raw_transfer_score(l_ft, l_ref)
@@ -438,7 +443,6 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     )
     return AffinityArtifacts(
         matrix=matrix,
-        concept_encoders=encoders,
         pair_encoders={pair: transfers[pair][1] for pair in pairs},
         config=cfg,
         input_dim=dataset.n_features,

@@ -158,14 +158,19 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    command = next((t for t in argv if t in _COMMANDS), None)
-    if config_path and command:
+    """Parse ``argv`` with the ``--config`` file's keys as defaults of the
+    command that runs; flags on the command line override them."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)  # the global flags, then the command
+    for flag in ("--config", "--seed", "--out-dir"):
+        pre.add_argument(flag)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError:  # a malformed global flag: the full parse reports it
+        return parser.parse_args(argv)
+    config_path, command = known.config, known.command
+    if config_path and command in _COMMANDS:
         config = load_json(config_path)
         if not isinstance(config, dict):
             raise DataError(f"{config_path}: config must be a JSON object")
@@ -322,7 +327,6 @@ def _cmd_affinity(args) -> int:
             "matrix": aff.affinity_to_json(artifacts.matrix),
             "input_dim": artifacts.input_dim,
             "config": aff.affinity_config_to_json(cfg),
-            "concept_encoders": {str(c): mlp_to_json(m) for c, m in artifacts.concept_encoders.items()},
             "pair_encoders": {f"{i},{j}": mlp_to_json(m) for (i, j), m in artifacts.pair_encoders.items()},
         }
         arts_path = _out_path(args, args.artifacts)
@@ -341,7 +345,6 @@ def _load_artifacts(path: str) -> aff.AffinityArtifacts:
     try:
         return aff.AffinityArtifacts(
             matrix=aff.affinity_from_json(obj["matrix"]),
-            concept_encoders={int(c): mlp_from_json(m) for c, m in obj["concept_encoders"].items()},
             pair_encoders={
                 tuple(int(x) for x in key.split(",")): mlp_from_json(m)
                 for key, m in obj["pair_encoders"].items()

@@ -42,7 +42,7 @@ class LinkageParams:
         if self.preset == "custom" and any(v is None for v in custom):
             raise ValueError("custom linkage requires alpha_i, alpha_j, beta, gamma")
 
-    def coefficients(self, n_i: int, n_j: int, n_k: int) -> tuple[float, float, float, float]:
+    def coefficients(self, n_i: int, n_j: int) -> tuple[float, float, float, float]:
         if self.preset == "single":
             return 0.5, 0.5, 0.0, -0.5
         if self.preset == "complete":
@@ -59,13 +59,12 @@ def lw_update(
     d_ij: float,
     n_i: int,
     n_j: int,
-    n_k: int,
     params: LinkageParams,
 ) -> float:
     """Distance from cluster k to the fusion of i and j."""
     if min(d_ki, d_kj, d_ij) < 0:
         raise ValueError("distances are nonnegative")
-    a_i, a_j, b, g = params.coefficients(n_i, n_j, n_k)
+    a_i, a_j, b, g = params.coefficients(n_i, n_j)
     return a_i * d_ki + a_j * d_kj + b * d_ij + g * abs(d_ki - d_kj)
 
 
@@ -138,7 +137,6 @@ def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
                 d_ij,
                 sizes[i],
                 sizes[j],
-                sizes[c],
                 params,
             )
             dist[_ordered(c, new_id)] = d_new

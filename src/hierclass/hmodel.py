@@ -61,7 +61,6 @@ def node_key(node: Tree) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NodeModel:
-    key: tuple[int, ...]
     encoder: Mlp
     scorer_weights: np.ndarray  # (n_children, latent)
     scorer_bias: np.ndarray  # (n_children,)
@@ -408,7 +407,15 @@ def train_hierarchies(
     - one scorer set per distinct (encoder, child partition), trained in
       one ``train_node_erm_stack`` call per (row count, child count); the
       partitions of one encoder share its rows and batch order.
+
+    Artifacts built over another catalog or feature width raise a DataError.
     """
+    if artifacts is not None and artifacts.matrix.catalog != dataset.catalog:
+        raise DataError(f"affinity artifacts are over concepts {list(artifacts.matrix.catalog.names)}, "
+                        f"the data over {list(dataset.catalog.names)}")
+    if artifacts is not None and artifacts.input_dim != dataset.n_features:
+        raise DataError(f"affinity artifacts were trained on {artifacts.input_dim} features, "
+                        f"the data has {dataset.n_features}")
     shaped = []
     for tree in trees:
         tree = canonicalize(tree)
@@ -467,7 +474,7 @@ def train_hierarchies(
             raise DataError(f"node over concept set {names}: child {empty} has no rows") from exc
         for (problem, parts), (w, b, _) in zip(problems.items(), stack):
             for ck, wp, bp in zip(parts, w, b):
-                nodes[problem, ck] = NodeModel(problem[0], encoders[problem], wp, bp, ck)
+                nodes[problem, ck] = NodeModel(encoders[problem], wp, bp, ck)
     classifiers = []
     for tree in shaped:
         models = {node_key(n): nodes[problem_of(n), _child_keys(n)] for n in tree.internal_nodes()}
@@ -641,7 +648,6 @@ def parameter_count(classifier: HierarchicalClassifier) -> int:
 class FlatBaseline:
     classifier: HierarchicalClassifier
     parameter_count: int
-    target_count: int | None
 
 
 def flat_tree(catalog_size: int) -> Tree:
@@ -652,10 +658,9 @@ def train_flat_baseline(
     dataset: LabeledDataset,
     cfg: HierTrainConfig,
     target_params: int | None = None,
-    tolerance: float = 0.1,
 ) -> FlatBaseline:
     """One-vs-rest scorers over one shared encoder, sized so the total
-    parameter count lands within ``tolerance`` of ``target_params``."""
+    parameter count lands within 10 % of ``target_params``."""
     n = dataset.n_features
     k = len(dataset.catalog)
     d = cfg.encoder.latent_dim
@@ -667,10 +672,10 @@ def train_flat_baseline(
         def count_for(h: int) -> int:
             return h * (n + 1) + d * (h + 1) + k * (d + 1)
         h_best = min(candidates, key=lambda h: abs(count_for(h) - target_params))
-        if abs(count_for(h_best) - target_params) > tolerance * target_params:
+        if abs(count_for(h_best) - target_params) > 0.1 * target_params:
             raise DataError(
                 f"cannot match parameter budget {target_params} within "
-                f"{tolerance:.0%}: closest achievable is {count_for(h_best)}"
+                f"10%: closest achievable is {count_for(h_best)}"
             )
         encoder_cfg = replace(cfg.encoder, hidden_dim=h_best)
     flat_cfg = replace(cfg, encoder=encoder_cfg, rep_mode="keep")
@@ -678,7 +683,6 @@ def train_flat_baseline(
     return FlatBaseline(
         classifier=classifier,
         parameter_count=parameter_count(classifier),
-        target_count=target_params,
     )
 
 
@@ -690,7 +694,6 @@ def train_flat_baseline(
 class SearchResult:
     best_tree: Tree
     table: tuple[tuple[Tree, float], ...]
-    metric: str
 
 
 def exhaustive_search(
@@ -724,7 +727,7 @@ def exhaustive_search(
 
     table = tuple((tree, score(clf)) for tree, clf in zip(trees, train_hierarchies(trees, train_data, cfg)))
     best_tree = max(table, key=lambda row: row[1])[0]
-    return SearchResult(best_tree=best_tree, table=table, metric=metric)
+    return SearchResult(best_tree=best_tree, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +765,6 @@ def classifier_from_json(obj: dict) -> HierarchicalClassifier:
         for entry in obj["nodes"]:
             key = tuple(int(i) for i in entry["key"])
             models[key] = NodeModel(
-                key=key,
                 encoder=mlp_from_json(entry["encoder"]),
                 scorer_weights=array_from_json(entry["scorer_weights"]),
                 scorer_bias=array_from_json(entry["scorer_bias"]),
@@ -774,25 +776,3 @@ def classifier_from_json(obj: dict) -> HierarchicalClassifier:
     except (KeyError, TypeError) as exc:
         raise DataError(f"bad classifier JSON: {exc}") from None
 
-
-def classifiers_equal(a: HierarchicalClassifier, b: HierarchicalClassifier) -> bool:
-    """Bit-exact equality of structure and every numeric array."""
-    if a.catalog != b.catalog or a.tree != b.tree or set(a.models) != set(b.models):
-        return False
-    for key, ma in a.models.items():
-        mb = b.models[key]
-        if ma.child_keys != mb.child_keys:
-            return False
-        if not (
-            np.array_equal(ma.scorer_weights, mb.scorer_weights)
-            and np.array_equal(ma.scorer_bias, mb.scorer_bias)
-        ):
-            return False
-        if len(ma.encoder.layers) != len(mb.encoder.layers):
-            return False
-        for la, lb in zip(ma.encoder.layers, mb.encoder.layers):
-            if la.activation != lb.activation:
-                return False
-            if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)):
-                return False
-    return True

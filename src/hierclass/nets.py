@@ -289,34 +289,6 @@ def train_reconstruction(
     return new_encoder, new_decoder, [float(losses[0]) for losses in history]
 
 
-def train_reconstruction_stack(
-    encoders: Sequence[Mlp],
-    decoders: Sequence[Mlp],
-    x: np.ndarray,
-    cfg: SgdConfig,
-    rngs: Sequence,
-) -> list[tuple[Mlp, Mlp, list[float]]]:
-    """S same-shaped autoencoders trained as one stacked SGD, member s on
-    its own rows ``x[s]`` of x (S, N, dim) in the batch order drawn from
-    ``rngs[s]``. Member s gets bit for bit what ``train_reconstruction(
-    encoders[s], decoders[s], x[s], cfg, rngs[s])`` gets. Returns one
-    (encoder, decoder, loss history) per member; a NumericError names the
-    diverging member in its ``member``.
-    """
-    n_enc = len(encoders[0].layers)
-    params = stack_params(encoders) + stack_params(decoders)
-    acts = [l.activation for l in encoders[0].layers] + [l.activation for l in decoders[0].layers]
-    history = sgd_reconstruction(params, acts, x, x, cfg, rngs)
-    return [
-        (
-            member_mlp(params[:n_enc], s, encoder),
-            member_mlp(params[n_enc:], s, decoder),
-            [float(losses[s]) for losses in history],
-        )
-        for s, (encoder, decoder) in enumerate(zip(encoders, decoders))
-    ]
-
-
 def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
     outputs, _ = forward_trace(params, acts, x)
     losses = np.atleast_1d(np.mean((outputs[-1] - target) ** 2, axis=(-2, -1)))

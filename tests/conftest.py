@@ -11,6 +11,7 @@ from hierclass.hmodel import (
     NodeModel,
     assign_representations,
     child_index_labels,
+    classifier_to_json,
     erm_risk_and_grads,
     fuse_tree,
     node_key,
@@ -129,10 +130,16 @@ def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
         child_idx = child_index_labels(child_keys, sub.labels)
         w, b, _ = _plain_node_erm(encoder, sub.features, child_idx, len(child_keys), cfg.erm,
                                   task_seed(cfg.seed, 6, *key))
-        models[key] = NodeModel(key, encoder, w, b, child_keys)
+        models[key] = NodeModel(encoder, w, b, child_keys)
     provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
                   "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
     return HierarchicalClassifier(tree, dataset.catalog, models, provenance)
+
+
+def same_classifier(a, b) -> bool:
+    """Bit-exact equality of two classifiers: their JSON, provenance left out."""
+    strip = lambda clf: {k: v for k, v in classifier_to_json(clf).items() if k != "provenance"}  # noqa: E731
+    return strip(a) == strip(b)
 
 
 @pytest.fixture(scope="session")

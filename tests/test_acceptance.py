@@ -30,7 +30,6 @@ from hierclass.hmodel import (
     HierTrainConfig,
     classifier_from_json,
     classifier_to_json,
-    classifiers_equal,
     erm_risk_and_grads,
     exhaustive_search,
     parameter_count,
@@ -418,7 +417,6 @@ def test_criterion_10_serialization_roundtrips(pair_runs):
     clf = train_hierarchical(run["derived"], run["train"], HierTrainConfig(seed=0))
     dumped = json.dumps(classifier_to_json(clf))
     back = classifier_from_json(json.loads(dumped))
-    ok &= classifiers_equal(clf, back)
     ok &= json.dumps(classifier_to_json(back), sort_keys=True) == json.dumps(
         classifier_to_json(clf), sort_keys=True
     )

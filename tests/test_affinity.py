@@ -33,6 +33,7 @@ from hierclass.affinity import (
 )
 from hierclass.errors import DataError, NumericError
 from hierclass.nets import (
+    ACTIVATIONS,
     Layer,
     Mlp,
     SgdConfig,
@@ -426,9 +427,12 @@ def test_one_diverging_pretrain_member_names_its_concept():
 def test_build_matches_plain_path_without_joint_phase(triple_data_module, variant):
     cfg = replace(AffinityConfig(seed=2, warmup=SgdConfig(epochs=30, batch_size=16, learning_rate=0.1)), **variant)
     artifacts = _assert_build_matches_plain(triple_data_module, cfg)
-    # no joint phase: every pair encoder is its source encoder, untouched
+    # no joint phase: every pair encoder is its source's plain pretrained encoder, untouched
+    data = triple_data_module
+    pretrained = {cid: _plain_autoencoder(data.of_concept(cid), cfg, task_seed(cfg.seed, 1, cid))[0]
+                  for cid in data.catalog.ids}
     for (src, _), encoder in artifacts.pair_encoders.items():
-        assert encoder is artifacts.concept_encoders[src]
+        assert _same_mlp(encoder, pretrained[src])
 
 
 def test_one_diverging_stack_member_raises():
@@ -474,7 +478,7 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     real = affinity_module.sgd_reconstruction
 
     def spy(params, acts, x, target, cfg, rng, first_trainable=0):
-        rows_seen.append((cfg, target.shape[0]))
+        rows_seen.append((cfg, target.shape[-2]))
         return real(params, acts, x, target, cfg, rng, first_trainable)
 
     monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
@@ -483,7 +487,8 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     data = LabeledDataset(feats, np.array([0] * 10 + [1] * 10), Catalog(("a", "b")))
     cfg = AffinityConfig(holdout_fraction=0.96, encoder=EncoderConfig(hidden_dim=6, latent_dim=2))
     matrix = build_affinity_matrix(data, cfg)
-    assert rows_seen == [(cfg.warmup, 1), (cfg.finetune, 1)] * 2  # the joint phase ran
+    # one pretraining stack over both concepts' 10 rows, then two transfers whose joint phase ran
+    assert rows_seen == [(cfg.pretrain, 10)] + [(cfg.warmup, 1), (cfg.finetune, 1)] * 2
     assert [r.budget for r in matrix.records] == [1, 1]
 
 
@@ -628,6 +633,66 @@ def test_affinity_config_json_roundtrip():
     encoder = {k: v for k, v in obj["encoder"].items() if k != "latent_dim"}
     with pytest.raises(DataError, match="encoder.*'latent_dim'"):
         affinity_config_from_json({**obj, "encoder": encoder})
+
+
+UNIT = st.floats(0.0, 1.0)
+ENCODER_CONFIGS = st.builds(EncoderConfig, st.integers(1, 64), st.integers(1, 16),
+                            st.sampled_from(ACTIVATIONS), st.sampled_from(ACTIVATIONS))
+SGD_CONFIGS = st.builds(SgdConfig, st.integers(0, 500), st.integers(1, 512),
+                        st.floats(1e-6, 10.0), st.floats(1.0, 1e300))
+
+
+@st.composite
+def affinity_configs(draw):
+    b_max = draw(st.integers(0, 1000))
+    return AffinityConfig(
+        encoder=draw(ENCODER_CONFIGS),
+        pretrain=draw(SGD_CONFIGS),
+        warmup=draw(SGD_CONFIGS),
+        finetune=draw(SGD_CONFIGS),
+        budget=draw(st.integers(0, b_max)),
+        b_max=b_max,
+        alpha=draw(st.floats(1e-3, 10.0)),
+        beta=draw(st.floats(0.0, 10.0)),
+        holdout_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        min_examples=draw(st.integers(0, 100)),
+        freeze_encoder=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@st.composite
+def affinity_matrices(draw):
+    k = draw(st.integers(2, 5))
+    off_diagonal = [(i, j) for i in range(k) for j in range(k) if i != j]
+    pairs = draw(st.lists(st.sampled_from(off_diagonal), unique=True))
+    skipped = draw(st.lists(st.integers(0, k - 1), unique=True))
+    return AffinityMatrix(
+        catalog=Catalog(tuple(f"c{i}" for i in range(k))),
+        alpha=draw(st.floats(0.0, 10.0)),
+        beta=draw(st.floats(0.0, 10.0)),
+        b_max=draw(st.integers(0, 1000)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        records=tuple(AffinityRecord(i, j, draw(UNIT), draw(st.integers(0, 1000)), draw(UNIT)) for i, j in pairs),
+        skipped=tuple((cid, draw(st.integers(0, 9))) for cid in skipped),
+        encoder=draw(st.none() | ENCODER_CONFIGS),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(affinity_configs())
+def test_affinity_config_json_round_trip_is_exact(cfg):
+    obj = json.loads(json.dumps(affinity_config_to_json(cfg)))
+    assert affinity_config_from_json(obj) == cfg
+    assert affinity_config_to_json(affinity_config_from_json(obj)) == affinity_config_to_json(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(affinity_matrices())
+def test_affinity_json_round_trip_is_exact(matrix):
+    obj = json.loads(json.dumps(affinity_to_json(matrix)))
+    assert affinity_from_json(obj) == matrix
+    assert affinity_to_json(affinity_from_json(obj)) == affinity_to_json(matrix)
 
 
 def test_affinity_json_has_documented_keys(triple_artifacts):

@@ -267,6 +267,17 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+@pytest.mark.parametrize("out_dir", ["search", "count"])
+def test_config_file_applies_to_the_command_that_runs(tmp_path, monkeypatch, capsys, out_dir):
+    # an --out-dir value that names another command does not take the config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"cap": 3}))
+    assert run("--config", "cfg.json", "--out-dir", out_dir, "enumerate", "--concepts", "a,b,c,d",
+               "--out", "t.txt") == 1
+    assert "26 hierarchies over 4 concepts (cap 3)" in capsys.readouterr().err
+    assert not (tmp_path / out_dir / "t.txt").exists()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5, "bogus": 1}))
@@ -332,6 +343,25 @@ def test_artifacts_with_unknown_config_format_are_a_data_error(tmp_path, planted
     assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
     assert "hierclass-affinity-config-v0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("other", ["catalog", "width"])
+def test_artifacts_over_other_data_are_a_data_error(tmp_path, planted_csv, capsys, other):
+    data, _ = planted_csv  # concepts c1..c4, 8 features
+    names, width = (("c3", "c4", "w", "x"), 8) if other == "catalog" else (("c1", "c2", "c3", "c4"), 6)
+    tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])])
+    save_csv(generate_planted(PlantedSpec(Catalog(names), tree, width, 40, (9.0, 3.0), 1.5), seed=1),
+             tmp_path / "other.csv")
+    (tmp_path / "tree.nwk").write_text(f"(({names[0]},{names[1]}),({names[2]},{names[3]}))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", tmp_path / "other.csv", "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    err = capsys.readouterr().err
+    named = [str(["c1", "c2", "c3", "c4"]), str(list(names))] if other == "catalog" else ["8 features", "has 6"]
+    assert all(part in err for part in named), err
+    assert not (tmp_path / "clf.json").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 6])

@@ -35,23 +35,23 @@ def test_lw_presets_match_min_max_mean():
     single = LinkageParams(preset="single")
     complete = LinkageParams(preset="complete")
     average = LinkageParams(preset="average")
-    assert lw_update(2.0, 4.0, 3.0, 1, 1, 1, single) == 2.0
-    assert lw_update(2.0, 4.0, 3.0, 1, 1, 1, complete) == 4.0
-    assert lw_update(2.0, 4.0, 3.0, 1, 1, 1, average) == 3.0
+    assert lw_update(2.0, 4.0, 3.0, 1, 1, single) == 2.0
+    assert lw_update(2.0, 4.0, 3.0, 1, 1, complete) == 4.0
+    assert lw_update(2.0, 4.0, 3.0, 1, 1, average) == 3.0
     # size-weighted average
-    assert lw_update(2.0, 4.0, 3.0, 3, 1, 1, average) == pytest.approx((3 * 2 + 1 * 4) / 4)
+    assert lw_update(2.0, 4.0, 3.0, 3, 1, average) == pytest.approx((3 * 2 + 1 * 4) / 4)
 
 
 def test_lw_custom_and_validation():
     custom = LinkageParams(preset="custom", alpha_i=0.3, alpha_j=0.3, beta=0.2, gamma=0.1)
-    got = lw_update(2.0, 4.0, 3.0, 1, 1, 1, custom)
+    got = lw_update(2.0, 4.0, 3.0, 1, 1, custom)
     assert got == pytest.approx(0.3 * 2 + 0.3 * 4 + 0.2 * 3 + 0.1 * 2)
     with pytest.raises(ValueError):
         LinkageParams(preset="custom", alpha_i=0.5)
     with pytest.raises(ValueError):
         LinkageParams(preset="ward")
     with pytest.raises(ValueError):
-        lw_update(-1.0, 0.0, 0.0, 1, 1, 1, LinkageParams(preset="single"))
+        lw_update(-1.0, 0.0, 0.0, 1, 1, LinkageParams(preset="single"))
 
 
 # --- agglomeration -----------------------------------------------------------

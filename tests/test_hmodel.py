@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _plain_hierarchy, _plain_node_erm, central_difference, rel_err
+from conftest import _plain_hierarchy, _plain_node_erm, central_difference, rel_err, same_classifier
 from hierclass import hmodel
 from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
 from hierclass.errors import DataError, NumericError
@@ -18,7 +18,6 @@ from hierclass.hmodel import (
     NodeModel,
     classifier_from_json,
     classifier_to_json,
-    classifiers_equal,
     erm_risk_and_grads,
     exhaustive_search,
     flat_tree,
@@ -30,22 +29,30 @@ from hierclass.hmodel import (
     route_child,
     train_flat_baseline,
     train_hierarchical,
+    node_key,
     train_node_erm_stack,
 )
 from hierclass.metrics import h_loss
-from hierclass.nets import Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
+from hierclass.nets import ACTIVATIONS, Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
-from hierclass.treespace import Catalog, canonicalize, count_hierarchies, enumerate_hierarchies, internal, leaf
+from hierclass.treespace import (
+    Catalog,
+    canonicalize,
+    count_hierarchies,
+    enumerate_hierarchies,
+    internal,
+    leaf,
+    sample_hierarchy,
+)
 
 
 def _identity_encoder(dim):
     return Mlp((Layer(np.eye(dim), np.zeros(dim), "identity"),))
 
 
-def _node(key, child_keys, w, b, dim=None):
+def _node(child_keys, w, b, dim=None):
     dim = dim or len(w[0])
     return NodeModel(
-        key=key,
         encoder=_identity_encoder(dim),
         scorer_weights=np.array(w, dtype=float),
         scorer_bias=np.array(b, dtype=float),
@@ -89,7 +96,7 @@ def test_train_node_erm_separates_separable_groups():
     labels = np.array([0] * 40 + [1] * 40)
     encoder = _identity_encoder(4)
     (w, b, history), = train_node_erm_stack([encoder], [features], [labels[None]], 2, ErmConfig(), [0])
-    routed = route_child(_node((0, 1), ((0,), (1,)), w[0], b[0]), features)
+    routed = route_child(_node(((0,), (1,)), w[0], b[0]), features)
     assert np.array_equal(routed, labels)
     # the returned scorers are the best iterate: risk never above the start
     returned_risk = erm_risk_and_grads(w[0], b[0], features, labels, ErmConfig().l2)[0]
@@ -185,8 +192,8 @@ def hand_classifier():
     catalog = Catalog(("c1", "c2", "c3"))
     tree = internal([internal([leaf(0), leaf(1)]), leaf(2)])
     models = {
-        (0, 1, 2): _node((0, 1, 2), ((0, 1), (2,)), [[0, 0, 0], [0, 0, 0]], [1.0, -1.0], dim=3),
-        (0, 1): _node((0, 1), ((0,), (1,)), [[0, 0, 0], [0, 0, 0]], [-2.0, 3.0], dim=3),
+        (0, 1, 2): _node(((0, 1), (2,)), [[0, 0, 0], [0, 0, 0]], [1.0, -1.0], dim=3),
+        (0, 1): _node(((0,), (1,)), [[0, 0, 0], [0, 0, 0]], [-2.0, 3.0], dim=3),
     }
     return HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
 
@@ -199,7 +206,7 @@ def test_predict_flat_tree_is_argmax_over_scores():
     catalog = Catalog(("a", "b", "c"))
     tree = flat_tree(3)
     w = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    models = {(0, 1, 2): _node((0, 1, 2), ((0,), (1,), (2,)), w, [0, 0, 0])}
+    models = {(0, 1, 2): _node(((0,), (1,), (2,)), w, [0, 0, 0])}
     clf = HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
     x = np.array([[0.2, 0.9, 0.1], [5, 1, 2], [0, 0, 1]])
     assert predict_batch(clf, x).tolist() == [1, 0, 2]
@@ -255,8 +262,8 @@ def test_perfect_node_scorers_compose_to_perfect_prediction(hand_classifier):
     labels = np.array([0, 1, 2, 1, 0])
     x = np.eye(3)[labels]
     models = {
-        (0, 1, 2): _node((0, 1, 2), ((0, 1), (2,)), [[1, 1, 0], [0, 0, 1]], [0, 0], dim=3),
-        (0, 1): _node((0, 1), ((0,), (1,)), [[1, 0, 0], [0, 1, 0]], [0, 0], dim=3),
+        (0, 1, 2): _node(((0, 1), (2,)), [[1, 1, 0], [0, 0, 1]], [0, 0], dim=3),
+        (0, 1): _node(((0,), (1,)), [[1, 0, 0], [0, 1, 0]], [0, 0], dim=3),
     }
     clf = HierarchicalClassifier(tree=hand_classifier.tree, catalog=catalog, models=models)
     assert np.array_equal(predict_batch(clf, x), labels)
@@ -270,7 +277,7 @@ def test_classifier_validation(hand_classifier):
             tree=hand_classifier.tree, catalog=hand_classifier.catalog, models=models
         )
     with pytest.raises(ValueError, match="one scorer per child"):
-        _node((0, 1), ((0,), (1,)), [[0, 0, 0]], [0.0])
+        _node(((0,), (1,)), [[0, 0, 0]], [0.0])
 
 
 # --- representation assignment ----------------------------------------------
@@ -330,7 +337,6 @@ def test_assignment_missing_artifact_errors(triple_setup):
     catalog, tree, data, artifacts = triple_setup
     gutted = AffinityArtifacts(
         matrix=artifacts.matrix,
-        concept_encoders=artifacts.concept_encoders,
         pair_encoders={},
         config=artifacts.config,
         input_dim=artifacts.input_dim,
@@ -530,7 +536,7 @@ def test_refine_equals_two_branch_reference(trained_triple, mode, learning_rate)
     clf, data = trained_triple
     got = refine_global(clf, data, epochs=12, learning_rate=learning_rate, **mode)
     want = _two_branch_refine_global(clf, data, epochs=12, learning_rate=learning_rate, **mode)
-    assert classifiers_equal(got.classifier, want.classifier)
+    assert same_classifier(got.classifier, want.classifier)
     assert got.objective_history == want.objective_history
     assert got.penalty_history == want.penalty_history
     assert got.node_risks_before == want.node_risks_before
@@ -679,7 +685,7 @@ def test_planned_search_equals_training_every_tree(monkeypatch, k, rep_mode):
         # bit-equal scores, neg_h_loss included: its K x K table mean equals the per-row mean
         assert result.table == tuple((row[0], row[column]) for row in plain)
         assert len(composed) == len(plain)
-        assert all(classifiers_equal(c, row[1]) for c, row in zip(composed, plain))
+        assert all(same_classifier(c, row[1]) for c, row in zip(composed, plain))
 
 
 def _count_stacks(monkeypatch):
@@ -772,7 +778,7 @@ def _assert_table_equals_plain_hierarchies(trees, train, cfg, artifacts=None):
     assert len(shared) == len(trees)
     for tree, clf in zip(trees, shared):
         alone = _plain_hierarchy(tree, train, cfg, artifacts)
-        assert classifiers_equal(clf, alone)
+        assert same_classifier(clf, alone)
         assert clf.provenance == alone.provenance
     return shared
 
@@ -847,10 +853,45 @@ def test_classifier_json_roundtrip(trained_triple):
     clf, _ = trained_triple
     obj = json.loads(json.dumps(classifier_to_json(clf)))
     back = classifier_from_json(obj)
-    assert classifiers_equal(clf, back)
     assert json.dumps(classifier_to_json(back), sort_keys=True) == json.dumps(
         classifier_to_json(clf), sort_keys=True
     )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # the whole finite range: -0.0, subnormals, extremes
+
+
+@st.composite
+def classifiers(draw):
+    """A classifier over a random tree on K = 2..5 concepts, every node with
+    its own encoder widths and activations and arbitrary finite weights."""
+    k = draw(st.integers(2, 5))
+    tree = sample_hierarchy(range(k), np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    dim = draw(st.integers(1, 4))
+
+    def array(*shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(FINITE, min_size=n, max_size=n)), dtype=float).reshape(shape)
+
+    models = {}
+    for node in tree.internal_nodes():
+        widths = [dim] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+        layers = tuple(Layer(array(o, i), array(o), draw(st.sampled_from(ACTIVATIONS)))
+                       for i, o in zip(widths, widths[1:]))
+        child_keys = tuple(node_key(c) for c in node.children)
+        models[node_key(node)] = NodeModel(Mlp(layers), array(len(child_keys), widths[-1]),
+                                           array(len(child_keys)), child_keys)
+    return HierarchicalClassifier(tree, Catalog(tuple(f"c{i}" for i in range(k))), models)
+
+
+@settings(max_examples=60, deadline=None)
+@given(classifiers(), st.data())
+def test_classifier_json_round_trip_is_exact(clf, data):
+    back = classifier_from_json(json.loads(json.dumps(classifier_to_json(clf))))
+    assert classifier_to_json(back) == classifier_to_json(clf)
+    rows = data.draw(st.lists(st.lists(FINITE, min_size=clf.input_dim, max_size=clf.input_dim),
+                              min_size=1, max_size=6))
+    assert np.array_equal(predict_batch(back, np.array(rows)), predict_batch(clf, np.array(rows)))
 
 
 def test_classifier_json_rejects_unknown_format(trained_triple):

@@ -201,7 +201,6 @@ def _manual_classifier(scorers_by_key, tree, catalog, dim):
         key = node_key(node)
         w, b = scorers_by_key[key]
         models[key] = NodeModel(
-            key=key,
             encoder=_identity_encoder(dim),
             scorer_weights=np.array(w, dtype=float),
             scorer_bias=np.array(b, dtype=float),

@@ -9,13 +9,15 @@ from hierclass.nets import (
     SgdConfig,
     flatten_params,
     init_mlp,
+    member_mlp,
     mlp_forward,
     mlp_params,
     reconstruction_grads,
     reconstruction_loss,
+    sgd_reconstruction,
+    stack_params,
     task_seed,
     train_reconstruction,
-    train_reconstruction_stack,
     unflatten_params,
 )
 
@@ -149,17 +151,21 @@ def test_reconstruction_stack_members_match_single_calls():
     def same(a, b):
         return all(
             np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
-            for net_a, net_b in zip(a[:2], b[:2])
-            for la, lb in zip(net_a.layers, net_b.layers, strict=True)
-        ) and a[2] == b[2]
+            for la, lb in zip(a.layers, b.layers, strict=True)
+        )
 
     for members in ([0, 1, 2, 3], [2, 0, 3, 1], [3]):  # permuted, and a stack of one
-        stacked = train_reconstruction_stack(
-            [encoders[s] for s in members], [decoders[s] for s in members], x[members],
-            cfg, [np.random.default_rng([s, 2]) for s in members],
+        params = stack_params([encoders[s] for s in members]) + stack_params([decoders[s] for s in members])
+        rows = x[members]
+        history = sgd_reconstruction(
+            params, ["relu", "sigmoid", "identity"], rows, rows, cfg,
+            [np.random.default_rng([s, 2]) for s in members],
         )
-        assert len(stacked) == len(members)
-        assert all(same(got, alone[s]) for s, got in zip(members, stacked))
+        for m, s in enumerate(members):
+            encoder, decoder, losses = alone[s]
+            assert same(member_mlp(params[:2], m, encoder), encoder)
+            assert same(member_mlp(params[2:], m, decoder), decoder)
+            assert [float(epoch[m]) for epoch in history] == losses
 
 
 def test_diverging_reconstruction_stack_member_is_named():
@@ -170,6 +176,7 @@ def test_diverging_reconstruction_stack_member_is_named():
     x[1] *= 1e4  # initial loss far beyond the divergence limit
     cfg = SgdConfig(epochs=2, batch_size=4, learning_rate=0.01)
     rngs = [np.random.default_rng(s) for s in range(3)]
+    params = stack_params([enc] * 3) + stack_params([dec] * 3)
     with pytest.raises(NumericError, match=r"initial state \(stack member 1\)") as info:
-        train_reconstruction_stack([enc] * 3, [dec] * 3, x, cfg, rngs)
+        sgd_reconstruction(params, ["identity", "identity"], x, x, cfg, rngs)
     assert info.value.member == 1
