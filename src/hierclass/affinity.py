@@ -9,16 +9,19 @@ p with the normalized budget; symmetrized complements of the scores feed
 hierarchy derivation as distances.
 
 Every transfer toward one target shares its data slices, decoder
-initialization and batch schedule, so the K-1 source encoders and the
-scratch reference toward that target train together as one stacked SGD
-(see :func:`fine_tune_stack`); each result is bit-identical to tuning that
-encoder alone. The K concept autoencoders each have their own rows and
+initialization and batch schedule: the K-1 source encoders and the scratch
+reference toward that target form one fine-tune task. Tasks differ in their
+held-out slices, but the targets that train on the same number of rows
+train together as one stacked SGD, each task's members sharing its batch
+order (see :func:`fine_tune_stack`); each result is bit-identical to tuning
+that encoder alone. The K concept autoencoders each have their own rows and
 seed; those with equal row counts pretrain as one stack too
 (:func:`train_autoencoder_stack`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,6 +60,11 @@ class EncoderConfig:
     hidden_activation: str = "relu"
     latent_activation: str = "sigmoid"
 
+    def __post_init__(self) -> None:
+        for name in ("hidden_dim", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class AffinityConfig:
@@ -82,6 +90,9 @@ class AffinityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
             raise ValueError("need alpha, beta >= 0 with alpha + beta > 0")
         if not 0 < self.holdout_fraction < 1:
@@ -182,68 +193,86 @@ def _holdout_split(n: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarray
     return order[n_held:], order[:n_held]
 
 
-def fine_tune_stack(
-    encoders: list[Mlp],
-    target_data: np.ndarray,
-    budget: int,
-    cfg: AffinityConfig,
-    seed: int,
-) -> list[tuple[Mlp, float]]:
-    """Fine-tune copies of same-shaped encoders toward one target concept.
+def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]:
+    """Fine-tune copies of same-shaped encoders toward target concepts.
 
-    For each encoder, a fresh decoder is first trained alone (warmup), then
-    jointly with a copy of the encoder, on exactly ``budget`` target
-    examples drawn from the non-held-out pool; the returned loss is
-    measured on the held-out slice. With budget 0 the encoder is left
-    untouched and only the fresh decoder is trained (on the pool), scoring
-    the source representation as-is. All randomness (slices, decoder init,
-    batch schedule) derives from ``seed`` alone, so runs toward the same
+    Each task is ``(encoders, target_data, budget, seed)``. For each of its
+    encoders, a fresh decoder is first trained alone (warmup), then jointly
+    with a copy of the encoder, on exactly ``budget`` target examples drawn
+    from the non-held-out pool; the returned loss is measured on the task's
+    held-out slice. With budget 0 the encoder is left untouched and only the
+    fresh decoder is trained (on the pool), scoring the source
+    representation as-is. All of a task's randomness (slices, decoder init,
+    batch schedule) derives from its ``seed`` alone, so runs toward the same
     target are directly comparable.
 
-    That shared randomness is what lets the encoders train as one stack:
-    the frozen encoders' latents on the training rows are computed once and
-    the warmup trains only the decoders on them, and the joint phase runs
-    the stack through 3-D matmuls. Member s returns exactly what tuning
-    ``encoders[s]`` alone returns. Returns one (encoder, loss) per member.
+    Tasks that train on the same number of rows, and agree on whether the
+    joint phase runs, train as one stack: one warmup SGD over the frozen
+    encoders' cached latents, then one joint SGD through 3-D matmuls. The
+    members of one task hold one batch-order Generator and so share its
+    order; each task draws its own. Encoder i of task t returns exactly
+    what tuning it alone under that task's seed returns. Returns one list
+    of (encoder, loss) per task. A NumericError names the diverging task
+    and encoder, and carries in ``member`` the encoder's position in the
+    concatenation of every task's encoders.
     """
-    target_data = np.asarray(target_data, dtype=float)
-    if target_data.ndim != 2 or target_data.shape[0] < 2:
-        raise ValueError("need at least 2 target examples (one is held out)")
-    if any(target_data.shape[1] != encoder.input_dim for encoder in encoders):
-        raise ValueError("target feature dim does not match the encoder")
-    pool, heldout = _holdout_split(
-        target_data.shape[0], cfg.holdout_fraction, np.random.default_rng([seed, 0])
-    )
-    if budget > pool.size:
-        raise ValueError(
-            f"budget {budget} exceeds the {pool.size} target examples available "
-            f"after holding out {heldout.size}"
+    prepared = []  # per task: training rows, held-out rows, fresh decoder, batch-order Generator
+    groups: dict[tuple[int, bool], list[int]] = {}  # (training rows, joint phase) -> tasks
+    for t, (encoders, target_data, budget, seed) in enumerate(tasks):
+        target_data = np.asarray(target_data, dtype=float)
+        if target_data.ndim != 2 or target_data.shape[0] < 2:
+            raise ValueError("need at least 2 target examples (one is held out)")
+        if any(target_data.shape[1] != encoder.input_dim for encoder in encoders):
+            raise ValueError("target feature dim does not match the encoder")
+        pool, heldout = _holdout_split(
+            target_data.shape[0], cfg.holdout_fraction, np.random.default_rng([seed, 0])
         )
-    decoder = make_decoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 1]))
-    train_rng = np.random.default_rng([seed, 2])
-    rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
-    enc_params = stack_params(encoders)
-    dec_params = stack_params([decoder] * len(encoders))
-    enc_acts = [layer.activation for layer in encoders[0].layers]
-    dec_acts = [layer.activation for layer in decoder.layers]
+        if budget > pool.size:
+            raise ValueError(
+                f"budget {budget} exceeds the {pool.size} target examples available "
+                f"after holding out {heldout.size}"
+            )
+        decoder = make_decoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 1]))
+        rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
+        prepared.append((rows, target_data[heldout], decoder, np.random.default_rng([seed, 2])))
+        joint = budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0
+        groups.setdefault((len(rows), joint), []).append(t)
 
-    latents = forward_trace(enc_params, enc_acts, rows)[0][-1]
-    sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, train_rng)
-    joint = budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0
-    if joint:
-        sgd_reconstruction(
-            enc_params + dec_params, enc_acts + dec_acts, rows, rows, cfg.finetune, train_rng
-        )
+    results: list[list[tuple[Mlp, float]]] = [[] for _ in tasks]
+    for (_, joint), group in groups.items():
+        owners = [(t, i) for t in group for i in range(len(tasks[t][0]))]
+        encoders = [tasks[t][0][i] for t, i in owners]
+        rows, _, decoders, rngs = zip(*(prepared[t] for t, _ in owners))
+        rows = np.stack(rows)
+        enc_params, dec_params = stack_params(encoders), stack_params(decoders)
+        enc_acts = [layer.activation for layer in encoders[0].layers]
+        dec_acts = [layer.activation for layer in decoders[0].layers]
+        try:
+            latents = forward_trace(enc_params, enc_acts, rows)[0][-1]
+            sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, rngs)
+            if joint:
+                sgd_reconstruction(
+                    enc_params + dec_params, enc_acts + dec_acts, rows, rows, cfg.finetune, rngs
+                )
+        except NumericError as exc:
+            t, i = owners[exc.member]
+            member = sum(len(task[0]) for task in tasks[:t]) + i
+            raise NumericError(f"fine-tune task {t}, encoder {i}: {exc}", member) from exc
 
-    held = target_data[heldout]
-    out = forward_trace(enc_params + dec_params, enc_acts + dec_acts, held)[0][-1]
-    return [
-        (
-            member_mlp(enc_params, s, encoder) if joint else encoder,
-            float(np.mean((out[s] - held) ** 2)),
-        )
-        for s, encoder in enumerate(encoders)
-    ]
+        lo = 0
+        for t in group:
+            held, hi = prepared[t][1], lo + len(tasks[t][0])
+            task_params = [[w[lo:hi], b[lo:hi]] for w, b in enc_params + dec_params]
+            out = forward_trace(task_params, enc_acts + dec_acts, held)[0][-1]
+            results[t] = [
+                (
+                    member_mlp(enc_params, s, encoders[s]) if joint else encoders[s],
+                    float(np.mean((out[s - lo] - held) ** 2)),
+                )
+                for s in range(lo, hi)
+            ]
+            lo = hi
+    return results
 
 
 def fine_tune(
@@ -254,8 +283,8 @@ def fine_tune(
     seed: int,
 ) -> tuple[Mlp, float]:
     """Fine-tune a copy of one encoder toward a target concept: the
-    one-member case of :func:`fine_tune_stack`."""
-    return fine_tune_stack([encoder], target_data, budget, cfg, seed)[0]
+    one-task, one-encoder case of :func:`fine_tune_stack`."""
+    return fine_tune_stack([([encoder], target_data, budget, seed)], cfg)[0][0]
 
 
 def raw_transfer_score(l_ft: float, l_ref: float) -> float:
@@ -382,9 +411,12 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     Concepts with fewer than ``cfg.min_examples`` examples are skipped and
     reported; their pairs are left missing. Concepts with equal example
     counts pretrain their autoencoders as one :func:`train_autoencoder_stack`
-    call, each under a seed derived from (seed, concept). Per target, one
-    :func:`fine_tune_stack` call tunes every source encoder plus the
-    scratch reference, all under seeds derived from (seed, target).
+    call, each under a seed derived from (seed, concept). One
+    :func:`fine_tune_stack` call then tunes, toward every target, each
+    source encoder plus the scratch reference under a seed derived from
+    (seed, target); the targets that train on the same number of rows share
+    one stack. A diverging transfer raises a NumericError that names its
+    source and target concepts.
     """
     catalog = dataset.catalog
     support = dataset.support()
@@ -410,16 +442,24 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
             raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
         pretrained.update((cid, encoder) for cid, (encoder, _, _) in zip(cids, stack))
 
-    transfers = {}
+    tasks, members = [], []  # one task per target: every source encoder, then the scratch reference
     for dst in usable:
         rows = per_concept[dst]
         seed = task_seed(cfg.seed, 2, dst)  # shared by every fine-tune toward dst
-        budget = capped_budget(rows.shape[0], cfg)
         sources = [src for src in usable if src != dst]
         fresh = make_encoder(rows.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
-        stack = [pretrained[src] for src in sources] + [fresh]  # fresh: the scratch reference
-        *tuned, (_, l_ref) = fine_tune_stack(stack, rows, budget, cfg, seed)
-        for src, (encoder, l_ft) in zip(sources, tuned):
+        tasks.append(([pretrained[src] for src in sources] + [fresh], rows, capped_budget(rows.shape[0], cfg), seed))
+        members += [(src, dst) for src in sources] + [(None, dst)]
+    try:
+        tuned = fine_tune_stack(tasks, cfg)
+    except NumericError as exc:
+        src, dst = members[exc.member]
+        what = "scratch reference" if src is None else f"transfer from {catalog.name_of(src)!r}"
+        raise NumericError(f"{what} toward {catalog.name_of(dst)!r}: {exc}", exc.member) from exc
+
+    transfers = {}
+    for dst, (_, _, budget, _), (*stack, (_, l_ref)) in zip(usable, tasks, tuned):
+        for src, (encoder, l_ft) in zip([src for src in usable if src != dst], stack):
             p = raw_transfer_score(l_ft, l_ref)
             record = AffinityRecord(
                 source=src,

@@ -22,7 +22,7 @@ from .affinity import (
     AffinityConfig,
     EncoderConfig,
     capped_budget,
-    fine_tune,
+    fine_tune_stack,
     train_autoencoder_stack,
 )
 from .errors import DataError, NumericError
@@ -31,6 +31,7 @@ from .nets import (
     Mlp,
     SgdConfig,
     backprop,
+    check_schedule,
     epoch_order,
     forward_trace,
     mlp_forward,
@@ -206,6 +207,9 @@ class ErmConfig:
     learning_rate: float = 0.05
     l2: float = 1e-3
 
+    def __post_init__(self) -> None:
+        check_schedule(self)
+
 
 def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: ErmConfig, seeds):
     """Stochastic subgradient descent on the hinge risks of several node
@@ -236,14 +240,15 @@ def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: Er
     y = _signed_labels(members, n_children)
     w = np.zeros((len(members), n_children, z.shape[-1]))
     b = np.zeros((len(members), n_children))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [generators[g] for g in owner]  # a problem's groupings share its batch order
 
     risk = _hinge_risk(_hinge_margins(w, b, z, y), w, cfg.l2)
     history = [risk]
     best_risk, best_w, best_b = risk, w.copy(), b.copy()
     m = z.shape[-2]
     for _ in range(cfg.epochs):
-        order = epoch_order(rngs, m)[owner]
+        order = epoch_order(rngs, m)
         z_epoch, y_epoch = take_rows(z, order), take_rows(y, order)
         for start in range(0, m, cfg.batch_size):
             zb, yb = z_epoch[:, start : start + cfg.batch_size], y_epoch[:, start : start + cfg.batch_size]
@@ -320,39 +325,44 @@ def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tre
     :func:`assign_representations` describes, keyed by the node's subtree:
     a union-tuned encoder starts from its biggest internal child's, so it
     depends on the whole subtree and not on the concept set alone.
-    ``rows_of(key)`` gives the feature rows of concept set ``key``."""
+    ``rows_of(key)`` gives the feature rows of concept set ``key``.
+
+    A union tune needs only its children's encoders, so nodes are visited
+    by height and the union tunes of one height go through one
+    :func:`fine_tune_stack` call."""
     cfg = artifacts.config
-    assignment: dict[Tree, Mlp] = {}
+    heights: dict[Tree, int] = {}  # every distinct internal subtree, leaf-children nodes at 1
 
-    def union_tune(start: Mlp, key: tuple[int, ...]) -> Mlp:
-        rows = rows_of(key)
-        budget = capped_budget(rows.shape[0], cfg)
-        tuned, _ = fine_tune(start, rows, budget, cfg, task_seed(cfg.seed, 4, *key))
-        return tuned
-
-    def walk(node: Tree) -> None:
-        if node in assignment:  # a subtree another tree shares
-            return
-        for child in node.children:
-            if not child.is_leaf:
-                walk(child)
-        key = node_key(node)
-        if all(c.is_leaf for c in node.children):
-            src, dst = _best_pair(key, artifacts)
-            encoder = artifacts.pair_encoders[(src, dst)]
-            if len(key) > 2:
-                encoder = union_tune(encoder, key)
-            assignment[node] = encoder
-        else:
-            biggest = max(
-                (c for c in node.children if not c.is_leaf),
-                key=lambda c: (len(c.leaf_ids()), -c.min_leaf()),
-            )
-            assignment[node] = union_tune(assignment[biggest], key)
+    def height(node: Tree) -> int:
+        if node not in heights:
+            heights[node] = 1 + max((height(c) for c in node.children if not c.is_leaf), default=0)
+        return heights[node]
 
     for tree in trees:
         if not tree.is_leaf:
-            walk(tree)
+            height(tree)
+    assignment: dict[Tree, Mlp] = {}
+    for h in sorted(set(heights.values())):
+        starts: dict[Tree, Mlp] = {}  # node -> the encoder its union tune starts from
+        for node in (node for node, at in heights.items() if at == h):
+            key = node_key(node)
+            if h == 1:
+                encoder = artifacts.pair_encoders[_best_pair(key, artifacts)]
+                if len(key) == 2:
+                    assignment[node] = encoder
+                    continue
+            else:
+                encoder = assignment[max(
+                    (c for c in node.children if not c.is_leaf),
+                    key=lambda c: (len(c.leaf_ids()), -c.min_leaf()),
+                )]
+            starts[node] = encoder
+        tasks = []
+        for node, encoder in starts.items():
+            rows = rows_of(node_key(node))
+            tasks.append(([encoder], rows, capped_budget(len(rows), cfg), task_seed(cfg.seed, 4, *node_key(node))))
+        for node, [(tuned, _)] in zip(starts, fine_tune_stack(tasks, cfg)):
+            assignment[node] = tuned
     return assignment
 
 
@@ -403,7 +413,8 @@ def train_hierarchies(
     - one scratch encoder per distinct concept set, trained in one
       ``train_autoencoder_stack`` call per row count;
     - one artifact encoder per distinct canonical subtree, as a union-tuned
-      encoder depends on the subtree below its node;
+      encoder depends on the subtree below its node; the union tunes of one
+      tree height go through one ``fine_tune_stack`` call;
     - one scorer set per distinct (encoder, child partition), trained in
       one ``train_node_erm_stack`` call per (row count, child count); the
       partitions of one encoder share its rows and batch order.

@@ -9,13 +9,15 @@ Training parameters may carry a leading stack axis (weights (S, out, in),
 biases (S, out)): S same-shaped networks then train as one SGD through 3-D
 ``np.matmul``, and every stack member computes bit for bit what it would
 compute alone. Members either share their inputs and one batch order, or
-each trains on its own rows in the order drawn from its own ``Generator``
-(see :func:`epoch_order` and :func:`take_rows`); problems with different
-row counts go in different stacks, because padded rows would change the sums.
+each trains on its own rows in the order drawn from the ``Generator`` it
+holds, members holding the same Generator sharing its order (see
+:func:`epoch_order` and :func:`take_rows`); problems with different row
+counts go in different stacks, because padded rows would change the sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,11 +153,14 @@ def member_mlp(params, s: int, template: Mlp) -> Mlp:
 
 def epoch_order(rng, n: int) -> np.ndarray:
     """One epoch's batch order over ``n`` rows: a permutation (n,) from one
-    ``Generator``, or one per member (S, n) from a sequence of S of them,
-    each drawing exactly what it would draw alone."""
+    ``Generator``, or one per member (S, n) from a sequence of S of them.
+    Members that hold the same Generator share the one permutation it
+    draws, so each distinct Generator draws exactly what it would draw
+    alone."""
     if isinstance(rng, np.random.Generator):
         return rng.permutation(n)
-    return np.stack([r.permutation(n) for r in rng])
+    drawn = {r: r.permutation(n) for r in dict.fromkeys(rng)}
+    return np.stack([drawn[r] for r in rng])
 
 
 def take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -228,6 +233,21 @@ class SgdConfig:
     learning_rate: float = 0.05
     divergence_limit: float = 1e6
 
+    def __post_init__(self) -> None:
+        check_schedule(self)
+
+
+def check_schedule(cfg) -> None:
+    """Reject an SGD schedule that cannot train: ``epochs`` below 0,
+    ``batch_size`` below 1, or a ``learning_rate`` that is not a finite
+    positive number; the ValueError names the field."""
+    if cfg.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {cfg.epochs}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
+
 
 def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_trainable: int = 0):
     """Mini-batch SGD, in place, on the mean squared error of net(x) against
@@ -238,7 +258,8 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_train
     (S, N, in) for stacked parameters whose members read different inputs
     (say, cached latents of a frozen encoder stack). With a sequence of S
     Generators, member s trains on its own rows, ``x[s]`` against
-    ``target[s]`` (both (S, N, .)), in the order drawn from ``rng[s]``.
+    ``target[s]`` (both (S, N, .)), in the order drawn from ``rng[s]``;
+    members holding the same Generator follow the same order.
     Returns the full-data loss of every member per epoch (entry 0 is the
     pre-training loss). Raises NumericError, naming the member, as soon as
     any member's loss diverges or goes non-finite.

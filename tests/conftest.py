@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from hierclass import Catalog, PlantedSpec, generate_planted
-from hierclass.affinity import AffinityConfig, make_decoder, make_encoder
+from hierclass.affinity import AffinityConfig, capped_budget, make_decoder, make_encoder
 from hierclass.hmodel import (
     HierarchicalClassifier,
     NodeModel,
-    assign_representations,
+    _best_pair,
     child_index_labels,
     classifier_to_json,
     erm_risk_and_grads,
     fuse_tree,
     node_key,
 )
-from hierclass.nets import mlp_forward, task_seed, train_reconstruction
+from hierclass.nets import mlp_forward, reconstruction_loss, task_seed, train_reconstruction
 from hierclass.treespace import canonicalize, internal, leaf, tree_to_text, validate_tree
 
 
@@ -85,6 +85,55 @@ def _plain_autoencoder(data, cfg, seed):
     return encoder, decoder, history[-1]
 
 
+def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
+    """One transfer exactly as a serial per-pair loop runs it: the warmup
+    forwards and backpropagates through the frozen encoder on every batch."""
+    n = target_data.shape[0]
+    order = np.random.default_rng([seed, 0]).permutation(n)
+    n_held = max(1, int(round(cfg.holdout_fraction * n)))
+    pool, heldout = order[n_held:], order[:n_held]
+    decoder = make_decoder(encoder.input_dim, cfg.encoder, np.random.default_rng([seed, 1]))
+    train_rng = np.random.default_rng([seed, 2])
+    rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
+    _, decoder, _ = train_reconstruction(
+        encoder, decoder, rows, cfg.warmup, train_rng, update_encoder=False
+    )
+    if budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0:
+        encoder, decoder, _ = train_reconstruction(
+            encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
+        )
+    return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
+
+
+def _plain_assignment(tree, artifacts, mode, dataset):
+    """``assign_representations`` node by node, every union tune one plain
+    fine-tune: the effective tree and the node-key-to-encoder map."""
+    cfg = artifacts.config
+    tree = canonicalize(tree)
+    tree = fuse_tree(tree) if mode == "fuse" else tree
+    encoders = {}
+
+    def union_tune(start, key):
+        rows = dataset.restrict(key).features
+        return _plain_fine_tune(start, rows, capped_budget(len(rows), cfg), cfg, task_seed(cfg.seed, 4, *key))[0]
+
+    def walk(node):
+        for child in node.children:
+            if not child.is_leaf:
+                walk(child)
+        key = node_key(node)
+        if all(c.is_leaf for c in node.children):
+            encoder = artifacts.pair_encoders[_best_pair(key, artifacts)]
+            encoders[key] = union_tune(encoder, key) if len(key) > 2 else encoder
+        else:
+            biggest = max((c for c in node.children if not c.is_leaf),
+                          key=lambda c: (len(c.leaf_ids()), -c.min_leaf()))
+            encoders[key] = union_tune(encoders[node_key(biggest)], key)
+
+    walk(tree)
+    return tree, encoders
+
+
 def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
     """One node's ERM loop with every step and risk from erm_risk_and_grads."""
     z = mlp_forward(encoder, features)
@@ -108,15 +157,15 @@ def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
 
 def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
     """One hierarchy trained node by node: representations from
-    ``assign_representations`` or a plain scratch autoencoder per node, and
-    the plain ERM loop for each node's scorers."""
+    ``_plain_assignment`` or a plain scratch autoencoder per node, and the
+    plain ERM loop for each node's scorers."""
     tree = canonicalize(tree)
     validate_tree(tree, len(dataset.catalog))
     if artifacts is None:
         encoders = {}
         tree = fuse_tree(tree) if cfg.rep_mode == "fuse" else tree
     else:
-        tree, encoders = assign_representations(tree, artifacts, cfg.rep_mode, dataset)
+        tree, encoders = _plain_assignment(tree, artifacts, cfg.rep_mode, dataset)
     scratch_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
     models = {}
     for node in tree.internal_nodes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _plain_autoencoder, central_difference, rel_err
+from conftest import _plain_autoencoder, _plain_fine_tune, central_difference, rel_err
 from hierclass.affinity import (
     AffinityConfig,
     AffinityMatrix,
@@ -287,26 +287,6 @@ def test_identical_distribution_pair_beats_half():
 # --- batched build against the plain per-pair path -------------------------
 
 
-def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
-    """One transfer exactly as a serial per-pair loop runs it: the warmup
-    forwards and backpropagates through the frozen encoder on every batch."""
-    n = target_data.shape[0]
-    order = np.random.default_rng([seed, 0]).permutation(n)
-    n_held = max(1, int(round(cfg.holdout_fraction * n)))
-    pool, heldout = order[n_held:], order[:n_held]
-    decoder = make_decoder(encoder.input_dim, cfg.encoder, np.random.default_rng([seed, 1]))
-    train_rng = np.random.default_rng([seed, 2])
-    rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
-    _, decoder, _ = train_reconstruction(
-        encoder, decoder, rows, cfg.warmup, train_rng, update_encoder=False
-    )
-    if budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0:
-        encoder, decoder, _ = train_reconstruction(
-            encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
-        )
-    return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
-
-
 def _plain_build(dataset, cfg):
     """Records and pair encoders of a serial loop over every ordered pair."""
     ids = dataset.catalog.ids
@@ -387,12 +367,22 @@ def test_build_matches_plain_path_on_unequal_supports(monkeypatch):
         budget=30,
         seed=4,
     )
-    stacks = []
+    stacks, warmups = [], []
     real = affinity_module.train_autoencoder_stack
     monkeypatch.setattr(affinity_module, "train_autoencoder_stack",
                         lambda d, *a: stacks.append([x.shape[0] for x in d]) or real(d, *a))
+    real_sgd = affinity_module.sgd_reconstruction
+
+    def spy(params, acts, x, target, sgd_cfg, rng, first_trainable=0):
+        if sgd_cfg is cfg.warmup:
+            warmups.append((len(rng), target.shape[-2]))
+        return real_sgd(params, acts, x, target, sgd_cfg, rng, first_trainable)
+
+    monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
     _assert_build_matches_plain(data, cfg)
     assert stacks == [[40, 40], [55], [70]]
+    # held out 8/11/8/14 rows, every target trains on 30: the 4 x 4 transfers warm up as one stack
+    assert warmups == [(16, 30)]
 
 
 def test_autoencoder_stack_members_match_the_plain_path(triple_data_module):
@@ -444,17 +434,50 @@ def test_one_diverging_stack_member_raises():
     wild = Mlp(tuple(Layer(l.weights * 1e3, l.bias, l.activation) for l in calm.layers))
     fine_tune(calm, data, 20, cfg, seed=3)  # each calm member trains fine on its own
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1"):
-        fine_tune_stack([calm, wild, calm], data, 20, cfg, seed=3)
+        fine_tune_stack([([calm, wild, calm], data, 20, 3)], cfg)
+    # across tasks: the error names the task and encoder, and ``member`` counts over all tasks' encoders
+    tasks = [([calm], data, 20, 3), ([calm], data, 15, 4), ([calm, wild], data, 20, 5)]  # task 1 stacks apart
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"task 2, encoder 1: .*stack member 2") as info:
+        fine_tune_stack(tasks, cfg)
+    assert info.value.member == 3
+
+
+def test_transfer_divergence_names_its_concepts(monkeypatch):
+    import hierclass.affinity as affinity_module
+
+    rng = np.random.default_rng(0)
+    data = LabeledDataset(rng.normal(size=(90, 5)) + np.repeat([0, 3, 6], 30)[:, None],
+                          np.repeat([0, 1, 2], 30), Catalog(("a", "b", "c")))
+    cfg = AffinityConfig(encoder=EncoderConfig(hidden_dim=6, latent_dim=2),
+                         warmup=SgdConfig(epochs=5, batch_size=16, learning_rate=1e4))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="transfer from 'b' toward 'a': "):
+        build_affinity_artifacts(data, cfg)
+
+    def diverge(tasks, cfg):  # the third member toward 'b' is its scratch reference
+        raise NumericError("diverged", len(tasks[0][0]) + 2)
+
+    monkeypatch.setattr(affinity_module, "fine_tune_stack", diverge)
+    with pytest.raises(NumericError, match="scratch reference toward 'b': diverged") as info:
+        build_affinity_artifacts(data, cfg)
+    assert info.value.member == 5
 
 
 def test_fine_tune_stack_members_match_single_calls(triple_data_module):
     cfg = AffinityConfig(warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1))
-    target = triple_data_module.of_concept(2)
-    encoders = [train_autoencoder(triple_data_module.of_concept(c), cfg, seed=c)[0] for c in (0, 1)]
-    stacked = fine_tune_stack(encoders, target, 50, cfg, seed=11)
-    for encoder, (tuned, l_ft) in zip(encoders, stacked):
-        alone, l_alone = fine_tune(encoder, target, 50, cfg, seed=11)
-        assert l_ft == l_alone and _same_mlp(tuned, alone)
+    data = [triple_data_module.of_concept(c) for c in range(3)]
+    encoders = [train_autoencoder(data[c], cfg, seed=c)[0] for c in (0, 1)]
+    # tasks 0, 1 and 3 train on 50 rows (their held-out slices differ), task 2 on the
+    # 70-row pool of its target, task 4 on 50 rows without a joint phase
+    tasks = [(encoders, data[2], 50, 11), (encoders[::-1], data[0], 50, 12),
+             (encoders[:1], data[1][:90], 0, 13), (encoders, data[1], 50, 14),
+             (encoders[1:], data[2][:60], 0, 15)]
+    stacked = fine_tune_stack(tasks, cfg)
+    assert [len(results) for results in stacked] == [2, 2, 1, 2, 1]
+    for (members, target, budget, seed), results in zip(tasks, stacked):
+        for encoder, (tuned, l_ft) in zip(members, results):
+            alone, l_alone = fine_tune(encoder, target, budget, cfg, seed)
+            plain, l_plain = _plain_fine_tune(encoder, target, budget, cfg, seed)
+            assert l_ft == l_alone == l_plain and _same_mlp(tuned, alone) and _same_mlp(tuned, plain)
 
 
 # --- holdout and budget arithmetic --------------------------------------------
@@ -487,8 +510,9 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     data = LabeledDataset(feats, np.array([0] * 10 + [1] * 10), Catalog(("a", "b")))
     cfg = AffinityConfig(holdout_fraction=0.96, encoder=EncoderConfig(hidden_dim=6, latent_dim=2))
     matrix = build_affinity_matrix(data, cfg)
-    # one pretraining stack over both concepts' 10 rows, then two transfers whose joint phase ran
-    assert rows_seen == [(cfg.pretrain, 10)] + [(cfg.warmup, 1), (cfg.finetune, 1)] * 2
+    # one pretraining stack over both concepts' 10 rows, then one transfer stack toward both
+    # targets whose joint phase ran
+    assert rows_seen == [(cfg.pretrain, 10), (cfg.warmup, 1), (cfg.finetune, 1)]
     assert [r.budget for r in matrix.records] == [1, 1]
 
 

@@ -258,6 +258,27 @@ def test_affinity_with_a_diverging_concept_exits_3_naming_it(tmp_path, capsys):
     assert not (tmp_path / "a.json").exists()
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("train", ["--hidden-dim", "0"], "hidden_dim"),
+    ("train", ["--latent-dim", "0"], "latent_dim"),
+    ("train", ["--erm-epochs", "-2"], "epochs"),
+    ("affinity", ["--hidden-dim", "0"], "hidden_dim"),
+    ("affinity", ["--warmup-epochs", "-3"], "epochs"),
+    ("affinity", ["--alpha", "nan"], "alpha"),
+    ("affinity", ["--beta", "inf"], "beta"),
+    ("search", ["--pretrain-epochs", "-1"], "epochs"),
+])
+def test_impossible_sizes_are_usage_errors_naming_the_field(tmp_path, planted_csv, capsys, command, flags, field):
+    data, _ = planted_csv
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("((c1,c2),(c3,c4))\n")
+    outputs = {"train": ["--tree", tree, "--out", "clf.json"], "affinity": ["--out", "a.json"],
+               "search": ["--out", "table.csv"]}
+    assert run("--out-dir", tmp_path, command, "--data", data, *outputs[command], *flags) == 1
+    assert f"error: {field} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tree]  # nothing trained, nothing written
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5}))

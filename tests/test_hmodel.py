@@ -790,9 +790,16 @@ def test_train_hierarchies_equals_training_each_tree(rep_mode):
 
 
 @pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
-def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts, rep_mode):
+def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts, rep_mode, monkeypatch):
     train, artifacts = k4_artifacts
+    tuned = []  # the row counts of the union tunes in each fine_tune_stack call
+    real = hmodel.fine_tune_stack
+    monkeypatch.setattr(hmodel, "fine_tune_stack",
+                        lambda tasks, cfg: tuned.append([len(rows) for _, rows, _, _ in tasks]) or real(tasks, cfg))
     shared = _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode), artifacts)
+    # one call per tree height: the flat root; the four distinct subtrees of
+    # height 2, two over all four concepts and two over three; the two nested roots
+    assert tuned == ([[112], [112, 112, 84, 84], [112, 112]] if rep_mode == "keep" else [[112]])
     if rep_mode == "keep":
         first, second = shared[-2].models, shared[-1].models
         for key in ((0, 1, 2), (0, 1, 2, 3)):  # the encoders differ, and so do the root's scorers

@@ -7,6 +7,7 @@ from hierclass.nets import (
     Layer,
     Mlp,
     SgdConfig,
+    epoch_order,
     flatten_params,
     init_mlp,
     member_mlp,
@@ -180,3 +181,29 @@ def test_diverging_reconstruction_stack_member_is_named():
     with pytest.raises(NumericError, match=r"initial state \(stack member 1\)") as info:
         sgd_reconstruction(params, ["identity", "identity"], x, x, cfg, rngs)
     assert info.value.member == 1
+
+
+def test_members_sharing_a_generator_share_its_order():
+    seeds = (3, 8)
+    held = [np.random.default_rng(seed) for seed in seeds]
+    members = [held[0], held[1], held[0], held[0], held[1]]
+    fresh = [np.random.default_rng(seed) for seed in seeds]  # each drawing alone
+    for _ in range(3):  # every epoch, one draw per distinct Generator
+        alone = [rng.permutation(7) for rng in fresh]
+        assert np.array_equal(epoch_order(members, 7), np.stack([alone[0], alone[1], alone[0], alone[0], alone[1]]))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"epochs": -1}, "epochs"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"learning_rate": 0.0}, "learning_rate"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"learning_rate": float("inf")}, "learning_rate"),
+])
+def test_schedules_that_cannot_train_are_rejected_naming_the_field(kwargs, field):
+    from hierclass.hmodel import ErmConfig
+
+    for config in (SgdConfig, ErmConfig):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            config(**kwargs)
+    SgdConfig(epochs=0)  # no epochs is a valid schedule: the initial loss is still checked
