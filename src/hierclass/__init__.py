@@ -42,7 +42,6 @@ from .synth import LabeledDataset, PlantedSpec, generate_planted, load_csv, save
 from .treespace import (
     Catalog,
     Tree,
-    canonicalize,
     count_hierarchies,
     enumerate_hierarchies,
     parse_tree,

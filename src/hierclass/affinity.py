@@ -566,7 +566,7 @@ def affinity_from_json(obj: dict) -> AffinityMatrix:
             if obj["encoder"] is None
             else config_from_json(EncoderConfig, obj["encoder"], "affinity encoder"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad affinity JSON: {exc}") from None
 
 

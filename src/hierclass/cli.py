@@ -213,14 +213,27 @@ def _provenance(args, command: str, inputs: list[str], settings: dict, dataset=N
     }
 
 
+def _read_json(path: str, parse):
+    """``parse`` of the JSON in ``path``; a DataError it raises names the file."""
+    obj = load_json(path)
+    try:
+        return parse(obj)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_tree_file(path: str, catalog: treespace.Catalog) -> treespace.Tree:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if text.startswith("{") or text.startswith("["):
+    """A Newick file, or a JSON one holding the nested-array form alone or
+    under ``tree``; a file that cannot be read or parsed is a DataError
+    naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+        if not (text.startswith("{") or text.startswith("[")):
+            return treespace.parse_tree(text, catalog)
         obj = json.loads(text)
-        if isinstance(obj, dict):
-            obj = obj.get("tree", obj)
-        return treespace.tree_from_json(obj, catalog)
-    return treespace.parse_tree(text, catalog)
+        return treespace.tree_from_json(obj.get("tree", obj) if isinstance(obj, dict) else obj, catalog)
+    except (OSError, ValueError, DataError) as exc:  # ValueError: bad JSON or not UTF-8
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _affinity_config(args) -> aff.AffinityConfig:
@@ -275,7 +288,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = synth.planted_spec_from_json(load_json(args.spec))
+    spec = _read_json(args.spec, synth.planted_spec_from_json)
     dataset = synth.generate_planted(spec, seed=args.seed)
     out = _out_path(args, args.out)
     synth.save_csv(dataset, out)
@@ -357,7 +370,7 @@ def _load_artifacts(path: str) -> aff.AffinityArtifacts:
 
 
 def _cmd_derive(args) -> int:
-    matrix = aff.affinity_from_json(load_json(args.affinity))
+    matrix = _read_json(args.affinity, aff.affinity_from_json)
     if args.linkage == "custom":
         params = drv.LinkageParams(
             preset="custom",
@@ -406,7 +419,7 @@ def _cmd_train(args) -> int:
     if args.artifacts:
         artifacts = _load_artifacts(args.artifacts)
     classifier = hmodel.train_hierarchical(tree, dataset, cfg, artifacts=artifacts)
-    if args.refine_epochs > 0:
+    if args.refine_epochs != 0:  # a negative count reaches refine_global, which rejects it
         result = hmodel.refine_global(
             classifier, dataset, lambda_orth=args.lambda_orth, epochs=args.refine_epochs
         )
@@ -426,7 +439,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    classifier = hmodel.classifier_from_json(load_json(args.clf))
+    classifier = _read_json(args.clf, hmodel.classifier_from_json)
     rows, _, _ = synth.read_csv(args.data, args.label_col)
     expected = classifier.input_dim
     if expected is not None and rows.shape[1] != expected:
@@ -443,7 +456,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    classifier = hmodel.classifier_from_json(load_json(args.clf))
+    classifier = _read_json(args.clf, hmodel.classifier_from_json)
     dataset = synth.load_csv(args.data, catalog=classifier.catalog)
     expected = classifier.input_dim
     if expected is not None and dataset.n_features != expected:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .affinity import AffinityMatrix, DistanceMatrix, affinity_to_json, symmetrize_to_distance
 from .serialize import sha256_of_json
-from .treespace import Catalog, Tree, canonicalize, internal, leaf
+from .treespace import Catalog, Tree, internal, leaf
 
 PRESETS = ("single", "complete", "average", "custom")
 
@@ -153,7 +153,7 @@ def _ordered(a: int, b: int) -> tuple[int, int]:
 
 def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
     """Dissolve every merge with fusion distance >= tau, splicing its
-    children into the parent's child list; returns the canonical tree."""
+    children into the parent's child list."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if dgm.n_leaves == 1:
@@ -171,8 +171,7 @@ def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
         return [internal(kids)]
 
     roots = build(dgm.steps[-1].new_id)
-    tree = roots[0] if len(roots) == 1 else internal(roots)
-    return canonicalize(tree)
+    return roots[0] if len(roots) == 1 else internal(roots)
 
 
 @dataclass(frozen=True)

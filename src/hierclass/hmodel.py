@@ -45,7 +45,6 @@ from .synth import LabeledDataset
 from .treespace import (
     Catalog,
     Tree,
-    canonicalize,
     enumerate_hierarchies,
     internal,
     leaf,
@@ -292,38 +291,17 @@ def _best_pair(members: tuple[int, ...], artifacts: AffinityArtifacts) -> tuple[
     return max(candidates, key=lambda p: (index.get(p, -1.0), -p[0], -p[1]))
 
 
-def assign_representations(
-    tree: Tree,
-    artifacts: AffinityArtifacts,
-    mode: str,
-    dataset: LabeledDataset,
-) -> tuple[Tree, dict[tuple[int, ...], Mlp]]:
-    """Choose an encoder for every internal node from the affinity artifacts.
-
-    Nodes whose children are all leaves reuse the best first-order pair
-    encoder among their concepts (fine-tuned further toward the union when
-    there are more than two). Nodes with subtree children either receive a
-    higher-order encoder, fine-tuned from their largest child's encoder
-    toward the union of all descendants (mode="keep"), or the subtree is
-    flattened first (mode="fuse"). Returns the effective tree and the
-    node-key-to-encoder map.
-    """
-    tree = _represented_tree(canonicalize(tree), mode)
-    assigned = _assigned_encoders([tree], artifacts, lambda key: dataset.restrict(key).features)
-    return tree, {node_key(node): encoder for node, encoder in assigned.items()}
-
-
 def _represented_tree(tree: Tree, mode: str) -> Tree:
-    """The canonical ``tree`` as ``mode`` represents it."""
+    """``tree`` as ``mode`` represents it."""
     if mode not in ("keep", "fuse"):
         raise ValueError(f"unknown representation mode {mode!r}")
     return fuse_tree(tree) if mode == "fuse" else tree
 
 
 def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tree, Mlp]:
-    """The encoder of every internal node of the canonical ``trees``, as
-    :func:`assign_representations` describes, keyed by the node's subtree:
-    a union-tuned encoder starts from its biggest internal child's, so it
+    """The encoder of every internal node of ``trees``, as
+    :func:`train_hierarchies` describes, keyed by the node's subtree: a
+    union-tuned encoder starts from its biggest internal child's, so it
     depends on the whole subtree and not on the concept set alone.
     ``rows_of(key)`` gives the feature rows of concept set ``key``.
 
@@ -404,15 +382,20 @@ def train_hierarchies(
     """Train every node model of each tree, composing the classifiers from
     one node table.
 
-    With affinity artifacts, representations are assigned from them per
-    ``cfg.rep_mode`` (see :func:`assign_representations`); otherwise each
+    With affinity artifacts, every node's representation comes from them.
+    A node whose children are all leaves reuses the best first-order pair
+    encoder among its concepts, fine-tuned further toward the union when
+    there are more than two. A node with subtree children gets an encoder
+    fine-tuned from its largest internal child's toward the union of all its
+    descendants (``rep_mode="keep"``), or the subtree is flattened into one
+    multi-way node first (``rep_mode="fuse"``). Without artifacts each
     node gets a scratch autoencoder trained on its descendants' rows. A
     tree's classifier does not depend on the other trees in the call, but
     no node trains twice and independent problems stack:
 
     - one scratch encoder per distinct concept set, trained in one
       ``train_autoencoder_stack`` call per row count;
-    - one artifact encoder per distinct canonical subtree, as a union-tuned
+    - one artifact encoder per distinct subtree, as a union-tuned
       encoder depends on the subtree below its node; the union tunes of one
       tree height go through one ``fine_tune_stack`` call;
     - one scorer set per distinct (encoder, child partition), trained in
@@ -429,7 +412,6 @@ def train_hierarchies(
                         f"the data has {dataset.n_features}")
     shaped = []
     for tree in trees:
-        tree = canonicalize(tree)
         validate_tree(tree, len(dataset.catalog))
         shaped.append(_represented_tree(tree, cfg.rep_mode))
 
@@ -588,10 +570,13 @@ def refine_global(
     accepts or reverts its own steps on its own risk; otherwise all nodes
     form one block judged on the total. Each trial step is evaluated once,
     and the kept state takes its risks and gradients from that evaluation.
-    Each node's rows and child indices are set up once per call.
+    Each node's rows and child indices are set up once per call. A
+    setting that cannot refine is a ValueError naming the argument.
     """
-    if lambda_orth < 0:
-        raise ValueError("lambda_orth must be nonnegative")
+    for name, value in (("lambda_orth", lambda_orth), ("l2", l2)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    SgdConfig(epochs=epochs, batch_size=1, learning_rate=learning_rate)  # checks epochs and learning_rate
     params, problems = _node_state(classifier, dataset)
     keys = tuple(params)
     blocks = [keys] if lambda_orth else [(key,) for key in keys]
@@ -784,6 +769,6 @@ def classifier_from_json(obj: dict) -> HierarchicalClassifier:
         return HierarchicalClassifier(
             tree=tree, catalog=catalog, models=models, provenance=obj.get("provenance", {})
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad classifier JSON: {exc}") from None
 

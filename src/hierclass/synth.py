@@ -167,6 +167,8 @@ def planted_spec_from_json(obj: dict) -> PlantedSpec:
         )
     except KeyError as exc:
         raise DataError(f"planted spec missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad planted spec: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Rooted concept hierarchies: exact counting, exhaustive enumeration,
-canonical forms, and Newick/JSON serialization.
+uniform sampling, and Newick/JSON serialization.
 
 Concepts are dense integer ids 0..K-1 into a :class:`Catalog` of display
 names. A hierarchy is a rooted tree whose leaves are the concepts (each
 exactly once) and whose internal nodes have at least two children. Child
-order carries no meaning; the canonical form orders children by their
-smallest descendant leaf id.
+order carries no meaning, so a :class:`Tree` is canonical when it is built:
+its children are stored in order of their smallest descendant leaf id.
+Equal unordered hierarchies therefore compare equal, hash alike and print
+alike, however their children were listed.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ class Catalog:
 
 @dataclass(frozen=True)
 class Tree:
-    """Leaf (``concept`` set) or internal node (>= 2 ``children``)."""
+    """Leaf (``concept`` set) or internal node (>= 2 ``children``).
+
+    The children are stored sorted by their smallest leaf id (a stable
+    sort), whatever order they were given in."""
 
     concept: int | None = None
     children: tuple["Tree", ...] = ()
@@ -71,6 +76,7 @@ class Tree:
         if self.concept is None:
             if len(self.children) < 2:
                 raise ValueError("internal nodes need at least 2 children")
+            object.__setattr__(self, "children", tuple(sorted(self.children, key=Tree.min_leaf)))
         else:
             if self.children:
                 raise ValueError("a leaf cannot have children")
@@ -92,9 +98,7 @@ class Tree:
         return self._leaf_ids
 
     def min_leaf(self) -> int:
-        if self.is_leaf:
-            return self.concept
-        return min(child.min_leaf() for child in self.children)
+        return self._leaf_ids[0]  # children are sorted by it, so it leads
 
     def height(self) -> int:
         """Edge count of the longest root-to-leaf path; 0 for a single leaf."""
@@ -132,18 +136,6 @@ def validate_tree(tree: Tree, catalog_size: int) -> None:
         raise ValueError(
             f"tree leaves {sorted(leaves)} do not cover concepts 0..{catalog_size - 1} exactly once"
         )
-
-
-def canonicalize(tree: Tree) -> Tree:
-    """Recursively order children by smallest descendant leaf id.
-
-    Two trees are equal as unordered hierarchies iff their canonical forms
-    compare equal. Idempotent.
-    """
-    if tree.is_leaf:
-        return tree
-    kids = sorted((canonicalize(c) for c in tree.children), key=Tree.min_leaf)
-    return Tree(children=tuple(kids))
 
 
 def count_hierarchies(k: int) -> int:
@@ -194,7 +186,7 @@ def _trees_over(ids: tuple[int, ...], memo: dict) -> tuple[Tree, ...]:
                 continue
             options = [_trees_over(block, memo) for block in part]
             for combo in itertools.product(*options):
-                out.append(canonicalize(Tree(children=combo)))
+                out.append(Tree(children=combo))
         # construction is duplicate-free per partition; dedup is belt and braces
         result = tuple(dict.fromkeys(out))
     memo[ids] = result
@@ -204,7 +196,7 @@ def _trees_over(ids: tuple[int, ...], memo: dict) -> tuple[Tree, ...]:
 def enumerate_hierarchies(
     concepts: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Tree]:
-    """All distinct canonical hierarchies with the given concepts as leaves.
+    """All distinct hierarchies with the given concepts as leaves.
 
     Built recursively: a tree over a set S is a single leaf (|S| = 1) or an
     internal node whose children are trees over the blocks of a partition of
@@ -236,7 +228,7 @@ def sample_hierarchy(concepts: Sequence[int], rng) -> Tree:
     ids = tuple(sorted(concepts))
     if len(ids) > _SAMPLING_CAP:
         raise ValueError(f"sampling supported up to {_SAMPLING_CAP} concepts")
-    return canonicalize(_sample(ids, rng))
+    return _sample(ids, rng)
 
 
 def _sample(ids: tuple[int, ...], rng) -> Tree:
@@ -266,7 +258,7 @@ def tree_to_text(tree: Tree, catalog: Catalog) -> str:
 
 
 def parse_tree(text: str, catalog: Catalog) -> Tree:
-    """Parse the Newick-style form back into a canonical tree.
+    """Parse the Newick-style form back into a tree.
 
     Rejects malformed text, unknown concept names, single-child groups, and
     trees whose leaves are not exactly the catalog.
@@ -278,7 +270,7 @@ def parse_tree(text: str, catalog: Catalog) -> Tree:
 
 
 def _covering(node: Tree, catalog: Catalog) -> Tree:
-    """``node`` canonicalized, once its leaves are checked to be exactly the catalog."""
+    """``node``, once its leaves are checked to be exactly the catalog."""
     seen = node.leaf_ids()
     if len(set(seen)) != len(seen):
         raise TreeParseError("duplicate concept in tree")
@@ -286,7 +278,7 @@ def _covering(node: Tree, catalog: Catalog) -> Tree:
     if missing:
         names = ", ".join(catalog.name_of(i) for i in sorted(missing))
         raise TreeParseError(f"tree does not cover concepts: {names}")
-    return canonicalize(node)
+    return node
 
 
 def _parse_node(text: str, pos: int, catalog: Catalog) -> tuple[Tree, int]:

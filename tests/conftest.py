@@ -17,7 +17,7 @@ from hierclass.hmodel import (
     node_key,
 )
 from hierclass.nets import mlp_forward, reconstruction_loss, task_seed, train_reconstruction
-from hierclass.treespace import canonicalize, internal, leaf, tree_to_text, validate_tree
+from hierclass.treespace import internal, leaf, tree_to_text, validate_tree
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -106,10 +106,10 @@ def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
 
 
 def _plain_assignment(tree, artifacts, mode, dataset):
-    """``assign_representations`` node by node, every union tune one plain
-    fine-tune: the effective tree and the node-key-to-encoder map."""
+    """The artifact encoders ``train_hierarchies`` assigns, node by node,
+    every union tune one plain fine-tune: the effective tree and the
+    node-key-to-encoder map."""
     cfg = artifacts.config
-    tree = canonicalize(tree)
     tree = fuse_tree(tree) if mode == "fuse" else tree
     encoders = {}
 
@@ -159,7 +159,6 @@ def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
     """One hierarchy trained node by node: representations from
     ``_plain_assignment`` or a plain scratch autoencoder per node, and the
     plain ERM loop for each node's scorers."""
-    tree = canonicalize(tree)
     validate_tree(tree, len(dataset.catalog))
     if artifacts is None:
         encoders = {}

@@ -112,7 +112,7 @@ def test_criterion_02_enumeration_oracle():
     start = time.time()
     ok = True
     detail = []
-    for k in range(1, 7):
+    for k in range(1, 8):
         trees = enumerate_hierarchies(range(k))
         distinct = len(set(trees)) == len(trees)
         for tree in trees:

@@ -279,6 +279,67 @@ def test_impossible_sizes_are_usage_errors_naming_the_field(tmp_path, planted_cs
     assert list(tmp_path.iterdir()) == [tree]  # nothing trained, nothing written
 
 
+@pytest.mark.parametrize("flags, argument", [
+    (["--refine-epochs", "2", "--lambda-orth", "nan"], "lambda_orth"),
+    (["--refine-epochs", "2", "--lambda-orth", "-1"], "lambda_orth"),
+    (["--refine-epochs", "-2"], "epochs"),
+])
+def test_impossible_refinement_is_a_usage_error_naming_the_argument(tmp_path, planted_csv, capsys, flags, argument):
+    data, _ = planted_csv
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tree, "--out", "clf.json",
+               *FAST, *flags) == 1
+    assert f"error: {argument} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tree]
+
+
+def _edited_json(edit):
+    """The JSON text with ``edit`` applied to its parsed object in place."""
+    def apply(text):
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return apply
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("synth", _edited_json(lambda o: o.update(names=5))),
+    ("synth", _edited_json(lambda o: o.update(feature_dim="x"))),
+    ("synth", _edited_json(lambda o: o.update(level_offsets=[3.0, 9.0]))),
+    ("train", lambda text: text[: len(text) // 2]),
+    ("train", None),
+    ("train", lambda text: "((c1,c2),(c3,zz))"),
+    ("train", lambda text: "((c1,c2),(c3,c\u00e9))".encode("latin-1")),
+    ("predict", _edited_json(lambda o: o["nodes"][0].update(children=o["nodes"][0]["children"][:1]))),
+    ("predict", _edited_json(lambda o: o["nodes"][0]["encoder"]["layers"][0].update(activation="tanh"))),
+    ("predict", _edited_json(lambda o: o["nodes"].pop(0))),
+    ("derive", _edited_json(lambda o: o["entries"][0].update(p=1.5))),
+    ("derive", _edited_json(lambda o: o["entries"][0].update(dst=o["entries"][0]["src"]))),
+], ids=["spec-names-not-a-list", "spec-feature-dim-not-a-number", "spec-offsets-increase",
+        "tree-truncated", "tree-missing", "tree-unknown-name", "tree-not-utf8",
+        "clf-node-with-one-child", "clf-unknown-activation", "clf-node-missing",
+        "affinity-p-above-1", "affinity-self-pair"])
+def test_malformed_json_input_is_a_data_error_naming_the_file(tmp_path, planted_csv, trained_clf, capsys,
+                                                               command, corrupt):
+    data, spec = planted_csv
+    bad = tmp_path / "bad.json"
+    source = {"synth": spec.read_text(), "train": '[["c1", "c2"], ["c3", "c4"]]',
+              "predict": trained_clf.read_text(), "derive": (FIXTURES / "affinity_3concepts.json").read_text()}
+    if corrupt is not None:
+        text = corrupt(source[command])
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = {"synth": ["--spec", bad, "--out", "x.csv"],
+            "train": ["--data", data, "--tree", bad, "--out", "clf.json", *FAST],
+            "predict": ["--clf", bad, "--data", data, "--out", "p.csv"],
+            "derive": ["--affinity", bad, "--out", "t.nwk"]}
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, command, *argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: "), err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if corrupt is None else ["bad.json"])
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5}))

@@ -37,7 +37,6 @@ from hierclass.nets import ACTIVATIONS, Layer, Mlp, SgdConfig, init_mlp, params_
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import (
     Catalog,
-    canonicalize,
     count_hierarchies,
     enumerate_hierarchies,
     internal,
@@ -293,11 +292,16 @@ def triple_setup():
     return catalog, tree, data, artifacts
 
 
-def test_assignment_first_order_and_higher_order(triple_setup):
-    from hierclass.hmodel import assign_representations
+def _assigned(tree, artifacts, rep_mode, data):
+    """The effective tree and the node-key-to-encoder map ``train_hierarchical``
+    builds from the artifacts."""
+    clf = train_hierarchical(tree, data, replace(HierTrainConfig(seed=3), rep_mode=rep_mode), artifacts)
+    return clf.tree, {key: model.encoder for key, model in clf.models.items()}
 
+
+def test_assignment_first_order_and_higher_order(triple_setup):
     catalog, tree, data, artifacts = triple_setup
-    eff_tree, assignment = assign_representations(tree, artifacts, "keep", data)
+    eff_tree, assignment = _assigned(tree, artifacts, "keep", data)
     assert eff_tree == tree
     pair_encoders = {id(m) for m in artifacts.pair_encoders.values()}
     assert id(assignment[(0, 1)]) in pair_encoders  # first-order reuse
@@ -305,20 +309,16 @@ def test_assignment_first_order_and_higher_order(triple_setup):
 
 
 def test_assignment_flat_tree_single_union_encoder(triple_setup):
-    from hierclass.hmodel import assign_representations
-
     catalog, _, data, artifacts = triple_setup
-    eff_tree, assignment = assign_representations(flat_tree(3), artifacts, "keep", data)
+    eff_tree, assignment = _assigned(flat_tree(3), artifacts, "keep", data)
     assert list(assignment) == [(0, 1, 2)]
     pair_encoders = {id(m) for m in artifacts.pair_encoders.values()}
     assert id(assignment[(0, 1, 2)]) not in pair_encoders  # tuned on the union
 
 
 def test_fuse_mode_flattens_subtree(triple_setup):
-    from hierclass.hmodel import assign_representations
-
     catalog, tree, data, artifacts = triple_setup
-    eff_tree, assignment = assign_representations(tree, artifacts, "fuse", data)
+    eff_tree, assignment = _assigned(tree, artifacts, "fuse", data)
     assert eff_tree == flat_tree(3)  # Fig-2-style 3-way node
     assert list(assignment) == [(0, 1, 2)]
 
@@ -332,7 +332,6 @@ def test_fuse_tree_shapes():
 
 def test_assignment_missing_artifact_errors(triple_setup):
     from hierclass.affinity import AffinityArtifacts
-    from hierclass.hmodel import assign_representations
 
     catalog, tree, data, artifacts = triple_setup
     gutted = AffinityArtifacts(
@@ -342,7 +341,7 @@ def test_assignment_missing_artifact_errors(triple_setup):
         input_dim=artifacts.input_dim,
     )
     with pytest.raises(DataError, match="no affinity encoder"):
-        assign_representations(tree, gutted, "keep", data)
+        train_hierarchical(tree, data, HierTrainConfig(seed=3), gutted)
 
 
 def test_train_hierarchical_with_artifacts_predicts(triple_setup):
@@ -420,6 +419,17 @@ def test_refine_rejects_negative_lambda(trained_triple):
     clf, data = trained_triple
     with pytest.raises(ValueError):
         refine_global(clf, data, lambda_orth=-1.0)
+
+
+@pytest.mark.parametrize("setting", [
+    {"lambda_orth": float("nan")}, {"lambda_orth": float("inf")},
+    {"learning_rate": 0.0}, {"learning_rate": -0.1}, {"learning_rate": float("nan")},
+    {"epochs": -1}, {"l2": -1.0}, {"l2": float("inf")},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_refine_rejects_impossible_settings_naming_the_argument(trained_triple, setting):
+    clf, data = trained_triple
+    with pytest.raises(ValueError, match=f"^{next(iter(setting))} must"):
+        refine_global(clf, data, **setting)
 
 
 def test_refine_lambda_zero_never_raises_node_risks(trained_triple):
@@ -745,7 +755,7 @@ def test_search_on_unequal_supports_equals_training_every_tree(monkeypatch):
     assert all(len(rows) == 1 for rows in erm_rows)
 
 
-# children deliberately out of canonical order
+# children listed out of canonical order, which construction sorts
 _T = internal([internal([leaf(3), leaf(2)]), internal([leaf(1), leaf(0)])])
 _U = internal([internal([leaf(2), leaf(0)]), leaf(3), leaf(1)])
 _V = internal([leaf(3), internal([leaf(2), internal([leaf(1), leaf(0)])])])
@@ -756,7 +766,9 @@ _V = internal([leaf(3), internal([leaf(2), internal([leaf(1), leaf(0)])])])
 # (a,b,c), and so of the root, start from different child encoders
 _NESTED = [internal([internal([internal([leaf(0), leaf(1)]), leaf(2)]), leaf(3)]),
            internal([internal([leaf(0), internal([leaf(1), leaf(2)])]), leaf(3)])]
-_TREES = [_T, _U, _T, _V, flat_tree(4), canonicalize(_V), *_NESTED]
+# the last tree before _NESTED equals _V, its children listed another way
+_TREES = [_T, _U, _T, _V, flat_tree(4), internal([internal([internal([leaf(0), leaf(1)]), leaf(2)]), leaf(3)]),
+          *_NESTED]
 FAST_AFF_CFG = AffinityConfig(
     encoder=EncoderConfig(hidden_dim=6, latent_dim=2),
     pretrain=SgdConfig(epochs=8, batch_size=32, learning_rate=0.1),

@@ -7,7 +7,6 @@ from hierclass.errors import TreeParseError
 from hierclass.treespace import (
     Catalog,
     Tree,
-    canonicalize,
     count_hierarchies,
     enumerate_hierarchies,
     internal,
@@ -72,17 +71,39 @@ def _shuffled(tree: Tree, rng) -> Tree:
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 25), st.integers(0, 10**6))
-def test_canonicalize_invariant_under_child_permutation(idx, shuffle_seed):
+def test_construction_is_invariant_under_child_permutation(idx, shuffle_seed):
     tree = enumerate_hierarchies(range(4))[idx]
     shuffled = _shuffled(tree, np.random.default_rng(shuffle_seed))
-    assert canonicalize(shuffled) == tree
+    assert shuffled == tree
+    assert shuffled.children == tree.children
 
 
-def test_canonicalize_idempotent_and_orders_by_min_leaf():
-    messy = internal([internal([leaf(2), leaf(1)]), leaf(0)])
-    canon = canonicalize(messy)
-    assert canon == internal([leaf(0), internal([leaf(1), leaf(2)])])
-    assert canonicalize(canon) == canon
+def test_construction_orders_children_by_min_leaf():
+    tree = internal([internal([leaf(2), leaf(1)]), leaf(0)])
+    assert tree.children == (leaf(0), internal([leaf(1), leaf(2)]))
+    assert tree.children[1].children == (leaf(1), leaf(2))
+    assert tree.leaf_ids() == (0, 1, 2)
+    assert Tree(children=tree.children) == tree  # rebuilding a built tree changes nothing
+
+
+def _oracle_min(tree: Tree) -> int:
+    """Smallest leaf id, by recursion over the children as stored."""
+    return tree.concept if tree.is_leaf else min(_oracle_min(c) for c in tree.children)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_built_trees_are_canonical_at_every_level(k, tree_seed, shuffle_seed):
+    cat = Catalog(tuple(f"c{i}" for i in range(k)))
+    tree = sample_hierarchy(range(k), np.random.default_rng(tree_seed))
+    shuffled = _shuffled(tree, np.random.default_rng(shuffle_seed))
+    assert shuffled == tree
+    assert hash(shuffled) == hash(tree)
+    assert tree_to_text(shuffled, cat) == tree_to_text(tree, cat)
+    for node in shuffled.subtrees():
+        assert node.min_leaf() == min(node.leaf_ids()) == _oracle_min(node)
+        mins = [_oracle_min(c) for c in node.children]
+        assert mins == sorted(mins)
 
 
 def test_tree_construction_invariants():
