@@ -30,9 +30,10 @@ from .errors import DataError, NumericError
 from .nets import (
     Mlp,
     SgdConfig,
-    forward_trace,
+    forward,
     init_mlp,
     member_mlp,
+    member_mse,
     sgd_reconstruction,
     stack_params,
     task_seed,
@@ -248,7 +249,7 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
         enc_acts = [layer.activation for layer in encoders[0].layers]
         dec_acts = [layer.activation for layer in decoders[0].layers]
         try:
-            latents = forward_trace(enc_params, enc_acts, rows)[0][-1]
+            latents = forward(enc_params, enc_acts, rows)
             sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, rngs)
             if joint:
                 sgd_reconstruction(
@@ -263,12 +264,9 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
         for t in group:
             held, hi = prepared[t][1], lo + len(tasks[t][0])
             task_params = [[w[lo:hi], b[lo:hi]] for w, b in enc_params + dec_params]
-            out = forward_trace(task_params, enc_acts + dec_acts, held)[0][-1]
+            losses = member_mse(task_params, enc_acts + dec_acts, held, held)
             results[t] = [
-                (
-                    member_mlp(enc_params, s, encoders[s]) if joint else encoders[s],
-                    float(np.mean((out[s - lo] - held) ** 2)),
-                )
+                (member_mlp(enc_params, s, encoders[s]) if joint else encoders[s], float(losses[s - lo]))
                 for s in range(lo, hi)
             ]
             lo = hi

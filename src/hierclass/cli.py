@@ -412,6 +412,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    hmodel.check_refinement(args.lambda_orth, args.refine_epochs)  # the settings land in provenance too
     dataset = synth.load_csv(args.data)
     tree = _read_tree_file(args.tree, dataset.catalog)
     cfg = _train_config(args)
@@ -419,7 +420,7 @@ def _cmd_train(args) -> int:
     if args.artifacts:
         artifacts = _load_artifacts(args.artifacts)
     classifier = hmodel.train_hierarchical(tree, dataset, cfg, artifacts=artifacts)
-    if args.refine_epochs != 0:  # a negative count reaches refine_global, which rejects it
+    if args.refine_epochs != 0:
         result = hmodel.refine_global(
             classifier, dataset, lambda_orth=args.lambda_orth, epochs=args.refine_epochs
         )

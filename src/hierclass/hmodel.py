@@ -153,6 +153,8 @@ def predict(classifier: HierarchicalClassifier, x: np.ndarray) -> int:
 
 # The kernel comes in parts so that SGD steps skip the risk and per-epoch
 # risks skip the gradients; ``y`` holds the +-1 child labels (..., m, n).
+# A row's hinge 1 - y s is active where y s < 1; its slope d(risk)/d(s) is
+# then -y / m, m being the rows the risk averages over.
 
 
 def _signed_labels(child_idx: np.ndarray, n_children: int) -> np.ndarray:
@@ -160,20 +162,30 @@ def _signed_labels(child_idx: np.ndarray, n_children: int) -> np.ndarray:
     return np.where(child_idx[..., None] == np.arange(n_children), 1.0, -1.0)
 
 
-def _hinge_margins(scorer_w, scorer_b, z, y):
-    return 1.0 - y * (z @ scorer_w.swapaxes(-1, -2) + scorer_b[..., None, :])
+def _signed_scores(scorer_w, scorer_b, z, y):
+    """y s per row and scorer, in a new array."""
+    ys = z @ scorer_w.swapaxes(-1, -2)
+    ys += scorer_b[..., None, :]
+    ys *= y
+    return ys
 
 
-def _hinge_risk(margins, scorer_w, l2):
+def _hinge_risk(ys, scorer_w, l2):
+    """The risk of signed scores ``ys``, overwriting them with the hinges."""
+    np.subtract(1.0, ys, out=ys)
+    np.fmax(ys, 0.0, out=ys)  # NaN hinges count 0; 1 - y s is never -0.0
     # per-member sums over one contiguous run, as a single member sums alone
-    members = margins.shape[:-2]
-    hinge = np.where(margins > 0, margins, 0.0).reshape(members + (-1,)).sum(axis=-1)
-    return hinge / margins.shape[-2] + l2 * (scorer_w**2).reshape(members + (-1,)).sum(axis=-1)
+    members = ys.shape[:-2]
+    hinge = np.add.reduce(ys.reshape(members + (-1,)), axis=-1)
+    return hinge / ys.shape[-2] + l2 * np.add.reduce((scorer_w**2).reshape(members + (-1,)), axis=-1)
 
 
-def _hinge_grads(margins, y, scorer_w, z, l2):
-    ds = -(y * (margins > 0)) / margins.shape[-2]
-    return ds.swapaxes(-1, -2) @ z + 2.0 * l2 * scorer_w, ds.sum(axis=-2), ds
+def _hinge_grads(ys, slope, scorer_w, z, l2):
+    """(dW, db, ds) from signed scores and the active-row slopes -y / m."""
+    ds = slope * (ys < 1.0)
+    dw = ds.swapaxes(-1, -2) @ z
+    dw += 2.0 * l2 * scorer_w
+    return dw, np.add.reduce(ds, axis=-2), ds
 
 
 def erm_risk_and_grads(
@@ -193,9 +205,9 @@ def erm_risk_and_grads(
     refinement backpropagates into the encoder.
     """
     y = _signed_labels(child_idx, scorer_w.shape[-2])
-    margins = _hinge_margins(scorer_w, scorer_b, z, y)
-    risk = _hinge_risk(margins, scorer_w, l2)
-    dw, db, ds = _hinge_grads(margins, y, scorer_w, z, l2)
+    ys = _signed_scores(scorer_w, scorer_b, z, y)
+    dw, db, ds = _hinge_grads(ys, -y / z.shape[-2], scorer_w, z, l2)
+    risk = _hinge_risk(ys, scorer_w, l2)
     return (risk if risk.ndim else float(risk)), dw, db, ds
 
 
@@ -242,19 +254,26 @@ def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: Er
     generators = [np.random.default_rng(seed) for seed in seeds]
     rngs = [generators[g] for g in owner]  # a problem's groupings share its batch order
 
-    risk = _hinge_risk(_hinge_margins(w, b, z, y), w, cfg.l2)
+    risk = _hinge_risk(_signed_scores(w, b, z, y), w, cfg.l2)
     history = [risk]
     best_risk, best_w, best_b = risk, w.copy(), b.copy()
     m = z.shape[-2]
+    tail = m % cfg.batch_size  # rows in a short last batch
     for _ in range(cfg.epochs):
         order = epoch_order(rngs, m)
         z_epoch, y_epoch = take_rows(z, order), take_rows(y, order)
+        slope_epoch = y_epoch / -cfg.batch_size
+        if tail:
+            slope_epoch[:, m - tail :] = y_epoch[:, m - tail :] / -tail
         for start in range(0, m, cfg.batch_size):
-            zb, yb = z_epoch[:, start : start + cfg.batch_size], y_epoch[:, start : start + cfg.batch_size]
-            dw, db, _ = _hinge_grads(_hinge_margins(w, b, zb, yb), yb, w, zb, cfg.l2)
-            w -= cfg.learning_rate * dw
-            b -= cfg.learning_rate * db
-        risk = _hinge_risk(_hinge_margins(w, b, z, y), w, cfg.l2)
+            rows = slice(start, start + cfg.batch_size)
+            zb, yb = z_epoch[:, rows], y_epoch[:, rows]
+            dw, db, _ = _hinge_grads(_signed_scores(w, b, zb, yb), slope_epoch[:, rows], w, zb, cfg.l2)
+            dw *= cfg.learning_rate
+            w -= dw
+            db *= cfg.learning_rate
+            b -= db
+        risk = _hinge_risk(_signed_scores(w, b, z, y), w, cfg.l2)
         history.append(risk)
         better = risk < best_risk
         best_risk = np.where(better, risk, best_risk)
@@ -516,14 +535,14 @@ def _objective_on_params(classifier, problems, lambda_orth, l2, params):
     for key, (features, child_idx) in problems.items():
         *enc_params, (scorer_w, scorer_b) = params[key]
         acts = [l.activation for l in classifier.models[key].encoder.layers]
-        outputs, preacts = forward_trace(enc_params, acts, features)
+        outputs = forward_trace(enc_params, acts, features)
         risk, dw, db, ds = erm_risk_and_grads(scorer_w, scorer_b, outputs[-1], child_idx, l2)
         node_risks[key] = risk
         total += risk
         *enc_grads, scorer_grads = grads[key]
         scorer_grads[0] += dw
         scorer_grads[1] += db
-        for g, (gw, gb) in zip(enc_grads, backprop(enc_params, acts, outputs, preacts, ds @ scorer_w)):
+        for g, (gw, gb) in zip(enc_grads, backprop(enc_params, acts, outputs, ds @ scorer_w)):
             g[0] += gw
             g[1] += gb
 
@@ -541,6 +560,14 @@ def _objective_on_params(classifier, problems, lambda_orth, l2, params):
 
 
 DEFAULT_LAMBDA_ORTH = 0.1
+
+
+def check_refinement(lambda_orth: float, epochs: int, learning_rate: float = 0.1, l2: float = 1e-3) -> None:
+    """Reject a refinement setting that cannot refine: a ValueError naming the argument."""
+    for name, value in (("lambda_orth", lambda_orth), ("l2", l2)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    SgdConfig(epochs=epochs, batch_size=1, learning_rate=learning_rate)  # checks epochs and learning_rate
 
 
 @dataclass(frozen=True)
@@ -573,10 +600,7 @@ def refine_global(
     Each node's rows and child indices are set up once per call. A
     setting that cannot refine is a ValueError naming the argument.
     """
-    for name, value in (("lambda_orth", lambda_orth), ("l2", l2)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    SgdConfig(epochs=epochs, batch_size=1, learning_rate=learning_rate)  # checks epochs and learning_rate
+    check_refinement(lambda_orth, epochs, learning_rate, l2)
     params, problems = _node_state(classifier, dataset)
     keys = tuple(params)
     blocks = [keys] if lambda_orth else [(key,) for key in keys]

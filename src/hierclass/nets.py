@@ -13,6 +13,11 @@ each trains on its own rows in the order drawn from the ``Generator`` it
 holds, members holding the same Generator sharing its order (see
 :func:`epoch_order` and :func:`take_rows`); problems with different row
 counts go in different stacks, because padded rows would change the sums.
+
+The kernels work in place, and a kernel writes only into arrays it
+allocated: never into inputs, targets or cached latents, SGD updating the
+caller's training parameters as documented. A forward that no backprop
+follows keeps no intermediate layer.
 """
 
 from __future__ import annotations
@@ -28,24 +33,19 @@ from .errors import NumericError
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply activation ``name`` to ``z`` in place; returns ``z``."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
+        np.maximum(z, 0.0, out=z)
+    elif name == "sigmoid":
+        np.negative(z, out=z)
         with np.errstate(over="ignore"):  # exp(-z) is inf below z of about -709: the sigmoid's limit 0 follows
-            e = np.exp(-z)
-        return 1.0 / (1.0 + e)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(f"unknown activation {name!r}")
+            np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    elif name != "identity":
+        raise ValueError(f"unknown activation {name!r}")
+    return z
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -114,10 +114,8 @@ def init_mlp(dims: Sequence[int], activations: Sequence[str], rng) -> Mlp:
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """Apply the network to a batch (N, input_dim) -> (N, output_dim)."""
-    a = np.asarray(x, dtype=float)
-    for layer in mlp.layers:
-        a = _apply_activation(layer.activation, a @ layer.weights.T + layer.bias)
-    return a
+    params = [[layer.weights, layer.bias] for layer in mlp.layers]
+    return forward(params, [layer.activation for layer in mlp.layers], np.asarray(x, dtype=float))
 
 
 # --- mutable training representation ---------------------------------------
@@ -174,33 +172,49 @@ def take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.take(a.reshape(s * n, -1), rows + n * np.arange(s)[:, None], axis=0)
 
 
-def forward_trace(params, acts, x):
-    """Forward keeping per-layer preactivations and outputs for backprop.
+def _layer(w, b, act, a):
+    z = a @ w.swapaxes(-1, -2)
+    z += b[..., None, :]
+    return _activate(act, z)
+
+
+def forward(params, acts, x):
+    """The network's output on ``x``, keeping no intermediate layer.
 
     With stacked parameters, ``x`` is (N, in) shared by every member or
     (S, N, in) with one slice per member."""
-    a = x
-    outputs = [x]
-    preacts = []
     for (w, b), act in zip(params, acts):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
-        a = _apply_activation(act, z)
-        preacts.append(z)
-        outputs.append(a)
-    return outputs, preacts
+        x = _layer(w, b, act, x)
+    return x
 
 
-def backprop(params, acts, outputs, preacts, delta):
-    """Gradients of a scalar loss given d(loss)/d(output) = delta."""
+def forward_trace(params, acts, x):
+    """Forward keeping every layer's input and output for :func:`backprop`:
+    ``[x, layer 1 output, ..., network output]``."""
+    outputs = [x]
+    for (w, b), act in zip(params, acts):
+        outputs.append(_layer(w, b, act, outputs[-1]))
+    return outputs
+
+
+def backprop(params, acts, outputs, delta):
+    """Gradients of a scalar loss given d(loss)/d(output) = delta.
+
+    A ReLU passes where its output is positive, which is where its
+    pre-activation is; a sigmoid's derivative is a (1 - a)."""
     grads = [None] * len(params)
     for i in range(len(params) - 1, -1, -1):
-        w, _ = params[i]
-        dz = delta
-        if acts[i] != "identity":
-            dz = delta * _activation_deriv(acts[i], preacts[i], outputs[i + 1])
-        grads[i] = [dz.swapaxes(-1, -2) @ outputs[i], dz.sum(axis=-2)]
+        a = outputs[i + 1]
+        if acts[i] == "relu":
+            delta = delta * (a > 0.0)
+        elif acts[i] == "sigmoid":
+            deriv = 1.0 - a
+            deriv *= a
+            deriv *= delta
+            delta = deriv
+        grads[i] = [delta.swapaxes(-1, -2) @ outputs[i], np.add.reduce(delta, axis=-2)]
         if i > 0:
-            delta = dz @ w
+            delta = delta @ params[i][0]
     return grads
 
 
@@ -212,18 +226,26 @@ def reconstruction_loss(encoder: Mlp, decoder: Mlp, x: np.ndarray) -> float:
 
 
 def _mse_grads(params, acts, x, target):
-    """Residuals of net(x) against target and the per-layer gradients of
-    their mean square (per stack member)."""
-    outputs, preacts = forward_trace(params, acts, x)
-    resid = outputs[-1] - target
-    delta = 2.0 * resid / (resid.shape[-2] * resid.shape[-1])
-    return resid, backprop(params, acts, outputs, preacts, delta)
+    """Per-layer gradients of the mean squared error of net(x) against
+    target (per stack member)."""
+    outputs = forward_trace(params, acts, x)
+    delta = outputs[-1] - target
+    delta *= 2.0
+    delta /= delta.shape[-2] * delta.shape[-1]
+    return backprop(params, acts, outputs, delta)
+
+
+def member_mse(params, acts, x, target):
+    """Mean squared error of net(x) against ``target``, per stack member."""
+    out = forward(params, acts, x)
+    out -= target
+    np.square(out, out=out)
+    return np.mean(out, axis=(-2, -1))
 
 
 def reconstruction_grads(params, acts, x):
     """Full-batch MSE loss and per-layer gradients for a chained net on x."""
-    resid, grads = _mse_grads(params, acts, x, x)
-    return float(np.mean(resid**2)), grads
+    return float(member_mse(params, acts, x, x)), _mse_grads(params, acts, x, x)
 
 
 @dataclass(frozen=True)
@@ -272,10 +294,11 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_train
         target_epoch = x_epoch if target is x else take_rows(target, order)
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            _, grads = _mse_grads(params, acts, x_epoch[..., rows, :], target_epoch[..., rows, :])
+            grads = _mse_grads(params, acts, x_epoch[..., rows, :], target_epoch[..., rows, :])
             for i in range(first_trainable, len(params)):
-                params[i][0] -= cfg.learning_rate * grads[i][0]
-                params[i][1] -= cfg.learning_rate * grads[i][1]
+                for param, grad in zip(params[i], grads[i]):
+                    grad *= cfg.learning_rate
+                    param -= grad
         history.append(_member_losses(params, acts, x, target, cfg, epoch=epoch))
     return history
 
@@ -311,8 +334,7 @@ def train_reconstruction(
 
 
 def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
-    outputs, _ = forward_trace(params, acts, x)
-    losses = np.atleast_1d(np.mean((outputs[-1] - target) ** 2, axis=(-2, -1)))
+    losses = np.atleast_1d(member_mse(params, acts, x, target))
     diverged = np.flatnonzero(~np.isfinite(losses) | (losses > cfg.divergence_limit))
     if diverged.size:
         member = int(diverged[0])

@@ -54,6 +54,17 @@ def test_enumerate_to_file(tmp_path, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=oct)
+def test_written_files_get_the_umask_mode(tmp_path, capsys, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert run("--out-dir", tmp_path, "enumerate", "--concepts", "a,b,c", "--out", "trees.nwk") == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "trees.nwk").stat().st_mode & 0o777 == mode
+
+
 def test_derive_on_shipped_fixture(tmp_path, capsys):
     assert (
         run(
@@ -283,11 +294,20 @@ def test_impossible_sizes_are_usage_errors_naming_the_field(tmp_path, planted_cs
     (["--refine-epochs", "2", "--lambda-orth", "nan"], "lambda_orth"),
     (["--refine-epochs", "2", "--lambda-orth", "-1"], "lambda_orth"),
     (["--refine-epochs", "-2"], "epochs"),
+    (["--lambda-orth", "nan"], "lambda_orth"),  # no refinement: the value still lands in provenance
+    (["--lambda-orth", "inf"], "lambda_orth"),
 ])
-def test_impossible_refinement_is_a_usage_error_naming_the_argument(tmp_path, planted_csv, capsys, flags, argument):
+def test_impossible_refinement_is_a_usage_error_naming_the_argument(
+    tmp_path, planted_csv, capsys, monkeypatch, flags, argument
+):
     data, _ = planted_csv
     tree = tmp_path / "tree.nwk"
     tree.write_text("((c1,c2),(c3,c4))\n")
+
+    def load_csv(*args, **kwargs):
+        raise AssertionError("the settings are checked before any data is loaded")
+
+    monkeypatch.setattr("hierclass.synth.load_csv", load_csv)
     assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tree, "--out", "clf.json",
                *FAST, *flags) == 1
     assert f"error: {argument} must" in capsys.readouterr().err

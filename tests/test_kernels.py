@@ -1,0 +1,268 @@
+"""The in-place SGD kernels against a plain allocating reference.
+
+The reference below spells out forward, backprop, the MSE step and the
+hinge step with one new array per expression. Every comparison is bit for
+bit, and every input is read-only, so a kernel that wrote into one would
+fail.
+"""
+
+import numpy as np
+import pytest
+
+from hierclass.hmodel import ErmConfig, erm_risk_and_grads, train_node_erm_stack
+from hierclass.nets import (
+    Layer,
+    Mlp,
+    SgdConfig,
+    epoch_order,
+    init_mlp,
+    mlp_forward,
+    mlp_params,
+    sgd_reconstruction,
+    stack_params,
+    take_rows,
+)
+
+# --- plain reference --------------------------------------------------------
+
+
+def ref_activation(name, z):
+    if name == "identity":
+        return z
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    with np.errstate(over="ignore"):
+        e = np.exp(-z)
+    return 1.0 / (1.0 + e)
+
+
+def ref_activation_deriv(name, z, a):
+    if name == "relu":
+        return (z > 0.0).astype(float)
+    return a * (1.0 - a)
+
+
+def ref_forward_trace(params, acts, x):
+    a, outputs, preacts = x, [x], []
+    for (w, b), act in zip(params, acts):
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
+        a = ref_activation(act, z)
+        preacts.append(z)
+        outputs.append(a)
+    return outputs, preacts
+
+
+def ref_backprop(params, acts, outputs, preacts, delta):
+    grads = [None] * len(params)
+    for i in range(len(params) - 1, -1, -1):
+        dz = delta
+        if acts[i] != "identity":
+            dz = delta * ref_activation_deriv(acts[i], preacts[i], outputs[i + 1])
+        grads[i] = [dz.swapaxes(-1, -2) @ outputs[i], dz.sum(axis=-2)]
+        if i > 0:
+            delta = dz @ params[i][0]
+    return grads
+
+
+def ref_sgd_reconstruction(params, acts, x, target, cfg, rng, first_trainable=0):
+    def losses():
+        out = ref_forward_trace(params, acts, x)[0][-1]
+        return np.atleast_1d(np.mean((out - target) ** 2, axis=(-2, -1)))
+
+    history = [losses()]
+    n = target.shape[-2]
+    for _ in range(cfg.epochs):
+        order = epoch_order(rng, n)
+        x_epoch, target_epoch = take_rows(x, order), take_rows(target, order)
+        for start in range(0, n, cfg.batch_size):
+            rows = slice(start, start + cfg.batch_size)
+            outputs, preacts = ref_forward_trace(params, acts, x_epoch[..., rows, :])
+            resid = outputs[-1] - target_epoch[..., rows, :]
+            delta = 2.0 * resid / (resid.shape[-2] * resid.shape[-1])
+            grads = ref_backprop(params, acts, outputs, preacts, delta)
+            for i in range(first_trainable, len(params)):
+                params[i][0] = params[i][0] - cfg.learning_rate * grads[i][0]
+                params[i][1] = params[i][1] - cfg.learning_rate * grads[i][1]
+        history.append(losses())
+    return history
+
+
+def ref_hinge(w, b, z, y, l2):
+    margins = 1.0 - y * (z @ w.swapaxes(-1, -2) + b[..., None, :])
+    members = margins.shape[:-2]
+    hinge = np.where(margins > 0, margins, 0.0).reshape(members + (-1,)).sum(axis=-1)
+    risk = hinge / margins.shape[-2] + l2 * (w**2).reshape(members + (-1,)).sum(axis=-1)
+    ds = -(y * (margins > 0)) / margins.shape[-2]
+    return risk, ds.swapaxes(-1, -2) @ z + 2.0 * l2 * w, ds.sum(axis=-2), ds
+
+
+def ref_erm_stack(encoders, features, child_idx, n_children, cfg, seeds):
+    sizes = [len(idx) for idx in child_idx]
+    members = np.concatenate(child_idx)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    z = np.stack([ref_forward_trace(mlp_params(e), [l.activation for l in e.layers], f)[0][-1]
+                  for e, f in zip(encoders, features)])[owner]
+    y = np.where(members[..., None] == np.arange(n_children), 1.0, -1.0)
+    w, b = np.zeros((len(members), n_children, z.shape[-1])), np.zeros((len(members), n_children))
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [generators[g] for g in owner]
+    history = [ref_hinge(w, b, z, y, cfg.l2)[0]]
+    best_risk, best_w, best_b = history[0], w.copy(), b.copy()
+    m = z.shape[-2]
+    for _ in range(cfg.epochs):
+        order = epoch_order(rngs, m)
+        z_epoch, y_epoch = take_rows(z, order), take_rows(y, order)
+        for start in range(0, m, cfg.batch_size):
+            zb, yb = z_epoch[:, start : start + cfg.batch_size], y_epoch[:, start : start + cfg.batch_size]
+            _, dw, db, _ = ref_hinge(w, b, zb, yb, cfg.l2)
+            w = w - cfg.learning_rate * dw
+            b = b - cfg.learning_rate * db
+        risk = ref_hinge(w, b, z, y, cfg.l2)[0]
+        history.append(risk)
+        better = risk < best_risk
+        best_risk = np.where(better, risk, best_risk)
+        np.copyto(best_w, w, where=better[:, None, None])
+        np.copyto(best_b, b, where=better[:, None])
+    return best_w, best_b, history
+
+
+# --- helpers ----------------------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def read_only(a, dtype=float):
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def copies(params):
+    return [[w.copy(), b.copy()] for w, b in params]
+
+
+def check_sgd(params, acts, x, target, cfg, make_rng, first_trainable=0):
+    """Run the kernel and the reference from equal copies; assert bit-equal
+    histories and parameters, and that the caller's arrays moved in place."""
+    same = target is x
+    x = read_only(x)
+    target = x if same else read_only(target)
+    ref = copies(params)
+    arrays = [a for pair in params for a in pair]
+    before = [a.copy() for a in arrays]
+    history = sgd_reconstruction(params, acts, x, target, cfg, make_rng(), first_trainable)
+    ref_history = ref_sgd_reconstruction(ref, acts, x, target, cfg, make_rng(), first_trainable)
+    assert len(history) == len(ref_history) == cfg.epochs + 1
+    assert all(same_bits(h, r) for h, r in zip(history, ref_history))
+    for (w, b), (rw, rb) in zip(params, ref):
+        assert same_bits(w, rw) and same_bits(b, rb)
+    assert [a for pair in params for a in pair] == arrays  # the very same objects
+    for i, (a, old) in enumerate(zip(arrays, before)):
+        assert np.array_equal(a, old) == (i < 2 * first_trainable)
+    return history
+
+
+# --- forward and SGD --------------------------------------------------------
+
+
+def test_mlp_forward_matches_reference_and_leaves_input_alone():
+    rng = np.random.default_rng(0)
+    net = init_mlp((6, 9, 4, 3), ("relu", "sigmoid", "identity"), rng)
+    x = read_only(rng.normal(size=(17, 6)))
+    out = mlp_forward(net, x)
+    assert same_bits(out, ref_forward_trace(mlp_params(net), [l.activation for l in net.layers], x)[0][-1])
+    assert out.flags.writeable and not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("rows, batch", [(23, 8), (5, 8), (24, 8)], ids=["tail", "short", "even"])
+def test_stacked_sgd_with_members_of_different_generators(rows, batch):
+    rng = np.random.default_rng(1)
+    nets = [init_mlp((5, 7, 2, 5), ("relu", "sigmoid", "identity"), rng) for _ in range(4)]
+    params = stack_params(nets)
+    x = rng.normal(size=(4, rows, 5))
+    target = rng.normal(size=(4, rows, 5))
+    cfg = SgdConfig(epochs=6, batch_size=batch, learning_rate=0.2)
+
+    def rngs():  # members 0 and 2 hold one Generator, 1 and 3 their own
+        shared = np.random.default_rng(10)
+        return [shared, np.random.default_rng(11), shared, np.random.default_rng(12)]
+
+    check_sgd(params, ["relu", "sigmoid", "identity"], x, target, cfg, rngs)
+
+
+def test_relu_preactivations_at_exactly_zero():
+    rng = np.random.default_rng(2)
+    enc = init_mlp((4, 6), ("relu",), rng)
+    w = np.array(enc.layers[0].weights)
+    w[:2] = 0.0  # units 0 and 1 sit at z = 0 on every row, and stay there
+    params = mlp_params(Mlp((Layer(w, np.zeros(6), "relu"),))) + mlp_params(init_mlp((6, 4), ("identity",), rng))
+    x = rng.normal(size=(19, 4))
+    x[::3] = 0.0
+    history = check_sgd(params, ["relu", "identity"], x, x, SgdConfig(epochs=5, batch_size=4), lambda: np.random.default_rng(3))
+    assert np.all(params[0][0][:2] == 0.0) and np.all(params[0][1][:2] == 0.0)
+    assert history[-1] < history[0]
+
+
+def test_sigmoid_beyond_exp_overflow():
+    rng = np.random.default_rng(4)
+    w = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.5]])
+    params = [[w, np.zeros(3)]] + mlp_params(init_mlp((3, 2), ("identity",), rng))
+    x = rng.normal(size=(12, 3))
+    x[:, :2] += np.where(rng.random((12, 2)) < 0.5, -800.0, 800.0)  # sigmoid inputs near +-800
+    target = rng.normal(size=(12, 2))
+    with np.errstate(over="raise"):  # the kernel silences exp's overflow itself
+        check_sgd(params, ["sigmoid", "identity"], x, target, SgdConfig(epochs=4, batch_size=5), lambda: np.random.default_rng(5))
+
+
+def test_frozen_leading_layers_with_cached_latents():
+    rng = np.random.default_rng(6)
+    nets = [init_mlp((3, 8, 6), ("sigmoid", "identity"), rng) for _ in range(3)]
+    latents = rng.random((3, 21, 3))  # per-member inputs, as a frozen encoder's latents are
+    target = rng.normal(size=(3, 21, 6))
+    cfg = SgdConfig(epochs=5, batch_size=8, learning_rate=0.1)
+    check_sgd(stack_params(nets), ["sigmoid", "identity"], latents, target, cfg,
+              lambda: [np.random.default_rng(s) for s in (7, 8, 9)], first_trainable=1)
+    shared = rng.random((21, 3))  # one input matrix shared by every member, one batch order
+    check_sgd(stack_params(nets), ["sigmoid", "identity"], shared, target[0], cfg,
+              lambda: np.random.default_rng(10), first_trainable=1)
+
+
+# --- hinge ERM --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, batch", [(29, 8), (6, 8), (32, 8)], ids=["tail", "short", "even"])
+def test_erm_stack_matches_reference(rows, batch):
+    rng = np.random.default_rng(11)
+    encoders = [init_mlp((4, 6, 3), ("relu", "sigmoid"), rng) for _ in range(2)]
+    features = [read_only(rng.normal(size=(rows, 4))) for _ in range(2)]
+    child_idx = [read_only([np.arange(rows) % 3, (np.arange(rows) // 2) % 3], int),
+                 read_only([np.arange(rows) % 3], int)]
+    cfg = ErmConfig(epochs=7, batch_size=batch, learning_rate=0.3, l2=1e-2)
+    got = train_node_erm_stack(encoders, features, child_idx, 3, cfg, [21, 22])
+    best_w, best_b, history = ref_erm_stack(encoders, features, child_idx, 3, cfg, [21, 22])
+    lo = 0
+    for w, b, risks in got:
+        hi = lo + len(w)
+        assert same_bits(w, best_w[lo:hi]) and same_bits(b, best_b[lo:hi])
+        assert len(risks) == cfg.epochs + 1
+        assert all(same_bits(r, h[lo:hi]) for r, h in zip(risks, history))
+        lo = hi
+
+
+@pytest.mark.parametrize("nan_row", [None, 3], ids=["finite", "nan"])
+def test_erm_risk_and_grads_match_reference(nan_row):
+    rng = np.random.default_rng(12)
+    w, b = read_only(rng.normal(size=(4, 5))), read_only(rng.normal(size=4))
+    z = rng.normal(size=(30, 5))
+    if nan_row is not None:  # a NaN hinge counts 0 toward the risk
+        z[nan_row, 1] = np.nan
+    z = read_only(z)
+    child_idx = np.arange(30) % 4
+    y = np.where(child_idx[:, None] == np.arange(4), 1.0, -1.0)
+    risk, dw, db, ds = erm_risk_and_grads(w, b, z, child_idx, 1e-3)
+    ref = ref_hinge(w, b, z, y, 1e-3)
+    assert isinstance(risk, float) and same_bits(risk, ref[0])
+    assert all(same_bits(a, r) for a, r in zip((dw, db, ds), ref[1:]))
