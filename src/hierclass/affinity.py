@@ -74,7 +74,8 @@ class AffinityConfig:
     ``warmup`` trains the fresh decoder alone (encoder frozen) before the
     joint ``finetune`` phase; without it, early gradients from a random
     decoder scramble the source representation and the transfer signal with
-    it. ``freeze_encoder`` skips the joint phase entirely.
+    it. With ``budget`` 0 or ``finetune.epochs`` 0 there is no joint phase,
+    and the source encoder is scored frozen.
     """
 
     encoder: EncoderConfig = EncoderConfig(hidden_dim=24)
@@ -87,7 +88,6 @@ class AffinityConfig:
     beta: float = 0.5
     holdout_fraction: float = 0.2
     min_examples: int = 10
-    freeze_encoder: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,7 +102,7 @@ class AffinityConfig:
             raise ValueError("need 0 <= budget <= b_max")
 
 
-_CONFIG_FORMAT = "hierclass-affinity-config-v1"
+_CONFIG_FORMAT = "hierclass-affinity-config-v2"
 
 
 def affinity_config_to_json(cfg: AffinityConfig) -> dict:
@@ -203,7 +203,8 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
     from the non-held-out pool; the returned loss is measured on the task's
     held-out slice. With budget 0 the encoder is left untouched and only the
     fresh decoder is trained (on the pool), scoring the source
-    representation as-is. All of a task's randomness (slices, decoder init,
+    representation as-is; with ``finetune.epochs`` 0 the same holds on the
+    ``budget`` examples. All of a task's randomness (slices, decoder init,
     batch schedule) derives from its ``seed`` alone, so runs toward the same
     target are directly comparable.
 
@@ -236,7 +237,7 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
         decoder = make_decoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 1]))
         rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
         prepared.append((rows, target_data[heldout], decoder, np.random.default_rng([seed, 2])))
-        joint = budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0
+        joint = budget > 0 and cfg.finetune.epochs > 0
         groups.setdefault((len(rows), joint), []).append(t)
 
     results: list[list[tuple[Mlp, float]]] = [[] for _ in tasks]

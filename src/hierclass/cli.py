@@ -24,7 +24,7 @@ import numpy as np
 from . import affinity as aff
 from . import derive as drv
 from . import hmodel, metrics, synth, treespace
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UnscorableRowError
 from .serialize import (
     atomic_write_json,
     atomic_write_text,
@@ -97,7 +97,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pretrain-epochs", type=int, default=_AFFINITY.pretrain.epochs)
     p.add_argument("--warmup-epochs", type=int, default=_AFFINITY.warmup.epochs)
     p.add_argument("--finetune-epochs", type=int, default=_AFFINITY.finetune.epochs)
-    p.add_argument("--freeze-encoder", action="store_true", default=_AFFINITY.freeze_encoder)
 
     p = sub.add_parser("derive", help="derive a hierarchy from an affinity matrix")
     p.add_argument("--affinity", required=True)
@@ -249,7 +248,6 @@ def _affinity_config(args) -> aff.AffinityConfig:
         alpha=args.alpha,
         beta=args.beta,
         min_examples=args.min_examples,
-        freeze_encoder=args.freeze_encoder,
         seed=args.seed,
     )
 
@@ -447,7 +445,10 @@ def _cmd_predict(args) -> int:
         raise DataError(
             f"{args.data}: {rows.shape[1]} feature columns but the classifier expects {expected}"
         )
-    preds = hmodel.predict_batch(classifier, rows)
+    try:
+        preds = hmodel.predict_batch(classifier, rows)
+    except UnscorableRowError as exc:  # data row i is CSV line i + 2
+        raise DataError(f"{args.data}:{exc.row + 2}: {exc}") from None
     names = classifier.catalog.names
     lines = ["prediction"] + [names[p] for p in preds.tolist()]
     out = _out_path(args, args.out)
@@ -464,7 +465,10 @@ def _cmd_evaluate(args) -> int:
         raise DataError(
             f"{args.data}: {dataset.n_features} feature columns but the classifier expects {expected}"
         )
-    report = metrics.evaluate(classifier, dataset)
+    try:
+        report = metrics.evaluate(classifier, dataset)
+    except UnscorableRowError as exc:
+        raise DataError(f"{args.data}:{exc.row + 2}: {exc}") from None
     obj = metrics.report_to_json(report)
     obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, dataset)
     out = _out_path(args, args.out)

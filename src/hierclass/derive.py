@@ -227,21 +227,6 @@ def dendrogram_to_json(dgm: Dendrogram, catalog: Catalog) -> dict:
     }
 
 
-def dendrogram_from_json(obj: dict) -> tuple[Dendrogram, Catalog]:
-    catalog = Catalog(tuple(obj["concepts"]))
-    steps = tuple(
-        MergeStep(
-            left=int(s["left"]),
-            right=int(s["right"]),
-            distance=float(s["distance"]),
-            new_id=int(s["id"]),
-            members=tuple(int(m) for m in s["members"]),
-        )
-        for s in obj["steps"]
-    )
-    return Dendrogram(n_leaves=len(catalog), steps=steps), catalog
-
-
 def dendrogram_to_dot(dgm: Dendrogram, catalog: Catalog) -> str:
     """GraphViz rendering: leaves labeled by concept, merges by distance."""
     lines = ["digraph dendrogram {", "  rankdir=BT;"]

@@ -25,7 +25,7 @@ from .affinity import (
     fine_tune_stack,
     train_autoencoder_stack,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UnscorableRowError
 from .metrics import h_loss_table
 from .nets import (
     Mlp,
@@ -117,13 +117,44 @@ def route_child(model: NodeModel, x: np.ndarray) -> np.ndarray:
     return node_scores(model, x).argmax(axis=1)
 
 
+def _max_feature(model: NodeModel) -> float:
+    """The feature magnitude from which some layer sum of the node, scorers
+    included, could overflow: a row of largest magnitude r has sums bounded
+    by a·r + c, built up from each layer's largest absolute row sum and bias,
+    and by 1 after a sigmoid. Unlike the sums, which BLAS orders differently
+    for one row and for many, the bound does not depend on the batch."""
+    limit, a, c, r_max = np.finfo(float).max / 2, 1.0, 0.0, np.inf  # the half leaves room for rounding
+    layers = [(l.weights, l.bias, l.activation) for l in model.encoder.layers]
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and the bound with it
+        for w, b, act in layers + [(model.scorer_weights, model.scorer_bias, "identity")]:
+            norm = float(np.abs(w).sum(axis=1).max())
+            a, c = norm * a, norm * c + float(np.abs(b).max())  # Python floats: inf * 0 is NaN, no warning
+            if not c < limit:  # inf or NaN: no row is safe
+                r_max = -np.inf
+            elif a > 0:  # a is NaN only after an all-zero layer, where the bound no longer depends on r
+                r_max = min(r_max, (limit - c) / a)
+            if act == "sigmoid":
+                a, c = 0.0, 1.0
+    return r_max
+
+
 def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarray:
+    """The predicted concept of each row. A row that some node cannot score
+    (see :func:`_max_feature`) raises an UnscorableRowError naming it,
+    0-based, and the first node in tree order that cannot score it."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim = classifier.input_dim
     if dim is not None and x.shape[1] != dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match classifier dim {dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature values")
+    limits = {node_key(n): _max_feature(classifier.models[node_key(n)]) for n in classifier.tree.internal_nodes()}
+    if x.size and max(x.max(), -x.min()) >= min(limits.values(), default=np.inf):  # then find the row
+        row = int(np.flatnonzero(np.abs(x).max(axis=1) >= min(limits.values()))[0])
+        magnitude = np.abs(x[row]).max()
+        node = next(list(key) for key, r_max in limits.items() if magnitude >= r_max)
+        raise UnscorableRowError(f"row {row} cannot be scored at node {node}: its features, up to "
+                                 f"{magnitude:.3g} in magnitude, can overflow the node's sums", row)
     out = np.empty(x.shape[0], dtype=int)
 
     def descend(node: Tree, rows: np.ndarray) -> None:
@@ -136,10 +167,7 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
             if sub.size:
                 descend(child, sub)
 
-    # a row near the float maximum can overflow a layer's sums to inf or NaN;
-    # argmax still routes it by its own scores alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        descend(classifier.tree, np.arange(x.shape[0]))
+    descend(classifier.tree, np.arange(x.shape[0]))
     return out
 
 
@@ -310,13 +338,6 @@ def _best_pair(members: tuple[int, ...], artifacts: AffinityArtifacts) -> tuple[
     return max(candidates, key=lambda p: (index.get(p, -1.0), -p[0], -p[1]))
 
 
-def _represented_tree(tree: Tree, mode: str) -> Tree:
-    """``tree`` as ``mode`` represents it."""
-    if mode not in ("keep", "fuse"):
-        raise ValueError(f"unknown representation mode {mode!r}")
-    return fuse_tree(tree) if mode == "fuse" else tree
-
-
 def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tree, Mlp]:
     """The encoder of every internal node of ``trees``, as
     :func:`train_hierarchies` describes, keyed by the node's subtree: a
@@ -370,6 +391,10 @@ class HierTrainConfig:
     pretrain: SgdConfig = SgdConfig(epochs=40, batch_size=32, learning_rate=0.1)
     rep_mode: str = "keep"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.rep_mode not in ("keep", "fuse"):
+            raise ValueError(f"rep_mode must be 'keep' or 'fuse', got {self.rep_mode!r}")
 
 
 def _child_keys(node: Tree) -> tuple[tuple[int, ...], ...]:
@@ -432,7 +457,7 @@ def train_hierarchies(
     shaped = []
     for tree in trees:
         validate_tree(tree, len(dataset.catalog))
-        shaped.append(_represented_tree(tree, cfg.rep_mode))
+        shaped.append(fuse_tree(tree) if cfg.rep_mode == "fuse" else tree)
 
     def problem_of(node: Tree):  # what a node's encoder is a function of
         return node_key(node), (None if artifacts is None else node)
@@ -586,7 +611,6 @@ def refine_global(
     epochs: int = 30,
     learning_rate: float = 0.1,
     l2: float = 1e-3,
-    freeze_encoders: bool = False,
 ) -> RefineResult:
     """Joint full-batch descent on the combined objective with backtracking:
     a step that raises the loss is undone and the rate halved, so the
@@ -620,10 +644,7 @@ def refine_global(
         trial = {}
         for block, rate in zip(blocks, rates):
             for key in block:
-                fixed = len(params[key]) - 1 if freeze_encoders else 0  # the scorer pair is last
-                trial[key] = params[key][:fixed]
-                for (w, b), (gw, gb) in zip(params[key][fixed:], grads[key][fixed:]):
-                    trial[key].append([w - rate * gw, b - rate * gb])
+                trial[key] = [[w - rate * gw, b - rate * gb] for (w, b), (gw, gb) in zip(params[key], grads[key])]
         _, new_grads, new_risks, new_pen = _objective_on_params(classifier, problems, lambda_orth, l2, trial)
         kept = 0
         for n, block in enumerate(blocks):
@@ -734,10 +755,7 @@ def exhaustive_search(
     """
     if metric not in ("accuracy", "neg_h_loss"):
         raise ValueError(f"unknown metric {metric!r}")
-    k = len(train_data.catalog)
-    if k > cap:
-        raise ValueError(f"{k} concepts exceed the exhaustive-search cap {cap}")
-    trees = enumerate_hierarchies(range(k), cap=cap)
+    trees = enumerate_hierarchies(range(len(train_data.catalog)), cap=cap)
 
     def score(clf: HierarchicalClassifier) -> float:
         preds = predict_batch(clf, val_data.features)

@@ -163,7 +163,9 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
 
     Per-node accuracy counts an example at node t iff its true concept is a
     descendant of t, and scores it correct iff the node routes it into the
-    child subtree containing that concept.
+    child subtree containing that concept. A row that some node cannot
+    score raises :func:`~hierclass.hmodel.predict_batch`'s UnscorableRowError
+    before any node routes it.
     """
     from .hmodel import child_index_labels, node_key, predict_batch, route_child
 

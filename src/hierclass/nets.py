@@ -218,13 +218,6 @@ def backprop(params, acts, outputs, delta):
     return grads
 
 
-def reconstruction_loss(encoder: Mlp, decoder: Mlp, x: np.ndarray) -> float:
-    """Mean squared reconstruction error of decode(encode(x)) against x."""
-    x = np.asarray(x, dtype=float)
-    out = mlp_forward(decoder, mlp_forward(encoder, x))
-    return float(np.mean((out - x) ** 2))
-
-
 def _mse_grads(params, acts, x, target):
     """Per-layer gradients of the mean squared error of net(x) against
     target (per stack member)."""
@@ -241,11 +234,6 @@ def member_mse(params, acts, x, target):
     out -= target
     np.square(out, out=out)
     return np.mean(out, axis=(-2, -1))
-
-
-def reconstruction_grads(params, acts, x):
-    """Full-batch MSE loss and per-layer gradients for a chained net on x."""
-    return float(member_mse(params, acts, x, x)), _mse_grads(params, acts, x, x)
 
 
 @dataclass(frozen=True)
@@ -303,36 +291,6 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_train
     return history
 
 
-def train_reconstruction(
-    encoder: Mlp,
-    decoder: Mlp,
-    x: np.ndarray,
-    cfg: SgdConfig,
-    rng,
-    update_encoder: bool = True,
-) -> tuple[Mlp, Mlp, list[float]]:
-    """Mini-batch SGD on mean squared reconstruction error.
-
-    Returns updated (encoder, decoder) plus the per-epoch full-data loss
-    history (history[0] is the pre-training loss). Raises NumericError if
-    the loss diverges or goes non-finite.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("need a nonempty (N, dim) matrix")
-    if x.shape[1] != encoder.input_dim:
-        raise ValueError(
-            f"data dim {x.shape[1]} does not match encoder input {encoder.input_dim}"
-        )
-    n_enc = len(encoder.layers)
-    params = mlp_params(encoder) + mlp_params(decoder)
-    acts = [l.activation for l in encoder.layers] + [l.activation for l in decoder.layers]
-    history = sgd_reconstruction(params, acts, x, x, cfg, rng, 0 if update_encoder else n_enc)
-    new_encoder = params_to_mlp(params[:n_enc], encoder) if update_encoder else encoder
-    new_decoder = params_to_mlp(params[n_enc:], decoder)
-    return new_encoder, new_decoder, [float(losses[0]) for losses in history]
-
-
 def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
     losses = np.atleast_1d(member_mse(params, acts, x, target))
     diverged = np.flatnonzero(~np.isfinite(losses) | (losses > cfg.divergence_limit))
@@ -352,25 +310,3 @@ def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
 def task_seed(base: int, kind: int, *ids: int) -> int:
     """Fold task identifiers into one integer seed, stably across platforms."""
     return int(np.random.SeedSequence([base, kind, *ids]).generate_state(1)[0])
-
-
-# --- parameter packing (used by the gradient checks) -----------------------
-
-
-def flatten_params(param_list) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for pair in param_list for a in pair])
-
-
-def unflatten_params(vec: np.ndarray, template) -> list[list[np.ndarray]]:
-    out = []
-    pos = 0
-    for pair in template:
-        rebuilt = []
-        for a in pair:
-            size = int(np.prod(a.shape)) if a.ndim else 1
-            rebuilt.append(vec[pos : pos + size].reshape(a.shape).copy())
-            pos += size
-        out.append(rebuilt)
-    if pos != vec.size:
-        raise ValueError("vector length does not match template")
-    return out

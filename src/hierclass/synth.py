@@ -64,16 +64,13 @@ class LabeledDataset:
     def of_concept(self, concept_id: int) -> np.ndarray:
         return self.features[self.labels == concept_id]
 
-    def take(self, indices: np.ndarray, note: str | None = None) -> "LabeledDataset":
-        prov = dict(self.provenance)
-        if note:
-            prov["derived"] = note
-        return LabeledDataset(self.features[indices], self.labels[indices], self.catalog, prov)
+    def take(self, indices: np.ndarray) -> "LabeledDataset":
+        return LabeledDataset(self.features[indices], self.labels[indices], self.catalog, dict(self.provenance))
 
     def restrict(self, concept_ids: Sequence[int]) -> "LabeledDataset":
         """Rows whose label is in concept_ids; catalog unchanged."""
         mask = np.isin(self.labels, list(concept_ids))
-        return self.take(np.flatnonzero(mask), note=f"restrict{sorted(concept_ids)}")
+        return self.take(np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)
@@ -484,7 +481,4 @@ def split(
         for part, size in zip(parts, sizes):
             part.extend(idx[pos : pos + size].tolist())
             pos += size
-    return tuple(
-        dataset.take(np.array(sorted(p), dtype=int), note=f"split{i}")
-        for i, p in enumerate(parts)
-    )
+    return tuple(dataset.take(np.array(sorted(p), dtype=int)) for p in parts)

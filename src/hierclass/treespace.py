@@ -179,16 +179,12 @@ def _trees_over(ids: tuple[int, ...], memo: dict) -> tuple[Tree, ...]:
         return memo[ids]
     if len(ids) == 1:
         result = (leaf(ids[0]),)
-    else:
-        out: list[Tree] = []
-        for part in _set_partitions(ids):
-            if len(part) < 2:
-                continue
-            options = [_trees_over(block, memo) for block in part]
-            for combo in itertools.product(*options):
-                out.append(Tree(children=combo))
-        # construction is duplicate-free per partition; dedup is belt and braces
-        result = tuple(dict.fromkeys(out))
+    else:  # each partition is built once and a Tree is canonical when built: no duplicates
+        result = tuple(
+            Tree(children=combo)
+            for part in _set_partitions(ids) if len(part) >= 2
+            for combo in itertools.product(*(_trees_over(block, memo) for block in part))
+        )
     memo[ids] = result
     return result
 

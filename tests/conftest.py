@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference oracles, plain training loops
-that the stacked trainers are checked against, and planted fixtures."""
+"""Shared test helpers: finite-difference oracles, plain one-network and
+per-node training loops that the stacked trainers are checked against, and
+planted fixtures."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,17 @@ from hierclass.hmodel import (
     fuse_tree,
     node_key,
 )
-from hierclass.nets import mlp_forward, reconstruction_loss, task_seed, train_reconstruction
+from hierclass.nets import (
+    Mlp,
+    SgdConfig,
+    _mse_grads,
+    member_mse,
+    mlp_forward,
+    mlp_params,
+    params_to_mlp,
+    sgd_reconstruction,
+    task_seed,
+)
 from hierclass.treespace import internal, leaf, tree_to_text, validate_tree
 
 
@@ -74,6 +85,72 @@ def brute_force_agglomerate(values: np.ndarray, method: str):
     return steps
 
 
+# --- one-network references: the plain reconstruction loss, gradients and
+# trainer the stacked kernels are checked against, and parameter packing
+# for the gradient checks
+
+
+def reconstruction_loss(encoder: Mlp, decoder: Mlp, x: np.ndarray) -> float:
+    """Mean squared reconstruction error of decode(encode(x)) against x."""
+    x = np.asarray(x, dtype=float)
+    out = mlp_forward(decoder, mlp_forward(encoder, x))
+    return float(np.mean((out - x) ** 2))
+
+
+def reconstruction_grads(params, acts, x):
+    """Full-batch MSE loss and per-layer gradients for a chained net on x."""
+    return float(member_mse(params, acts, x, x)), _mse_grads(params, acts, x, x)
+
+
+def train_reconstruction(
+    encoder: Mlp,
+    decoder: Mlp,
+    x: np.ndarray,
+    cfg: SgdConfig,
+    rng,
+    update_encoder: bool = True,
+) -> tuple[Mlp, Mlp, list[float]]:
+    """Mini-batch SGD on mean squared reconstruction error.
+
+    Returns updated (encoder, decoder) plus the per-epoch full-data loss
+    history (history[0] is the pre-training loss). Raises NumericError if
+    the loss diverges or goes non-finite.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError("need a nonempty (N, dim) matrix")
+    if x.shape[1] != encoder.input_dim:
+        raise ValueError(
+            f"data dim {x.shape[1]} does not match encoder input {encoder.input_dim}"
+        )
+    n_enc = len(encoder.layers)
+    params = mlp_params(encoder) + mlp_params(decoder)
+    acts = [l.activation for l in encoder.layers] + [l.activation for l in decoder.layers]
+    history = sgd_reconstruction(params, acts, x, x, cfg, rng, 0 if update_encoder else n_enc)
+    new_encoder = params_to_mlp(params[:n_enc], encoder) if update_encoder else encoder
+    new_decoder = params_to_mlp(params[n_enc:], decoder)
+    return new_encoder, new_decoder, [float(losses[0]) for losses in history]
+
+
+def flatten_params(param_list) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for pair in param_list for a in pair])
+
+
+def unflatten_params(vec: np.ndarray, template) -> list[list[np.ndarray]]:
+    out = []
+    pos = 0
+    for pair in template:
+        rebuilt = []
+        for a in pair:
+            size = int(np.prod(a.shape)) if a.ndim else 1
+            rebuilt.append(vec[pos : pos + size].reshape(a.shape).copy())
+            pos += size
+        out.append(rebuilt)
+    if pos != vec.size:
+        raise ValueError("vector length does not match template")
+    return out
+
+
 def _plain_autoencoder(data, cfg, seed):
     """One concept's autoencoder trained alone by the one-network trainer."""
     init_rng = np.random.default_rng([seed, 0])
@@ -98,7 +175,7 @@ def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
     _, decoder, _ = train_reconstruction(
         encoder, decoder, rows, cfg.warmup, train_rng, update_encoder=False
     )
-    if budget > 0 and not cfg.freeze_encoder and cfg.finetune.epochs > 0:
+    if budget > 0 and cfg.finetune.epochs > 0:
         encoder, decoder, _ = train_reconstruction(
             encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
         )

@@ -13,7 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import brute_force_agglomerate, central_difference, rel_err
+from conftest import (
+    brute_force_agglomerate,
+    central_difference,
+    flatten_params,
+    reconstruction_grads,
+    rel_err,
+    unflatten_params,
+)
 from hierclass.affinity import (
     AffinityConfig,
     DistanceMatrix,
@@ -40,12 +47,7 @@ from hierclass.hmodel import (
 )
 from hierclass.hmodel import _node_state, _objective_on_params
 from hierclass.metrics import charged_nodes, h_loss, hierarchy_agreement, node_index, node_indicator
-from hierclass.nets import (
-    flatten_params,
-    mlp_params,
-    reconstruction_grads,
-    unflatten_params,
-)
+from hierclass.nets import mlp_params
 from hierclass.synth import PlantedSpec, generate_planted, split
 from hierclass.treespace import (
     Catalog,

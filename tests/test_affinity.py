@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _plain_autoencoder, _plain_fine_tune, central_difference, rel_err
+from conftest import (
+    _plain_autoencoder,
+    _plain_fine_tune,
+    central_difference,
+    flatten_params,
+    reconstruction_grads,
+    reconstruction_loss,
+    rel_err,
+    train_reconstruction,
+    unflatten_params,
+)
 from hierclass.affinity import (
     AffinityConfig,
     AffinityMatrix,
@@ -37,13 +47,8 @@ from hierclass.nets import (
     Layer,
     Mlp,
     SgdConfig,
-    task_seed,
-    flatten_params,
     mlp_params,
-    reconstruction_grads,
-    reconstruction_loss,
-    train_reconstruction,
-    unflatten_params,
+    task_seed,
 )
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted
 from hierclass.treespace import Catalog, internal, leaf
@@ -413,7 +418,8 @@ def test_one_diverging_pretrain_member_names_its_concept():
         build_affinity_artifacts(data, cfg)
 
 
-@pytest.mark.parametrize("variant", [{"freeze_encoder": True}, {"budget": 0}])
+@pytest.mark.parametrize("variant", [{"finetune": SgdConfig(epochs=0, batch_size=16, learning_rate=0.02)},
+                                     {"budget": 0}])
 def test_build_matches_plain_path_without_joint_phase(triple_data_module, variant):
     cfg = replace(AffinityConfig(seed=2, warmup=SgdConfig(epochs=30, batch_size=16, learning_rate=0.1)), **variant)
     artifacts = _assert_build_matches_plain(triple_data_module, cfg)
@@ -640,13 +646,17 @@ def test_affinity_config_json_roundtrip():
     cfg = AffinityConfig(
         encoder=EncoderConfig(5, 2, "sigmoid", "identity"),
         warmup=SgdConfig(epochs=7, batch_size=8, learning_rate=0.3, divergence_limit=1e4),
+        finetune=SgdConfig(epochs=0, batch_size=4, learning_rate=0.5),
         budget=3, b_max=9, alpha=0.2, beta=0.7, holdout_fraction=0.3,
-        min_examples=4, freeze_encoder=True, seed=11,
+        min_examples=4, seed=11,
     )
     obj = json.loads(json.dumps(affinity_config_to_json(cfg)))
     assert affinity_config_from_json(obj) == cfg
     with pytest.raises(DataError, match="format"):
         affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v0"})
+    # a v1 config, which carried freeze_encoder, is an unsupported format
+    with pytest.raises(DataError, match="'hierclass-affinity-config-v1'"):
+        affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v1", "freeze_encoder": True})
     with pytest.raises(DataError, match="n_threads"):
         affinity_config_from_json({**obj, "n_threads": 2})
     with pytest.raises(DataError, match="warmup.*'momentum'"):
@@ -680,7 +690,6 @@ def affinity_configs(draw):
         beta=draw(st.floats(0.0, 10.0)),
         holdout_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         min_examples=draw(st.integers(0, 100)),
-        freeze_encoder=draw(st.booleans()),
         seed=draw(st.integers(0, 2**63 - 1)),
     )
 

@@ -394,8 +394,8 @@ def test_config_file_rejects_removed_threads_key(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
-FAST_AFF = ["--pretrain-epochs", "15", "--warmup-epochs", "5", "--finetune-epochs", "2",
-            "--budget", "20", "--hidden-dim", "8", "--latent-dim", "2", "--freeze-encoder"]
+FAST_AFF = ["--pretrain-epochs", "15", "--warmup-epochs", "5", "--finetune-epochs", "0",
+            "--budget", "20", "--hidden-dim", "8", "--latent-dim", "2"]
 
 
 def test_train_reuses_the_saved_affinity_config(tmp_path, planted_csv, capsys):
@@ -420,9 +420,8 @@ def test_train_reuses_the_saved_affinity_config(tmp_path, planted_csv, capsys):
         encoder=EncoderConfig(hidden_dim=8, latent_dim=2),
         pretrain=SgdConfig(epochs=15, batch_size=32, learning_rate=0.1),
         warmup=SgdConfig(epochs=5, batch_size=16, learning_rate=0.1),
-        finetune=SgdConfig(epochs=2, batch_size=16, learning_rate=0.02),
+        finetune=SgdConfig(epochs=0, batch_size=16, learning_rate=0.02),
         budget=20,
-        freeze_encoder=True,
         seed=4,
     )
     train_cfg = HierTrainConfig(erm=ErmConfig(epochs=15, learning_rate=0.1), seed=4)
@@ -445,6 +444,31 @@ def test_artifacts_with_unknown_config_format_are_a_data_error(tmp_path, planted
     assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
     assert "hierclass-affinity-config-v0" in capsys.readouterr().err
+
+
+def test_v1_artifacts_file_is_a_data_error_naming_the_file(tmp_path, planted_csv, capsys):
+    # a v1 config carried freeze_encoder, which finetune epochs 0 replaced
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "arts.json").read_text())
+    assert arts["config"]["format"] == "hierclass-affinity-config-v2" and "freeze_encoder" not in arts["config"]
+    arts["config"].update(format="hierclass-affinity-config-v1", freeze_encoder=True)
+    (tmp_path / "arts.json").write_text(json.dumps(arts))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'arts.json'}: bad artifacts file" in err and "config-v1" in err
+    assert not (tmp_path / "clf.json").exists()
+
+
+def test_removed_freeze_encoder_flag_is_a_usage_error(tmp_path, planted_csv, capsys):
+    data, _ = planted_csv
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json", "--freeze-encoder") == 1
+    assert "--freeze-encoder" in capsys.readouterr().err
+    assert not (tmp_path / "aff.json").exists()
 
 
 @pytest.mark.parametrize("other", ["catalog", "width"])
@@ -495,14 +519,15 @@ def test_provenance_records_the_whole_resolved_config(tmp_path, planted_csv, cap
     assert run("--out-dir", tmp_path, "--seed", "3", "affinity", "--data", data, "--out", "aff.json",
                "--pretrain-epochs", "5", "--warmup-epochs", "4", "--budget", "20",
                "--hidden-dim", "8", "--latent-dim", "2", "--min-examples", "12",
-               "--freeze-encoder") == 0
+               "--finetune-epochs", "0") == 0
     defaults = AffinityConfig()
     used = replace(
         defaults,
         encoder=replace(defaults.encoder, hidden_dim=8, latent_dim=2),
         pretrain=replace(defaults.pretrain, epochs=5),
         warmup=replace(defaults.warmup, epochs=4),
-        budget=20, min_examples=12, freeze_encoder=True, seed=3,
+        finetune=replace(defaults.finetune, epochs=0),
+        budget=20, min_examples=12, seed=3,
     )
     prov = json.loads((tmp_path / "aff.json").read_text())["provenance"]
     assert affinity_config_from_json(prov["config"]) == used
@@ -576,6 +601,21 @@ def test_evaluate_on_nan_row_names_file_row_and_column(tmp_path, planted_csv, tr
     capsys.readouterr()
     assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", bad, "--out", "r.json") == 2
     assert f"{bad}:10: column 'f7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_row_that_cannot_be_scored_is_a_data_error_naming_its_line(tmp_path, planted_csv, trained_clf, capsys,
+                                                                   command):
+    # at the float maximum a node's sums can overflow, so the row cannot be scored
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[4].split(",")
+    big = repr(float(np.finfo(float).max))
+    bad = _with_bad_row(data, tmp_path, 5, [big if i % 2 else "-" + big for i in range(8)] + cells[-1:])
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, command, "--clf", trained_clf, "--data", bad, "--out", "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:5: row 3 cannot be scored at node [0, 1, 2, 3]"), err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import _plain_hierarchy, _plain_node_erm, central_difference, rel_err, same_classifier
 from hierclass import hmodel
 from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
-from hierclass.errors import DataError, NumericError
+from hierclass.errors import DataError, NumericError, UnscorableRowError
 from hierclass.hmodel import (
     ErmConfig,
     HierarchicalClassifier,
@@ -32,7 +32,7 @@ from hierclass.hmodel import (
     node_key,
     train_node_erm_stack,
 )
-from hierclass.metrics import h_loss
+from hierclass.metrics import evaluate, h_loss
 from hierclass.nets import ACTIVATIONS, Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import (
@@ -389,30 +389,66 @@ def trained_triple():
     )
 )
 def test_predict_batch_labels_a_row_alike_in_any_batch(trained_triple, case):
-    """Sharded scoring relies on this: a row's label does not depend on the
-    rows batched with it, their order or the batch size, for any finite row."""
+    """Sharded scoring relies on this: a row gets the same label, or makes
+    its batch raise the same error, whatever rows are batched with it, their
+    order or the batch size, for any finite row."""
     clf, data = trained_triple
     rows, order, cut = case
     # the generated rows next to training rows, which sit near the boundaries
     x = np.vstack([np.array(rows), data.features[::7]])
-    whole = predict_batch(clf, x)
-    assert np.array_equal(predict_batch(clf, x), whole)
-    assert set(whole.tolist()) <= set(range(len(clf.catalog)))
-    n = len(rows)
-    assert np.array_equal(predict_batch(clf, x[:n][list(order)]), whole[:n][list(order)])
-    assert np.array_equal(predict_batch(clf, x[:cut]), whole[:cut])
-    assert np.array_equal(predict_batch(clf, np.tile(x, (40, 1))), np.tile(whole, 40))
-    assert [predict(clf, row) for row in x[:n]] == whole[:n].tolist()
+    alone = []  # each row's label scored alone, None where it cannot be scored
+    for row in x:
+        try:
+            alone.append(predict(clf, row))
+        except UnscorableRowError as exc:
+            assert exc.row == 0
+            alone.append(None)
+    assert set(alone) - {None} <= set(range(len(clf.catalog)))
+
+    def same_outcome(idx):
+        try:
+            got = predict_batch(clf, x[idx])
+        except UnscorableRowError as exc:  # names a row that cannot be scored alone
+            assert alone[idx[exc.row]] is None
+            return
+        assert got.tolist() == [alone[i] for i in idx]
+
+    same_outcome(np.arange(len(x)))
+    same_outcome(np.array(order))
+    same_outcome(np.arange(cut))
+    same_outcome(np.tile(np.arange(len(x)), 40))
 
 
 @pytest.mark.parametrize("scale", [900.0, 1e6, 1e154, 1e300, np.finfo(float).max])
 def test_predict_batch_labels_far_rows_without_overflow_warnings(trained_triple, scale):
     # the suite turns a RuntimeWarning into an error: the sigmoid's exp(-z)
     # overflows from 900 on, with the right limit 0; near the float maximum
-    # the first layer's sums overflow, and the row still gets a label
+    # the first layer's sums can overflow, and the row cannot be scored
     clf, _ = trained_triple
     x = scale * np.array([[1.0] * 8, [-1.0] * 8, [1.0, -1.0] * 4])
-    assert set(predict_batch(clf, x).tolist()) <= set(range(len(clf.catalog)))
+    if scale == np.finfo(float).max:
+        with pytest.raises(UnscorableRowError, match=r"^row 0 cannot be scored at node \[0, 1, 2\]"):
+            predict_batch(clf, x)
+    else:
+        assert set(predict_batch(clf, x).tolist()) <= set(range(len(clf.catalog)))
+
+
+def test_a_row_one_node_cannot_score_raises_off_that_nodes_path(trained_triple):
+    # node (0, 1) gets first-layer weights of alternating sign at the float
+    # maximum, so it can score no row; the root sends these c3 rows to the
+    # leaf c3, but evaluate's per-node table routes a c1 row through (0, 1)
+    clf, data = trained_triple
+    model = clf.models[(0, 1)]
+    first, *rest = model.encoder.layers
+    huge = np.resize([1.0, -1.0], first.weights.shape[1]) * np.finfo(float).max
+    wild = Layer(np.tile(huge, (first.weights.shape[0], 1)), first.bias, first.activation)
+    broken = replace(clf, models={**clf.models, (0, 1): replace(model, encoder=Mlp((wild, *rest)))})
+    c3 = data.features[data.labels == 2][:3]
+    assert predict_batch(clf, c3).tolist() == [2, 2, 2]
+    with pytest.raises(UnscorableRowError, match=r"^row 0 cannot be scored at node \[0, 1\]"):
+        predict_batch(broken, c3)
+    with pytest.raises(UnscorableRowError, match=r"^row 0 cannot be scored at node \[0, 1\]"):
+        evaluate(broken, LabeledDataset(c3, np.array([2, 2, 0]), data.catalog))
 
 
 def test_refine_rejects_negative_lambda(trained_triple):
@@ -450,7 +486,7 @@ def test_refine_large_lambda_decreases_penalty(trained_triple):
 
 
 def _two_branch_refine_global(
-    classifier, dataset, lambda_orth=0.1, epochs=30, learning_rate=0.1, l2=1e-3, freeze_encoders=False
+    classifier, dataset, lambda_orth=0.1, epochs=30, learning_rate=0.1, l2=1e-3
 ):
     """Reference: the refinement loop as it was before its two branches were
     merged, with three objective evaluations per epoch at lambda_orth = 0."""
@@ -460,14 +496,6 @@ def _two_branch_refine_global(
         raise ValueError("lambda_orth must be nonnegative")
     params, problems = _node_state(classifier, dataset)
     keys = list(params)
-
-    def masked(update_grads):
-        if not freeze_encoders:
-            return update_grads
-        return {
-            key: [[np.zeros_like(w), np.zeros_like(b)] for w, b in pairs[:-1]] + [update_grads[key][-1]]
-            for key, pairs in params.items()
-        }
 
     def objective(p):
         return _objective_on_params(classifier, problems, lambda_orth, l2, p)
@@ -479,7 +507,6 @@ def _two_branch_refine_global(
     if lambda_orth == 0.0:
         rates = {key: learning_rate for key in keys}
         for _ in range(epochs):
-            grads = masked(grads)
             new_params = {key: [[w.copy(), b.copy()] for w, b in pairs] for key, pairs in params.items()}
             for key in keys:
                 for i in range(len(params[key])):
@@ -498,7 +525,6 @@ def _two_branch_refine_global(
     else:
         rate = learning_rate
         for _ in range(epochs):
-            grads = masked(grads)
             new_params = {
                 key: [[w - rate * gw, b - rate * gb] for (w, b), (gw, gb) in zip(pairs, grads[key])]
                 for key, pairs in params.items()
@@ -534,8 +560,6 @@ def _two_branch_refine_global(
 REFINE_MODES = [
     {"lambda_orth": 0.0},
     {"lambda_orth": 0.1},
-    {"lambda_orth": 0.0, "freeze_encoders": True},
-    {"lambda_orth": 0.5, "freeze_encoders": True},
 ]
 
 
@@ -571,15 +595,6 @@ def test_refine_restricts_each_node_once(trained_triple, monkeypatch, lambda_ort
     monkeypatch.setattr(LabeledDataset, "restrict", lambda self, ids: calls.append(1) or original(self, ids))
     refine_global(clf, data, lambda_orth=lambda_orth, epochs=7)
     assert len(calls) == len(clf.models)
-
-
-def test_refine_freeze_encoders_only_moves_scorers(trained_triple):
-    clf, data = trained_triple
-    result = refine_global(clf, data, lambda_orth=0.5, epochs=5, freeze_encoders=True)
-    for key, model in clf.models.items():
-        refined = result.classifier.models[key]
-        for la, lb in zip(model.encoder.layers, refined.encoder.layers):
-            assert np.array_equal(la.weights, lb.weights)
 
 
 # --- flat baseline -------------------------------------------------------------
@@ -822,9 +837,10 @@ def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts
 @pytest.mark.parametrize("with_artifacts", [False, True], ids=["scratch", "artifacts"])
 def test_unknown_rep_mode_is_rejected(k4_artifacts, with_artifacts):
     train, artifacts = k4_artifacts
-    cfg = replace(FAST_CFG, rep_mode="fusee")
-    with pytest.raises(ValueError, match="unknown representation mode 'fusee'"):
-        train_hierarchical(_T, train, cfg, artifacts if with_artifacts else None)
+    with pytest.raises(ValueError, match="^rep_mode must be 'keep' or 'fuse', got 'fusee'"):
+        train_hierarchical(_T, train, replace(FAST_CFG, rep_mode="fusee"), artifacts if with_artifacts else None)
+    with pytest.raises(ValueError, match="^rep_mode must"):
+        HierTrainConfig(rep_mode="fusee")
 
 
 def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):
@@ -910,7 +926,14 @@ def test_classifier_json_round_trip_is_exact(clf, data):
     assert classifier_to_json(back) == classifier_to_json(clf)
     rows = data.draw(st.lists(st.lists(FINITE, min_size=clf.input_dim, max_size=clf.input_dim),
                               min_size=1, max_size=6))
-    assert np.array_equal(predict_batch(back, np.array(rows)), predict_batch(clf, np.array(rows)))
+
+    def outcome(c):  # the labels, or the error for a row whose sums could overflow
+        try:
+            return predict_batch(c, np.array(rows)).tolist()
+        except UnscorableRowError as exc:
+            return str(exc)
+
+    assert outcome(back) == outcome(clf)
 
 
 def test_classifier_json_rejects_unknown_format(trained_triple):

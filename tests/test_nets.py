@@ -1,25 +1,28 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference, rel_err
+from conftest import (
+    central_difference,
+    flatten_params,
+    reconstruction_grads,
+    reconstruction_loss,
+    rel_err,
+    train_reconstruction,
+    unflatten_params,
+)
 from hierclass.errors import NumericError
 from hierclass.nets import (
     Layer,
     Mlp,
     SgdConfig,
     epoch_order,
-    flatten_params,
     init_mlp,
     member_mlp,
     mlp_forward,
     mlp_params,
-    reconstruction_grads,
-    reconstruction_loss,
     sgd_reconstruction,
     stack_params,
     task_seed,
-    train_reconstruction,
-    unflatten_params,
 )
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,28 @@ def test_enumeration_count_matches_recurrence():
     for k in range(1, 6):
         trees = enumerate_hierarchies(range(k))
         assert len(trees) == len(set(trees)) == count_hierarchies(k)
+
+
+# sha256 of the newline-joined Newick texts of enumerate_hierarchies(range(k)),
+# concepts named c0, c1, ...: pins the enumeration order
+ENUMERATION_DIGESTS = {
+    1: "122c597083bd438b7f6d72af75d025948899647711b806bdd2cd82fa69713db3",
+    2: "5eccfe528bc46fb52b5ca975845eec8bdbcbf74fd2fabad41d5e0312431d867a",
+    3: "95ae2b61c4df22545b9dad0821702036ca4c8265bd53ded7dc0d623ed24ee83a",
+    4: "0ed277f52a1b1393bafebe7dfadc84ab7f3256e5528a7dd57faf515d83468076",
+    5: "d8253ae5792e14a5159883f38e6b24bcbd0d9a9dfa4b8f4fe29a97ef857674eb",
+    6: "7a9e2ccb066ef7cb1ae0de8336135ebd69a78276950ad6ddce0d911da248c7e4",
+    7: "b5fdaa59257b89a1c3aa52fb6ac5ec6e0569f3f5bfb531e8ed06f06724e3c793",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_is_distinct_and_keeps_its_order(k):
+    trees = enumerate_hierarchies(range(k), cap=7)
+    assert len(trees) == len(set(trees)) == count_hierarchies(k)
+    cat = Catalog(tuple(f"c{i}" for i in range(k)))
+    text = "\n".join(tree_to_text(t, cat) for t in trees)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_DIGESTS[k]
 
 
 def test_enumerated_trees_satisfy_invariants():
