@@ -11,12 +11,11 @@ hierarchy derivation as distances.
 Every transfer toward one target shares its data slices, decoder
 initialization and batch schedule: the K-1 source encoders and the scratch
 reference toward that target form one fine-tune task. Tasks differ in their
-held-out slices, but the targets that train on the same number of rows
-train together as one stacked SGD, each task's members sharing its batch
-order (see :func:`fine_tune_stack`); each result is bit-identical to tuning
-that encoder alone. The K concept autoencoders each have their own rows and
-seed; those with equal row counts pretrain as one stack too
-(:func:`train_autoencoder_stack`).
+held-out slices and may differ in training rows, but they train together as
+one stacked SGD, each task's members sharing its batch order (see
+:func:`fine_tune_stack`); each result is bit-identical to tuning that
+encoder alone. The K concept autoencoders each have their own rows and
+seed, and pretrain as one stack too (:func:`train_autoencoder_stack`).
 """
 
 from __future__ import annotations
@@ -139,19 +138,19 @@ def train_autoencoder_stack(
 ) -> list[tuple[Mlp, Mlp, float]]:
     """Train one encoder/decoder pair per example matrix as one stacked SGD.
 
-    Every ``data[s]`` is a nonempty (N, dim) matrix of one shared shape.
-    Member s draws its initialization and batch order from ``seeds[s]``
-    alone, so it returns exactly what ``train_autoencoder(data[s], cfg,
-    seeds[s])`` returns: the trained pair plus the final held-in mean
-    reconstruction loss. A NumericError names the diverging member in its
-    ``member``.
+    Every ``data[s]`` is a nonempty (N_s, dim) matrix, of one shared width
+    and any row count. Member s draws its initialization and batch order
+    from ``seeds[s]`` alone, so it returns exactly what
+    ``train_autoencoder(data[s], cfg, seeds[s])`` returns: the trained pair
+    plus the final held-in mean reconstruction loss. A NumericError names
+    the diverging member in its ``member``.
     """
-    x = np.stack([np.asarray(d, dtype=float) for d in data])
-    if x.ndim != 3 or x.shape[1] < 1:
-        raise ValueError("need nonempty (N, dim) example matrices")
+    x = [np.asarray(d, dtype=float) for d in data]
+    if any(d.ndim != 2 or d.shape[0] < 1 or d.shape[1] != x[0].shape[1] for d in x):
+        raise ValueError("need nonempty (N, dim) example matrices of one width")
     init_rngs = [np.random.default_rng([seed, 0]) for seed in seeds]
-    encoders = [make_encoder(x.shape[2], cfg.encoder, rng) for rng in init_rngs]
-    decoders = [make_decoder(x.shape[2], cfg.encoder, rng) for rng in init_rngs]
+    encoders = [make_encoder(x[0].shape[1], cfg.encoder, rng) for rng in init_rngs]
+    decoders = [make_decoder(x[0].shape[1], cfg.encoder, rng) for rng in init_rngs]
     train_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
     n_enc = len(encoders[0].layers)
     params = stack_params(encoders) + stack_params(decoders)
@@ -208,18 +207,18 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
     batch schedule) derives from its ``seed`` alone, so runs toward the same
     target are directly comparable.
 
-    Tasks that train on the same number of rows, and agree on whether the
-    joint phase runs, train as one stack: one warmup SGD over the frozen
-    encoders' cached latents, then one joint SGD through 3-D matmuls. The
-    members of one task hold one batch-order Generator and so share its
-    order; each task draws its own. Encoder i of task t returns exactly
-    what tuning it alone under that task's seed returns. Returns one list
-    of (encoder, loss) per task. A NumericError names the diverging task
-    and encoder, and carries in ``member`` the encoder's position in the
-    concatenation of every task's encoders.
+    Tasks that agree on whether the joint phase runs train as one stack,
+    whatever their row counts: one warmup SGD over the frozen encoders'
+    cached latents, then one joint SGD through 3-D matmuls. The members of
+    one task hold one batch-order Generator and so share its order; each
+    task draws its own. Encoder i of task t returns exactly what tuning it
+    alone under that task's seed returns. Returns one list of (encoder,
+    loss) per task. A NumericError names the diverging task and encoder,
+    and carries in ``member`` the encoder's position in the concatenation
+    of every task's encoders.
     """
     prepared = []  # per task: training rows, held-out rows, fresh decoder, batch-order Generator
-    groups: dict[tuple[int, bool], list[int]] = {}  # (training rows, joint phase) -> tasks
+    groups: dict[bool, list[int]] = {}  # joint phase -> tasks
     for t, (encoders, target_data, budget, seed) in enumerate(tasks):
         target_data = np.asarray(target_data, dtype=float)
         if target_data.ndim != 2 or target_data.shape[0] < 2:
@@ -237,20 +236,22 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
         decoder = make_decoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 1]))
         rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
         prepared.append((rows, target_data[heldout], decoder, np.random.default_rng([seed, 2])))
-        joint = budget > 0 and cfg.finetune.epochs > 0
-        groups.setdefault((len(rows), joint), []).append(t)
+        groups.setdefault(budget > 0 and cfg.finetune.epochs > 0, []).append(t)
 
     results: list[list[tuple[Mlp, float]]] = [[] for _ in tasks]
-    for (_, joint), group in groups.items():
+    for joint, group in groups.items():
         owners = [(t, i) for t in group for i in range(len(tasks[t][0]))]
         encoders = [tasks[t][0][i] for t, i in owners]
         rows, _, decoders, rngs = zip(*(prepared[t] for t, _ in owners))
-        rows = np.stack(rows)
         enc_params, dec_params = stack_params(encoders), stack_params(decoders)
         enc_acts = [layer.activation for layer in encoders[0].layers]
         dec_acts = [layer.activation for layer in decoders[0].layers]
+        latents, lo = [], 0
+        for t in group:  # a task's encoders on its rows, shared by its members
+            hi = lo + len(tasks[t][0])
+            latents += list(forward([[w[lo:hi], b[lo:hi]] for w, b in enc_params], enc_acts, prepared[t][0]))
+            lo = hi
         try:
-            latents = forward(enc_params, enc_acts, rows)
             sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, rngs)
             if joint:
                 sgd_reconstruction(
@@ -408,14 +409,13 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     """Run the full affinity analysis over every ordered concept pair.
 
     Concepts with fewer than ``cfg.min_examples`` examples are skipped and
-    reported; their pairs are left missing. Concepts with equal example
-    counts pretrain their autoencoders as one :func:`train_autoencoder_stack`
-    call, each under a seed derived from (seed, concept). One
-    :func:`fine_tune_stack` call then tunes, toward every target, each
-    source encoder plus the scratch reference under a seed derived from
-    (seed, target); the targets that train on the same number of rows share
-    one stack. A diverging transfer raises a NumericError that names its
-    source and target concepts.
+    reported; their pairs are left missing. The concepts pretrain their
+    autoencoders in one :func:`train_autoencoder_stack` call, each under a
+    seed derived from (seed, concept). One :func:`fine_tune_stack` call then
+    tunes, toward every target, each source encoder plus the scratch
+    reference under a seed derived from (seed, target). A diverging
+    transfer raises a NumericError that names its source and target
+    concepts.
     """
     catalog = dataset.catalog
     support = dataset.support()
@@ -428,18 +428,13 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         )
 
     per_concept = {cid: dataset.of_concept(cid) for cid in usable}
-    by_rows: dict[int, list[int]] = {}
-    for cid in usable:
-        by_rows.setdefault(per_concept[cid].shape[0], []).append(cid)
-    pretrained = {}
-    for cids in by_rows.values():
-        seeds = [task_seed(cfg.seed, 1, cid) for cid in cids]
-        try:
-            stack = train_autoencoder_stack([per_concept[cid] for cid in cids], cfg, seeds)
-        except NumericError as exc:
-            name = catalog.name_of(cids[exc.member])
-            raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
-        pretrained.update((cid, encoder) for cid, (encoder, _, _) in zip(cids, stack))
+    seeds = [task_seed(cfg.seed, 1, cid) for cid in usable]
+    try:
+        stack = train_autoencoder_stack([per_concept[cid] for cid in usable], cfg, seeds)
+    except NumericError as exc:
+        name = catalog.name_of(usable[exc.member])
+        raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
+    pretrained = {cid: encoder for cid, (encoder, _, _) in zip(usable, stack)}
 
     tasks, members = [], []  # one task per target: every source encoder, then the scratch reference
     for dst in usable:

@@ -14,6 +14,7 @@ penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,12 @@ from .nets import (
     Mlp,
     SgdConfig,
     backprop,
+    batch_schedule,
     check_schedule,
-    epoch_order,
     forward_trace,
     mlp_forward,
     mlp_params,
     params_to_mlp,
-    take_rows,
     task_seed,
 )
 from .serialize import array_from_json, array_to_json, mlp_from_json, mlp_to_json
@@ -80,6 +80,28 @@ class NodeModel:
         object.__setattr__(self, "scorer_weights", w)
         object.__setattr__(self, "scorer_bias", b)
 
+    @cached_property
+    def max_feature(self) -> float:
+        """The feature magnitude from which some layer sum of the node, scorers
+        included, could overflow: a row of largest magnitude r has sums bounded
+        by a·r + c, built up from each layer's largest absolute row sum and bias,
+        and by 1 after a sigmoid. Unlike the sums, which BLAS orders differently
+        for one row and for many, the bound does not depend on the batch. It
+        depends only on the model, so it is computed on first use and kept."""
+        limit, a, c, r_max = np.finfo(float).max / 2, 1.0, 0.0, np.inf  # the half leaves room for rounding
+        layers = [(l.weights, l.bias, l.activation) for l in self.encoder.layers]
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, and the bound with it
+            for w, b, act in layers + [(self.scorer_weights, self.scorer_bias, "identity")]:
+                norm = float(np.abs(w).sum(axis=1).max())
+                a, c = norm * a, norm * c + float(np.abs(b).max())  # Python floats: inf * 0 is NaN, no warning
+                if not c < limit:  # inf or NaN: no row is safe
+                    r_max = -np.inf
+                elif a > 0:  # a is NaN only after an all-zero layer, where the bound no longer depends on r
+                    r_max = min(r_max, (limit - c) / a)
+                if act == "sigmoid":
+                    a, c = 0.0, 1.0
+        return r_max
+
 
 @dataclass(frozen=True)
 class HierarchicalClassifier:
@@ -117,30 +139,9 @@ def route_child(model: NodeModel, x: np.ndarray) -> np.ndarray:
     return node_scores(model, x).argmax(axis=1)
 
 
-def _max_feature(model: NodeModel) -> float:
-    """The feature magnitude from which some layer sum of the node, scorers
-    included, could overflow: a row of largest magnitude r has sums bounded
-    by a·r + c, built up from each layer's largest absolute row sum and bias,
-    and by 1 after a sigmoid. Unlike the sums, which BLAS orders differently
-    for one row and for many, the bound does not depend on the batch."""
-    limit, a, c, r_max = np.finfo(float).max / 2, 1.0, 0.0, np.inf  # the half leaves room for rounding
-    layers = [(l.weights, l.bias, l.activation) for l in model.encoder.layers]
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, and the bound with it
-        for w, b, act in layers + [(model.scorer_weights, model.scorer_bias, "identity")]:
-            norm = float(np.abs(w).sum(axis=1).max())
-            a, c = norm * a, norm * c + float(np.abs(b).max())  # Python floats: inf * 0 is NaN, no warning
-            if not c < limit:  # inf or NaN: no row is safe
-                r_max = -np.inf
-            elif a > 0:  # a is NaN only after an all-zero layer, where the bound no longer depends on r
-                r_max = min(r_max, (limit - c) / a)
-            if act == "sigmoid":
-                a, c = 0.0, 1.0
-    return r_max
-
-
 def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarray:
     """The predicted concept of each row. A row that some node cannot score
-    (see :func:`_max_feature`) raises an UnscorableRowError naming it,
+    (see :attr:`NodeModel.max_feature`) raises an UnscorableRowError naming it,
     0-based, and the first node in tree order that cannot score it."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim = classifier.input_dim
@@ -148,7 +149,7 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
         raise ValueError(f"feature dim {x.shape[1]} does not match classifier dim {dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature values")
-    limits = {node_key(n): _max_feature(classifier.models[node_key(n)]) for n in classifier.tree.internal_nodes()}
+    limits = {node_key(n): classifier.models[node_key(n)].max_feature for n in classifier.tree.internal_nodes()}
     if x.size and max(x.max(), -x.min()) >= min(limits.values(), default=np.inf):  # then find the row
         row = int(np.flatnonzero(np.abs(x).max(axis=1) >= min(limits.values()))[0])
         magnitude = np.abs(x[row]).max()
@@ -180,14 +181,18 @@ def predict(classifier: HierarchicalClassifier, x: np.ndarray) -> int:
 
 
 # The kernel comes in parts so that SGD steps skip the risk and per-epoch
-# risks skip the gradients; ``y`` holds the +-1 child labels (..., m, n).
-# A row's hinge 1 - y s is active where y s < 1; its slope d(risk)/d(s) is
+# risks skip the gradients; ``y`` holds the +-1 child labels (..., m, n). A
+# row's hinge 1 - y s is active where y s < 1; its slope d(risk)/d(s) is
 # then -y / m, m being the rows the risk averages over.
 
 
-def _signed_labels(child_idx: np.ndarray, n_children: int) -> np.ndarray:
-    """+1 where a row's child is the scorer's child, -1 elsewhere."""
-    return np.where(child_idx[..., None] == np.arange(n_children), 1.0, -1.0)
+def _signed_labels(child_idx: np.ndarray, n_children: int, dtype=float) -> np.ndarray:
+    """+1 where a row's child is the scorer's child, -1 elsewhere: one
+    scatter of +1s into -1s, as a broadcast comparison over a last axis of
+    a few scorers is many times slower."""
+    y = np.full(child_idx.shape + (n_children,), -1, dtype=dtype)
+    y.reshape(-1)[np.arange(0, y.size, n_children) + child_idx.reshape(-1)] = 1
+    return y
 
 
 def _signed_scores(scorer_w, scorer_b, z, y):
@@ -234,7 +239,7 @@ def erm_risk_and_grads(
     """
     y = _signed_labels(child_idx, scorer_w.shape[-2])
     ys = _signed_scores(scorer_w, scorer_b, z, y)
-    dw, db, ds = _hinge_grads(ys, -y / z.shape[-2], scorer_w, z, l2)
+    dw, db, ds = _hinge_grads(ys, y / -z.shape[-2], scorer_w, z, l2)
     risk = _hinge_risk(ys, scorer_w, l2)
     return (risk if risk.ndim else float(risk)), dw, db, ds
 
@@ -250,68 +255,135 @@ class ErmConfig:
         check_schedule(self)
 
 
-def train_node_erm_stack(encoders, features, child_idx, n_children: int, cfg: ErmConfig, seeds):
+STEP_SCORES = 1 << 15  # scores per ERM sub-step: its float64 arrays stay cache-sized
+
+
+def _substeps(groups, counts, lo: int, hi: int, size: int, latent_dim: int):
+    """The (lo, hi, scorers) sub-steps of an ERM step over sorted members
+    [lo, hi): its runs of equal row and child count, each cut to at most
+    STEP_SCORES scores, and consecutive runs merged within that bound at
+    their widest scorer count. Merging is skipped where numpy would take a
+    matrix-vector product (one-row batches, one-dimensional latents, single
+    scorers), whose sums depend on that width."""
+    merge = size > 1 and latent_dim > 1 and counts.min() > 1
+    parts: list = []
+    for ga, gb in groups:
+        n = int(counts[ga])
+        room = max(1, STEP_SCORES // (size * n))
+        for a in range(max(ga, lo), min(gb, hi), room):
+            c = min(a + room, gb, hi)
+            if merge and parts and (c - parts[-1][0]) * size * max(parts[-1][2], n) <= STEP_SCORES:
+                parts[-1] = (parts[-1][0], c, max(parts[-1][2], n))
+            else:
+                parts.append((a, c, n))
+    return parts
+
+
+def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConfig, seeds):
     """Stochastic subgradient descent on the hinge risks of several node
     problems as one stacked SGD.
 
     Problem g has its own frozen encoder ``encoders[g]``, rows
-    ``features[g]`` (m, in), every problem with the same m, seed
-    ``seeds[g]`` and child indices ``child_idx[g]`` (P_g, m): P_g groupings
-    of its rows into ``n_children`` children. The groupings of one problem
-    share its encoded rows and the batch order drawn from its seed; each
-    problem draws its own order every epoch and its members gather their
-    own rows, so grouping p of problem g gets bit for bit what it gets
-    trained alone, in a stack of one problem and one grouping. Scorers
-    start at zero and each member keeps its best iterate by full-data
-    risk, so its reported risk never exceeds the initial one. Returns one
-    (weights (P_g, n, d), bias (P_g, n), risk history of (P_g,) arrays)
-    per problem.
+    ``features[g]`` (m_g, in), seed ``seeds[g]`` and child indices
+    ``child_idx[g]`` (P_g, m_g): P_g groupings of its rows, grouping p into
+    ``n_children[g][p]`` children (``n_children[g]`` may be one count for
+    every grouping of g, and ``n_children`` one count for all). Problems may
+    differ in row count and groupings in child count. The groupings of one
+    problem share its encoded rows and the batch order drawn from its seed;
+    each problem draws its own order every epoch, and the steps follow
+    :func:`batch_schedule`, so grouping p of problem g gets bit for bit what
+    it gets trained alone, in a stack of one problem and one grouping.
+    Scorers start at zero and each member keeps its best iterate by
+    full-data risk, so its reported risk never exceeds the initial one.
+    Returns one (weights, biases, risk history) per problem: the (n, d)
+    weights and (n,) biases of each grouping, stacked into (P_g, n, d) and
+    (P_g, n) arrays when all its groupings have n children, and one (P_g,)
+    risk array per epoch. An empty child group is a DataError naming the
+    member, counted over every problem's groupings.
     """
     sizes = [len(idx) for idx in child_idx]
-    members = np.concatenate([np.asarray(idx, dtype=int) for idx in child_idx])  # (P, m)
-    for p, row in enumerate(members):
-        counts = np.bincount(row, minlength=n_children)
-        if (counts == 0).any():
+    if isinstance(n_children, (int, np.integer)):
+        n_children = [n_children] * len(sizes)
+    counts = np.concatenate([np.broadcast_to(np.asarray(n, dtype=int), (size,)) for n, size in zip(n_children, sizes)])
+    members = [np.asarray(row, dtype=int) for idx in child_idx for row in idx]
+    for p, (row, n) in enumerate(zip(members, counts)):
+        empty = np.flatnonzero(np.bincount(row, minlength=n) == 0)
+        if empty.size:
             where = f" in stack member {p}" if len(members) > 1 else ""
-            raise DataError(f"empty child group(s){where}: {np.flatnonzero(counts == 0).tolist()}")
+            raise DataError(f"empty child group(s){where}: {empty.tolist()}")
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    z = np.stack([mlp_forward(enc, f) for enc, f in zip(encoders, features)])[owner]
-    y = _signed_labels(members, n_children)
-    w = np.zeros((len(members), n_children, z.shape[-1]))
-    b = np.zeros((len(members), n_children))
-    generators = [np.random.default_rng(seed) for seed in seeds]
-    rngs = [generators[g] for g in owner]  # a problem's groupings share its batch order
+    m = np.array([len(f) for f in features])
+    order, groups, steps = batch_schedule(m[owner], cfg.batch_size, key=counts)
+    problem, rows, counts = owner[order], m[owner][order], counts[order]
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
 
-    risk = _hinge_risk(_signed_scores(w, b, z, y), w, cfg.l2)
-    history = [risk]
+    # one latent array per problem, and each member's child labels in its problem's row order
+    z = np.concatenate([mlp_forward(enc, f) for enc, f in zip(encoders, features)])
+    first = np.cumsum([0, *m[:-1]])  # each problem's first row in z
+    latents = [z[lo : lo + n] for lo, n in zip(first, m)]
+    labels = np.zeros((len(order), m.max()), dtype=np.min_scalar_type(counts.max()))
+    for i, p in enumerate(order):
+        labels[i, : len(members[p])] = members[p]
+
+    shares = [[] for _ in m]  # per problem: the runs of its sorted members, which share its permutation
+    cuts = np.flatnonzero(np.diff(problem)) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
+        shares[problem[lo]].append((lo, hi))
+    # the risks' labels, per group of equal row and child count (int8 holds +-1 exactly)
+    signs = [_signed_labels(labels[lo:hi, : rows[lo]], counts[lo], np.int8) for lo, hi in groups]
+    substeps = [_substeps(groups, counts, lo, hi, size, z.shape[-1]) for lo, hi, _, size in steps]
+    w = np.zeros((len(order), counts.max(), z.shape[-1]))
+    b = np.zeros((len(order), counts.max()))
+
+    def risks():
+        out = np.empty(len(order))
+        for (lo, hi), y in zip(groups, signs):
+            n, wg = counts[lo], w[lo:hi, : counts[lo]]
+            zg = np.stack([latents[g] for g in problem[lo:hi]])
+            out[lo:hi] = _hinge_risk(_signed_scores(wg, b[lo:hi, :n], zg, y), wg, cfg.l2)
+        return out
+
+    risk = risks()
+    history = [risk[position]]
     best_risk, best_w, best_b = risk, w.copy(), b.copy()
-    m = z.shape[-2]
-    tail = m % cfg.batch_size  # rows in a short last batch
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    index = np.zeros((len(m), m.max()), dtype=np.intp)  # per epoch: each problem's rows of z in batch order
+    labels_epoch = np.zeros_like(labels)
     for _ in range(cfg.epochs):
-        order = epoch_order(rngs, m)
-        z_epoch, y_epoch = take_rows(z, order), take_rows(y, order)
-        slope_epoch = y_epoch / -cfg.batch_size
-        if tail:
-            slope_epoch[:, m - tail :] = y_epoch[:, m - tail :] / -tail
-        for start in range(0, m, cfg.batch_size):
-            rows = slice(start, start + cfg.batch_size)
-            zb, yb = z_epoch[:, rows], y_epoch[:, rows]
-            dw, db, _ = _hinge_grads(_signed_scores(w, b, zb, yb), slope_epoch[:, rows], w, zb, cfg.l2)
-            dw *= cfg.learning_rate
-            w -= dw
-            db *= cfg.learning_rate
-            b -= db
-        risk = _hinge_risk(_signed_scores(w, b, z, y), w, cfg.l2)
-        history.append(risk)
+        for g, rng in enumerate(generators):
+            perm = rng.permutation(m[g])
+            index[g, : m[g]] = first[g] + perm
+            for lo, hi in shares[g]:
+                labels_epoch[lo:hi, : m[g]] = labels[lo:hi, perm]
+        for (lo, hi, start, size), parts in zip(steps, substeps):
+            batch = slice(start, start + size)
+            zb = z.take(index[problem[lo:hi], batch], axis=0)
+            for a, c, n in parts:
+                wp, bp, zp = w[a:c, :n], b[a:c, :n], zb[a - lo : c - lo]
+                y = _signed_labels(labels_epoch[a:c, batch], n)
+                dw, db, _ = _hinge_grads(_signed_scores(wp, bp, zp, y), y / -size, wp, zp, cfg.l2)
+                dw *= cfg.learning_rate
+                wp -= dw
+                db *= cfg.learning_rate
+                bp -= db
+        risk = risks()
+        history.append(risk[position])
         better = risk < best_risk
         best_risk = np.where(better, risk, best_risk)
         np.copyto(best_w, w, where=better[:, None, None])
         np.copyto(best_b, b, where=better[:, None])
     bounds = np.cumsum([0, *sizes])
-    return [
-        (best_w[lo:hi], best_b[lo:hi], [risks[lo:hi] for risks in history])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        ws = [best_w[position[p], : counts[position[p]]] for p in range(lo, hi)]
+        bs = [best_b[position[p], : counts[position[p]]] for p in range(lo, hi)]
+        if len({len(wp) for wp in ws}) == 1:
+            ws, bs = np.stack(ws), np.stack(bs)
+        else:
+            ws, bs = [wp.copy() for wp in ws], [bp.copy() for bp in bs]
+        out.append((ws, bs, [epoch_risks[lo:hi] for epoch_risks in history]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +509,14 @@ def train_hierarchies(
     tree's classifier does not depend on the other trees in the call, but
     no node trains twice and independent problems stack:
 
-    - one scratch encoder per distinct concept set, trained in one
-      ``train_autoencoder_stack`` call per row count;
+    - one scratch encoder per distinct concept set, all trained in one
+      ``train_autoencoder_stack`` call;
     - one artifact encoder per distinct subtree, as a union-tuned
       encoder depends on the subtree below its node; the union tunes of one
       tree height go through one ``fine_tune_stack`` call;
-    - one scorer set per distinct (encoder, child partition), trained in
-      one ``train_node_erm_stack`` call per (row count, child count); the
-      partitions of one encoder share its rows and batch order.
+    - one scorer set per distinct (encoder, child partition), all trained
+      in one ``train_node_erm_stack`` call; the partitions of one encoder
+      share its rows and batch order.
 
     Artifacts built over another catalog or feature width raise a DataError.
     """
@@ -463,43 +535,37 @@ def train_hierarchies(
         return node_key(node), (None if artifacts is None else node)
 
     subs: dict[tuple[int, ...], LabeledDataset] = {}  # concept set -> its rows
-    # (row count, child count) -> problem -> distinct child partitions (insertion-ordered)
-    by_shape: dict[tuple[int, int], dict] = {}
+    problems: dict = {}  # problem -> its distinct child partitions (insertion-ordered)
     for tree in shaped:
         for node in tree.internal_nodes():
             key = node_key(node)
             if key not in subs:
                 subs[key] = dataset.restrict(key)
-            shape = (len(subs[key]), len(node.children))
-            by_shape.setdefault(shape, {}).setdefault(problem_of(node), {})[_child_keys(node)] = None
+            problems.setdefault(problem_of(node), {})[_child_keys(node)] = None
 
     if artifacts is not None:
         assigned = _assigned_encoders(shaped, artifacts, lambda key: subs[key].features)
         encoders = {problem_of(node): encoder for node, encoder in assigned.items()}
-    else:
-        encoders = {}
-        by_rows: dict[int, list] = {}
-        for key, sub in subs.items():
-            by_rows.setdefault(len(sub), []).append(key)
+    elif subs:
+        keys = list(subs)
         affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
-        for keys in by_rows.values():
-            seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
-            try:
-                stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
-            except NumericError as exc:
-                names = [dataset.catalog.name_of(cid) for cid in keys[exc.member]]
-                raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
-            encoders.update(((key, None), encoder) for key, (encoder, _, _) in zip(keys, stack))
+        seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
+        try:
+            stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
+        except NumericError as exc:
+            names = [dataset.catalog.name_of(cid) for cid in keys[exc.member]]
+            raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
+        encoders = {(key, None): encoder for key, (encoder, _, _) in zip(keys, stack)}
 
     nodes: dict = {}
-    for (_, n_children), problems in by_shape.items():
+    if problems:
         try:
             stack = train_node_erm_stack(
                 [encoders[problem] for problem in problems],
                 [subs[key].features for key, _ in problems],
                 [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts])
                  for (key, _), parts in problems.items()],
-                n_children,
+                [[len(ck) for ck in parts] for parts in problems.values()],
                 cfg.erm,
                 [task_seed(cfg.seed, 6, *key) for key, _ in problems],
             )

@@ -10,9 +10,11 @@ biases (S, out)): S same-shaped networks then train as one SGD through 3-D
 ``np.matmul``, and every stack member computes bit for bit what it would
 compute alone. Members either share their inputs and one batch order, or
 each trains on its own rows in the order drawn from the ``Generator`` it
-holds, members holding the same Generator sharing its order (see
-:func:`epoch_order` and :func:`take_rows`); problems with different row
-counts go in different stacks, because padded rows would change the sums.
+holds, members holding the same Generator sharing its order. Members with
+their own rows may differ in row count: :func:`batch_schedule` steps them
+through an epoch so that each member's batches, a short last batch
+included, are the ones it has alone, and full-data losses are computed per
+run of equal row count, so every sum keeps its order.
 
 The kernels work in place, and a kernel writes only into arrays it
 allocated: never into inputs, targets or cached latents, SGD updating the
@@ -149,27 +151,35 @@ def member_mlp(params, s: int, template: Mlp) -> Mlp:
     return params_to_mlp([[w[s], b[s]] for w, b in params], template)
 
 
-def epoch_order(rng, n: int) -> np.ndarray:
-    """One epoch's batch order over ``n`` rows: a permutation (n,) from one
-    ``Generator``, or one per member (S, n) from a sequence of S of them.
-    Members that hold the same Generator share the one permutation it
-    draws, so each distinct Generator draws exactly what it would draw
-    alone."""
-    if isinstance(rng, np.random.Generator):
-        return rng.permutation(n)
-    drawn = {r: r.permutation(n) for r in dict.fromkeys(rng)}
-    return np.stack([drawn[r] for r in rng])
+def batch_schedule(rows, batch: int, key=None):
+    """One SGD epoch over stack members with ``rows[s]`` rows each.
 
-
-def take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows ``rows`` of ``a``: with rows (b,), those rows of every
-    member ((..., N, k) -> (..., b, k)); with rows (S, b), member s's own
-    rows of ``a[s]`` ((S, N, k) -> (S, b, k)). Gathering a whole epoch's
-    order once lets its batches be slices."""
-    if rows.ndim == 1:
-        return a[..., rows, :]
-    s, n = a.shape[0], a.shape[-2]  # one flat take is several times faster than a[arange, rows]
-    return np.take(a.reshape(s * n, -1), rows + n * np.arange(s)[:, None], axis=0)
+    Members are sorted by row count, descending, then by ``key[s]`` (say,
+    a scorer count), ties in the caller's order. Returns ``(order, groups,
+    steps)``: ``order`` holds the caller's member indices in sorted order,
+    ``groups`` the (lo, hi) runs of sorted members with equal row count and
+    key, and ``steps`` the epoch's (lo, hi, start, size) steps in order of
+    row offset. At offset ``start`` = i·batch the members with a full batch
+    left are the prefix [0, hi), and members whose short last batch starts
+    there step with the others of their row count, so each member steps
+    through its rows in the batches it has alone.
+    """
+    rows = np.asarray(rows, dtype=int)
+    key = np.zeros_like(rows) if key is None else np.asarray(key, dtype=int)
+    order = np.lexsort((key, -rows))
+    rows, key = rows[order], key[order]
+    cuts = np.flatnonzero((np.diff(rows) != 0) | (np.diff(key) != 0)) + 1
+    bounds = [0, *cuts.tolist(), len(rows)]
+    descending = -rows  # ascending, for searchsorted
+    steps = []
+    for start in range(0, int(rows[0]) if rows.size else 0, batch):
+        full = int(np.searchsorted(descending, -(start + batch), side="right"))
+        if full:
+            steps.append((0, full, start, batch))
+        for n in sorted(set(rows[(rows > start) & (rows < start + batch)].tolist()), reverse=True):
+            lo, hi = np.searchsorted(descending, -n, side="left"), np.searchsorted(descending, -n, side="right")
+            steps.append((int(lo), int(hi), start, n - start))
+    return order, list(zip(bounds, bounds[1:])), steps
 
 
 def _layer(w, b, act, a):
@@ -267,32 +277,69 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_train
     drawn from it: ``target`` is (N, dim) and ``x`` is (N, in), or
     (S, N, in) for stacked parameters whose members read different inputs
     (say, cached latents of a frozen encoder stack). With a sequence of S
-    Generators, member s trains on its own rows, ``x[s]`` against
-    ``target[s]`` (both (S, N, .)), in the order drawn from ``rng[s]``;
-    members holding the same Generator follow the same order.
+    Generators, member s trains on its own rows, ``x[s]`` (n_s, in) against
+    ``target[s]`` (n_s, dim), in the order drawn from ``rng[s]``; row counts
+    may differ (see :func:`batch_schedule`), and members holding the same
+    Generator follow the same order, so they must have the same row count.
     Returns the full-data loss of every member per epoch (entry 0 is the
-    pre-training loss). Raises NumericError, naming the member, as soon as
-    any member's loss diverges or goes non-finite.
+    pre-training loss), in the caller's member order. Raises NumericError,
+    naming the member, as soon as any member's loss diverges or goes
+    non-finite.
     """
-    history = [_member_losses(params, acts, x, target, cfg)]
-    n = target.shape[-2]
+    stacked = params[0][0].ndim == 3
+    if isinstance(rng, np.random.Generator):  # every member holds the one Generator
+        size = len(params[0][0]) if stacked else 1
+        same = target is x
+        x = list(x) if x.ndim == 3 else [x] * size
+        target, rng = x if same else [target] * size, [rng] * size
+    caller = params if stacked else [[w[None], b[None]] for w, b in params]  # views: the caller's arrays move
+    rows = np.array([len(t) for t in target])
+    order, groups, steps = batch_schedule(rows, cfg.batch_size)
+    rows = rows[order]
+    held: dict = {}  # distinct Generator -> sorted positions of its members
+    for i, s in enumerate(order):
+        held.setdefault(rng[s], []).append(i)
+    if any(len(set(rows[members])) > 1 for members in held.values()):
+        raise ValueError("members holding one Generator must have the same row count")
+    params = [[w[order], b[order]] for w, b in caller]  # sorted copies, written back at the end
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    xs = np.concatenate([x[s] for s in order], dtype=float)  # the sorted members' rows, member after member
+    ts = xs if target is x else np.concatenate([target[s] for s in order], dtype=float)
+    first = np.cumsum([0, *rows[:-1]])  # each sorted member's first row in xs
+
+    def members(lo, hi):
+        return [[w[lo:hi], b[lo:hi]] for w, b in params]
+
+    def losses(epoch=None):
+        out = np.empty(len(order))
+        for lo, hi in groups:
+            span, shape = slice(first[lo], first[lo] + (hi - lo) * rows[lo]), (hi - lo, rows[lo], -1)
+            out[lo:hi] = member_mse(members(lo, hi), acts, xs[span].reshape(shape), ts[span].reshape(shape))
+        return _checked_losses(out[position], cfg, epoch)
+
+    history = [losses()]
+    index = np.zeros((len(order), rows[0]), dtype=np.intp)  # per epoch: each member's rows of xs in batch order
     for epoch in range(cfg.epochs):
-        order = epoch_order(rng, n)
-        x_epoch = take_rows(x, order)
-        target_epoch = x_epoch if target is x else take_rows(target, order)
-        for start in range(0, n, cfg.batch_size):
-            rows = slice(start, start + cfg.batch_size)
-            grads = _mse_grads(params, acts, x_epoch[..., rows, :], target_epoch[..., rows, :])
+        for r, held_by in held.items():
+            n = rows[held_by[0]]
+            index[held_by, :n] = first[held_by, None] + r.permutation(n)
+        for lo, hi, start, size in steps:
+            batch = index[lo:hi, start : start + size]
+            x_batch = xs.take(batch, axis=0)
+            step_params = members(lo, hi)
+            grads = _mse_grads(step_params, acts, x_batch, x_batch if ts is xs else ts.take(batch, axis=0))
             for i in range(first_trainable, len(params)):
-                for param, grad in zip(params[i], grads[i]):
+                for param, grad in zip(step_params[i], grads[i]):
                     grad *= cfg.learning_rate
                     param -= grad
-        history.append(_member_losses(params, acts, x, target, cfg, epoch=epoch))
+        history.append(losses(epoch))
+    for (w, b), (sw, sb) in zip(caller, params):
+        w[order], b[order] = sw, sb
     return history
 
 
-def _member_losses(params, acts, x, target, cfg, epoch=None) -> np.ndarray:
-    losses = np.atleast_1d(member_mse(params, acts, x, target))
+def _checked_losses(losses: np.ndarray, cfg, epoch=None) -> np.ndarray:
     diverged = np.flatnonzero(~np.isfinite(losses) | (losses > cfg.divergence_limit))
     if diverged.size:
         member = int(diverged[0])

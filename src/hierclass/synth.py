@@ -450,7 +450,8 @@ def split(
     """Disjoint cover of the rows in the given proportions.
 
     Stratified mode splits each concept's rows separately, preserving
-    per-concept proportions within one example.
+    per-concept proportions within one example. A part that would get no
+    rows at all is a DataError naming the part and its fraction.
     """
     fractions = tuple(float(f) for f in fractions)
     if any(f <= 0 for f in fractions):
@@ -481,4 +482,7 @@ def split(
         for part, size in zip(parts, sizes):
             part.extend(idx[pos : pos + size].tolist())
             pos += size
+    for i, (part, fraction) in enumerate(zip(parts, fractions)):
+        if not part:
+            raise DataError(f"split part {i} (fraction {fraction:g}) gets none of the {len(dataset)} rows")
     return tuple(dataset.take(np.array(sorted(p), dtype=int)) for p in parts)

@@ -380,14 +380,14 @@ def test_build_matches_plain_path_on_unequal_supports(monkeypatch):
 
     def spy(params, acts, x, target, sgd_cfg, rng, first_trainable=0):
         if sgd_cfg is cfg.warmup:
-            warmups.append((len(rng), target.shape[-2]))
+            warmups.append((len(rng), {len(t) for t in target}))
         return real_sgd(params, acts, x, target, sgd_cfg, rng, first_trainable)
 
     monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
     _assert_build_matches_plain(data, cfg)
-    assert stacks == [[40, 40], [55], [70]]
+    assert stacks == [[40, 55, 40, 70]]
     # held out 8/11/8/14 rows, every target trains on 30: the 4 x 4 transfers warm up as one stack
-    assert warmups == [(16, 30)]
+    assert warmups == [(16, {30})]
 
 
 def test_autoencoder_stack_members_match_the_plain_path(triple_data_module):
@@ -442,8 +442,8 @@ def test_one_diverging_stack_member_raises():
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1"):
         fine_tune_stack([([calm, wild, calm], data, 20, 3)], cfg)
     # across tasks: the error names the task and encoder, and ``member`` counts over all tasks' encoders
-    tasks = [([calm], data, 20, 3), ([calm], data, 15, 4), ([calm, wild], data, 20, 5)]  # task 1 stacks apart
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"task 2, encoder 1: .*stack member 2") as info:
+    tasks = [([calm], data, 20, 3), ([calm], data, 15, 4), ([calm, wild], data, 20, 5)]  # task 1 on fewer rows
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"task 2, encoder 1: .*stack member 3") as info:
         fine_tune_stack(tasks, cfg)
     assert info.value.member == 3
 
@@ -507,7 +507,7 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     real = affinity_module.sgd_reconstruction
 
     def spy(params, acts, x, target, cfg, rng, first_trainable=0):
-        rows_seen.append((cfg, target.shape[-2]))
+        rows_seen.append((cfg, {len(t) for t in target}))
         return real(params, acts, x, target, cfg, rng, first_trainable)
 
     monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
@@ -518,7 +518,7 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     matrix = build_affinity_matrix(data, cfg)
     # one pretraining stack over both concepts' 10 rows, then one transfer stack toward both
     # targets whose joint phase ran
-    assert rows_seen == [(cfg.pretrain, 10), (cfg.warmup, 1), (cfg.finetune, 1)]
+    assert rows_seen == [(cfg.pretrain, {10}), (cfg.warmup, {1}), (cfg.finetune, {1})]
     assert [r.budget for r in matrix.records] == [1, 1]
 
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,21 @@ def test_search_k4_emits_26_rows(tmp_path, planted_csv, capsys):
     lines = (tmp_path / "table.csv").read_text().strip().splitlines()
     assert lines[0] == "tree,score"
     assert len(lines) == 27  # header + 26 hierarchies
+
+
+@pytest.mark.parametrize("command", ["search", "compare"])
+@pytest.mark.parametrize("val_fraction, part", [("0.99", 0), ("0.01", 1)])
+def test_val_fraction_leaving_a_split_part_empty_is_a_data_error(tmp_path, planted_csv, capsys, command,
+                                                                  val_fraction, part):
+    # 40 rows per concept: the 1 % part (train at 0.99, validation at 0.01) gets no row of any concept
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    trees = ["--derived", tmp_path / "tree.nwk", "--expert", tmp_path / "tree.nwk"] if command == "compare" else []
+    assert run("--out-dir", tmp_path, command, "--data", data, "--val-fraction", val_fraction, *trees,
+               *FAST, "--out", "out.json") == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"^data error: split part {part} \(fraction 0.01\) gets none of the 160 rows$", err, re.M)
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_compare_identical_trees_reports_full_agreement(tmp_path, planted_csv, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -451,6 +452,21 @@ def test_a_row_one_node_cannot_score_raises_off_that_nodes_path(trained_triple):
         evaluate(broken, LabeledDataset(c3, np.array([2, 2, 0]), data.catalog))
 
 
+def test_node_bounds_are_computed_once_per_model_on_first_use(trained_triple, monkeypatch):
+    clf, data = trained_triple
+    loaded = classifier_from_json(json.loads(json.dumps(classifier_to_json(clf))))
+    assert all("max_feature" not in model.__dict__ for model in loaded.models.values())  # loading computes none
+    expected = predict_batch(clf, data.features)
+    computed = []
+    original = NodeModel.__dict__["max_feature"].func
+    counted = cached_property(lambda model: computed.append(model) or original(model))
+    counted.__set_name__(NodeModel, "max_feature")
+    monkeypatch.setattr(NodeModel, "max_feature", counted)
+    assert np.array_equal(predict_batch(loaded, data.features), expected)
+    assert np.array_equal(predict_batch(loaded, data.features), expected)
+    assert sorted(map(id, computed)) == sorted(map(id, loaded.models.values()))
+
+
 def test_refine_rejects_negative_lambda(trained_triple):
     clf, data = trained_triple
     with pytest.raises(ValueError):
@@ -740,9 +756,9 @@ def test_search_trains_each_distinct_node_once(monkeypatch):
     train, val = _search_split(4)
     calls, _ = _count_stacks(monkeypatch)
     exhaustive_search(train, val, FAST_CFG)
-    # 2^4-4-1 concept sets in one stack per set size (balanced rows);
-    # sum C(4,s)(B_s-1) groupings in one stack per (set size, child count)
-    assert calls == {"encoder_stacks": 3, "encoders": 11, "erm_stacks": 6, "erms": 36}
+    # 2^4-4-1 concept sets in one stack, whatever their row counts;
+    # sum C(4,s)(B_s-1) groupings in one stack, whatever their child counts
+    assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36}
 
 
 def _unequal_split():
@@ -763,11 +779,11 @@ def test_search_on_unequal_supports_equals_training_every_tree(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         result = exhaustive_search(train, val, FAST_CFG, metric=metric)
         assert result.table == tuple((row[0], row[column]) for row in plain)
-        # stacks split by row count: the 11 concept sets have 8 distinct row
-        # counts (4 among pairs, 3 among triples), and the 36 groupings fall
+        # one stack each, though the 11 concept sets have 8 distinct row
+        # counts (4 among pairs, 3 among triples) and the 36 groupings fall
         # into 13 (row count, child count) pairs
-        assert calls == {"encoder_stacks": 8, "encoders": 11, "erm_stacks": 13, "erms": 36}
-    assert all(len(rows) == 1 for rows in erm_rows)
+        assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36}
+    assert erm_rows == [{34, 42, 48, 56, 62, 70, 76, 90}] * 2
 
 
 # children listed out of canonical order, which construction sorts
@@ -847,9 +863,9 @@ def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):
     train, _ = _search_split(4)
     calls, _ = _count_stacks(monkeypatch)
     hmodel.train_hierarchies([_T, _T, _U], train, FAST_CFG)
-    # concept sets {0,1,2,3}, then {2,3}, {0,1}, {0,2} of equal size in one stack;
-    # the root splits two ways and three ways, the pairs two ways in one stack
-    assert calls == {"encoder_stacks": 2, "encoders": 4, "erm_stacks": 3, "erms": 5}
+    # concept sets {0,1,2,3}, {2,3}, {0,1} and {0,2} in one stack; the root
+    # splits two ways and three ways, the pairs two ways, all in one stack
+    assert calls == {"encoder_stacks": 1, "encoders": 4, "erm_stacks": 1, "erms": 5}
 
 
 def test_diverging_scratch_encoder_names_its_concept_set():
@@ -857,11 +873,11 @@ def test_diverging_scratch_encoder_names_its_concept_set():
     features = train.features.copy()
     features[train.labels == 3] += 200.0  # a mean square of about 4e4 on the rows of d
     wild = LabeledDataset(features, train.labels, train.catalog)
-    # no epochs, just the initial check: the root (d a quarter of its rows)
-    # passes, and of the stack {a, b}, {c, d} only {c, d} (half) fails
+    # no epochs, just the initial check: of the stack {a, b, c, d}, {a, b},
+    # {c, d}, the root (d a quarter of its rows) passes and only {c, d} (half) fails
     cfg = replace(FAST_CFG, pretrain=SgdConfig(epochs=0, divergence_limit=1.5e4))
     tree = internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])])
-    with pytest.raises(NumericError, match=r"scratch encoder of concept set \['c', 'd'\]: .*stack member 1"):
+    with pytest.raises(NumericError, match=r"scratch encoder of concept set \['c', 'd'\]: .*stack member 2"):
         hmodel.train_hierarchies([tree], wild, cfg)
 
 

@@ -3,27 +3,48 @@
 The reference below spells out forward, backprop, the MSE step and the
 hinge step with one new array per expression. Every comparison is bit for
 bit, and every input is read-only, so a kernel that wrote into one would
-fail.
+fail. Ragged stacks, whose members differ in row and child count, are
+checked member by member against the reference run on that member alone.
 """
 
 import numpy as np
 import pytest
 
+from conftest import _plain_node_erm
+from hierclass import hmodel
+from hierclass.affinity import AffinityConfig, EncoderConfig, train_autoencoder_stack
+from hierclass.errors import DataError, NumericError
 from hierclass.hmodel import ErmConfig, erm_risk_and_grads, train_node_erm_stack
 from hierclass.nets import (
     Layer,
     Mlp,
     SgdConfig,
-    epoch_order,
     init_mlp,
     mlp_forward,
     mlp_params,
     sgd_reconstruction,
     stack_params,
-    take_rows,
 )
 
 # --- plain reference --------------------------------------------------------
+
+
+def epoch_order(rng, n):
+    """One epoch's batch order over n rows: a permutation (n,) from one
+    Generator, or one per member (S, n) from a sequence of them, members
+    holding the same Generator sharing the one permutation it draws."""
+    if isinstance(rng, np.random.Generator):
+        return rng.permutation(n)
+    drawn = {r: r.permutation(n) for r in dict.fromkeys(rng)}
+    return np.stack([drawn[r] for r in rng])
+
+
+def take_rows(a, rows):
+    """The rows ``rows`` of ``a``: rows (b,) of every member, or with rows
+    (S, b) member s's own rows of ``a[s]``."""
+    if rows.ndim == 1:
+        return a[..., rows, :]
+    return np.stack([a_s[r] for a_s, r in zip(a, rows)])
 
 
 def ref_activation(name, z):
@@ -266,3 +287,104 @@ def test_erm_risk_and_grads_match_reference(nan_row):
     ref = ref_hinge(w, b, z, y, 1e-3)
     assert isinstance(risk, float) and same_bits(risk, ref[0])
     assert all(same_bits(a, r) for a, r in zip((dw, db, ds), ref[1:]))
+
+
+# --- ragged stacks ------------------------------------------------------------
+
+BATCH = 8
+RAGGED_ROWS = (1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 7)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["given", "shuffled"])
+@pytest.mark.parametrize("first_trainable", [0, 1])
+def test_ragged_reconstruction_stack_equals_each_member_alone(shuffled, first_trainable):
+    rng = np.random.default_rng(13)
+    rows = list(RAGGED_ROWS) * 2  # every row count twice: short batches step in pairs
+    if shuffled:
+        rows = list(rng.permutation(rows))
+    acts = ["relu", "sigmoid", "identity"]
+    nets = [init_mlp((5, 6, 3, 4), acts, rng) for _ in rows]
+    x = [read_only(rng.normal(size=(n, 5))) for n in rows]
+    target = [read_only(rng.normal(size=(n, 4))) for n in rows]
+    seeds = [40 + i for i in range(len(rows))]
+    cfg = SgdConfig(epochs=5, batch_size=BATCH, learning_rate=0.2)
+    params = stack_params(nets)
+    arrays = [a for pair in params for a in pair]
+    history = sgd_reconstruction(params, acts, x, target, cfg, [np.random.default_rng(s) for s in seeds],
+                                 first_trainable)
+    assert [a for pair in params for a in pair] == arrays  # moved in place
+    for s, net in enumerate(nets):
+        ref = mlp_params(net)
+        ref_history = ref_sgd_reconstruction(ref, acts, x[s], target[s], cfg, np.random.default_rng(seeds[s]),
+                                             first_trainable)
+        assert all(same_bits(h[s], r[0]) for h, r in zip(history, ref_history))
+        for (w, b), (rw, rb) in zip(params, ref):
+            assert same_bits(w[s], rw) and same_bits(b[s], rb)
+
+
+def _ragged_problems(rng, latent, one_row):
+    """Problems over the ragged row counts, each with groupings into 2, 3
+    and 4 children (as many as its rows allow), and a one-row problem with
+    one child when ``one_row``."""
+    problems = []
+    for n in RAGGED_ROWS[1:]:
+        groupings, counts = [], []
+        for c in (2, 3, 4, 3):
+            if c <= n:
+                groupings.append(rng.permutation(np.arange(n) % c))
+                counts.append(c)
+        encoder = init_mlp((4, 6, latent), ("relu", "sigmoid"), rng)
+        problems.append((encoder, read_only(rng.normal(size=(n, 4))), np.stack(groupings), counts))
+    if one_row:
+        problems.append((init_mlp((4, 6, latent), ("relu", "sigmoid"), rng), read_only(rng.normal(size=(1, 4))),
+                         np.zeros((1, 1), dtype=int), [1]))
+    return problems
+
+
+# one-row batches and one-dimensional latents make numpy take matrix-vector
+# products, whose sums depend on the scorer count: the kernel steps those
+# per child count; a small sub-step budget cuts and merges member runs
+@pytest.mark.parametrize("shuffled", [False, True], ids=["given", "shuffled"])
+@pytest.mark.parametrize("latent, one_row, batch, budget", [
+    (3, False, BATCH, None), (8, False, BATCH, None), (1, False, BATCH, None),
+    (3, True, BATCH, None), (8, False, 1, None), (3, False, BATCH, 2 * BATCH),
+], ids=["latent3", "latent8", "latent1", "one-row", "batch1", "small-sub-steps"])
+def test_ragged_erm_stack_equals_each_member_alone(shuffled, latent, one_row, batch, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(hmodel, "STEP_SCORES", budget)
+    rng = np.random.default_rng(17)
+    problems = _ragged_problems(rng, latent, one_row)
+    if shuffled:
+        problems = [problems[g] for g in rng.permutation(len(problems))]
+    seeds = [60 + g for g in range(len(problems))]
+    cfg = ErmConfig(epochs=6, batch_size=batch, learning_rate=0.3, l2=1e-2)
+    encoders, features, child_idx, counts = zip(*problems)
+    stacked = train_node_erm_stack(encoders, features, child_idx, counts, cfg, seeds)
+    assert len(stacked) == len(problems)
+    for (encoder, f, idx, n_children), seed, (w, b, history) in zip(problems, seeds, stacked):
+        assert len(w) == len(b) == len(idx) and len(history) == cfg.epochs + 1
+        for p, (row, n) in enumerate(zip(idx, n_children)):
+            w1, b1, h1 = _plain_node_erm(encoder, f, row, n, cfg, seed)
+            assert same_bits(w[p], w1) and same_bits(b[p], b1)
+            assert [float(h[p]) for h in history] == h1
+            (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [row[None]], n, cfg, [seed])
+            assert same_bits(alone_w[0], w1) and same_bits(alone_b[0], b1)
+
+
+def test_ragged_erm_stack_names_an_empty_child_group_by_caller_index():
+    rng = np.random.default_rng(19)
+    encoder = init_mlp((4, 6, 3), ("relu", "sigmoid"), rng)
+    features = [rng.normal(size=(n, 4)) for n in (30, 9, 17)]
+    child_idx = [np.arange(30)[None] % 2, np.stack([np.arange(9) % 3, np.zeros(9, dtype=int)]), np.arange(17)[None] % 4]
+    with pytest.raises(DataError, match=r"empty child group\(s\) in stack member 2: \[1\]"):
+        train_node_erm_stack([encoder] * 3, features, child_idx, [2, [3, 2], 4], ErmConfig(), [1, 2, 3])
+
+
+def test_diverging_member_of_a_ragged_autoencoder_stack_is_named_by_caller_index():
+    cfg = AffinityConfig(encoder=EncoderConfig(hidden_dim=4, latent_dim=2))
+    rng = np.random.default_rng(0)
+    calm, wild = rng.normal(size=(60, 6)), rng.normal(size=(25, 6)) * 1e4
+    # sorted by row count the wild member would come last; the error names its caller index
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"stack member 1\)") as info:
+        train_autoencoder_stack([calm, wild, calm[:40]], cfg, [3, 4, 5])
+    assert info.value.member == 1

@@ -15,7 +15,6 @@ from hierclass.nets import (
     Layer,
     Mlp,
     SgdConfig,
-    epoch_order,
     init_mlp,
     member_mlp,
     mlp_forward,
@@ -187,13 +186,25 @@ def test_diverging_reconstruction_stack_member_is_named():
 
 
 def test_members_sharing_a_generator_share_its_order():
-    seeds = (3, 8)
-    held = [np.random.default_rng(seed) for seed in seeds]
-    members = [held[0], held[1], held[0], held[0], held[1]]
-    fresh = [np.random.default_rng(seed) for seed in seeds]  # each drawing alone
-    for _ in range(3):  # every epoch, one draw per distinct Generator
-        alone = [rng.permutation(7) for rng in fresh]
-        assert np.array_equal(epoch_order(members, 7), np.stack([alone[0], alone[1], alone[0], alone[0], alone[1]]))
+    # members 0, 2 and 3 hold one Generator over 7 rows, 1 and 4 another over 5:
+    # every epoch each distinct Generator draws once, as it draws alone
+    seeds, held = (3, 8), [0, 1, 0, 0, 1]
+    cfg = SgdConfig(epochs=3, batch_size=3, learning_rate=0.05)
+    rng = np.random.default_rng(0)
+    x = [rng.normal(size=(7 if g == 0 else 5, 4)) for g in held]
+    nets = [init_mlp((4, 3, 4), ("relu", "identity"), rng) for _ in held]
+    params = stack_params(nets)
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    history = sgd_reconstruction(params, ["relu", "identity"], x, x, cfg, [generators[g] for g in held])
+    for s, g in enumerate(held):
+        alone = stack_params([nets[s]])
+        alone_history = sgd_reconstruction(alone, ["relu", "identity"], [x[s]], [x[s]], cfg,
+                                           [np.random.default_rng(seeds[g])])
+        assert all(np.array_equal(a[0], p[s]) for pair, alone_pair in zip(params, alone)
+                   for p, a in zip(pair, alone_pair))
+        assert [h[s] for h in history] == [h[0] for h in alone_history]
+    with pytest.raises(ValueError, match="same row count"):
+        sgd_reconstruction(stack_params(nets[:2]), ["relu", "identity"], x[:2], x[:2], cfg, [generators[0]] * 2)
 
 
 @pytest.mark.parametrize("kwargs, field", [

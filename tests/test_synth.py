@@ -403,6 +403,15 @@ def test_stratified_split_rejects_tiny_concepts(pair_catalog, pair_tree):
         split(data, (0.5, 0.25, 0.25), seed=0, stratified=True)
 
 
+@pytest.mark.parametrize("stratified", [False, True])
+def test_split_part_without_rows_is_a_data_error_naming_it(pair_catalog, pair_tree, stratified):
+    data = generate_planted(PlantedSpec(pair_catalog, pair_tree, 4, 40, (2.0, 1.0), 0.3), seed=2)
+    with pytest.raises(DataError, match=r"^split part 0 \(fraction 0.001\) gets none of the 160 rows$"):
+        split(data, (0.001, 0.999), seed=0, stratified=stratified)
+    with pytest.raises(DataError, match=r"^split part 1 \(fraction 0.001\) gets none of the 160 rows$"):
+        split(data, (0.999, 0.001), seed=0, stratified=stratified)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(10, 60), st.integers(0, 10**6), st.booleans())
 def test_split_partitions_exactly(n, seed, stratified):
