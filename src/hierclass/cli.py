@@ -481,11 +481,18 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _val_fraction(args) -> float:
+    """``--val-fraction``, checked before any data is read: a usage error
+    naming the flag unless it lies strictly between 0 and 1."""
+    if not 0.0 < args.val_fraction < 1.0:  # NaN fails too
+        raise ValueError(f"--val-fraction must lie strictly between 0 and 1, got {args.val_fraction}")
+    return args.val_fraction
+
+
 def _cmd_search(args) -> int:
+    fraction = _val_fraction(args)
     dataset = synth.load_csv(args.data)
-    train, val = synth.split(
-        dataset, (1.0 - args.val_fraction, args.val_fraction), seed=args.seed, stratified=True
-    )
+    train, val = synth.split(dataset, (1.0 - fraction, fraction), seed=args.seed, stratified=True)
     cfg = _train_config(args)
     result = hmodel.exhaustive_search(train, val, cfg, metric=args.metric, cap=args.cap)
     lines = ["tree,score"]
@@ -500,12 +507,16 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    fraction = _val_fraction(args)
+    if args.random_samples < 0:
+        raise ValueError(f"--random-samples must be >= 0, got {args.random_samples}")
+    items = [s.strip() for s in args.train_seeds.split(",") if s.strip()]
+    if not items or not all(s.isdecimal() for s in items):
+        raise ValueError(f"--train-seeds must be comma-separated non-negative integers, got {args.train_seeds!r}")
+    seeds = [int(s) for s in items]
     dataset = synth.load_csv(args.data)
     derived = _read_tree_file(args.derived, dataset.catalog)
     expert = _read_tree_file(args.expert, dataset.catalog)
-    seeds = [int(s) for s in args.train_seeds.split(",") if s.strip()]
-    if not seeds:
-        raise DataError("need at least one training seed")
     rng = np.random.default_rng([args.seed, 7])
     random_trees = [
         treespace.sample_hierarchy(dataset.catalog.ids, rng) for _ in range(args.random_samples)
@@ -515,9 +526,7 @@ def _cmd_compare(args) -> int:
     trees = [expert, *random_trees, derived]
     accs = {}  # (tree index, seed) -> accuracy; the trees of one seed share their nodes
     for seed in seeds:
-        train, val = synth.split(
-            dataset, (1.0 - args.val_fraction, args.val_fraction), seed=seed, stratified=True
-        )
+        train, val = synth.split(dataset, (1.0 - fraction, fraction), seed=seed, stratified=True)
         for i, clf in enumerate(hmodel.train_hierarchies(trees, train, replace(base_cfg, seed=seed))):
             accs[i, seed] = float(np.mean(hmodel.predict_batch(clf, val.features) == val.labels))
 

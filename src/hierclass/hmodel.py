@@ -14,7 +14,7 @@ penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -186,19 +186,32 @@ def predict(classifier: HierarchicalClassifier, x: np.ndarray) -> int:
 # then -y / m, m being the rows the risk averages over.
 
 
+@cache
+def _sign_table(n_children: int, dtype) -> np.ndarray:
+    table = np.where(np.eye(n_children, dtype=bool), 1, -1).astype(dtype)
+    table.setflags(write=False)
+    return table
+
+
 def _signed_labels(child_idx: np.ndarray, n_children: int, dtype=float) -> np.ndarray:
-    """+1 where a row's child is the scorer's child, -1 elsewhere: one
-    scatter of +1s into -1s, as a broadcast comparison over a last axis of
-    a few scorers is many times slower."""
-    y = np.full(child_idx.shape + (n_children,), -1, dtype=dtype)
-    y.reshape(-1)[np.arange(0, y.size, n_children) + child_idx.reshape(-1)] = 1
-    return y
+    """+1 where a row's child is the scorer's child, -1 elsewhere: each row's
+    line of a +-1 table, gathered by one take, as a scatter of +1s into -1s
+    or a broadcast comparison over a last axis of a few scorers is slower."""
+    return _sign_table(n_children, dtype).take(child_idx, axis=0)
 
 
-def _signed_scores(scorer_w, scorer_b, z, y):
-    """y s per row and scorer, in a new array."""
-    ys = z @ scorer_w.swapaxes(-1, -2)
-    ys += scorer_b[..., None, :]
+def _signed_scores(scorer_w, scorer_b, z, y, out=None):
+    """y s per row and scorer, in ``out`` or a new array. ``z`` holds the rows
+    (..., m, d), or is a list of (members, latents (m, d)) runs, consecutive
+    members that read one latent array. A contiguous bias lets its add run
+    over members and scorers at once where ``out`` is batch-major."""
+    if isinstance(z, np.ndarray):
+        ys = np.matmul(z, scorer_w.swapaxes(-1, -2), out=out)
+    else:
+        for members, latents in z:
+            np.matmul(latents, scorer_w[members].swapaxes(-1, -2), out=out[members])
+        ys = out
+    ys += np.ascontiguousarray(scorer_b)[..., None, :]
     ys *= y
     return ys
 
@@ -258,14 +271,11 @@ class ErmConfig:
 STEP_SCORES = 1 << 15  # scores per ERM sub-step: its float64 arrays stay cache-sized
 
 
-def _substeps(groups, counts, lo: int, hi: int, size: int, latent_dim: int):
+def _substeps(groups, counts, lo: int, hi: int, size: int, merge: bool):
     """The (lo, hi, scorers) sub-steps of an ERM step over sorted members
     [lo, hi): its runs of equal row and child count, each cut to at most
-    STEP_SCORES scores, and consecutive runs merged within that bound at
-    their widest scorer count. Merging is skipped where numpy would take a
-    matrix-vector product (one-row batches, one-dimensional latents, single
-    scorers), whose sums depend on that width."""
-    merge = size > 1 and latent_dim > 1 and counts.min() > 1
+    STEP_SCORES scores, and with ``merge`` consecutive runs merged within
+    that bound at their widest scorer count."""
     parts: list = []
     for ga, gb in groups:
         n = int(counts[ga])
@@ -300,6 +310,18 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     (P_g, n) arrays when all its groupings have n children, and one (P_g,)
     risk array per epoch. An empty child group is a DataError naming the
     member, counted over every problem's groupings.
+
+    Layout: one latent array per problem. A step gathers its rows batch-major,
+    (rows, members, d), with its +-1 labels and scores (rows, members, n), and
+    multiplies member-major views of them, so each member gets the gemm and
+    the sequential row sum it gets alone while the bias add and its gradient
+    run over members and scorers at once. Where numpy would take a
+    matrix-vector product instead (one-row batches, one-dimensional latents,
+    single scorers), whose sums depend on the layout, a step stays
+    member-major. The per-epoch risks run per group of equal row and child
+    count, each run of a group's members that share a problem reading that
+    problem's latents through one broadcast product, and each member's hinge
+    sum is one pairwise sum over its own (rows, n) block.
     """
     sizes = [len(idx) for idx in child_idx]
     if isinstance(n_children, (int, np.integer)):
@@ -330,18 +352,26 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     cuts = np.flatnonzero(np.diff(problem)) + 1
     for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
         shares[problem[lo]].append((lo, hi))
-    # the risks' labels, per group of equal row and child count (int8 holds +-1 exactly)
+    # the risks' labels, per group of equal row and child count (int8 holds +-1 exactly),
+    # and the group's runs of members that share a problem, so read its one latent array
     signs = [_signed_labels(labels[lo:hi, : rows[lo]], counts[lo], np.int8) for lo, hi in groups]
-    substeps = [_substeps(groups, counts, lo, hi, size, z.shape[-1]) for lo, hi, _, size in steps]
+    shared = []
+    for lo, hi in groups:
+        ends = [lo, *(lo + np.flatnonzero(np.diff(problem[lo:hi])) + 1).tolist(), hi]
+        shared.append([(slice(a - lo, c - lo), latents[problem[a]]) for a, c in zip(ends, ends[1:])])
+    # batch-major steps, except where numpy would take a matrix-vector product
+    batch_major = [size > 1 and z.shape[-1] > 1 and counts.min() > 1 for _, _, _, size in steps]
+    substeps = [_substeps(groups, counts, lo, hi, size, major)
+                for (lo, hi, _, size), major in zip(steps, batch_major)]
     w = np.zeros((len(order), counts.max(), z.shape[-1]))
     b = np.zeros((len(order), counts.max()))
 
     def risks():
         out = np.empty(len(order))
-        for (lo, hi), y in zip(groups, signs):
+        for (lo, hi), y, runs in zip(groups, signs, shared):
             n, wg = counts[lo], w[lo:hi, : counts[lo]]
-            zg = np.stack([latents[g] for g in problem[lo:hi]])
-            out[lo:hi] = _hinge_risk(_signed_scores(wg, b[lo:hi, :n], zg, y), wg, cfg.l2)
+            ys = _signed_scores(wg, b[lo:hi, :n], runs, y, out=np.empty(y.shape))
+            out[lo:hi] = _hinge_risk(ys, wg, cfg.l2)
         return out
 
     risk = risks()
@@ -356,13 +386,19 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
             index[g, : m[g]] = first[g] + perm
             for lo, hi in shares[g]:
                 labels_epoch[lo:hi, : m[g]] = labels[lo:hi, perm]
-        for (lo, hi, start, size), parts in zip(steps, substeps):
+        for (lo, hi, start, size), parts, major in zip(steps, substeps, batch_major):
             batch = slice(start, start + size)
-            zb = z.take(index[problem[lo:hi], batch], axis=0)
+            rows_of = index[problem[lo:hi], batch]
+            zb = z.take(rows_of.T if major else rows_of, axis=0)
             for a, c, n in parts:
-                wp, bp, zp = w[a:c, :n], b[a:c, :n], zb[a - lo : c - lo]
-                y = _signed_labels(labels_epoch[a:c, batch], n)
-                dw, db, _ = _hinge_grads(_signed_scores(wp, bp, zp, y), y / -size, wp, zp, cfg.l2)
+                wp, bp = w[a:c, :n], b[a:c, :n]
+                if major:  # (size, members, width) arrays, read through member-major views
+                    zp = zb[:, a - lo : c - lo].swapaxes(0, 1)
+                    y = _signed_labels(labels_epoch[a:c, batch].T, n).swapaxes(0, 1)
+                    ys = np.empty((size, c - a, n)).swapaxes(0, 1)
+                else:
+                    zp, y, ys = zb[a - lo : c - lo], _signed_labels(labels_epoch[a:c, batch], n), None
+                dw, db, _ = _hinge_grads(_signed_scores(wp, bp, zp, y, out=ys), y / -size, wp, zp, cfg.l2)
                 dw *= cfg.learning_rate
                 wp -= dw
                 db *= cfg.learning_rate

@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 import typing
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -111,14 +112,18 @@ def sha256_of_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename. The file
-    gets the mode a plain ``open`` would give it: 0o666 less the umask."""
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None):
+    """A text file to write ``path`` through: a temp file in the target
+    directory, renamed over ``path`` when the block ends without an error
+    and deleted when it does not, so ``path`` is never left half written.
+    The file gets the mode a plain ``open`` would give it: 0o666 less the
+    umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -127,6 +132,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def atomic_write_json(path: str | Path, obj, indent: int = 2) -> None:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .serialize import atomic_open
 from .treespace import Catalog, Tree, tree_from_json, tree_to_json, validate_tree
 
 
@@ -337,8 +338,9 @@ def load_csv(
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path, label_column: str = "label") -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    """Write the rows to ``path``, streamed into a temp file that replaces
+    ``path`` only once every row is written."""
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(dataset.n_features)] + [label_column])
         for row, lab in zip(dataset.features, dataset.labels):
@@ -454,8 +456,8 @@ def split(
     rows at all is a DataError naming the part and its fraction.
     """
     fractions = tuple(float(f) for f in fractions)
-    if any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be positive")
+    if not all(0 < f < math.inf for f in fractions):  # NaN fails too
+        raise ValueError(f"fractions must be positive and finite, got {list(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     rng = np.random.default_rng(seed)

@@ -195,6 +195,25 @@ def test_val_fraction_leaving_a_split_part_empty_is_a_data_error(tmp_path, plant
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("search", ["--val-fraction", "1.5"], "--val-fraction must lie strictly between 0 and 1, got 1.5"),
+    ("search", ["--val-fraction", "nan"], "--val-fraction must lie strictly between 0 and 1, got nan"),
+    ("search", ["--val-fraction", "0"], "--val-fraction must lie strictly between 0 and 1, got 0.0"),
+    ("compare", ["--val-fraction", "1"], "--val-fraction must lie strictly between 0 and 1, got 1.0"),
+    ("compare", ["--random-samples", "-1"], "--random-samples must be >= 0, got -1"),
+    ("compare", ["--train-seeds", ""], "--train-seeds must be comma-separated non-negative integers, got ''"),
+    ("compare", ["--train-seeds", "1,x"], "--train-seeds must be comma-separated non-negative integers, got '1,x'"),
+    ("compare", ["--train-seeds", "-1"], "--train-seeds must be comma-separated non-negative integers, got '-1'"),
+], ids=["search-1.5", "search-nan", "search-0", "compare-1", "random-samples", "no-seeds", "bad-seed", "negative-seed"])
+def test_search_and_compare_flags_are_checked_before_the_data(tmp_path, capsys, command, flags, message):
+    trees = ["--derived", tmp_path / "t.nwk", "--expert", tmp_path / "t.nwk"] if command == "compare" else []
+    # the data file does not exist: reading it first would be a data error (exit 2)
+    assert run("--out-dir", tmp_path, command, "--data", tmp_path / "missing.csv", *trees, *flags,
+               "--out", "out.json") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_compare_identical_trees_reports_full_agreement(tmp_path, planted_csv, capsys):
     data, _ = planted_csv
     (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")

@@ -358,6 +358,15 @@ def test_ragged_erm_stack_equals_each_member_alone(shuffled, latent, one_row, ba
         problems = [problems[g] for g in rng.permutation(len(problems))]
     seeds = [60 + g for g in range(len(problems))]
     cfg = ErmConfig(epochs=6, batch_size=batch, learning_rate=0.3, l2=1e-2)
+    for encoder, f, row, n, seed, w1, b1 in _each_member_alone(problems, seeds, cfg):
+        (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [row[None]], n, cfg, [seed])
+        assert same_bits(alone_w[0], w1) and same_bits(alone_b[0], b1)
+
+
+def _each_member_alone(problems, seeds, cfg):
+    """Train the problems as one stack and check every member bit for bit
+    against the plain loop run on it alone; yields each member's problem,
+    its child indices and count, and the plain result."""
     encoders, features, child_idx, counts = zip(*problems)
     stacked = train_node_erm_stack(encoders, features, child_idx, counts, cfg, seeds)
     assert len(stacked) == len(problems)
@@ -367,8 +376,40 @@ def test_ragged_erm_stack_equals_each_member_alone(shuffled, latent, one_row, ba
             w1, b1, h1 = _plain_node_erm(encoder, f, row, n, cfg, seed)
             assert same_bits(w[p], w1) and same_bits(b[p], b1)
             assert [float(h[p]) for h in history] == h1
-            (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [row[None]], n, cfg, [seed])
-            assert same_bits(alone_w[0], w1) and same_bits(alone_b[0], b1)
+            yield encoder, f, row, n, seed, w1, b1
+
+
+def _problems_over(rng, rows, counts, latent=3):
+    """Problem g over ``rows[g]`` rows with one grouping per child count in
+    ``counts[g]``."""
+    problems = []
+    for n, cs in zip(rows, counts):
+        groupings = np.stack([rng.permutation(np.arange(n) % c) for c in cs])
+        encoder = init_mlp((4, 6, latent), ("relu", "sigmoid"), rng)
+        problems.append((encoder, read_only(rng.normal(size=(n, 4))), read_only(groupings, int), list(cs)))
+    return problems
+
+
+# groups of equal row and child count that span several problems, each
+# problem holding one or more of the group's members: the per-epoch risks
+# read each problem's latents once for all its members in the group
+@pytest.mark.parametrize("budget", [None, 2 * BATCH], ids=["default", "small-sub-steps"])
+def test_erm_stack_with_problems_sharing_row_and_child_counts(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(hmodel, "STEP_SCORES", budget)
+    rng = np.random.default_rng(23)
+    rows = (20, 20, 20, 13, 13, 20)
+    counts = ([2, 2, 3], [2, 3, 3], [2, 2], [3, 2], [2, 3, 2], [3])
+    cfg = ErmConfig(epochs=5, batch_size=BATCH, learning_rate=0.3, l2=1e-2)
+    assert len(list(_each_member_alone(_problems_over(rng, rows, counts), [70 + g for g in range(6)], cfg))) == 14
+
+
+def test_erm_stack_of_over_a_hundred_members():
+    rng = np.random.default_rng(29)
+    rows = (24, 24, 24, 24, 17, 17, 17, 40)
+    counts = [[2 + (g + p) % 3 for p in range(13)] for g in range(8)]
+    cfg = ErmConfig(epochs=4, batch_size=BATCH, learning_rate=0.3, l2=1e-2)
+    assert len(list(_each_member_alone(_problems_over(rng, rows, counts), [80 + g for g in range(8)], cfg))) == 104
 
 
 def test_ragged_erm_stack_names_an_empty_child_group_by_caller_index():

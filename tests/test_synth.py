@@ -1,4 +1,5 @@
 import csv
+import os
 import tempfile
 from pathlib import Path
 
@@ -134,6 +135,35 @@ def test_csv_roundtrip_property(rows):
     # bit-equal, so -0.0 and subnormals survive too
     assert back.features.tobytes() == data.features.tobytes()
     assert [back.catalog.name_of(c) for c in back.labels] == [NAMES[c] for c in data.labels]
+
+
+def test_interrupted_save_csv_leaves_the_old_file(tmp_path, small_spec, monkeypatch):
+    path = tmp_path / "data.csv"
+    save_csv(generate_planted(small_spec, seed=5), path)
+    before = path.read_bytes()
+    other = generate_planted(small_spec, seed=6)
+    cells = iter(range(100 * small_spec.feature_dim))  # 100 rows convert, the 101st row's first cell interrupts
+
+    def interrupting_float(value):
+        if next(cells, None) is None:
+            raise KeyboardInterrupt
+        return float(value)
+
+    monkeypatch.setattr(synth, "float", interrupting_float, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        save_csv(other, path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["data.csv"]  # no temp file left
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_saved_csv_gets_the_umask_mode(tmp_path, small_spec):
+    old = os.umask(0o027)
+    try:
+        save_csv(generate_planted(small_spec, seed=5), tmp_path / "data.csv")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "data.csv").stat().st_mode & 0o777 == 0o640
 
 
 def test_read_csv_without_label_column(tmp_path):
@@ -432,3 +462,6 @@ def test_split_validation(small_spec):
         split(data, (0.5, 0.4), seed=0)
     with pytest.raises(ValueError):
         split(data, (1.2, -0.2), seed=0)
+    for fractions in [(float("nan"), 0.5), (0.5, float("nan")), (float("inf"), -float("inf"))]:
+        with pytest.raises(ValueError, match="fractions must be positive and finite"):
+            split(data, fractions, seed=0)
