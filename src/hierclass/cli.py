@@ -14,6 +14,8 @@ them. Flag defaults are the library's: each one is read from
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -31,6 +33,7 @@ from .serialize import (
     load_json,
     mlp_from_json,
     mlp_to_json,
+    read_bytes,
     sha256_of_file,
 )
 
@@ -54,6 +57,7 @@ def _add_training_flags(p) -> None:
     p.add_argument("--erm-epochs", type=int, default=_TRAIN.erm.epochs)
 
 
+@functools.cache  # one per process: building it costs far more than a parse
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hierclass", description=__doc__)
     parser.add_argument("--config", help="JSON file of option defaults; flags override")
@@ -156,9 +160,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the ``--config`` file's keys as defaults of the
     command that runs; flags on the command line override them."""
+    parser = _build_parser()
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)  # the global flags, then the command
     for flag in ("--config", "--seed", "--out-dir"):
         pre.add_argument(flag)
@@ -173,7 +178,8 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         config = load_json(config_path)
         if not isinstance(config, dict):
             raise DataError(f"{config_path}: config must be a JSON object")
-        subparser = _subparser_for(parser, command)
+        parser = _build_parser.__wrapped__()  # a fresh one, since the config changes it: no later call sees it
+        subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
         valid = {action.dest for action in parser._actions + subparser._actions}
         unknown = set(config) - valid
         if unknown:
@@ -186,13 +192,6 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _subparser_for(parser: _Parser, command: str):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise AssertionError("no subparsers")
-
-
 def _out_path(args, name: str | None) -> Path | None:
     if name is None:
         return None
@@ -200,10 +199,10 @@ def _out_path(args, name: str | None) -> Path | None:
     return path if path.is_absolute() else Path(args.out_dir) / path
 
 
-def _provenance(args, command: str, inputs: list[str], settings: dict, dataset=None) -> dict:
-    """What a command ran on and with; a ``dataset`` loaded from one of the
-    ``inputs`` gives the hash of that file as it was read."""
-    read = {} if dataset is None else {Path(dataset.provenance["path"]): dataset.provenance["sha256"]}
+def _provenance(args, command: str, inputs: list[str], settings: dict, *read: dict) -> dict:
+    """What a command ran on and with; each of ``read`` gives the ``path`` and
+    ``sha256`` of an input as it was read, and the other inputs are hashed here."""
+    read = {Path(r["path"]): r["sha256"] for r in read}
     return {
         "command": command,
         "seed": args.seed,
@@ -213,10 +212,11 @@ def _provenance(args, command: str, inputs: list[str], settings: dict, dataset=N
 
 
 def _read_json(path: str, parse):
-    """``parse`` of the JSON in ``path``; a DataError it raises names the file."""
-    obj = load_json(path)
+    """``parse`` of the JSON in ``path`` and the hash of the bytes parsed; its DataError names the file."""
+    data = read_bytes(path)
+    obj = load_json(path, data)
     try:
-        return parse(obj)
+        return parse(obj), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -286,14 +286,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = _read_json(args.spec, synth.planted_spec_from_json)
+    spec, read = _read_json(args.spec, synth.planted_spec_from_json)
     dataset = synth.generate_planted(spec, seed=args.seed)
     out = _out_path(args, args.out)
     synth.save_csv(dataset, out)
     support = {dataset.catalog.name_of(c): n for c, n in sorted(dataset.support().items())}
     print(f"wrote {len(dataset)} rows x {dataset.n_features} features -> {out}")
     print(f"support: {support}")
-    print(json.dumps(_provenance(args, "synth", [args.spec], {"spec": str(args.spec)})))
+    print(json.dumps(_provenance(args, "synth", [args.spec], {"spec": str(args.spec)}, read)))
     return 0
 
 
@@ -326,7 +326,9 @@ def _cmd_affinity(args) -> int:
     cfg = _affinity_config(args)
     artifacts = aff.build_affinity_artifacts(dataset, cfg)
     obj = aff.affinity_to_json(artifacts.matrix)
-    obj["provenance"] = _provenance(args, "affinity", [args.data], aff.affinity_config_to_json(cfg), dataset)
+    obj["provenance"] = _provenance(
+        args, "affinity", [args.data], aff.affinity_config_to_json(cfg), dataset.provenance
+    )
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"affinity matrix ({len(artifacts.matrix.records)} pairs) -> {out}")
@@ -368,7 +370,7 @@ def _load_artifacts(path: str) -> aff.AffinityArtifacts:
 
 
 def _cmd_derive(args) -> int:
-    matrix = _read_json(args.affinity, aff.affinity_from_json)
+    matrix, read = _read_json(args.affinity, aff.affinity_from_json)
     if args.linkage == "custom":
         params = drv.LinkageParams(
             preset="custom",
@@ -390,7 +392,7 @@ def _cmd_derive(args) -> int:
     out = _out_path(args, args.out)
     atomic_write_text(out, newick + "\n")
     print(newick)
-    provenance = _provenance(args, "derive", [args.affinity], derived.provenance)
+    provenance = _provenance(args, "derive", [args.affinity], derived.provenance, read)
     if args.tree_json:
         atomic_write_json(
             _out_path(args, args.tree_json),
@@ -430,7 +432,7 @@ def _cmd_train(args) -> int:
     obj = hmodel.classifier_to_json(classifier)
     inputs = [args.data, args.tree] + ([args.artifacts] if args.artifacts else [])
     settings = {**asdict(cfg), "refine_epochs": args.refine_epochs, "lambda_orth": args.lambda_orth}
-    obj["provenance"].update(_provenance(args, "train", inputs, settings, dataset))
+    obj["provenance"].update(_provenance(args, "train", inputs, settings, dataset.provenance))
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"classifier ({hmodel.parameter_count(classifier)} parameters) -> {out}")
@@ -438,7 +440,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    classifier = _read_json(args.clf, hmodel.classifier_from_json)
+    classifier, _ = _read_json(args.clf, hmodel.classifier_from_json)
     rows, _, _ = synth.read_csv(args.data, args.label_col)
     expected = classifier.input_dim
     if expected is not None and rows.shape[1] != expected:
@@ -458,7 +460,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    classifier = _read_json(args.clf, hmodel.classifier_from_json)
+    classifier, read = _read_json(args.clf, hmodel.classifier_from_json)
     dataset = synth.load_csv(args.data, catalog=classifier.catalog)
     expected = classifier.input_dim
     if expected is not None and dataset.n_features != expected:
@@ -470,7 +472,7 @@ def _cmd_evaluate(args) -> int:
     except UnscorableRowError as exc:
         raise DataError(f"{args.data}:{exc.row + 2}: {exc}") from None
     obj = metrics.report_to_json(report)
-    obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, dataset)
+    obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, read, dataset.provenance)
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"accuracy {report.accuracy:.4f}, mean H-loss {report.mean_h_loss:.4f} -> {out}")
@@ -555,7 +557,7 @@ def _cmd_compare(args) -> int:
             args, "compare", [args.data, args.derived, args.expert],
             {**asdict(base_cfg), "train_seeds": seeds, "random_samples": args.random_samples,
              "val_fraction": args.val_fraction},
-            dataset,
+            dataset.provenance,
         ),
     }
     out = _out_path(args, args.out)
@@ -584,9 +586,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = _apply_config_file(parser, argv)
+        args = _parse_args(argv)
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:

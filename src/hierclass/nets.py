@@ -269,9 +269,9 @@ def check_schedule(cfg) -> None:
         raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
 
 
-def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_trainable: int = 0):
+def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng):
     """Mini-batch SGD, in place, on the mean squared error of net(x) against
-    ``target``; only layers from ``first_trainable`` on move.
+    ``target``.
 
     With one ``Generator`` as ``rng``, every member follows the batch order
     drawn from it: ``target`` is (N, dim) and ``x`` is (N, in), or
@@ -329,8 +329,8 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng, first_train
             x_batch = xs.take(batch, axis=0)
             step_params = members(lo, hi)
             grads = _mse_grads(step_params, acts, x_batch, x_batch if ts is xs else ts.take(batch, axis=0))
-            for i in range(first_trainable, len(params)):
-                for param, grad in zip(step_params[i], grads[i]):
+            for layer, layer_grads in zip(step_params, grads):
+                for param, grad in zip(layer, layer_grads):
                     grad *= cfg.learning_rate
                     param -= grad
         history.append(losses(epoch))

@@ -143,11 +143,16 @@ def atomic_write_json(path: str | Path, obj, indent: int = 2) -> None:
     atomic_write_text(path, json.dumps(obj, indent=indent) + "\n")
 
 
-def load_json(path: str | Path):
+def read_bytes(path: str | Path) -> bytes:
     try:
-        with Path(path).open(encoding="utf-8") as fh:
-            return json.load(fh)
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def load_json(path: str | Path, data: bytes | None = None):
+    """The JSON in ``path``, parsed from ``data`` when its bytes were read already."""
+    try:
+        return json.loads((read_bytes(path) if data is None else data).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None

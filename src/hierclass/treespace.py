@@ -37,7 +37,7 @@ class Catalog:
             raise ValueError("catalog must contain at least one concept")
         seen = set()
         for name in self.names:
-            if not name or name != name.strip():
+            if not name or name != name.strip() or "\n" in name or "\r" in name:  # names are written one per line
                 raise ValueError(f"bad concept name {name!r}")
             if _FORBIDDEN_NAME_CHARS & set(name):
                 raise ValueError(f"concept name {name!r} contains reserved characters")

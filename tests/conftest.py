@@ -1,6 +1,8 @@
 """Shared test helpers: finite-difference oracles, plain one-network and
-per-node training loops that the stacked trainers are checked against, and
-planted fixtures."""
+per-node training loops that the stacked trainers are checked against, the
+``csv.writer`` form of ``save_csv``, and planted fixtures."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -123,12 +125,14 @@ def train_reconstruction(
         raise ValueError(
             f"data dim {x.shape[1]} does not match encoder input {encoder.input_dim}"
         )
-    n_enc = len(encoder.layers)
-    params = mlp_params(encoder) + mlp_params(decoder)
-    acts = [l.activation for l in encoder.layers] + [l.activation for l in decoder.layers]
-    history = sgd_reconstruction(params, acts, x, x, cfg, rng, 0 if update_encoder else n_enc)
-    new_encoder = params_to_mlp(params[:n_enc], encoder) if update_encoder else encoder
-    new_decoder = params_to_mlp(params[n_enc:], decoder)
+    # a frozen encoder is a fixed map: the decoder alone trains, on its latents
+    trained = [encoder, decoder] if update_encoder else [decoder]
+    enc_params = mlp_params(encoder) if update_encoder else []
+    params = enc_params + mlp_params(decoder)
+    acts = [l.activation for net in trained for l in net.layers]
+    history = sgd_reconstruction(params, acts, x if update_encoder else mlp_forward(encoder, x), x, cfg, rng)
+    new_encoder = params_to_mlp(enc_params, encoder) if update_encoder else encoder
+    new_decoder = params_to_mlp(params[len(enc_params):], decoder)
     return new_encoder, new_decoder, [float(losses[0]) for losses in history]
 
 
@@ -151,6 +155,15 @@ def unflatten_params(vec: np.ndarray, template) -> list[list[np.ndarray]]:
     return out
 
 
+def reference_save_csv(dataset, path, label_column="label"):
+    """``synth.save_csv``'s file as ``csv.writer`` writes it, row by row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(dataset.n_features)] + [label_column])
+        for row, lab in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [dataset.catalog.name_of(int(lab))])
+
+
 def _plain_autoencoder(data, cfg, seed):
     """One concept's autoencoder trained alone by the one-network trainer."""
     init_rng = np.random.default_rng([seed, 0])
@@ -163,8 +176,8 @@ def _plain_autoencoder(data, cfg, seed):
 
 
 def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
-    """One transfer exactly as a serial per-pair loop runs it: the warmup
-    forwards and backpropagates through the frozen encoder on every batch."""
+    """One transfer exactly as a serial per-pair loop runs it, one network
+    at a time."""
     n = target_data.shape[0]
     order = np.random.default_rng([seed, 0]).permutation(n)
     n_held = max(1, int(round(cfg.holdout_fraction * n)))

@@ -378,10 +378,10 @@ def test_build_matches_plain_path_on_unequal_supports(monkeypatch):
                         lambda d, *a: stacks.append([x.shape[0] for x in d]) or real(d, *a))
     real_sgd = affinity_module.sgd_reconstruction
 
-    def spy(params, acts, x, target, sgd_cfg, rng, first_trainable=0):
+    def spy(params, acts, x, target, sgd_cfg, rng):
         if sgd_cfg is cfg.warmup:
             warmups.append((len(rng), {len(t) for t in target}))
-        return real_sgd(params, acts, x, target, sgd_cfg, rng, first_trainable)
+        return real_sgd(params, acts, x, target, sgd_cfg, rng)
 
     monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
     _assert_build_matches_plain(data, cfg)
@@ -506,9 +506,9 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     rows_seen = []
     real = affinity_module.sgd_reconstruction
 
-    def spy(params, acts, x, target, cfg, rng, first_trainable=0):
+    def spy(params, acts, x, target, cfg, rng):
         rows_seen.append((cfg, {len(t) for t in target}))
-        return real(params, acts, x, target, cfg, rng, first_trainable)
+        return real(params, acts, x, target, cfg, rng)
 
     monkeypatch.setattr(affinity_module, "sgd_reconstruction", spy)
     rng = np.random.default_rng(5)

@@ -415,6 +415,27 @@ def test_config_file_applies_to_the_command_that_runs(tmp_path, monkeypatch, cap
     assert not (tmp_path / out_dir / "t.txt").exists()
 
 
+def test_a_config_file_reaches_no_later_call(tmp_path, monkeypatch, capsys):
+    # one parser serves every call in a process; a config file's defaults go into a parser of its own
+    from hierclass import cli
+    from hierclass.hmodel import HierTrainConfig
+
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "train", lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "erm_epochs": 3, "data": "d.csv"}))
+    train = ["--out-dir", tmp_path, "train", "--tree", "t.nwk", "--out", "c.json"]
+    assert run("--config", cfg, *train) == 0
+    assert (seen[0].seed, seen[0].erm_epochs, seen[0].data) == (9, 3, "d.csv")
+    assert run(*train, "--data", "d.csv") == 0
+    assert cli._train_config(seen[1]) == HierTrainConfig()
+    capsys.readouterr()
+    assert run(*train) == 1  # --data is required again
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+    assert len(seen) == 2
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5, "bogus": 1}))
@@ -701,7 +722,7 @@ def test_evaluate_on_unknown_label_is_data_error(tmp_path, planted_csv, trained_
     assert f"{bad}: unknown labels ['c9']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["", "a(b"], ids=["empty", "reserved"])
+@pytest.mark.parametrize("label", ["", "a(b", '"c\n2"'], ids=["empty", "reserved", "line-break"])
 @pytest.mark.parametrize("command", ["search", "train"])
 def test_bad_label_cell_is_data_error_naming_file_and_row(tmp_path, capsys, command, label):
     bad = tmp_path / "bad.csv"
@@ -711,6 +732,33 @@ def test_bad_label_cell_is_data_error_naming_file_and_row(tmp_path, capsys, comm
     capsys.readouterr()
     assert run("--out-dir", tmp_path, command, "--data", bad, *args, "--out", "o.json") == 2
     assert f"data error: {bad}:3: column 'label': " in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_classifier_with_a_line_break_in_a_name_is_data_error(tmp_path, planted_csv, trained_clf, capsys):
+    # its predictions and confusion CSV would hold the name across two lines
+    data, _ = planted_csv
+    obj = json.loads(trained_clf.read_text())
+    obj["concepts"][0] = "c\n1"
+    clf = tmp_path / "clf.json"
+    clf.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "evaluate", "--clf", clf, "--data", data, "--out", "r.json",
+               "--confusion", "conf.csv") == 2
+    assert f"data error: {clf}: bad classifier JSON: bad concept name 'c\\n1'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["clf.json"]
+
+
+def test_evaluate_records_the_hash_of_the_classifier_it_read(tmp_path, planted_csv, trained_clf, monkeypatch,
+                                                             capsys):
+    from hierclass import cli
+    from hierclass.serialize import sha256_of_file
+
+    data, _ = planted_csv
+    monkeypatch.setattr(cli, "sha256_of_file", lambda path: pytest.fail(f"{path} hashed a second time"))
+    assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", data, "--out", "r.json") == 0
+    inputs = json.loads((tmp_path / "r.json").read_text())["provenance"]["inputs"]
+    assert inputs == {str(trained_clf): sha256_of_file(trained_clf), str(data): sha256_of_file(data)}
 
 
 def test_provenance_takes_the_loaded_data_hash(tmp_path, planted_csv, monkeypatch, capsys):

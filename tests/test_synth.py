@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_save_csv
 from hierclass import synth
 from hierclass.errors import DataError
 from hierclass.synth import (
@@ -137,6 +138,29 @@ def test_csv_roundtrip_property(rows):
     assert [back.catalog.name_of(c) for c in back.labels] == [NAMES[c] for c in data.labels]
 
 
+CATALOG_NAMES = st.one_of(
+    st.sampled_from(["walk\tfast", "a;b", "sit down", "caf\u00e9", "\u6b69\u304f"]),
+    st.text(st.characters(blacklist_characters="(),[]\"'\r\n", blacklist_categories=("Cs",)), min_size=1)
+    .filter(lambda name: name == name.strip()),
+)
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(CATALOG_NAMES, min_size=1, max_size=4, unique=True), st.integers(1, 4), st.data())
+def test_save_csv_writes_what_csv_writer_writes(names, dim, data):
+    rows = data.draw(st.lists(st.lists(CELLS, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    labels = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=len(rows), max_size=len(rows)))
+    dataset = LabeledDataset(np.array(rows), np.array(labels), Catalog(tuple(names)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_csv(dataset, Path(tmp) / "saved.csv")
+        reference_save_csv(dataset, Path(tmp) / "reference.csv")
+        assert (Path(tmp) / "saved.csv").read_bytes() == (Path(tmp) / "reference.csv").read_bytes()
+
+
 def test_interrupted_save_csv_leaves_the_old_file(tmp_path, small_spec, monkeypatch):
     path = tmp_path / "data.csv"
     save_csv(generate_planted(small_spec, seed=5), path)
@@ -144,12 +168,12 @@ def test_interrupted_save_csv_leaves_the_old_file(tmp_path, small_spec, monkeypa
     other = generate_planted(small_spec, seed=6)
     cells = iter(range(100 * small_spec.feature_dim))  # 100 rows convert, the 101st row's first cell interrupts
 
-    def interrupting_float(value):
+    def interrupting_repr(value):
         if next(cells, None) is None:
             raise KeyboardInterrupt
-        return float(value)
+        return repr(value)
 
-    monkeypatch.setattr(synth, "float", interrupting_float, raising=False)
+    monkeypatch.setattr(synth, "repr", interrupting_repr, raising=False)
     with pytest.raises(KeyboardInterrupt):
         save_csv(other, path)
     assert path.read_bytes() == before
@@ -339,6 +363,15 @@ def test_read_csv_agrees_with_the_row_loop(text):
             assert str(raised.value).startswith(f"{path}:") and str(raised.value).endswith(f": {exc}")
             return
         assert _outcome(read_csv, path) == expected
+
+
+def test_a_lone_cr_far_into_the_file_takes_the_row_loop(tmp_path):
+    # csv.reader ends the header at the \r; loadtxt would not, so the guard
+    # must see a \r wherever it sits, here past a 120-byte header name
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"f" + b"0" * 120 + b"\r1\n2\n")
+    assert synth._parse_block(path.read_bytes(), "label") is None
+    assert _outcome(read_csv, path) == _outcome(reference_read_csv, path)
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"])

@@ -219,6 +219,14 @@ def test_catalog_validation():
         Catalog((" padded ",))
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb"])
+def test_catalog_rejects_a_line_break_inside_a_name(name):
+    # every line-based output (predictions, confusion CSV) holds one name per line
+    with pytest.raises(ValueError, match="^bad concept name "):
+        Catalog(("c0", name))
+    assert Catalog(("a\tb", "a;b", "sit down", "caf\u00e9")).names[0] == "a\tb"
+
+
 # --- uniform sampling ------------------------------------------------------
 
 
