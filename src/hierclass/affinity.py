@@ -8,7 +8,7 @@ budget and schedule, is the raw similarity score p. The final score blends
 p with the normalized budget; symmetrized complements of the scores feed
 hierarchy derivation as distances.
 
-Every transfer toward one target shares its data slices, decoder
+Every transfer toward one target uses the same data slices, decoder
 initialization and batch schedule: the K-1 source encoders and the scratch
 reference toward that target form one fine-tune task. Tasks differ in their
 held-out slices and may differ in training rows, but they train together as

@@ -160,17 +160,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the ``--config`` file's keys as defaults of the
-    command that runs; flags on the command line override them."""
-    parser = _build_parser()
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)  # the global flags, then the command
+@functools.cache
+def _pre_parser() -> argparse.ArgumentParser:
+    """The global flags, then the command: enough to find a ``--config``
+    file and the command it applies to. One per process, like the parser."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     for flag in ("--config", "--seed", "--out-dir"):
         pre.add_argument(flag)
     pre.add_argument("command", nargs="?")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return pre
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the ``--config`` file's keys as defaults of the
+    command that runs; flags on the command line override them."""
+    parser = _build_parser()
     try:
-        known, _ = pre.parse_known_args(argv)
+        known, _ = _pre_parser().parse_known_args(argv)
     except argparse.ArgumentError:  # a malformed global flag: the full parse reports it
         return parser.parse_args(argv)
     config_path, command = known.config, known.command

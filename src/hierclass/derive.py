@@ -153,9 +153,9 @@ def _ordered(a: int, b: int) -> tuple[int, int]:
 
 def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
     """Dissolve every merge with fusion distance >= tau, splicing its
-    children into the parent's child list."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    children into the parent's child list; ``tau`` must be finite and >= 0."""
+    if not 0.0 <= tau < float("inf"):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if dgm.n_leaves == 1:
         return leaf(0)
     children_of = {s.new_id: (s.left, s.right) for s in dgm.steps}

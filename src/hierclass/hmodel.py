@@ -32,12 +32,12 @@ from .nets import (
     Mlp,
     SgdConfig,
     backprop,
-    batch_schedule,
     check_schedule,
     forward_trace,
     mlp_forward,
     mlp_params,
     params_to_mlp,
+    ragged_schedule,
     task_seed,
 )
 from .serialize import array_from_json, array_to_json, mlp_from_json, mlp_to_json
@@ -296,20 +296,18 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     Problem g has its own frozen encoder ``encoders[g]``, rows
     ``features[g]`` (m_g, in), seed ``seeds[g]`` and child indices
     ``child_idx[g]`` (P_g, m_g): P_g groupings of its rows, grouping p into
-    ``n_children[g][p]`` children (``n_children[g]`` may be one count for
-    every grouping of g, and ``n_children`` one count for all). Problems may
-    differ in row count and groupings in child count. The groupings of one
-    problem share its encoded rows and the batch order drawn from its seed;
-    each problem draws its own order every epoch, and the steps follow
-    :func:`batch_schedule`, so grouping p of problem g gets bit for bit what
-    it gets trained alone, in a stack of one problem and one grouping.
+    ``n_children[g][p]`` children. Problems may differ in row count and
+    groupings in child count. Every grouping of a problem is a stack member
+    holding the Generator of the problem's seed, so the groupings share its
+    encoded rows and the batch order it draws every epoch, and the steps
+    follow :func:`ragged_schedule`: grouping p of problem g gets bit for bit
+    what it gets trained alone, in a stack of one problem and one grouping.
     Scorers start at zero and each member keeps its best iterate by
     full-data risk, so its reported risk never exceeds the initial one.
-    Returns one (weights, biases, risk history) per problem: the (n, d)
-    weights and (n,) biases of each grouping, stacked into (P_g, n, d) and
-    (P_g, n) arrays when all its groupings have n children, and one (P_g,)
-    risk array per epoch. An empty child group is a DataError naming the
-    member, counted over every problem's groupings.
+    Returns one (weights, biases, risk history) per problem: a list of the
+    (n, d) weights and a list of the (n,) biases of its groupings, and one
+    (P_g,) risk array per epoch. An empty child group is a DataError naming
+    the member, counted over every problem's groupings.
 
     Layout: one latent array per problem. A step gathers its rows batch-major,
     (rows, members, d), with its +-1 labels and scores (rows, members, n), and
@@ -324,9 +322,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     sum is one pairwise sum over its own (rows, n) block.
     """
     sizes = [len(idx) for idx in child_idx]
-    if isinstance(n_children, (int, np.integer)):
-        n_children = [n_children] * len(sizes)
-    counts = np.concatenate([np.broadcast_to(np.asarray(n, dtype=int), (size,)) for n, size in zip(n_children, sizes)])
+    counts = np.concatenate(n_children)
     members = [np.asarray(row, dtype=int) for idx in child_idx for row in idx]
     for p, (row, n) in enumerate(zip(members, counts)):
         empty = np.flatnonzero(np.bincount(row, minlength=n) == 0)
@@ -335,10 +331,11 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
             raise DataError(f"empty child group(s){where}: {empty.tolist()}")
     owner = np.repeat(np.arange(len(sizes)), sizes)
     m = np.array([len(f) for f in features])
-    order, groups, steps = batch_schedule(m[owner], cfg.batch_size, key=counts)
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    order, position, groups, steps, shuffle = ragged_schedule(
+        m[owner], cfg.batch_size, [generators[g] for g in owner], key=counts
+    )
     problem, rows, counts = owner[order], m[owner][order], counts[order]
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
 
     # one latent array per problem, and each member's child labels in its problem's row order
     z = np.concatenate([mlp_forward(enc, f) for enc, f in zip(encoders, features)])
@@ -347,11 +344,9 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     labels = np.zeros((len(order), m.max()), dtype=np.min_scalar_type(counts.max()))
     for i, p in enumerate(order):
         labels[i, : len(members[p])] = members[p]
+    first = first[problem, None]  # each sorted member's first row in z
+    first_label = np.arange(len(order))[:, None] * labels.shape[1]  # ... and in labels, flattened
 
-    shares = [[] for _ in m]  # per problem: the runs of its sorted members, which share its permutation
-    cuts = np.flatnonzero(np.diff(problem)) + 1
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
-        shares[problem[lo]].append((lo, hi))
     # the risks' labels, per group of equal row and child count (int8 holds +-1 exactly),
     # and the group's runs of members that share a problem, so read its one latent array
     signs = [_signed_labels(labels[lo:hi, : rows[lo]], counts[lo], np.int8) for lo, hi in groups]
@@ -377,27 +372,21 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     risk = risks()
     history = [risk[position]]
     best_risk, best_w, best_b = risk, w.copy(), b.copy()
-    generators = [np.random.default_rng(seed) for seed in seeds]
-    index = np.zeros((len(m), m.max()), dtype=np.intp)  # per epoch: each problem's rows of z in batch order
-    labels_epoch = np.zeros_like(labels)
     for _ in range(cfg.epochs):
-        for g, rng in enumerate(generators):
-            perm = rng.permutation(m[g])
-            index[g, : m[g]] = first[g] + perm
-            for lo, hi in shares[g]:
-                labels_epoch[lo:hi, : m[g]] = labels[lo:hi, perm]
+        perms = shuffle()
         for (lo, hi, start, size), parts, major in zip(steps, substeps, batch_major):
-            batch = slice(start, start + size)
-            rows_of = index[problem[lo:hi], batch]
+            at = perms[lo:hi, start : start + size]  # each member's rows of its problem in batch order
+            rows_of = first[lo:hi] + at
             zb = z.take(rows_of.T if major else rows_of, axis=0)
+            yb = labels.take(first_label[lo:hi] + at)
             for a, c, n in parts:
                 wp, bp = w[a:c, :n], b[a:c, :n]
                 if major:  # (size, members, width) arrays, read through member-major views
                     zp = zb[:, a - lo : c - lo].swapaxes(0, 1)
-                    y = _signed_labels(labels_epoch[a:c, batch].T, n).swapaxes(0, 1)
+                    y = _signed_labels(yb[a - lo : c - lo].T, n).swapaxes(0, 1)
                     ys = np.empty((size, c - a, n)).swapaxes(0, 1)
                 else:
-                    zp, y, ys = zb[a - lo : c - lo], _signed_labels(labels_epoch[a:c, batch], n), None
+                    zp, y, ys = zb[a - lo : c - lo], _signed_labels(yb[a - lo : c - lo], n), None
                 dw, db, _ = _hinge_grads(_signed_scores(wp, bp, zp, y, out=ys), y / -size, wp, zp, cfg.l2)
                 dw *= cfg.learning_rate
                 wp -= dw
@@ -412,13 +401,9 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     bounds = np.cumsum([0, *sizes])
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
-        ws = [best_w[position[p], : counts[position[p]]] for p in range(lo, hi)]
-        bs = [best_b[position[p], : counts[position[p]]] for p in range(lo, hi)]
-        if len({len(wp) for wp in ws}) == 1:
-            ws, bs = np.stack(ws), np.stack(bs)
-        else:
-            ws, bs = [wp.copy() for wp in ws], [bp.copy() for bp in bs]
-        out.append((ws, bs, [epoch_risks[lo:hi] for epoch_risks in history]))
+        at = position[lo:hi]
+        out.append(([best_w[i, : counts[i]].copy() for i in at], [best_b[i, : counts[i]].copy() for i in at],
+                    [epoch_risks[lo:hi] for epoch_risks in history]))
     return out
 
 

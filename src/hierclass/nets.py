@@ -5,14 +5,13 @@ two); training is mini-batch SGD with an explicit divergence guard. Mlp
 values are immutable once built: their arrays are copied and marked
 read-only, so a published network never changes under its users.
 
-Training parameters may carry a leading stack axis (weights (S, out, in),
-biases (S, out)): S same-shaped networks then train as one SGD through 3-D
+Training parameters carry a leading stack axis (weights (S, out, in),
+biases (S, out)): S same-shaped networks train as one SGD through 3-D
 ``np.matmul``, and every stack member computes bit for bit what it would
-compute alone. Members either share their inputs and one batch order, or
-each trains on its own rows in the order drawn from the ``Generator`` it
-holds, members holding the same Generator sharing its order. Members with
-their own rows may differ in row count: :func:`batch_schedule` steps them
-through an epoch so that each member's batches, a short last batch
+compute alone. Each member trains on its own rows in the order drawn from
+the ``Generator`` it holds, members holding the same Generator sharing its
+order, and members may differ in row count: :func:`ragged_schedule` steps
+them through an epoch so that each member's batches, a short last batch
 included, are the ones it has alone, and full-data losses are computed per
 run of equal row count, so every sum keeps its order.
 
@@ -151,23 +150,34 @@ def member_mlp(params, s: int, template: Mlp) -> Mlp:
     return params_to_mlp([[w[s], b[s]] for w, b in params], template)
 
 
-def batch_schedule(rows, batch: int, key=None):
-    """One SGD epoch over stack members with ``rows[s]`` rows each.
+def ragged_schedule(rows, batch: int, rngs, key=None):
+    """The SGD schedule of stack members with ``rows[s]`` rows each, member
+    s drawing its batch order from the Generator ``rngs[s]``.
 
     Members are sorted by row count, descending, then by ``key[s]`` (say,
-    a scorer count), ties in the caller's order. Returns ``(order, groups,
-    steps)``: ``order`` holds the caller's member indices in sorted order,
-    ``groups`` the (lo, hi) runs of sorted members with equal row count and
-    key, and ``steps`` the epoch's (lo, hi, start, size) steps in order of
-    row offset. At offset ``start`` = i·batch the members with a full batch
-    left are the prefix [0, hi), and members whose short last batch starts
-    there step with the others of their row count, so each member steps
-    through its rows in the batches it has alone.
+    a scorer count), ties in the caller's order. Returns ``(order, position,
+    groups, steps, shuffle)``: the caller's member indices in sorted order
+    and its inverse; the (lo, hi) runs of sorted members with equal row count
+    and key; an epoch's (lo, hi, start, size) steps in order of row offset,
+    where at ``start`` = i·batch the members with a full batch left are the
+    prefix [0, hi) and members whose short last batch starts there step with
+    the others of their row count, so each member steps through its rows in
+    the batches it has alone; and ``shuffle()``, which draws the next epoch's
+    permutation of each distinct Generator into the rows of the sorted
+    members holding it (they must have the same row count) of the (members,
+    max rows) array it returns, the same array each call.
     """
     rows = np.asarray(rows, dtype=int)
     key = np.zeros_like(rows) if key is None else np.asarray(key, dtype=int)
     order = np.lexsort((key, -rows))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
     rows, key = rows[order], key[order]
+    held: dict = {}  # distinct Generator -> its sorted members
+    for i, s in enumerate(order):
+        held.setdefault(rngs[s], []).append(i)
+    if any(len(set(rows[members])) > 1 for members in held.values()):
+        raise ValueError("members holding one Generator must have the same row count")
     cuts = np.flatnonzero((np.diff(rows) != 0) | (np.diff(key) != 0)) + 1
     bounds = [0, *cuts.tolist(), len(rows)]
     descending = -rows  # ascending, for searchsorted
@@ -179,7 +189,16 @@ def batch_schedule(rows, batch: int, key=None):
         for n in sorted(set(rows[(rows > start) & (rows < start + batch)].tolist()), reverse=True):
             lo, hi = np.searchsorted(descending, -n, side="left"), np.searchsorted(descending, -n, side="right")
             steps.append((int(lo), int(hi), start, n - start))
-    return order, list(zip(bounds, bounds[1:])), steps
+    longest = int(rows.max(initial=0))
+    perms = np.zeros((len(rows), longest), dtype=np.min_scalar_type(longest))
+
+    def shuffle():
+        for r, members in held.items():
+            n = rows[members[0]]
+            perms[members, :n] = r.permutation(n)
+        return perms
+
+    return order, position, list(zip(bounds, bounds[1:])), steps, shuffle
 
 
 def _layer(w, b, act, a):
@@ -269,41 +288,21 @@ def check_schedule(cfg) -> None:
         raise ValueError(f"learning_rate must be finite and > 0, got {cfg.learning_rate}")
 
 
-def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng):
+def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rngs):
     """Mini-batch SGD, in place, on the mean squared error of net(x) against
-    ``target``.
+    ``target``, for stacked parameters.
 
-    With one ``Generator`` as ``rng``, every member follows the batch order
-    drawn from it: ``target`` is (N, dim) and ``x`` is (N, in), or
-    (S, N, in) for stacked parameters whose members read different inputs
-    (say, cached latents of a frozen encoder stack). With a sequence of S
-    Generators, member s trains on its own rows, ``x[s]`` (n_s, in) against
-    ``target[s]`` (n_s, dim), in the order drawn from ``rng[s]``; row counts
-    may differ (see :func:`batch_schedule`), and members holding the same
-    Generator follow the same order, so they must have the same row count.
-    Returns the full-data loss of every member per epoch (entry 0 is the
-    pre-training loss), in the caller's member order. Raises NumericError,
-    naming the member, as soon as any member's loss diverges or goes
-    non-finite.
+    Member s trains on its own rows, ``x[s]`` (n_s, in) against
+    ``target[s]`` (n_s, dim), in the order drawn from ``rngs[s]``, as
+    :func:`ragged_schedule` plans it. Returns the full-data loss of every
+    member per epoch (entry 0 is the pre-training loss), in the caller's
+    member order. Raises NumericError, naming the member, as soon as any
+    member's loss diverges or goes non-finite.
     """
-    stacked = params[0][0].ndim == 3
-    if isinstance(rng, np.random.Generator):  # every member holds the one Generator
-        size = len(params[0][0]) if stacked else 1
-        same = target is x
-        x = list(x) if x.ndim == 3 else [x] * size
-        target, rng = x if same else [target] * size, [rng] * size
-    caller = params if stacked else [[w[None], b[None]] for w, b in params]  # views: the caller's arrays move
     rows = np.array([len(t) for t in target])
-    order, groups, steps = batch_schedule(rows, cfg.batch_size)
+    order, position, groups, steps, shuffle = ragged_schedule(rows, cfg.batch_size, rngs)
     rows = rows[order]
-    held: dict = {}  # distinct Generator -> sorted positions of its members
-    for i, s in enumerate(order):
-        held.setdefault(rng[s], []).append(i)
-    if any(len(set(rows[members])) > 1 for members in held.values()):
-        raise ValueError("members holding one Generator must have the same row count")
-    params = [[w[order], b[order]] for w, b in caller]  # sorted copies, written back at the end
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
+    caller, params = params, [[w[order], b[order]] for w, b in params]  # sorted copies, written back at the end
     xs = np.concatenate([x[s] for s in order], dtype=float)  # the sorted members' rows, member after member
     ts = xs if target is x else np.concatenate([target[s] for s in order], dtype=float)
     first = np.cumsum([0, *rows[:-1]])  # each sorted member's first row in xs
@@ -319,11 +318,8 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rng):
         return _checked_losses(out[position], cfg, epoch)
 
     history = [losses()]
-    index = np.zeros((len(order), rows[0]), dtype=np.intp)  # per epoch: each member's rows of xs in batch order
     for epoch in range(cfg.epochs):
-        for r, held_by in held.items():
-            n = rows[held_by[0]]
-            index[held_by, :n] = first[held_by, None] + r.permutation(n)
+        index = first[:, None] + shuffle()  # each sorted member's rows of xs in batch order
         for lo, hi, start, size in steps:
             batch = index[lo:hi, start : start + size]
             x_batch = xs.take(batch, axis=0)

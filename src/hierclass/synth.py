@@ -97,12 +97,12 @@ class PlantedSpec:
             raise ValueError("feature_dim and per_concept must be positive")
         if len(self.level_offsets) < self.tree.height():
             raise ValueError("need one offset magnitude per tree level")
-        if any(o <= 0 for o in self.level_offsets):
-            raise ValueError("offsets must be strictly positive")
+        if not all(0.0 < o < math.inf for o in self.level_offsets):  # NaN fails too
+            raise ValueError(f"offsets must be finite and strictly positive, got {list(self.level_offsets)}")
         if any(b >= a for a, b in zip(self.level_offsets, self.level_offsets[1:])):
             raise ValueError("offsets must decrease with depth")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and nonnegative, got {self.noise}")
 
 
 def generate_planted(spec: PlantedSpec, seed: int) -> LabeledDataset:
@@ -153,14 +153,22 @@ def planted_spec_to_json(spec: PlantedSpec) -> dict:
     }
 
 
+def _json_integer(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int: a JSON number without a fraction, not a bool."""
+    value = obj[key]
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def planted_spec_from_json(obj: dict) -> PlantedSpec:
     try:
         catalog = Catalog(tuple(obj["names"]))
         return PlantedSpec(
             catalog=catalog,
             tree=tree_from_json(obj["tree"], catalog),
-            feature_dim=int(obj["feature_dim"]),
-            per_concept=int(obj["per_concept"]),
+            feature_dim=_json_integer(obj, "feature_dim"),
+            per_concept=_json_integer(obj, "per_concept"),
             level_offsets=tuple(float(x) for x in obj["level_offsets"]),
             noise=float(obj["noise"]),
         )
@@ -366,8 +374,10 @@ def segment_stream(
     Each window becomes one example: either per-channel mean/var/min/max
     summaries (``stats``) or the raw flattened window (``flat``). The window
     label is the majority per-sample label; windows without a unique
-    majority reaching the purity fraction are dropped and counted.
+    majority reaching the purity fraction (in [0, 1]) are dropped and counted.
     """
+    if not 0.0 <= purity <= 1.0:
+        raise ValueError(f"purity must lie between 0 and 1, got {purity}")
     stream = np.asarray(stream, dtype=float)
     sample_labels = np.asarray(sample_labels, dtype=int)
     if stream.ndim != 2:
@@ -428,10 +438,10 @@ def segment_stream(
 
 def _allocate(n: int, fractions: Sequence[float]) -> list[int]:
     """Largest-remainder apportionment of n rows to the fractions."""
-    shares = [f * n for f in fractions]
-    base = [math.floor(s) for s in shares]
+    quotas = [f * n for f in fractions]
+    base = [math.floor(q) for q in quotas]
     left = n - sum(base)
-    order = sorted(range(len(fractions)), key=lambda i: shares[i] - base[i], reverse=True)
+    order = sorted(range(len(fractions)), key=lambda i: quotas[i] - base[i], reverse=True)
     for i in order[:left]:
         base[i] += 1
     return base

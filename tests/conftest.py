@@ -23,11 +23,11 @@ from hierclass.nets import (
     Mlp,
     SgdConfig,
     _mse_grads,
+    member_mlp,
     member_mse,
     mlp_forward,
-    mlp_params,
-    params_to_mlp,
     sgd_reconstruction,
+    stack_params,
     task_seed,
 )
 from hierclass.treespace import internal, leaf, tree_to_text, validate_tree
@@ -127,12 +127,13 @@ def train_reconstruction(
         )
     # a frozen encoder is a fixed map: the decoder alone trains, on its latents
     trained = [encoder, decoder] if update_encoder else [decoder]
-    enc_params = mlp_params(encoder) if update_encoder else []
-    params = enc_params + mlp_params(decoder)
+    params = [layer for net in trained for layer in stack_params([net])]  # a stack of one
     acts = [l.activation for net in trained for l in net.layers]
-    history = sgd_reconstruction(params, acts, x if update_encoder else mlp_forward(encoder, x), x, cfg, rng)
-    new_encoder = params_to_mlp(enc_params, encoder) if update_encoder else encoder
-    new_decoder = params_to_mlp(params[len(enc_params):], decoder)
+    rows = [x if update_encoder else mlp_forward(encoder, x)]
+    history = sgd_reconstruction(params, acts, rows, rows if update_encoder else [x], cfg, [rng])
+    n_enc = len(params) - len(decoder.layers)
+    new_encoder = member_mlp(params[:n_enc], 0, encoder) if update_encoder else encoder
+    new_decoder = member_mlp(params[n_enc:], 0, decoder)
     return new_encoder, new_decoder, [float(losses[0]) for losses in history]
 
 

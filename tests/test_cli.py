@@ -82,6 +82,14 @@ def test_derive_on_shipped_fixture(tmp_path, capsys):
     assert (tmp_path / "dgm.dot").read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+def test_derive_rejects_a_tau_it_cannot_use(tmp_path, capsys, tau):
+    assert run("--out-dir", tmp_path, "derive", "--affinity", FIXTURES / "affinity_3concepts.json",
+               "--tau", tau, "--out", "tree.nwk", "--tree-json", "tree.json", "--dendrogram", "dgm.json") == 1
+    assert capsys.readouterr().err == f"error: tau must be finite and >= 0, got {float(tau)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def planted_csv(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("data")
@@ -371,10 +379,14 @@ def _edited_json(edit):
     ("predict", _edited_json(lambda o: o["nodes"].pop(0))),
     ("derive", _edited_json(lambda o: o["entries"][0].update(p=1.5))),
     ("derive", _edited_json(lambda o: o["entries"][0].update(dst=o["entries"][0]["src"]))),
+    ("synth", _edited_json(lambda o: o.update(noise=float("nan")))),
+    ("synth", _edited_json(lambda o: o["level_offsets"].__setitem__(0, float("inf")))),
+    ("synth", _edited_json(lambda o: o.update(per_concept=40.7))),
 ], ids=["spec-names-not-a-list", "spec-feature-dim-not-a-number", "spec-offsets-increase",
         "tree-truncated", "tree-missing", "tree-unknown-name", "tree-not-utf8",
         "clf-node-with-one-child", "clf-unknown-activation", "clf-node-missing",
-        "affinity-p-above-1", "affinity-self-pair"])
+        "affinity-p-above-1", "affinity-self-pair", "spec-noise-nan", "spec-offset-inf",
+        "spec-per-concept-fraction"])
 def test_malformed_json_input_is_a_data_error_naming_the_file(tmp_path, planted_csv, trained_clf, capsys,
                                                                command, corrupt):
     data, spec = planted_csv
@@ -800,6 +812,16 @@ def test_flat_vs_hier_script_runs():
     proc = _run_script("run_flat_vs_hier.py", "--seeds", "1", "--random-samples", "0")
     assert proc.returncode == 0, proc.stderr
     assert "random -" in proc.stdout and "over random" not in proc.stdout
+
+
+@pytest.mark.parametrize("purity", ["nan", "2", "-1"])
+def test_segment_rejects_a_purity_outside_0_and_1(tmp_path, capsys, purity):
+    stream = tmp_path / "stream.csv"
+    stream.write_text("ch0,label\n" + "".join(f"{t}.0,walk\n" for t in range(40)))
+    assert run("--out-dir", tmp_path, "segment", "--input", stream, "--window", "20", "--stride", "10",
+               "--purity", purity, "--out", "seg.csv") == 1
+    assert capsys.readouterr().err == f"error: purity must lie between 0 and 1, got {float(purity)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
 
 
 def test_segment_cli(tmp_path):

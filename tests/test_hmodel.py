@@ -95,7 +95,7 @@ def test_train_node_erm_separates_separable_groups():
     features = np.vstack([rng.normal(size=(40, 4)) - 3, rng.normal(size=(40, 4)) + 3])
     labels = np.array([0] * 40 + [1] * 40)
     encoder = _identity_encoder(4)
-    (w, b, history), = train_node_erm_stack([encoder], [features], [labels[None]], 2, ErmConfig(), [0])
+    (w, b, history), = train_node_erm_stack([encoder], [features], [labels[None]], [[2]], ErmConfig(), [0])
     routed = route_child(_node(((0,), (1,)), w[0], b[0]), features)
     assert np.array_equal(routed, labels)
     # the returned scorers are the best iterate: risk never above the start
@@ -106,9 +106,9 @@ def test_train_node_erm_separates_separable_groups():
 def test_train_node_erm_rejects_empty_child_group():
     encoder = _identity_encoder(3)
     with pytest.raises(DataError, match=r"empty child group\(s\): \[1\]"):
-        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 0, 0, 0]])], 2, ErmConfig(), [0])
+        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 0, 0, 0]])], [[2]], ErmConfig(), [0])
     with pytest.raises(DataError, match="empty child group.* in stack member 1"):
-        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 1, 0, 1], [0, 0, 0, 0]])], 2,
+        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 1, 0, 1], [0, 0, 0, 0]])], [[2, 2]],
                              ErmConfig(), [0])
 
 
@@ -134,8 +134,8 @@ def test_stacked_erm_equals_serial_one_member_calls(n_children, expected):
     groupings = _groupings(4, n_children)
     assert len(groupings) == expected  # Stirling numbers S(4, n)
     child_idx = np.stack([g[concepts] for g in groupings])
-    (w, b, history), = train_node_erm_stack([encoder], [features], [child_idx], n_children, cfg, [7])
-    assert w.shape == (expected, n_children, 3) and b.shape == (expected, n_children)
+    (w, b, history), = train_node_erm_stack([encoder], [features], [child_idx], [[n_children] * expected], cfg, [7])
+    assert np.shape(w) == (expected, n_children, 3) and np.shape(b) == (expected, n_children)
     assert len(history) == cfg.epochs + 1 and history[0].shape == (expected,)
     for p, idx in enumerate(child_idx):
         w1, b1, h1 = _plain_node_erm(encoder, features, idx, n_children, cfg, seed=7)
@@ -161,10 +161,10 @@ def test_erm_stack_over_problems_equals_the_plain_loop():
     ]
     for order in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one problem with one grouping
         encoders, features, child_idx, seeds = zip(*[problems[g] for g in order])
-        stacked = train_node_erm_stack(encoders, features, child_idx, 3, cfg, seeds)
+        stacked = train_node_erm_stack(encoders, features, child_idx, [[3] * len(idx) for idx in child_idx], cfg, seeds)
         assert len(stacked) == len(order)
         for g, (w, b, history) in zip(order, stacked):
-            assert w.shape == (len(plain[g]), 3, 3) and len(history) == cfg.epochs + 1
+            assert np.shape(w) == (len(plain[g]), 3, 3) and len(history) == cfg.epochs + 1
             for p, (w1, b1, h1) in enumerate(plain[g]):
                 assert np.array_equal(w[p], w1) and np.array_equal(b[p], b1)
                 assert [risks[p] for risks in history] == h1

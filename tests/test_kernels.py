@@ -218,23 +218,24 @@ def test_relu_preactivations_at_exactly_zero():
     enc = init_mlp((4, 6), ("relu",), rng)
     w = np.array(enc.layers[0].weights)
     w[:2] = 0.0  # units 0 and 1 sit at z = 0 on every row, and stay there
-    params = mlp_params(Mlp((Layer(w, np.zeros(6), "relu"),))) + mlp_params(init_mlp((6, 4), ("identity",), rng))
-    x = rng.normal(size=(19, 4))
-    x[::3] = 0.0
-    history = check_sgd(params, ["relu", "identity"], x, x, SgdConfig(epochs=5, batch_size=4), lambda: np.random.default_rng(3))
-    assert np.all(params[0][0][:2] == 0.0) and np.all(params[0][1][:2] == 0.0)
+    params = stack_params([Mlp((Layer(w, np.zeros(6), "relu"),))]) + stack_params([init_mlp((6, 4), ("identity",), rng)])
+    x = rng.normal(size=(1, 19, 4))
+    x[:, ::3] = 0.0
+    history = check_sgd(params, ["relu", "identity"], x, x, SgdConfig(epochs=5, batch_size=4), lambda: [np.random.default_rng(3)])
+    assert np.all(params[0][0][:, :2] == 0.0) and np.all(params[0][1][:, :2] == 0.0)
     assert history[-1] < history[0]
 
 
 def test_sigmoid_beyond_exp_overflow():
     rng = np.random.default_rng(4)
     w = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.5, 0.5, 0.5]])
-    params = [[w, np.zeros(3)]] + mlp_params(init_mlp((3, 2), ("identity",), rng))
+    params = [[w[None], np.zeros((1, 3))]] + stack_params([init_mlp((3, 2), ("identity",), rng)])
     x = rng.normal(size=(12, 3))
     x[:, :2] += np.where(rng.random((12, 2)) < 0.5, -800.0, 800.0)  # sigmoid inputs near +-800
     target = rng.normal(size=(12, 2))
     with np.errstate(over="raise"):  # the kernel silences exp's overflow itself
-        check_sgd(params, ["sigmoid", "identity"], x, target, SgdConfig(epochs=4, batch_size=5), lambda: np.random.default_rng(5))
+        check_sgd(params, ["sigmoid", "identity"], x[None], target[None], SgdConfig(epochs=4, batch_size=5),
+                  lambda: [np.random.default_rng(5)])
 
 
 def test_frozen_leading_layers_with_cached_latents():
@@ -245,9 +246,9 @@ def test_frozen_leading_layers_with_cached_latents():
     cfg = SgdConfig(epochs=5, batch_size=8, learning_rate=0.1)
     check_sgd(stack_params(nets), ["sigmoid", "identity"], latents, target, cfg,
               lambda: [np.random.default_rng(s) for s in (7, 8, 9)])
-    shared = rng.random((21, 3))  # one input matrix shared by every member, one batch order
-    check_sgd(stack_params(nets), ["sigmoid", "identity"], shared, target[0], cfg,
-              lambda: np.random.default_rng(10))
+    shared = rng.random((21, 3))  # one input matrix shared by every member, one Generator's batch order
+    check_sgd(stack_params(nets), ["sigmoid", "identity"], np.stack([shared] * 3), np.stack([target[0]] * 3), cfg,
+              lambda: [np.random.default_rng(10)] * 3)
 
 
 # --- hinge ERM --------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_erm_stack_matches_reference(rows, batch):
     child_idx = [read_only([np.arange(rows) % 3, (np.arange(rows) // 2) % 3], int),
                  read_only([np.arange(rows) % 3], int)]
     cfg = ErmConfig(epochs=7, batch_size=batch, learning_rate=0.3, l2=1e-2)
-    got = train_node_erm_stack(encoders, features, child_idx, 3, cfg, [21, 22])
+    got = train_node_erm_stack(encoders, features, child_idx, [[3, 3], [3]], cfg, [21, 22])
     best_w, best_b, history = ref_erm_stack(encoders, features, child_idx, 3, cfg, [21, 22])
     lo = 0
     for w, b, risks in got:
@@ -355,7 +356,7 @@ def test_ragged_erm_stack_equals_each_member_alone(shuffled, latent, one_row, ba
     seeds = [60 + g for g in range(len(problems))]
     cfg = ErmConfig(epochs=6, batch_size=batch, learning_rate=0.3, l2=1e-2)
     for encoder, f, row, n, seed, w1, b1 in _each_member_alone(problems, seeds, cfg):
-        (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [row[None]], n, cfg, [seed])
+        (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [row[None]], [[n]], cfg, [seed])
         assert same_bits(alone_w[0], w1) and same_bits(alone_b[0], b1)
 
 
@@ -414,7 +415,7 @@ def test_ragged_erm_stack_names_an_empty_child_group_by_caller_index():
     features = [rng.normal(size=(n, 4)) for n in (30, 9, 17)]
     child_idx = [np.arange(30)[None] % 2, np.stack([np.arange(9) % 3, np.zeros(9, dtype=int)]), np.arange(17)[None] % 4]
     with pytest.raises(DataError, match=r"empty child group\(s\) in stack member 2: \[1\]"):
-        train_node_erm_stack([encoder] * 3, features, child_idx, [2, [3, 2], 4], ErmConfig(), [1, 2, 3])
+        train_node_erm_stack([encoder] * 3, features, child_idx, [[2], [3, 2], [4]], ErmConfig(), [1, 2, 3])
 
 
 def test_diverging_member_of_a_ragged_autoencoder_stack_is_named_by_caller_index():

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -78,6 +79,27 @@ def test_spec_validation(pair_catalog, pair_tree):
         PlantedSpec(pair_catalog, pair_tree, 6, 10, (2.0, 0.0), 0.5)
     with pytest.raises(ValueError, match="level"):
         PlantedSpec(pair_catalog, pair_tree, 6, 10, (2.0,), 0.5)
+
+
+@pytest.mark.parametrize("offsets, noise, message", [
+    ((2.0, 1.0), float("nan"), "noise must be finite and nonnegative, got nan"),
+    ((2.0, 1.0), float("inf"), "noise must be finite and nonnegative, got inf"),
+    ((2.0, float("nan")), 0.5, r"offsets must be finite and strictly positive, got \[2.0, nan\]"),
+    ((float("inf"), 1.0), 0.5, r"offsets must be finite and strictly positive, got \[inf, 1.0\]"),
+], ids=["noise-nan", "noise-inf", "offset-nan", "offset-inf"])
+def test_spec_rejects_non_finite_values(pair_catalog, pair_tree, offsets, noise, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PlantedSpec(pair_catalog, pair_tree, 6, 10, offsets, noise)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("per_concept", 40.7), ("per_concept", "40"), ("feature_dim", True), ("feature_dim", float("nan")),
+])
+def test_spec_json_counts_must_be_integers(small_spec, key, value):
+    obj = planted_spec_to_json(small_spec)
+    with pytest.raises(DataError, match=f"^bad planted spec: {key} must be an integer, got {re.escape(repr(value))}$"):
+        planted_spec_from_json({**obj, key: value})
+    assert planted_spec_from_json({**obj, key: 50.0}) == planted_spec_from_json({**obj, key: 50})
 
 
 def test_spec_json_roundtrip(small_spec):
@@ -417,6 +439,15 @@ def test_segment_majority_and_purity():
     assert len(seg.dataset) == 1 and seg.dataset.labels[0] == 0  # 60/40 majority
     strict = segment_stream(stream, labels, cat, window=10, stride=10, purity=0.9)
     assert strict.dataset is None and strict.dropped == 1
+
+
+@pytest.mark.parametrize("purity", [float("nan"), -1.0, 1.5, 2.0])
+def test_segment_rejects_a_purity_outside_0_and_1(purity):
+    stream, labels = _stream([0] * 10)
+    with pytest.raises(ValueError, match=f"^purity must lie between 0 and 1, got {purity}$"):
+        segment_stream(stream, labels, Catalog(("a",)), window=5, stride=5, purity=purity)
+    for edge in (0.0, 1.0):  # every uniform window reaches either
+        assert len(segment_stream(stream, labels, Catalog(("a",)), window=5, stride=5, purity=edge).dataset) == 2
 
 
 def test_segment_tie_is_dropped():
