@@ -18,7 +18,7 @@ from hierclass import (
     HierTrainConfig,
     LinkageParams,
     PlantedSpec,
-    build_affinity_matrix,
+    build_affinity_artifacts,
     derive_hierarchy,
     generate_planted,
     predict_batch,
@@ -62,7 +62,7 @@ def main():
     for seed in range(args.seeds):
         data = generate_planted(spec, seed=seed)
         train, val = split(data, (0.7, 0.3), seed=seed, stratified=True)
-        matrix = build_affinity_matrix(train, AffinityConfig(seed=seed))
+        matrix = build_affinity_artifacts(train, AffinityConfig(seed=seed)).matrix
         derived = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5).tree
         cfg = HierTrainConfig(seed=seed)
         rng = np.random.default_rng([seed, 77])

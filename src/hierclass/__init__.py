@@ -8,12 +8,9 @@ from .affinity import (
     DistanceMatrix,
     EncoderConfig,
     build_affinity_artifacts,
-    build_affinity_matrix,
     final_score,
-    fine_tune,
     raw_transfer_score,
     symmetrize_to_distance,
-    train_autoencoder,
 )
 from .derive import (
     Dendrogram,
@@ -30,7 +27,6 @@ from .hmodel import (
     HierTrainConfig,
     NodeModel,
     exhaustive_search,
-    predict,
     predict_batch,
     refine_global,
     train_flat_baseline,

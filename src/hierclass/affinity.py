@@ -140,10 +140,10 @@ def train_autoencoder_stack(
 
     Every ``data[s]`` is a nonempty (N_s, dim) matrix, of one shared width
     and any row count. Member s draws its initialization and batch order
-    from ``seeds[s]`` alone, so it returns exactly what
-    ``train_autoencoder(data[s], cfg, seeds[s])`` returns: the trained pair
-    plus the final held-in mean reconstruction loss. A NumericError names
-    the diverging member in its ``member``.
+    from ``seeds[s]`` alone, so it gets exactly what it gets trained alone,
+    as ``train_autoencoder_stack([data[s]], cfg, [seeds[s]])[0]``: the
+    trained pair plus the final held-in mean reconstruction loss. A
+    NumericError names the diverging member in its ``member``.
     """
     x = [np.asarray(d, dtype=float) for d in data]
     if any(d.ndim != 2 or d.shape[0] < 1 or d.shape[1] != x[0].shape[1] for d in x):
@@ -161,17 +161,6 @@ def train_autoencoder_stack(
          float(history[-1][s]))
         for s in range(len(seeds))
     ]
-
-
-def train_autoencoder(
-    data: np.ndarray, cfg: AffinityConfig, seed: int
-) -> tuple[Mlp, Mlp, float]:
-    """Train encoder/decoder on one concept's examples; deterministic in seed:
-    the one-member case of :func:`train_autoencoder_stack`.
-
-    Returns the trained pair plus the final held-in mean reconstruction loss.
-    """
-    return train_autoencoder_stack([data], cfg, [seed])[0]
 
 
 def _held_out_count(n: int, fraction: float) -> int:
@@ -273,18 +262,6 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
             ]
             lo = hi
     return results
-
-
-def fine_tune(
-    encoder: Mlp,
-    target_data: np.ndarray,
-    budget: int,
-    cfg: AffinityConfig,
-    seed: int,
-) -> tuple[Mlp, float]:
-    """Fine-tune a copy of one encoder toward a target concept: the
-    one-task, one-encoder case of :func:`fine_tune_stack`."""
-    return fine_tune_stack([([encoder], target_data, budget, seed)], cfg)[0][0]
 
 
 def raw_transfer_score(l_ft: float, l_ref: float) -> float:
@@ -481,10 +458,6 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         config=cfg,
         input_dim=dataset.n_features,
     )
-
-
-def build_affinity_matrix(dataset: LabeledDataset, cfg: AffinityConfig) -> AffinityMatrix:
-    return build_affinity_artifacts(dataset, cfg).matrix
 
 
 def symmetrize_to_distance(matrix: AffinityMatrix, method: str = "mean") -> DistanceMatrix:

@@ -34,7 +34,6 @@ from .serialize import (
     mlp_from_json,
     mlp_to_json,
     read_bytes,
-    sha256_of_file,
 )
 
 
@@ -122,7 +121,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tree", required=True, help="hierarchy file (Newick or JSON)")
     p.add_argument("--out", required=True, help="classifier JSON")
     p.add_argument("--artifacts", help="affinity artifacts JSON (reuses encoders)")
-    p.add_argument("--mode", choices=("keep", "fuse"), default=_TRAIN.rep_mode)
     _add_training_flags(p)
     p.add_argument("--refine-epochs", type=int, default=0)
     p.add_argument("--lambda-orth", type=float, default=hmodel.DEFAULT_LAMBDA_ORTH)
@@ -143,7 +141,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="train and rank every hierarchy")
     p.add_argument("--data", required=True)
     p.add_argument("--val-fraction", type=float, default=0.3)
-    p.add_argument("--metric", choices=("accuracy", "neg_h_loss"), default="accuracy")
     p.add_argument("--cap", type=int, default=5)
     _add_training_flags(p)
     p.add_argument("--out", required=True, help="score table CSV")
@@ -206,15 +203,14 @@ def _out_path(args, name: str | None) -> Path | None:
     return path if path.is_absolute() else Path(args.out_dir) / path
 
 
-def _provenance(args, command: str, inputs: list[str], settings: dict, *read: dict) -> dict:
-    """What a command ran on and with; each of ``read`` gives the ``path`` and
-    ``sha256`` of an input as it was read, and the other inputs are hashed here."""
-    read = {Path(r["path"]): r["sha256"] for r in read}
+def _provenance(args, command: str, inputs: list[str], settings: dict, *hashes: str) -> dict:
+    """What a command ran on and with; ``hashes`` holds the sha256 of each of
+    ``inputs``, in order, taken from the bytes that were parsed."""
     return {
         "command": command,
         "seed": args.seed,
         "config": settings,
-        "inputs": {str(p): read.get(Path(p)) or sha256_of_file(p) for p in inputs},
+        "inputs": {str(p): h for p, h in zip(inputs, hashes, strict=True)},
     }
 
 
@@ -223,23 +219,26 @@ def _read_json(path: str, parse):
     data = read_bytes(path)
     obj = load_json(path, data)
     try:
-        return parse(obj), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        return parse(obj), hashlib.sha256(data).hexdigest()
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_tree_file(path: str, catalog: treespace.Catalog) -> treespace.Tree:
-    """A Newick file, or a JSON one holding the nested-array form alone or
-    under ``tree``; a file that cannot be read or parsed is a DataError
-    naming it."""
+def _read_tree_file(path: str, catalog: treespace.Catalog):
+    """The tree in a Newick file, or a JSON one holding the nested-array form
+    alone or under ``tree``, and the hash of the bytes parsed; a file that
+    cannot be read or parsed is a DataError naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8").strip()
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8").strip()
         if not (text.startswith("{") or text.startswith("[")):
-            return treespace.parse_tree(text, catalog)
-        obj = json.loads(text)
-        return treespace.tree_from_json(obj.get("tree", obj) if isinstance(obj, dict) else obj, catalog)
+            tree = treespace.parse_tree(text, catalog)
+        else:
+            obj = json.loads(text)
+            tree = treespace.tree_from_json(obj.get("tree", obj) if isinstance(obj, dict) else obj, catalog)
     except (OSError, ValueError, DataError) as exc:  # ValueError: bad JSON or not UTF-8
         raise DataError(f"{path}: {exc}") from None
+    return tree, hashlib.sha256(data).hexdigest()
 
 
 def _affinity_config(args) -> aff.AffinityConfig:
@@ -266,7 +265,6 @@ def _train_config(args) -> hmodel.HierTrainConfig:
         erm=replace(d.erm, epochs=args.erm_epochs),
         encoder=replace(d.encoder, hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
         pretrain=replace(d.pretrain, epochs=args.pretrain_epochs),
-        rep_mode=getattr(args, "mode", d.rep_mode),  # only train has --mode
         seed=args.seed,
     )
 
@@ -293,18 +291,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec, read = _read_json(args.spec, synth.planted_spec_from_json)
+    spec, sha256 = _read_json(args.spec, synth.planted_spec_from_json)
     dataset = synth.generate_planted(spec, seed=args.seed)
     out = _out_path(args, args.out)
     synth.save_csv(dataset, out)
     support = {dataset.catalog.name_of(c): n for c, n in sorted(dataset.support().items())}
     print(f"wrote {len(dataset)} rows x {dataset.n_features} features -> {out}")
     print(f"support: {support}")
-    print(json.dumps(_provenance(args, "synth", [args.spec], {"spec": str(args.spec)}, read)))
+    print(json.dumps(_provenance(args, "synth", [args.spec], {"spec": str(args.spec)}, sha256)))
     return 0
 
 
 def _cmd_segment(args) -> int:
+    synth.check_purity(args.purity)
     stream_ds = synth.load_csv(args.input, label_column=args.label_col)
     segmented = synth.segment_stream(
         stream_ds.features,
@@ -334,7 +333,7 @@ def _cmd_affinity(args) -> int:
     artifacts = aff.build_affinity_artifacts(dataset, cfg)
     obj = aff.affinity_to_json(artifacts.matrix)
     obj["provenance"] = _provenance(
-        args, "affinity", [args.data], aff.affinity_config_to_json(cfg), dataset.provenance
+        args, "affinity", [args.data], aff.affinity_config_to_json(cfg), dataset.provenance["sha256"]
     )
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
@@ -360,8 +359,7 @@ def _cmd_affinity(args) -> int:
     return 0
 
 
-def _load_artifacts(path: str) -> aff.AffinityArtifacts:
-    obj = load_json(path)
+def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
     try:
         return aff.AffinityArtifacts(
             matrix=aff.affinity_from_json(obj["matrix"]),
@@ -373,11 +371,12 @@ def _load_artifacts(path: str) -> aff.AffinityArtifacts:
             input_dim=int(obj["input_dim"]),
         )
     except (DataError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad artifacts file: {exc}") from None
+        raise DataError(f"bad artifacts file: {exc}") from None
 
 
 def _cmd_derive(args) -> int:
-    matrix, read = _read_json(args.affinity, aff.affinity_from_json)
+    drv.check_tau(args.tau)
+    matrix, sha256 = _read_json(args.affinity, aff.affinity_from_json)
     if args.linkage == "custom":
         params = drv.LinkageParams(
             preset="custom",
@@ -399,7 +398,7 @@ def _cmd_derive(args) -> int:
     out = _out_path(args, args.out)
     atomic_write_text(out, newick + "\n")
     print(newick)
-    provenance = _provenance(args, "derive", [args.affinity], derived.provenance, read)
+    provenance = _provenance(args, "derive", [args.affinity], derived.provenance, sha256)
     if args.tree_json:
         atomic_write_json(
             _out_path(args, args.tree_json),
@@ -421,11 +420,12 @@ def _cmd_derive(args) -> int:
 def _cmd_train(args) -> int:
     hmodel.check_refinement(args.lambda_orth, args.refine_epochs)  # the settings land in provenance too
     dataset = synth.load_csv(args.data)
-    tree = _read_tree_file(args.tree, dataset.catalog)
+    tree, tree_sha256 = _read_tree_file(args.tree, dataset.catalog)
     cfg = _train_config(args)
-    artifacts = None
+    artifacts, hashes = None, [dataset.provenance["sha256"], tree_sha256]
     if args.artifacts:
-        artifacts = _load_artifacts(args.artifacts)
+        artifacts, artifacts_sha256 = _read_json(args.artifacts, _artifacts_from_json)
+        hashes.append(artifacts_sha256)
     classifier = hmodel.train_hierarchical(tree, dataset, cfg, artifacts=artifacts)
     if args.refine_epochs != 0:
         result = hmodel.refine_global(
@@ -439,7 +439,7 @@ def _cmd_train(args) -> int:
     obj = hmodel.classifier_to_json(classifier)
     inputs = [args.data, args.tree] + ([args.artifacts] if args.artifacts else [])
     settings = {**asdict(cfg), "refine_epochs": args.refine_epochs, "lambda_orth": args.lambda_orth}
-    obj["provenance"].update(_provenance(args, "train", inputs, settings, dataset.provenance))
+    obj["provenance"].update(_provenance(args, "train", inputs, settings, *hashes))
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"classifier ({hmodel.parameter_count(classifier)} parameters) -> {out}")
@@ -467,7 +467,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    classifier, read = _read_json(args.clf, hmodel.classifier_from_json)
+    classifier, sha256 = _read_json(args.clf, hmodel.classifier_from_json)
     dataset = synth.load_csv(args.data, catalog=classifier.catalog)
     expected = classifier.input_dim
     if expected is not None and dataset.n_features != expected:
@@ -479,7 +479,7 @@ def _cmd_evaluate(args) -> int:
     except UnscorableRowError as exc:
         raise DataError(f"{args.data}:{exc.row + 2}: {exc}") from None
     obj = metrics.report_to_json(report)
-    obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, read, dataset.provenance)
+    obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, sha256, dataset.provenance["sha256"])
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"accuracy {report.accuracy:.4f}, mean H-loss {report.mean_h_loss:.4f} -> {out}")
@@ -503,7 +503,7 @@ def _cmd_search(args) -> int:
     dataset = synth.load_csv(args.data)
     train, val = synth.split(dataset, (1.0 - fraction, fraction), seed=args.seed, stratified=True)
     cfg = _train_config(args)
-    result = hmodel.exhaustive_search(train, val, cfg, metric=args.metric, cap=args.cap)
+    result = hmodel.exhaustive_search(train, val, cfg, cap=args.cap)
     lines = ["tree,score"]
     for tree, score in result.table:
         lines.append(f'"{treespace.tree_to_text(tree, dataset.catalog)}",{score!r}')
@@ -511,7 +511,7 @@ def _cmd_search(args) -> int:
     atomic_write_text(out, "\n".join(lines) + "\n")
     best = treespace.tree_to_text(result.best_tree, dataset.catalog)
     print(f"{len(result.table)} hierarchies scored -> {out}")
-    print(f"best by {args.metric}: {best}")
+    print(f"best by accuracy: {best}")
     return 0
 
 
@@ -524,8 +524,8 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"--train-seeds must be comma-separated non-negative integers, got {args.train_seeds!r}")
     seeds = [int(s) for s in items]
     dataset = synth.load_csv(args.data)
-    derived = _read_tree_file(args.derived, dataset.catalog)
-    expert = _read_tree_file(args.expert, dataset.catalog)
+    derived, derived_sha256 = _read_tree_file(args.derived, dataset.catalog)
+    expert, expert_sha256 = _read_tree_file(args.expert, dataset.catalog)
     rng = np.random.default_rng([args.seed, 7])
     random_trees = [
         treespace.sample_hierarchy(dataset.catalog.ids, rng) for _ in range(args.random_samples)
@@ -564,7 +564,7 @@ def _cmd_compare(args) -> int:
             args, "compare", [args.data, args.derived, args.expert],
             {**asdict(base_cfg), "train_seeds": seeds, "random_samples": args.random_samples,
              "val_fraction": args.val_fraction},
-            dataset.provenance,
+            dataset.provenance["sha256"], derived_sha256, expert_sha256,
         ),
     }
     out = _out_path(args, args.out)

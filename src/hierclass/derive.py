@@ -151,11 +151,16 @@ def _ordered(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
-    """Dissolve every merge with fusion distance >= tau, splicing its
-    children into the parent's child list; ``tau`` must be finite and >= 0."""
+def check_tau(tau: float) -> None:
+    """Reject a threshold that is not finite and >= 0: a ValueError naming it."""
     if not 0.0 <= tau < float("inf"):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
+
+def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
+    """Dissolve every merge with fusion distance >= tau, splicing its
+    children into the parent's child list; see :func:`check_tau`."""
+    check_tau(tau)
     if dgm.n_leaves == 1:
         return leaf(0)
     children_of = {s.new_id: (s.left, s.right) for s in dgm.steps}

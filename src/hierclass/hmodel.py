@@ -27,7 +27,6 @@ from .affinity import (
     train_autoencoder_stack,
 )
 from .errors import DataError, NumericError, UnscorableRowError
-from .metrics import h_loss_table
 from .nets import (
     Mlp,
     SgdConfig,
@@ -128,15 +127,11 @@ class HierarchicalClassifier:
         return None
 
 
-def node_scores(model: NodeModel, x: np.ndarray) -> np.ndarray:
-    """Per-child scores (N, n_children) on the node's own representation."""
-    z = mlp_forward(model.encoder, np.atleast_2d(x))
-    return z @ model.scorer_weights.T + model.scorer_bias
-
-
 def route_child(model: NodeModel, x: np.ndarray) -> np.ndarray:
-    """Index of the winning child per row; ties go to the lowest index."""
-    return node_scores(model, x).argmax(axis=1)
+    """Index of the winning child per row, by the child scores on the node's
+    own representation; ties go to the lowest index."""
+    z = mlp_forward(model.encoder, np.atleast_2d(x))
+    return (z @ model.scorer_weights.T + model.scorer_bias).argmax(axis=1)
 
 
 def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarray:
@@ -170,10 +165,6 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
 
     descend(classifier.tree, np.arange(x.shape[0]))
     return out
-
-
-def predict(classifier: HierarchicalClassifier, x: np.ndarray) -> int:
-    return int(predict_batch(classifier, np.asarray(x, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +402,6 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
 # representation assignment
 
 
-def fuse_tree(tree: Tree) -> Tree:
-    """Flatten every subtree whose root has an internal child into one
-    multi-way node over its descendant concepts."""
-    if tree.is_leaf:
-        return tree
-    if any(not c.is_leaf for c in tree.children):
-        return internal([leaf(cid) for cid in sorted(tree.leaf_ids())])
-    return tree
-
-
 def _best_pair(members: tuple[int, ...], artifacts: AffinityArtifacts) -> tuple[int, int]:
     index = {(r.source, r.target): r.score for r in artifacts.matrix.records}
     candidates = [
@@ -482,12 +463,13 @@ class HierTrainConfig:
     erm: ErmConfig = ErmConfig(epochs=80, learning_rate=0.1)
     encoder: EncoderConfig = EncoderConfig(hidden_dim=24, latent_dim=3)  # scratch reps only
     pretrain: SgdConfig = SgdConfig(epochs=40, batch_size=32, learning_rate=0.1)
-    rep_mode: str = "keep"
+    rep_mode: str = "keep"  # the one representation mode, recorded in classifier provenance
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rep_mode not in ("keep", "fuse"):
-            raise ValueError(f"rep_mode must be 'keep' or 'fuse', got {self.rep_mode!r}")
+        if self.rep_mode != "keep":
+            raise ValueError(f"rep_mode must be 'keep', got {self.rep_mode!r}; "
+                             "for a flat classifier, train the flat tree")
 
 
 def _child_keys(node: Tree) -> tuple[tuple[int, ...], ...]:
@@ -524,11 +506,11 @@ def train_hierarchies(
     encoder among its concepts, fine-tuned further toward the union when
     there are more than two. A node with subtree children gets an encoder
     fine-tuned from its largest internal child's toward the union of all its
-    descendants (``rep_mode="keep"``), or the subtree is flattened into one
-    multi-way node first (``rep_mode="fuse"``). Without artifacts each
-    node gets a scratch autoencoder trained on its descendants' rows. A
-    tree's classifier does not depend on the other trees in the call, but
-    no node trains twice and independent problems stack:
+    descendants. A flat classifier, with or without artifacts, comes from
+    :func:`flat_tree`. Without artifacts each node gets a scratch
+    autoencoder trained on its descendants' rows. A tree's classifier does not depend on the other
+    trees in the call, but no node trains twice and independent problems
+    stack:
 
     - one scratch encoder per distinct concept set, all trained in one
       ``train_autoencoder_stack`` call;
@@ -547,17 +529,15 @@ def train_hierarchies(
     if artifacts is not None and artifacts.input_dim != dataset.n_features:
         raise DataError(f"affinity artifacts were trained on {artifacts.input_dim} features, "
                         f"the data has {dataset.n_features}")
-    shaped = []
     for tree in trees:
         validate_tree(tree, len(dataset.catalog))
-        shaped.append(fuse_tree(tree) if cfg.rep_mode == "fuse" else tree)
 
     def problem_of(node: Tree):  # what a node's encoder is a function of
         return node_key(node), (None if artifacts is None else node)
 
     subs: dict[tuple[int, ...], LabeledDataset] = {}  # concept set -> its rows
     problems: dict = {}  # problem -> its distinct child partitions (insertion-ordered)
-    for tree in shaped:
+    for tree in trees:
         for node in tree.internal_nodes():
             key = node_key(node)
             if key not in subs:
@@ -565,7 +545,7 @@ def train_hierarchies(
             problems.setdefault(problem_of(node), {})[_child_keys(node)] = None
 
     if artifacts is not None:
-        assigned = _assigned_encoders(shaped, artifacts, lambda key: subs[key].features)
+        assigned = _assigned_encoders(trees, artifacts, lambda key: subs[key].features)
         encoders = {problem_of(node): encoder for node, encoder in assigned.items()}
     elif subs:
         keys = list(subs)
@@ -600,7 +580,7 @@ def train_hierarchies(
             for ck, wp, bp in zip(parts, w, b):
                 nodes[problem, ck] = NodeModel(encoders[problem], wp, bp, ck)
     classifiers = []
-    for tree in shaped:
+    for tree in trees:
         models = {node_key(n): nodes[problem_of(n), _child_keys(n)] for n in tree.internal_nodes()}
         provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
                       "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
@@ -806,7 +786,7 @@ def train_flat_baseline(
                 f"10%: closest achievable is {count_for(h_best)}"
             )
         encoder_cfg = replace(cfg.encoder, hidden_dim=h_best)
-    flat_cfg = replace(cfg, encoder=encoder_cfg, rep_mode="keep")
+    flat_cfg = replace(cfg, encoder=encoder_cfg)
     classifier = train_hierarchical(flat_tree(k), dataset, flat_cfg, artifacts=None)
     return FlatBaseline(
         classifier=classifier,
@@ -831,26 +811,21 @@ def exhaustive_search(
     metric: str = "accuracy",
     cap: int = 5,
 ) -> SearchResult:
-    """Train a classifier for every hierarchy over the catalog and rank them.
+    """Train a classifier for every hierarchy over the catalog and rank them
+    by accuracy on the validation split, the one ``metric``.
 
-    All trainings share budgets and the seed discipline; scoring is on the
-    validation split, with accuracy or negated mean hierarchical loss as the
-    metric (higher is better for both).
+    All trainings share budgets and the seed discipline. Mean H-loss would
+    rank them the same way: with unit node costs and leaf predictions every
+    mistake costs 2, so its mean is 2 (1 - accuracy) up to rounding.
 
     The classifiers come from one ``train_hierarchies`` call, so each is
     what its tree gets trained alone, and no node trains twice.
     """
-    if metric not in ("accuracy", "neg_h_loss"):
+    if metric != "accuracy":
         raise ValueError(f"unknown metric {metric!r}")
     trees = enumerate_hierarchies(range(len(train_data.catalog)), cap=cap)
-
-    def score(clf: HierarchicalClassifier) -> float:
-        preds = predict_batch(clf, val_data.features)
-        if metric == "accuracy":
-            return float(np.mean(preds == val_data.labels))
-        return -float(np.mean(h_loss_table(clf.tree)[preds, val_data.labels]))
-
-    table = tuple((tree, score(clf)) for tree, clf in zip(trees, train_hierarchies(trees, train_data, cfg)))
+    table = tuple((tree, float(np.mean(predict_batch(clf, val_data.features) == val_data.labels)))
+                  for tree, clf in zip(trees, train_hierarchies(trees, train_data, cfg)))
     best_tree = max(table, key=lambda row: row[1])[0]
     return SearchResult(best_tree=best_tree, table=table)
 

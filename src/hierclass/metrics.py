@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError
+from .hmodel import child_index_labels, node_key, predict_batch, route_child
 from .synth import LabeledDataset
 from .treespace import Tree
 
@@ -167,8 +168,6 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
     score raises :func:`~hierclass.hmodel.predict_batch`'s UnscorableRowError
     before any node routes it.
     """
-    from .hmodel import child_index_labels, node_key, predict_batch, route_child
-
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     k = len(dataset.catalog)

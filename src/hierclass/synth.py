@@ -161,6 +161,13 @@ def _json_integer(obj: dict, key: str) -> int:
     return int(value)
 
 
+def _json_number(value, key: str) -> float:
+    """``value``, read under ``key``, as a float: a JSON number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def planted_spec_from_json(obj: dict) -> PlantedSpec:
     try:
         catalog = Catalog(tuple(obj["names"]))
@@ -169,8 +176,8 @@ def planted_spec_from_json(obj: dict) -> PlantedSpec:
             tree=tree_from_json(obj["tree"], catalog),
             feature_dim=_json_integer(obj, "feature_dim"),
             per_concept=_json_integer(obj, "per_concept"),
-            level_offsets=tuple(float(x) for x in obj["level_offsets"]),
-            noise=float(obj["noise"]),
+            level_offsets=tuple(_json_number(x, "level_offsets") for x in obj["level_offsets"]),
+            noise=_json_number(obj["noise"], "noise"),
         )
     except KeyError as exc:
         raise DataError(f"planted spec missing key {exc}") from None
@@ -360,6 +367,12 @@ class Segmented:
     positions: int
 
 
+def check_purity(purity: float) -> None:
+    """Reject a purity fraction outside [0, 1]: a ValueError naming it."""
+    if not 0.0 <= purity <= 1.0:  # NaN fails too
+        raise ValueError(f"purity must lie between 0 and 1, got {purity}")
+
+
 def segment_stream(
     stream: np.ndarray,
     sample_labels: np.ndarray,
@@ -376,8 +389,7 @@ def segment_stream(
     label is the majority per-sample label; windows without a unique
     majority reaching the purity fraction (in [0, 1]) are dropped and counted.
     """
-    if not 0.0 <= purity <= 1.0:
-        raise ValueError(f"purity must lie between 0 and 1, got {purity}")
+    check_purity(purity)
     stream = np.asarray(stream, dtype=float)
     sample_labels = np.asarray(sample_labels, dtype=int)
     if stream.ndim != 2:

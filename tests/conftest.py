@@ -16,7 +16,6 @@ from hierclass.hmodel import (
     child_index_labels,
     classifier_to_json,
     erm_risk_and_grads,
-    fuse_tree,
     node_key,
 )
 from hierclass.nets import (
@@ -196,12 +195,10 @@ def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
     return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
 
 
-def _plain_assignment(tree, artifacts, mode, dataset):
+def _plain_assignment(tree, artifacts, dataset):
     """The artifact encoders ``train_hierarchies`` assigns, node by node,
-    every union tune one plain fine-tune: the effective tree and the
-    node-key-to-encoder map."""
+    every union tune one plain fine-tune: the node-key-to-encoder map."""
     cfg = artifacts.config
-    tree = fuse_tree(tree) if mode == "fuse" else tree
     encoders = {}
 
     def union_tune(start, key):
@@ -222,7 +219,7 @@ def _plain_assignment(tree, artifacts, mode, dataset):
             encoders[key] = union_tune(encoders[node_key(biggest)], key)
 
     walk(tree)
-    return tree, encoders
+    return encoders
 
 
 def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
@@ -251,11 +248,7 @@ def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
     ``_plain_assignment`` or a plain scratch autoencoder per node, and the
     plain ERM loop for each node's scorers."""
     validate_tree(tree, len(dataset.catalog))
-    if artifacts is None:
-        encoders = {}
-        tree = fuse_tree(tree) if cfg.rep_mode == "fuse" else tree
-    else:
-        tree, encoders = _plain_assignment(tree, artifacts, cfg.rep_mode, dataset)
+    encoders = {} if artifacts is None else _plain_assignment(tree, artifacts, dataset)
     scratch_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
     models = {}
     for node in tree.internal_nodes():

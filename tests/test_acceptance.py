@@ -26,7 +26,7 @@ from hierclass.affinity import (
     DistanceMatrix,
     affinity_from_json,
     affinity_to_json,
-    build_affinity_matrix,
+    build_affinity_artifacts,
     make_decoder,
     make_encoder,
     EncoderConfig,
@@ -94,7 +94,7 @@ def pair_runs():
     for seed in SEEDS:
         data = generate_planted(PAIR_SPEC, seed=seed)
         train, val = split(data, (0.7, 0.3), seed=seed, stratified=True)
-        matrix = build_affinity_matrix(train, AffinityConfig(seed=seed))
+        matrix = build_affinity_artifacts(train, AffinityConfig(seed=seed)).matrix
         derived = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5)
         runs.append({"seed": seed, "train": train, "val": val, "derived": derived.tree})
     return runs
@@ -176,12 +176,12 @@ def test_criterion_04_gradient_checks():
     # fine-tuning objective: trained source encoder, fresh decoder, target data
     base_rng = np.random.default_rng(42)
     source = generate_planted(PAIR_SPEC, seed=0)
-    from hierclass.affinity import train_autoencoder
+    from hierclass.affinity import train_autoencoder_stack
 
-    trained_enc, _, _ = train_autoencoder(
-        source.of_concept(0)[:80],
+    [(trained_enc, _, _)] = train_autoencoder_stack(
+        [source.of_concept(0)[:80]],
         AffinityConfig(encoder=EncoderConfig(hidden_dim=5, latent_dim=2)),
-        seed=0,
+        [0],
     )
     target = source.of_concept(1)[:8]
     for point in range(20):
@@ -352,7 +352,7 @@ def test_criterion_08_hierarchical_beats_flat_and_random():
     for seed in SEEDS:
         data = generate_planted(spec, seed=seed)
         train, val = split(data, (0.7, 0.3), seed=seed, stratified=True)
-        matrix = build_affinity_matrix(train, AffinityConfig(seed=seed))
+        matrix = build_affinity_artifacts(train, AffinityConfig(seed=seed)).matrix
         derived = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5).tree
         cfg = HierTrainConfig(seed=seed)
         rng = np.random.default_rng([seed, 77])
@@ -412,7 +412,7 @@ def test_criterion_10_serialization_roundtrips(pair_runs):
         ok &= tree_from_json(json.loads(dumped), catalog) == tree
 
     run = pair_runs[0]
-    matrix = build_affinity_matrix(run["train"], AffinityConfig(seed=0))
+    matrix = build_affinity_artifacts(run["train"], AffinityConfig(seed=0)).matrix
     dumped = json.dumps(affinity_to_json(matrix))
     ok &= affinity_from_json(json.loads(dumped)) == matrix
 

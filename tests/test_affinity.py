@@ -28,17 +28,14 @@ from hierclass.affinity import (
     affinity_from_json,
     affinity_to_json,
     build_affinity_artifacts,
-    build_affinity_matrix,
     capped_budget,
     distance_to_csv,
     final_score,
-    fine_tune,
     fine_tune_stack,
     make_decoder,
     make_encoder,
     raw_transfer_score,
     symmetrize_to_distance,
-    train_autoencoder,
     train_autoencoder_stack,
 )
 from hierclass.errors import DataError, NumericError
@@ -64,19 +61,19 @@ def test_autoencoder_recovers_linear_subspace():
     rng = np.random.default_rng(0)
     basis = rng.normal(size=(2, 6))
     data = rng.normal(size=(100, 2)) @ basis
-    _, _, loss = train_autoencoder(data, LINEAR_CFG, seed=0)
+    _, _, loss = train_autoencoder_stack([data], LINEAR_CFG, [0])[0]
     assert loss < 1e-3
 
 
 def test_autoencoder_on_all_zero_data_is_lossless():
     cfg = replace(LINEAR_CFG, encoder=replace(LINEAR_CFG.encoder, hidden_activation="relu"))
-    _, _, loss = train_autoencoder(np.zeros((20, 6)), cfg, seed=0)
+    _, _, loss = train_autoencoder_stack([np.zeros((20, 6))], cfg, [0])[0]
     assert loss == 0.0
 
 
 def test_autoencoder_rejects_empty_or_mismatched_data():
     with pytest.raises(ValueError):
-        train_autoencoder(np.zeros((0, 4)), AffinityConfig(), seed=0)
+        train_autoencoder_stack([np.zeros((0, 4))], AffinityConfig(), [0])
     with pytest.raises(ValueError):
         make_encoder(3, EncoderConfig(latent_dim=5), np.random.default_rng(0))
 
@@ -119,14 +116,14 @@ def test_fine_tune_budget_exceeds_pool():
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
     data = np.random.default_rng(1).normal(size=(20, 4))
     with pytest.raises(ValueError, match="budget"):
-        fine_tune(enc, data, 17, cfg, seed=0)  # pool is 16 after 20% holdout
+        fine_tune_stack([([enc], data, 17, 0)], cfg)  # pool is 16 after 20% holdout
 
 
 def test_fine_tune_zero_budget_keeps_encoder():
     cfg = AffinityConfig()
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
     data = np.random.default_rng(1).normal(size=(30, 4))
-    tuned, l_ft = fine_tune(enc, data, 0, cfg, seed=0)
+    [[(tuned, l_ft)]] = fine_tune_stack([([enc], data, 0, 0)], cfg)
     assert tuned is enc
     assert l_ft >= 0.0
 
@@ -135,8 +132,8 @@ def test_fine_tune_is_deterministic_in_seed():
     cfg = AffinityConfig()
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
     data = np.random.default_rng(1).normal(size=(40, 4))
-    _, a = fine_tune(enc, data, 10, cfg, seed=5)
-    _, b = fine_tune(enc, data, 10, cfg, seed=5)
+    [[(_, a)]] = fine_tune_stack([([enc], data, 10, 5)], cfg)
+    [[(_, b)]] = fine_tune_stack([([enc], data, 10, 5)], cfg)
     assert a == b
 
 
@@ -146,10 +143,10 @@ def test_self_transfer_dominates_on_planted_data():
     spec = PlantedSpec(cat, tree, 10, 150, (9.0, 3.0), 2.0)
     data = generate_planted(spec, seed=0)
     cfg = AffinityConfig(seed=0)
-    encoders = {c: train_autoencoder(data.of_concept(c), cfg, seed=100 + c)[0] for c in range(3)}
+    encoders = {c: train_autoencoder_stack([data.of_concept(c)], cfg, [100 + c])[0][0] for c in range(3)}
     for target in range(3):
         losses = {
-            src: fine_tune(encoders[src], data.of_concept(target), 80, cfg, seed=500 + target)[1]
+            src: fine_tune_stack([([encoders[src]], data.of_concept(target), 80, 500 + target)], cfg)[0][0][1]
             for src in range(3)
         }
         assert min(losses, key=losses.get) == target
@@ -170,9 +167,9 @@ def test_fresh_encoder_fine_tune_matches_autoencoder_regime():
     )
     pool_size = x.shape[0] - max(1, round(0.2 * x.shape[0]))
     fresh = make_encoder(10, cfg.encoder, np.random.default_rng([9, 3]))
-    _, l_ft = fine_tune(fresh, x, pool_size, cfg, seed=9)
+    [[(_, l_ft)]] = fine_tune_stack([([fresh], x, pool_size, 9)], cfg)
     pool, held = _holdout_split(x.shape[0], 0.2, np.random.default_rng([9, 0]))
-    enc, dec, _ = train_autoencoder(x[pool], cfg, seed=77)
+    [(enc, dec, _)] = train_autoencoder_stack([x[pool]], cfg, [77])
     l_ae = reconstruction_loss(enc, dec, x[held])
     assert abs(l_ft - l_ae) / l_ae < 0.15
 
@@ -183,8 +180,8 @@ def test_identical_distribution_target_matches_own_loss():
     sample_a = base + rng.normal(size=(200, 10))
     sample_b = base + rng.normal(size=(200, 10))
     cfg = AffinityConfig(seed=5)
-    encoder, _, own_loss = train_autoencoder(sample_a, cfg, seed=5)
-    _, l_ft = fine_tune(encoder, sample_b, 80, cfg, seed=6)
+    [(encoder, _, own_loss)] = train_autoencoder_stack([sample_a], cfg, [5])
+    [[(_, l_ft)]] = fine_tune_stack([([encoder], sample_b, 80, 6)], cfg)
     assert abs(l_ft - own_loss) / own_loss < 0.10
 
 
@@ -284,7 +281,7 @@ def test_identical_distribution_pair_beats_half():
     feats = base + rng.normal(size=(400, 8))
     labels = np.array([0] * 200 + [1] * 200)
     data = LabeledDataset(feats, labels, Catalog(("u", "v")))
-    matrix = build_affinity_matrix(data, AffinityConfig(seed=2))
+    matrix = build_affinity_artifacts(data, AffinityConfig(seed=2)).matrix
     assert matrix.score(0, 1) > 0.5
     assert matrix.score(1, 0) > 0.5
 
@@ -399,7 +396,7 @@ def test_autoencoder_stack_members_match_the_plain_path(triple_data_module):
     def same(got, want):
         return _same_mlp(got[0], want[0]) and _same_mlp(got[1], want[1]) and got[2] == want[2]
 
-    assert all(same(train_autoencoder(d, cfg, seed), p) for d, seed, p in zip(data, seeds, plain))
+    assert all(same(train_autoencoder_stack([d], cfg, [seed])[0], p) for d, seed, p in zip(data, seeds, plain))
     for members in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one
         stacked = train_autoencoder_stack([data[s] for s in members], cfg, [seeds[s] for s in members])
         assert all(same(got, plain[s]) for s, got in zip(members, stacked))
@@ -409,7 +406,7 @@ def test_one_diverging_pretrain_member_names_its_concept():
     cfg = AffinityConfig(encoder=EncoderConfig(hidden_dim=4, latent_dim=2))
     calm = np.random.default_rng(0).normal(size=(40, 6))
     wild = calm * 1e4
-    train_autoencoder(calm, cfg, seed=3)  # a calm member trains fine on its own
+    train_autoencoder_stack([calm], cfg, [3])  # a calm member trains fine on its own
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1") as info:
         train_autoencoder_stack([calm, wild, calm + 1], cfg, [3, 4, 5])
     assert info.value.member == 1
@@ -438,7 +435,7 @@ def test_one_diverging_stack_member_raises():
     data = np.random.default_rng(0).normal(size=(40, 6))
     calm = make_encoder(6, linear, np.random.default_rng(1))
     wild = Mlp(tuple(Layer(l.weights * 1e3, l.bias, l.activation) for l in calm.layers))
-    fine_tune(calm, data, 20, cfg, seed=3)  # each calm member trains fine on its own
+    fine_tune_stack([([calm], data, 20, 3)], cfg)  # each calm member trains fine on its own
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1"):
         fine_tune_stack([([calm, wild, calm], data, 20, 3)], cfg)
     # across tasks: the error names the task and encoder, and ``member`` counts over all tasks' encoders
@@ -471,7 +468,7 @@ def test_transfer_divergence_names_its_concepts(monkeypatch):
 def test_fine_tune_stack_members_match_single_calls(triple_data_module):
     cfg = AffinityConfig(warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1))
     data = [triple_data_module.of_concept(c) for c in range(3)]
-    encoders = [train_autoencoder(data[c], cfg, seed=c)[0] for c in (0, 1)]
+    encoders = [train_autoencoder_stack([data[c]], cfg, [c])[0][0] for c in (0, 1)]
     # tasks 0, 1 and 3 train on 50 rows (their held-out slices differ), task 2 on the
     # 70-row pool of its target, task 4 on 50 rows without a joint phase
     tasks = [(encoders, data[2], 50, 11), (encoders[::-1], data[0], 50, 12),
@@ -481,7 +478,7 @@ def test_fine_tune_stack_members_match_single_calls(triple_data_module):
     assert [len(results) for results in stacked] == [2, 2, 1, 2, 1]
     for (members, target, budget, seed), results in zip(tasks, stacked):
         for encoder, (tuned, l_ft) in zip(members, results):
-            alone, l_alone = fine_tune(encoder, target, budget, cfg, seed)
+            [[(alone, l_alone)]] = fine_tune_stack([([encoder], target, budget, seed)], cfg)
             plain, l_plain = _plain_fine_tune(encoder, target, budget, cfg, seed)
             assert l_ft == l_alone == l_plain and _same_mlp(tuned, alone) and _same_mlp(tuned, plain)
 
@@ -515,7 +512,7 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     feats = np.vstack([rng.normal(size=(10, 4)), rng.normal(size=(10, 4)) + 3])
     data = LabeledDataset(feats, np.array([0] * 10 + [1] * 10), Catalog(("a", "b")))
     cfg = AffinityConfig(holdout_fraction=0.96, encoder=EncoderConfig(hidden_dim=6, latent_dim=2))
-    matrix = build_affinity_matrix(data, cfg)
+    matrix = build_affinity_artifacts(data, cfg).matrix
     # one pretraining stack over both concepts' 10 rows, then one transfer stack toward both
     # targets whose joint phase ran
     assert rows_seen == [(cfg.pretrain, {10}), (cfg.warmup, {1}), (cfg.finetune, {1})]
@@ -527,7 +524,7 @@ def test_insufficient_concepts_are_skipped_and_reported():
     feats = np.vstack([rng.normal(size=(40, 5)), rng.normal(size=(40, 5)) + 4, rng.normal(size=(3, 5))])
     labels = np.array([0] * 40 + [1] * 40 + [2] * 3)
     data = LabeledDataset(feats, labels, Catalog(("a", "b", "tiny")))
-    matrix = build_affinity_matrix(data, AffinityConfig(seed=0, min_examples=10))
+    matrix = build_affinity_artifacts(data, AffinityConfig(seed=0, min_examples=10)).matrix
     assert matrix.skipped == ((2, 3),)
     assert set(matrix.missing_pairs()) == {(0, 2), (2, 0), (1, 2), (2, 1)}
 
@@ -540,7 +537,7 @@ def test_fewer_than_two_usable_concepts_is_an_error():
         Catalog(("a", "tiny")),
     )
     with pytest.raises(DataError, match="at least 2"):
-        build_affinity_matrix(data, AffinityConfig(seed=0, min_examples=10))
+        build_affinity_artifacts(data, AffinityConfig(seed=0, min_examples=10))
 
 
 # --- symmetrization ----------------------------------------------------------

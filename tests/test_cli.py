@@ -84,7 +84,8 @@ def test_derive_on_shipped_fixture(tmp_path, capsys):
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
 def test_derive_rejects_a_tau_it_cannot_use(tmp_path, capsys, tau):
-    assert run("--out-dir", tmp_path, "derive", "--affinity", FIXTURES / "affinity_3concepts.json",
+    # the affinity file does not exist: reading it first would be a data error (exit 2)
+    assert run("--out-dir", tmp_path, "derive", "--affinity", tmp_path / "missing.json",
                "--tau", tau, "--out", "tree.nwk", "--tree-json", "tree.json", "--dendrogram", "dgm.json") == 1
     assert capsys.readouterr().err == f"error: tau must be finite and >= 0, got {float(tau)}\n"
     assert list(tmp_path.iterdir()) == []
@@ -539,6 +540,18 @@ def test_removed_freeze_encoder_flag_is_a_usage_error(tmp_path, planted_csv, cap
     assert not (tmp_path / "aff.json").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--tree", "tree.nwk", "--mode", "fuse"]),  # the flat tree gives the fused classifier
+    ("search", ["--metric", "neg_h_loss"]),  # its ranking is accuracy's
+], ids=["train-mode", "search-metric"])
+def test_removed_mode_and_metric_flags_are_usage_errors(tmp_path, planted_csv, capsys, command, flags):
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, command, "--data", data, *flags, "--out", "out.json") == 1
+    assert f"unrecognized arguments: {' '.join(flags[-2:])}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["tree.nwk"]
+
+
 @pytest.mark.parametrize("other", ["catalog", "width"])
 def test_artifacts_over_other_data_are_a_data_error(tmp_path, planted_csv, capsys, other):
     data, _ = planted_csv  # concepts c1..c4, 8 features
@@ -761,31 +774,44 @@ def test_classifier_with_a_line_break_in_a_name_is_data_error(tmp_path, planted_
     assert [p.name for p in tmp_path.iterdir()] == ["clf.json"]
 
 
+def _reads(monkeypatch):
+    """The files read from here on, one entry per read."""
+    reads, real = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(str(self)) or real(self))
+    return reads
+
+
 def test_evaluate_records_the_hash_of_the_classifier_it_read(tmp_path, planted_csv, trained_clf, monkeypatch,
                                                              capsys):
-    from hierclass import cli
     from hierclass.serialize import sha256_of_file
 
     data, _ = planted_csv
-    monkeypatch.setattr(cli, "sha256_of_file", lambda path: pytest.fail(f"{path} hashed a second time"))
+    reads = _reads(monkeypatch)
     assert run("--out-dir", tmp_path, "evaluate", "--clf", trained_clf, "--data", data, "--out", "r.json") == 0
+    assert reads == [str(trained_clf), str(data)]  # each file read once, and hashed as it was read
     inputs = json.loads((tmp_path / "r.json").read_text())["provenance"]["inputs"]
     assert inputs == {str(trained_clf): sha256_of_file(trained_clf), str(data): sha256_of_file(data)}
 
 
 def test_provenance_takes_the_loaded_data_hash(tmp_path, planted_csv, monkeypatch, capsys):
-    from hierclass import cli
     from hierclass.serialize import sha256_of_file
 
     data, _ = planted_csv
-    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
-    hashed = []
-    monkeypatch.setattr(cli, "sha256_of_file", lambda path: hashed.append(path) or sha256_of_file(path))
-    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+    tree, expert, arts = tmp_path / "tree.nwk", tmp_path / "expert.json", tmp_path / "arts.json"
+    tree.write_text("((c1,c2),(c3,c4))\n")
+    expert.write_text('[["c1", "c3"], ["c2", "c4"]]')
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json", "--artifacts", arts,
+               *FAST_AFF) == 0
+    reads = _reads(monkeypatch)
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tree, "--artifacts", arts,
                "--out", "clf.json", *FAST) == 0
-    inputs = json.loads((tmp_path / "clf.json").read_text())["provenance"]["inputs"]
-    assert inputs == {str(data): sha256_of_file(data), str(tmp_path / "tree.nwk"): sha256_of_file(tmp_path / "tree.nwk")}
-    assert hashed == [str(tmp_path / "tree.nwk")]  # the data file was hashed once, as it was read
+    assert run("--out-dir", tmp_path, "compare", "--data", data, "--derived", tree, "--expert", expert,
+               "--random-samples", "0", "--train-seeds", "0", *FAST, "--out", "cmp.json") == 0
+    # each file read once per command, and hashed as it was read
+    assert reads == [str(data), str(tree), str(arts), str(data), str(tree), str(expert)]
+    provenance = {name: json.loads((tmp_path / name).read_text())["provenance"] for name in ("clf.json", "cmp.json")}
+    assert provenance["clf.json"]["inputs"] == {str(p): sha256_of_file(p) for p in (data, tree, arts)}
+    assert provenance["cmp.json"]["inputs"] == {str(p): sha256_of_file(p) for p in (data, tree, expert)}
 
 
 def _run_script(name, *args):
@@ -816,12 +842,11 @@ def test_flat_vs_hier_script_runs():
 
 @pytest.mark.parametrize("purity", ["nan", "2", "-1"])
 def test_segment_rejects_a_purity_outside_0_and_1(tmp_path, capsys, purity):
-    stream = tmp_path / "stream.csv"
-    stream.write_text("ch0,label\n" + "".join(f"{t}.0,walk\n" for t in range(40)))
-    assert run("--out-dir", tmp_path, "segment", "--input", stream, "--window", "20", "--stride", "10",
-               "--purity", purity, "--out", "seg.csv") == 1
+    # the stream file does not exist: reading it first would be a data error (exit 2)
+    assert run("--out-dir", tmp_path, "segment", "--input", tmp_path / "stream.csv", "--window", "20",
+               "--stride", "10", "--purity", purity, "--out", "seg.csv") == 1
     assert capsys.readouterr().err == f"error: purity must lie between 0 and 1, got {float(purity)}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["stream.csv"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_segment_cli(tmp_path):

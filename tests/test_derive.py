@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_agglomerate
-from hierclass.affinity import AffinityConfig, DistanceMatrix, build_affinity_matrix
+from hierclass.affinity import AffinityConfig, DistanceMatrix, build_affinity_artifacts
 from hierclass.derive import (
     Dendrogram,
     LinkageParams,
@@ -170,7 +170,7 @@ def test_collapse_leaves_and_monotone_depth(seed, k):
 
 
 def test_derive_recovers_planted_pairs(pair_data, pair_tree, pair_catalog):
-    matrix = build_affinity_matrix(pair_data, AffinityConfig(seed=0))
+    matrix = build_affinity_artifacts(pair_data, AffinityConfig(seed=0)).matrix
     derived = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5)
     assert derived.tree == pair_tree
     assert tree_to_text(derived.tree, pair_catalog) == "((A,B),(C,D))"
@@ -179,14 +179,14 @@ def test_derive_recovers_planted_pairs(pair_data, pair_tree, pair_catalog):
 
 
 def test_derive_is_deterministic(pair_data):
-    matrix = build_affinity_matrix(pair_data, AffinityConfig(seed=0))
+    matrix = build_affinity_artifacts(pair_data, AffinityConfig(seed=0)).matrix
     a = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5)
     b = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.5)
     assert a.tree == b.tree and a.dendrogram == b.dendrogram
 
 
 def test_derive_tau_extremes(pair_data):
-    matrix = build_affinity_matrix(pair_data, AffinityConfig(seed=0))
+    matrix = build_affinity_artifacts(pair_data, AffinityConfig(seed=0)).matrix
     flat = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=0.0)
     assert flat.tree.height() == 1 and len(flat.tree.children) == 4
     binary = derive_hierarchy(matrix, LinkageParams(preset="average"), tau=10.0)

@@ -22,9 +22,7 @@ from hierclass.hmodel import (
     erm_risk_and_grads,
     exhaustive_search,
     flat_tree,
-    fuse_tree,
     parameter_count,
-    predict,
     predict_batch,
     refine_global,
     route_child,
@@ -33,7 +31,7 @@ from hierclass.hmodel import (
     node_key,
     train_node_erm_stack,
 )
-from hierclass.metrics import evaluate, h_loss
+from hierclass.metrics import evaluate
 from hierclass.nets import ACTIVATIONS, Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import (
@@ -199,7 +197,7 @@ def hand_classifier():
 
 
 def test_predict_hand_trace_descends_by_argmax(hand_classifier):
-    assert predict(hand_classifier, np.zeros(3)) == 1  # root -> left, left -> c2
+    assert predict_batch(hand_classifier, np.zeros(3)).tolist() == [1]  # root -> left, left -> c2
 
 
 def test_predict_flat_tree_is_argmax_over_scores():
@@ -221,12 +219,12 @@ def test_predict_tie_breaks_to_lowest_child_index(hand_classifier):
     models = dict(clf.models)
     models[(0, 1, 2)] = tied
     tied_clf = HierarchicalClassifier(tree=clf.tree, catalog=clf.catalog, models=models)
-    assert predict(tied_clf, np.zeros(3)) == 1  # routes into the first (left) child
+    assert predict_batch(tied_clf, np.zeros(3)).tolist() == [1]  # routes into the first (left) child
 
 
 def test_predict_dimension_mismatch(hand_classifier):
     with pytest.raises(ValueError, match="dim"):
-        predict(hand_classifier, np.zeros(5))
+        predict_batch(hand_classifier, np.zeros(5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -293,16 +291,16 @@ def triple_setup():
     return catalog, tree, data, artifacts
 
 
-def _assigned(tree, artifacts, rep_mode, data):
-    """The effective tree and the node-key-to-encoder map ``train_hierarchical``
+def _assigned(tree, artifacts, data):
+    """The classifier's tree and the node-key-to-encoder map ``train_hierarchical``
     builds from the artifacts."""
-    clf = train_hierarchical(tree, data, replace(HierTrainConfig(seed=3), rep_mode=rep_mode), artifacts)
+    clf = train_hierarchical(tree, data, HierTrainConfig(seed=3), artifacts)
     return clf.tree, {key: model.encoder for key, model in clf.models.items()}
 
 
 def test_assignment_first_order_and_higher_order(triple_setup):
     catalog, tree, data, artifacts = triple_setup
-    eff_tree, assignment = _assigned(tree, artifacts, "keep", data)
+    eff_tree, assignment = _assigned(tree, artifacts, data)
     assert eff_tree == tree
     pair_encoders = {id(m) for m in artifacts.pair_encoders.values()}
     assert id(assignment[(0, 1)]) in pair_encoders  # first-order reuse
@@ -311,24 +309,10 @@ def test_assignment_first_order_and_higher_order(triple_setup):
 
 def test_assignment_flat_tree_single_union_encoder(triple_setup):
     catalog, _, data, artifacts = triple_setup
-    eff_tree, assignment = _assigned(flat_tree(3), artifacts, "keep", data)
+    eff_tree, assignment = _assigned(flat_tree(3), artifacts, data)
     assert list(assignment) == [(0, 1, 2)]
     pair_encoders = {id(m) for m in artifacts.pair_encoders.values()}
     assert id(assignment[(0, 1, 2)]) not in pair_encoders  # tuned on the union
-
-
-def test_fuse_mode_flattens_subtree(triple_setup):
-    catalog, tree, data, artifacts = triple_setup
-    eff_tree, assignment = _assigned(tree, artifacts, "fuse", data)
-    assert eff_tree == flat_tree(3)  # Fig-2-style 3-way node
-    assert list(assignment) == [(0, 1, 2)]
-
-
-def test_fuse_tree_shapes():
-    two_level = internal([internal([leaf(0), leaf(1)]), leaf(2)])
-    assert fuse_tree(two_level) == flat_tree(3)
-    leafy = internal([leaf(0), leaf(1)])
-    assert fuse_tree(leafy) == leafy
 
 
 def test_assignment_missing_artifact_errors(triple_setup):
@@ -353,7 +337,7 @@ def test_train_hierarchical_with_artifacts_predicts(triple_setup):
     assert clf.provenance["from_affinity_artifacts"] is True
 
 
-@pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
+@pytest.mark.parametrize("rep_mode", ["keep"])  # the explicit form perfbench/workloads.py uses
 @pytest.mark.parametrize("flat", [False, True], ids=["two-level", "flat"])
 def test_train_hierarchical_with_artifacts_restricts_each_node_once(triple_setup, monkeypatch, rep_mode, flat):
     catalog, tree, data, artifacts = triple_setup
@@ -400,7 +384,7 @@ def test_predict_batch_labels_a_row_alike_in_any_batch(trained_triple, case):
     alone = []  # each row's label scored alone, None where it cannot be scored
     for row in x:
         try:
-            alone.append(predict(clf, row))
+            alone.append(int(predict_batch(clf, row)[0]))
         except UnscorableRowError as exc:
             assert exc.row == 0
             alone.append(None)
@@ -674,8 +658,8 @@ def test_exhaustive_search_repeats_exactly(triple_setup):
     from hierclass.synth import split
 
     train, val = split(data, (0.7, 0.3), seed=3, stratified=True)
-    first = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="neg_h_loss")
-    again = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="neg_h_loss")
+    first = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="accuracy")
+    again = exhaustive_search(train, val, HierTrainConfig(seed=3), metric="accuracy")
     assert first.table == again.table
     assert first.best_tree == again.best_tree
 
@@ -701,13 +685,11 @@ def _plain_search(train, val, cfg):
     for tree in enumerate_hierarchies(range(len(train.catalog))):
         clf = _plain_hierarchy(tree, train, cfg)
         preds = predict_batch(clf, val.features)
-        accuracy = float(np.mean(preds == val.labels))
-        neg_h = -float(np.mean([h_loss(clf.tree, int(p), int(t)) for p, t in zip(preds, val.labels)]))
-        rows.append((tree, clf, accuracy, neg_h))
+        rows.append((tree, clf, float(np.mean(preds == val.labels))))
     return rows
 
 
-@pytest.mark.parametrize("k, rep_mode", [(3, "keep"), (4, "keep"), (4, "fuse")])
+@pytest.mark.parametrize("k, rep_mode", [(3, "keep"), (4, "keep")])  # rep_mode: the form perfbench/workloads.py uses
 def test_planned_search_equals_training_every_tree(monkeypatch, k, rep_mode):
     train, val = _search_split(k)
     cfg = replace(FAST_CFG, rep_mode=rep_mode)
@@ -720,13 +702,10 @@ def test_planned_search_equals_training_every_tree(monkeypatch, k, rep_mode):
         return real_predict(classifier, x)
 
     monkeypatch.setattr(hmodel, "predict_batch", spy)
-    for metric, column in (("accuracy", 2), ("neg_h_loss", 3)):
-        composed.clear()
-        result = exhaustive_search(train, val, cfg, metric=metric)
-        # bit-equal scores, neg_h_loss included: its K x K table mean equals the per-row mean
-        assert result.table == tuple((row[0], row[column]) for row in plain)
-        assert len(composed) == len(plain)
-        assert all(same_classifier(c, row[1]) for c, row in zip(composed, plain))
+    result = exhaustive_search(train, val, cfg, metric="accuracy")
+    assert result.table == tuple((row[0], row[2]) for row in plain)  # bit-equal scores
+    assert len(composed) == len(plain)
+    assert all(same_classifier(c, row[1]) for c, row in zip(composed, plain))
 
 
 def _count_stacks(monkeypatch):
@@ -775,15 +754,13 @@ def test_search_on_unequal_supports_equals_training_every_tree(monkeypatch):
     train, val = _unequal_split()
     plain = _plain_search(train, val, FAST_CFG)
     calls, erm_rows = _count_stacks(monkeypatch)
-    for metric, column in (("accuracy", 2), ("neg_h_loss", 3)):
-        calls.update(dict.fromkeys(calls, 0))
-        result = exhaustive_search(train, val, FAST_CFG, metric=metric)
-        assert result.table == tuple((row[0], row[column]) for row in plain)
-        # one stack each, though the 11 concept sets have 8 distinct row
-        # counts (4 among pairs, 3 among triples) and the 36 groupings fall
-        # into 13 (row count, child count) pairs
-        assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36}
-    assert erm_rows == [{34, 42, 48, 56, 62, 70, 76, 90}] * 2
+    result = exhaustive_search(train, val, FAST_CFG)
+    assert result.table == tuple((row[0], row[2]) for row in plain)
+    # one stack each, though the 11 concept sets have 8 distinct row
+    # counts (4 among pairs, 3 among triples) and the 36 groupings fall
+    # into 13 (row count, child count) pairs
+    assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36}
+    assert erm_rows == [{34, 42, 48, 56, 62, 70, 76, 90}]
 
 
 # children listed out of canonical order, which construction sorts
@@ -793,7 +770,7 @@ _V = internal([leaf(3), internal([leaf(2), internal([leaf(1), leaf(0)])])])
 
 
 # (((a,b),c),d) and ((a,(b,c)),d): the root has children ((a,b,c), (d)) in
-# both, but under artifacts in keep mode the union-tuned encoders of
+# both, but under artifacts the union-tuned encoders of
 # (a,b,c), and so of the root, start from different child encoders
 _NESTED = [internal([internal([internal([leaf(0), leaf(1)]), leaf(2)]), leaf(3)]),
            internal([internal([leaf(0), internal([leaf(1), leaf(2)])]), leaf(3)])]
@@ -826,13 +803,13 @@ def _assert_table_equals_plain_hierarchies(trees, train, cfg, artifacts=None):
     return shared
 
 
-@pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
+@pytest.mark.parametrize("rep_mode", ["keep"])  # the explicit form perfbench/workloads.py uses
 def test_train_hierarchies_equals_training_each_tree(rep_mode):
     train, _ = _search_split(4)
     _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode))
 
 
-@pytest.mark.parametrize("rep_mode", ["keep", "fuse"])
+@pytest.mark.parametrize("rep_mode", ["keep"])  # the explicit form perfbench/workloads.py uses
 def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts, rep_mode, monkeypatch):
     train, artifacts = k4_artifacts
     tuned = []  # the row counts of the union tunes in each fine_tune_stack call
@@ -842,21 +819,22 @@ def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts
     shared = _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode), artifacts)
     # one call per tree height: the flat root; the four distinct subtrees of
     # height 2, two over all four concepts and two over three; the two nested roots
-    assert tuned == ([[112], [112, 112, 84, 84], [112, 112]] if rep_mode == "keep" else [[112]])
-    if rep_mode == "keep":
-        first, second = shared[-2].models, shared[-1].models
-        for key in ((0, 1, 2), (0, 1, 2, 3)):  # the encoders differ, and so do the root's scorers
-            assert not np.array_equal(first[key].encoder.layers[0].weights, second[key].encoder.layers[0].weights)
-        assert not np.array_equal(first[0, 1, 2, 3].scorer_weights, second[0, 1, 2, 3].scorer_weights)
+    assert tuned == [[112], [112, 112, 84, 84], [112, 112]]
+    first, second = shared[-2].models, shared[-1].models
+    for key in ((0, 1, 2), (0, 1, 2, 3)):  # the encoders differ, and so do the root's scorers
+        assert not np.array_equal(first[key].encoder.layers[0].weights, second[key].encoder.layers[0].weights)
+    assert not np.array_equal(first[0, 1, 2, 3].scorer_weights, second[0, 1, 2, 3].scorer_weights)
 
 
 @pytest.mark.parametrize("with_artifacts", [False, True], ids=["scratch", "artifacts"])
 def test_unknown_rep_mode_is_rejected(k4_artifacts, with_artifacts):
     train, artifacts = k4_artifacts
-    with pytest.raises(ValueError, match="^rep_mode must be 'keep' or 'fuse', got 'fusee'"):
-        train_hierarchical(_T, train, replace(FAST_CFG, rep_mode="fusee"), artifacts if with_artifacts else None)
-    with pytest.raises(ValueError, match="^rep_mode must"):
-        HierTrainConfig(rep_mode="fusee")
+    for mode in ("fuse", "fusee"):  # a flat classifier comes from the flat tree
+        with pytest.raises(ValueError, match=f"^rep_mode must be 'keep', got '{mode}'; for a flat classifier, "
+                                             "train the flat tree$"):
+            train_hierarchical(_T, train, replace(FAST_CFG, rep_mode=mode), artifacts if with_artifacts else None)
+        with pytest.raises(ValueError, match="^rep_mode must"):
+            HierTrainConfig(rep_mode=mode)
 
 
 def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):

@@ -2,6 +2,7 @@ import csv
 import os
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,18 @@ def test_spec_json_counts_must_be_integers(small_spec, key, value):
     with pytest.raises(DataError, match=f"^bad planted spec: {key} must be an integer, got {re.escape(repr(value))}$"):
         planted_spec_from_json({**obj, key: value})
     assert planted_spec_from_json({**obj, key: 50.0}) == planted_spec_from_json({**obj, key: 50})
+
+
+@pytest.mark.parametrize("key, value, bad", [
+    ("noise", True, True), ("noise", "0.5", "0.5"), ("noise", None, None),
+    ("level_offsets", ["4", "1"], "4"), ("level_offsets", [4.0, True], True),
+], ids=["noise-bool", "noise-string", "noise-null", "offsets-strings", "offset-bool"])
+def test_spec_json_values_must_be_numbers(small_spec, key, value, bad):
+    obj = planted_spec_to_json(small_spec)
+    with pytest.raises(DataError, match=f"^bad planted spec: {key} must be a number, got {re.escape(repr(bad))}$"):
+        planted_spec_from_json({**obj, key: value})
+    # an integral number reads as its float
+    assert planted_spec_from_json({**obj, "noise": 1, "level_offsets": [4, 1]}) == replace(small_spec, noise=1.0)
 
 
 def test_spec_json_roundtrip(small_spec):
