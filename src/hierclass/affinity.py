@@ -155,10 +155,10 @@ def train_autoencoder_stack(
     n_enc = len(encoders[0].layers)
     params = stack_params(encoders) + stack_params(decoders)
     acts = [layer.activation for layer in encoders[0].layers + decoders[0].layers]
-    history = sgd_reconstruction(params, acts, x, x, cfg.pretrain, train_rngs)
+    _, final = sgd_reconstruction(params, acts, x, x, cfg.pretrain, train_rngs)
     return [
         (member_mlp(params[:n_enc], s, encoders[0]), member_mlp(params[n_enc:], s, decoders[0]),
-         float(history[-1][s]))
+         float(final[s]))
         for s in range(len(seeds))
     ]
 

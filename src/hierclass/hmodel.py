@@ -259,7 +259,7 @@ class ErmConfig:
         check_schedule(self)
 
 
-STEP_SCORES = 1 << 15  # scores per ERM sub-step: its float64 arrays stay cache-sized
+STEP_SCORES = 1 << 15  # scores per ERM sub-step and latent values per gather window: cache-sized arrays
 
 
 def _substeps(groups, counts, lo: int, hi: int, size: int, merge: bool):
@@ -278,6 +278,26 @@ def _substeps(groups, counts, lo: int, hi: int, size: int, merge: bool):
             else:
                 parts.append((a, c, n))
     return parts
+
+
+def _windows(steps, batch_major, width: int):
+    """Per ERM step, the [start, end, lo, hi] window, offsets [start, end)
+    of sorted members [lo, hi), that one gather of rows brings in for it
+    and the batch-major steps around it, or None for a member-major step:
+    consecutive steps share a window, one list object, while its
+    (end - start, hi - lo, width) latents stay within STEP_SCORES values."""
+    out, window = [], None
+    for (lo, hi, start, size), major in zip(steps, batch_major):
+        if major and window is not None:
+            grown = [window[0], max(window[1], start + size), min(window[2], lo), max(window[3], hi)]
+            if (grown[1] - grown[0]) * (grown[3] - grown[2]) * width <= STEP_SCORES:
+                window[:] = grown
+            else:
+                window = None
+        if major and window is None:
+            window = [start, start + size, lo, hi]
+        out.append(window if major else None)
+    return out
 
 
 def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConfig, seeds):
@@ -300,17 +320,20 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     (P_g,) risk array per epoch. An empty child group is a DataError naming
     the member, counted over every problem's groupings.
 
-    Layout: one latent array per problem. A step gathers its rows batch-major,
-    (rows, members, d), with its +-1 labels and scores (rows, members, n), and
-    multiplies member-major views of them, so each member gets the gemm and
-    the sequential row sum it gets alone while the bias add and its gradient
-    run over members and scorers at once. Where numpy would take a
-    matrix-vector product instead (one-row batches, one-dimensional latents,
-    single scorers), whose sums depend on the layout, a step stays
-    member-major. The per-epoch risks run per group of equal row and child
-    count, each run of a group's members that share a problem reading that
-    problem's latents through one broadcast product, and each member's hinge
-    sum is one pairwise sum over its own (rows, n) block.
+    Layout: one latent array per problem. A window of consecutive steps,
+    at most STEP_SCORES latent values, gathers its rows batch-major, (rows,
+    members, d), and their child labels with one ``take`` each per epoch.
+    A step reads its slice of the window, builds its +-1 labels and scores
+    (rows, members, n), and multiplies member-major views of them, so each
+    member gets the gemm and the sequential row sum it gets alone while the
+    bias add and its gradient run over members and scorers at once. Where
+    numpy would take a matrix-vector product instead (one-row batches,
+    one-dimensional latents, single scorers), whose sums depend on the
+    layout, a step stays member-major and gathers its own rows. The
+    per-epoch risks run per group of equal row and child count, each run of
+    a group's members that share a problem reading that problem's latents
+    through one broadcast product, and each member's hinge sum is one
+    pairwise sum over its own (rows, n) block.
     """
     sizes = [len(idx) for idx in child_idx]
     counts = np.concatenate(n_children)
@@ -349,6 +372,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     batch_major = [size > 1 and z.shape[-1] > 1 and counts.min() > 1 for _, _, _, size in steps]
     substeps = [_substeps(groups, counts, lo, hi, size, major)
                 for (lo, hi, _, size), major in zip(steps, batch_major)]
+    windows = _windows(steps, batch_major, z.shape[-1])
     w = np.zeros((len(order), counts.max(), z.shape[-1]))
     b = np.zeros((len(order), counts.max()))
 
@@ -364,12 +388,20 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     history = [risk[position]]
     best_risk, best_w, best_b = risk, w.copy(), b.copy()
     for _ in range(cfg.epochs):
-        perms = shuffle()
-        for (lo, hi, start, size), parts, major in zip(steps, substeps, batch_major):
-            at = perms[lo:hi, start : start + size]  # each member's rows of its problem in batch order
-            rows_of = first[lo:hi] + at
-            zb = z.take(rows_of.T if major else rows_of, axis=0)
-            yb = labels.take(first_label[lo:hi] + at)
+        perms, gathered = shuffle(), None
+        for (lo, hi, start, size), parts, major, window in zip(steps, substeps, batch_major, windows):
+            if major:  # a slice of its window's (offsets, members, width) rows
+                s0, s1, m0, m1 = window
+                if window is not gathered:  # once per window and epoch
+                    at = perms[m0:m1, s0:s1]  # each member's rows of its problem in batch order
+                    zw = z.take((first[m0:m1] + at).T, axis=0)
+                    yw = labels.take(first_label[m0:m1] + at)
+                    gathered = window
+                zb = zw[start - s0 : start - s0 + size, lo - m0 : hi - m0]
+                yb = yw[lo - m0 : hi - m0, start - s0 : start - s0 + size]
+            else:
+                at = perms[lo:hi, start : start + size]
+                zb, yb = z.take(first[lo:hi] + at, axis=0), labels.take(first_label[lo:hi] + at)
             for a, c, n in parts:
                 wp, bp = w[a:c, :n], b[a:c, :n]
                 if major:  # (size, members, width) arrays, read through member-major views
@@ -383,6 +415,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
                 wp -= dw
                 db *= cfg.learning_rate
                 bp -= db
+        zw = zb = zp = yw = yb = None  # freed before the risks, the epoch's peak
         risk = risks()
         history.append(risk[position])
         better = risk < best_risk

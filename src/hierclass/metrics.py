@@ -179,7 +179,7 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
 
     per_concept = []
     for cid in range(k):
-        tp = confusion[cid, cid]
+        tp = int(confusion[cid, cid])
         support = int(confusion[cid].sum())
         predicted = int(confusion[:, cid].sum())
         precision = tp / predicted if predicted else 0.0

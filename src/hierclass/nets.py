@@ -1,7 +1,9 @@
 """Dense-network plumbing shared by the affinity and classifier stages.
 
 Everything is plain numpy float64. Networks are small (a hidden layer or
-two); training is mini-batch SGD with an explicit divergence guard. Mlp
+two); training is mini-batch SGD with an explicit divergence guard: the
+full-data loss is checked before the first epoch and after the last, and
+the parameters, held in one flat buffer per call, after every epoch. Mlp
 values are immutable once built: their arrays are copied and marked
 read-only, so a published network never changes under its users.
 
@@ -12,8 +14,8 @@ compute alone. Each member trains on its own rows in the order drawn from
 the ``Generator`` it holds, members holding the same Generator sharing its
 order, and members may differ in row count: :func:`ragged_schedule` steps
 them through an epoch so that each member's batches, a short last batch
-included, are the ones it has alone, and full-data losses are computed per
-run of equal row count, so every sum keeps its order.
+included, are the ones it has alone, and the two full-data losses are
+computed per run of equal row count, so every sum keeps its order.
 
 The kernels work in place, and a kernel writes only into arrays it
 allocated: never into inputs, targets or cached latents, SGD updating the
@@ -226,12 +228,13 @@ def forward_trace(params, acts, x):
     return outputs
 
 
-def backprop(params, acts, outputs, delta):
-    """Gradients of a scalar loss given d(loss)/d(output) = delta.
+def backprop(params, acts, outputs, delta, out=None):
+    """Gradients of a scalar loss given d(loss)/d(output) = delta, written
+    into ``out`` (per layer [dW, db], shaped like ``params``) when given.
 
     A ReLU passes where its output is positive, which is where its
     pre-activation is; a sigmoid's derivative is a (1 - a)."""
-    grads = [None] * len(params)
+    grads = [[None, None] for _ in params] if out is None else out
     for i in range(len(params) - 1, -1, -1):
         a = outputs[i + 1]
         if acts[i] == "relu":
@@ -241,20 +244,21 @@ def backprop(params, acts, outputs, delta):
             deriv *= a
             deriv *= delta
             delta = deriv
-        grads[i] = [delta.swapaxes(-1, -2) @ outputs[i], np.add.reduce(delta, axis=-2)]
+        dw, db = grads[i]
+        grads[i] = [np.matmul(delta.swapaxes(-1, -2), outputs[i], out=dw), np.add.reduce(delta, axis=-2, out=db)]
         if i > 0:
             delta = delta @ params[i][0]
     return grads
 
 
-def _mse_grads(params, acts, x, target):
+def _mse_grads(params, acts, x, target, out=None):
     """Per-layer gradients of the mean squared error of net(x) against
-    target (per stack member)."""
+    target (per stack member), written into ``out`` when given."""
     outputs = forward_trace(params, acts, x)
     delta = outputs[-1] - target
     delta *= 2.0
     delta /= delta.shape[-2] * delta.shape[-1]
-    return backprop(params, acts, outputs, delta)
+    return backprop(params, acts, outputs, delta, out)
 
 
 def member_mse(params, acts, x, target):
@@ -294,60 +298,73 @@ def sgd_reconstruction(params, acts, x, target, cfg: SgdConfig, rngs):
 
     Member s trains on its own rows, ``x[s]`` (n_s, in) against
     ``target[s]`` (n_s, dim), in the order drawn from ``rngs[s]``, as
-    :func:`ragged_schedule` plans it. Returns the full-data loss of every
-    member per epoch (entry 0 is the pre-training loss), in the caller's
-    member order. Raises NumericError, naming the member, as soon as any
-    member's loss diverges or goes non-finite.
+    :func:`ragged_schedule` plans it. Returns ``(initial, final)``: every
+    member's full-data loss before the first epoch and after the last, in
+    the caller's member order; no epoch computes one. Raises NumericError,
+    naming the member, when either loss is non-finite or above
+    ``cfg.divergence_limit``, or, naming the epoch too, as soon as an epoch
+    leaves any member's parameters non-finite; no numpy warning escapes.
     """
     rows = np.array([len(t) for t in target])
     order, position, groups, steps, shuffle = ragged_schedule(rows, cfg.batch_size, rngs)
     rows = rows[order]
-    caller, params = params, [[w[order], b[order]] for w, b in params]  # sorted copies, written back at the end
     xs = np.concatenate([x[s] for s in order], dtype=float)  # the sorted members' rows, member after member
     ts = xs if target is x else np.concatenate([target[s] for s in order], dtype=float)
     first = np.cumsum([0, *rows[:-1]])  # each sorted member's first row in xs
+    # the sorted members' parameters, one row each of a (members, P) buffer, so
+    # that a step updates them in one subtraction; the gradients in a twin
+    caller = [a for pair in params for a in pair]
+    flat = np.concatenate([a[order].reshape(len(order), -1) for a in caller], axis=1)
+    grad = np.empty_like(flat)
+    cuts = np.cumsum([0] + [a[0].size for a in caller])
 
-    def members(lo, hi):
-        return [[w[lo:hi], b[lo:hi]] for w, b in params]
+    def layers(buf, lo, hi):  # members [lo, hi) of buf as per-layer [W, b] views
+        views = [buf[lo:hi, i:j].reshape(hi - lo, *a.shape[1:]) for i, j, a in zip(cuts, cuts[1:], caller)]
+        return [views[i : i + 2] for i in range(0, len(views), 2)]
 
-    def losses(epoch=None):
+    def losses(where):
         out = np.empty(len(order))
         for lo, hi in groups:
             span, shape = slice(first[lo], first[lo] + (hi - lo) * rows[lo]), (hi - lo, rows[lo], -1)
-            out[lo:hi] = member_mse(members(lo, hi), acts, xs[span].reshape(shape), ts[span].reshape(shape))
-        return _checked_losses(out[position], cfg, epoch)
+            out[lo:hi] = member_mse(layers(flat, lo, hi), acts, xs[span].reshape(shape), ts[span].reshape(shape))
+        out = out[position]
+        diverged = np.flatnonzero(~np.isfinite(out) | (out > cfg.divergence_limit))
+        if diverged.size:
+            raise _diverged(cfg, where, int(diverged[0]), len(out), f"loss {float(out[diverged[0]])!r}")
+        return out
 
-    history = [losses()]
-    for epoch in range(cfg.epochs):
-        index = first[:, None] + shuffle()  # each sorted member's rows of xs in batch order
-        for lo, hi, start, size in steps:
-            batch = index[lo:hi, start : start + size]
-            x_batch = xs.take(batch, axis=0)
-            step_params = members(lo, hi)
-            grads = _mse_grads(step_params, acts, x_batch, x_batch if ts is xs else ts.take(batch, axis=0))
-            for layer, layer_grads in zip(step_params, grads):
-                for param, grad in zip(layer, layer_grads):
-                    grad *= cfg.learning_rate
-                    param -= grad
-        history.append(losses(epoch))
-    for (w, b), (sw, sb) in zip(caller, params):
-        w[order], b[order] = sw, sb
-    return history
+    stacks = {(lo, hi): (layers(flat, lo, hi), layers(grad, lo, hi)) for lo, hi, _, _ in steps}
+    # overflow and NaN are not warned about but caught: in the losses, and in
+    # the parameters after every epoch
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial = losses("initial state")
+        for epoch in range(cfg.epochs):
+            index = first[:, None] + shuffle()  # each sorted member's rows of xs in batch order
+            for lo, hi, start, size in steps:
+                batch = index[lo:hi, start : start + size]
+                x_batch = xs.take(batch, axis=0)
+                step_params, step_grads = stacks[lo, hi]
+                _mse_grads(step_params, acts, x_batch, x_batch if ts is xs else ts.take(batch, axis=0), step_grads)
+                step = grad[lo:hi]
+                step *= cfg.learning_rate
+                flat[lo:hi] -= step
+            if not np.isfinite(flat).all():
+                member = int(np.flatnonzero(~np.isfinite(flat).all(axis=1)[position])[0])
+                raise _diverged(cfg, f"epoch {epoch}", member, len(order), "non-finite parameters")
+        grad = stacks = step = step_grads = None  # freed before the forward of the final losses, the call's peak
+        final = losses("the end of training")
+    for a, i, j in zip(caller, cuts, cuts[1:]):
+        a[order] = flat[:, i:j].reshape(a.shape)
+    return initial, final
 
 
-def _checked_losses(losses: np.ndarray, cfg, epoch=None) -> np.ndarray:
-    diverged = np.flatnonzero(~np.isfinite(losses) | (losses > cfg.divergence_limit))
-    if diverged.size:
-        member = int(diverged[0])
-        where = "initial state" if epoch is None else f"epoch {epoch}"
-        if losses.size > 1:
-            where += f" (stack member {member})"
-        raise NumericError(
-            f"reconstruction loss diverged at {where}: {float(losses[member])!r} "
-            f"(lr={cfg.learning_rate}, batch={cfg.batch_size})",
-            member,
-        )
-    return losses
+def _diverged(cfg, where: str, member: int, members: int, what: str) -> NumericError:
+    """The error for stack member ``member`` of ``members`` diverging at ``where``."""
+    if members > 1:
+        where += f" (stack member {member})"
+    return NumericError(
+        f"reconstruction diverged at {where}: {what} (lr={cfg.learning_rate}, batch={cfg.batch_size})", member
+    )
 
 
 def task_seed(base: int, kind: int, *ids: int) -> int:

@@ -211,7 +211,7 @@ def _parse_csv(path: Path, data: bytes, label_column: str):
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataError(
-            f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {features[row, col]!r}"
+            f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {float(features[row, col])!r}"
         )
     return features, labels, names
 

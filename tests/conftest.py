@@ -113,9 +113,10 @@ def train_reconstruction(
 ) -> tuple[Mlp, Mlp, list[float]]:
     """Mini-batch SGD on mean squared reconstruction error.
 
-    Returns updated (encoder, decoder) plus the per-epoch full-data loss
-    history (history[0] is the pre-training loss). Raises NumericError if
-    the loss diverges or goes non-finite.
+    Returns updated (encoder, decoder) plus the full-data losses before the
+    first epoch and after the last, as ``[initial, final]``. Raises
+    NumericError if either loss is non-finite or above the divergence limit,
+    or if an epoch leaves the parameters non-finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -129,11 +130,11 @@ def train_reconstruction(
     params = [layer for net in trained for layer in stack_params([net])]  # a stack of one
     acts = [l.activation for net in trained for l in net.layers]
     rows = [x if update_encoder else mlp_forward(encoder, x)]
-    history = sgd_reconstruction(params, acts, rows, rows if update_encoder else [x], cfg, [rng])
+    losses = sgd_reconstruction(params, acts, rows, rows if update_encoder else [x], cfg, [rng])
     n_enc = len(params) - len(decoder.layers)
     new_encoder = member_mlp(params[:n_enc], 0, encoder) if update_encoder else encoder
     new_decoder = member_mlp(params[n_enc:], 0, decoder)
-    return new_encoder, new_decoder, [float(losses[0]) for losses in history]
+    return new_encoder, new_decoder, [float(loss[0]) for loss in losses]
 
 
 def flatten_params(param_list) -> np.ndarray:
@@ -169,10 +170,10 @@ def _plain_autoencoder(data, cfg, seed):
     init_rng = np.random.default_rng([seed, 0])
     encoder = make_encoder(data.shape[1], cfg.encoder, init_rng)
     decoder = make_decoder(data.shape[1], cfg.encoder, init_rng)
-    encoder, decoder, history = train_reconstruction(
+    encoder, decoder, losses = train_reconstruction(
         encoder, decoder, data, cfg.pretrain, np.random.default_rng([seed, 1])
     )
-    return encoder, decoder, history[-1]
+    return encoder, decoder, losses[-1]
 
 
 def _plain_fine_tune(encoder, target_data, budget, cfg, seed):

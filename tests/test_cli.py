@@ -684,6 +684,17 @@ def test_evaluate_on_nan_row_names_file_row_and_column(tmp_path, planted_csv, tr
     assert f"{bad}:10: column 'f7'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, shown", [("inf", "inf"), ("1e400", "inf"), ("-inf", "-inf"), ("nan", "nan")])
+def test_predict_shows_a_non_finite_cell_as_a_plain_float(tmp_path, planted_csv, trained_clf, capsys, cell, shown):
+    data, _ = planted_csv
+    cells = data.read_text().splitlines()[9].split(",")
+    cells[7] = cell
+    bad = _with_bad_row(data, tmp_path, 10, cells)
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "predict", "--clf", trained_clf, "--data", bad, "--out", "p.csv") == 2
+    assert capsys.readouterr().err == f"data error: {bad}:10: column 'f7': not a finite number: {shown}\n"
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_row_that_cannot_be_scored_is_a_data_error_naming_its_line(tmp_path, planted_csv, trained_clf, capsys,
                                                                    command):

@@ -7,11 +7,15 @@ fail. Ragged stacks, whose members differ in row and child count, are
 checked member by member against the reference run on that member alone.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import _plain_node_erm
 from hierclass import hmodel
+from hierclass import nets as nets_module
 from hierclass.affinity import AffinityConfig, EncoderConfig, train_autoencoder_stack
 from hierclass.errors import DataError, NumericError
 from hierclass.hmodel import ErmConfig, erm_risk_and_grads, train_node_erm_stack
@@ -167,22 +171,23 @@ def copies(params):
 
 def check_sgd(params, acts, x, target, cfg, make_rng):
     """Run the kernel and the reference from equal copies; assert bit-equal
-    histories and parameters, and that the caller's arrays moved in place."""
+    initial and final losses and parameters, and that the caller's arrays
+    moved in place."""
     same = target is x
     x = read_only(x)
     target = x if same else read_only(target)
     ref = copies(params)
     arrays = [a for pair in params for a in pair]
     before = [a.copy() for a in arrays]
-    history = sgd_reconstruction(params, acts, x, target, cfg, make_rng())
+    losses = sgd_reconstruction(params, acts, x, target, cfg, make_rng())
     ref_history = ref_sgd_reconstruction(ref, acts, x, target, cfg, make_rng())
-    assert len(history) == len(ref_history) == cfg.epochs + 1
-    assert all(same_bits(h, r) for h, r in zip(history, ref_history))
+    assert len(losses) == 2 and len(ref_history) == cfg.epochs + 1
+    assert same_bits(losses[0], ref_history[0]) and same_bits(losses[1], ref_history[-1])
     for (w, b), (rw, rb) in zip(params, ref):
         assert same_bits(w, rw) and same_bits(b, rb)
     assert [a for pair in params for a in pair] == arrays  # the very same objects
     assert not any(np.array_equal(a, old) for a, old in zip(arrays, before))  # every layer moved
-    return history
+    return losses
 
 
 # --- forward and SGD --------------------------------------------------------
@@ -221,9 +226,10 @@ def test_relu_preactivations_at_exactly_zero():
     params = stack_params([Mlp((Layer(w, np.zeros(6), "relu"),))]) + stack_params([init_mlp((6, 4), ("identity",), rng)])
     x = rng.normal(size=(1, 19, 4))
     x[:, ::3] = 0.0
-    history = check_sgd(params, ["relu", "identity"], x, x, SgdConfig(epochs=5, batch_size=4), lambda: [np.random.default_rng(3)])
+    initial, final = check_sgd(params, ["relu", "identity"], x, x, SgdConfig(epochs=5, batch_size=4),
+                               lambda: [np.random.default_rng(3)])
     assert np.all(params[0][0][:, :2] == 0.0) and np.all(params[0][1][:, :2] == 0.0)
-    assert history[-1] < history[0]
+    assert final < initial
 
 
 def test_sigmoid_beyond_exp_overflow():
@@ -251,11 +257,69 @@ def test_frozen_leading_layers_with_cached_latents():
               lambda: [np.random.default_rng(10)] * 3)
 
 
+@pytest.mark.parametrize("epochs", [0, 1, 6])
+def test_sgd_evaluates_the_full_data_loss_exactly_twice(monkeypatch, epochs):
+    rng = np.random.default_rng(14)
+    rows = (9, 9, 14)
+    acts = ["relu", "identity"]
+    params = stack_params([init_mlp((3, 4, 3), acts, rng) for _ in rows])
+    x = [read_only(rng.normal(size=(n, 3))) for n in rows]
+    evaluated, real = [], nets_module.member_mse
+
+    def counted(params, acts, x, target):  # x is (members, rows, in): one run of equal row count
+        evaluated.append(x.shape[0] * x.shape[1])
+        return real(params, acts, x, target)
+
+    monkeypatch.setattr(nets_module, "member_mse", counted)
+    sgd_reconstruction(params, acts, x, x, SgdConfig(epochs=epochs, batch_size=4),
+                       [np.random.default_rng(s) for s in range(len(rows))])
+    assert len(evaluated) == 2 * len(set(rows)) and sum(evaluated) == 2 * sum(rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_parameters_gone_non_finite_name_the_epoch_and_the_first_such_member():
+    # at learning rate 20 every member's parameters overflow, each at the epoch
+    # it reaches alone; the stack names the earliest, by caller index, though
+    # sorted by row count the 80-row member comes first
+    cfg = AffinityConfig()
+    cfg = replace(cfg, pretrain=replace(cfg.pretrain, batch_size=8, learning_rate=20.0))
+    rng = np.random.default_rng(2)
+    data = [read_only(rng.normal(size=(n, 6))) for n in (64, 64, 80)]
+    seeds = [1, 2, 3]
+    alone = []
+    for d, seed in zip(data, seeds):
+        with pytest.raises(NumericError, match=r"^reconstruction diverged at epoch \d+: non-finite parameters") as info:
+            train_autoencoder_stack([d], cfg, [seed])
+        alone.append(int(re.search(r"epoch (\d+)", str(info.value)).group(1)))
+    assert alone.index(min(alone)) == 1 and alone.count(min(alone)) == 1
+    with pytest.raises(NumericError, match=rf"at epoch {alone[1]} \(stack member 1\): non-finite parameters") as info:
+        train_autoencoder_stack(data, cfg, seeds)
+    assert info.value.member == 1
+
+
+def test_a_final_loss_above_the_divergence_limit_raises():
+    rng = np.random.default_rng(15)
+    acts = ["relu", "sigmoid", "identity"]
+    net = init_mlp((6, 8, 3, 6), acts, rng)
+    x = read_only(rng.normal(size=(64, 6)))
+    cfg = SgdConfig(epochs=3, batch_size=8, learning_rate=20.0)
+    history = ref_sgd_reconstruction(mlp_params(net), acts, x, x, cfg, np.random.default_rng(2))
+    assert history[0][0] < cfg.divergence_limit < history[-1][0] < np.inf  # the loss rises past the limit, finite
+    with pytest.raises(NumericError, match=r"at the end of training: loss") as info:
+        sgd_reconstruction(stack_params([net]), acts, [x], [x], cfg, [np.random.default_rng(2)])
+    assert info.value.member == 0
+    params = stack_params([net])  # a limit above the final loss lets it through
+    _, final = sgd_reconstruction(params, acts, [x], [x], replace(cfg, divergence_limit=float(history[-1][0]) * 2),
+                                  [np.random.default_rng(2)])
+    assert same_bits(final, history[-1])
+
+
 # --- hinge ERM --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("rows, batch", [(29, 8), (6, 8), (32, 8)], ids=["tail", "short", "even"])
-def test_erm_stack_matches_reference(rows, batch):
+def check_erm_stack(rows, batch):
+    """Two problems of ``rows`` rows, three groupings in all, trained as one
+    stack, against the reference: weights, biases and every epoch's risks."""
     rng = np.random.default_rng(11)
     encoders = [init_mlp((4, 6, 3), ("relu", "sigmoid"), rng) for _ in range(2)]
     features = [read_only(rng.normal(size=(rows, 4))) for _ in range(2)]
@@ -271,6 +335,24 @@ def test_erm_stack_matches_reference(rows, batch):
         assert len(risks) == cfg.epochs + 1
         assert all(same_bits(r, h[lo:hi]) for r, h in zip(risks, history))
         lo = hi
+
+
+@pytest.mark.parametrize("rows, batch", [(29, 8), (6, 8), (32, 8)], ids=["tail", "short", "even"])
+def test_erm_stack_matches_reference(rows, batch):
+    check_erm_stack(rows, batch)
+
+
+# a batch-major step reads its rows from a window of consecutive steps' rows,
+# gathered once per epoch, and STEP_SCORES bounds how many steps share one:
+# here one batch of the 3 members' width-3 latents, or the whole epoch
+@pytest.mark.parametrize("budget, windows", [(3 * 8 * 3, 4), (None, 1)], ids=["one-batch", "whole-epoch"])
+def test_erm_stack_windows_match_reference(budget, windows, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(hmodel, "STEP_SCORES", budget)
+    seen, real = [], hmodel._windows
+    monkeypatch.setattr(hmodel, "_windows", lambda *args: seen.append(real(*args)) or seen[-1])
+    check_erm_stack(29, 8)
+    assert len({id(w) for w in seen[0]}) == windows
 
 
 @pytest.mark.parametrize("nan_row", [None, 3], ids=["finite", "nan"])
@@ -309,12 +391,12 @@ def test_ragged_reconstruction_stack_equals_each_member_alone(shuffled):
     cfg = SgdConfig(epochs=5, batch_size=BATCH, learning_rate=0.2)
     params = stack_params(nets)
     arrays = [a for pair in params for a in pair]
-    history = sgd_reconstruction(params, acts, x, target, cfg, [np.random.default_rng(s) for s in seeds])
+    initial, final = sgd_reconstruction(params, acts, x, target, cfg, [np.random.default_rng(s) for s in seeds])
     assert [a for pair in params for a in pair] == arrays  # moved in place
     for s, net in enumerate(nets):
         ref = mlp_params(net)
         ref_history = ref_sgd_reconstruction(ref, acts, x[s], target[s], cfg, np.random.default_rng(seeds[s]))
-        assert all(same_bits(h[s], r[0]) for h, r in zip(history, ref_history))
+        assert same_bits(initial[s], ref_history[0][0]) and same_bits(final[s], ref_history[-1][0])
         for (w, b), (rw, rb) in zip(params, ref):
             assert same_bits(w[s], rw) and same_bits(b[s], rb)
 

@@ -284,6 +284,9 @@ def test_report_serialization(onehot_dataset, perfect_classifier):
     assert len(obj["confusion"]) == 3
     csv_text = report_to_csv(report)
     assert csv_text.startswith("metric,value")
+    for line in csv_text.splitlines()[1:]:  # plain numbers, never a numpy scalar's repr
+        float(line.rsplit(",", 1)[1])
+    assert all(type(v) in (float, int) for row in report.per_concept for k, v in row.items() if k != "concept")
     conf = confusion_to_csv(report)
     assert conf.splitlines()[0] == "true\\pred,c1,c2,c3"
 

@@ -309,7 +309,7 @@ def reference_read_csv(path, label_column="label"):
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataError(
-            f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {features[row, col]!r}"
+            f"{path}:{row + 2}: column {names[col]!r}: not a finite number: {float(features[row, col])!r}"
         )
     return features, (labels if label_idx is not None else None), names
 
