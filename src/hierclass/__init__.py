@@ -34,7 +34,7 @@ from .hmodel import (
     train_hierarchies,
 )
 from .metrics import cohen_kappa, evaluate, h_loss, hierarchy_agreement
-from .synth import LabeledDataset, PlantedSpec, generate_planted, load_csv, save_csv, segment_stream, split
+from .synth import LabeledDataset, PlantedSpec, generate_planted, load_csv, save_csv, split
 from .treespace import (
     Catalog,
     Tree,

@@ -343,13 +343,11 @@ class DistanceMatrix:
     """Symmetric [0,1] distances, zero diagonal.
 
     Singleton cluster sizes are implicitly one per concept; agglomeration
-    tracks merged sizes itself. ``budgets`` optionally annotates each concept
-    with the total supervision spent toward it, for merge tie-breaking.
+    tracks merged sizes itself.
     """
 
     catalog: Catalog
     values: np.ndarray
-    budgets: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -367,8 +365,6 @@ class DistanceMatrix:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.budgets is not None and len(self.budgets) != k:
-            raise ValueError("need one budget annotation per concept")
 
 
 @dataclass(frozen=True)
@@ -478,10 +474,7 @@ def symmetrize_to_distance(matrix: AffinityMatrix, method: str = "mean") -> Dist
         for j in range(i + 1, k):
             d = 1.0 - combine(index[(i, j)].score, index[(j, i)].score)
             values[i, j] = values[j, i] = d
-    budgets = tuple(
-        sum(r.budget for r in matrix.records if r.target == cid) for cid in range(k)
-    )
-    return DistanceMatrix(catalog=matrix.catalog, values=values, budgets=budgets)
+    return DistanceMatrix(catalog=matrix.catalog, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line pipeline driver.
 
-Subcommands cover the full flow: count/enumerate the tree space, make or
-segment data, build the affinity matrix, derive a hierarchy, train and
+Subcommands cover the full flow: count/enumerate the tree space, make
+planted data, build the affinity matrix, derive a hierarchy, train and
 refine classifiers, predict, evaluate, search the tree space exhaustively,
 and compare derived/expert/random hierarchies. Artifacts are JSON/CSV/
 Newick/DOT files written atomically; JSON artifacts embed a provenance
@@ -76,15 +76,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", required=True, help="planted-spec JSON file")
     p.add_argument("--out", required=True, help="output CSV")
 
-    p = sub.add_parser("segment", help="segment a labeled stream into windows")
-    p.add_argument("--input", required=True, help="stream CSV (channels + label column)")
-    p.add_argument("--label-col", default="label")
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--stride", type=int, required=True)
-    p.add_argument("--features", choices=("stats", "flat"), default="stats")
-    p.add_argument("--purity", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("affinity", help="build the transfer-affinity matrix")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="affinity JSON")
@@ -105,12 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--affinity", required=True)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--linkage", choices=drv.PRESETS, default="average")
-    p.add_argument("--lw-alpha-i", type=float)
-    p.add_argument("--lw-alpha-j", type=float)
-    p.add_argument("--lw-beta", type=float)
-    p.add_argument("--lw-gamma", type=float)
     p.add_argument("--symmetrization", choices=aff.SYMMETRIZATIONS, default="mean")
-    p.add_argument("--no-budget-tiebreak", action="store_true")
     p.add_argument("--out", required=True, help="derived tree (Newick)")
     p.add_argument("--tree-json", help="derived tree as JSON with provenance")
     p.add_argument("--dendrogram", help="dendrogram JSON")
@@ -302,31 +288,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_segment(args) -> int:
-    synth.check_purity(args.purity)
-    stream_ds = synth.load_csv(args.input, label_column=args.label_col)
-    segmented = synth.segment_stream(
-        stream_ds.features,
-        stream_ds.labels,
-        stream_ds.catalog,
-        window=args.window,
-        stride=args.stride,
-        representation=args.features,
-        purity=args.purity,
-    )
-    if segmented.dataset is None:
-        raise DataError(
-            f"all {segmented.positions} windows dropped at purity {args.purity}"
-        )
-    out = _out_path(args, args.out)
-    synth.save_csv(segmented.dataset, out)
-    print(
-        f"{segmented.positions} windows, kept {len(segmented.dataset)}, "
-        f"dropped {segmented.dropped} -> {out}"
-    )
-    return 0
-
-
 def _cmd_affinity(args) -> int:
     dataset = synth.load_csv(args.data)
     cfg = _affinity_config(args)
@@ -361,7 +322,7 @@ def _cmd_affinity(args) -> int:
 
 def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
     try:
-        return aff.AffinityArtifacts(
+        artifacts = aff.AffinityArtifacts(
             matrix=aff.affinity_from_json(obj["matrix"]),
             pair_encoders={
                 tuple(int(x) for x in key.split(",")): mlp_from_json(m)
@@ -372,27 +333,20 @@ def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
         )
     except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad artifacts file: {exc}") from None
+    for (i, j), encoder in artifacts.pair_encoders.items():
+        if encoder.input_dim != artifacts.input_dim:
+            raise DataError(
+                f"bad artifacts file: pair encoder {i},{j} takes {encoder.input_dim} features "
+                f"but input_dim is {artifacts.input_dim}"
+            )
+    return artifacts
 
 
 def _cmd_derive(args) -> int:
     drv.check_tau(args.tau)
     matrix, sha256 = _read_json(args.affinity, aff.affinity_from_json)
-    if args.linkage == "custom":
-        params = drv.LinkageParams(
-            preset="custom",
-            alpha_i=args.lw_alpha_i,
-            alpha_j=args.lw_alpha_j,
-            beta=args.lw_beta,
-            gamma=args.lw_gamma,
-        )
-    else:
-        params = drv.LinkageParams(preset=args.linkage)
     derived = drv.derive_hierarchy(
-        matrix,
-        params,
-        tau=args.tau,
-        budget_tiebreak=not args.no_budget_tiebreak,
-        symmetrization=args.symmetrization,
+        matrix, drv.LinkageParams(preset=args.linkage), tau=args.tau, symmetrization=args.symmetrization
     )
     newick = treespace.tree_to_text(derived.tree, matrix.catalog)
     out = _out_path(args, args.out)
@@ -580,7 +534,6 @@ _COMMANDS = {
     "count": _cmd_count,
     "enumerate": _cmd_enumerate,
     "synth": _cmd_synth,
-    "segment": _cmd_segment,
     "affinity": _cmd_affinity,
     "derive": _cmd_derive,
     "train": _cmd_train,

@@ -2,8 +2,9 @@
 followed by a threshold collapse into a multi-way hierarchy.
 
 Cluster distances are maintained with the Lance-Williams recurrence
-d_k(ij) = a_i d_ki + a_j d_kj + b d_ij + g |d_ki - d_kj|; presets cover
-single, complete, and (size-weighted) average linkage. Merges at fusion
+d_k(ij) = a_i d_ki + a_j d_kj + b d_ij + g |d_ki - d_kj|, with the
+coefficients of single, complete or (size-weighted) average linkage; of
+equally close pairs the smaller id pair merges first. Merges at fusion
 distance >= tau are dissolved, splicing their children upward, which turns
 the binary dendrogram into the final hierarchy: with tau = 0 everything
 dissolves into flat classification, with tau above the largest fusion the
@@ -13,44 +14,36 @@ binary shape survives untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .affinity import AffinityMatrix, DistanceMatrix, affinity_to_json, symmetrize_to_distance
 from .serialize import sha256_of_json
 from .treespace import Catalog, Tree, internal, leaf
 
-PRESETS = ("single", "complete", "average", "custom")
+PRESETS = ("single", "complete", "average")
 
 
 @dataclass(frozen=True)
 class LinkageParams:
-    """Lance-Williams coefficients, either a preset or explicit custom values.
+    """The Lance-Williams coefficients of one preset linkage.
 
     These coefficients are unrelated to the alpha/beta score weights of the
     affinity stage.
     """
 
     preset: str = "average"
-    alpha_i: float | None = None
-    alpha_j: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown linkage preset {self.preset!r}")
-        custom = (self.alpha_i, self.alpha_j, self.beta, self.gamma)
-        if self.preset == "custom" and any(v is None for v in custom):
-            raise ValueError("custom linkage requires alpha_i, alpha_j, beta, gamma")
 
     def coefficients(self, n_i: int, n_j: int) -> tuple[float, float, float, float]:
         if self.preset == "single":
             return 0.5, 0.5, 0.0, -0.5
         if self.preset == "complete":
             return 0.5, 0.5, 0.0, 0.5
-        if self.preset == "average":
-            total = n_i + n_j
-            return n_i / total, n_j / total, 0.0, 0.0
-        return self.alpha_i, self.alpha_j, self.beta, self.gamma
+        total = n_i + n_j
+        return n_i / total, n_j / total, 0.0, 0.0
 
 
 def lw_update(
@@ -99,33 +92,21 @@ class Dendrogram:
 def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
     """Successive fusions of the closest pair, distances updated in place.
 
-    Tie-breaking on equal minimal distance: the pair with the smaller
-    combined supervision budget wins (when the matrix carries budget
-    annotations), then the lexicographically smaller id pair. Deterministic.
+    Tie-breaking on equal minimal distance: the lexicographically smaller
+    id pair wins. Deterministic.
     """
     k = len(dm.catalog)
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(k)}
     sizes: dict[int, int] = {i: 1 for i in range(k)}
-    budgets: dict[int, int] = {
-        i: (dm.budgets[i] if dm.budgets is not None else 0) for i in range(k)
-    }
     dist: dict[tuple[int, int], float] = {}
     for i in range(k):
         for j in range(i + 1, k):
             dist[(i, j)] = float(dm.values[i, j])
 
     steps = []
-    active = list(range(k))
+    active = list(range(k))  # ascending: every new id exceeds the ones before
     for step_no in range(k - 1):
-        best = None
-        for a_pos in range(len(active)):
-            for b_pos in range(a_pos + 1, len(active)):
-                i, j = active[a_pos], active[b_pos]
-                key = (budgets[i] + budgets[j], i, j)
-                d = dist[(i, j)]
-                if best is None or d < best[0] or (d == best[0] and key < best[1]):
-                    best = (d, key)
-        d_ij, (_, i, j) = best
+        d_ij, i, j = min((dist[pair], *pair) for pair in combinations(active, 2))
         new_id = k + step_no
         merged = tuple(sorted(members[i] + members[j]))
         steps.append(MergeStep(left=i, right=j, distance=d_ij, new_id=new_id, members=merged))
@@ -142,7 +123,6 @@ def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
             dist[_ordered(c, new_id)] = d_new
         members[new_id] = merged
         sizes[new_id] = sizes[i] + sizes[j]
-        budgets[new_id] = budgets[i] + budgets[j]
         active.append(new_id)
     return Dendrogram(n_leaves=k, steps=tuple(steps))
 
@@ -190,24 +170,16 @@ def derive_hierarchy(
     matrix: AffinityMatrix,
     params: LinkageParams,
     tau: float = 0.5,
-    budget_tiebreak: bool = True,
     symmetrization: str = "mean",
 ) -> DerivedHierarchy:
     """Symmetrize the affinity matrix, agglomerate, collapse at tau."""
-    dm = symmetrize_to_distance(matrix, method=symmetrization)
-    if not budget_tiebreak:
-        dm = DistanceMatrix(catalog=dm.catalog, values=dm.values, budgets=None)
-    dgm = agglomerate(dm, params)
+    dgm = agglomerate(symmetrize_to_distance(matrix, method=symmetrization), params)
     tree = collapse_threshold(dgm, tau)
     provenance = {
         "affinity_sha256": sha256_of_json(affinity_to_json(matrix)),
         "linkage": params.preset,
-        "linkage_coefficients": None
-        if params.preset != "custom"
-        else [params.alpha_i, params.alpha_j, params.beta, params.gamma],
         "tau": tau,
         "symmetrization": symmetrization,
-        "budget_tiebreak": budget_tiebreak,
     }
     return DerivedHierarchy(tree=tree, dendrogram=dgm, provenance=provenance)
 

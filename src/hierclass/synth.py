@@ -1,5 +1,5 @@
 """Datasets at desk scale: planted-hierarchy generation, CSV ingestion,
-stream segmentation, and train/val/test splits.
+and train/val/test splits.
 
 Planted data realizes a ground-truth hierarchy geometrically: each tree
 edge contributes a random offset vector whose magnitude shrinks with
@@ -354,94 +354,6 @@ def save_csv(dataset: LabeledDataset, path: str | Path, label_column: str = "lab
         csv.writer(fh).writerow([f"f{i}" for i in range(dataset.n_features)] + [label_column])
         fh.writelines(",".join(map(repr, row.tolist())) + "," + names[label] + "\r\n"
                       for row, label in zip(dataset.features, dataset.labels))
-
-
-# ---------------------------------------------------------------------------
-# stream segmentation
-
-
-@dataclass(frozen=True)
-class Segmented:
-    dataset: LabeledDataset | None  # None when every window was dropped
-    dropped: int
-    positions: int
-
-
-def check_purity(purity: float) -> None:
-    """Reject a purity fraction outside [0, 1]: a ValueError naming it."""
-    if not 0.0 <= purity <= 1.0:  # NaN fails too
-        raise ValueError(f"purity must lie between 0 and 1, got {purity}")
-
-
-def segment_stream(
-    stream: np.ndarray,
-    sample_labels: np.ndarray,
-    catalog: Catalog,
-    window: int,
-    stride: int,
-    representation: str = "stats",
-    purity: float = 0.5,
-) -> Segmented:
-    """Cut a labeled (T, channels) stream into fixed windows.
-
-    Each window becomes one example: either per-channel mean/var/min/max
-    summaries (``stats``) or the raw flattened window (``flat``). The window
-    label is the majority per-sample label; windows without a unique
-    majority reaching the purity fraction (in [0, 1]) are dropped and counted.
-    """
-    check_purity(purity)
-    stream = np.asarray(stream, dtype=float)
-    sample_labels = np.asarray(sample_labels, dtype=int)
-    if stream.ndim != 2:
-        raise ValueError("stream must be (T, channels)")
-    t = stream.shape[0]
-    if window < 1 or stride < 1:
-        raise ValueError("window and stride must be positive")
-    if window > t:
-        raise ValueError(f"window {window} exceeds stream length {t}")
-    if sample_labels.shape != (t,):
-        raise ValueError("need one label per sample")
-    if representation not in ("stats", "flat"):
-        raise ValueError(f"unknown representation {representation!r}")
-
-    rows, labels = [], []
-    dropped = 0
-    positions = 0
-    for start in range(0, t - window + 1, stride):
-        positions += 1
-        chunk = stream[start : start + window]
-        chunk_labels = sample_labels[start : start + window]
-        ids, counts = np.unique(chunk_labels, return_counts=True)
-        top = counts.argmax()
-        is_unique_majority = (counts == counts[top]).sum() == 1
-        if not (is_unique_majority and counts[top] / window >= purity):
-            dropped += 1
-            continue
-        if representation == "stats":
-            feats = np.concatenate(
-                [chunk.mean(axis=0), chunk.var(axis=0), chunk.min(axis=0), chunk.max(axis=0)]
-            )
-        else:
-            feats = chunk.ravel()
-        rows.append(feats)
-        labels.append(int(ids[top]))
-
-    if not rows:
-        return Segmented(dataset=None, dropped=dropped, positions=positions)
-    dataset = LabeledDataset(
-        np.array(rows),
-        np.array(labels),
-        catalog,
-        provenance={
-            "kind": "segmented",
-            "window": window,
-            "stride": stride,
-            "representation": representation,
-            "purity": purity,
-            "dropped": dropped,
-        },
-    )
-    return Segmented(dataset=dataset, dropped=dropped, positions=positions)
 
 
 # ---------------------------------------------------------------------------

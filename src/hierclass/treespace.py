@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import TreeParseError
@@ -150,16 +149,16 @@ def count_hierarchies(k: int) -> int:
     return _count(k)
 
 
-@lru_cache(maxsize=None)
+_COUNTS = [0, 1, 1]  # _COUNTS[k] is L(k), grown bottom-up: no k is too deep for the stack
+
+
 def _count(k: int) -> int:
-    if k <= 2:
-        return 1
-    big = k - 1  # recurrence advances from `big` concepts to k
-    total = math.comb(big, big - 1) * _count(big) * _count(1)
-    total += 2 * sum(
-        math.comb(big, i) * _count(i + 1) * _count(big - i) for i in range(big - 1)
-    )
-    return total
+    while len(_COUNTS) <= k:
+        big, c = len(_COUNTS) - 1, _COUNTS  # recurrence advances from `big` concepts to big + 1
+        total = math.comb(big, big - 1) * c[big] * c[1]
+        total += 2 * sum(math.comb(big, i) * c[i + 1] * c[big - i] for i in range(big - 1))
+        c.append(total)
+    return _COUNTS[k]
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

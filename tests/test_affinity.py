@@ -598,12 +598,6 @@ def test_distance_matrix_validation():
         DistanceMatrix(cat, np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
 
 
-def test_budget_annotations(triple_artifacts):
-    dm = symmetrize_to_distance(triple_artifacts.matrix)
-    assert dm.budgets is not None and len(dm.budgets) == 3
-    assert all(b > 0 for b in dm.budgets)
-
-
 # --- wire formats ------------------------------------------------------------
 
 

@@ -26,6 +26,12 @@ def test_count_prints_published_value(capsys):
     assert capsys.readouterr().out.strip() == "660032"
 
 
+def test_count_beyond_the_stack_depth_prints_every_digit(capsys):
+    assert run("count", "--k", 500) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.isdecimal() and len(out) == 1336
+
+
 def test_count_entry_point_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hierclass.cli", "count", "--k", "8"],
@@ -571,6 +577,52 @@ def test_artifacts_over_other_data_are_a_data_error(tmp_path, planted_csv, capsy
     assert not (tmp_path / "clf.json").exists()
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_artifacts_whose_input_dim_disagrees_with_their_encoders_are_a_data_error(tmp_path, capsys, k):
+    names = ("c1", "c2", "c3", "c4")[:k]
+    tree = internal([leaf(0), leaf(1)]) if k == 2 else internal([internal([leaf(0), leaf(1)]),
+                                                                 internal([leaf(2), leaf(3)])])
+    data = tmp_path / "data.csv"
+    save_csv(generate_planted(PlantedSpec(Catalog(names), tree, 8, 40, (9.0, 3.0), 1.5), seed=0), data)
+    save_csv(generate_planted(PlantedSpec(Catalog(names), tree, 5, 40, (9.0, 3.0), 1.5), seed=1),
+             tmp_path / "narrow.csv")
+    (tmp_path / "tree.nwk").write_text("(c1,c2)\n" if k == 2 else "((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "arts.json").read_text())
+    arts["input_dim"] = 5
+    (tmp_path / "arts.json").write_text(json.dumps(arts))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", tmp_path / "narrow.csv", "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / 'arts.json'}: bad artifacts file: pair encoder 0,1 "
+                          "takes 8 features but input_dim is 5"), err
+    assert not (tmp_path / "clf.json").exists()
+
+
+DERIVE = ["derive", "--affinity", FIXTURES / "affinity_3concepts.json", "--out", "tree.nwk", "--dendrogram", "dgm.json"]
+
+
+@pytest.mark.parametrize("argv, shown, key", [
+    (["segment", "--input", "stream.csv", "--window", "20", "--stride", "10", "--out", "seg.csv"],
+     "invalid choice: 'segment'", "purity"),
+    (DERIVE + ["--linkage", "custom", "--lw-alpha-i", "0.5", "--lw-alpha-j", "0.5", "--lw-beta", "0",
+               "--lw-gamma", "0"], "invalid choice: 'custom'", "lw_alpha_i"),
+    (DERIVE + ["--lw-gamma", "0"], "unrecognized arguments: --lw-gamma 0", "lw_gamma"),
+    (DERIVE + ["--no-budget-tiebreak"], "unrecognized arguments: --no-budget-tiebreak", "no_budget_tiebreak"),
+], ids=["segment", "linkage-custom", "lw-flag", "no-budget-tiebreak"])
+def test_removed_command_and_flags_are_usage_errors(tmp_path, capsys, argv, shown, key):
+    assert run("--out-dir", tmp_path, *argv) == 1
+    assert shown in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # as a config key it is unknown to derive, as it was to every command but its own
+    (tmp_path / "cfg.json").write_text(json.dumps({key: True}))
+    assert run("--config", tmp_path / "cfg.json", "--out-dir", tmp_path / "out", *DERIVE) == 2
+    assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("seed", [0, 6])
 def test_flag_defaults_resolve_to_the_library_defaults(seed):
     from hierclass.affinity import AffinityConfig
@@ -851,26 +903,3 @@ def test_flat_vs_hier_script_runs():
     assert "random -" in proc.stdout and "over random" not in proc.stdout
 
 
-@pytest.mark.parametrize("purity", ["nan", "2", "-1"])
-def test_segment_rejects_a_purity_outside_0_and_1(tmp_path, capsys, purity):
-    # the stream file does not exist: reading it first would be a data error (exit 2)
-    assert run("--out-dir", tmp_path, "segment", "--input", tmp_path / "stream.csv", "--window", "20",
-               "--stride", "10", "--purity", purity, "--out", "seg.csv") == 1
-    assert capsys.readouterr().err == f"error: purity must lie between 0 and 1, got {float(purity)}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_segment_cli(tmp_path):
-    stream = tmp_path / "stream.csv"
-    rng = np.random.default_rng(0)
-    lines = ["ch0,ch1,label"]
-    for t in range(120):
-        label = "walk" if t < 60 else "run"
-        base = 0.0 if t < 60 else 4.0
-        lines.append(f"{base + rng.normal()!r},{base + rng.normal()!r},{label}")
-    stream.write_text("\n".join(lines) + "\n")
-    assert run("--out-dir", tmp_path, "segment", "--input", stream,
-               "--window", "20", "--stride", "10", "--out", "seg.csv") == 0
-    seg = (tmp_path / "seg.csv").read_text().splitlines()
-    assert seg[0] == "f0,f1,f2,f3,f4,f5,f6,f7,label"
-    assert len(seg) > 2

@@ -21,10 +21,10 @@ from hierclass.derive import (
 from hierclass.treespace import Catalog, internal, leaf, tree_to_text
 
 
-def _dm(values, names=None, budgets=None):
+def _dm(values, names=None):
     values = np.asarray(values, dtype=float)
     names = names or tuple(f"c{i}" for i in range(len(values)))
-    return DistanceMatrix(Catalog(tuple(names)), values, budgets=budgets)
+    return DistanceMatrix(Catalog(tuple(names)), values)
 
 
 # --- Lance-Williams update ---------------------------------------------------
@@ -41,12 +41,7 @@ def test_lw_presets_match_min_max_mean():
     assert lw_update(2.0, 4.0, 3.0, 3, 1, average) == pytest.approx((3 * 2 + 1 * 4) / 4)
 
 
-def test_lw_custom_and_validation():
-    custom = LinkageParams(preset="custom", alpha_i=0.3, alpha_j=0.3, beta=0.2, gamma=0.1)
-    got = lw_update(2.0, 4.0, 3.0, 1, 1, custom)
-    assert got == pytest.approx(0.3 * 2 + 0.3 * 4 + 0.2 * 3 + 0.1 * 2)
-    with pytest.raises(ValueError):
-        LinkageParams(preset="custom", alpha_i=0.5)
+def test_lw_validation():
     with pytest.raises(ValueError):
         LinkageParams(preset="ward")
     with pytest.raises(ValueError):
@@ -89,12 +84,12 @@ def test_agglomerate_matches_from_scratch_oracle(method):
             assert step.distance == pytest.approx(d, abs=1e-9)
 
 
-def test_budget_tiebreak_prefers_less_supervised_pair():
-    values = [[0.0, 0.2, 0.2], [0.2, 0.0, 0.2], [0.2, 0.2, 0.0]]
-    lexical = agglomerate(_dm(values), LinkageParams(preset="single"))
-    assert (lexical.steps[0].left, lexical.steps[0].right) == (0, 1)
-    budgeted = agglomerate(_dm(values, budgets=(5, 4, 0)), LinkageParams(preset="single"))
-    assert (budgeted.steps[0].left, budgeted.steps[0].right) == (1, 2)
+def test_equal_distances_merge_the_smaller_id_pair_first():
+    values = np.full((4, 4), 0.2)
+    np.fill_diagonal(values, 0.0)
+    for method in ("single", "complete", "average"):
+        dgm = agglomerate(_dm(values), LinkageParams(preset=method))
+        assert [(s.left, s.right, s.new_id) for s in dgm.steps] == [(0, 1, 4), (2, 3, 5), (4, 5, 6)]
 
 
 def test_dendrogram_validation():

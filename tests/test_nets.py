@@ -75,18 +75,18 @@ def test_reconstruction_gradients_match_finite_differences():
     assert rel_err(flatten_params(grads), fd) < 1e-6
 
 
-def test_training_reduces_loss_and_reports_history():
+def test_training_reduces_loss_and_reports_initial_and_final():
     rng = np.random.default_rng(0)
     basis = rng.normal(size=(2, 6))
     x = rng.normal(size=(80, 2)) @ basis  # exact 2-dim subspace
     enc = init_mlp((6, 2), ("identity",), np.random.default_rng(1))
     dec = init_mlp((2, 6), ("identity",), np.random.default_rng(2))
-    enc, dec, history = train_reconstruction(
+    enc, dec, ends = train_reconstruction(
         enc, dec, x, SgdConfig(epochs=200, batch_size=16, learning_rate=0.05), np.random.default_rng(3)
     )
-    assert history[-1] < 1e-3
-    assert history[-1] <= history[0]
-    assert reconstruction_loss(enc, dec, x) == pytest.approx(history[-1])
+    assert ends[-1] < 1e-3
+    assert ends[-1] <= ends[0]
+    assert reconstruction_loss(enc, dec, x) == pytest.approx(ends[-1])
 
 
 def test_frozen_encoder_is_not_touched():
@@ -160,7 +160,7 @@ def test_reconstruction_stack_members_match_single_calls():
     for members in ([0, 1, 2, 3], [2, 0, 3, 1], [3]):  # permuted, and a stack of one
         params = stack_params([encoders[s] for s in members]) + stack_params([decoders[s] for s in members])
         rows = x[members]
-        history = sgd_reconstruction(
+        ends = sgd_reconstruction(
             params, ["relu", "sigmoid", "identity"], rows, rows, cfg,
             [np.random.default_rng([s, 2]) for s in members],
         )
@@ -168,7 +168,7 @@ def test_reconstruction_stack_members_match_single_calls():
             encoder, decoder, losses = alone[s]
             assert same(member_mlp(params[:2], m, encoder), encoder)
             assert same(member_mlp(params[2:], m, decoder), decoder)
-            assert [float(epoch[m]) for epoch in history] == losses
+            assert [float(end[m]) for end in ends] == losses
 
 
 def test_diverging_reconstruction_stack_member_is_named():
@@ -195,14 +195,14 @@ def test_members_sharing_a_generator_share_its_order():
     nets = [init_mlp((4, 3, 4), ("relu", "identity"), rng) for _ in held]
     params = stack_params(nets)
     generators = [np.random.default_rng(seed) for seed in seeds]
-    history = sgd_reconstruction(params, ["relu", "identity"], x, x, cfg, [generators[g] for g in held])
+    ends = sgd_reconstruction(params, ["relu", "identity"], x, x, cfg, [generators[g] for g in held])
     for s, g in enumerate(held):
         alone = stack_params([nets[s]])
-        alone_history = sgd_reconstruction(alone, ["relu", "identity"], [x[s]], [x[s]], cfg,
+        alone_ends = sgd_reconstruction(alone, ["relu", "identity"], [x[s]], [x[s]], cfg,
                                            [np.random.default_rng(seeds[g])])
         assert all(np.array_equal(a[0], p[s]) for pair, alone_pair in zip(params, alone)
                    for p, a in zip(pair, alone_pair))
-        assert [h[s] for h in history] == [h[0] for h in alone_history]
+        assert [end[s] for end in ends] == [end[0] for end in alone_ends]
     with pytest.raises(ValueError, match="same row count"):
         sgd_reconstruction(stack_params(nets[:2]), ["relu", "identity"], x[:2], x[:2], cfg, [generators[0]] * 2)
 

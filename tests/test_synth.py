@@ -22,7 +22,6 @@ from hierclass.synth import (
     planted_spec_to_json,
     read_csv,
     save_csv,
-    segment_stream,
     split,
 )
 from hierclass.treespace import Catalog
@@ -424,66 +423,6 @@ def test_saved_csv_takes_the_numpy_path(tmp_path, small_spec, line_end, with_lab
     assert features.tobytes() == expected[0].tobytes()
     assert labels == expected[1]
     assert header == expected[2] + (["label"] if with_label else [])
-
-
-# --- segmentation ----------------------------------------------------------
-
-
-def _stream(labels):
-    t = len(labels)
-    stream = np.arange(t * 2, dtype=float).reshape(t, 2)
-    return stream, np.array(labels)
-
-
-def test_segment_uniform_label():
-    cat = Catalog(("a", "b"))
-    stream, labels = _stream([0] * 10)
-    seg = segment_stream(stream, labels, cat, window=5, stride=5)
-    assert seg.positions == 2 and seg.dropped == 0
-    assert len(seg.dataset) == 2
-    assert set(seg.dataset.labels.tolist()) == {0}
-    assert seg.dataset.n_features == 8  # mean/var/min/max per channel
-
-
-def test_segment_majority_and_purity():
-    cat = Catalog(("a", "b"))
-    stream, labels = _stream([0] * 6 + [1] * 4)
-    seg = segment_stream(stream, labels, cat, window=10, stride=10)
-    assert len(seg.dataset) == 1 and seg.dataset.labels[0] == 0  # 60/40 majority
-    strict = segment_stream(stream, labels, cat, window=10, stride=10, purity=0.9)
-    assert strict.dataset is None and strict.dropped == 1
-
-
-@pytest.mark.parametrize("purity", [float("nan"), -1.0, 1.5, 2.0])
-def test_segment_rejects_a_purity_outside_0_and_1(purity):
-    stream, labels = _stream([0] * 10)
-    with pytest.raises(ValueError, match=f"^purity must lie between 0 and 1, got {purity}$"):
-        segment_stream(stream, labels, Catalog(("a",)), window=5, stride=5, purity=purity)
-    for edge in (0.0, 1.0):  # every uniform window reaches either
-        assert len(segment_stream(stream, labels, Catalog(("a",)), window=5, stride=5, purity=edge).dataset) == 2
-
-
-def test_segment_tie_is_dropped():
-    cat = Catalog(("a", "b"))
-    stream, labels = _stream([0] * 5 + [1] * 5)
-    seg = segment_stream(stream, labels, cat, window=10, stride=10)
-    assert seg.dropped == 1
-
-
-def test_segment_flat_representation_and_bookkeeping():
-    cat = Catalog(("a", "b"))
-    stream, labels = _stream([0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
-    seg = segment_stream(stream, labels, cat, window=4, stride=2, representation="flat")
-    assert seg.positions == 4
-    assert seg.dropped + len(seg.dataset) == seg.positions
-    assert seg.dataset.n_features == 8  # window * channels
-
-
-def test_segment_window_too_large():
-    cat = Catalog(("a",))
-    stream, labels = _stream([0] * 4)
-    with pytest.raises(ValueError, match="exceeds"):
-        segment_stream(stream, labels, cat, window=5, stride=1)
 
 
 # --- splits ------------------------------------------------------------------

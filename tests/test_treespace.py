@@ -1,4 +1,6 @@
 import hashlib
+import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,6 +28,23 @@ PAPER_SEQUENCE = [1, 1, 4, 26, 236, 2752, 39208, 660032, 12818912, 282137824]
 
 def test_count_matches_published_sequence():
     assert [count_hierarchies(k) for k in range(1, 11)] == PAPER_SEQUENCE
+
+
+@lru_cache(maxsize=None)
+def _recursive_count(k: int) -> int:
+    """The recurrence of :func:`count_hierarchies`, written top-down."""
+    if k <= 2:
+        return 1
+    big = k - 1
+    total = math.comb(big, big - 1) * _recursive_count(big) * _recursive_count(1)
+    return total + 2 * sum(
+        math.comb(big, i) * _recursive_count(i + 1) * _recursive_count(big - i) for i in range(big - 1)
+    )
+
+
+def test_count_matches_the_recursive_recurrence():
+    expected = [_recursive_count(k) for k in range(1, 401)]  # ascending: each call recurses one level
+    assert [count_hierarchies(k) for k in range(1, 401)] == expected
 
 
 def test_count_rejects_zero():
