@@ -41,8 +41,6 @@ from .serialize import check_keys, config_from_json
 from .synth import LabeledDataset
 from .treespace import Catalog
 
-SYMMETRIZATIONS = ("mean", "min", "max")
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -305,9 +303,23 @@ class AffinityRecord:
             raise ValueError("budget is nonnegative")
 
 
+def _check_pairs(catalog: Catalog, keys: list[tuple[int, int]], what: str) -> None:
+    """Require ``keys`` to hold every ordered pair of distinct concepts
+    exactly once: a ValueError naming the missing pairs otherwise."""
+    k = len(catalog)
+    pairs = {(i, j) for i in range(k) for j in range(k) if i != j}
+    missing = sorted(pairs - set(keys))
+    if missing:
+        names = ", ".join(f"{catalog.name_of(i)}->{catalog.name_of(j)}" for i, j in missing)
+        raise ValueError(f"{what} is missing pairs: {names}")
+    if len(keys) != len(pairs):  # every pair is there: the rest repeat one or are no pair
+        raise ValueError(f"{what} holds {len(keys)} entries for the {len(pairs)} ordered pairs")
+
+
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """All ordered-pair records plus the configuration snapshot."""
+    """One record per ordered pair of distinct concepts, plus the
+    configuration snapshot."""
 
     catalog: Catalog
     alpha: float
@@ -315,27 +327,13 @@ class AffinityMatrix:
     b_max: int
     seed: int
     records: tuple[AffinityRecord, ...]
-    skipped: tuple[tuple[int, int], ...] = ()  # (concept id, example count)
     encoder: EncoderConfig | None = None
 
     def __post_init__(self) -> None:
-        keys = [(r.source, r.target) for r in self.records]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (source, target) records")
-        for r in self.records:
-            if r.source == r.target:
-                raise ValueError("diagonal entries are undefined")
-
-    def _index(self) -> dict[tuple[int, int], AffinityRecord]:
-        return {(r.source, r.target): r for r in self.records}
+        _check_pairs(self.catalog, [(r.source, r.target) for r in self.records], "affinity matrix")
 
     def score(self, source: int, target: int) -> float:
-        return self._index()[(source, target)].score
-
-    def missing_pairs(self) -> list[tuple[int, int]]:
-        have = {(r.source, r.target) for r in self.records}
-        k = len(self.catalog)
-        return [(i, j) for i in range(k) for j in range(k) if i != j and (i, j) not in have]
+        return next(r.score for r in self.records if (r.source, r.target) == (source, target))
 
 
 @dataclass(frozen=True)
@@ -377,12 +375,15 @@ class AffinityArtifacts:
     config: AffinityConfig
     input_dim: int
 
+    def __post_init__(self) -> None:
+        _check_pairs(self.matrix.catalog, list(self.pair_encoders), "pair encoders")
+
 
 def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> AffinityArtifacts:
     """Run the full affinity analysis over every ordered concept pair.
 
-    Concepts with fewer than ``cfg.min_examples`` examples are skipped and
-    reported; their pairs are left missing. The concepts pretrain their
+    Every concept needs at least ``max(2, cfg.min_examples)`` examples;
+    a DataError names each one that has fewer. The concepts pretrain their
     autoencoders in one :func:`train_autoencoder_stack` call, each under a
     seed derived from (seed, concept). One :func:`fine_tune_stack` call then
     tunes, toward every target, each source encoder plus the scratch
@@ -391,29 +392,29 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     concepts.
     """
     catalog = dataset.catalog
-    support = dataset.support()
-    usable = [cid for cid in catalog.ids if support[cid] >= max(2, cfg.min_examples)]
-    skipped = tuple((cid, support[cid]) for cid in catalog.ids if cid not in usable)
-    if len(usable) < 2:
+    need = max(2, cfg.min_examples)
+    short = {catalog.name_of(cid): n for cid, n in dataset.support().items() if n < need}
+    if short or len(catalog) < 2:
         raise DataError(
-            f"need at least 2 concepts with >= {cfg.min_examples} examples; "
-            f"skipped {[(catalog.name_of(c), n) for c, n in skipped]}"
+            f"need at least 2 concepts with >= {need} examples each; "
+            f"got {len(catalog)}, with too few examples: {short}"
         )
 
-    per_concept = {cid: dataset.of_concept(cid) for cid in usable}
-    seeds = [task_seed(cfg.seed, 1, cid) for cid in usable]
+    ids = catalog.ids
+    per_concept = {cid: dataset.of_concept(cid) for cid in ids}
+    seeds = [task_seed(cfg.seed, 1, cid) for cid in ids]
     try:
-        stack = train_autoencoder_stack([per_concept[cid] for cid in usable], cfg, seeds)
+        stack = train_autoencoder_stack([per_concept[cid] for cid in ids], cfg, seeds)
     except NumericError as exc:
-        name = catalog.name_of(usable[exc.member])
+        name = catalog.name_of(ids[exc.member])
         raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
-    pretrained = {cid: encoder for cid, (encoder, _, _) in zip(usable, stack)}
+    pretrained = {cid: encoder for cid, (encoder, _, _) in zip(ids, stack)}
 
     tasks, members = [], []  # one task per target: every source encoder, then the scratch reference
-    for dst in usable:
+    for dst in ids:
         rows = per_concept[dst]
         seed = task_seed(cfg.seed, 2, dst)  # shared by every fine-tune toward dst
-        sources = [src for src in usable if src != dst]
+        sources = [src for src in ids if src != dst]
         fresh = make_encoder(rows.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
         tasks.append(([pretrained[src] for src in sources] + [fresh], rows, capped_budget(rows.shape[0], cfg), seed))
         members += [(src, dst) for src in sources] + [(None, dst)]
@@ -425,8 +426,8 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         raise NumericError(f"{what} toward {catalog.name_of(dst)!r}: {exc}", exc.member) from exc
 
     transfers = {}
-    for dst, (_, _, budget, _), (*stack, (_, l_ref)) in zip(usable, tasks, tuned):
-        for src, (encoder, l_ft) in zip([src for src in usable if src != dst], stack):
+    for dst, (_, _, budget, _), (*stack, (_, l_ref)) in zip(ids, tasks, tuned):
+        for src, (encoder, l_ft) in zip([src for src in ids if src != dst], stack):
             p = raw_transfer_score(l_ft, l_ref)
             record = AffinityRecord(
                 source=src,
@@ -445,7 +446,6 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         b_max=cfg.b_max,
         seed=cfg.seed,
         records=tuple(transfers[pair][0] for pair in pairs),
-        skipped=skipped,
         encoder=cfg.encoder,
     )
     return AffinityArtifacts(
@@ -456,24 +456,13 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     )
 
 
-def symmetrize_to_distance(matrix: AffinityMatrix, method: str = "mean") -> DistanceMatrix:
-    """d(i,j) = 1 - combine(s(i->j), s(j->i)); combine is mean by default."""
-    if method not in SYMMETRIZATIONS:
-        raise ValueError(f"unknown symmetrization {method!r}")
-    missing = matrix.missing_pairs()
-    if missing:
-        names = ", ".join(
-            f"{matrix.catalog.name_of(i)}->{matrix.catalog.name_of(j)}" for i, j in missing
-        )
-        raise DataError(f"affinity matrix is missing pairs: {names}")
-    k = len(matrix.catalog)
-    index = matrix._index()
-    combine = {"mean": lambda a, b: (a + b) / 2.0, "min": min, "max": max}[method]
-    values = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = 1.0 - combine(index[(i, j)].score, index[(j, i)].score)
-            values[i, j] = values[j, i] = d
+def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
+    """d(i,j) = 1 - (s(i->j) + s(j->i)) / 2."""
+    scores = np.zeros((len(matrix.catalog),) * 2)
+    for r in matrix.records:
+        scores[r.source, r.target] = r.score
+    values = 1.0 - (scores + scores.T) / 2.0
+    np.fill_diagonal(values, 0.0)
     return DistanceMatrix(catalog=matrix.catalog, values=values)
 
 
@@ -481,7 +470,7 @@ def symmetrize_to_distance(matrix: AffinityMatrix, method: str = "mean") -> Dist
 # wire formats
 
 
-_MATRIX_KEYS = ("concepts", "alpha", "beta", "b_max", "seed", "entries", "skipped", "encoder")
+_MATRIX_KEYS = ("concepts", "alpha", "beta", "b_max", "seed", "entries", "encoder")
 
 
 def affinity_to_json(matrix: AffinityMatrix) -> dict:
@@ -495,15 +484,18 @@ def affinity_to_json(matrix: AffinityMatrix) -> dict:
             {"src": r.source, "dst": r.target, "p": r.p, "b": r.budget, "s": r.score}
             for r in matrix.records
         ],
-        "skipped": [{"concept": cid, "examples": n} for cid, n in matrix.skipped],
         "encoder": None if matrix.encoder is None else asdict(matrix.encoder),
     }
 
 
 def affinity_from_json(obj: dict) -> AffinityMatrix:
     """Read exactly the keys ``affinity_to_json`` writes, plus the optional
-    ``provenance`` the ``affinity`` command adds; ``encoder`` may be null."""
-    check_keys(obj, _MATRIX_KEYS, "bad affinity JSON", optional=("provenance",))
+    ``provenance`` the ``affinity`` command adds; ``encoder`` may be null.
+    Files from before every concept was required hold a ``skipped`` list,
+    which loads when it is empty."""
+    check_keys(obj, _MATRIX_KEYS, "bad affinity JSON", optional=("provenance", "skipped"))
+    if obj.get("skipped", []) != []:
+        raise DataError("bad affinity JSON: the matrix skipped concepts, so it is partial; rebuild it")
     try:
         return AffinityMatrix(
             catalog=Catalog(tuple(obj["concepts"])),
@@ -521,7 +513,6 @@ def affinity_from_json(obj: dict) -> AffinityMatrix:
                 )
                 for e in obj["entries"]
             ),
-            skipped=tuple((int(s["concept"]), int(s["examples"])) for s in obj["skipped"]),
             encoder=None
             if obj["encoder"] is None
             else config_from_json(EncoderConfig, obj["encoder"], "affinity encoder"),

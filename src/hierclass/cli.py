@@ -14,6 +14,7 @@ them. Flag defaults are the library's: each one is read from
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import hashlib
 import json
@@ -28,6 +29,7 @@ from . import derive as drv
 from . import hmodel, metrics, synth, treespace
 from .errors import DataError, NumericError, UnscorableRowError
 from .serialize import (
+    JSON_READERS,
     atomic_write_json,
     atomic_write_text,
     load_json,
@@ -96,7 +98,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--affinity", required=True)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--linkage", choices=drv.PRESETS, default="average")
-    p.add_argument("--symmetrization", choices=aff.SYMMETRIZATIONS, default="mean")
     p.add_argument("--out", required=True, help="derived tree (Newick)")
     p.add_argument("--tree-json", help="derived tree as JSON with provenance")
     p.add_argument("--dendrogram", help="dendrogram JSON")
@@ -157,7 +158,9 @@ def _pre_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the ``--config`` file's keys as defaults of the
-    command that runs; flags on the command line override them."""
+    command that runs; flags on the command line override them. A key's
+    value must have its flag's JSON type: an integer for an ``int`` flag, a
+    number for a ``float`` flag and a string for any other."""
     parser = _build_parser()
     try:
         known, _ = _pre_parser().parse_known_args(argv)
@@ -170,15 +173,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             raise DataError(f"{config_path}: config must be a JSON object")
         parser = _build_parser.__wrapped__()  # a fresh one, since the config changes it: no later call sees it
         subparser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-        valid = {action.dest for action in parser._actions + subparser._actions}
-        unknown = set(config) - valid
+        flags = [a for a in parser._actions + subparser._actions
+                 if a.option_strings and a.dest not in ("help", "config")]
+        unknown = set(config) - {action.dest for action in flags}
         if unknown:
             raise DataError(f"{config_path}: unknown config keys {sorted(unknown)}")
+        for action in flags:
+            if action.dest in config:
+                try:  # a flag without a type takes a string
+                    config[action.dest] = JSON_READERS[action.type or str](config[action.dest], action.dest)
+                except ValueError as exc:
+                    raise DataError(f"{config_path}: config key {exc}") from None
+                action.required = False
         parser.set_defaults(**config)
         subparser.set_defaults(**config)
-        for action in parser._actions + subparser._actions:
-            if action.dest in config:
-                action.required = False
     return parser.parse_args(argv)
 
 
@@ -259,7 +267,8 @@ def _train_config(args) -> hmodel.HierTrainConfig:
 
 
 def _cmd_count(args) -> int:
-    print(treespace.count_hierarchies(args.k))
+    # every digit: a Decimal converts without the interpreter's int-to-str digit limit
+    print(decimal.Decimal(treespace.count_hierarchies(args.k)))
     return 0
 
 
@@ -299,9 +308,6 @@ def _cmd_affinity(args) -> int:
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"affinity matrix ({len(artifacts.matrix.records)} pairs) -> {out}")
-    if artifacts.matrix.skipped:
-        skipped = {dataset.catalog.name_of(c): n for c, n in artifacts.matrix.skipped}
-        print(f"skipped concepts (too few examples): {skipped}")
     if args.artifacts:
         arts_obj = {
             "matrix": aff.affinity_to_json(artifacts.matrix),
@@ -345,9 +351,7 @@ def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
 def _cmd_derive(args) -> int:
     drv.check_tau(args.tau)
     matrix, sha256 = _read_json(args.affinity, aff.affinity_from_json)
-    derived = drv.derive_hierarchy(
-        matrix, drv.LinkageParams(preset=args.linkage), tau=args.tau, symmetrization=args.symmetrization
-    )
+    derived = drv.derive_hierarchy(matrix, drv.LinkageParams(preset=args.linkage), tau=args.tau)
     newick = treespace.tree_to_text(derived.tree, matrix.catalog)
     out = _out_path(args, args.out)
     atomic_write_text(out, newick + "\n")

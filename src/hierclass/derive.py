@@ -170,16 +170,14 @@ def derive_hierarchy(
     matrix: AffinityMatrix,
     params: LinkageParams,
     tau: float = 0.5,
-    symmetrization: str = "mean",
 ) -> DerivedHierarchy:
     """Symmetrize the affinity matrix, agglomerate, collapse at tau."""
-    dgm = agglomerate(symmetrize_to_distance(matrix, method=symmetrization), params)
+    dgm = agglomerate(symmetrize_to_distance(matrix), params)
     tree = collapse_threshold(dgm, tau)
     provenance = {
         "affinity_sha256": sha256_of_json(affinity_to_json(matrix)),
         "linkage": params.preset,
         "tau": tau,
-        "symmetrization": symmetrization,
     }
     return DerivedHierarchy(tree=tree, dendrogram=dgm, provenance=provenance)
 

@@ -437,12 +437,8 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
 
 def _best_pair(members: tuple[int, ...], artifacts: AffinityArtifacts) -> tuple[int, int]:
     index = {(r.source, r.target): r.score for r in artifacts.matrix.records}
-    candidates = [
-        (i, j) for i in members for j in members if i != j and (i, j) in artifacts.pair_encoders
-    ]
-    if not candidates:
-        raise DataError(f"no affinity encoder available for concept set {list(members)}")
-    return max(candidates, key=lambda p: (index.get(p, -1.0), -p[0], -p[1]))
+    pairs = [(i, j) for i in members for j in members if i != j]
+    return max(pairs, key=lambda p: (index[p], -p[0], -p[1]))
 
 
 def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tree, Mlp]:

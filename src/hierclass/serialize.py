@@ -80,21 +80,46 @@ def check_keys(obj, names, what: str, optional=()) -> None:
         raise DataError(f"{what}: unknown keys {unknown}")
 
 
+def json_integer(value, key: str) -> int:
+    """``value``, read under ``key``, as an int: a JSON number without a
+    fraction, not a bool; a ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_number(value, key: str) -> float:
+    """``value``, read under ``key``, as a float: a JSON number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+JSON_READERS = {int: json_integer, float: json_number, str: json_string}
+
+
 def config_from_json(cls, obj, what: str):
     """Rebuild the config dataclass ``cls`` from its ``asdict`` form.
 
-    The object must hold exactly the dataclass's fields, so a saved config
-    never silently picks up a default; nested config fields are read the
-    same way.
+    The object must hold exactly the dataclass's fields, each of its type
+    hint's JSON type, so a saved config never silently picks up a default
+    or a value of another type; nested config fields are read the same way.
     """
     names = [f.name for f in fields(cls)]
     check_keys(obj, names, what)
     types = typing.get_type_hints(cls)
-    values = {
-        n: config_from_json(types[n], obj[n], f"{what}.{n}") if is_dataclass(types[n]) else obj[n]
-        for n in names
-    }
     try:
+        values = {
+            n: config_from_json(types[n], obj[n], f"{what}.{n}") if is_dataclass(types[n])
+            else JSON_READERS[types[n]](obj[n], n)
+            for n in names
+        }
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what}: {exc}") from None

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .serialize import atomic_open, read_bytes
+from .serialize import atomic_open, json_integer, json_number, read_bytes
 from .treespace import Catalog, Tree, tree_from_json, tree_to_json, validate_tree
 
 
@@ -153,31 +153,16 @@ def planted_spec_to_json(spec: PlantedSpec) -> dict:
     }
 
 
-def _json_integer(obj: dict, key: str) -> int:
-    """``obj[key]`` as an int: a JSON number without a fraction, not a bool."""
-    value = obj[key]
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _json_number(value, key: str) -> float:
-    """``value``, read under ``key``, as a float: a JSON number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def planted_spec_from_json(obj: dict) -> PlantedSpec:
     try:
         catalog = Catalog(tuple(obj["names"]))
         return PlantedSpec(
             catalog=catalog,
             tree=tree_from_json(obj["tree"], catalog),
-            feature_dim=_json_integer(obj, "feature_dim"),
-            per_concept=_json_integer(obj, "per_concept"),
-            level_offsets=tuple(_json_number(x, "level_offsets") for x in obj["level_offsets"]),
-            noise=_json_number(obj["noise"], "noise"),
+            feature_dim=json_integer(obj["feature_dim"], "feature_dim"),
+            per_concept=json_integer(obj["per_concept"], "per_concept"),
+            level_offsets=tuple(json_number(x, "level_offsets") for x in obj["level_offsets"]),
+            noise=json_number(obj["noise"], "noise"),
         )
     except KeyError as exc:
         raise DataError(f"planted spec missing key {exc}") from None
@@ -388,30 +373,23 @@ def split(
         raise ValueError(f"fractions must be positive and finite, got {list(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
-    rng = np.random.default_rng(seed)
-    parts: list[list[int]] = [[] for _ in fractions]
+    groups = [np.arange(len(dataset))]  # row groups, each apportioned on its own
     if stratified:
+        groups = []
         for cid, count in sorted(dataset.support().items()):
-            if count == 0:
-                continue
-            if count < len(fractions):
+            if 0 < count < len(fractions):
                 raise DataError(
                     f"concept {dataset.catalog.name_of(cid)!r} has {count} examples, "
                     f"fewer than {len(fractions)} splits"
                 )
-            idx = rng.permutation(np.flatnonzero(dataset.labels == cid))
-            sizes = _allocate(count, fractions)
-            pos = 0
-            for part, size in zip(parts, sizes):
-                part.extend(idx[pos : pos + size].tolist())
-                pos += size
-    else:
-        idx = rng.permutation(len(dataset))
-        sizes = _allocate(len(dataset), fractions)
-        pos = 0
-        for part, size in zip(parts, sizes):
-            part.extend(idx[pos : pos + size].tolist())
-            pos += size
+            if count:
+                groups.append(np.flatnonzero(dataset.labels == cid))
+    rng = np.random.default_rng(seed)
+    parts: list[list[int]] = [[] for _ in fractions]
+    for group in groups:
+        bounds = np.cumsum(_allocate(len(group), fractions))[:-1]
+        for part, rows in zip(parts, np.split(rng.permutation(group), bounds)):
+            part.extend(rows.tolist())
     for i, (part, fraction) in enumerate(zip(parts, fractions)):
         if not part:
             raise DataError(f"split part {i} (fraction {fraction:g}) gets none of the {len(dataset)} rows")

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,8 @@ from hierclass.nets import (
 )
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted
 from hierclass.treespace import Catalog, internal, leaf
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 LINEAR_CFG = AffinityConfig(
     encoder=EncoderConfig(hidden_dim=8, latent_dim=2,
@@ -259,10 +263,23 @@ def triple_data_module():
 
 
 def test_matrix_has_all_ordered_pairs(triple_artifacts):
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     matrix = triple_artifacts.matrix
-    assert len(matrix.records) == 3 * 2
-    assert not matrix.missing_pairs()
-    assert not matrix.skipped
+    assert [(r.source, r.target) for r in matrix.records] == pairs
+    assert list(triple_artifacts.pair_encoders) == pairs
+    # a matrix or an artifact set without some pair cannot be built
+    with pytest.raises(ValueError, match=r"^affinity matrix is missing pairs: c3->c1$"):
+        replace(matrix, records=matrix.records[:-2] + matrix.records[-1:])
+    encoders = dict(triple_artifacts.pair_encoders)
+    del encoders[(0, 1)], encoders[(2, 1)]
+    with pytest.raises(ValueError, match=r"^pair encoders is missing pairs: c1->c2, c3->c2$"):
+        replace(triple_artifacts, pair_encoders=encoders)
+    # a repeated pair or a pair of a concept with itself is one record too many
+    for extra in (matrix.records[0], replace(matrix.records[0], target=0)):
+        with pytest.raises(ValueError, match=r"^affinity matrix holds 7 entries for the 6 ordered pairs$"):
+            replace(matrix, records=matrix.records + (extra,))
+    with pytest.raises(ValueError, match=r"^pair encoders holds 7 entries for the 6 ordered pairs$"):
+        replace(triple_artifacts, pair_encoders={**triple_artifacts.pair_encoders, (1, 1): encoders[(1, 0)]})
 
 
 def test_overlapping_pair_scores_dominate_remote(triple_artifacts):
@@ -519,14 +536,21 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     assert [r.budget for r in matrix.records] == [1, 1]
 
 
-def test_insufficient_concepts_are_skipped_and_reported():
+def test_insufficient_concepts_are_an_error_naming_each(monkeypatch):
+    import hierclass.affinity as affinity_module
+
+    monkeypatch.setattr(affinity_module, "train_autoencoder_stack", None)  # nothing trains
     rng = np.random.default_rng(0)
-    feats = np.vstack([rng.normal(size=(40, 5)), rng.normal(size=(40, 5)) + 4, rng.normal(size=(3, 5))])
-    labels = np.array([0] * 40 + [1] * 40 + [2] * 3)
-    data = LabeledDataset(feats, labels, Catalog(("a", "b", "tiny")))
-    matrix = build_affinity_artifacts(data, AffinityConfig(seed=0, min_examples=10)).matrix
-    assert matrix.skipped == ((2, 3),)
-    assert set(matrix.missing_pairs()) == {(0, 2), (2, 0), (1, 2), (2, 1)}
+    feats = np.vstack([rng.normal(size=(40, 5)), rng.normal(size=(3, 5)), rng.normal(size=(9, 5)),
+                       rng.normal(size=(1, 5))])
+    labels = np.array([0] * 40 + [1] * 3 + [2] * 9 + [3])
+    data = LabeledDataset(feats, labels, Catalog(("a", "tiny", "nine", "one")))
+    message = "need at least 2 concepts with >= {} examples each; got 4, with too few examples: {}"
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(10, {'tiny': 3, 'nine': 9, 'one': 1}))}$"):
+        build_affinity_artifacts(data, AffinityConfig(seed=0, min_examples=10))
+    # one example is too few even when min_examples asks for none
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(2, {'one': 1}))}$"):
+        build_affinity_artifacts(data, AffinityConfig(seed=0, min_examples=0))
 
 
 def test_fewer_than_two_usable_concepts_is_an_error():
@@ -563,14 +587,18 @@ def test_symmetrize_examples():
     assert symmetrize_to_distance(m).values[0, 1] == 0.0
     m = _matrix_from_scores({(0, 1): 0.8, (1, 0): 0.6})
     assert symmetrize_to_distance(m).values[0, 1] == pytest.approx(0.3)
-    assert symmetrize_to_distance(m, method="min").values[0, 1] == pytest.approx(0.4)
-    assert symmetrize_to_distance(m, method="max").values[0, 1] == pytest.approx(0.2)
+    # the mean is the one combination: no other can be asked for
+    with pytest.raises(TypeError):
+        symmetrize_to_distance(m, method="min")
 
 
-def test_symmetrize_missing_pairs_named():
-    m = _matrix_from_scores({(0, 1): 0.8, (1, 0): 0.6, (0, 2): 0.5, (2, 0): 0.5, (1, 2): 0.4})
-    with pytest.raises(DataError, match="c2->c1"):
-        symmetrize_to_distance(m)
+def test_matrix_missing_pairs_named():
+    with pytest.raises(ValueError, match=r"^affinity matrix is missing pairs: c2->c1$"):
+        _matrix_from_scores({(0, 1): 0.8, (1, 0): 0.6, (0, 2): 0.5, (2, 0): 0.5, (1, 2): 0.4})
+    obj = json.loads((FIXTURES / "affinity_3concepts.json").read_text())
+    del obj["entries"][1], obj["entries"][-1]
+    with pytest.raises(DataError, match=r"^bad affinity JSON: affinity matrix is missing pairs: c2->c1, c3->c2$"):
+        affinity_from_json(obj)
 
 
 @settings(max_examples=40, deadline=None)
@@ -619,11 +647,21 @@ def test_affinity_json_rejects_unknown_top_level_keys(triple_artifacts):
         affinity_from_json({**obj, "bogus": 1, "alpah": 0.9})
 
 
-@pytest.mark.parametrize("key", ["skipped", "encoder", "alpha"])
+@pytest.mark.parametrize("key", ["encoder", "alpha"])
 def test_affinity_json_rejects_a_missing_top_level_key(triple_artifacts, key):
     obj = {k: v for k, v in affinity_to_json(triple_artifacts.matrix).items() if k != key}
     with pytest.raises(DataError, match=rf"missing keys \['{key}'\]"):
         affinity_from_json(obj)
+
+
+def test_affinity_json_reads_an_empty_skipped_list_and_rejects_any_other(triple_artifacts):
+    # files written while concepts could be skipped carry "skipped"; only a complete matrix loads
+    obj = affinity_to_json(triple_artifacts.matrix)
+    assert "skipped" not in obj
+    assert affinity_from_json({**obj, "skipped": []}) == triple_artifacts.matrix
+    for skipped in ([{"concept": 2, "examples": 3}], None):
+        with pytest.raises(DataError, match=r"^bad affinity JSON: the matrix skipped concepts, so it is partial; rebuild it$"):
+            affinity_from_json({**obj, "skipped": skipped})
 
 
 def test_affinity_json_roundtrip_with_provenance(triple_artifacts):
@@ -660,6 +698,27 @@ def test_affinity_config_json_roundtrip():
         affinity_config_from_json({**obj, "encoder": encoder})
 
 
+@pytest.mark.parametrize("edit, shown", [
+    (lambda o: o["warmup"].update(epochs=2.5), "affinity config.warmup: epochs must be an integer, got 2.5"),
+    (lambda o: o.update(budget=True), "affinity config: budget must be an integer, got True"),
+    (lambda o: o.update(alpha="0.5"), "affinity config: alpha must be a number, got '0.5'"),
+    (lambda o: o.update(beta=None), "affinity config: beta must be a number, got None"),
+    (lambda o: o["encoder"].update(latent_activation=1),
+     "affinity config.encoder: latent_activation must be a string, got 1"),
+], ids=["float-epochs", "bool-budget", "string-alpha", "null-beta", "number-activation"])
+def test_affinity_config_json_rejects_a_field_of_another_type(edit, shown):
+    obj = json.loads(json.dumps(affinity_config_to_json(AffinityConfig())))
+    edit(obj)
+    with pytest.raises(DataError, match=f"^{re.escape(shown)}$"):
+        affinity_config_from_json(obj)
+
+
+def test_affinity_config_json_reads_integral_numbers_as_their_fields_types():
+    obj = json.loads(json.dumps(affinity_config_to_json(AffinityConfig())))
+    cfg = affinity_config_from_json({**obj, "alpha": 1, "budget": 80.0})
+    assert (type(cfg.alpha), cfg.alpha, type(cfg.budget), cfg.budget) == (float, 1.0, int, 80)
+
+
 UNIT = st.floats(0.0, 1.0)
 ENCODER_CONFIGS = st.builds(EncoderConfig, st.integers(1, 64), st.integers(1, 16),
                             st.sampled_from(ACTIVATIONS), st.sampled_from(ACTIVATIONS))
@@ -689,8 +748,7 @@ def affinity_configs(draw):
 def affinity_matrices(draw):
     k = draw(st.integers(2, 5))
     off_diagonal = [(i, j) for i in range(k) for j in range(k) if i != j]
-    pairs = draw(st.lists(st.sampled_from(off_diagonal), unique=True))
-    skipped = draw(st.lists(st.integers(0, k - 1), unique=True))
+    pairs = draw(st.permutations(off_diagonal))  # every pair, in any order
     return AffinityMatrix(
         catalog=Catalog(tuple(f"c{i}" for i in range(k))),
         alpha=draw(st.floats(0.0, 10.0)),
@@ -698,7 +756,6 @@ def affinity_matrices(draw):
         b_max=draw(st.integers(0, 1000)),
         seed=draw(st.integers(0, 2**63 - 1)),
         records=tuple(AffinityRecord(i, j, draw(UNIT), draw(st.integers(0, 1000)), draw(UNIT)) for i, j in pairs),
-        skipped=tuple((cid, draw(st.integers(0, 9))) for cid in skipped),
         encoder=draw(st.none() | ENCODER_CONFIGS),
     )
 

@@ -32,6 +32,17 @@ def test_count_beyond_the_stack_depth_prints_every_digit(capsys):
     assert out.isdecimal() and len(out) == 1336
 
 
+def test_count_past_the_int_to_str_limit_prints_every_digit(monkeypatch, capsys):
+    from hierclass import treespace
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # the limit is absent before 3.10.7
+    before = limit()
+    monkeypatch.setattr(treespace, "count_hierarchies", lambda k: 10**5000)
+    assert run("count", "--k", 3) == 0
+    assert capsys.readouterr().out == "1" + "0" * 5000 + "\n"
+    assert limit() == before
+
+
 def test_count_entry_point_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hierclass.cli", "count", "--k", "8"],
@@ -143,6 +154,8 @@ def test_affinity_then_derive_reproducible(tmp_path, planted_csv, capsys):
     assert (tmp_path / "t1.nwk").read_bytes() == (tmp_path / "t2.nwk").read_bytes()
     tree_doc = json.loads((tmp_path / "t1.json").read_text())
     assert tree_doc["provenance"]["inputs"]
+    assert set(tree_doc["provenance"]["config"]) == {"affinity_sha256", "linkage", "tau"}
+    assert "skipped" not in a
 
 
 def test_train_predict_evaluate_round(tmp_path, planted_csv, capsys):
@@ -462,6 +475,42 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("erm_epochs", 2.5, "an integer"), ("erm_epochs", True, "an integer"), ("seed", 1.5, "an integer"),
+    ("lambda_orth", "0.1", "a number"), ("lambda_orth", False, "a number"), ("tree", 3, "a string"),
+])
+def test_config_value_of_another_type_is_a_data_error(tmp_path, planted_csv, capsys, key, value, kind):
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--out", "clf.json", *FAST) == 2
+    assert capsys.readouterr().err == f"data error: {cfg}: config key {key} must be {kind}, got {value!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tree.nwk"]
+
+
+def test_config_values_are_read_as_their_flags_types(tmp_path, monkeypatch):
+    from hierclass import cli
+
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "derive", lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 1, "seed": 4.0, "linkage": "single"}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "derive", "--affinity", "a.json", "--out", "t.nwk") == 0
+    assert [(type(v), v) for v in (seen[0].tau, seen[0].seed, seen[0].linkage)] == [
+        (float, 1.0), (int, 4), (str, "single")]
+
+
+@pytest.mark.parametrize("key", ["command", "help", "config"])
+def test_config_keys_that_set_no_flag_are_unknown(tmp_path, capsys, key):
+    # as a default, "command" would switch the command that runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "enumerate"}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "count", "--k", 3) == 2
+    assert capsys.readouterr().err == f"data error: {cfg}: unknown config keys ['{key}']\n"
+
+
 def test_config_file_rejects_removed_threads_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 5, "threads": 2}))
@@ -539,6 +588,40 @@ def test_v1_artifacts_file_is_a_data_error_naming_the_file(tmp_path, planted_csv
     assert not (tmp_path / "clf.json").exists()
 
 
+def test_affinity_on_a_short_concept_is_a_data_error_naming_it(tmp_path, planted_csv, capsys):
+    data, _ = planted_csv  # 40 rows each of c1..c4, in label order
+    lines = data.read_text().splitlines(keepends=True)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:126]))  # the header, then 40/40/40/5 rows
+    assert run("--out-dir", tmp_path / "out", "affinity", "--data", short, "--out", "aff.json",
+               "--artifacts", "arts.json", "--distance-csv", "d.csv") == 2
+    assert capsys.readouterr().err == (
+        "data error: need at least 2 concepts with >= 10 examples each; got 4, with too few examples: {'c4': 5}\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, shown", [
+    (lambda arts: arts["pair_encoders"].pop("2,1"), "pair encoders is missing pairs: c3->c2"),
+    (lambda arts: arts["config"]["warmup"].update(epochs=2.5),
+     "affinity config.warmup: epochs must be an integer, got 2.5"),
+    (lambda arts: arts["config"].update(budget=True), "affinity config: budget must be an integer, got True"),
+    (lambda arts: arts["matrix"]["entries"].pop(), "bad affinity JSON: affinity matrix is missing pairs: c4->c3"),
+], ids=["pair-encoder", "warmup-epochs", "budget", "matrix-pair"])
+def test_incomplete_or_mistyped_artifacts_are_a_data_error(tmp_path, planted_csv, capsys, edit, shown):
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "arts.json").read_text())
+    edit(arts)
+    (tmp_path / "arts.json").write_text(json.dumps(arts))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'arts.json'}: bad artifacts file: {shown}\n"
+    assert not (tmp_path / "clf.json").exists()
+
+
 def test_removed_freeze_encoder_flag_is_a_usage_error(tmp_path, planted_csv, capsys):
     data, _ = planted_csv
     assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json", "--freeze-encoder") == 1
@@ -611,7 +694,8 @@ DERIVE = ["derive", "--affinity", FIXTURES / "affinity_3concepts.json", "--out",
                "--lw-gamma", "0"], "invalid choice: 'custom'", "lw_alpha_i"),
     (DERIVE + ["--lw-gamma", "0"], "unrecognized arguments: --lw-gamma 0", "lw_gamma"),
     (DERIVE + ["--no-budget-tiebreak"], "unrecognized arguments: --no-budget-tiebreak", "no_budget_tiebreak"),
-], ids=["segment", "linkage-custom", "lw-flag", "no-budget-tiebreak"])
+    (DERIVE + ["--symmetrization", "min"], "unrecognized arguments: --symmetrization min", "symmetrization"),
+], ids=["segment", "linkage-custom", "lw-flag", "no-budget-tiebreak", "symmetrization"])
 def test_removed_command_and_flags_are_usage_errors(tmp_path, capsys, argv, shown, key):
     assert run("--out-dir", tmp_path, *argv) == 1
     assert shown in capsys.readouterr().err

@@ -316,17 +316,17 @@ def test_assignment_flat_tree_single_union_encoder(triple_setup):
 
 
 def test_assignment_missing_artifact_errors(triple_setup):
+    # artifacts without an encoder for every pair cannot be built, so no node goes without one
     from hierclass.affinity import AffinityArtifacts
 
     catalog, tree, data, artifacts = triple_setup
-    gutted = AffinityArtifacts(
-        matrix=artifacts.matrix,
-        pair_encoders={},
-        config=artifacts.config,
-        input_dim=artifacts.input_dim,
-    )
-    with pytest.raises(DataError, match="no affinity encoder"):
-        train_hierarchical(tree, data, HierTrainConfig(seed=3), gutted)
+    with pytest.raises(ValueError, match=r"^pair encoders is missing pairs: c1->c2, c1->c3, c2->c1"):
+        AffinityArtifacts(
+            matrix=artifacts.matrix,
+            pair_encoders={},
+            config=artifacts.config,
+            input_dim=artifacts.input_dim,
+        )
 
 
 def test_train_hierarchical_with_artifacts_predicts(triple_setup):
