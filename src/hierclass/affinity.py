@@ -330,6 +330,8 @@ class AffinityMatrix:
     encoder: EncoderConfig | None = None
 
     def __post_init__(self) -> None:
+        if len(self.catalog) < 2:
+            raise ValueError(f"an affinity matrix relates at least 2 concepts, got {len(self.catalog)}")
         _check_pairs(self.catalog, [(r.source, r.target) for r in self.records], "affinity matrix")
 
     def score(self, source: int, target: int) -> float:
@@ -368,7 +370,8 @@ class DistanceMatrix:
 @dataclass(frozen=True)
 class AffinityArtifacts:
     """The affinity matrix and the pair encoders tuned for it, for reuse
-    downstream; ``input_dim`` is the feature width they were trained on."""
+    downstream; ``input_dim`` is the feature width they were trained on,
+    and so the input width of every pair encoder."""
 
     matrix: AffinityMatrix
     pair_encoders: dict[tuple[int, int], Mlp]
@@ -377,6 +380,10 @@ class AffinityArtifacts:
 
     def __post_init__(self) -> None:
         _check_pairs(self.matrix.catalog, list(self.pair_encoders), "pair encoders")
+        for (i, j), encoder in self.pair_encoders.items():
+            if encoder.input_dim != self.input_dim:
+                raise ValueError(f"pair encoder {i},{j} takes {encoder.input_dim} features "
+                                 f"but input_dim is {self.input_dim}")
 
 
 def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> AffinityArtifacts:

@@ -160,7 +160,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with the ``--config`` file's keys as defaults of the
     command that runs; flags on the command line override them. A key's
     value must have its flag's JSON type: an integer for an ``int`` flag, a
-    number for a ``float`` flag and a string for any other."""
+    number for a ``float`` flag and a string for any other, and be one of
+    the flag's choices if it has them."""
     parser = _build_parser()
     try:
         known, _ = _pre_parser().parse_known_args(argv)
@@ -181,9 +182,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         for action in flags:
             if action.dest in config:
                 try:  # a flag without a type takes a string
-                    config[action.dest] = JSON_READERS[action.type or str](config[action.dest], action.dest)
+                    value = JSON_READERS[action.type or str](config[action.dest], action.dest)
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError(f"{action.dest} must be one of {list(action.choices)}, got {value!r}")
                 except ValueError as exc:
                     raise DataError(f"{config_path}: config key {exc}") from None
+                config[action.dest] = value
                 action.required = False
         parser.set_defaults(**config)
         subparser.set_defaults(**config)
@@ -328,7 +332,7 @@ def _cmd_affinity(args) -> int:
 
 def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
     try:
-        artifacts = aff.AffinityArtifacts(
+        return aff.AffinityArtifacts(
             matrix=aff.affinity_from_json(obj["matrix"]),
             pair_encoders={
                 tuple(int(x) for x in key.split(",")): mlp_from_json(m)
@@ -339,13 +343,6 @@ def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
         )
     except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad artifacts file: {exc}") from None
-    for (i, j), encoder in artifacts.pair_encoders.items():
-        if encoder.input_dim != artifacts.input_dim:
-            raise DataError(
-                f"bad artifacts file: pair encoder {i},{j} takes {encoder.input_dim} features "
-                f"but input_dim is {artifacts.input_dim}"
-            )
-    return artifacts
 
 
 def _cmd_derive(args) -> int:
@@ -407,10 +404,9 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     classifier, _ = _read_json(args.clf, hmodel.classifier_from_json)
     rows, _, _ = synth.read_csv(args.data, args.label_col)
-    expected = classifier.input_dim
-    if expected is not None and rows.shape[1] != expected:
+    if rows.shape[1] != classifier.input_dim:
         raise DataError(
-            f"{args.data}: {rows.shape[1]} feature columns but the classifier expects {expected}"
+            f"{args.data}: {rows.shape[1]} feature columns but the classifier expects {classifier.input_dim}"
         )
     try:
         preds = hmodel.predict_batch(classifier, rows)
@@ -427,15 +423,12 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     classifier, sha256 = _read_json(args.clf, hmodel.classifier_from_json)
     dataset = synth.load_csv(args.data, catalog=classifier.catalog)
-    expected = classifier.input_dim
-    if expected is not None and dataset.n_features != expected:
-        raise DataError(
-            f"{args.data}: {dataset.n_features} feature columns but the classifier expects {expected}"
-        )
     try:
         report = metrics.evaluate(classifier, dataset)
     except UnscorableRowError as exc:
         raise DataError(f"{args.data}:{exc.row + 2}: {exc}") from None
+    except DataError as exc:  # the data's width is not the classifier's
+        raise DataError(f"{args.data}: {exc}") from None
     obj = metrics.report_to_json(report)
     obj["provenance"] = _provenance(args, "evaluate", [args.clf, args.data], {}, sha256, dataset.provenance["sha256"])
     out = _out_path(args, args.out)

@@ -76,17 +76,15 @@ class Dendrogram:
     steps: tuple[MergeStep, ...]
 
     def __post_init__(self) -> None:
-        if self.n_leaves < 1:
-            raise ValueError("need at least one leaf")
+        if self.n_leaves < 2:
+            raise ValueError(f"a dendrogram joins at least 2 concepts, got {self.n_leaves}")
         if len(self.steps) != self.n_leaves - 1:
             raise ValueError(f"expected {self.n_leaves - 1} merge steps, got {len(self.steps)}")
         for step in self.steps:
             if step.distance < 0:
                 raise ValueError("fusion distances are nonnegative")
-        if self.steps:
-            root_members = self.steps[-1].members
-            if sorted(root_members) != list(range(self.n_leaves)):
-                raise ValueError("final merge must cover every leaf exactly once")
+        if sorted(self.steps[-1].members) != list(range(self.n_leaves)):
+            raise ValueError("final merge must cover every leaf exactly once")
 
 
 def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
@@ -141,8 +139,6 @@ def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
     """Dissolve every merge with fusion distance >= tau, splicing its
     children into the parent's child list; see :func:`check_tau`."""
     check_tau(tau)
-    if dgm.n_leaves == 1:
-        return leaf(0)
     children_of = {s.new_id: (s.left, s.right) for s in dgm.steps}
     distance_of = {s.new_id: s.distance for s in dgm.steps}
 

@@ -110,6 +110,8 @@ class HierarchicalClassifier:
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        if self.tree.is_leaf:
+            raise ValueError("a classifier separates at least 2 concepts, its tree has 1")
         want = {node_key(n) for n in self.tree.internal_nodes()}
         have = set(self.models)
         if want != have:
@@ -121,10 +123,17 @@ class HierarchicalClassifier:
                 raise ValueError(f"child order mismatch at node {node_key(node)}")
 
     @property
-    def input_dim(self) -> int | None:
-        for model in self.models.values():
-            return model.encoder.input_dim
-        return None
+    def input_dim(self) -> int:
+        return self.models[node_key(self.tree)].encoder.input_dim
+
+
+def check_data(dataset: LabeledDataset, catalog: Catalog, width: int, what: str) -> None:
+    """The data contract of a model: ``dataset`` is over its concept
+    ``catalog`` and feature ``width``, or a DataError names what differs."""
+    if dataset.catalog != catalog:
+        raise DataError(f"{what}: concepts {list(catalog.names)} expected, the data has {list(dataset.catalog.names)}")
+    if dataset.n_features != width:
+        raise DataError(f"{what}: {width} features expected, the data has {dataset.n_features}")
 
 
 def route_child(model: NodeModel, x: np.ndarray) -> np.ndarray:
@@ -139,13 +148,12 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
     (see :attr:`NodeModel.max_feature`) raises an UnscorableRowError naming it,
     0-based, and the first node in tree order that cannot score it."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    dim = classifier.input_dim
-    if dim is not None and x.shape[1] != dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match classifier dim {dim}")
+    if x.shape[1] != classifier.input_dim:
+        raise ValueError(f"feature dim {x.shape[1]} does not match classifier dim {classifier.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature values")
     limits = {node_key(n): classifier.models[node_key(n)].max_feature for n in classifier.tree.internal_nodes()}
-    if x.size and max(x.max(), -x.min()) >= min(limits.values(), default=np.inf):  # then find the row
+    if x.size and max(x.max(), -x.min()) >= min(limits.values()):  # then find the row
         row = int(np.flatnonzero(np.abs(x).max(axis=1) >= min(limits.values()))[0])
         magnitude = np.abs(x[row]).max()
         node = next(list(key) for key, r_max in limits.items() if magnitude >= r_max)
@@ -317,8 +325,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     full-data risk, so its reported risk never exceeds the initial one.
     Returns one (weights, biases, risk history) per problem: a list of the
     (n, d) weights and a list of the (n,) biases of its groupings, and one
-    (P_g,) risk array per epoch. An empty child group is a DataError naming
-    the member, counted over every problem's groupings.
+    (P_g,) risk array per epoch. Every child of a grouping holds rows.
 
     Layout: one latent array per problem. A window of consecutive steps,
     at most STEP_SCORES latent values, gathers its rows batch-major, (rows,
@@ -338,11 +345,6 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     sizes = [len(idx) for idx in child_idx]
     counts = np.concatenate(n_children)
     members = [np.asarray(row, dtype=int) for idx in child_idx for row in idx]
-    for p, (row, n) in enumerate(zip(members, counts)):
-        empty = np.flatnonzero(np.bincount(row, minlength=n) == 0)
-        if empty.size:
-            where = f" in stack member {p}" if len(members) > 1 else ""
-            raise DataError(f"empty child group(s){where}: {empty.tolist()}")
     owner = np.repeat(np.arange(len(sizes)), sizes)
     m = np.array([len(f) for f in features])
     generators = [np.random.default_rng(seed) for seed in seeds]
@@ -460,8 +462,7 @@ def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tre
         return heights[node]
 
     for tree in trees:
-        if not tree.is_leaf:
-            height(tree)
+        height(tree)
     assignment: dict[Tree, Mlp] = {}
     for h in sorted(set(heights.values())):
         starts: dict[Tree, Mlp] = {}  # node -> the encoder its union tune starts from
@@ -550,16 +551,20 @@ def train_hierarchies(
       in one ``train_node_erm_stack`` call; the partitions of one encoder
       share its rows and batch order.
 
-    Artifacts built over another catalog or feature width raise a DataError.
+    The data must hold at least 2 concepts and rows of each, and artifacts
+    must be over its catalog and feature width (:func:`check_data`): a
+    DataError names what is wrong.
     """
-    if artifacts is not None and artifacts.matrix.catalog != dataset.catalog:
-        raise DataError(f"affinity artifacts are over concepts {list(artifacts.matrix.catalog.names)}, "
-                        f"the data over {list(dataset.catalog.names)}")
-    if artifacts is not None and artifacts.input_dim != dataset.n_features:
-        raise DataError(f"affinity artifacts were trained on {artifacts.input_dim} features, "
-                        f"the data has {dataset.n_features}")
+    catalog = dataset.catalog
+    if len(catalog) < 2:
+        raise DataError(f"a classifier separates at least 2 concepts, the data has {len(catalog)}")
+    empty = [catalog.name_of(cid) for cid, n in dataset.support().items() if n == 0]
+    if empty:
+        raise DataError(f"no training rows of concepts {empty}")
+    if artifacts is not None:
+        check_data(dataset, artifacts.matrix.catalog, artifacts.input_dim, "affinity artifacts")
     for tree in trees:
-        validate_tree(tree, len(dataset.catalog))
+        validate_tree(tree, len(catalog))
 
     def problem_of(node: Tree):  # what a node's encoder is a function of
         return node_key(node), (None if artifacts is None else node)
@@ -576,44 +581,36 @@ def train_hierarchies(
     if artifacts is not None:
         assigned = _assigned_encoders(trees, artifacts, lambda key: subs[key].features)
         encoders = {problem_of(node): encoder for node, encoder in assigned.items()}
-    elif subs:
+    else:
         keys = list(subs)
         affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
         seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
         try:
             stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
         except NumericError as exc:
-            names = [dataset.catalog.name_of(cid) for cid in keys[exc.member]]
+            names = [catalog.name_of(cid) for cid in keys[exc.member]]
             raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
         encoders = {(key, None): encoder for key, (encoder, _, _) in zip(keys, stack)}
 
+    stack = train_node_erm_stack(
+        [encoders[problem] for problem in problems],
+        [subs[key].features for key, _ in problems],
+        [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts])
+         for (key, _), parts in problems.items()],
+        [[len(ck) for ck in parts] for parts in problems.values()],
+        cfg.erm,
+        [task_seed(cfg.seed, 6, *key) for key, _ in problems],
+    )
     nodes: dict = {}
-    if problems:
-        try:
-            stack = train_node_erm_stack(
-                [encoders[problem] for problem in problems],
-                [subs[key].features for key, _ in problems],
-                [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts])
-                 for (key, _), parts in problems.items()],
-                [[len(ck) for ck in parts] for parts in problems.values()],
-                cfg.erm,
-                [task_seed(cfg.seed, 6, *key) for key, _ in problems],
-            )
-        except DataError as exc:  # an empty child group: name its node and child
-            key, child = next((key, child) for (key, _), parts in problems.items() for ck in parts
-                              for child in ck if not np.isin(subs[key].labels, child).any())
-            names = [dataset.catalog.name_of(cid) for cid in key]
-            empty = [dataset.catalog.name_of(cid) for cid in child]
-            raise DataError(f"node over concept set {names}: child {empty} has no rows") from exc
-        for (problem, parts), (w, b, _) in zip(problems.items(), stack):
-            for ck, wp, bp in zip(parts, w, b):
-                nodes[problem, ck] = NodeModel(encoders[problem], wp, bp, ck)
+    for (problem, parts), (w, b, _) in zip(problems.items(), stack):
+        for ck, wp, bp in zip(parts, w, b):
+            nodes[problem, ck] = NodeModel(encoders[problem], wp, bp, ck)
     classifiers = []
     for tree in trees:
         models = {node_key(n): nodes[problem_of(n), _child_keys(n)] for n in tree.internal_nodes()}
-        provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
+        provenance = {"tree": tree_to_text(tree, catalog), "seed": cfg.seed,
                       "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
-        classifiers.append(HierarchicalClassifier(tree, dataset.catalog, models, provenance))
+        classifiers.append(HierarchicalClassifier(tree, catalog, models, provenance))
     return classifiers
 
 
@@ -718,9 +715,11 @@ def refine_global(
     form one block judged on the total. Each trial step is evaluated once,
     and the kept state takes its risks and gradients from that evaluation.
     Each node's rows and child indices are set up once per call. A
-    setting that cannot refine is a ValueError naming the argument.
+    setting that cannot refine is a ValueError naming the argument, and
+    data off the classifier's catalog or feature width a DataError.
     """
     check_refinement(lambda_orth, epochs, learning_rate, l2)
+    check_data(dataset, classifier.catalog, classifier.input_dim, "classifier")
     params, problems = _node_state(classifier, dataset)
     keys = tuple(params)
     blocks = [keys] if lambda_orth else [(key,) for key in keys]

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError
-from .hmodel import child_index_labels, node_key, predict_batch, route_child
+from .hmodel import check_data, child_index_labels, node_key, predict_batch, route_child
 from .synth import LabeledDataset
 from .treespace import Tree
 
@@ -79,19 +79,17 @@ def h_loss(tree: Tree, predicted_leaf: int, true_leaf: int) -> int:
     return len(charged_nodes(tree, predicted_leaf, true_leaf))
 
 
+@lru_cache(maxsize=256)
 def h_loss_table(tree: Tree) -> np.ndarray:
     """K x K H-loss indexed [predicted, true]; H-loss depends only on that pair.
 
-    ``h_loss`` for every pair at once: a node is charged where the two leaf
-    indicator rows differ and no ancestor of the node differs.
+    One :func:`h_loss` per pair, cached per tree like :func:`node_index`
+    and so returned read-only.
     """
-    index = node_index(tree)
-    marks = np.array([node_indicator(tree, c) for c in range(len(tree.leaf_ids()))])
-    above = np.zeros((index.count, index.count), dtype=bool)  # [node, ancestor]
-    for i, ancestors in enumerate(index.ancestors):
-        above[i, list(ancestors)] = True
-    differ = marks[:, None, :] != marks[None, :, :]
-    return (differ & ~(differ @ above.T)).sum(axis=-1)
+    k = len(tree.leaf_ids())
+    table = np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def cohen_kappa(labels_a, labels_b) -> float:
@@ -121,12 +119,11 @@ def pair_groupings(tree: Tree) -> dict[tuple[int, int], int]:
     for i_pos, i in enumerate(leaves):
         for j in leaves[i_pos + 1 :]:
             grouped[(i, j)] = 0
-    if not tree.is_leaf:
-        for child in tree.children:
-            inside = sorted(child.leaf_ids())
-            for a_pos, a in enumerate(inside):
-                for b in inside[a_pos + 1 :]:
-                    grouped[(a, b)] = 1
+    for child in tree.children:
+        inside = sorted(child.leaf_ids())
+        for a_pos, a in enumerate(inside):
+            for b in inside[a_pos + 1 :]:
+                grouped[(a, b)] = 1
     return grouped
 
 
@@ -166,10 +163,11 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
     descendant of t, and scores it correct iff the node routes it into the
     child subtree containing that concept. A row that some node cannot
     score raises :func:`~hierclass.hmodel.predict_batch`'s UnscorableRowError
-    before any node routes it.
+    before any node routes it. The dataset must be over the classifier's
+    catalog and feature width (:func:`~hierclass.hmodel.check_data`); a
+    concept may lack rows.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
+    check_data(dataset, classifier.catalog, classifier.input_dim, "classifier")
     k = len(dataset.catalog)
     preds = predict_batch(classifier, dataset.features)
     truth = dataset.labels

@@ -93,6 +93,8 @@ class PlantedSpec:
 
     def __post_init__(self) -> None:
         validate_tree(self.tree, len(self.catalog))
+        if self.tree.is_leaf:
+            raise ValueError(f"a planted hierarchy needs at least 2 concepts, got {len(self.catalog)}")
         if self.feature_dim < 1 or self.per_concept < 1:
             raise ValueError("feature_dim and per_concept must be positive")
         if len(self.level_offsets) < self.tree.height():
@@ -124,10 +126,7 @@ def generate_planted(spec: PlantedSpec, seed: int) -> LabeledDataset:
             else:
                 walk(child, point, depth + 1)
 
-    if spec.tree.is_leaf:
-        centroids[spec.tree.concept] = np.zeros(spec.feature_dim)
-    else:
-        walk(spec.tree, np.zeros(spec.feature_dim), 0)
+    walk(spec.tree, np.zeros(spec.feature_dim), 0)
 
     blocks, labels = [], []
     for cid in sorted(centroids):

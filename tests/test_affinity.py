@@ -280,6 +280,12 @@ def test_matrix_has_all_ordered_pairs(triple_artifacts):
             replace(matrix, records=matrix.records + (extra,))
     with pytest.raises(ValueError, match=r"^pair encoders holds 7 entries for the 6 ordered pairs$"):
         replace(triple_artifacts, pair_encoders={**triple_artifacts.pair_encoders, (1, 1): encoders[(1, 0)]})
+    # every pair encoder takes the artifacts' feature width
+    with pytest.raises(ValueError, match=r"^pair encoder 0,1 takes 10 features but input_dim is 5$"):
+        replace(triple_artifacts, input_dim=5)
+    # one concept has no pairs: no matrix
+    with pytest.raises(ValueError, match=r"^an affinity matrix relates at least 2 concepts, got 1$"):
+        replace(matrix, catalog=Catalog(("c1",)), records=())
 
 
 def test_overlapping_pair_scores_dominate_remote(triple_artifacts):

@@ -490,6 +490,17 @@ def test_config_value_of_another_type_is_a_data_error(tmp_path, planted_csv, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tree.nwk"]
 
 
+def test_config_value_outside_its_flags_choices_is_a_data_error(tmp_path, capsys):
+    # raised before the affinity file, which does not exist, is read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"linkage": "bogus"}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "derive", "--affinity", tmp_path / "missing.json",
+               "--out", "t.nwk") == 2
+    assert capsys.readouterr().err == (f"data error: {cfg}: config key linkage must be one of "
+                                       "['single', 'complete', 'average'], got 'bogus'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_config_values_are_read_as_their_flags_types(tmp_path, monkeypatch):
     from hierclass import cli
 
@@ -769,6 +780,39 @@ def test_predict_dimension_mismatch_is_data_error(tmp_path, planted_csv, capsys)
                "--data", narrow, "--out", "p.csv") == 2
     assert run("--out-dir", tmp_path, "evaluate", "--clf", tmp_path / "clf.json",
                "--data", narrow, "--out", "r.json") == 2
+
+
+ONE_CONCEPT = {
+    "one.csv": "f0,f1,label\n0.0,1.0,a\n1.0,0.0,a\n0.5,0.5,a\n1.0,1.0,a\n",
+    "tree.nwk": "a\n",
+    "spec.json": json.dumps({"names": ["a"], "tree": "a", "feature_dim": 2, "per_concept": 4,
+                             "level_offsets": [1.0], "noise": 1.0}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--spec", "spec.json", "--out", "out.csv"],
+    ["train", "--data", "one.csv", "--tree", "tree.nwk", "--out", "out.json"],
+    ["search", "--data", "one.csv", "--out", "out.csv"],
+    ["compare", "--data", "one.csv", "--derived", "tree.nwk", "--expert", "tree.nwk", "--out", "out.json"],
+], ids=lambda argv: argv[0])
+def test_one_concept_is_a_data_error_naming_the_count(tmp_path, monkeypatch, capsys, argv):
+    for name, text in ONE_CONCEPT.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert "at least 2 concepts, " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ONE_CONCEPT)
+
+
+def test_classifier_over_one_concept_is_a_data_error(tmp_path, capsys):
+    clf = tmp_path / "clf.json"
+    clf.write_text(json.dumps({"format": "hierclass-classifier-v1", "concepts": ["a"], "tree": "a", "nodes": []}))
+    (tmp_path / "one.csv").write_text(ONE_CONCEPT["one.csv"])
+    for command, out in (("predict", "p.csv"), ("evaluate", "r.json")):
+        assert run("--out-dir", tmp_path, command, "--clf", clf, "--data", tmp_path / "one.csv", "--out", out) == 2
+        assert "bad classifier JSON: a classifier separates at least 2 concepts" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clf.json", "one.csv"]
 
 
 @pytest.fixture(scope="module")

@@ -63,8 +63,8 @@ def test_agglomerate_hand_trace_k3():
 
 
 def test_agglomerate_single_concept():
-    dgm = agglomerate(_dm([[0.0]]), LinkageParams(preset="average"))
-    assert dgm.n_leaves == 1 and dgm.steps == ()
+    with pytest.raises(ValueError, match="a dendrogram joins at least 2 concepts, got 1"):
+        agglomerate(_dm([[0.0]]), LinkageParams(preset="average"))
 
 
 @pytest.mark.parametrize("method", ["single", "complete", "average"])
@@ -134,8 +134,9 @@ def test_collapse_dissolves_inner_nodes():
 
 
 def test_collapse_single_leaf():
-    dgm = agglomerate(_dm([[0.0]]), LinkageParams(preset="average"))
-    assert collapse_threshold(dgm, tau=0.5) == leaf(0)
+    # no one-concept dendrogram exists to collapse into a single leaf
+    with pytest.raises(ValueError, match="at least 2 concepts, got 1"):
+        Dendrogram(n_leaves=1, steps=())
 
 
 def test_collapse_rejects_negative_tau(k3_dendrogram):

@@ -101,15 +101,6 @@ def test_train_node_erm_separates_separable_groups():
     assert returned_risk == min(risk[0] for risk in history) <= history[0][0]
 
 
-def test_train_node_erm_rejects_empty_child_group():
-    encoder = _identity_encoder(3)
-    with pytest.raises(DataError, match=r"empty child group\(s\): \[1\]"):
-        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 0, 0, 0]])], [[2]], ErmConfig(), [0])
-    with pytest.raises(DataError, match="empty child group.* in stack member 1"):
-        train_node_erm_stack([encoder], [np.zeros((4, 3))], [np.array([[0, 1, 0, 1], [0, 0, 0, 0]])], [[2, 2]],
-                             ErmConfig(), [0])
-
-
 def _groupings(n_concepts, n_children):
     """Every partition of concepts 0..n-1 into n_children blocks, as the block
     index of each concept (blocks numbered by first member)."""
@@ -860,19 +851,55 @@ def test_diverging_scratch_encoder_names_its_concept_set():
 
 
 @pytest.mark.parametrize(
-    "tree, node",
-    [
-        (internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])]), "'c', 'd'"),
-        (internal([leaf(0), leaf(1), leaf(2), leaf(3)]), "'a', 'b', 'c', 'd'"),
-    ],
+    "tree",
+    [internal([internal([leaf(0), leaf(1)]), internal([leaf(2), leaf(3)])]),
+     internal([leaf(0), leaf(1), leaf(2), leaf(3)])],
     ids=["pairs", "flat"],
 )
-def test_concept_without_rows_names_its_node_and_child(tree, node):
+def test_concept_without_rows_is_named(tree):
     train, _ = _search_split(4)
     keep = train.labels != 2
     no_c = LabeledDataset(train.features[keep], train.labels[keep], train.catalog)
-    with pytest.raises(DataError, match=rf"node over concept set \[{node}\]: child \['c'\] has no rows"):
+    with pytest.raises(DataError, match=r"no training rows of concepts \['c'\]$"):
         train_hierarchical(tree, no_c, FAST_CFG)
+
+
+def test_training_names_every_concept_without_rows():
+    # a search's many trees, or the node problems of several trees, get one
+    # error naming each concept without rows, before any node trains
+    train, _ = _search_split(4)
+    keep = np.isin(train.labels, [0, 2])
+    only_a_c = LabeledDataset(train.features[keep], train.labels[keep], train.catalog)
+    with pytest.raises(DataError, match=r"no training rows of concepts \['b', 'd'\]$"):
+        hmodel.train_hierarchies(enumerate_hierarchies(range(4)), only_a_c, FAST_CFG)
+
+
+def test_one_concept_is_no_classifier():
+    one = LabeledDataset(np.eye(4), np.zeros(4, dtype=int), Catalog(("a",)))
+    with pytest.raises(DataError, match="a classifier separates at least 2 concepts, the data has 1$"):
+        train_hierarchical(leaf(0), one, FAST_CFG)
+    with pytest.raises(ValueError, match="at least 2 concepts, its tree has 1$"):
+        HierarchicalClassifier(leaf(0), Catalog(("a",)), {})
+    with pytest.raises(DataError, match="bad classifier JSON: .*at least 2 concepts"):
+        classifier_from_json({"format": "hierclass-classifier-v1", "concepts": ["a"], "tree": "a", "nodes": []})
+
+
+@pytest.mark.parametrize("mismatch", ["reordered catalog", "narrower data"])
+def test_data_off_the_classifier_is_a_data_error(pair_tree, pair_data, mismatch):
+    # unchecked, a K=4 classifier's own rows under the reversed catalog read
+    # accuracy 0.0 without an error, and refinement on fewer features failed
+    # inside numpy's matmul
+    data = pair_data.take(np.arange(0, len(pair_data), 4))
+    clf = train_hierarchical(pair_tree, data, FAST_CFG)
+    if mismatch == "reordered catalog":
+        off = LabeledDataset(data.features, data.labels, Catalog(("D", "C", "B", "A")))
+        match = r"classifier: concepts \['A', 'B', 'C', 'D'\] expected, the data has \['D', 'C', 'B', 'A'\]$"
+    else:
+        off = LabeledDataset(data.features[:, :6], data.labels, data.catalog)
+        match = "classifier: 10 features expected, the data has 6$"
+    for call in (evaluate, refine_global):
+        with pytest.raises(DataError, match=match):
+            call(clf, off)
 
 
 # --- serialization ---------------------------------------------------------------

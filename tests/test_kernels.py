@@ -17,7 +17,7 @@ from conftest import _plain_node_erm
 from hierclass import hmodel
 from hierclass import nets as nets_module
 from hierclass.affinity import AffinityConfig, EncoderConfig, train_autoencoder_stack
-from hierclass.errors import DataError, NumericError
+from hierclass.errors import NumericError
 from hierclass.hmodel import ErmConfig, erm_risk_and_grads, train_node_erm_stack
 from hierclass.nets import (
     Layer,
@@ -489,15 +489,6 @@ def test_erm_stack_of_over_a_hundred_members():
     counts = [[2 + (g + p) % 3 for p in range(13)] for g in range(8)]
     cfg = ErmConfig(epochs=4, batch_size=BATCH, learning_rate=0.3, l2=1e-2)
     assert len(list(_each_member_alone(_problems_over(rng, rows, counts), [80 + g for g in range(8)], cfg))) == 104
-
-
-def test_ragged_erm_stack_names_an_empty_child_group_by_caller_index():
-    rng = np.random.default_rng(19)
-    encoder = init_mlp((4, 6, 3), ("relu", "sigmoid"), rng)
-    features = [rng.normal(size=(n, 4)) for n in (30, 9, 17)]
-    child_idx = [np.arange(30)[None] % 2, np.stack([np.arange(9) % 3, np.zeros(9, dtype=int)]), np.arange(17)[None] % 4]
-    with pytest.raises(DataError, match=r"empty child group\(s\) in stack member 2: \[1\]"):
-        train_node_erm_stack([encoder] * 3, features, child_idx, [[2], [3, 2], [4]], ErmConfig(), [1, 2, 3])
 
 
 def test_diverging_member_of_a_ragged_autoencoder_stack_is_named_by_caller_index():

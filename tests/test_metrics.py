@@ -102,6 +102,7 @@ def test_h_loss_table_equals_the_per_pair_table_over_all_trees_up_to_k5():
             per_pair = np.array([[h_loss(tree, p, t) for t in range(k)] for p in range(k)], dtype=int)
             table = h_loss_table(tree)
             assert table.dtype == per_pair.dtype and np.array_equal(table, per_pair)
+            assert h_loss_table(tree) is table and not table.flags.writeable  # cached per tree, read-only
 
 
 def test_h_loss_symmetric_in_leaves():

@@ -79,6 +79,8 @@ def test_spec_validation(pair_catalog, pair_tree):
         PlantedSpec(pair_catalog, pair_tree, 6, 10, (2.0, 0.0), 0.5)
     with pytest.raises(ValueError, match="level"):
         PlantedSpec(pair_catalog, pair_tree, 6, 10, (2.0,), 0.5)
+    with pytest.raises(ValueError, match="^a planted hierarchy needs at least 2 concepts, got 1$"):
+        PlantedSpec(Catalog(("a",)), pair_tree.children[0].children[0], 6, 10, (2.0,), 0.5)
 
 
 @pytest.mark.parametrize("offsets, noise, message", [
