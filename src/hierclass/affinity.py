@@ -37,7 +37,7 @@ from .nets import (
     stack_params,
     task_seed,
 )
-from .serialize import check_keys, config_from_json
+from .serialize import check_keys, config_from_json, mlp_from_json, mlp_to_json
 from .synth import LabeledDataset
 from .treespace import Catalog
 
@@ -68,11 +68,14 @@ class EncoderConfig:
 class AffinityConfig:
     """Settings for the whole affinity stage.
 
-    ``warmup`` trains the fresh decoder alone (encoder frozen) before the
-    joint ``finetune`` phase; without it, early gradients from a random
-    decoder scramble the source representation and the transfer signal with
-    it. With ``budget`` 0 or ``finetune.epochs`` 0 there is no joint phase,
-    and the source encoder is scored frozen.
+    A transfer trains on ``budget`` rows of its target's pool, the rows
+    left after holding out ``holdout_fraction``: all of them when the pool
+    is smaller (:func:`capped_budget`) or ``budget`` is 0. ``warmup`` trains
+    the fresh decoder alone (encoder frozen) before the joint ``finetune``
+    phase; without it, early gradients from a random decoder scramble the
+    source representation and the transfer signal with it. With ``budget``
+    0 or ``finetune.epochs`` 0 there is no joint phase, and the source
+    encoder is scored frozen.
     """
 
     encoder: EncoderConfig = EncoderConfig(hidden_dim=24)
@@ -132,28 +135,29 @@ def make_decoder(input_dim: int, cfg: EncoderConfig, rng) -> Mlp:
 
 
 def train_autoencoder_stack(
-    data, cfg: AffinityConfig, seeds
+    data, encoder: EncoderConfig, schedule: SgdConfig, seeds
 ) -> list[tuple[Mlp, Mlp, float]]:
-    """Train one encoder/decoder pair per example matrix as one stacked SGD.
+    """Train one ``encoder``-shaped autoencoder per example matrix under the
+    SGD ``schedule``, as one stacked SGD.
 
     Every ``data[s]`` is a nonempty (N_s, dim) matrix, of one shared width
     and any row count. Member s draws its initialization and batch order
     from ``seeds[s]`` alone, so it gets exactly what it gets trained alone,
-    as ``train_autoencoder_stack([data[s]], cfg, [seeds[s]])[0]``: the
-    trained pair plus the final held-in mean reconstruction loss. A
+    as ``train_autoencoder_stack([data[s]], encoder, schedule, [seeds[s]])[0]``:
+    the trained pair plus the final held-in mean reconstruction loss. A
     NumericError names the diverging member in its ``member``.
     """
     x = [np.asarray(d, dtype=float) for d in data]
     if any(d.ndim != 2 or d.shape[0] < 1 or d.shape[1] != x[0].shape[1] for d in x):
         raise ValueError("need nonempty (N, dim) example matrices of one width")
     init_rngs = [np.random.default_rng([seed, 0]) for seed in seeds]
-    encoders = [make_encoder(x[0].shape[1], cfg.encoder, rng) for rng in init_rngs]
-    decoders = [make_decoder(x[0].shape[1], cfg.encoder, rng) for rng in init_rngs]
+    encoders = [make_encoder(x[0].shape[1], encoder, rng) for rng in init_rngs]
+    decoders = [make_decoder(x[0].shape[1], encoder, rng) for rng in init_rngs]
     train_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
     n_enc = len(encoders[0].layers)
     params = stack_params(encoders) + stack_params(decoders)
     acts = [layer.activation for layer in encoders[0].layers + decoders[0].layers]
-    _, final = sgd_reconstruction(params, acts, x, x, cfg.pretrain, train_rngs)
+    _, final = sgd_reconstruction(params, acts, x, x, schedule, train_rngs)
     return [
         (member_mlp(params[:n_enc], s, encoders[0]), member_mlp(params[n_enc:], s, decoders[0]),
          float(final[s]))
@@ -168,8 +172,9 @@ def _held_out_count(n: int, fraction: float) -> int:
 
 
 def capped_budget(n_rows: int, cfg: AffinityConfig) -> int:
-    """The number of target rows a transfer toward ``n_rows`` examples
-    trains on: ``cfg.budget``, capped at the pool left after holding out."""
+    """The budget recorded for a transfer toward ``n_rows`` examples:
+    ``cfg.budget``, capped at the pool left after holding out. A transfer
+    trains on that many rows, or on the whole pool at budget 0."""
     return min(cfg.budget, n_rows - _held_out_count(n_rows, cfg.holdout_fraction))
 
 
@@ -183,30 +188,31 @@ def _holdout_split(n: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarray
 def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]:
     """Fine-tune copies of same-shaped encoders toward target concepts.
 
-    Each task is ``(encoders, target_data, budget, seed)``. For each of its
-    encoders, a fresh decoder is first trained alone (warmup), then jointly
-    with a copy of the encoder, on exactly ``budget`` target examples drawn
-    from the non-held-out pool; the returned loss is measured on the task's
-    held-out slice. With budget 0 the encoder is left untouched and only the
-    fresh decoder is trained (on the pool), scoring the source
-    representation as-is; with ``finetune.epochs`` 0 the same holds on the
-    ``budget`` examples. All of a task's randomness (slices, decoder init,
-    batch schedule) derives from its ``seed`` alone, so runs toward the same
-    target are directly comparable.
+    Each task is ``(encoders, target_data, seed)``. Its target rows split
+    into a held-out slice and a pool, and it trains on the first
+    ``cfg.budget`` pool rows: :func:`capped_budget` of them, or the whole
+    pool at budget 0. For each of its encoders, a fresh decoder is first
+    trained alone (warmup), then jointly with a copy of the encoder; the
+    returned loss is measured on the task's held-out slice. With
+    ``cfg.budget`` 0 or ``finetune.epochs`` 0 there is no joint phase: the
+    encoder is left untouched and only the fresh decoder trains, scoring
+    the source representation as-is. All of a task's randomness (slices,
+    decoder init, batch schedule) derives from its ``seed`` alone, so runs
+    toward the same target are directly comparable.
 
-    Tasks that agree on whether the joint phase runs train as one stack,
-    whatever their row counts: one warmup SGD over the frozen encoders'
-    cached latents, then one joint SGD through 3-D matmuls. The members of
-    one task hold one batch-order Generator and so share its order; each
-    task draws its own. Encoder i of task t returns exactly what tuning it
-    alone under that task's seed returns. Returns one list of (encoder,
-    loss) per task. A NumericError names the diverging task and encoder,
-    and carries in ``member`` the encoder's position in the concatenation
-    of every task's encoders.
+    Every task trains in one stack, whatever its row count: one warmup SGD
+    over the frozen encoders' cached latents, then one joint SGD through
+    3-D matmuls. The members of one task hold one batch-order Generator and
+    so share its order; each task draws its own. Encoder i of task t
+    returns exactly what tuning it alone under that task's seed returns.
+    Returns one list of (encoder, loss) per task. A NumericError names the
+    diverging task and encoder, and carries in ``member`` the encoder's
+    position in the concatenation of every task's encoders.
     """
+    if not tasks:
+        return []
     prepared = []  # per task: training rows, held-out rows, fresh decoder, batch-order Generator
-    groups: dict[bool, list[int]] = {}  # joint phase -> tasks
-    for t, (encoders, target_data, budget, seed) in enumerate(tasks):
+    for encoders, target_data, seed in tasks:
         target_data = np.asarray(target_data, dtype=float)
         if target_data.ndim != 2 or target_data.shape[0] < 2:
             raise ValueError("need at least 2 target examples (one is held out)")
@@ -215,50 +221,35 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
         pool, heldout = _holdout_split(
             target_data.shape[0], cfg.holdout_fraction, np.random.default_rng([seed, 0])
         )
-        if budget > pool.size:
-            raise ValueError(
-                f"budget {budget} exceeds the {pool.size} target examples available "
-                f"after holding out {heldout.size}"
-            )
         decoder = make_decoder(target_data.shape[1], cfg.encoder, np.random.default_rng([seed, 1]))
-        rows = target_data[pool] if budget == 0 else target_data[pool[:budget]]
-        prepared.append((rows, target_data[heldout], decoder, np.random.default_rng([seed, 2])))
-        groups.setdefault(budget > 0 and cfg.finetune.epochs > 0, []).append(t)
+        prepared.append((target_data[pool[: cfg.budget or None]], target_data[heldout], decoder,
+                         np.random.default_rng([seed, 2])))
 
-    results: list[list[tuple[Mlp, float]]] = [[] for _ in tasks]
-    for joint, group in groups.items():
-        owners = [(t, i) for t in group for i in range(len(tasks[t][0]))]
-        encoders = [tasks[t][0][i] for t, i in owners]
-        rows, _, decoders, rngs = zip(*(prepared[t] for t, _ in owners))
-        enc_params, dec_params = stack_params(encoders), stack_params(decoders)
-        enc_acts = [layer.activation for layer in encoders[0].layers]
-        dec_acts = [layer.activation for layer in decoders[0].layers]
-        latents, lo = [], 0
-        for t in group:  # a task's encoders on its rows, shared by its members
-            hi = lo + len(tasks[t][0])
-            latents += list(forward([[w[lo:hi], b[lo:hi]] for w, b in enc_params], enc_acts, prepared[t][0]))
-            lo = hi
-        try:
-            sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, rngs)
-            if joint:
-                sgd_reconstruction(
-                    enc_params + dec_params, enc_acts + dec_acts, rows, rows, cfg.finetune, rngs
-                )
-        except NumericError as exc:
-            t, i = owners[exc.member]
-            member = sum(len(task[0]) for task in tasks[:t]) + i
-            raise NumericError(f"fine-tune task {t}, encoder {i}: {exc}", member) from exc
+    bounds = np.cumsum([0, *(len(encoders) for encoders, _, _ in tasks)])  # each task's members
+    owner = np.repeat(np.arange(len(tasks)), np.diff(bounds))
+    encoders = [encoder for task_encoders, _, _ in tasks for encoder in task_encoders]
+    rows, _, decoders, rngs = zip(*(prepared[t] for t in owner))
+    enc_params, dec_params = stack_params(encoders), stack_params(decoders)
+    enc_acts = [layer.activation for layer in encoders[0].layers]
+    dec_acts = [layer.activation for layer in decoders[0].layers]
+    latents = []
+    for lo, hi, (task_rows, *_) in zip(bounds, bounds[1:], prepared):  # shared by a task's members
+        latents += list(forward([[w[lo:hi], b[lo:hi]] for w, b in enc_params], enc_acts, task_rows))
+    joint = cfg.budget > 0 and cfg.finetune.epochs > 0
+    try:
+        sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, rngs)
+        if joint:
+            sgd_reconstruction(enc_params + dec_params, enc_acts + dec_acts, rows, rows, cfg.finetune, rngs)
+    except NumericError as exc:
+        t = owner[exc.member]
+        raise NumericError(f"fine-tune task {t}, encoder {exc.member - bounds[t]}: {exc}", exc.member) from exc
 
-        lo = 0
-        for t in group:
-            held, hi = prepared[t][1], lo + len(tasks[t][0])
-            task_params = [[w[lo:hi], b[lo:hi]] for w, b in enc_params + dec_params]
-            losses = member_mse(task_params, enc_acts + dec_acts, held, held)
-            results[t] = [
-                (member_mlp(enc_params, s, encoders[s]) if joint else encoders[s], float(losses[s - lo]))
-                for s in range(lo, hi)
-            ]
-            lo = hi
+    results = []
+    for lo, hi, (_, held, _, _) in zip(bounds, bounds[1:], prepared):
+        task_params = [[w[lo:hi], b[lo:hi]] for w, b in enc_params + dec_params]
+        losses = member_mse(task_params, enc_acts + dec_acts, held, held)
+        results.append([(member_mlp(enc_params, s, encoders[s]) if joint else encoders[s], float(losses[s - lo]))
+                        for s in range(lo, hi)])
     return results
 
 
@@ -411,7 +402,7 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     per_concept = {cid: dataset.of_concept(cid) for cid in ids}
     seeds = [task_seed(cfg.seed, 1, cid) for cid in ids]
     try:
-        stack = train_autoencoder_stack([per_concept[cid] for cid in ids], cfg, seeds)
+        stack = train_autoencoder_stack([per_concept[cid] for cid in ids], cfg.encoder, cfg.pretrain, seeds)
     except NumericError as exc:
         name = catalog.name_of(ids[exc.member])
         raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
@@ -421,10 +412,9 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     for dst in ids:
         rows = per_concept[dst]
         seed = task_seed(cfg.seed, 2, dst)  # shared by every fine-tune toward dst
-        sources = [src for src in ids if src != dst]
         fresh = make_encoder(rows.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
-        tasks.append(([pretrained[src] for src in sources] + [fresh], rows, capped_budget(rows.shape[0], cfg), seed))
-        members += [(src, dst) for src in sources] + [(None, dst)]
+        tasks.append(([pretrained[src] for src in ids if src != dst] + [fresh], rows, seed))
+        members += [(src, dst) for src in ids if src != dst] + [(None, dst)]
     try:
         tuned = fine_tune_stack(tasks, cfg)
     except NumericError as exc:
@@ -432,35 +422,23 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         what = "scratch reference" if src is None else f"transfer from {catalog.name_of(src)!r}"
         raise NumericError(f"{what} toward {catalog.name_of(dst)!r}: {exc}", exc.member) from exc
 
-    transfers = {}
-    for dst, (_, _, budget, _), (*stack, (_, l_ref)) in zip(ids, tasks, tuned):
-        for src, (encoder, l_ft) in zip([src for src in ids if src != dst], stack):
-            p = raw_transfer_score(l_ft, l_ref)
-            record = AffinityRecord(
-                source=src,
-                target=dst,
-                p=p,
-                budget=budget,
-                score=final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta),
-            )
-            transfers[(src, dst)] = (record, encoder)
-
-    pairs = sorted(transfers)
+    records, pair_encoders = [], {}
+    for src, dst in ((src, dst) for src in ids for dst in ids if src != dst):
+        (encoder, l_ft), (_, l_ref) = tuned[dst][src - (src > dst)], tuned[dst][-1]  # sources skip dst
+        p, budget = raw_transfer_score(l_ft, l_ref), capped_budget(len(per_concept[dst]), cfg)
+        score = final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta)
+        records.append(AffinityRecord(source=src, target=dst, p=p, budget=budget, score=score))
+        pair_encoders[src, dst] = encoder
     matrix = AffinityMatrix(
         catalog=catalog,
         alpha=cfg.alpha,
         beta=cfg.beta,
         b_max=cfg.b_max,
         seed=cfg.seed,
-        records=tuple(transfers[pair][0] for pair in pairs),
+        records=tuple(records),
         encoder=cfg.encoder,
     )
-    return AffinityArtifacts(
-        matrix=matrix,
-        pair_encoders={pair: transfers[pair][1] for pair in pairs},
-        config=cfg,
-        input_dim=dataset.n_features,
-    )
+    return AffinityArtifacts(matrix=matrix, pair_encoders=pair_encoders, config=cfg, input_dim=dataset.n_features)
 
 
 def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
@@ -526,6 +504,31 @@ def affinity_from_json(obj: dict) -> AffinityMatrix:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad affinity JSON: {exc}") from None
+
+
+def artifacts_to_json(artifacts: AffinityArtifacts) -> dict:
+    return {
+        "matrix": affinity_to_json(artifacts.matrix),
+        "input_dim": artifacts.input_dim,
+        "config": affinity_config_to_json(artifacts.config),
+        "pair_encoders": {f"{i},{j}": mlp_to_json(m) for (i, j), m in artifacts.pair_encoders.items()},
+    }
+
+
+def artifacts_from_json(obj: dict) -> AffinityArtifacts:
+    """Read what :func:`artifacts_to_json` writes; a DataError says what is wrong."""
+    try:
+        return AffinityArtifacts(
+            matrix=affinity_from_json(obj["matrix"]),
+            pair_encoders={
+                tuple(int(x) for x in key.split(",")): mlp_from_json(m)
+                for key, m in obj["pair_encoders"].items()
+            },
+            config=affinity_config_from_json(obj["config"]),
+            input_dim=int(obj["input_dim"]),
+        )
+    except (DataError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad artifacts file: {exc}") from None
 
 
 def distance_to_csv(dm: DistanceMatrix) -> str:

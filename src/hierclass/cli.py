@@ -28,15 +28,7 @@ from . import affinity as aff
 from . import derive as drv
 from . import hmodel, metrics, synth, treespace
 from .errors import DataError, NumericError, UnscorableRowError
-from .serialize import (
-    JSON_READERS,
-    atomic_write_json,
-    atomic_write_text,
-    load_json,
-    mlp_from_json,
-    mlp_to_json,
-    read_bytes,
-)
+from .serialize import JSON_READERS, atomic_write_json, atomic_write_text, load_json, read_bytes
 
 
 _AFFINITY = aff.AffinityConfig()
@@ -313,14 +305,8 @@ def _cmd_affinity(args) -> int:
     atomic_write_json(out, obj)
     print(f"affinity matrix ({len(artifacts.matrix.records)} pairs) -> {out}")
     if args.artifacts:
-        arts_obj = {
-            "matrix": aff.affinity_to_json(artifacts.matrix),
-            "input_dim": artifacts.input_dim,
-            "config": aff.affinity_config_to_json(cfg),
-            "pair_encoders": {f"{i},{j}": mlp_to_json(m) for (i, j), m in artifacts.pair_encoders.items()},
-        }
         arts_path = _out_path(args, args.artifacts)
-        atomic_write_json(arts_path, arts_obj)
+        atomic_write_json(arts_path, aff.artifacts_to_json(artifacts))
         print(f"encoders -> {arts_path}")
     if args.distance_csv:
         dm = aff.symmetrize_to_distance(artifacts.matrix)
@@ -328,21 +314,6 @@ def _cmd_affinity(args) -> int:
         atomic_write_text(dist_path, aff.distance_to_csv(dm))
         print(f"distance matrix -> {dist_path}")
     return 0
-
-
-def _artifacts_from_json(obj) -> aff.AffinityArtifacts:
-    try:
-        return aff.AffinityArtifacts(
-            matrix=aff.affinity_from_json(obj["matrix"]),
-            pair_encoders={
-                tuple(int(x) for x in key.split(",")): mlp_from_json(m)
-                for key, m in obj["pair_encoders"].items()
-            },
-            config=aff.affinity_config_from_json(obj["config"]),
-            input_dim=int(obj["input_dim"]),
-        )
-    except (DataError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad artifacts file: {exc}") from None
 
 
 def _cmd_derive(args) -> int:
@@ -379,7 +350,7 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     artifacts, hashes = None, [dataset.provenance["sha256"], tree_sha256]
     if args.artifacts:
-        artifacts, artifacts_sha256 = _read_json(args.artifacts, _artifacts_from_json)
+        artifacts, artifacts_sha256 = _read_json(args.artifacts, aff.artifacts_from_json)
         hashes.append(artifacts_sha256)
     classifier = hmodel.train_hierarchical(tree, dataset, cfg, artifacts=artifacts)
     if args.refine_epochs != 0:

@@ -18,14 +18,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .affinity import (
-    AffinityArtifacts,
-    AffinityConfig,
-    EncoderConfig,
-    capped_budget,
-    fine_tune_stack,
-    train_autoencoder_stack,
-)
+from .affinity import AffinityArtifacts, EncoderConfig, fine_tune_stack, train_autoencoder_stack
 from .errors import DataError, NumericError, UnscorableRowError
 from .nets import (
     Mlp,
@@ -134,6 +127,17 @@ def check_data(dataset: LabeledDataset, catalog: Catalog, width: int, what: str)
         raise DataError(f"{what}: concepts {list(catalog.names)} expected, the data has {list(dataset.catalog.names)}")
     if dataset.n_features != width:
         raise DataError(f"{what}: {width} features expected, the data has {dataset.n_features}")
+
+
+def check_training_rows(dataset: LabeledDataset) -> None:
+    """What training and refinement need of their data: at least 2 concepts
+    and rows of each, or a DataError names what is missing."""
+    catalog = dataset.catalog
+    if len(catalog) < 2:
+        raise DataError(f"a classifier separates at least 2 concepts, the data has {len(catalog)}")
+    empty = [catalog.name_of(cid) for cid, n in dataset.support().items() if n == 0]
+    if empty:
+        raise DataError(f"no training rows of concepts {empty}")
 
 
 def route_child(model: NodeModel, x: np.ndarray) -> np.ndarray:
@@ -479,10 +483,8 @@ def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tre
                     key=lambda c: (len(c.leaf_ids()), -c.min_leaf()),
                 )]
             starts[node] = encoder
-        tasks = []
-        for node, encoder in starts.items():
-            rows = rows_of(node_key(node))
-            tasks.append(([encoder], rows, capped_budget(len(rows), cfg), task_seed(cfg.seed, 4, *node_key(node))))
+        tasks = [([encoder], rows_of(node_key(node)), task_seed(cfg.seed, 4, *node_key(node)))
+                 for node, encoder in starts.items()]
         for node, [(tuned, _)] in zip(starts, fine_tune_stack(tasks, cfg)):
             assignment[node] = tuned
     return assignment
@@ -551,16 +553,12 @@ def train_hierarchies(
       in one ``train_node_erm_stack`` call; the partitions of one encoder
       share its rows and batch order.
 
-    The data must hold at least 2 concepts and rows of each, and artifacts
-    must be over its catalog and feature width (:func:`check_data`): a
-    DataError names what is wrong.
+    The data must hold at least 2 concepts and rows of each
+    (:func:`check_training_rows`), and artifacts must be over its catalog
+    and feature width (:func:`check_data`): a DataError names what is wrong.
     """
+    check_training_rows(dataset)
     catalog = dataset.catalog
-    if len(catalog) < 2:
-        raise DataError(f"a classifier separates at least 2 concepts, the data has {len(catalog)}")
-    empty = [catalog.name_of(cid) for cid, n in dataset.support().items() if n == 0]
-    if empty:
-        raise DataError(f"no training rows of concepts {empty}")
     if artifacts is not None:
         check_data(dataset, artifacts.matrix.catalog, artifacts.input_dim, "affinity artifacts")
     for tree in trees:
@@ -583,10 +581,9 @@ def train_hierarchies(
         encoders = {problem_of(node): encoder for node, encoder in assigned.items()}
     else:
         keys = list(subs)
-        affinity_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
         seeds = [task_seed(cfg.seed, 5, *key) for key in keys]
         try:
-            stack = train_autoencoder_stack([subs[key].features for key in keys], affinity_cfg, seeds)
+            stack = train_autoencoder_stack([subs[key].features for key in keys], cfg.encoder, cfg.pretrain, seeds)
         except NumericError as exc:
             names = [catalog.name_of(cid) for cid in keys[exc.member]]
             raise NumericError(f"scratch encoder of concept set {names}: {exc}", exc.member) from exc
@@ -715,11 +712,13 @@ def refine_global(
     form one block judged on the total. Each trial step is evaluated once,
     and the kept state takes its risks and gradients from that evaluation.
     Each node's rows and child indices are set up once per call. A
-    setting that cannot refine is a ValueError naming the argument, and
-    data off the classifier's catalog or feature width a DataError.
+    setting that cannot refine is a ValueError naming the argument. Data
+    off the classifier's catalog or feature width, or without rows of some
+    concept, is a DataError, as in training.
     """
     check_refinement(lambda_orth, epochs, learning_rate, l2)
     check_data(dataset, classifier.catalog, classifier.input_dim, "classifier")
+    check_training_rows(dataset)
     params, problems = _node_state(classifier, dataset)
     keys = tuple(params)
     blocks = [keys] if lambda_orth else [(key,) for key in keys]

@@ -179,9 +179,7 @@ def test_criterion_04_gradient_checks():
     from hierclass.affinity import train_autoencoder_stack
 
     [(trained_enc, _, _)] = train_autoencoder_stack(
-        [source.of_concept(0)[:80]],
-        AffinityConfig(encoder=EncoderConfig(hidden_dim=5, latent_dim=2)),
-        [0],
+        [source.of_concept(0)[:80]], EncoderConfig(hidden_dim=5, latent_dim=2), AffinityConfig().pretrain, [0]
     )
     target = source.of_concept(1)[:8]
     for point in range(20):

@@ -29,6 +29,8 @@ from hierclass.affinity import (
     affinity_config_to_json,
     affinity_from_json,
     affinity_to_json,
+    artifacts_from_json,
+    artifacts_to_json,
     build_affinity_artifacts,
     capped_budget,
     distance_to_csv,
@@ -65,19 +67,19 @@ def test_autoencoder_recovers_linear_subspace():
     rng = np.random.default_rng(0)
     basis = rng.normal(size=(2, 6))
     data = rng.normal(size=(100, 2)) @ basis
-    _, _, loss = train_autoencoder_stack([data], LINEAR_CFG, [0])[0]
+    _, _, loss = train_autoencoder_stack([data], LINEAR_CFG.encoder, LINEAR_CFG.pretrain, [0])[0]
     assert loss < 1e-3
 
 
 def test_autoencoder_on_all_zero_data_is_lossless():
     cfg = replace(LINEAR_CFG, encoder=replace(LINEAR_CFG.encoder, hidden_activation="relu"))
-    _, _, loss = train_autoencoder_stack([np.zeros((20, 6))], cfg, [0])[0]
+    _, _, loss = train_autoencoder_stack([np.zeros((20, 6))], cfg.encoder, cfg.pretrain, [0])[0]
     assert loss == 0.0
 
 
 def test_autoencoder_rejects_empty_or_mismatched_data():
     with pytest.raises(ValueError):
-        train_autoencoder_stack([np.zeros((0, 4))], AffinityConfig(), [0])
+        train_autoencoder_stack([np.zeros((0, 4))], EncoderConfig(), SgdConfig(), [0])
     with pytest.raises(ValueError):
         make_encoder(3, EncoderConfig(latent_dim=5), np.random.default_rng(0))
 
@@ -115,29 +117,21 @@ def test_training_loss_never_increases_net_across_seeds():
 # --- fine-tuning -------------------------------------------------------------
 
 
-def test_fine_tune_budget_exceeds_pool():
-    cfg = AffinityConfig()
-    enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
-    data = np.random.default_rng(1).normal(size=(20, 4))
-    with pytest.raises(ValueError, match="budget"):
-        fine_tune_stack([([enc], data, 17, 0)], cfg)  # pool is 16 after 20% holdout
-
-
 def test_fine_tune_zero_budget_keeps_encoder():
-    cfg = AffinityConfig()
+    cfg = AffinityConfig(budget=0)
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
     data = np.random.default_rng(1).normal(size=(30, 4))
-    [[(tuned, l_ft)]] = fine_tune_stack([([enc], data, 0, 0)], cfg)
+    [[(tuned, l_ft)]] = fine_tune_stack([([enc], data, 0)], cfg)
     assert tuned is enc
     assert l_ft >= 0.0
 
 
 def test_fine_tune_is_deterministic_in_seed():
-    cfg = AffinityConfig()
+    cfg = AffinityConfig(budget=10)
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
     data = np.random.default_rng(1).normal(size=(40, 4))
-    [[(_, a)]] = fine_tune_stack([([enc], data, 10, 5)], cfg)
-    [[(_, b)]] = fine_tune_stack([([enc], data, 10, 5)], cfg)
+    [[(_, a)]] = fine_tune_stack([([enc], data, 5)], cfg)
+    [[(_, b)]] = fine_tune_stack([([enc], data, 5)], cfg)
     assert a == b
 
 
@@ -147,10 +141,11 @@ def test_self_transfer_dominates_on_planted_data():
     spec = PlantedSpec(cat, tree, 10, 150, (9.0, 3.0), 2.0)
     data = generate_planted(spec, seed=0)
     cfg = AffinityConfig(seed=0)
-    encoders = {c: train_autoencoder_stack([data.of_concept(c)], cfg, [100 + c])[0][0] for c in range(3)}
-    for target in range(3):
+    encoders = {c: train_autoencoder_stack([data.of_concept(c)], cfg.encoder, cfg.pretrain, [100 + c])[0][0]
+                for c in range(3)}
+    for target in range(3):  # the default budget, 80 of the 120 pool rows
         losses = {
-            src: fine_tune_stack([([encoders[src]], data.of_concept(target), 80, 500 + target)], cfg)[0][0][1]
+            src: fine_tune_stack([([encoders[src]], data.of_concept(target), 500 + target)], cfg)[0][0][1]
             for src in range(3)
         }
         assert min(losses, key=losses.get) == target
@@ -165,15 +160,16 @@ def test_fresh_encoder_fine_tune_matches_autoencoder_regime():
     tree = internal([internal([leaf(0), leaf(1)]), leaf(2)])
     data = generate_planted(PlantedSpec(cat, tree, 10, 150, (9.0, 3.0), 2.0), seed=4)
     x = data.of_concept(0)
-    cfg = AffinityConfig(
+    cfg = AffinityConfig(  # a budget of every row, capped at the pool
         warmup=SgdConfig(epochs=0, batch_size=32, learning_rate=0.1),
         finetune=SgdConfig(epochs=60, batch_size=32, learning_rate=0.1),
+        budget=x.shape[0],
+        b_max=x.shape[0],
     )
-    pool_size = x.shape[0] - max(1, round(0.2 * x.shape[0]))
     fresh = make_encoder(10, cfg.encoder, np.random.default_rng([9, 3]))
-    [[(_, l_ft)]] = fine_tune_stack([([fresh], x, pool_size, 9)], cfg)
+    [[(_, l_ft)]] = fine_tune_stack([([fresh], x, 9)], cfg)
     pool, held = _holdout_split(x.shape[0], 0.2, np.random.default_rng([9, 0]))
-    [(enc, dec, _)] = train_autoencoder_stack([x[pool]], cfg, [77])
+    [(enc, dec, _)] = train_autoencoder_stack([x[pool]], cfg.encoder, cfg.pretrain, [77])
     l_ae = reconstruction_loss(enc, dec, x[held])
     assert abs(l_ft - l_ae) / l_ae < 0.15
 
@@ -184,8 +180,8 @@ def test_identical_distribution_target_matches_own_loss():
     sample_a = base + rng.normal(size=(200, 10))
     sample_b = base + rng.normal(size=(200, 10))
     cfg = AffinityConfig(seed=5)
-    [(encoder, _, own_loss)] = train_autoencoder_stack([sample_a], cfg, [5])
-    [[(_, l_ft)]] = fine_tune_stack([([encoder], sample_b, 80, 6)], cfg)
+    [(encoder, _, own_loss)] = train_autoencoder_stack([sample_a], cfg.encoder, cfg.pretrain, [5])
+    [[(_, l_ft)]] = fine_tune_stack([([encoder], sample_b, 6)], cfg)
     assert abs(l_ft - own_loss) / own_loss < 0.10
 
 
@@ -419,9 +415,11 @@ def test_autoencoder_stack_members_match_the_plain_path(triple_data_module):
     def same(got, want):
         return _same_mlp(got[0], want[0]) and _same_mlp(got[1], want[1]) and got[2] == want[2]
 
-    assert all(same(train_autoencoder_stack([d], cfg, [seed])[0], p) for d, seed, p in zip(data, seeds, plain))
+    assert all(same(train_autoencoder_stack([d], cfg.encoder, cfg.pretrain, [seed])[0], p)
+               for d, seed, p in zip(data, seeds, plain))
     for members in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one
-        stacked = train_autoencoder_stack([data[s] for s in members], cfg, [seeds[s] for s in members])
+        stacked = train_autoencoder_stack([data[s] for s in members], cfg.encoder, cfg.pretrain,
+                                          [seeds[s] for s in members])
         assert all(same(got, plain[s]) for s, got in zip(members, stacked))
 
 
@@ -429,9 +427,9 @@ def test_one_diverging_pretrain_member_names_its_concept():
     cfg = AffinityConfig(encoder=EncoderConfig(hidden_dim=4, latent_dim=2))
     calm = np.random.default_rng(0).normal(size=(40, 6))
     wild = calm * 1e4
-    train_autoencoder_stack([calm], cfg, [3])  # a calm member trains fine on its own
+    train_autoencoder_stack([calm], cfg.encoder, cfg.pretrain, [3])  # a calm member trains fine on its own
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1") as info:
-        train_autoencoder_stack([calm, wild, calm + 1], cfg, [3, 4, 5])
+        train_autoencoder_stack([calm, wild, calm + 1], cfg.encoder, cfg.pretrain, [3, 4, 5])
     assert info.value.member == 1
     data = LabeledDataset(np.vstack([calm, wild, calm + 1]), np.repeat([0, 1, 2], 40), Catalog(("a", "b", "c")))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"pretraining concept 'b': .*stack member 1"):
@@ -458,11 +456,11 @@ def test_one_diverging_stack_member_raises():
     data = np.random.default_rng(0).normal(size=(40, 6))
     calm = make_encoder(6, linear, np.random.default_rng(1))
     wild = Mlp(tuple(Layer(l.weights * 1e3, l.bias, l.activation) for l in calm.layers))
-    fine_tune_stack([([calm], data, 20, 3)], cfg)  # each calm member trains fine on its own
+    fine_tune_stack([([calm], data, 3)], cfg)  # each calm member trains fine on its own
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1"):
-        fine_tune_stack([([calm, wild, calm], data, 20, 3)], cfg)
+        fine_tune_stack([([calm, wild, calm], data, 3)], cfg)
     # across tasks: the error names the task and encoder, and ``member`` counts over all tasks' encoders
-    tasks = [([calm], data, 20, 3), ([calm], data, 15, 4), ([calm, wild], data, 20, 5)]  # task 1 on fewer rows
+    tasks = [([calm], data, 3), ([calm], data[:20], 4), ([calm, wild], data, 5)]  # task 1 on its 16-row pool
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"task 2, encoder 1: .*stack member 3") as info:
         fine_tune_stack(tasks, cfg)
     assert info.value.member == 3
@@ -488,22 +486,27 @@ def test_transfer_divergence_names_its_concepts(monkeypatch):
     assert info.value.member == 5
 
 
-def test_fine_tune_stack_members_match_single_calls(triple_data_module):
-    cfg = AffinityConfig(warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1))
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"budget": 0}, {"finetune": SgdConfig(epochs=0, batch_size=16, learning_rate=0.02)}],
+    ids=["joint", "budget0", "finetune_epochs0"],
+)
+def test_fine_tune_stack_members_match_single_calls(triple_data_module, variant):
+    cfg = replace(AffinityConfig(warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1), budget=50), **variant)
     data = [triple_data_module.of_concept(c) for c in range(3)]
-    encoders = [train_autoencoder_stack([data[c]], cfg, [c])[0][0] for c in (0, 1)]
-    # tasks 0, 1 and 3 train on 50 rows (their held-out slices differ), task 2 on the
-    # 70-row pool of its target, task 4 on 50 rows without a joint phase
-    tasks = [(encoders, data[2], 50, 11), (encoders[::-1], data[0], 50, 12),
-             (encoders[:1], data[1][:90], 0, 13), (encoders, data[1], 50, 14),
-             (encoders[1:], data[2][:60], 0, 15)]
+    encoders = [train_autoencoder_stack([data[c]], cfg.encoder, cfg.pretrain, [c])[0][0] for c in (0, 1)]
+    # pools of 120 rows (tasks 0, 1 and 3, their held-out slices differ), 72 and 48 rows:
+    # at budget 50 task 4 trains on its whole pool and the others on 50 rows
+    tasks = [(encoders, data[2], 11), (encoders[::-1], data[0], 12), (encoders[:1], data[1][:90], 13),
+             (encoders, data[1], 14), (encoders[1:], data[2][:60], 15)]
     stacked = fine_tune_stack(tasks, cfg)
     assert [len(results) for results in stacked] == [2, 2, 1, 2, 1]
-    for (members, target, budget, seed), results in zip(tasks, stacked):
+    for (members, target, seed), results in zip(tasks, stacked):
         for encoder, (tuned, l_ft) in zip(members, results):
-            [[(alone, l_alone)]] = fine_tune_stack([([encoder], target, budget, seed)], cfg)
-            plain, l_plain = _plain_fine_tune(encoder, target, budget, cfg, seed)
+            [[(alone, l_alone)]] = fine_tune_stack([([encoder], target, seed)], cfg)
+            plain, l_plain = _plain_fine_tune(encoder, target, capped_budget(len(target), cfg), cfg, seed)
             assert l_ft == l_alone == l_plain and _same_mlp(tuned, alone) and _same_mlp(tuned, plain)
+            assert (tuned is encoder) == (variant != {})  # without a joint phase the encoder is untouched
 
 
 # --- holdout and budget arithmetic --------------------------------------------
@@ -786,6 +789,18 @@ def test_affinity_json_has_documented_keys(triple_artifacts):
     obj = affinity_to_json(triple_artifacts.matrix)
     assert set(obj) >= {"concepts", "alpha", "beta", "b_max", "seed", "entries"}
     assert set(obj["entries"][0]) == {"src", "dst", "p", "b", "s"}
+
+
+def test_artifacts_json_round_trip_is_exact(triple_artifacts):
+    obj = json.loads(json.dumps(artifacts_to_json(triple_artifacts)))
+    back = artifacts_from_json(obj)
+    assert (back.matrix, back.config, back.input_dim) == (
+        triple_artifacts.matrix, triple_artifacts.config, triple_artifacts.input_dim)
+    assert list(back.pair_encoders) == list(triple_artifacts.pair_encoders)
+    assert all(_same_mlp(back.pair_encoders[pair], encoder) for pair, encoder in triple_artifacts.pair_encoders.items())
+    assert json.dumps(artifacts_to_json(back)) == json.dumps(obj)
+    with pytest.raises(DataError, match=r"^bad artifacts file: 'input_dim'$"):
+        artifacts_from_json({k: v for k, v in obj.items() if k != "input_dim"})
 
 
 def test_distance_csv_layout(triple_artifacts):

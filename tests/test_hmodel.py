@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 from functools import cached_property
 
@@ -806,7 +807,7 @@ def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts
     tuned = []  # the row counts of the union tunes in each fine_tune_stack call
     real = hmodel.fine_tune_stack
     monkeypatch.setattr(hmodel, "fine_tune_stack",
-                        lambda tasks, cfg: tuned.append([len(rows) for _, rows, _, _ in tasks]) or real(tasks, cfg))
+                        lambda tasks, cfg: tuned.append([len(rows) for _, rows, _ in tasks]) or real(tasks, cfg))
     shared = _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode), artifacts)
     # one call per tree height: the flat root; the four distinct subtrees of
     # height 2, two over all four concepts and two over three; the two nested roots
@@ -900,6 +901,17 @@ def test_data_off_the_classifier_is_a_data_error(pair_tree, pair_data, mismatch)
     for call in (evaluate, refine_global):
         with pytest.raises(DataError, match=match):
             call(clf, off)
+
+
+@pytest.mark.parametrize("absent", [("C", "D"), ("D",)])
+def test_refining_on_data_without_rows_of_a_concept_is_a_data_error(pair_tree, pair_data, absent):
+    # unchecked, data without c and d failed in LabeledDataset naming no
+    # concept, and data without d alone refined d's scorer on negative rows
+    data = pair_data.take(np.arange(0, len(pair_data), 4))
+    clf = train_hierarchical(pair_tree, data, FAST_CFG)
+    cut = data.restrict([cid for cid, name in enumerate(data.catalog.names) if name not in absent])
+    with pytest.raises(DataError, match=rf"^no training rows of concepts {re.escape(str(list(absent)))}$"):
+        refine_global(clf, cut, epochs=1)
 
 
 # --- serialization ---------------------------------------------------------------

@@ -289,11 +289,11 @@ def test_parameters_gone_non_finite_name_the_epoch_and_the_first_such_member():
     alone = []
     for d, seed in zip(data, seeds):
         with pytest.raises(NumericError, match=r"^reconstruction diverged at epoch \d+: non-finite parameters") as info:
-            train_autoencoder_stack([d], cfg, [seed])
+            train_autoencoder_stack([d], cfg.encoder, cfg.pretrain, [seed])
         alone.append(int(re.search(r"epoch (\d+)", str(info.value)).group(1)))
     assert alone.index(min(alone)) == 1 and alone.count(min(alone)) == 1
     with pytest.raises(NumericError, match=rf"at epoch {alone[1]} \(stack member 1\): non-finite parameters") as info:
-        train_autoencoder_stack(data, cfg, seeds)
+        train_autoencoder_stack(data, cfg.encoder, cfg.pretrain, seeds)
     assert info.value.member == 1
 
 
@@ -497,5 +497,5 @@ def test_diverging_member_of_a_ragged_autoencoder_stack_is_named_by_caller_index
     calm, wild = rng.normal(size=(60, 6)), rng.normal(size=(25, 6)) * 1e4
     # sorted by row count the wild member would come last; the error names its caller index
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"stack member 1\)") as info:
-        train_autoencoder_stack([calm, wild, calm[:40]], cfg, [3, 4, 5])
+        train_autoencoder_stack([calm, wild, calm[:40]], cfg.encoder, cfg.pretrain, [3, 4, 5])
     assert info.value.member == 1
