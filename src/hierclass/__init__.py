@@ -18,7 +18,6 @@ from .derive import (
     agglomerate,
     collapse_threshold,
     derive_hierarchy,
-    lw_update,
 )
 from .errors import DataError, NumericError, TreeParseError
 from .hmodel import (

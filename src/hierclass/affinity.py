@@ -21,6 +21,7 @@ seed, and pretrain as one stack too (:func:`train_autoencoder_stack`).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .nets import (
     stack_params,
     task_seed,
 )
-from .serialize import check_keys, config_from_json, mlp_from_json, mlp_to_json
+from .serialize import check_keys, config_from_json, json_integer, json_number, mlp_from_json, mlp_to_json
 from .synth import LabeledDataset
 from .treespace import Catalog
 
@@ -331,11 +332,7 @@ class AffinityMatrix:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric [0,1] distances, zero diagonal.
-
-    Singleton cluster sizes are implicitly one per concept; agglomeration
-    tracks merged sizes itself.
-    """
+    """Symmetric [0,1] distances, zero diagonal."""
 
     catalog: Catalog
     values: np.ndarray
@@ -456,6 +453,7 @@ def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
 
 
 _MATRIX_KEYS = ("concepts", "alpha", "beta", "b_max", "seed", "entries", "encoder")
+_PAIR_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 
 
 def affinity_to_json(matrix: AffinityMatrix) -> dict:
@@ -476,34 +474,37 @@ def affinity_to_json(matrix: AffinityMatrix) -> dict:
 def affinity_from_json(obj: dict) -> AffinityMatrix:
     """Read exactly the keys ``affinity_to_json`` writes, plus the optional
     ``provenance`` the ``affinity`` command adds; ``encoder`` may be null.
-    Files from before every concept was required hold a ``skipped`` list,
-    which loads when it is empty."""
+    Each number must be a JSON number, and an integer where an int is
+    written. Files from before every concept was required hold a
+    ``skipped`` list, which loads when it is empty."""
     check_keys(obj, _MATRIX_KEYS, "bad affinity JSON", optional=("provenance", "skipped"))
     if obj.get("skipped", []) != []:
         raise DataError("bad affinity JSON: the matrix skipped concepts, so it is partial; rebuild it")
     try:
         return AffinityMatrix(
             catalog=Catalog(tuple(obj["concepts"])),
-            alpha=float(obj["alpha"]),
-            beta=float(obj["beta"]),
-            b_max=int(obj["b_max"]),
-            seed=int(obj["seed"]),
-            records=tuple(
-                AffinityRecord(
-                    source=int(e["src"]),
-                    target=int(e["dst"]),
-                    p=float(e["p"]),
-                    budget=int(e["b"]),
-                    score=float(e["s"]),
-                )
-                for e in obj["entries"]
-            ),
+            alpha=json_number(obj["alpha"], "alpha"),
+            beta=json_number(obj["beta"], "beta"),
+            b_max=json_integer(obj["b_max"], "b_max"),
+            seed=json_integer(obj["seed"], "seed"),
+            records=tuple(_record_from_json(e) for e in obj["entries"]),
             encoder=None
             if obj["encoder"] is None
             else config_from_json(EncoderConfig, obj["encoder"], "affinity encoder"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad affinity JSON: {exc}") from None
+
+
+def _record_from_json(entry) -> AffinityRecord:
+    check_keys(entry, ("src", "dst", "p", "b", "s"), "bad affinity JSON: entry")
+    return AffinityRecord(
+        source=json_integer(entry["src"], "src"),
+        target=json_integer(entry["dst"], "dst"),
+        p=json_number(entry["p"], "p"),
+        budget=json_integer(entry["b"], "b"),
+        score=json_number(entry["s"], "s"),
+    )
 
 
 def artifacts_to_json(artifacts: AffinityArtifacts) -> dict:
@@ -516,19 +517,30 @@ def artifacts_to_json(artifacts: AffinityArtifacts) -> dict:
 
 
 def artifacts_from_json(obj: dict) -> AffinityArtifacts:
-    """Read what :func:`artifacts_to_json` writes; a DataError says what is wrong."""
+    """Read exactly what :func:`artifacts_to_json` writes; a DataError says what is wrong.
+    Older files also hold ``concept_encoders``, which is ignored."""
+    check_keys(obj, ("matrix", "input_dim", "config", "pair_encoders"), "bad artifacts file",
+               optional=("concept_encoders",))
+    encoders = obj["pair_encoders"]
+    if not isinstance(encoders, dict):
+        raise DataError(f"bad artifacts file: pair_encoders must be an object, got {type(encoders).__name__}")
     try:
         return AffinityArtifacts(
             matrix=affinity_from_json(obj["matrix"]),
-            pair_encoders={
-                tuple(int(x) for x in key.split(",")): mlp_from_json(m)
-                for key, m in obj["pair_encoders"].items()
-            },
+            pair_encoders={_pair_of_key(key): mlp_from_json(m) for key, m in encoders.items()},
             config=affinity_config_from_json(obj["config"]),
-            input_dim=int(obj["input_dim"]),
+            input_dim=json_integer(obj["input_dim"], "input_dim"),
         )
-    except (DataError, KeyError, TypeError, ValueError) as exc:
+    except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"bad artifacts file: {exc}") from None
+
+
+def _pair_of_key(key: str) -> tuple[int, int]:
+    """The (source, target) ids of a pair-encoder key, written "source,target"."""
+    match = _PAIR_KEY.fullmatch(key)
+    if match is None:
+        raise ValueError(f"pair encoder key must be 'source,target', got {key!r}")
+    return int(match[1]), int(match[2])
 
 
 def distance_to_csv(dm: DistanceMatrix) -> str:

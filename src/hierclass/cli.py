@@ -226,7 +226,7 @@ def _read_tree_file(path: str, catalog: treespace.Catalog):
         else:
             obj = json.loads(text)
             tree = treespace.tree_from_json(obj.get("tree", obj) if isinstance(obj, dict) else obj, catalog)
-    except (OSError, ValueError, DataError) as exc:  # ValueError: bad JSON or not UTF-8
+    except (OSError, ValueError, RecursionError, DataError) as exc:  # bad JSON, not UTF-8 or nested too deeply
         raise DataError(f"{path}: {exc}") from None
     return tree, hashlib.sha256(data).hexdigest()
 

@@ -1,14 +1,15 @@
 """Hierarchy derivation: agglomerative clustering over concept distances
 followed by a threshold collapse into a multi-way hierarchy.
 
-Cluster distances are maintained with the Lance-Williams recurrence
-d_k(ij) = a_i d_ki + a_j d_kj + b d_ij + g |d_ki - d_kj|, with the
-coefficients of single, complete or (size-weighted) average linkage; of
-equally close pairs the smaller id pair merges first. Merges at fusion
-distance >= tau are dissolved, splicing their children upward, which turns
-the binary dendrogram into the final hierarchy: with tau = 0 everything
-dissolves into flat classification, with tau above the largest fusion the
-binary shape survives untouched.
+The closest pair of clusters merges first; of equally close pairs the
+smaller id pair does. A cluster k's distance to the fusion of i and j is
+min(d_ki, d_kj) under single linkage, max(d_ki, d_kj) under complete
+linkage and the size-weighted mean (n_i d_ki + n_j d_kj) / (n_i + n_j)
+under average linkage. Min and max are exact, so tied distances stay tied;
+the mean rounds. Merges at fusion distance >= tau are dissolved, splicing
+their children upward: with tau = 0 everything dissolves into flat
+classification, with tau above the largest fusion the binary dendrogram
+survives untouched.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ PRESETS = ("single", "complete", "average")
 
 @dataclass(frozen=True)
 class LinkageParams:
-    """The Lance-Williams coefficients of one preset linkage.
-
-    These coefficients are unrelated to the alpha/beta score weights of the
-    affinity stage.
-    """
+    """One preset linkage: how far a cluster is from the fusion of two others."""
 
     preset: str = "average"
 
@@ -37,28 +34,14 @@ class LinkageParams:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown linkage preset {self.preset!r}")
 
-    def coefficients(self, n_i: int, n_j: int) -> tuple[float, float, float, float]:
+    def fused_distance(self, d_ki: float, d_kj: float, n_i: int, n_j: int) -> float:
+        """Distance from cluster k to the fusion of i (n_i concepts) and j (n_j)."""
         if self.preset == "single":
-            return 0.5, 0.5, 0.0, -0.5
+            return min(d_ki, d_kj)
         if self.preset == "complete":
-            return 0.5, 0.5, 0.0, 0.5
+            return max(d_ki, d_kj)
         total = n_i + n_j
-        return n_i / total, n_j / total, 0.0, 0.0
-
-
-def lw_update(
-    d_ki: float,
-    d_kj: float,
-    d_ij: float,
-    n_i: int,
-    n_j: int,
-    params: LinkageParams,
-) -> float:
-    """Distance from cluster k to the fusion of i and j."""
-    if min(d_ki, d_kj, d_ij) < 0:
-        raise ValueError("distances are nonnegative")
-    a_i, a_j, b, g = params.coefficients(n_i, n_j)
-    return a_i * d_ki + a_j * d_kj + b * d_ij + g * abs(d_ki - d_kj)
+        return n_i / total * d_ki + n_j / total * d_kj
 
 
 @dataclass(frozen=True)
@@ -110,15 +93,9 @@ def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
         steps.append(MergeStep(left=i, right=j, distance=d_ij, new_id=new_id, members=merged))
         active = [c for c in active if c not in (i, j)]
         for c in active:
-            d_new = lw_update(
-                dist[_ordered(c, i)],
-                dist[_ordered(c, j)],
-                d_ij,
-                sizes[i],
-                sizes[j],
-                params,
+            dist[_ordered(c, new_id)] = params.fused_distance(
+                dist[_ordered(c, i)], dist[_ordered(c, j)], sizes[i], sizes[j]
             )
-            dist[_ordered(c, new_id)] = d_new
         members[new_id] = merged
         sizes[new_id] = sizes[i] + sizes[j]
         active.append(new_id)

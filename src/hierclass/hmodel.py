@@ -32,7 +32,7 @@ from .nets import (
     ragged_schedule,
     task_seed,
 )
-from .serialize import array_from_json, array_to_json, mlp_from_json, mlp_to_json
+from .serialize import array_from_json, array_to_json, check_keys, json_integer, mlp_from_json, mlp_to_json
 from .synth import LabeledDataset
 from .treespace import (
     Catalog,
@@ -883,23 +883,26 @@ def classifier_to_json(classifier: HierarchicalClassifier) -> dict:
 
 
 def classifier_from_json(obj: dict) -> HierarchicalClassifier:
+    """Read exactly the keys :func:`classifier_to_json` writes."""
+    check_keys(obj, ("format", "concepts", "tree", "nodes"), "bad classifier JSON", optional=("provenance",))
     try:
-        if obj.get("format") != _FORMAT:
-            raise DataError(f"unsupported classifier format {obj.get('format')!r}")
+        if obj["format"] != _FORMAT:
+            raise DataError(f"unsupported classifier format {obj['format']!r}")
         catalog = Catalog(tuple(obj["concepts"]))
         tree = parse_tree(obj["tree"], catalog)
         models = {}
         for entry in obj["nodes"]:
-            key = tuple(int(i) for i in entry["key"])
+            check_keys(entry, ("key", "children", "encoder", "scorer_weights", "scorer_bias"), "bad classifier node")
+            key = tuple(json_integer(i, "key") for i in entry["key"])
             models[key] = NodeModel(
                 encoder=mlp_from_json(entry["encoder"]),
                 scorer_weights=array_from_json(entry["scorer_weights"]),
                 scorer_bias=array_from_json(entry["scorer_bias"]),
-                child_keys=tuple(tuple(int(i) for i in ck) for ck in entry["children"]),
+                child_keys=tuple(tuple(json_integer(i, "children") for i in ck) for ck in entry["children"]),
             )
         return HierarchicalClassifier(
             tree=tree, catalog=catalog, models=models, provenance=obj.get("provenance", {})
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad classifier JSON: {exc}") from None
 

@@ -179,5 +179,5 @@ def load_json(path: str | Path, data: bytes | None = None):
     """The JSON in ``path``, parsed from ``data`` when its bytes were read already."""
     try:
         return json.loads((read_bytes(path) if data is None else data).decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise DataError(f"{path}: invalid JSON: {exc}") from None

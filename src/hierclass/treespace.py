@@ -23,6 +23,7 @@ DEFAULT_ENUMERATION_CAP = 7
 _SAMPLING_CAP = 10  # Bell numbers explode beyond this
 
 _FORBIDDEN_NAME_CHARS = set("(),[]\"'")
+_TOO_DEEP = "tree nested deeper than the parser's recursion limit"
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class Catalog:
             raise ValueError("catalog must contain at least one concept")
         seen = set()
         for name in self.names:
-            if not name or name != name.strip() or "\n" in name or "\r" in name:  # names are written one per line
+            # names are written one per line
+            if not isinstance(name, str) or not name or name != name.strip() or "\n" in name or "\r" in name:
                 raise ValueError(f"bad concept name {name!r}")
             if _FORBIDDEN_NAME_CHARS & set(name):
                 raise ValueError(f"concept name {name!r} contains reserved characters")
@@ -258,7 +260,10 @@ def parse_tree(text: str, catalog: Catalog) -> Tree:
     Rejects malformed text, unknown concept names, single-child groups, and
     trees whose leaves are not exactly the catalog.
     """
-    node, pos = _parse_node(text, 0, catalog)
+    try:
+        node, pos = _parse_node(text, 0, catalog)
+    except RecursionError:
+        raise TreeParseError(_TOO_DEEP) from None
     if text[pos:].strip():
         raise TreeParseError(f"trailing characters after tree: {text[pos:]!r}")
     return _covering(node, catalog)
@@ -318,7 +323,10 @@ def tree_to_json(tree: Tree, catalog: Catalog):
 
 
 def tree_from_json(obj, catalog: Catalog) -> Tree:
-    return _covering(_tree_from_json(obj, catalog), catalog)
+    try:
+        return _covering(_tree_from_json(obj, catalog), catalog)
+    except RecursionError:
+        raise TreeParseError(_TOO_DEEP) from None
 
 
 def _tree_from_json(obj, catalog: Catalog) -> Tree:

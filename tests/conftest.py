@@ -86,6 +86,19 @@ def brute_force_agglomerate(values: np.ndarray, method: str):
     return steps
 
 
+def tied_affinity_json() -> dict:
+    """An affinity file over c0..c3 whose single-linkage distances tie after
+    c0 and c1 merge: c3 is min(0.7, 0.35) = 0.35 from them, as close as c2
+    is to c3, so the smaller id pair (c2, c3) merges next."""
+    scores = {(0, 1): 0.65, (1, 3): 0.65, (2, 3): 0.65, (0, 2): 0.55, (1, 2): 0.55, (0, 3): 0.3}
+    return {
+        "concepts": ["c0", "c1", "c2", "c3"], "alpha": 0.5, "beta": 0.5, "b_max": 100, "seed": 0,
+        "entries": [{"src": i, "dst": j, "p": 0.5, "b": 0, "s": scores[min(i, j), max(i, j)]}
+                    for i in range(4) for j in range(4) if i != j],
+        "encoder": None,
+    }
+
+
 # --- one-network references: the plain reconstruction loss, gradients and
 # trainer the stacked kernels are checked against, and parameter packing
 # for the gradient checks

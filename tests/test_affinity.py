@@ -799,7 +799,9 @@ def test_artifacts_json_round_trip_is_exact(triple_artifacts):
     assert list(back.pair_encoders) == list(triple_artifacts.pair_encoders)
     assert all(_same_mlp(back.pair_encoders[pair], encoder) for pair, encoder in triple_artifacts.pair_encoders.items())
     assert json.dumps(artifacts_to_json(back)) == json.dumps(obj)
-    with pytest.raises(DataError, match=r"^bad artifacts file: 'input_dim'$"):
+    older = artifacts_from_json({**obj, "concept_encoders": {"0": obj["pair_encoders"]["0,1"]}})
+    assert json.dumps(artifacts_to_json(older)) == json.dumps(obj)
+    with pytest.raises(DataError, match=r"^bad artifacts file: missing keys \['input_dim'\]$"):
         artifacts_from_json({k: v for k, v in obj.items() if k != "input_dim"})
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import _plain_hierarchy
+from conftest import _plain_hierarchy, tied_affinity_json
 from hierclass.cli import main
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, planted_spec_to_json, save_csv
 from hierclass.treespace import Catalog, internal, leaf
@@ -97,6 +97,13 @@ def test_derive_on_shipped_fixture(tmp_path, capsys):
     dgm = json.loads((tmp_path / "dgm.json").read_text())
     assert len(dgm["steps"]) == 2
     assert (tmp_path / "dgm.dot").read_text().startswith("digraph")
+
+
+def test_derive_single_linkage_tie_merges_the_smaller_id_pair(tmp_path, capsys):
+    (tmp_path / "tie.json").write_text(json.dumps(tied_affinity_json()))
+    assert run("--out-dir", tmp_path, "derive", "--affinity", tmp_path / "tie.json",
+               "--linkage", "single", "--tau", "1", "--out", "t.nwk") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "((c0,c1),(c2,c3))"
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
@@ -402,11 +409,29 @@ def _edited_json(edit):
     ("synth", _edited_json(lambda o: o.update(noise=float("nan")))),
     ("synth", _edited_json(lambda o: o["level_offsets"].__setitem__(0, float("inf")))),
     ("synth", _edited_json(lambda o: o.update(per_concept=40.7))),
+    ("derive", _edited_json(lambda o: o["entries"][0].update(src=0.9))),
+    ("derive", _edited_json(lambda o: o["entries"][0].update(dst=True))),
+    ("derive", _edited_json(lambda o: o.update(seed="7"))),
+    ("derive", _edited_json(lambda o: o.update(b_max=100.6))),
+    ("derive", _edited_json(lambda o: o["entries"][0].update(bogus=1))),
+    ("derive", lambda text: "[" * 100000 + "]" * 100000),
+    ("train", lambda text: "(" * 5000),
+    ("train", lambda text: "[" * 990 + '"c1"' + ', "c2"]' * 990),
+    ("predict", _edited_json(lambda o: o["nodes"][0].update(key=[str(i) for i in o["nodes"][0]["key"]]))),
+    ("predict", _edited_json(lambda o: o["nodes"][0]["children"][0].__setitem__(0, 0.5))),
+    ("predict", _edited_json(lambda o: o.update(bogus=1))),
+    ("predict", _edited_json(lambda o: o.update(tree="(" * 5000))),
+    ("derive", _edited_json(lambda o: o["concepts"].__setitem__(1, 5))),
+    ("predict", lambda text: "[]"),
 ], ids=["spec-names-not-a-list", "spec-feature-dim-not-a-number", "spec-offsets-increase",
         "tree-truncated", "tree-missing", "tree-unknown-name", "tree-not-utf8",
         "clf-node-with-one-child", "clf-unknown-activation", "clf-node-missing",
         "affinity-p-above-1", "affinity-self-pair", "spec-noise-nan", "spec-offset-inf",
-        "spec-per-concept-fraction"])
+        "spec-per-concept-fraction", "affinity-src-fraction", "affinity-dst-bool", "affinity-seed-string",
+        "affinity-b-max-fraction", "affinity-entry-unknown-key", "affinity-nested-too-deep",
+        "tree-nested-too-deep", "tree-json-nested-too-deep", "clf-key-string", "clf-children-fraction",
+        "clf-unknown-key", "clf-tree-nested-too-deep", "affinity-concept-not-a-string",
+        "clf-not-an-object"])
 def test_malformed_json_input_is_a_data_error_naming_the_file(tmp_path, planted_csv, trained_clf, capsys,
                                                                command, corrupt):
     data, spec = planted_csv
@@ -466,6 +491,14 @@ def test_a_config_file_reaches_no_later_call(tmp_path, monkeypatch, capsys):
     assert run(*train) == 1  # --data is required again
     assert "the following arguments are required: --data" in capsys.readouterr().err
     assert len(seen) == 2
+
+
+def test_deeply_nested_config_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    assert run("--out-dir", tmp_path / "out", "--config", tmp_path / "deep.json",
+               "derive", "--affinity", FIXTURES / "affinity_3concepts.json", "--out", "t.nwk") == 2
+    assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'deep.json'}: invalid JSON: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -617,7 +650,13 @@ def test_affinity_on_a_short_concept_is_a_data_error_naming_it(tmp_path, planted
      "affinity config.warmup: epochs must be an integer, got 2.5"),
     (lambda arts: arts["config"].update(budget=True), "affinity config: budget must be an integer, got True"),
     (lambda arts: arts["matrix"]["entries"].pop(), "bad affinity JSON: affinity matrix is missing pairs: c4->c3"),
-], ids=["pair-encoder", "warmup-epochs", "budget", "matrix-pair"])
+    (lambda arts: arts.update(bogus=1), "unknown keys ['bogus']"),
+    (lambda arts: arts["pair_encoders"].update({"0 ,1": arts["pair_encoders"].pop("0,1")}),
+     "pair encoder key must be 'source,target', got '0 ,1'"),
+    (lambda arts: arts.update(input_dim=12.5), "input_dim must be an integer, got 12.5"),
+    (lambda arts: arts.update(pair_encoders=[]), "pair_encoders must be an object, got list"),
+], ids=["pair-encoder", "warmup-epochs", "budget", "matrix-pair", "unknown-key", "spaced-pair-key",
+        "input-dim-fraction", "pair-encoders-not-an-object"])
 def test_incomplete_or_mistyped_artifacts_are_a_data_error(tmp_path, planted_csv, capsys, edit, shown):
     data, _ = planted_csv
     (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_agglomerate
-from hierclass.affinity import AffinityConfig, DistanceMatrix, build_affinity_artifacts
+from conftest import brute_force_agglomerate, tied_affinity_json
+from hierclass.affinity import AffinityConfig, DistanceMatrix, affinity_from_json, build_affinity_artifacts
 from hierclass.derive import (
     Dendrogram,
     LinkageParams,
@@ -16,7 +16,6 @@ from hierclass.derive import (
     dendrogram_to_dot,
     dendrogram_to_json,
     derive_hierarchy,
-    lw_update,
 )
 from hierclass.treespace import Catalog, internal, leaf, tree_to_text
 
@@ -27,25 +26,12 @@ def _dm(values, names=None):
     return DistanceMatrix(Catalog(tuple(names)), values)
 
 
-# --- Lance-Williams update ---------------------------------------------------
+# --- linkage presets ---------------------------------------------------------
 
 
-def test_lw_presets_match_min_max_mean():
-    single = LinkageParams(preset="single")
-    complete = LinkageParams(preset="complete")
-    average = LinkageParams(preset="average")
-    assert lw_update(2.0, 4.0, 3.0, 1, 1, single) == 2.0
-    assert lw_update(2.0, 4.0, 3.0, 1, 1, complete) == 4.0
-    assert lw_update(2.0, 4.0, 3.0, 1, 1, average) == 3.0
-    # size-weighted average
-    assert lw_update(2.0, 4.0, 3.0, 3, 1, average) == pytest.approx((3 * 2 + 1 * 4) / 4)
-
-
-def test_lw_validation():
+def test_unknown_linkage_preset_is_rejected():
     with pytest.raises(ValueError):
         LinkageParams(preset="ward")
-    with pytest.raises(ValueError):
-        lw_update(-1.0, 0.0, 0.0, 1, 1, LinkageParams(preset="single"))
 
 
 # --- agglomeration -----------------------------------------------------------
@@ -81,7 +67,27 @@ def test_agglomerate_matches_from_scratch_oracle(method):
             assert {step.left, step.right} == {i, j}
             assert step.new_id == new_id
             assert step.members == members
-            assert step.distance == pytest.approx(d, abs=1e-9)
+            # min and max take an input distance; the weighted mean rounds
+            assert step.distance == (d if method != "average" else pytest.approx(d, abs=1e-9))
+
+
+_TIED_GRID = (0.1, 0.15, 0.2, 0.3, 0.35, 0.45, 0.6, 0.7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.sampled_from(_TIED_GRID), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2))))
+@pytest.mark.parametrize("method", ["single", "complete"])
+def test_single_and_complete_linkage_break_ties_like_the_oracle(method, grid):
+    # distances drawn from a few values tie often; the oracle's merge order
+    # and distances must come out exactly
+    k, upper = grid
+    values = np.zeros((k, k))
+    values[np.triu_indices(k, 1)] = upper
+    values = values + values.T
+    dgm = agglomerate(_dm(values), LinkageParams(preset=method))
+    steps = [(s.left, s.right, s.distance, s.new_id, s.members) for s in dgm.steps]
+    assert steps == brute_force_agglomerate(values, method)
 
 
 def test_equal_distances_merge_the_smaller_id_pair_first():
@@ -172,6 +178,15 @@ def test_derive_recovers_planted_pairs(pair_data, pair_tree, pair_catalog):
     assert tree_to_text(derived.tree, pair_catalog) == "((A,B),(C,D))"
     assert derived.provenance["tau"] == 0.5
     assert derived.provenance["affinity_sha256"]
+
+
+def test_single_linkage_tie_merges_the_smaller_id_pair():
+    matrix = affinity_from_json(tied_affinity_json())
+    derived = derive_hierarchy(matrix, LinkageParams(preset="single"), tau=1.0)
+    assert [(step.left, step.right, step.distance) for step in derived.dendrogram.steps] == [
+        (0, 1, 0.35), (2, 3, 0.35), (4, 5, 0.35)
+    ]
+    assert tree_to_text(derived.tree, matrix.catalog) == "((c0,c1),(c2,c3))"
 
 
 def test_derive_is_deterministic(pair_data):

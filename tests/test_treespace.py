@@ -236,6 +236,8 @@ def test_catalog_validation():
         Catalog(("a,b",))
     with pytest.raises(ValueError):
         Catalog((" padded ",))
+    with pytest.raises(ValueError, match="^bad concept name 5$"):
+        Catalog(("a", 5))
 
 
 @pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb"])
