@@ -1,19 +1,20 @@
 """Transfer-based affinity between concepts.
 
-For each concept an autoencoder learns a compressed representation; the
-encoder is then fine-tuned toward every other concept with a fresh decoder
-under a supervision budget. How well that transfer reconstructs held-out
-target data, relative to a from-scratch baseline trained under the same
-budget and schedule, is the raw similarity score p. The final score blends
-p with the normalized budget; symmetrized complements of the scores feed
-hierarchy derivation as distances.
+For each concept an autoencoder learns a compressed representation. A
+transfer scores that representation on every other concept: the source
+encoder stays frozen, and a fresh decoder learns to reconstruct the
+target's rows from its latents under a supervision budget. How well that
+reconstructs held-out target data, relative to a from-scratch reference
+encoder scored the same way, is the raw similarity score p. The final score
+blends p with the normalized budget; symmetrized complements of the scores
+feed hierarchy derivation as distances.
 
 Every transfer toward one target uses the same data slices, decoder
 initialization and batch schedule: the K-1 source encoders and the scratch
-reference toward that target form one fine-tune task. Tasks differ in their
-held-out slices and may differ in training rows, but they train together as
-one stacked SGD, each task's members sharing its batch order (see
-:func:`fine_tune_stack`); each result is bit-identical to tuning that
+reference toward that target form one transfer task. Tasks differ in their
+held-out slices and may differ in training rows, but their decoders train
+together as one stacked SGD, each task's members sharing its batch order
+(see :func:`transfer_losses`); each loss is bit-identical to scoring that
 encoder alone. The K concept autoencoders each have their own rows and
 seed, and pretrain as one stack too (:func:`train_autoencoder_stack`).
 """
@@ -21,7 +22,6 @@ seed, and pretrain as one stack too (:func:`train_autoencoder_stack`).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,20 +69,16 @@ class EncoderConfig:
 class AffinityConfig:
     """Settings for the whole affinity stage.
 
-    A transfer trains on ``budget`` rows of its target's pool, the rows
+    ``pretrain`` trains each concept's autoencoder. A transfer trains a
+    fresh decoder on the frozen source encoder's latents under the
+    ``warmup`` schedule, on ``budget`` rows of its target's pool, the rows
     left after holding out ``holdout_fraction``: all of them when the pool
-    is smaller (:func:`capped_budget`) or ``budget`` is 0. ``warmup`` trains
-    the fresh decoder alone (encoder frozen) before the joint ``finetune``
-    phase; without it, early gradients from a random decoder scramble the
-    source representation and the transfer signal with it. With ``budget``
-    0 or ``finetune.epochs`` 0 there is no joint phase, and the source
-    encoder is scored frozen.
+    is smaller (:func:`capped_budget`) or ``budget`` is 0.
     """
 
     encoder: EncoderConfig = EncoderConfig(hidden_dim=24)
     pretrain: SgdConfig = SgdConfig(epochs=60, batch_size=32, learning_rate=0.1)
     warmup: SgdConfig = SgdConfig(epochs=80, batch_size=16, learning_rate=0.1)
-    finetune: SgdConfig = SgdConfig(epochs=3, batch_size=16, learning_rate=0.02)
     budget: int = 80
     b_max: int = 100
     alpha: float = 0.5
@@ -103,7 +99,7 @@ class AffinityConfig:
             raise ValueError("need 0 <= budget <= b_max")
 
 
-_CONFIG_FORMAT = "hierclass-affinity-config-v2"
+_CONFIG_FORMAT = "hierclass-affinity-config-v3"
 
 
 def affinity_config_to_json(cfg: AffinityConfig) -> dict:
@@ -114,7 +110,8 @@ def affinity_config_to_json(cfg: AffinityConfig) -> dict:
 def affinity_config_from_json(obj: dict) -> AffinityConfig:
     if not isinstance(obj, dict) or obj.get("format") != _CONFIG_FORMAT:
         found = obj.get("format") if isinstance(obj, dict) else None
-        raise DataError(f"unsupported affinity config format {found!r}")
+        raise DataError(f"unsupported affinity config format {found!r}, not {_CONFIG_FORMAT!r}; "
+                        "rebuild the file with `hierclass affinity`")
     fields = {k: v for k, v in obj.items() if k != "format"}
     return config_from_json(AffinityConfig, fields, "affinity config")
 
@@ -186,29 +183,27 @@ def _holdout_split(n: int, fraction: float, rng) -> tuple[np.ndarray, np.ndarray
     return order[n_held:], order[:n_held]
 
 
-def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]:
-    """Fine-tune copies of same-shaped encoders toward target concepts.
+def transfer_losses(tasks, cfg: AffinityConfig) -> list[list[float]]:
+    """Score frozen same-shaped encoders on target concepts.
 
     Each task is ``(encoders, target_data, seed)``. Its target rows split
     into a held-out slice and a pool, and it trains on the first
     ``cfg.budget`` pool rows: :func:`capped_budget` of them, or the whole
-    pool at budget 0. For each of its encoders, a fresh decoder is first
-    trained alone (warmup), then jointly with a copy of the encoder; the
-    returned loss is measured on the task's held-out slice. With
-    ``cfg.budget`` 0 or ``finetune.epochs`` 0 there is no joint phase: the
-    encoder is left untouched and only the fresh decoder trains, scoring
-    the source representation as-is. All of a task's randomness (slices,
-    decoder init, batch schedule) derives from its ``seed`` alone, so runs
-    toward the same target are directly comparable.
+    pool at budget 0. For each of its encoders, a fresh decoder trains on
+    the encoder's latents under ``cfg.warmup``, the encoder left untouched;
+    the returned loss is the reconstruction error on the task's held-out
+    slice. All of a task's randomness (slices, decoder init, batch
+    schedule) derives from its ``seed`` alone, so transfers toward the same
+    target are directly comparable.
 
-    Every task trains in one stack, whatever its row count: one warmup SGD
-    over the frozen encoders' cached latents, then one joint SGD through
-    3-D matmuls. The members of one task hold one batch-order Generator and
-    so share its order; each task draws its own. Encoder i of task t
-    returns exactly what tuning it alone under that task's seed returns.
-    Returns one list of (encoder, loss) per task. A NumericError names the
-    diverging task and encoder, and carries in ``member`` the encoder's
-    position in the concatenation of every task's encoders.
+    Every task trains in one stack, whatever its row count: one SGD over
+    the encoders' cached latents. The members of one task hold one
+    batch-order Generator and so share its order; each task draws its own.
+    Encoder i of task t gets exactly the loss that scoring it alone under
+    that task's seed gets. Returns one list of losses per task. A
+    NumericError names the diverging task and encoder, and carries in
+    ``member`` the encoder's position in the concatenation of every task's
+    encoders.
     """
     if not tasks:
         return []
@@ -236,22 +231,17 @@ def fine_tune_stack(tasks, cfg: AffinityConfig) -> list[list[tuple[Mlp, float]]]
     latents = []
     for lo, hi, (task_rows, *_) in zip(bounds, bounds[1:], prepared):  # shared by a task's members
         latents += list(forward([[w[lo:hi], b[lo:hi]] for w, b in enc_params], enc_acts, task_rows))
-    joint = cfg.budget > 0 and cfg.finetune.epochs > 0
     try:
         sgd_reconstruction(dec_params, dec_acts, latents, rows, cfg.warmup, rngs)
-        if joint:
-            sgd_reconstruction(enc_params + dec_params, enc_acts + dec_acts, rows, rows, cfg.finetune, rngs)
     except NumericError as exc:
         t = owner[exc.member]
-        raise NumericError(f"fine-tune task {t}, encoder {exc.member - bounds[t]}: {exc}", exc.member) from exc
+        raise NumericError(f"transfer task {t}, encoder {exc.member - bounds[t]}: {exc}", exc.member) from exc
 
-    results = []
+    losses = []
     for lo, hi, (_, held, _, _) in zip(bounds, bounds[1:], prepared):
         task_params = [[w[lo:hi], b[lo:hi]] for w, b in enc_params + dec_params]
-        losses = member_mse(task_params, enc_acts + dec_acts, held, held)
-        results.append([(member_mlp(enc_params, s, encoders[s]) if joint else encoders[s], float(losses[s - lo]))
-                        for s in range(lo, hi)])
-    return results
+        losses.append(member_mse(task_params, enc_acts + dec_acts, held, held).tolist())
+    return losses
 
 
 def raw_transfer_score(l_ft: float, l_ref: float) -> float:
@@ -357,20 +347,24 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class AffinityArtifacts:
-    """The affinity matrix and the pair encoders tuned for it, for reuse
-    downstream; ``input_dim`` is the feature width they were trained on,
-    and so the input width of every pair encoder."""
+    """The affinity matrix and the pretrained concept encoders it scored,
+    one per concept in concept-id order, for reuse downstream;
+    ``input_dim`` is the feature width they were trained on, and so the
+    input width of every encoder."""
 
     matrix: AffinityMatrix
-    pair_encoders: dict[tuple[int, int], Mlp]
+    concept_encoders: tuple[Mlp, ...]
     config: AffinityConfig
     input_dim: int
 
     def __post_init__(self) -> None:
-        _check_pairs(self.matrix.catalog, list(self.pair_encoders), "pair encoders")
-        for (i, j), encoder in self.pair_encoders.items():
+        object.__setattr__(self, "concept_encoders", tuple(self.concept_encoders))
+        k = len(self.matrix.catalog)
+        if len(self.concept_encoders) != k:
+            raise ValueError(f"{len(self.concept_encoders)} concept encoders for the {k} concepts")
+        for cid, encoder in enumerate(self.concept_encoders):
             if encoder.input_dim != self.input_dim:
-                raise ValueError(f"pair encoder {i},{j} takes {encoder.input_dim} features "
+                raise ValueError(f"concept encoder {cid} takes {encoder.input_dim} features "
                                  f"but input_dim is {self.input_dim}")
 
 
@@ -380,8 +374,8 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     Every concept needs at least ``max(2, cfg.min_examples)`` examples;
     a DataError names each one that has fewer. The concepts pretrain their
     autoencoders in one :func:`train_autoencoder_stack` call, each under a
-    seed derived from (seed, concept). One :func:`fine_tune_stack` call then
-    tunes, toward every target, each source encoder plus the scratch
+    seed derived from (seed, concept). One :func:`transfer_losses` call then
+    scores, toward every target, each source encoder plus the scratch
     reference under a seed derived from (seed, target). A diverging
     transfer raises a NumericError that names its source and target
     concepts.
@@ -403,29 +397,28 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
     except NumericError as exc:
         name = catalog.name_of(ids[exc.member])
         raise NumericError(f"pretraining concept {name!r}: {exc}", exc.member) from exc
-    pretrained = {cid: encoder for cid, (encoder, _, _) in zip(ids, stack)}
+    pretrained = [encoder for encoder, _, _ in stack]
 
     tasks, members = [], []  # one task per target: every source encoder, then the scratch reference
     for dst in ids:
         rows = per_concept[dst]
-        seed = task_seed(cfg.seed, 2, dst)  # shared by every fine-tune toward dst
+        seed = task_seed(cfg.seed, 2, dst)  # shared by every transfer toward dst
         fresh = make_encoder(rows.shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
         tasks.append(([pretrained[src] for src in ids if src != dst] + [fresh], rows, seed))
         members += [(src, dst) for src in ids if src != dst] + [(None, dst)]
     try:
-        tuned = fine_tune_stack(tasks, cfg)
+        losses = transfer_losses(tasks, cfg)
     except NumericError as exc:
         src, dst = members[exc.member]
         what = "scratch reference" if src is None else f"transfer from {catalog.name_of(src)!r}"
         raise NumericError(f"{what} toward {catalog.name_of(dst)!r}: {exc}", exc.member) from exc
 
-    records, pair_encoders = [], {}
+    records = []
     for src, dst in ((src, dst) for src in ids for dst in ids if src != dst):
-        (encoder, l_ft), (_, l_ref) = tuned[dst][src - (src > dst)], tuned[dst][-1]  # sources skip dst
+        l_ft, l_ref = losses[dst][src - (src > dst)], losses[dst][-1]  # sources skip dst
         p, budget = raw_transfer_score(l_ft, l_ref), capped_budget(len(per_concept[dst]), cfg)
         score = final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta)
         records.append(AffinityRecord(source=src, target=dst, p=p, budget=budget, score=score))
-        pair_encoders[src, dst] = encoder
     matrix = AffinityMatrix(
         catalog=catalog,
         alpha=cfg.alpha,
@@ -435,7 +428,7 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         records=tuple(records),
         encoder=cfg.encoder,
     )
-    return AffinityArtifacts(matrix=matrix, pair_encoders=pair_encoders, config=cfg, input_dim=dataset.n_features)
+    return AffinityArtifacts(matrix=matrix, concept_encoders=pretrained, config=cfg, input_dim=dataset.n_features)
 
 
 def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
@@ -453,7 +446,6 @@ def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
 
 
 _MATRIX_KEYS = ("concepts", "alpha", "beta", "b_max", "seed", "entries", "encoder")
-_PAIR_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 
 
 def affinity_to_json(matrix: AffinityMatrix) -> dict:
@@ -512,35 +504,31 @@ def artifacts_to_json(artifacts: AffinityArtifacts) -> dict:
         "matrix": affinity_to_json(artifacts.matrix),
         "input_dim": artifacts.input_dim,
         "config": affinity_config_to_json(artifacts.config),
-        "pair_encoders": {f"{i},{j}": mlp_to_json(m) for (i, j), m in artifacts.pair_encoders.items()},
+        "concept_encoders": [mlp_to_json(m) for m in artifacts.concept_encoders],
     }
 
 
 def artifacts_from_json(obj: dict) -> AffinityArtifacts:
-    """Read exactly what :func:`artifacts_to_json` writes; a DataError says what is wrong.
-    Older files also hold ``concept_encoders``, which is ignored."""
-    check_keys(obj, ("matrix", "input_dim", "config", "pair_encoders"), "bad artifacts file",
-               optional=("concept_encoders",))
-    encoders = obj["pair_encoders"]
-    if not isinstance(encoders, dict):
-        raise DataError(f"bad artifacts file: pair_encoders must be an object, got {type(encoders).__name__}")
+    """Read exactly what :func:`artifacts_to_json` writes; a DataError says
+    what is wrong. The config's format tag is read first, so a file of an
+    older version is an error naming its tag, whatever its other keys."""
+    try:
+        config = affinity_config_from_json(obj["config"]) if isinstance(obj, dict) and "config" in obj else None
+    except DataError as exc:
+        raise DataError(f"bad artifacts file: {exc}") from None
+    check_keys(obj, ("matrix", "input_dim", "config", "concept_encoders"), "bad artifacts file")
+    encoders = obj["concept_encoders"]
+    if not isinstance(encoders, list):
+        raise DataError(f"bad artifacts file: concept_encoders must be a list, got {type(encoders).__name__}")
     try:
         return AffinityArtifacts(
             matrix=affinity_from_json(obj["matrix"]),
-            pair_encoders={_pair_of_key(key): mlp_from_json(m) for key, m in encoders.items()},
-            config=affinity_config_from_json(obj["config"]),
+            concept_encoders=[mlp_from_json(m) for m in encoders],
+            config=config,
             input_dim=json_integer(obj["input_dim"], "input_dim"),
         )
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"bad artifacts file: {exc}") from None
-
-
-def _pair_of_key(key: str) -> tuple[int, int]:
-    """The (source, target) ids of a pair-encoder key, written "source,target"."""
-    match = _PAIR_KEY.fullmatch(key)
-    if match is None:
-        raise ValueError(f"pair encoder key must be 'source,target', got {key!r}")
-    return int(match[1]), int(match[2])
 
 
 def distance_to_csv(dm: DistanceMatrix) -> str:

@@ -84,7 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-examples", type=int, default=_AFFINITY.min_examples)
     p.add_argument("--pretrain-epochs", type=int, default=_AFFINITY.pretrain.epochs)
     p.add_argument("--warmup-epochs", type=int, default=_AFFINITY.warmup.epochs)
-    p.add_argument("--finetune-epochs", type=int, default=_AFFINITY.finetune.epochs)
 
     p = sub.add_parser("derive", help="derive a hierarchy from an affinity matrix")
     p.add_argument("--affinity", required=True)
@@ -238,7 +237,6 @@ def _affinity_config(args) -> aff.AffinityConfig:
         encoder=replace(d.encoder, hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
         pretrain=replace(d.pretrain, epochs=args.pretrain_epochs),
         warmup=replace(d.warmup, epochs=args.warmup_epochs),
-        finetune=replace(d.finetune, epochs=args.finetune_epochs),
         budget=args.budget,
         b_max=args.b_max,
         alpha=args.alpha,

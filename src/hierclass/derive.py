@@ -5,16 +5,18 @@ The closest pair of clusters merges first; of equally close pairs the
 smaller id pair does. A cluster k's distance to the fusion of i and j is
 min(d_ki, d_kj) under single linkage, max(d_ki, d_kj) under complete
 linkage and the size-weighted mean (n_i d_ki + n_j d_kj) / (n_i + n_j)
-under average linkage. Min and max are exact, so tied distances stay tied;
-the mean rounds. Merges at fusion distance >= tau are dissolved, splicing
-their children upward: with tau = 0 everything dissolves into flat
-classification, with tau above the largest fusion the binary dendrogram
-survives untouched.
+under average linkage. Distances are held as exact fractions of the input
+floats, so every preset is exact and tied distances stay tied; a merge
+step records its distance rounded to a float. Merges at fusion distance
+>= tau are dissolved, splicing their children upward: with tau = 0
+everything dissolves into flat classification, with tau above the largest
+fusion the binary dendrogram survives untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 from .affinity import AffinityMatrix, DistanceMatrix, affinity_to_json, symmetrize_to_distance
@@ -34,14 +36,13 @@ class LinkageParams:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown linkage preset {self.preset!r}")
 
-    def fused_distance(self, d_ki: float, d_kj: float, n_i: int, n_j: int) -> float:
+    def fused_distance(self, d_ki: Fraction, d_kj: Fraction, n_i: int, n_j: int) -> Fraction:
         """Distance from cluster k to the fusion of i (n_i concepts) and j (n_j)."""
         if self.preset == "single":
             return min(d_ki, d_kj)
         if self.preset == "complete":
             return max(d_ki, d_kj)
-        total = n_i + n_j
-        return n_i / total * d_ki + n_j / total * d_kj
+        return (n_i * d_ki + n_j * d_kj) / (n_i + n_j)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class Dendrogram:
 
 
 def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
-    """Successive fusions of the closest pair, distances updated in place.
+    """Successive fusions of the closest pair, exact distances updated in place.
 
     Tie-breaking on equal minimal distance: the lexicographically smaller
     id pair wins. Deterministic.
@@ -79,10 +80,10 @@ def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
     k = len(dm.catalog)
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(k)}
     sizes: dict[int, int] = {i: 1 for i in range(k)}
-    dist: dict[tuple[int, int], float] = {}
+    dist: dict[tuple[int, int], Fraction] = {}
     for i in range(k):
         for j in range(i + 1, k):
-            dist[(i, j)] = float(dm.values[i, j])
+            dist[(i, j)] = Fraction(float(dm.values[i, j]))
 
     steps = []
     active = list(range(k))  # ascending: every new id exceeds the ones before
@@ -90,7 +91,7 @@ def agglomerate(dm: DistanceMatrix, params: LinkageParams) -> Dendrogram:
         d_ij, i, j = min((dist[pair], *pair) for pair in combinations(active, 2))
         new_id = k + step_no
         merged = tuple(sorted(members[i] + members[j]))
-        steps.append(MergeStep(left=i, right=j, distance=d_ij, new_id=new_id, members=merged))
+        steps.append(MergeStep(left=i, right=j, distance=float(d_ij), new_id=new_id, members=merged))
         active = [c for c in active if c not in (i, j)]
         for c in active:
             dist[_ordered(c, new_id)] = params.fused_distance(

@@ -3,10 +3,10 @@ representation (encoder) with one-vs-rest linear scorers over its children.
 
 Prediction is recursive: starting at the root, descend into the child with
 the maximal scorer output until a leaf is reached, ties to the lowest child
-index. Representations come from the affinity stage when its artifacts are
-supplied (first-order pair encoders for leaf-children nodes, higher-order
-fine-tunes toward concept unions for nodes with subtree children) or are
-trained from scratch per node otherwise. A joint refinement pass trades
+index. Representations are the affinity stage's pretrained concept
+encoders when its artifacts are supplied (each node reuses one, chosen by
+the affinity scores among its concepts, see :func:`train_hierarchies`) or
+are trained from scratch per node otherwise. A joint refinement pass trades
 per-node hinge risk against a parent/child representation-orthogonality
 penalty.
 """
@@ -18,7 +18,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .affinity import AffinityArtifacts, EncoderConfig, fine_tune_stack, train_autoencoder_stack
+from .affinity import AffinityArtifacts, EncoderConfig, train_autoencoder_stack
 from .errors import DataError, NumericError, UnscorableRowError
 from .nets import (
     Mlp,
@@ -447,46 +447,28 @@ def _best_pair(members: tuple[int, ...], artifacts: AffinityArtifacts) -> tuple[
     return max(pairs, key=lambda p: (index[p], -p[0], -p[1]))
 
 
-def _assigned_encoders(trees, artifacts: AffinityArtifacts, rows_of) -> dict[Tree, Mlp]:
+def _assigned_encoders(trees, artifacts: AffinityArtifacts) -> dict[Tree, Mlp]:
     """The encoder of every internal node of ``trees``, as
     :func:`train_hierarchies` describes, keyed by the node's subtree: a
-    union-tuned encoder starts from its biggest internal child's, so it
-    depends on the whole subtree and not on the concept set alone.
-    ``rows_of(key)`` gives the feature rows of concept set ``key``.
+    node with internal children takes its biggest internal child's
+    encoder, so the encoder depends on the whole subtree and not on the
+    concept set alone."""
+    assignment: dict[Tree, Mlp] = {}
 
-    A union tune needs only its children's encoders, so nodes are visited
-    by height and the union tunes of one height go through one
-    :func:`fine_tune_stack` call."""
-    cfg = artifacts.config
-    heights: dict[Tree, int] = {}  # every distinct internal subtree, leaf-children nodes at 1
-
-    def height(node: Tree) -> int:
-        if node not in heights:
-            heights[node] = 1 + max((height(c) for c in node.children if not c.is_leaf), default=0)
-        return heights[node]
+    def assign(node: Tree) -> None:
+        if node in assignment:
+            return
+        inner = [c for c in node.children if not c.is_leaf]
+        for child in inner:
+            assign(child)
+        if inner:
+            biggest = max(inner, key=lambda c: (len(c.leaf_ids()), -c.min_leaf()))
+            assignment[node] = assignment[biggest]
+        else:
+            assignment[node] = artifacts.concept_encoders[_best_pair(node_key(node), artifacts)[0]]
 
     for tree in trees:
-        height(tree)
-    assignment: dict[Tree, Mlp] = {}
-    for h in sorted(set(heights.values())):
-        starts: dict[Tree, Mlp] = {}  # node -> the encoder its union tune starts from
-        for node in (node for node, at in heights.items() if at == h):
-            key = node_key(node)
-            if h == 1:
-                encoder = artifacts.pair_encoders[_best_pair(key, artifacts)]
-                if len(key) == 2:
-                    assignment[node] = encoder
-                    continue
-            else:
-                encoder = assignment[max(
-                    (c for c in node.children if not c.is_leaf),
-                    key=lambda c: (len(c.leaf_ids()), -c.min_leaf()),
-                )]
-            starts[node] = encoder
-        tasks = [([encoder], rows_of(node_key(node)), task_seed(cfg.seed, 4, *node_key(node)))
-                 for node, encoder in starts.items()]
-        for node, [(tuned, _)] in zip(starts, fine_tune_stack(tasks, cfg)):
-            assignment[node] = tuned
+        assign(tree)
     return assignment
 
 
@@ -533,22 +515,22 @@ def train_hierarchies(
     """Train every node model of each tree, composing the classifiers from
     one node table.
 
-    With affinity artifacts, every node's representation comes from them.
-    A node whose children are all leaves reuses the best first-order pair
-    encoder among its concepts, fine-tuned further toward the union when
-    there are more than two. A node with subtree children gets an encoder
-    fine-tuned from its largest internal child's toward the union of all its
-    descendants. A flat classifier, with or without artifacts, comes from
-    :func:`flat_tree`. Without artifacts each node gets a scratch
-    autoencoder trained on its descendants' rows. A tree's classifier does not depend on the other
+    With affinity artifacts, every node's representation is one of their
+    pretrained concept encoders, used as it is. A node whose children are
+    all leaves takes the encoder of the source of its best-scored ordered
+    pair of concepts (ties to the smaller source, then target). A node
+    with subtree children takes the encoder of its largest internal child
+    (ties to the child with the smallest concept id). A flat classifier,
+    with or without artifacts, comes from :func:`flat_tree`. Without
+    artifacts each node gets a scratch autoencoder trained on its
+    descendants' rows. A tree's classifier does not depend on the other
     trees in the call, but no node trains twice and independent problems
     stack:
 
     - one scratch encoder per distinct concept set, all trained in one
       ``train_autoencoder_stack`` call;
-    - one artifact encoder per distinct subtree, as a union-tuned
-      encoder depends on the subtree below its node; the union tunes of one
-      tree height go through one ``fine_tune_stack`` call;
+    - one artifact encoder lookup per distinct subtree, as the encoder a
+      node takes depends on the subtree below it;
     - one scorer set per distinct (encoder, child partition), all trained
       in one ``train_node_erm_stack`` call; the partitions of one encoder
       share its rows and batch order.
@@ -577,7 +559,7 @@ def train_hierarchies(
             problems.setdefault(problem_of(node), {})[_child_keys(node)] = None
 
     if artifacts is not None:
-        assigned = _assigned_encoders(trees, artifacts, lambda key: subs[key].features)
+        assigned = _assigned_encoders(trees, artifacts)
         encoders = {problem_of(node): encoder for node, encoder in assigned.items()}
     else:
         keys = list(subs)

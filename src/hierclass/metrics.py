@@ -157,7 +157,9 @@ class EvalReport:
 
 
 def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
-    """All report fields from one prediction pass.
+    """All report fields: accuracy, H-loss, the confusion matrix and the
+    per-concept table from one prediction pass, then per-node accuracy from
+    a second pass that routes each node's truth rows through that node.
 
     Per-node accuracy counts an example at node t iff its true concept is a
     descendant of t, and scores it correct iff the node routes it into the

@@ -3,12 +3,13 @@ per-node training loops that the stacked trainers are checked against, the
 ``csv.writer`` form of ``save_csv``, and planted fixtures."""
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hierclass import Catalog, PlantedSpec, generate_planted
-from hierclass.affinity import AffinityConfig, capped_budget, make_decoder, make_encoder
+from hierclass.affinity import AffinityConfig, make_decoder, make_encoder
 from hierclass.hmodel import (
     HierarchicalClassifier,
     NodeModel,
@@ -54,9 +55,11 @@ def central_difference(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 def brute_force_agglomerate(values: np.ndarray, method: str):
-    """Linkage oracle: recompute every inter-cluster distance from the
-    original matrix at each step (min / max / unweighted cross-pair mean),
-    with the same deterministic tie-break as the implementation."""
+    """Linkage oracle: recompute every inter-cluster distance exactly, in
+    fractions of the input floats, from the original matrix at each step
+    (min / max / unweighted cross-pair mean), with the same deterministic
+    tie-break as the implementation; each step's distance is rounded to a
+    float."""
     k = len(values)
     combine = {
         "single": min,
@@ -73,13 +76,13 @@ def brute_force_agglomerate(values: np.ndarray, method: str):
             for b_pos in range(a_pos + 1, len(active)):
                 i, j = active[a_pos], active[b_pos]
                 d = combine(
-                    [values[a, b] for a in clusters[i] for b in clusters[j]]
+                    [Fraction(float(values[a, b])) for a in clusters[i] for b in clusters[j]]
                 )
                 if best is None or d < best[0] or (d == best[0] and (i, j) < best[1]):
                     best = (d, (i, j))
         d, (i, j) = best
         members = tuple(sorted(clusters[i] + clusters[j]))
-        steps.append((i, j, d, next_id, members))
+        steps.append((i, j, float(d), next_id, members))
         clusters[next_id] = members
         active = [c for c in active if c not in (i, j)] + [next_id]
         next_id += 1
@@ -189,9 +192,9 @@ def _plain_autoencoder(data, cfg, seed):
     return encoder, decoder, losses[-1]
 
 
-def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
-    """One transfer exactly as a serial per-pair loop runs it, one network
-    at a time."""
+def _plain_transfer_loss(encoder, target_data, budget, cfg, seed):
+    """One transfer's held-out loss exactly as a serial per-pair loop
+    computes it, one network at a time."""
     n = target_data.shape[0]
     order = np.random.default_rng([seed, 0]).permutation(n)
     n_held = max(1, int(round(cfg.holdout_fraction * n)))
@@ -202,22 +205,13 @@ def _plain_fine_tune(encoder, target_data, budget, cfg, seed):
     _, decoder, _ = train_reconstruction(
         encoder, decoder, rows, cfg.warmup, train_rng, update_encoder=False
     )
-    if budget > 0 and cfg.finetune.epochs > 0:
-        encoder, decoder, _ = train_reconstruction(
-            encoder, decoder, rows, cfg.finetune, train_rng, update_encoder=True
-        )
-    return encoder, reconstruction_loss(encoder, decoder, target_data[heldout])
+    return reconstruction_loss(encoder, decoder, target_data[heldout])
 
 
-def _plain_assignment(tree, artifacts, dataset):
-    """The artifact encoders ``train_hierarchies`` assigns, node by node,
-    every union tune one plain fine-tune: the node-key-to-encoder map."""
-    cfg = artifacts.config
+def _plain_assignment(tree, artifacts):
+    """The artifact encoders ``train_hierarchies`` assigns, node by node:
+    the node-key-to-encoder map."""
     encoders = {}
-
-    def union_tune(start, key):
-        rows = dataset.restrict(key).features
-        return _plain_fine_tune(start, rows, capped_budget(len(rows), cfg), cfg, task_seed(cfg.seed, 4, *key))[0]
 
     def walk(node):
         for child in node.children:
@@ -225,12 +219,11 @@ def _plain_assignment(tree, artifacts, dataset):
                 walk(child)
         key = node_key(node)
         if all(c.is_leaf for c in node.children):
-            encoder = artifacts.pair_encoders[_best_pair(key, artifacts)]
-            encoders[key] = union_tune(encoder, key) if len(key) > 2 else encoder
+            encoders[key] = artifacts.concept_encoders[_best_pair(key, artifacts)[0]]
         else:
             biggest = max((c for c in node.children if not c.is_leaf),
                           key=lambda c: (len(c.leaf_ids()), -c.min_leaf()))
-            encoders[key] = union_tune(encoders[node_key(biggest)], key)
+            encoders[key] = encoders[node_key(biggest)]
 
     walk(tree)
     return encoders
@@ -262,7 +255,7 @@ def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
     ``_plain_assignment`` or a plain scratch autoencoder per node, and the
     plain ERM loop for each node's scorers."""
     validate_tree(tree, len(dataset.catalog))
-    encoders = {} if artifacts is None else _plain_assignment(tree, artifacts, dataset)
+    encoders = {} if artifacts is None else _plain_assignment(tree, artifacts)
     scratch_cfg = AffinityConfig(encoder=cfg.encoder, pretrain=cfg.pretrain)
     models = {}
     for node in tree.internal_nodes():

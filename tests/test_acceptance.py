@@ -152,7 +152,7 @@ def test_criterion_03_clustering_oracle_equivalence():
 
 def test_criterion_04_gradient_checks():
     start = time.time()
-    worst = {"autoencoder": 0.0, "fine-tune": 0.0, "hinge": 0.0, "refine": 0.0}
+    worst = {"autoencoder": 0.0, "transfer": 0.0, "hinge": 0.0, "refine": 0.0}
 
     # autoencoder objective: reconstruction at random parameter points
     for point in range(20):
@@ -173,7 +173,7 @@ def test_criterion_04_gradient_checks():
             rel_err(flatten_params(grads), central_difference(f, flatten_params(params))),
         )
 
-    # fine-tuning objective: trained source encoder, fresh decoder, target data
+    # transfer objective: trained source encoder, fresh decoder, target data
     base_rng = np.random.default_rng(42)
     source = generate_planted(PAIR_SPEC, seed=0)
     from hierclass.affinity import train_autoencoder_stack
@@ -195,8 +195,8 @@ def test_criterion_04_gradient_checks():
             loss, _ = reconstruction_grads(unflatten_params(vec, params), acts, target)
             return loss
 
-        worst["fine-tune"] = max(
-            worst["fine-tune"],
+        worst["transfer"] = max(
+            worst["transfer"],
             rel_err(flatten_params(grads), central_difference(f, flatten_params(params))),
         )
 

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     _plain_autoencoder,
-    _plain_fine_tune,
+    _plain_transfer_loss,
     central_difference,
     flatten_params,
     reconstruction_grads,
-    reconstruction_loss,
     rel_err,
     train_reconstruction,
     unflatten_params,
@@ -35,12 +34,12 @@ from hierclass.affinity import (
     capped_budget,
     distance_to_csv,
     final_score,
-    fine_tune_stack,
     make_decoder,
     make_encoder,
     raw_transfer_score,
     symmetrize_to_distance,
     train_autoencoder_stack,
+    transfer_losses,
 )
 from hierclass.errors import DataError, NumericError
 from hierclass.nets import (
@@ -114,24 +113,25 @@ def test_training_loss_never_increases_net_across_seeds():
         assert history[-1] <= history[0]
 
 
-# --- fine-tuning -------------------------------------------------------------
+# --- transfers ---------------------------------------------------------------
 
 
 def test_fine_tune_zero_budget_keeps_encoder():
+    # the source encoder stays frozen, and at budget 0 its decoder trains on the whole pool
     cfg = AffinityConfig(budget=0)
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
+    weights = [layer.weights.copy() for layer in enc.layers]
     data = np.random.default_rng(1).normal(size=(30, 4))
-    [[(tuned, l_ft)]] = fine_tune_stack([([enc], data, 0)], cfg)
-    assert tuned is enc
-    assert l_ft >= 0.0
-
+    [[l_ft]] = transfer_losses([([enc], data, 0)], cfg)
+    assert all(np.array_equal(w, layer.weights) for w, layer in zip(weights, enc.layers))
+    assert l_ft == _plain_transfer_loss(enc, data, 0, cfg, 0) >= 0.0
 
 def test_fine_tune_is_deterministic_in_seed():
     cfg = AffinityConfig(budget=10)
     enc = make_encoder(4, cfg.encoder, np.random.default_rng(0))
     data = np.random.default_rng(1).normal(size=(40, 4))
-    [[(_, a)]] = fine_tune_stack([([enc], data, 5)], cfg)
-    [[(_, b)]] = fine_tune_stack([([enc], data, 5)], cfg)
+    [[a]] = transfer_losses([([enc], data, 5)], cfg)
+    [[b]] = transfer_losses([([enc], data, 5)], cfg)
     assert a == b
 
 
@@ -145,33 +145,10 @@ def test_self_transfer_dominates_on_planted_data():
                 for c in range(3)}
     for target in range(3):  # the default budget, 80 of the 120 pool rows
         losses = {
-            src: fine_tune_stack([([encoders[src]], data.of_concept(target), 500 + target)], cfg)[0][0][1]
+            src: transfer_losses([([encoders[src]], data.of_concept(target), 500 + target)], cfg)[0][0]
             for src in range(3)
         }
         assert min(losses, key=losses.get) == target
-
-
-def test_fresh_encoder_fine_tune_matches_autoencoder_regime():
-    # with no warmup and a pretraining-length joint phase, fine-tuning a fresh
-    # encoder is the same procedure as training an autoencoder on the pool
-    from hierclass.affinity import _holdout_split
-
-    cat = Catalog(("A", "B", "C"))
-    tree = internal([internal([leaf(0), leaf(1)]), leaf(2)])
-    data = generate_planted(PlantedSpec(cat, tree, 10, 150, (9.0, 3.0), 2.0), seed=4)
-    x = data.of_concept(0)
-    cfg = AffinityConfig(  # a budget of every row, capped at the pool
-        warmup=SgdConfig(epochs=0, batch_size=32, learning_rate=0.1),
-        finetune=SgdConfig(epochs=60, batch_size=32, learning_rate=0.1),
-        budget=x.shape[0],
-        b_max=x.shape[0],
-    )
-    fresh = make_encoder(10, cfg.encoder, np.random.default_rng([9, 3]))
-    [[(_, l_ft)]] = fine_tune_stack([([fresh], x, 9)], cfg)
-    pool, held = _holdout_split(x.shape[0], 0.2, np.random.default_rng([9, 0]))
-    [(enc, dec, _)] = train_autoencoder_stack([x[pool]], cfg.encoder, cfg.pretrain, [77])
-    l_ae = reconstruction_loss(enc, dec, x[held])
-    assert abs(l_ft - l_ae) / l_ae < 0.15
 
 
 def test_identical_distribution_target_matches_own_loss():
@@ -181,7 +158,7 @@ def test_identical_distribution_target_matches_own_loss():
     sample_b = base + rng.normal(size=(200, 10))
     cfg = AffinityConfig(seed=5)
     [(encoder, _, own_loss)] = train_autoencoder_stack([sample_a], cfg.encoder, cfg.pretrain, [5])
-    [[(_, l_ft)]] = fine_tune_stack([([encoder], sample_b, 6)], cfg)
+    [[l_ft]] = transfer_losses([([encoder], sample_b, 6)], cfg)
     assert abs(l_ft - own_loss) / own_loss < 0.10
 
 
@@ -262,22 +239,20 @@ def test_matrix_has_all_ordered_pairs(triple_artifacts):
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     matrix = triple_artifacts.matrix
     assert [(r.source, r.target) for r in matrix.records] == pairs
-    assert list(triple_artifacts.pair_encoders) == pairs
-    # a matrix or an artifact set without some pair cannot be built
+    encoders = triple_artifacts.concept_encoders
+    assert len(encoders) == 3
+    # a matrix without some pair cannot be built
     with pytest.raises(ValueError, match=r"^affinity matrix is missing pairs: c3->c1$"):
         replace(matrix, records=matrix.records[:-2] + matrix.records[-1:])
-    encoders = dict(triple_artifacts.pair_encoders)
-    del encoders[(0, 1)], encoders[(2, 1)]
-    with pytest.raises(ValueError, match=r"^pair encoders is missing pairs: c1->c2, c3->c2$"):
-        replace(triple_artifacts, pair_encoders=encoders)
     # a repeated pair or a pair of a concept with itself is one record too many
     for extra in (matrix.records[0], replace(matrix.records[0], target=0)):
         with pytest.raises(ValueError, match=r"^affinity matrix holds 7 entries for the 6 ordered pairs$"):
             replace(matrix, records=matrix.records + (extra,))
-    with pytest.raises(ValueError, match=r"^pair encoders holds 7 entries for the 6 ordered pairs$"):
-        replace(triple_artifacts, pair_encoders={**triple_artifacts.pair_encoders, (1, 1): encoders[(1, 0)]})
-    # every pair encoder takes the artifacts' feature width
-    with pytest.raises(ValueError, match=r"^pair encoder 0,1 takes 10 features but input_dim is 5$"):
+    # artifacts hold one encoder per concept, each taking the artifacts' feature width
+    for count in (2, 4):
+        with pytest.raises(ValueError, match=rf"^{count} concept encoders for the 3 concepts$"):
+            replace(triple_artifacts, concept_encoders=(encoders * 2)[:count])
+    with pytest.raises(ValueError, match=r"^concept encoder 0 takes 10 features but input_dim is 5$"):
         replace(triple_artifacts, input_dim=5)
     # one concept has no pairs: no matrix
     with pytest.raises(ValueError, match=r"^an affinity matrix relates at least 2 concepts, got 1$"):
@@ -309,13 +284,12 @@ def test_identical_distribution_pair_beats_half():
 
 
 def _plain_build(dataset, cfg):
-    """Records and pair encoders of a serial loop over every ordered pair."""
+    """Records of a serial loop over every ordered pair, and the concept
+    encoders each trained alone."""
     ids = dataset.catalog.ids
     data = {cid: dataset.of_concept(cid) for cid in ids}
-    encoders = {
-        cid: _plain_autoencoder(data[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0] for cid in ids
-    }
-    records, tuned = [], {}
+    encoders = [_plain_autoencoder(data[cid], cfg, seed=task_seed(cfg.seed, 1, cid))[0] for cid in ids]
+    records = []
     for src in ids:
         for dst in ids:
             if src == dst:
@@ -324,12 +298,12 @@ def _plain_build(dataset, cfg):
             budget = min(cfg.budget, n - max(1, int(round(cfg.holdout_fraction * n))))
             seed = task_seed(cfg.seed, 2, dst)
             fresh = make_encoder(data[dst].shape[1], cfg.encoder, np.random.default_rng([seed, 3]))
-            _, l_ref = _plain_fine_tune(fresh, data[dst], budget, cfg, seed)
-            tuned[(src, dst)], l_ft = _plain_fine_tune(encoders[src], data[dst], budget, cfg, seed)
+            l_ref = _plain_transfer_loss(fresh, data[dst], budget, cfg, seed)
+            l_ft = _plain_transfer_loss(encoders[src], data[dst], budget, cfg, seed)
             p = raw_transfer_score(l_ft, l_ref)
             score = final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta)
             records.append(AffinityRecord(src, dst, p, budget, score))
-    return tuple(records), tuned
+    return tuple(records), encoders
 
 
 def _same_mlp(a, b):
@@ -343,11 +317,10 @@ def _same_mlp(a, b):
 
 def _assert_build_matches_plain(dataset, cfg):
     artifacts = build_affinity_artifacts(dataset, cfg)
-    records, tuned = _plain_build(dataset, cfg)
+    records, encoders = _plain_build(dataset, cfg)
     assert artifacts.matrix.records == records  # exact float equality
-    assert list(artifacts.pair_encoders) == list(tuned)
-    for pair, encoder in tuned.items():
-        assert _same_mlp(artifacts.pair_encoders[pair], encoder), pair
+    assert len(artifacts.concept_encoders) == len(encoders)
+    assert all(_same_mlp(got, want) for got, want in zip(artifacts.concept_encoders, encoders))
     return artifacts
 
 
@@ -436,17 +409,11 @@ def test_one_diverging_pretrain_member_names_its_concept():
         build_affinity_artifacts(data, cfg)
 
 
-@pytest.mark.parametrize("variant", [{"finetune": SgdConfig(epochs=0, batch_size=16, learning_rate=0.02)},
-                                     {"budget": 0}])
+@pytest.mark.parametrize("variant", [{}, {"budget": 0}])
 def test_build_matches_plain_path_without_joint_phase(triple_data_module, variant):
+    # the default budget and the whole pool: the artifacts' encoders are the plain pretrained ones
     cfg = replace(AffinityConfig(seed=2, warmup=SgdConfig(epochs=30, batch_size=16, learning_rate=0.1)), **variant)
-    artifacts = _assert_build_matches_plain(triple_data_module, cfg)
-    # no joint phase: every pair encoder is its source's plain pretrained encoder, untouched
-    data = triple_data_module
-    pretrained = {cid: _plain_autoencoder(data.of_concept(cid), cfg, task_seed(cfg.seed, 1, cid))[0]
-                  for cid in data.catalog.ids}
-    for (src, _), encoder in artifacts.pair_encoders.items():
-        assert _same_mlp(encoder, pretrained[src])
+    _assert_build_matches_plain(triple_data_module, cfg)
 
 
 def test_one_diverging_stack_member_raises():
@@ -456,13 +423,13 @@ def test_one_diverging_stack_member_raises():
     data = np.random.default_rng(0).normal(size=(40, 6))
     calm = make_encoder(6, linear, np.random.default_rng(1))
     wild = Mlp(tuple(Layer(l.weights * 1e3, l.bias, l.activation) for l in calm.layers))
-    fine_tune_stack([([calm], data, 3)], cfg)  # each calm member trains fine on its own
+    transfer_losses([([calm], data, 3)], cfg)  # each calm member trains fine on its own
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="stack member 1"):
-        fine_tune_stack([([calm, wild, calm], data, 3)], cfg)
+        transfer_losses([([calm, wild, calm], data, 3)], cfg)
     # across tasks: the error names the task and encoder, and ``member`` counts over all tasks' encoders
     tasks = [([calm], data, 3), ([calm], data[:20], 4), ([calm, wild], data, 5)]  # task 1 on its 16-row pool
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"task 2, encoder 1: .*stack member 3") as info:
-        fine_tune_stack(tasks, cfg)
+        transfer_losses(tasks, cfg)
     assert info.value.member == 3
 
 
@@ -480,18 +447,14 @@ def test_transfer_divergence_names_its_concepts(monkeypatch):
     def diverge(tasks, cfg):  # the third member toward 'b' is its scratch reference
         raise NumericError("diverged", len(tasks[0][0]) + 2)
 
-    monkeypatch.setattr(affinity_module, "fine_tune_stack", diverge)
+    monkeypatch.setattr(affinity_module, "transfer_losses", diverge)
     with pytest.raises(NumericError, match="scratch reference toward 'b': diverged") as info:
         build_affinity_artifacts(data, cfg)
     assert info.value.member == 5
 
 
-@pytest.mark.parametrize(
-    "variant",
-    [{}, {"budget": 0}, {"finetune": SgdConfig(epochs=0, batch_size=16, learning_rate=0.02)}],
-    ids=["joint", "budget0", "finetune_epochs0"],
-)
-def test_fine_tune_stack_members_match_single_calls(triple_data_module, variant):
+@pytest.mark.parametrize("variant", [{}, {"budget": 0}], ids=["default", "budget0"])
+def test_transfer_losses_members_match_single_calls(triple_data_module, variant):
     cfg = replace(AffinityConfig(warmup=SgdConfig(epochs=20, batch_size=16, learning_rate=0.1), budget=50), **variant)
     data = [triple_data_module.of_concept(c) for c in range(3)]
     encoders = [train_autoencoder_stack([data[c]], cfg.encoder, cfg.pretrain, [c])[0][0] for c in (0, 1)]
@@ -499,14 +462,13 @@ def test_fine_tune_stack_members_match_single_calls(triple_data_module, variant)
     # at budget 50 task 4 trains on its whole pool and the others on 50 rows
     tasks = [(encoders, data[2], 11), (encoders[::-1], data[0], 12), (encoders[:1], data[1][:90], 13),
              (encoders, data[1], 14), (encoders[1:], data[2][:60], 15)]
-    stacked = fine_tune_stack(tasks, cfg)
-    assert [len(results) for results in stacked] == [2, 2, 1, 2, 1]
-    for (members, target, seed), results in zip(tasks, stacked):
-        for encoder, (tuned, l_ft) in zip(members, results):
-            [[(alone, l_alone)]] = fine_tune_stack([([encoder], target, seed)], cfg)
-            plain, l_plain = _plain_fine_tune(encoder, target, capped_budget(len(target), cfg), cfg, seed)
-            assert l_ft == l_alone == l_plain and _same_mlp(tuned, alone) and _same_mlp(tuned, plain)
-            assert (tuned is encoder) == (variant != {})  # without a joint phase the encoder is untouched
+    stacked = transfer_losses(tasks, cfg)
+    assert [len(losses) for losses in stacked] == [2, 2, 1, 2, 1]
+    for (members, target, seed), losses in zip(tasks, stacked):
+        for encoder, l_ft in zip(members, losses):
+            [[l_alone]] = transfer_losses([([encoder], target, seed)], cfg)
+            l_plain = _plain_transfer_loss(encoder, target, capped_budget(len(target), cfg), cfg, seed)
+            assert l_ft == l_alone == l_plain
 
 
 # --- holdout and budget arithmetic --------------------------------------------
@@ -539,9 +501,8 @@ def test_recorded_budget_is_the_rows_trained_on_at_the_holdout_edge(monkeypatch)
     data = LabeledDataset(feats, np.array([0] * 10 + [1] * 10), Catalog(("a", "b")))
     cfg = AffinityConfig(holdout_fraction=0.96, encoder=EncoderConfig(hidden_dim=6, latent_dim=2))
     matrix = build_affinity_artifacts(data, cfg).matrix
-    # one pretraining stack over both concepts' 10 rows, then one transfer stack toward both
-    # targets whose joint phase ran
-    assert rows_seen == [(cfg.pretrain, {10}), (cfg.warmup, {1}), (cfg.finetune, {1})]
+    # one pretraining stack over both concepts' 10 rows, then one transfer stack toward both targets
+    assert rows_seen == [(cfg.pretrain, {10}), (cfg.warmup, {1})]
     assert [r.budget for r in matrix.records] == [1, 1]
 
 
@@ -684,7 +645,6 @@ def test_affinity_config_json_roundtrip():
     cfg = AffinityConfig(
         encoder=EncoderConfig(5, 2, "sigmoid", "identity"),
         warmup=SgdConfig(epochs=7, batch_size=8, learning_rate=0.3, divergence_limit=1e4),
-        finetune=SgdConfig(epochs=0, batch_size=4, learning_rate=0.5),
         budget=3, b_max=9, alpha=0.2, beta=0.7, holdout_fraction=0.3,
         min_examples=4, seed=11,
     )
@@ -692,9 +652,11 @@ def test_affinity_config_json_roundtrip():
     assert affinity_config_from_json(obj) == cfg
     with pytest.raises(DataError, match="format"):
         affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v0"})
-    # a v1 config, which carried freeze_encoder, is an unsupported format
-    with pytest.raises(DataError, match="'hierclass-affinity-config-v1'"):
+    # a v1 config carried freeze_encoder and a v2 config finetune: each is an older format to rebuild
+    with pytest.raises(DataError, match="'hierclass-affinity-config-v1'.*rebuild"):
         affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v1", "freeze_encoder": True})
+    with pytest.raises(DataError, match="'hierclass-affinity-config-v2'.*rebuild"):
+        affinity_config_from_json({**obj, "format": "hierclass-affinity-config-v2", "finetune": obj["warmup"]})
     with pytest.raises(DataError, match="n_threads"):
         affinity_config_from_json({**obj, "n_threads": 2})
     with pytest.raises(DataError, match="warmup.*'momentum'"):
@@ -742,7 +704,6 @@ def affinity_configs(draw):
         encoder=draw(ENCODER_CONFIGS),
         pretrain=draw(SGD_CONFIGS),
         warmup=draw(SGD_CONFIGS),
-        finetune=draw(SGD_CONFIGS),
         budget=draw(st.integers(0, b_max)),
         b_max=b_max,
         alpha=draw(st.floats(1e-3, 10.0)),
@@ -796,13 +757,18 @@ def test_artifacts_json_round_trip_is_exact(triple_artifacts):
     back = artifacts_from_json(obj)
     assert (back.matrix, back.config, back.input_dim) == (
         triple_artifacts.matrix, triple_artifacts.config, triple_artifacts.input_dim)
-    assert list(back.pair_encoders) == list(triple_artifacts.pair_encoders)
-    assert all(_same_mlp(back.pair_encoders[pair], encoder) for pair, encoder in triple_artifacts.pair_encoders.items())
+    assert len(back.concept_encoders) == len(triple_artifacts.concept_encoders)
+    assert all(_same_mlp(got, want) for got, want in zip(back.concept_encoders, triple_artifacts.concept_encoders))
     assert json.dumps(artifacts_to_json(back)) == json.dumps(obj)
-    older = artifacts_from_json({**obj, "concept_encoders": {"0": obj["pair_encoders"]["0,1"]}})
-    assert json.dumps(artifacts_to_json(older)) == json.dumps(obj)
     with pytest.raises(DataError, match=r"^bad artifacts file: missing keys \['input_dim'\]$"):
         artifacts_from_json({k: v for k, v in obj.items() if k != "input_dim"})
+    # a v2 file, with its tuned pair encoders, names its config's tag before any key
+    v2 = {k: v for k, v in obj.items() if k != "concept_encoders"}
+    v2.update(config={**obj["config"], "format": "hierclass-affinity-config-v2"},
+              pair_encoders={"0,1": obj["concept_encoders"][0]})
+    with pytest.raises(DataError, match=r"^bad artifacts file: unsupported affinity config format "
+                                        r"'hierclass-affinity-config-v2'.*rebuild"):
+        artifacts_from_json(v2)
 
 
 def test_distance_csv_layout(triple_artifacts):

@@ -562,7 +562,7 @@ def test_config_file_rejects_removed_threads_key(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
-FAST_AFF = ["--pretrain-epochs", "15", "--warmup-epochs", "5", "--finetune-epochs", "0",
+FAST_AFF = ["--pretrain-epochs", "15", "--warmup-epochs", "5",
             "--budget", "20", "--hidden-dim", "8", "--latent-dim", "2"]
 
 
@@ -588,7 +588,6 @@ def test_train_reuses_the_saved_affinity_config(tmp_path, planted_csv, capsys):
         encoder=EncoderConfig(hidden_dim=8, latent_dim=2),
         pretrain=SgdConfig(epochs=15, batch_size=32, learning_rate=0.1),
         warmup=SgdConfig(epochs=5, batch_size=16, learning_rate=0.1),
-        finetune=SgdConfig(epochs=0, batch_size=16, learning_rate=0.02),
         budget=20,
         seed=4,
     )
@@ -615,13 +614,13 @@ def test_artifacts_with_unknown_config_format_are_a_data_error(tmp_path, planted
 
 
 def test_v1_artifacts_file_is_a_data_error_naming_the_file(tmp_path, planted_csv, capsys):
-    # a v1 config carried freeze_encoder, which finetune epochs 0 replaced
+    # a v1 config carried freeze_encoder, which the frozen transfer replaced
     data, _ = planted_csv
     (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
     assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
                "--artifacts", "arts.json", *FAST_AFF) == 0
     arts = json.loads((tmp_path / "arts.json").read_text())
-    assert arts["config"]["format"] == "hierclass-affinity-config-v2" and "freeze_encoder" not in arts["config"]
+    assert arts["config"]["format"] == "hierclass-affinity-config-v3" and "freeze_encoder" not in arts["config"]
     arts["config"].update(format="hierclass-affinity-config-v1", freeze_encoder=True)
     (tmp_path / "arts.json").write_text(json.dumps(arts))
     capsys.readouterr()
@@ -629,6 +628,28 @@ def test_v1_artifacts_file_is_a_data_error_naming_the_file(tmp_path, planted_csv
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
     err = capsys.readouterr().err
     assert f"data error: {tmp_path / 'arts.json'}: bad artifacts file" in err and "config-v1" in err
+    assert not (tmp_path / "clf.json").exists()
+
+
+def test_v2_artifacts_file_with_pair_encoders_is_a_data_error_asking_for_a_rebuild(tmp_path, planted_csv, capsys):
+    # a v2 file held a joint fine-tune's config and one tuned encoder per ordered pair
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "arts.json").read_text())
+    encoders = arts.pop("concept_encoders")
+    arts["pair_encoders"] = {f"{i},{j}": encoders[i] for i in range(4) for j in range(4) if i != j}
+    arts["config"].update(format="hierclass-affinity-config-v2",
+                          finetune={"epochs": 3, "batch_size": 16, "learning_rate": 0.02, "divergence_limit": 1e6})
+    (tmp_path / "arts.json").write_text(json.dumps(arts))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'arts.json'}: bad artifacts file: unsupported affinity config format "
+        "'hierclass-affinity-config-v2', not 'hierclass-affinity-config-v3'; "
+        "rebuild the file with `hierclass affinity`\n")
     assert not (tmp_path / "clf.json").exists()
 
 
@@ -645,18 +666,16 @@ def test_affinity_on_a_short_concept_is_a_data_error_naming_it(tmp_path, planted
 
 
 @pytest.mark.parametrize("edit, shown", [
-    (lambda arts: arts["pair_encoders"].pop("2,1"), "pair encoders is missing pairs: c3->c2"),
+    (lambda arts: arts["concept_encoders"].pop(), "3 concept encoders for the 4 concepts"),
     (lambda arts: arts["config"]["warmup"].update(epochs=2.5),
      "affinity config.warmup: epochs must be an integer, got 2.5"),
     (lambda arts: arts["config"].update(budget=True), "affinity config: budget must be an integer, got True"),
     (lambda arts: arts["matrix"]["entries"].pop(), "bad affinity JSON: affinity matrix is missing pairs: c4->c3"),
     (lambda arts: arts.update(bogus=1), "unknown keys ['bogus']"),
-    (lambda arts: arts["pair_encoders"].update({"0 ,1": arts["pair_encoders"].pop("0,1")}),
-     "pair encoder key must be 'source,target', got '0 ,1'"),
     (lambda arts: arts.update(input_dim=12.5), "input_dim must be an integer, got 12.5"),
-    (lambda arts: arts.update(pair_encoders=[]), "pair_encoders must be an object, got list"),
-], ids=["pair-encoder", "warmup-epochs", "budget", "matrix-pair", "unknown-key", "spaced-pair-key",
-        "input-dim-fraction", "pair-encoders-not-an-object"])
+    (lambda arts: arts.update(concept_encoders={}), "concept_encoders must be a list, got dict"),
+], ids=["concept-encoder", "warmup-epochs", "budget", "matrix-pair", "unknown-key",
+        "input-dim-fraction", "concept-encoders-not-a-list"])
 def test_incomplete_or_mistyped_artifacts_are_a_data_error(tmp_path, planted_csv, capsys, edit, shown):
     data, _ = planted_csv
     (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
@@ -677,6 +696,22 @@ def test_removed_freeze_encoder_flag_is_a_usage_error(tmp_path, planted_csv, cap
     assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json", "--freeze-encoder") == 1
     assert "--freeze-encoder" in capsys.readouterr().err
     assert not (tmp_path / "aff.json").exists()
+
+
+def test_removed_finetune_epochs_flag_is_a_usage_error(tmp_path, planted_csv, capsys):
+    data, _ = planted_csv
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json", "--finetune-epochs", "0") == 1
+    assert "--finetune-epochs" in capsys.readouterr().err
+    assert not (tmp_path / "aff.json").exists()
+
+
+def test_config_file_rejects_removed_finetune_epochs_key(tmp_path, planted_csv, capsys):
+    data, _ = planted_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"finetune_epochs": 0}))
+    assert run("--config", cfg, "--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json") == 2
+    assert capsys.readouterr().err == f"data error: {cfg}: unknown config keys ['finetune_epochs']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -729,7 +764,7 @@ def test_artifacts_whose_input_dim_disagrees_with_their_encoders_are_a_data_erro
     assert run("--out-dir", tmp_path, "train", "--data", tmp_path / "narrow.csv", "--tree", tmp_path / "tree.nwk",
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {tmp_path / 'arts.json'}: bad artifacts file: pair encoder 0,1 "
+    assert err.startswith(f"data error: {tmp_path / 'arts.json'}: bad artifacts file: concept encoder 0 "
                           "takes 8 features but input_dim is 5"), err
     assert not (tmp_path / "clf.json").exists()
 
@@ -785,15 +820,13 @@ def test_provenance_records_the_whole_resolved_config(tmp_path, planted_csv, cap
     data, _ = planted_csv
     assert run("--out-dir", tmp_path, "--seed", "3", "affinity", "--data", data, "--out", "aff.json",
                "--pretrain-epochs", "5", "--warmup-epochs", "4", "--budget", "20",
-               "--hidden-dim", "8", "--latent-dim", "2", "--min-examples", "12",
-               "--finetune-epochs", "0") == 0
+               "--hidden-dim", "8", "--latent-dim", "2", "--min-examples", "12") == 0
     defaults = AffinityConfig()
     used = replace(
         defaults,
         encoder=replace(defaults.encoder, hidden_dim=8, latent_dim=2),
         pretrain=replace(defaults.pretrain, epochs=5),
         warmup=replace(defaults.warmup, epochs=4),
-        finetune=replace(defaults.finetune, epochs=0),
         budget=20, min_examples=12, seed=3,
     )
     prov = json.loads((tmp_path / "aff.json").read_text())["provenance"]

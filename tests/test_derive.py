@@ -67,18 +67,15 @@ def test_agglomerate_matches_from_scratch_oracle(method):
             assert {step.left, step.right} == {i, j}
             assert step.new_id == new_id
             assert step.members == members
-            # min and max take an input distance; the weighted mean rounds
-            assert step.distance == (d if method != "average" else pytest.approx(d, abs=1e-9))
+            assert step.distance == d  # every preset is exact, then rounded once
 
 
 _TIED_GRID = (0.1, 0.15, 0.2, 0.3, 0.35, 0.45, 0.6, 0.7)
+_TIED_GRIDS = st.integers(3, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.sampled_from(_TIED_GRID), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(3, 8).flatmap(lambda k: st.tuples(
-    st.just(k), st.lists(st.sampled_from(_TIED_GRID), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2))))
-@pytest.mark.parametrize("method", ["single", "complete"])
-def test_single_and_complete_linkage_break_ties_like_the_oracle(method, grid):
+def _assert_ties_break_like_the_oracle(method, grid):
     # distances drawn from a few values tie often; the oracle's merge order
     # and distances must come out exactly
     k, upper = grid
@@ -88,6 +85,34 @@ def test_single_and_complete_linkage_break_ties_like_the_oracle(method, grid):
     dgm = agglomerate(_dm(values), LinkageParams(preset=method))
     steps = [(s.left, s.right, s.distance, s.new_id, s.members) for s in dgm.steps]
     assert steps == brute_force_agglomerate(values, method)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TIED_GRIDS)
+@pytest.mark.parametrize("method", ["single", "complete"])
+def test_single_and_complete_linkage_break_ties_like_the_oracle(method, grid):
+    _assert_ties_break_like_the_oracle(method, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TIED_GRIDS)
+def test_average_linkage_breaks_ties_like_the_exact_oracle(grid):
+    # a rounded size-weighted mean decides such ties by rounding
+    _assert_ties_break_like_the_oracle("average", grid)
+
+
+def test_average_linkage_tie_that_rounding_breaks_merges_the_smaller_id_pair():
+    # after (c2,c4) and then c0 merge, c3 is exactly 0.5 from that cluster (6)
+    # and from c1: the smaller id pair (1, 3) merges; a rounded weighted
+    # mean put cluster 6 at 0.49999999999999994 and merged (3, 6) instead
+    values = [[0.0, 0.625, 0.5, 0.625, 0.375],
+              [0.625, 0.0, 0.625, 0.5, 0.5],
+              [0.5, 0.625, 0.0, 0.625, 0.25],
+              [0.625, 0.5, 0.625, 0.0, 0.25],
+              [0.375, 0.5, 0.25, 0.25, 0.0]]
+    dgm = agglomerate(_dm(values), LinkageParams(preset="average"))
+    assert [(s.left, s.right) for s in dgm.steps] == [(2, 4), (0, 5), (1, 3), (6, 7)]
+    assert [s.distance for s in dgm.steps[:3]] == [0.25, 0.4375, 0.5]
 
 
 def test_equal_distances_merge_the_smaller_id_pair_first():

@@ -294,28 +294,29 @@ def test_assignment_first_order_and_higher_order(triple_setup):
     catalog, tree, data, artifacts = triple_setup
     eff_tree, assignment = _assigned(tree, artifacts, data)
     assert eff_tree == tree
-    pair_encoders = {id(m) for m in artifacts.pair_encoders.values()}
-    assert id(assignment[(0, 1)]) in pair_encoders  # first-order reuse
-    assert id(assignment[(0, 1, 2)]) not in pair_encoders  # higher-order fine-tune
+    # the pair node takes its best pair's source encoder, and the root its only internal child's
+    source, _ = hmodel._best_pair((0, 1), artifacts)
+    assert assignment[(0, 1)] is artifacts.concept_encoders[source]
+    assert assignment[(0, 1, 2)] is assignment[(0, 1)]
 
 
 def test_assignment_flat_tree_single_union_encoder(triple_setup):
     catalog, _, data, artifacts = triple_setup
     eff_tree, assignment = _assigned(flat_tree(3), artifacts, data)
     assert list(assignment) == [(0, 1, 2)]
-    pair_encoders = {id(m) for m in artifacts.pair_encoders.values()}
-    assert id(assignment[(0, 1, 2)]) not in pair_encoders  # tuned on the union
+    source, _ = hmodel._best_pair((0, 1, 2), artifacts)  # the best of the six ordered pairs
+    assert assignment[(0, 1, 2)] is artifacts.concept_encoders[source]
 
 
 def test_assignment_missing_artifact_errors(triple_setup):
-    # artifacts without an encoder for every pair cannot be built, so no node goes without one
+    # artifacts without an encoder for every concept cannot be built, so no node goes without one
     from hierclass.affinity import AffinityArtifacts
 
     catalog, tree, data, artifacts = triple_setup
-    with pytest.raises(ValueError, match=r"^pair encoders is missing pairs: c1->c2, c1->c3, c2->c1"):
+    with pytest.raises(ValueError, match=r"^0 concept encoders for the 3 concepts$"):
         AffinityArtifacts(
             matrix=artifacts.matrix,
-            pair_encoders={},
+            concept_encoders=(),
             config=artifacts.config,
             input_dim=artifacts.input_dim,
         )
@@ -762,8 +763,8 @@ _V = internal([leaf(3), internal([leaf(2), internal([leaf(1), leaf(0)])])])
 
 
 # (((a,b),c),d) and ((a,(b,c)),d): the root has children ((a,b,c), (d)) in
-# both, but under artifacts the union-tuned encoders of
-# (a,b,c), and so of the root, start from different child encoders
+# both, but under artifacts (a,b,c), and so the root, takes the encoder of
+# (a,b) in one and of (b,c) in the other
 _NESTED = [internal([internal([internal([leaf(0), leaf(1)]), leaf(2)]), leaf(3)]),
            internal([internal([leaf(0), internal([leaf(1), leaf(2)])]), leaf(3)])]
 # the last tree before _NESTED equals _V, its children listed another way
@@ -773,7 +774,6 @@ FAST_AFF_CFG = AffinityConfig(
     encoder=EncoderConfig(hidden_dim=6, latent_dim=2),
     pretrain=SgdConfig(epochs=8, batch_size=32, learning_rate=0.1),
     warmup=SgdConfig(epochs=4, batch_size=16, learning_rate=0.1),
-    finetune=SgdConfig(epochs=2, batch_size=16, learning_rate=0.02),
     budget=16,
     seed=5,
 )
@@ -802,16 +802,9 @@ def test_train_hierarchies_equals_training_each_tree(rep_mode):
 
 
 @pytest.mark.parametrize("rep_mode", ["keep"])  # the explicit form perfbench/workloads.py uses
-def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts, rep_mode, monkeypatch):
+def test_train_hierarchies_with_artifacts_equals_training_each_tree(k4_artifacts, rep_mode):
     train, artifacts = k4_artifacts
-    tuned = []  # the row counts of the union tunes in each fine_tune_stack call
-    real = hmodel.fine_tune_stack
-    monkeypatch.setattr(hmodel, "fine_tune_stack",
-                        lambda tasks, cfg: tuned.append([len(rows) for _, rows, _ in tasks]) or real(tasks, cfg))
     shared = _assert_table_equals_plain_hierarchies(_TREES, train, replace(FAST_CFG, rep_mode=rep_mode), artifacts)
-    # one call per tree height: the flat root; the four distinct subtrees of
-    # height 2, two over all four concepts and two over three; the two nested roots
-    assert tuned == [[112], [112, 112, 84, 84], [112, 112]]
     first, second = shared[-2].models, shared[-1].models
     for key in ((0, 1, 2), (0, 1, 2, 3)):  # the encoders differ, and so do the root's scorers
         assert not np.array_equal(first[key].encoder.layers[0].weights, second[key].encoder.layers[0].weights)
