@@ -99,7 +99,7 @@ class AffinityConfig:
             raise ValueError("need 0 <= budget <= b_max")
 
 
-_CONFIG_FORMAT = "hierclass-affinity-config-v3"
+_CONFIG_FORMAT = "hierclass-affinity-config-v4"
 
 
 def affinity_config_to_json(cfg: AffinityConfig) -> dict:
@@ -300,16 +300,11 @@ def _check_pairs(catalog: Catalog, keys: list[tuple[int, int]], what: str) -> No
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """One record per ordered pair of distinct concepts, plus the
-    configuration snapshot."""
+    """One record per ordered pair of distinct concepts; the settings that
+    scored them travel with the matrix's artifacts or provenance."""
 
     catalog: Catalog
-    alpha: float
-    beta: float
-    b_max: int
-    seed: int
     records: tuple[AffinityRecord, ...]
-    encoder: EncoderConfig | None = None
 
     def __post_init__(self) -> None:
         if len(self.catalog) < 2:
@@ -348,24 +343,32 @@ class DistanceMatrix:
 @dataclass(frozen=True)
 class AffinityArtifacts:
     """The affinity matrix and the pretrained concept encoders it scored,
-    one per concept in concept-id order, for reuse downstream;
-    ``input_dim`` is the feature width they were trained on, and so the
-    input width of every encoder."""
+    one per concept in concept-id order, for reuse downstream. Every
+    encoder has the architecture ``config.encoder`` builds on one feature
+    width, :attr:`input_dim`."""
 
     matrix: AffinityMatrix
     concept_encoders: tuple[Mlp, ...]
     config: AffinityConfig
-    input_dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "concept_encoders", tuple(self.concept_encoders))
         k = len(self.matrix.catalog)
         if len(self.concept_encoders) != k:
             raise ValueError(f"{len(self.concept_encoders)} concept encoders for the {k} concepts")
+        enc = self.config.encoder
+        want = ((self.input_dim, enc.hidden_dim, enc.latent_dim), (enc.hidden_activation, enc.latent_activation))
         for cid, encoder in enumerate(self.concept_encoders):
-            if encoder.input_dim != self.input_dim:
-                raise ValueError(f"concept encoder {cid} takes {encoder.input_dim} features "
-                                 f"but input_dim is {self.input_dim}")
+            got = ((encoder.input_dim, *(l.weights.shape[0] for l in encoder.layers)),
+                   tuple(l.activation for l in encoder.layers))
+            if got != want:
+                raise ValueError(f"concept encoder {cid} has layer widths {got[0]} and activations {got[1]}, "
+                                 f"but the config's encoder on {self.input_dim} features has {want[0]} and {want[1]}")
+
+    @property
+    def input_dim(self) -> int:
+        """The feature width the encoders were trained on."""
+        return self.concept_encoders[0].input_dim
 
 
 def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> AffinityArtifacts:
@@ -419,16 +422,8 @@ def build_affinity_artifacts(dataset: LabeledDataset, cfg: AffinityConfig) -> Af
         p, budget = raw_transfer_score(l_ft, l_ref), capped_budget(len(per_concept[dst]), cfg)
         score = final_score(p, budget, cfg.b_max, cfg.alpha, cfg.beta)
         records.append(AffinityRecord(source=src, target=dst, p=p, budget=budget, score=score))
-    matrix = AffinityMatrix(
-        catalog=catalog,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        b_max=cfg.b_max,
-        seed=cfg.seed,
-        records=tuple(records),
-        encoder=cfg.encoder,
-    )
-    return AffinityArtifacts(matrix=matrix, concept_encoders=pretrained, config=cfg, input_dim=dataset.n_features)
+    matrix = AffinityMatrix(catalog=catalog, records=tuple(records))
+    return AffinityArtifacts(matrix=matrix, concept_encoders=pretrained, config=cfg)
 
 
 def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
@@ -445,44 +440,27 @@ def symmetrize_to_distance(matrix: AffinityMatrix) -> DistanceMatrix:
 # wire formats
 
 
-_MATRIX_KEYS = ("concepts", "alpha", "beta", "b_max", "seed", "entries", "encoder")
-
-
 def affinity_to_json(matrix: AffinityMatrix) -> dict:
     return {
         "concepts": list(matrix.catalog.names),
-        "alpha": matrix.alpha,
-        "beta": matrix.beta,
-        "b_max": matrix.b_max,
-        "seed": matrix.seed,
         "entries": [
             {"src": r.source, "dst": r.target, "p": r.p, "b": r.budget, "s": r.score}
             for r in matrix.records
         ],
-        "encoder": None if matrix.encoder is None else asdict(matrix.encoder),
     }
 
 
 def affinity_from_json(obj: dict) -> AffinityMatrix:
     """Read exactly the keys ``affinity_to_json`` writes, plus the optional
-    ``provenance`` the ``affinity`` command adds; ``encoder`` may be null.
-    Each number must be a JSON number, and an integer where an int is
-    written. Files from before every concept was required hold a
-    ``skipped`` list, which loads when it is empty."""
-    check_keys(obj, _MATRIX_KEYS, "bad affinity JSON", optional=("provenance", "skipped"))
-    if obj.get("skipped", []) != []:
-        raise DataError("bad affinity JSON: the matrix skipped concepts, so it is partial; rebuild it")
+    ``provenance`` the ``affinity`` command adds; any other key, such as a
+    setting older files repeated at the top level, is a DataError naming
+    it. Each number must be a JSON number, and an integer where an int is
+    written."""
+    check_keys(obj, ("concepts", "entries"), "bad affinity JSON", optional=("provenance",))
     try:
         return AffinityMatrix(
             catalog=Catalog(tuple(obj["concepts"])),
-            alpha=json_number(obj["alpha"], "alpha"),
-            beta=json_number(obj["beta"], "beta"),
-            b_max=json_integer(obj["b_max"], "b_max"),
-            seed=json_integer(obj["seed"], "seed"),
             records=tuple(_record_from_json(e) for e in obj["entries"]),
-            encoder=None
-            if obj["encoder"] is None
-            else config_from_json(EncoderConfig, obj["encoder"], "affinity encoder"),
         )
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad affinity JSON: {exc}") from None
@@ -502,7 +480,6 @@ def _record_from_json(entry) -> AffinityRecord:
 def artifacts_to_json(artifacts: AffinityArtifacts) -> dict:
     return {
         "matrix": affinity_to_json(artifacts.matrix),
-        "input_dim": artifacts.input_dim,
         "config": affinity_config_to_json(artifacts.config),
         "concept_encoders": [mlp_to_json(m) for m in artifacts.concept_encoders],
     }
@@ -516,7 +493,7 @@ def artifacts_from_json(obj: dict) -> AffinityArtifacts:
         config = affinity_config_from_json(obj["config"]) if isinstance(obj, dict) and "config" in obj else None
     except DataError as exc:
         raise DataError(f"bad artifacts file: {exc}") from None
-    check_keys(obj, ("matrix", "input_dim", "config", "concept_encoders"), "bad artifacts file")
+    check_keys(obj, ("matrix", "config", "concept_encoders"), "bad artifacts file")
     encoders = obj["concept_encoders"]
     if not isinstance(encoders, list):
         raise DataError(f"bad artifacts file: concept_encoders must be a list, got {type(encoders).__name__}")
@@ -525,7 +502,6 @@ def artifacts_from_json(obj: dict) -> AffinityArtifacts:
             matrix=affinity_from_json(obj["matrix"]),
             concept_encoders=[mlp_from_json(m) for m in encoders],
             config=config,
-            input_dim=json_integer(obj["input_dim"], "input_dim"),
         )
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"bad artifacts file: {exc}") from None

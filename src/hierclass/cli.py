@@ -322,7 +322,7 @@ def _cmd_derive(args) -> int:
     out = _out_path(args, args.out)
     atomic_write_text(out, newick + "\n")
     print(newick)
-    provenance = _provenance(args, "derive", [args.affinity], derived.provenance, sha256)
+    provenance = _provenance(args, "derive", [args.affinity], {"linkage": args.linkage, "tau": args.tau}, sha256)
     if args.tree_json:
         atomic_write_json(
             _out_path(args, args.tree_json),

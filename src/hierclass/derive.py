@@ -15,12 +15,11 @@ fusion the binary dendrogram survives untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .affinity import AffinityMatrix, DistanceMatrix, affinity_to_json, symmetrize_to_distance
-from .serialize import sha256_of_json
+from .affinity import AffinityMatrix, DistanceMatrix, symmetrize_to_distance
 from .treespace import Catalog, Tree, internal, leaf
 
 PRESETS = ("single", "complete", "average")
@@ -137,7 +136,6 @@ def collapse_threshold(dgm: Dendrogram, tau: float) -> Tree:
 class DerivedHierarchy:
     tree: Tree
     dendrogram: Dendrogram
-    provenance: dict = field(compare=False)
 
 
 def derive_hierarchy(
@@ -147,13 +145,7 @@ def derive_hierarchy(
 ) -> DerivedHierarchy:
     """Symmetrize the affinity matrix, agglomerate, collapse at tau."""
     dgm = agglomerate(symmetrize_to_distance(matrix), params)
-    tree = collapse_threshold(dgm, tau)
-    provenance = {
-        "affinity_sha256": sha256_of_json(affinity_to_json(matrix)),
-        "linkage": params.preset,
-        "tau": tau,
-    }
-    return DerivedHierarchy(tree=tree, dendrogram=dgm, provenance=provenance)
+    return DerivedHierarchy(tree=collapse_threshold(dgm, tau), dendrogram=dgm)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,16 @@ def _trees_over(ids: tuple[int, ...], memo: dict) -> tuple[Tree, ...]:
     return result
 
 
+def _distinct_ids(concepts: Sequence[int]) -> tuple[int, ...]:
+    """The concept ids sorted; a ValueError unless there is at least one and no id repeats."""
+    ids = tuple(sorted(concepts))
+    if not ids:
+        raise ValueError("need at least one concept")
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate concept ids")
+    return ids
+
+
 def enumerate_hierarchies(
     concepts: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Tree]:
@@ -200,11 +210,7 @@ def enumerate_hierarchies(
     S into >= 2 blocks. Refuses sets above ``cap`` (combinatorial blow-up:
     39208 trees at 7, 660032 at 8).
     """
-    ids = tuple(sorted(concepts))
-    if not ids:
-        raise ValueError("need at least one concept")
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate concept ids")
+    ids = _distinct_ids(concepts)
     if len(ids) > cap:
         raise ValueError(
             f"refusing to enumerate {count_hierarchies(len(ids))} hierarchies over "
@@ -222,7 +228,7 @@ def sample_hierarchy(concepts: Sequence[int], rng) -> Tree:
     materializing the list, so it also works at sizes above the enumeration
     cap.
     """
-    ids = tuple(sorted(concepts))
+    ids = _distinct_ids(concepts)
     if len(ids) > _SAMPLING_CAP:
         raise ValueError(f"sampling supported up to {_SAMPLING_CAP} concepts")
     return _sample(ids, rng)

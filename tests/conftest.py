@@ -95,10 +95,9 @@ def tied_affinity_json() -> dict:
     is to c3, so the smaller id pair (c2, c3) merges next."""
     scores = {(0, 1): 0.65, (1, 3): 0.65, (2, 3): 0.65, (0, 2): 0.55, (1, 2): 0.55, (0, 3): 0.3}
     return {
-        "concepts": ["c0", "c1", "c2", "c3"], "alpha": 0.5, "beta": 0.5, "b_max": 100, "seed": 0,
+        "concepts": ["c0", "c1", "c2", "c3"],
         "entries": [{"src": i, "dst": j, "p": 0.5, "b": 0, "s": scores[min(i, j), max(i, j)]}
                     for i in range(4) for j in range(4) if i != j],
-        "encoder": None,
     }
 
 

@@ -248,12 +248,14 @@ def test_matrix_has_all_ordered_pairs(triple_artifacts):
     for extra in (matrix.records[0], replace(matrix.records[0], target=0)):
         with pytest.raises(ValueError, match=r"^affinity matrix holds 7 entries for the 6 ordered pairs$"):
             replace(matrix, records=matrix.records + (extra,))
-    # artifacts hold one encoder per concept, each taking the artifacts' feature width
+    # artifacts hold one encoder per concept, of one feature width, read off the encoders
     for count in (2, 4):
         with pytest.raises(ValueError, match=rf"^{count} concept encoders for the 3 concepts$"):
             replace(triple_artifacts, concept_encoders=(encoders * 2)[:count])
-    with pytest.raises(ValueError, match=r"^concept encoder 0 takes 10 features but input_dim is 5$"):
-        replace(triple_artifacts, input_dim=5)
+    assert triple_artifacts.input_dim == 10
+    narrow = make_encoder(5, triple_artifacts.config.encoder, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^concept encoder 1 has layer widths \(5, 24, 4\) .* on 10 features has \(10, 24, 4\)"):
+        replace(triple_artifacts, concept_encoders=(encoders[0], narrow, encoders[2]))
     # one concept has no pairs: no matrix
     with pytest.raises(ValueError, match=r"^an affinity matrix relates at least 2 concepts, got 1$"):
         replace(matrix, catalog=Catalog(("c1",)), records=())
@@ -541,10 +543,6 @@ def _matrix_from_scores(scores: dict) -> AffinityMatrix:
     k = max(max(i, j) for i, j in scores) + 1
     return AffinityMatrix(
         catalog=Catalog(tuple(f"c{i}" for i in range(k))),
-        alpha=0.5,
-        beta=0.5,
-        b_max=100,
-        seed=0,
         records=tuple(
             AffinityRecord(source=i, target=j, p=s, budget=10, score=s)
             for (i, j), s in scores.items()
@@ -602,13 +600,6 @@ def test_distance_matrix_validation():
 def test_affinity_json_roundtrip(triple_artifacts):
     obj = json.loads(json.dumps(affinity_to_json(triple_artifacts.matrix)))
     assert affinity_from_json(obj) == triple_artifacts.matrix
-    assert obj["encoder"] == {"hidden_dim": 24, "latent_dim": 4,
-                              "hidden_activation": "relu", "latent_activation": "sigmoid"}
-    with pytest.raises(DataError, match="'dropout'"):
-        affinity_from_json({**obj, "encoder": {**obj["encoder"], "dropout": 0.5}})
-    short = {k: v for k, v in obj["encoder"].items() if k != "hidden_dim"}
-    with pytest.raises(DataError, match="'hidden_dim'"):
-        affinity_from_json({**obj, "encoder": short})
 
 
 def test_affinity_json_rejects_unknown_top_level_keys(triple_artifacts):
@@ -617,28 +608,27 @@ def test_affinity_json_rejects_unknown_top_level_keys(triple_artifacts):
         affinity_from_json({**obj, "bogus": 1, "alpah": 0.9})
 
 
-@pytest.mark.parametrize("key", ["encoder", "alpha"])
+# the settings older files repeated beside their records, each a key that no longer loads
+REMOVED_MATRIX_KEYS = {"alpha": 0.5, "beta": 0.5, "b_max": 100, "seed": 0, "encoder": None, "skipped": []}
+
+
+@pytest.mark.parametrize("key", REMOVED_MATRIX_KEYS)
+def test_affinity_json_rejects_a_removed_setting_key(triple_artifacts, key):
+    obj = {**affinity_to_json(triple_artifacts.matrix), key: REMOVED_MATRIX_KEYS[key]}
+    with pytest.raises(DataError, match=rf"^bad affinity JSON: unknown keys \['{key}'\]$"):
+        affinity_from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["concepts", "entries"])
 def test_affinity_json_rejects_a_missing_top_level_key(triple_artifacts, key):
     obj = {k: v for k, v in affinity_to_json(triple_artifacts.matrix).items() if k != key}
     with pytest.raises(DataError, match=rf"missing keys \['{key}'\]"):
         affinity_from_json(obj)
 
 
-def test_affinity_json_reads_an_empty_skipped_list_and_rejects_any_other(triple_artifacts):
-    # files written while concepts could be skipped carry "skipped"; only a complete matrix loads
-    obj = affinity_to_json(triple_artifacts.matrix)
-    assert "skipped" not in obj
-    assert affinity_from_json({**obj, "skipped": []}) == triple_artifacts.matrix
-    for skipped in ([{"concept": 2, "examples": 3}], None):
-        with pytest.raises(DataError, match=r"^bad affinity JSON: the matrix skipped concepts, so it is partial; rebuild it$"):
-            affinity_from_json({**obj, "skipped": skipped})
-
-
 def test_affinity_json_roundtrip_with_provenance(triple_artifacts):
     obj = {**affinity_to_json(triple_artifacts.matrix), "provenance": {"command": "affinity", "seed": 3}}
     assert affinity_from_json(json.loads(json.dumps(obj))) == triple_artifacts.matrix
-    null_encoder = replace(triple_artifacts.matrix, encoder=None)
-    assert affinity_from_json(json.loads(json.dumps(affinity_to_json(null_encoder)))) == null_encoder
 
 
 def test_affinity_config_json_roundtrip():
@@ -721,12 +711,7 @@ def affinity_matrices(draw):
     pairs = draw(st.permutations(off_diagonal))  # every pair, in any order
     return AffinityMatrix(
         catalog=Catalog(tuple(f"c{i}" for i in range(k))),
-        alpha=draw(st.floats(0.0, 10.0)),
-        beta=draw(st.floats(0.0, 10.0)),
-        b_max=draw(st.integers(0, 1000)),
-        seed=draw(st.integers(0, 2**63 - 1)),
         records=tuple(AffinityRecord(i, j, draw(UNIT), draw(st.integers(0, 1000)), draw(UNIT)) for i, j in pairs),
-        encoder=draw(st.none() | ENCODER_CONFIGS),
     )
 
 
@@ -748,20 +733,20 @@ def test_affinity_json_round_trip_is_exact(matrix):
 
 def test_affinity_json_has_documented_keys(triple_artifacts):
     obj = affinity_to_json(triple_artifacts.matrix)
-    assert set(obj) >= {"concepts", "alpha", "beta", "b_max", "seed", "entries"}
+    assert set(obj) == {"concepts", "entries"}
     assert set(obj["entries"][0]) == {"src", "dst", "p", "b", "s"}
 
 
 def test_artifacts_json_round_trip_is_exact(triple_artifacts):
     obj = json.loads(json.dumps(artifacts_to_json(triple_artifacts)))
     back = artifacts_from_json(obj)
-    assert (back.matrix, back.config, back.input_dim) == (
-        triple_artifacts.matrix, triple_artifacts.config, triple_artifacts.input_dim)
+    assert set(obj) == {"matrix", "config", "concept_encoders"}
+    assert (back.matrix, back.config, back.input_dim) == (triple_artifacts.matrix, triple_artifacts.config, 10)
     assert len(back.concept_encoders) == len(triple_artifacts.concept_encoders)
     assert all(_same_mlp(got, want) for got, want in zip(back.concept_encoders, triple_artifacts.concept_encoders))
     assert json.dumps(artifacts_to_json(back)) == json.dumps(obj)
-    with pytest.raises(DataError, match=r"^bad artifacts file: missing keys \['input_dim'\]$"):
-        artifacts_from_json({k: v for k, v in obj.items() if k != "input_dim"})
+    with pytest.raises(DataError, match=r"^bad artifacts file: unknown keys \['input_dim'\]$"):
+        artifacts_from_json({**obj, "input_dim": 10})
     # a v2 file, with its tuned pair encoders, names its config's tag before any key
     v2 = {k: v for k, v in obj.items() if k != "concept_encoders"}
     v2.update(config={**obj["config"], "format": "hierclass-affinity-config-v2"},

@@ -161,8 +161,8 @@ def test_affinity_then_derive_reproducible(tmp_path, planted_csv, capsys):
     assert (tmp_path / "t1.nwk").read_bytes() == (tmp_path / "t2.nwk").read_bytes()
     tree_doc = json.loads((tmp_path / "t1.json").read_text())
     assert tree_doc["provenance"]["inputs"]
-    assert set(tree_doc["provenance"]["config"]) == {"affinity_sha256", "linkage", "tau"}
-    assert "skipped" not in a
+    assert tree_doc["provenance"]["config"] == {"linkage": "average", "tau": 0.5}
+    assert set(a) == {"concepts", "entries", "provenance"}
 
 
 def test_train_predict_evaluate_round(tmp_path, planted_csv, capsys):
@@ -325,6 +325,19 @@ def test_derive_rejects_unknown_top_level_affinity_key(tmp_path, capsys):
     (tmp_path / "aff.json").write_text(json.dumps({**obj, "bogus": 1}))
     assert run("--out-dir", tmp_path, "derive", "--affinity", tmp_path / "aff.json", "--out", "t.nwk") == 2
     assert "unknown keys ['bogus']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("alpha", 0.5), ("beta", 0.5), ("b_max", 100), ("seed", 0),
+                                        ("encoder", None), ("skipped", [])])
+def test_derive_rejects_an_affinity_file_repeating_a_removed_setting(tmp_path, capsys, key, value):
+    # older affinity files repeated settings beside their records; the records alone load now
+    obj = json.loads((FIXTURES / "affinity_3concepts.json").read_text())
+    (tmp_path / "aff.json").write_text(json.dumps({**obj, key: value}))
+    assert run("--out-dir", tmp_path, "derive", "--affinity", tmp_path / "aff.json", "--out", "t.nwk",
+               "--tree-json", "t.json") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'aff.json'}: bad affinity JSON: unknown keys ['{key}']\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["aff.json"]
 
 
 def test_affinity_with_a_diverging_concept_exits_3_naming_it(tmp_path, capsys):
@@ -620,7 +633,7 @@ def test_v1_artifacts_file_is_a_data_error_naming_the_file(tmp_path, planted_csv
     assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
                "--artifacts", "arts.json", *FAST_AFF) == 0
     arts = json.loads((tmp_path / "arts.json").read_text())
-    assert arts["config"]["format"] == "hierclass-affinity-config-v3" and "freeze_encoder" not in arts["config"]
+    assert arts["config"]["format"] == "hierclass-affinity-config-v4" and "freeze_encoder" not in arts["config"]
     arts["config"].update(format="hierclass-affinity-config-v1", freeze_encoder=True)
     (tmp_path / "arts.json").write_text(json.dumps(arts))
     capsys.readouterr()
@@ -648,7 +661,29 @@ def test_v2_artifacts_file_with_pair_encoders_is_a_data_error_asking_for_a_rebui
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
     assert capsys.readouterr().err == (
         f"data error: {tmp_path / 'arts.json'}: bad artifacts file: unsupported affinity config format "
-        "'hierclass-affinity-config-v2', not 'hierclass-affinity-config-v3'; "
+        "'hierclass-affinity-config-v2', not 'hierclass-affinity-config-v4'; "
+        "rebuild the file with `hierclass affinity`\n")
+    assert not (tmp_path / "clf.json").exists()
+
+
+def test_v3_artifacts_file_with_input_dim_is_a_data_error_asking_for_a_rebuild(tmp_path, planted_csv, capsys):
+    # a v3 file stated its feature width as input_dim and its matrix repeated the affinity settings
+    data, _ = planted_csv
+    (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
+    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
+               "--artifacts", "arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "arts.json").read_text())
+    assert set(arts) == {"matrix", "config", "concept_encoders"}
+    arts["input_dim"] = 8
+    arts["matrix"].update(alpha=0.5, beta=0.5, b_max=100, seed=0, encoder=arts["config"]["encoder"])
+    arts["config"]["format"] = "hierclass-affinity-config-v3"
+    (tmp_path / "arts.json").write_text(json.dumps(arts))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tmp_path / "tree.nwk",
+               "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'arts.json'}: bad artifacts file: unsupported affinity config format "
+        "'hierclass-affinity-config-v3', not 'hierclass-affinity-config-v4'; "
         "rebuild the file with `hierclass affinity`\n")
     assert not (tmp_path / "clf.json").exists()
 
@@ -672,10 +707,21 @@ def test_affinity_on_a_short_concept_is_a_data_error_naming_it(tmp_path, planted
     (lambda arts: arts["config"].update(budget=True), "affinity config: budget must be an integer, got True"),
     (lambda arts: arts["matrix"]["entries"].pop(), "bad affinity JSON: affinity matrix is missing pairs: c4->c3"),
     (lambda arts: arts.update(bogus=1), "unknown keys ['bogus']"),
-    (lambda arts: arts.update(input_dim=12.5), "input_dim must be an integer, got 12.5"),
+    (lambda arts: arts.update(input_dim=8), "unknown keys ['input_dim']"),
     (lambda arts: arts.update(concept_encoders={}), "concept_encoders must be a list, got dict"),
+    # the planted data has 8 features and FAST_AFF builds 8 -> 8 -> 2 encoders
+    (lambda arts: arts["config"]["encoder"].update(hidden_dim=3, latent_activation="relu"),
+     "concept encoder 0 has layer widths (8, 8, 2) and activations ('relu', 'sigmoid'), "
+     "but the config's encoder on 8 features has (8, 3, 2) and ('relu', 'relu')"),
+    (lambda arts: arts["config"]["encoder"].update(latent_dim=3),
+     "concept encoder 0 has layer widths (8, 8, 2) and activations ('relu', 'sigmoid'), "
+     "but the config's encoder on 8 features has (8, 8, 3) and ('relu', 'sigmoid')"),
+    (lambda arts: arts["concept_encoders"][2]["layers"][0].update(activation="sigmoid"),
+     "concept encoder 2 has layer widths (8, 8, 2) and activations ('sigmoid', 'sigmoid'), "
+     "but the config's encoder on 8 features has (8, 8, 2) and ('relu', 'sigmoid')"),
 ], ids=["concept-encoder", "warmup-epochs", "budget", "matrix-pair", "unknown-key",
-        "input-dim-fraction", "concept-encoders-not-a-list"])
+        "removed-input-dim", "concept-encoders-not-a-list", "config-hidden-dim-and-latent-activation",
+        "config-latent-dim", "encoder-2-activation"])
 def test_incomplete_or_mistyped_artifacts_are_a_data_error(tmp_path, planted_csv, capsys, edit, shown):
     data, _ = planted_csv
     (tmp_path / "tree.nwk").write_text("((c1,c2),(c3,c4))\n")
@@ -746,26 +792,27 @@ def test_artifacts_over_other_data_are_a_data_error(tmp_path, planted_csv, capsy
 
 
 @pytest.mark.parametrize("k", [2, 4])
-def test_artifacts_whose_input_dim_disagrees_with_their_encoders_are_a_data_error(tmp_path, capsys, k):
+def test_artifacts_whose_encoders_differ_in_width_are_a_data_error(tmp_path, capsys, k):
+    # the last concept's encoder swapped for one trained on 5 features: no width fits every encoder
     names = ("c1", "c2", "c3", "c4")[:k]
     tree = internal([leaf(0), leaf(1)]) if k == 2 else internal([internal([leaf(0), leaf(1)]),
                                                                  internal([leaf(2), leaf(3)])])
-    data = tmp_path / "data.csv"
-    save_csv(generate_planted(PlantedSpec(Catalog(names), tree, 8, 40, (9.0, 3.0), 1.5), seed=0), data)
-    save_csv(generate_planted(PlantedSpec(Catalog(names), tree, 5, 40, (9.0, 3.0), 1.5), seed=1),
-             tmp_path / "narrow.csv")
     (tmp_path / "tree.nwk").write_text("(c1,c2)\n" if k == 2 else "((c1,c2),(c3,c4))\n")
-    assert run("--out-dir", tmp_path, "affinity", "--data", data, "--out", "aff.json",
-               "--artifacts", "arts.json", *FAST_AFF) == 0
-    arts = json.loads((tmp_path / "arts.json").read_text())
-    arts["input_dim"] = 5
+    for name, width in (("wide", 8), ("narrow", 5)):
+        save_csv(generate_planted(PlantedSpec(Catalog(names), tree, width, 40, (9.0, 3.0), 1.5), seed=0),
+                 tmp_path / f"{name}.csv")
+        assert run("--out-dir", tmp_path, "affinity", "--data", tmp_path / f"{name}.csv", "--out", f"{name}-aff.json",
+                   "--artifacts", f"{name}-arts.json", *FAST_AFF) == 0
+    arts = json.loads((tmp_path / "wide-arts.json").read_text())
+    arts["concept_encoders"][-1] = json.loads((tmp_path / "narrow-arts.json").read_text())["concept_encoders"][-1]
     (tmp_path / "arts.json").write_text(json.dumps(arts))
     capsys.readouterr()
-    assert run("--out-dir", tmp_path, "train", "--data", tmp_path / "narrow.csv", "--tree", tmp_path / "tree.nwk",
+    assert run("--out-dir", tmp_path, "train", "--data", tmp_path / "wide.csv", "--tree", tmp_path / "tree.nwk",
                "--artifacts", tmp_path / "arts.json", "--out", "clf.json", *FAST) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {tmp_path / 'arts.json'}: bad artifacts file: concept encoder 0 "
-                          "takes 8 features but input_dim is 5"), err
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'arts.json'}: bad artifacts file: concept encoder {k - 1} has layer widths "
+        "(5, 8, 2) and activations ('relu', 'sigmoid'), but the config's encoder on 8 features has (8, 8, 2) "
+        "and ('relu', 'sigmoid')\n")
     assert not (tmp_path / "clf.json").exists()
 
 

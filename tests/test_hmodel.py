@@ -318,7 +318,6 @@ def test_assignment_missing_artifact_errors(triple_setup):
             matrix=artifacts.matrix,
             concept_encoders=(),
             config=artifacts.config,
-            input_dim=artifacts.input_dim,
         )
 
 

@@ -274,3 +274,13 @@ def test_sampling_works_beyond_enumeration_cap():
     rng = np.random.default_rng(2)
     tree = sample_hierarchy(range(9), rng)
     validate_tree(tree, 9)
+
+
+@pytest.mark.parametrize("concepts, message", [
+    ([], "need at least one concept"), ([0, 0], "duplicate concept ids"), ([2, 2, 1], "duplicate concept ids"),
+])
+def test_enumeration_and_sampling_reject_the_same_concept_lists(concepts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_hierarchies(concepts)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_hierarchy(concepts, np.random.default_rng(0))
