@@ -363,7 +363,7 @@ def _cmd_train(args) -> int:
     obj = hmodel.classifier_to_json(classifier)
     inputs = [args.data, args.tree] + ([args.artifacts] if args.artifacts else [])
     settings = {**asdict(cfg), "refine_epochs": args.refine_epochs, "lambda_orth": args.lambda_orth}
-    obj["provenance"].update(_provenance(args, "train", inputs, settings, *hashes))
+    obj["provenance"] = _provenance(args, "train", inputs, settings, *hashes)
     out = _out_path(args, args.out)
     atomic_write_json(out, obj)
     print(f"classifier ({hmodel.parameter_count(classifier)} parameters) -> {out}")

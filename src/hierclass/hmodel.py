@@ -8,12 +8,14 @@ encoders when its artifacts are supplied (each node reuses one, chosen by
 the affinity scores among its concepts, see :func:`train_hierarchies`) or
 are trained from scratch per node otherwise. A joint refinement pass trades
 per-node hinge risk against a parent/child representation-orthogonality
-penalty.
+penalty. The tree is the one statement of which children a node separates:
+a node model holds only its encoder and scorers, and a classifier file lists
+the models in the tree's preorder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -32,7 +34,7 @@ from .nets import (
     ragged_schedule,
     task_seed,
 )
-from .serialize import array_from_json, array_to_json, check_keys, json_integer, mlp_from_json, mlp_to_json
+from .serialize import array_from_json, array_to_json, check_keys, mlp_from_json, mlp_to_json
 from .synth import LabeledDataset
 from .treespace import (
     Catalog,
@@ -54,19 +56,18 @@ def node_key(node: Tree) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class NodeModel:
     encoder: Mlp
-    scorer_weights: np.ndarray  # (n_children, latent)
+    scorer_weights: np.ndarray  # (n_children, latent): one scorer per child of the node, in the tree's order
     scorer_bias: np.ndarray  # (n_children,)
-    child_keys: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         w = np.array(self.scorer_weights, dtype=float)
         b = np.array(self.scorer_bias, dtype=float)
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError("scorer shapes are inconsistent")
-        if w.shape[0] != len(self.child_keys):
-            raise ValueError("need exactly one scorer per child")
         if w.shape[1] != self.encoder.output_dim:
             raise ValueError("scorer input dim must equal the encoder latent dim")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("scorer parameters must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "scorer_weights", w)
@@ -99,21 +100,22 @@ class NodeModel:
 class HierarchicalClassifier:
     tree: Tree
     catalog: Catalog
-    models: dict[tuple[int, ...], NodeModel]
-    provenance: dict = field(default_factory=dict, compare=False)
+    models: dict[tuple[int, ...], NodeModel]  # by node_key; the tree states each node's children
 
     def __post_init__(self) -> None:
         if self.tree.is_leaf:
             raise ValueError("a classifier separates at least 2 concepts, its tree has 1")
-        want = {node_key(n) for n in self.tree.internal_nodes()}
-        have = set(self.models)
+        nodes = {node_key(n): n for n in self.tree.internal_nodes()}
+        want, have = set(nodes), set(self.models)
         if want != have:
             raise ValueError(f"models do not match tree nodes: missing {want - have}, extra {have - want}")
-        for node in self.tree.internal_nodes():
-            model = self.models[node_key(node)]
-            expected = tuple(node_key(c) for c in node.children)
-            if model.child_keys != expected:
-                raise ValueError(f"child order mismatch at node {node_key(node)}")
+        width = self.input_dim
+        for key, node in nodes.items():
+            model = self.models[key]
+            if len(model.scorer_bias) != len(node.children):
+                raise ValueError(f"node {list(key)}: {len(node.children)} children, {len(model.scorer_bias)} scorers")
+            if model.encoder.input_dim != width:
+                raise ValueError(f"node {list(key)} reads {model.encoder.input_dim} features, the root {width}")
 
     @property
     def input_dim(self) -> int:
@@ -477,7 +479,7 @@ class HierTrainConfig:
     erm: ErmConfig = ErmConfig(epochs=80, learning_rate=0.1)
     encoder: EncoderConfig = EncoderConfig(hidden_dim=24, latent_dim=3)  # scratch reps only
     pretrain: SgdConfig = SgdConfig(epochs=40, batch_size=32, learning_rate=0.1)
-    rep_mode: str = "keep"  # the one representation mode, recorded in classifier provenance
+    rep_mode: str = "keep"  # the one representation mode
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -486,7 +488,8 @@ class HierTrainConfig:
                              "for a flat classifier, train the flat tree")
 
 
-def _child_keys(node: Tree) -> tuple[tuple[int, ...], ...]:
+def child_keys(node: Tree) -> tuple[tuple[int, ...], ...]:
+    """The partition a node's scorers separate: its children's keys, in the tree's order."""
     return tuple(node_key(c) for c in node.children)
 
 
@@ -556,7 +559,7 @@ def train_hierarchies(
             key = node_key(node)
             if key not in subs:
                 subs[key] = dataset.restrict(key)
-            problems.setdefault(problem_of(node), {})[_child_keys(node)] = None
+            problems.setdefault(problem_of(node), {})[child_keys(node)] = None
 
     if artifacts is not None:
         assigned = _assigned_encoders(trees, artifacts)
@@ -583,14 +586,10 @@ def train_hierarchies(
     nodes: dict = {}
     for (problem, parts), (w, b, _) in zip(problems.items(), stack):
         for ck, wp, bp in zip(parts, w, b):
-            nodes[problem, ck] = NodeModel(encoders[problem], wp, bp, ck)
-    classifiers = []
-    for tree in trees:
-        models = {node_key(n): nodes[problem_of(n), _child_keys(n)] for n in tree.internal_nodes()}
-        provenance = {"tree": tree_to_text(tree, catalog), "seed": cfg.seed,
-                      "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
-        classifiers.append(HierarchicalClassifier(tree, catalog, models, provenance))
-    return classifiers
+            nodes[problem, ck] = NodeModel(encoders[problem], wp, bp)
+    return [HierarchicalClassifier(tree, catalog, {node_key(n): nodes[problem_of(n), child_keys(n)]
+                                                   for n in tree.internal_nodes()})
+            for tree in trees]
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +610,12 @@ def _node_state(classifier: HierarchicalClassifier, dataset: LabeledDataset):
     holds mutable copies of the encoder layers followed by the scorer pair,
     ``problems`` the node's rows and their child indices."""
     params, problems = {}, {}
-    for key in sorted(classifier.models):
+    nodes = {node_key(n): n for n in classifier.tree.internal_nodes()}
+    for key in sorted(nodes):
         model = classifier.models[key]
         sub = dataset.restrict(key)
         params[key] = mlp_params(model.encoder) + [[model.scorer_weights.copy(), model.scorer_bias.copy()]]
-        problems[key] = (sub.features, child_index_labels(model.child_keys, sub.labels))
+        problems[key] = (sub.features, child_index_labels(child_keys(nodes[key]), sub.labels))
     return params, problems
 
 
@@ -842,49 +842,46 @@ def exhaustive_search(
 # ---------------------------------------------------------------------------
 # serialization
 
-_FORMAT = "hierclass-classifier-v1"
+_FORMAT = "hierclass-classifier-v2"
 
 
 def classifier_to_json(classifier: HierarchicalClassifier) -> dict:
+    """The catalog, the tree and one model per internal node, in the tree's
+    preorder: the tree says which node each model is and what it separates."""
     return {
         "format": _FORMAT,
         "concepts": list(classifier.catalog.names),
         "tree": tree_to_text(classifier.tree, classifier.catalog),
         "nodes": [
-            {
-                "key": list(key),
-                "children": [list(ck) for ck in model.child_keys],
-                "encoder": mlp_to_json(model.encoder),
-                "scorer_weights": array_to_json(model.scorer_weights),
-                "scorer_bias": array_to_json(model.scorer_bias),
-            }
-            for key, model in sorted(classifier.models.items())
+            {"encoder": mlp_to_json(m.encoder), "scorer_weights": array_to_json(m.scorer_weights),
+             "scorer_bias": array_to_json(m.scorer_bias)}
+            for m in (classifier.models[node_key(n)] for n in classifier.tree.internal_nodes())
         ],
-        "provenance": classifier.provenance,
     }
 
 
 def classifier_from_json(obj: dict) -> HierarchicalClassifier:
-    """Read exactly the keys :func:`classifier_to_json` writes."""
+    """Read exactly the keys :func:`classifier_to_json` writes, and an
+    optional ``provenance``, which is not read."""
     check_keys(obj, ("format", "concepts", "tree", "nodes"), "bad classifier JSON", optional=("provenance",))
+    if obj["format"] != _FORMAT:
+        raise DataError(f"unsupported classifier format {obj['format']!r}, not {_FORMAT!r}; "
+                        "retrain the classifier with `hierclass train`")
     try:
-        if obj["format"] != _FORMAT:
-            raise DataError(f"unsupported classifier format {obj['format']!r}")
         catalog = Catalog(tuple(obj["concepts"]))
         tree = parse_tree(obj["tree"], catalog)
+        nodes = list(tree.internal_nodes())
+        if len(obj["nodes"]) != len(nodes):
+            raise ValueError(f"{len(obj['nodes'])} nodes, but the tree has {len(nodes)} internal nodes")
         models = {}
-        for entry in obj["nodes"]:
-            check_keys(entry, ("key", "children", "encoder", "scorer_weights", "scorer_bias"), "bad classifier node")
-            key = tuple(json_integer(i, "key") for i in entry["key"])
-            models[key] = NodeModel(
-                encoder=mlp_from_json(entry["encoder"]),
-                scorer_weights=array_from_json(entry["scorer_weights"]),
-                scorer_bias=array_from_json(entry["scorer_bias"]),
-                child_keys=tuple(tuple(json_integer(i, "children") for i in ck) for ck in entry["children"]),
-            )
-        return HierarchicalClassifier(
-            tree=tree, catalog=catalog, models=models, provenance=obj.get("provenance", {})
-        )
+        for node, entry in zip(nodes, obj["nodes"]):
+            key = node_key(node)
+            check_keys(entry, ("encoder", "scorer_weights", "scorer_bias"), f"bad classifier node {list(key)}")
+            try:
+                w, b = array_from_json(entry["scorer_weights"]), array_from_json(entry["scorer_bias"])
+                models[key] = NodeModel(mlp_from_json(entry["encoder"]), w, b)
+            except ValueError as exc:
+                raise ValueError(f"node {list(key)}: {exc}") from None
+        return HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad classifier JSON: {exc}") from None
-

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DataError
-from .hmodel import check_data, child_index_labels, node_key, predict_batch, route_child
+from .hmodel import check_data, child_index_labels, child_keys, node_key, predict_batch, route_child
 from .synth import LabeledDataset
 from .treespace import Tree
 
@@ -205,7 +205,7 @@ def evaluate(classifier, dataset: LabeledDataset) -> EvalReport:
             per_node.append({"node": list(key), "support": 0, "accuracy": 0.0})
             continue
         routed = route_child(model, dataset.features[member_mask])
-        want = child_index_labels(model.child_keys, truth[member_mask])
+        want = child_index_labels(child_keys(node), truth[member_mask])
         per_node.append(
             {
                 "node": list(key),

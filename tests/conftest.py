@@ -30,7 +30,7 @@ from hierclass.nets import (
     stack_params,
     task_seed,
 )
-from hierclass.treespace import internal, leaf, tree_to_text, validate_tree
+from hierclass.treespace import internal, leaf, validate_tree
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -268,16 +268,13 @@ def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
         child_idx = child_index_labels(child_keys, sub.labels)
         w, b, _ = _plain_node_erm(encoder, sub.features, child_idx, len(child_keys), cfg.erm,
                                   task_seed(cfg.seed, 6, *key))
-        models[key] = NodeModel(encoder, w, b, child_keys)
-    provenance = {"tree": tree_to_text(tree, dataset.catalog), "seed": cfg.seed,
-                  "rep_mode": cfg.rep_mode, "from_affinity_artifacts": artifacts is not None}
-    return HierarchicalClassifier(tree, dataset.catalog, models, provenance)
+        models[key] = NodeModel(encoder, w, b)
+    return HierarchicalClassifier(tree, dataset.catalog, models)
 
 
 def same_classifier(a, b) -> bool:
-    """Bit-exact equality of two classifiers: their JSON, provenance left out."""
-    strip = lambda clf: {k: v for k, v in classifier_to_json(clf).items() if k != "provenance"}  # noqa: E731
-    return strip(a) == strip(b)
+    """Bit-exact equality of two classifiers: their JSON."""
+    return classifier_to_json(a) == classifier_to_json(b)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import _plain_hierarchy, tied_affinity_json
 from hierclass.cli import main
+from hierclass.serialize import array_from_json, array_to_json
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, planted_spec_to_json, save_csv
 from hierclass.treespace import Catalog, internal, leaf
 
@@ -406,6 +407,39 @@ def _edited_json(edit):
     return apply
 
 
+def _node_array(node: int, path: tuple, edit):
+    """A classifier JSON edit: node entry ``node``'s array at ``path`` replaced by ``edit`` of it."""
+    def apply(o):
+        holder = o["nodes"][node]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = array_to_json(edit(array_from_json(holder[path[-1]])))
+    return apply
+
+
+def _set(index, value):
+    def edit(arr):
+        arr = arr.copy()
+        arr[index] = value
+        return arr
+    return edit
+
+
+# classifier file faults: node [0, 1], the second in preorder, reads 4 of the data's 8
+# features; a NaN weight at node [0, 1]; an inf bias at node [2, 3]; the v1 format; a
+# node entry too few
+CLF_NARROW_NODE = _edited_json(_node_array(1, ("encoder", "layers", 0, "weights"), lambda w: w[:, :4]))
+CLF_NAN_WEIGHT = _edited_json(_node_array(1, ("scorer_weights",), _set((0, 0), float("nan"))))
+CLF_INF_BIAS = _edited_json(_node_array(2, ("scorer_bias",), _set(1, float("inf"))))
+CLF_V1 = _edited_json(lambda o: o.update(format="hierclass-classifier-v1"))
+CLF_SHORT = _edited_json(lambda o: o["nodes"].pop())
+
+
+def _one_root_scorer(o):  # the root keeps the first of its two children's scorers
+    for part in ("scorer_weights", "scorer_bias"):
+        _node_array(0, (part,), lambda a: a[:1])(o)
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("synth", _edited_json(lambda o: o.update(names=5))),
     ("synth", _edited_json(lambda o: o.update(feature_dim="x"))),
@@ -414,7 +448,7 @@ def _edited_json(edit):
     ("train", None),
     ("train", lambda text: "((c1,c2),(c3,zz))"),
     ("train", lambda text: "((c1,c2),(c3,c\u00e9))".encode("latin-1")),
-    ("predict", _edited_json(lambda o: o["nodes"][0].update(children=o["nodes"][0]["children"][:1]))),
+    ("predict", CLF_SHORT),
     ("predict", _edited_json(lambda o: o["nodes"][0]["encoder"]["layers"][0].update(activation="tanh"))),
     ("predict", _edited_json(lambda o: o["nodes"].pop(0))),
     ("derive", _edited_json(lambda o: o["entries"][0].update(p=1.5))),
@@ -430,21 +464,26 @@ def _edited_json(edit):
     ("derive", lambda text: "[" * 100000 + "]" * 100000),
     ("train", lambda text: "(" * 5000),
     ("train", lambda text: "[" * 990 + '"c1"' + ', "c2"]' * 990),
-    ("predict", _edited_json(lambda o: o["nodes"][0].update(key=[str(i) for i in o["nodes"][0]["key"]]))),
-    ("predict", _edited_json(lambda o: o["nodes"][0]["children"][0].__setitem__(0, 0.5))),
+    ("predict", _edited_json(lambda o: o["nodes"][0].update(key=[0, 1, 2, 3]))),
+    ("predict", CLF_V1),
     ("predict", _edited_json(lambda o: o.update(bogus=1))),
     ("predict", _edited_json(lambda o: o.update(tree="(" * 5000))),
     ("derive", _edited_json(lambda o: o["concepts"].__setitem__(1, 5))),
     ("predict", lambda text: "[]"),
+    ("predict", CLF_NARROW_NODE),
+    ("predict", CLF_NAN_WEIGHT),
+    ("predict", CLF_INF_BIAS),
+    ("predict", _edited_json(_one_root_scorer)),
 ], ids=["spec-names-not-a-list", "spec-feature-dim-not-a-number", "spec-offsets-increase",
         "tree-truncated", "tree-missing", "tree-unknown-name", "tree-not-utf8",
-        "clf-node-with-one-child", "clf-unknown-activation", "clf-node-missing",
+        "clf-nodes-one-short", "clf-unknown-activation", "clf-node-missing",
         "affinity-p-above-1", "affinity-self-pair", "spec-noise-nan", "spec-offset-inf",
         "spec-per-concept-fraction", "affinity-src-fraction", "affinity-dst-bool", "affinity-seed-string",
         "affinity-b-max-fraction", "affinity-entry-unknown-key", "affinity-nested-too-deep",
-        "tree-nested-too-deep", "tree-json-nested-too-deep", "clf-key-string", "clf-children-fraction",
+        "tree-nested-too-deep", "tree-json-nested-too-deep", "clf-node-key", "clf-format-v1",
         "clf-unknown-key", "clf-tree-nested-too-deep", "affinity-concept-not-a-string",
-        "clf-not-an-object"])
+        "clf-not-an-object", "clf-node-reads-fewer-features", "clf-scorer-nan", "clf-scorer-inf",
+        "clf-root-one-scorer"])
 def test_malformed_json_input_is_a_data_error_naming_the_file(tmp_path, planted_csv, trained_clf, capsys,
                                                                command, corrupt):
     data, spec = planted_csv
@@ -463,6 +502,28 @@ def test_malformed_json_input_is_a_data_error_naming_the_file(tmp_path, planted_
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {bad}: "), err
     assert [p.name for p in tmp_path.iterdir()] == ([] if corrupt is None else ["bad.json"])
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("corrupt, message", [
+    (CLF_V1, "unsupported classifier format 'hierclass-classifier-v1', not 'hierclass-classifier-v2'; "
+             "retrain the classifier with `hierclass train`"),
+    (CLF_SHORT, "bad classifier JSON: 2 nodes, but the tree has 3 internal nodes"),
+    (CLF_NARROW_NODE, "bad classifier JSON: node [0, 1] reads 4 features, the root 8"),
+    (CLF_NAN_WEIGHT, "bad classifier JSON: node [0, 1]: scorer parameters must be finite"),
+    (CLF_INF_BIAS, "bad classifier JSON: node [2, 3]: scorer parameters must be finite"),
+], ids=["v1", "nodes-one-short", "node-reads-fewer-features", "scorer-nan", "scorer-inf"])
+def test_classifier_file_fault_is_a_data_error_naming_the_file(tmp_path, planted_csv, trained_clf, capsys,
+                                                               command, corrupt, message):
+    # unchecked, the narrow node failed in numpy's matmul under exit 1, and the
+    # NaN weight was blamed on the data's rows
+    data, _ = planted_csv
+    bad = tmp_path / "clf.json"
+    bad.write_text(corrupt(trained_clf.read_text()))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path, command, "--clf", bad, "--data", data, "--out", "out") == 2
+    assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["clf.json"]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -926,7 +987,7 @@ def test_one_concept_is_a_data_error_naming_the_count(tmp_path, monkeypatch, cap
 
 def test_classifier_over_one_concept_is_a_data_error(tmp_path, capsys):
     clf = tmp_path / "clf.json"
-    clf.write_text(json.dumps({"format": "hierclass-classifier-v1", "concepts": ["a"], "tree": "a", "nodes": []}))
+    clf.write_text(json.dumps({"format": "hierclass-classifier-v2", "concepts": ["a"], "tree": "a", "nodes": []}))
     (tmp_path / "one.csv").write_text(ONE_CONCEPT["one.csv"])
     for command, out in (("predict", "p.csv"), ("evaluate", "r.json")):
         assert run("--out-dir", tmp_path, command, "--clf", clf, "--data", tmp_path / "one.csv", "--out", out) == 2

@@ -34,6 +34,7 @@ from hierclass.hmodel import (
 )
 from hierclass.metrics import evaluate
 from hierclass.nets import ACTIVATIONS, Layer, Mlp, SgdConfig, init_mlp, params_to_mlp
+from hierclass.serialize import array_from_json
 from hierclass.synth import LabeledDataset, PlantedSpec, generate_planted, split
 from hierclass.treespace import (
     Catalog,
@@ -49,13 +50,12 @@ def _identity_encoder(dim):
     return Mlp((Layer(np.eye(dim), np.zeros(dim), "identity"),))
 
 
-def _node(child_keys, w, b, dim=None):
+def _node(w, b, dim=None):
     dim = dim or len(w[0])
     return NodeModel(
         encoder=_identity_encoder(dim),
         scorer_weights=np.array(w, dtype=float),
         scorer_bias=np.array(b, dtype=float),
-        child_keys=child_keys,
     )
 
 
@@ -95,7 +95,7 @@ def test_train_node_erm_separates_separable_groups():
     labels = np.array([0] * 40 + [1] * 40)
     encoder = _identity_encoder(4)
     (w, b, history), = train_node_erm_stack([encoder], [features], [labels[None]], [[2]], ErmConfig(), [0])
-    routed = route_child(_node(((0,), (1,)), w[0], b[0]), features)
+    routed = route_child(_node(w[0], b[0]), features)
     assert np.array_equal(routed, labels)
     # the returned scorers are the best iterate: risk never above the start
     returned_risk = erm_risk_and_grads(w[0], b[0], features, labels, ErmConfig().l2)[0]
@@ -182,8 +182,8 @@ def hand_classifier():
     catalog = Catalog(("c1", "c2", "c3"))
     tree = internal([internal([leaf(0), leaf(1)]), leaf(2)])
     models = {
-        (0, 1, 2): _node(((0, 1), (2,)), [[0, 0, 0], [0, 0, 0]], [1.0, -1.0], dim=3),
-        (0, 1): _node(((0,), (1,)), [[0, 0, 0], [0, 0, 0]], [-2.0, 3.0], dim=3),
+        (0, 1, 2): _node([[0, 0, 0], [0, 0, 0]], [1.0, -1.0], dim=3),
+        (0, 1): _node([[0, 0, 0], [0, 0, 0]], [-2.0, 3.0], dim=3),
     }
     return HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
 
@@ -196,7 +196,7 @@ def test_predict_flat_tree_is_argmax_over_scores():
     catalog = Catalog(("a", "b", "c"))
     tree = flat_tree(3)
     w = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    models = {(0, 1, 2): _node(((0,), (1,), (2,)), w, [0, 0, 0])}
+    models = {(0, 1, 2): _node(w, [0, 0, 0])}
     clf = HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
     x = np.array([[0.2, 0.9, 0.1], [5, 1, 2], [0, 0, 1]])
     assert predict_batch(clf, x).tolist() == [1, 0, 2]
@@ -252,22 +252,37 @@ def test_perfect_node_scorers_compose_to_perfect_prediction(hand_classifier):
     labels = np.array([0, 1, 2, 1, 0])
     x = np.eye(3)[labels]
     models = {
-        (0, 1, 2): _node(((0, 1), (2,)), [[1, 1, 0], [0, 0, 1]], [0, 0], dim=3),
-        (0, 1): _node(((0,), (1,)), [[1, 0, 0], [0, 1, 0]], [0, 0], dim=3),
+        (0, 1, 2): _node([[1, 1, 0], [0, 0, 1]], [0, 0], dim=3),
+        (0, 1): _node([[1, 0, 0], [0, 1, 0]], [0, 0], dim=3),
     }
     clf = HierarchicalClassifier(tree=hand_classifier.tree, catalog=catalog, models=models)
     assert np.array_equal(predict_batch(clf, x), labels)
 
 
 def test_classifier_validation(hand_classifier):
+    tree, catalog = hand_classifier.tree, hand_classifier.catalog
     models = dict(hand_classifier.models)
     del models[(0, 1)]
     with pytest.raises(ValueError, match="missing"):
-        HierarchicalClassifier(
-            tree=hand_classifier.tree, catalog=hand_classifier.catalog, models=models
-        )
-    with pytest.raises(ValueError, match="one scorer per child"):
-        _node(((0,), (1,)), [[0, 0, 0]], [0.0])
+        HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
+    # the tree states each node's children: its model has one scorer per child ...
+    one_scorer = {**hand_classifier.models, (0, 1): _node([[0, 0, 0]], [0.0])}
+    with pytest.raises(ValueError, match=r"^node \[0, 1\]: 2 children, 1 scorers$"):
+        HierarchicalClassifier(tree=tree, catalog=catalog, models=one_scorer)
+    # ... and reads the root's features
+    narrow = {**hand_classifier.models, (0, 1): _node([[0, 0], [0, 0]], [0.0, 0.0])}
+    with pytest.raises(ValueError, match=r"^node \[0, 1\] reads 2 features, the root 3$"):
+        HierarchicalClassifier(tree=tree, catalog=catalog, models=narrow)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["weights", "bias"])
+def test_node_model_rejects_non_finite_scorers(part, bad):
+    # unchecked, a NaN scorer weight loaded and predict blamed the data's rows for it
+    w, b = np.zeros((2, 3)), np.zeros(2)
+    (w if part == "weights" else b).flat[1] = bad
+    with pytest.raises(ValueError, match="^scorer parameters must be finite$"):
+        _node(w, b)
 
 
 # --- representation assignment ----------------------------------------------
@@ -326,7 +341,6 @@ def test_train_hierarchical_with_artifacts_predicts(triple_setup):
     clf = train_hierarchical(tree, data, HierTrainConfig(seed=3), artifacts=artifacts)
     acc = float(np.mean(predict_batch(clf, data.features) == data.labels))
     assert acc > 0.6
-    assert clf.provenance["from_affinity_artifacts"] is True
 
 
 @pytest.mark.parametrize("rep_mode", ["keep"])  # the explicit form perfbench/workloads.py uses
@@ -790,7 +804,6 @@ def _assert_table_equals_plain_hierarchies(trees, train, cfg, artifacts=None):
     for tree, clf in zip(trees, shared):
         alone = _plain_hierarchy(tree, train, cfg, artifacts)
         assert same_classifier(clf, alone)
-        assert clf.provenance == alone.provenance
     return shared
 
 
@@ -874,7 +887,7 @@ def test_one_concept_is_no_classifier():
     with pytest.raises(ValueError, match="at least 2 concepts, its tree has 1$"):
         HierarchicalClassifier(leaf(0), Catalog(("a",)), {})
     with pytest.raises(DataError, match="bad classifier JSON: .*at least 2 concepts"):
-        classifier_from_json({"format": "hierclass-classifier-v1", "concepts": ["a"], "tree": "a", "nodes": []})
+        classifier_from_json({"format": "hierclass-classifier-v2", "concepts": ["a"], "tree": "a", "nodes": []})
 
 
 @pytest.mark.parametrize("mismatch", ["reordered catalog", "narrower data"])
@@ -938,9 +951,8 @@ def classifiers(draw):
         widths = [dim] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
         layers = tuple(Layer(array(o, i), array(o), draw(st.sampled_from(ACTIVATIONS)))
                        for i, o in zip(widths, widths[1:]))
-        child_keys = tuple(node_key(c) for c in node.children)
-        models[node_key(node)] = NodeModel(Mlp(layers), array(len(child_keys), widths[-1]),
-                                           array(len(child_keys)), child_keys)
+        n = len(node.children)
+        models[node_key(node)] = NodeModel(Mlp(layers), array(n, widths[-1]), array(n))
     return HierarchicalClassifier(tree, Catalog(tuple(f"c{i}" for i in range(k))), models)
 
 
@@ -967,6 +979,23 @@ def test_classifier_json_rejects_unknown_format(trained_triple):
     obj["format"] = "other"
     with pytest.raises(DataError, match="format"):
         classifier_from_json(obj)
+    obj["format"] = "hierclass-classifier-v1"  # v1 nodes carried their own key and children
+    with pytest.raises(DataError, match=r"'hierclass-classifier-v1'.*retrain the classifier with `hierclass train`$"):
+        classifier_from_json(obj)
+
+
+def test_classifier_json_lists_one_model_per_internal_node_in_preorder():
+    # preorder (0,1,2,3), (0,1,2), (1,2) is not the sorted key order: (0,1,2) sorts first
+    tree = internal([internal([leaf(0), internal([leaf(1), leaf(2)])]), leaf(3)])
+    nodes = list(tree.internal_nodes())
+    assert [node_key(n) for n in nodes] != sorted(node_key(n) for n in nodes)
+    models = {node_key(n): _node([[1.0, 0.0], [0.0, 1.0]], [float(i), 0.0]) for i, n in enumerate(nodes)}
+    clf = HierarchicalClassifier(tree, Catalog(("a", "b", "c", "d")), models)
+    obj = json.loads(json.dumps(classifier_to_json(clf)))
+    assert sorted(obj) == ["concepts", "format", "nodes", "tree"]
+    assert [sorted(entry) for entry in obj["nodes"]] == [["encoder", "scorer_bias", "scorer_weights"]] * 3
+    assert [array_from_json(entry["scorer_bias"])[0] for entry in obj["nodes"]] == [0.0, 1.0, 2.0]
+    assert classifier_to_json(classifier_from_json(obj)) == classifier_to_json(clf)
 
 
 def test_parameter_count_arithmetic(hand_classifier):

@@ -205,7 +205,6 @@ def _manual_classifier(scorers_by_key, tree, catalog, dim):
             encoder=_identity_encoder(dim),
             scorer_weights=np.array(w, dtype=float),
             scorer_bias=np.array(b, dtype=float),
-            child_keys=tuple(node_key(c) for c in node.children),
         )
     return HierarchicalClassifier(tree=tree, catalog=catalog, models=models)
 
@@ -326,7 +325,7 @@ def _per_row_evaluate(classifier, dataset):
         routed = route_child(model, dataset.features[member_mask])
         want = np.array(
             [
-                next(ci for ci, ck in enumerate(model.child_keys) if int(t) in ck)
+                next(ci for ci, child in enumerate(node.children) if int(t) in child.leaf_ids())
                 for t in truth[member_mask]
             ]
         )
