@@ -53,11 +53,19 @@ def node_key(node: Tree) -> tuple[int, ...]:
     return tuple(sorted(node.leaf_ids()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeModel:
     encoder: Mlp
     scorer_weights: np.ndarray  # (n_children, latent): one scorer per child of the node, in the tree's order
     scorer_bias: np.ndarray  # (n_children,)
+
+    __hash__ = None  # a value, like its encoder: equal when its networks and arrays are
+
+    def __eq__(self, other):
+        if not isinstance(other, NodeModel):
+            return NotImplemented
+        return (self.encoder == other.encoder and np.array_equal(self.scorer_weights, other.scorer_weights)
+                and np.array_equal(self.scorer_bias, other.scorer_bias))
 
     def __post_init__(self) -> None:
         w = np.array(self.scorer_weights, dtype=float)
@@ -192,43 +200,51 @@ def predict_batch(classifier: HierarchicalClassifier, x: np.ndarray) -> np.ndarr
 
 
 @cache
-def _sign_table(n_children: int, dtype) -> np.ndarray:
-    table = np.where(np.eye(n_children, dtype=bool), 1, -1).astype(dtype)
+def _sign_table(n_children: int) -> np.ndarray:
+    table = np.where(np.eye(n_children, dtype=bool), 1.0, -1.0)
     table.setflags(write=False)
     return table
 
 
-def _signed_labels(child_idx: np.ndarray, n_children: int, dtype=float) -> np.ndarray:
+def _signed_labels(child_idx: np.ndarray, n_children: int) -> np.ndarray:
     """+1 where a row's child is the scorer's child, -1 elsewhere: each row's
     line of a +-1 table, gathered by one take, as a scatter of +1s into -1s
     or a broadcast comparison over a last axis of a few scorers is slower."""
-    return _sign_table(n_children, dtype).take(child_idx, axis=0)
+    return _sign_table(n_children).take(child_idx, axis=0)
 
 
 def _signed_scores(scorer_w, scorer_b, z, y, out=None):
     """y s per row and scorer, in ``out`` or a new array. ``z`` holds the rows
     (..., m, d), or is a list of (members, latents (m, d)) runs, consecutive
-    members that read one latent array. A contiguous bias lets its add run
-    over members and scorers at once where ``out`` is batch-major."""
+    members that read one latent array. The weights enter the product as a
+    contiguous transposed copy, which BLAS multiplies faster than the
+    transposed view, and a contiguous bias lets its add run over members and
+    scorers at once where ``out`` is batch-major."""
+    wt = np.ascontiguousarray(scorer_w.swapaxes(-1, -2))
     if isinstance(z, np.ndarray):
-        ys = np.matmul(z, scorer_w.swapaxes(-1, -2), out=out)
+        ys = np.matmul(z, wt, out=out)
     else:
         for members, latents in z:
-            np.matmul(latents, scorer_w[members].swapaxes(-1, -2), out=out[members])
+            np.matmul(latents, wt[members], out=out[members])
         ys = out
     ys += np.ascontiguousarray(scorer_b)[..., None, :]
     ys *= y
     return ys
 
 
-def _hinge_risk(ys, scorer_w, l2):
-    """The risk of signed scores ``ys``, overwriting them with the hinges."""
+def _hinges(ys):
+    """The hinges max(1 - y s, 0) of signed scores, written over them."""
     np.subtract(1.0, ys, out=ys)
     np.fmax(ys, 0.0, out=ys)  # NaN hinges count 0; 1 - y s is never -0.0
-    # per-member sums over one contiguous run, as a single member sums alone
-    members = ys.shape[:-2]
-    hinge = np.add.reduce(ys.reshape(members + (-1,)), axis=-1)
-    return hinge / ys.shape[-2] + l2 * np.add.reduce((scorer_w**2).reshape(members + (-1,)), axis=-1)
+    return ys
+
+
+def _risk(hinges, scorer_w, l2):
+    """The risk of contiguous (..., m, n) hinges: each member's hinges are
+    one contiguous run, summed as a single member sums alone."""
+    members = hinges.shape[:-2]
+    hinge = np.add.reduce(hinges.reshape(members + (-1,)), axis=-1)
+    return hinge / hinges.shape[-2] + l2 * np.add.reduce((scorer_w**2).reshape(members + (-1,)), axis=-1)
 
 
 def _hinge_grads(ys, slope, scorer_w, z, l2):
@@ -258,7 +274,7 @@ def erm_risk_and_grads(
     y = _signed_labels(child_idx, scorer_w.shape[-2])
     ys = _signed_scores(scorer_w, scorer_b, z, y)
     dw, db, ds = _hinge_grads(ys, y / -z.shape[-2], scorer_w, z, l2)
-    risk = _hinge_risk(ys, scorer_w, l2)
+    risk = _risk(_hinges(ys), scorer_w, l2)
     return (risk if risk.ndim else float(risk)), dw, db, ds
 
 
@@ -314,6 +330,33 @@ def _windows(steps, batch_major, width: int):
     return out
 
 
+def _distinct_rows(a):
+    """For a 2-D array of booleans or small non-negative integers, the first
+    occurrence of each distinct row and the index of each row's distinct
+    row. Rows are compared as bytes, which sorts far faster than
+    ``np.unique(axis=0)``, which compares them field by field."""
+    a = np.ascontiguousarray(a, dtype=np.min_scalar_type(a.max(initial=0)))
+    rows = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _child_blocks(child_idx, n_children):
+    """The scorers of a member holding groupings ``child_idx`` (P, m) of one
+    problem's rows into ``n_children`` children: the distinct children, as
+    row sets, in order of first appearance. Returns each row's pattern (the
+    index of its line of child indices among the distinct lines), the
+    (patterns, blocks) +-1 table of which blocks hold each pattern, and each
+    grouping's children as block indices."""
+    first_row, pattern = _distinct_rows(child_idx.T)
+    lines = child_idx[:, first_row].T
+    holds = np.concatenate([lines[:, p, None] == np.arange(n) for p, n in enumerate(n_children)], axis=1)
+    first, block = _distinct_rows(holds.T)
+    rank = np.argsort(np.argsort(first))  # each distinct block's place in order of first appearance
+    table = np.where(holds[:, np.sort(first)], 1.0, -1.0)
+    return pattern, table, np.split(rank[block], np.cumsum(n_children)[:-1])
+
+
 def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConfig, seeds):
     """Stochastic subgradient descent on the hinge risks of several node
     problems as one stacked SGD.
@@ -322,60 +365,109 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     ``features[g]`` (m_g, in), seed ``seeds[g]`` and child indices
     ``child_idx[g]`` (P_g, m_g): P_g groupings of its rows, grouping p into
     ``n_children[g][p]`` children. Problems may differ in row count and
-    groupings in child count. Every grouping of a problem is a stack member
-    holding the Generator of the problem's seed, so the groupings share its
-    encoded rows and the batch order it draws every epoch, and the steps
-    follow :func:`ragged_schedule`: grouping p of problem g gets bit for bit
-    what it gets trained alone, in a stack of one problem and one grouping.
-    Scorers start at zero and each member keeps its best iterate by
+    groupings in child count. Grouping p of problem g gets bit for bit what
+    it gets trained alone, in a stack of one problem and one grouping.
+    Scorers start at zero and each grouping keeps its best iterate by its
     full-data risk, so its reported risk never exceeds the initial one.
     Returns one (weights, biases, risk history) per problem: a list of the
     (n, d) weights and a list of the (n,) biases of its groupings, and one
     (P_g,) risk array per epoch. Every child of a grouping holds rows.
 
+    Members: a child's one-vs-rest scorer sees the same rows, labels, zero
+    start and batch order (the Generator of the problem's seed) in every
+    grouping of the problem that has the child, so the stack member of a
+    problem trains each of its distinct children, its blocks, once
+    (:func:`_child_blocks`), with +-1 labels gathered per (row pattern,
+    block). Only the best epoch differs between groupings: every epoch each
+    grouping's risk sums its blocks' hinges in its own (rows, children)
+    order. That holds because one scorer's sums in a matrix-matrix product
+    do not depend on the other scorers in it. A matrix-vector product's do,
+    so a problem that would take one (one-dimensional latents, a one-row
+    batch, a single-child grouping) keeps one member per grouping, its
+    blocks that grouping's children.
+
     Layout: one latent array per problem. A window of consecutive steps,
     at most STEP_SCORES latent values, gathers its rows batch-major, (rows,
-    members, d), and their child labels with one ``take`` each per epoch.
-    A step reads its slice of the window, builds its +-1 labels and scores
-    (rows, members, n), and multiplies member-major views of them, so each
-    member gets the gemm and the sequential row sum it gets alone while the
-    bias add and its gradient run over members and scorers at once. Where
-    numpy would take a matrix-vector product instead (one-row batches,
-    one-dimensional latents, single scorers), whose sums depend on the
-    layout, a step stays member-major and gathers its own rows. The
-    per-epoch risks run per group of equal row and child count, each run of
-    a group's members that share a problem reading that problem's latents
-    through one broadcast product, and each member's hinge sum is one
-    pairwise sum over its own (rows, n) block.
+    members, d), and their patterns with one ``take`` each per epoch. A step
+    reads its slice of the window, builds its +-1 labels and scores (rows,
+    members, n), and multiplies member-major views of them, so each member
+    gets the gemm and the sequential row sum it gets alone while the bias
+    add and its gradient run over members and scorers at once. Where numpy
+    would take a matrix-vector product instead, a step stays member-major
+    and gathers its own rows. The per-epoch risks run per group of equal
+    row and block count, each run of a group's members that share a problem
+    reading that problem's latents through one broadcast product; each
+    grouping's hinges are then gathered into one contiguous (rows, n) block,
+    up to STEP_SCORES hinges of groupings of one child count at a time, and
+    summed as one pairwise sum.
     """
-    sizes = [len(idx) for idx in child_idx]
-    counts = np.concatenate(n_children)
-    members = [np.asarray(row, dtype=int) for idx in child_idx for row in idx]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
     m = np.array([len(f) for f in features])
+    z = np.concatenate([mlp_forward(enc, f) for enc, f in zip(encoders, features)])
+    owner, tables, patterns, placed = [], [], [], []  # per member; per grouping its member and blocks
+    for g, (idx, ns) in enumerate(zip(child_idx, n_children)):
+        idx = np.asarray(idx)
+        matrix = z.shape[-1] > 1 and min(ns) > 1 and cfg.batch_size > 1 and m[g] % cfg.batch_size != 1
+        for ps in [list(range(len(idx)))] if matrix else [[p] for p in range(len(idx))]:
+            pattern, table, blocks = _child_blocks(idx[ps], [ns[p] for p in ps])
+            placed += [(len(owner), bl) for bl in blocks]
+            owner.append(g)
+            tables.append(table)
+            patterns.append(pattern)
+    owner = np.array(owner)
+    counts = np.array([t.shape[1] for t in tables])  # scorers per member
     generators = [np.random.default_rng(seed) for seed in seeds]
     order, position, groups, steps, shuffle = ragged_schedule(
         m[owner], cfg.batch_size, [generators[g] for g in owner], key=counts
     )
     problem, rows, counts = owner[order], m[owner][order], counts[order]
 
-    # one latent array per problem, and each member's child labels in its problem's row order
-    z = np.concatenate([mlp_forward(enc, f) for enc, f in zip(encoders, features)])
+    # one latent array per problem, and each member's row patterns, as rows of one sign table
     first = np.cumsum([0, *m[:-1]])  # each problem's first row in z
     latents = [z[lo : lo + n] for lo, n in zip(first, m)]
-    labels = np.zeros((len(order), m.max()), dtype=np.min_scalar_type(counts.max()))
-    for i, p in enumerate(order):
-        labels[i, : len(members[p])] = members[p]
+    table_at = np.cumsum([0, *(len(t) for t in tables)])
+    table = np.full((table_at[-1], counts.max()), -1.0)
+    for t, at in zip(tables, table_at):
+        table[at : at + len(t), : t.shape[1]] = t
+    signs = {n: np.ascontiguousarray(table[:, :n]) for n in set(counts.tolist())}
+    labels = np.zeros((len(order), m.max()), dtype=np.min_scalar_type(len(table)))
+    for i, s in enumerate(order):
+        labels[i, : len(patterns[s])] = patterns[s] + table_at[s]
     first = first[problem, None]  # each sorted member's first row in z
     first_label = np.arange(len(order))[:, None] * labels.shape[1]  # ... and in labels, flattened
 
-    # the risks' labels, per group of equal row and child count (int8 holds +-1 exactly),
-    # and the group's runs of members that share a problem, so read its one latent array
-    signs = [_signed_labels(labels[lo:hi, : rows[lo]], counts[lo], np.int8) for lo, hi in groups]
-    shared = []
+    # per grouping its sorted member and blocks, padded, for the best iterates; the risks'
+    # labels per group of equal row and block count (int8 holds +-1 exactly), and the group's
+    # runs of members that share a problem, so read its one latent array
+    held = position[[s for s, _ in placed]]
+    width = np.array([len(bl) for _, bl in placed])
+    blocks = np.zeros((len(placed), width.max()), dtype=int)
+    for q, (_, bl) in enumerate(placed):
+        blocks[q, : len(bl)] = bl
+    risk_labels, shared = [], []
     for lo, hi in groups:
+        risk_labels.append(signs[counts[lo]].astype(np.int8).take(labels[lo:hi, : rows[lo]], axis=0))
         ends = [lo, *(lo + np.flatnonzero(np.diff(problem[lo:hi])) + 1).tolist(), hi]
         shared.append([(slice(a - lo, c - lo), latents[problem[a]]) for a, c in zip(ends, ends[1:])])
+    # the groupings of each group by child count, in chunks of at most STEP_SCORES hinges, each
+    # chunk with the flat indices of its groupings' (rows, children) hinges in the group's
+    # (members, rows, blocks) hinges, held in one array of the smallest integer type they fit
+    group_of = np.searchsorted([hi for _, hi in groups], held, side="right")
+    chunks = []
+    for k, (lo, hi) in enumerate(groups):
+        qs = np.flatnonzero(group_of == k)
+        for c in sorted(set(width[qs].tolist())):
+            q, chunk = qs[width[qs] == c], max(1, STEP_SCORES // (rows[lo] * c))
+            chunks += [(k, q[a : a + chunk], c) for a in range(0, len(q), chunk)]
+    sizes = [len(q) * rows[groups[k][0]] * c for k, q, c in chunks]
+    largest = max((hi - lo) * rows[lo] * counts[lo] for lo, hi in groups)  # a group's hinges
+    indices = np.empty(sum(sizes), dtype=np.min_scalar_type(largest))
+    parts = [[] for _ in groups]
+    for (k, q, c), at in zip(chunks, np.cumsum([0, *sizes])):
+        lo, n, size = groups[k][0], counts[groups[k][0]], rows[groups[k][0]]
+        index = indices[at : at + len(q) * size * c].reshape(len(q), size, c)
+        index[...] = (held[q, None, None] - lo) * size * n + np.arange(size)[:, None] * n + blocks[q, None, :c]
+        parts[k].append((q, index, held[q, None], blocks[q, :c]))
+    at_buffer, hinge_buffer = np.empty(max(sizes), dtype=np.intp), np.empty(max(sizes))
     # batch-major steps, except where numpy would take a matrix-vector product
     batch_major = [size > 1 and z.shape[-1] > 1 and counts.min() > 1 for _, _, _, size in steps]
     substeps = [_substeps(groups, counts, lo, hi, size, major)
@@ -385,19 +477,25 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
     b = np.zeros((len(order), counts.max()))
 
     def risks():
-        out = np.empty(len(order))
-        for (lo, hi), y, runs in zip(groups, signs, shared):
-            n, wg = counts[lo], w[lo:hi, : counts[lo]]
-            ys = _signed_scores(wg, b[lo:hi, :n], runs, y, out=np.empty(y.shape))
-            out[lo:hi] = _hinge_risk(ys, wg, cfg.l2)
+        out = np.empty(len(placed))
+        for (lo, hi), y, runs, part in zip(groups, risk_labels, shared, parts):
+            n = counts[lo]
+            hinges = _hinges(_signed_scores(w[lo:hi, :n], b[lo:hi, :n], runs, y, out=np.empty(y.shape)))
+            for q, index, member, bl in part:  # each grouping's hinges, gathered contiguous
+                at = at_buffer[: index.size].reshape(index.shape)
+                np.copyto(at, index)
+                hinge = hinge_buffer[: index.size].reshape(index.shape)
+                np.take(hinges.reshape(-1), at, out=hinge, mode="clip")
+                out[q] = _risk(hinge, w[member, bl], cfg.l2)
         return out
 
     risk = risks()
-    history = [risk[position]]
-    best_risk, best_w, best_b = risk, w.copy(), b.copy()
+    history = [risk]
+    best_risk = risk
+    best_w, best_b = np.zeros(blocks.shape + (z.shape[-1],)), np.zeros(blocks.shape)
     for _ in range(cfg.epochs):
         perms, gathered = shuffle(), None
-        for (lo, hi, start, size), parts, major, window in zip(steps, substeps, batch_major, windows):
+        for (lo, hi, start, size), sub, major, window in zip(steps, substeps, batch_major, windows):
             if major:  # a slice of its window's (offsets, members, width) rows
                 s0, s1, m0, m1 = window
                 if window is not gathered:  # once per window and epoch
@@ -410,33 +508,31 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
             else:
                 at = perms[lo:hi, start : start + size]
                 zb, yb = z.take(first[lo:hi] + at, axis=0), labels.take(first_label[lo:hi] + at)
-            for a, c, n in parts:
+            for a, c, n in sub:
                 wp, bp = w[a:c, :n], b[a:c, :n]
                 if major:  # (size, members, width) arrays, read through member-major views
                     zp = zb[:, a - lo : c - lo].swapaxes(0, 1)
-                    y = _signed_labels(yb[a - lo : c - lo].T, n).swapaxes(0, 1)
+                    y = signs[n].take(yb[a - lo : c - lo].T, axis=0).swapaxes(0, 1)
                     ys = np.empty((size, c - a, n)).swapaxes(0, 1)
                 else:
-                    zp, y, ys = zb[a - lo : c - lo], _signed_labels(yb[a - lo : c - lo], n), None
-                dw, db, _ = _hinge_grads(_signed_scores(wp, bp, zp, y, out=ys), y / -size, wp, zp, cfg.l2)
+                    zp, y, ys = zb[a - lo : c - lo], signs[n].take(yb[a - lo : c - lo], axis=0), None
+                # y / -size, as one product: y is +-1, so both round 1 / size once
+                dw, db, _ = _hinge_grads(_signed_scores(wp, bp, zp, y, out=ys), y * (-1.0 / size), wp, zp, cfg.l2)
                 dw *= cfg.learning_rate
                 wp -= dw
                 db *= cfg.learning_rate
                 bp -= db
         zw = zb = zp = yw = yb = None  # freed before the risks, the epoch's peak
         risk = risks()
-        history.append(risk[position])
-        better = risk < best_risk
-        best_risk = np.where(better, risk, best_risk)
-        np.copyto(best_w, w, where=better[:, None, None])
-        np.copyto(best_b, b, where=better[:, None])
-    bounds = np.cumsum([0, *sizes])
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        at = position[lo:hi]
-        out.append(([best_w[i, : counts[i]].copy() for i in at], [best_b[i, : counts[i]].copy() for i in at],
-                    [epoch_risks[lo:hi] for epoch_risks in history]))
-    return out
+        history.append(risk)
+        better = np.flatnonzero(risk < best_risk)
+        best_risk = np.where(risk < best_risk, risk, best_risk)
+        best_w[better] = w[held[better, None], blocks[better]]
+        best_b[better] = b[held[better, None], blocks[better]]
+    bounds = np.cumsum([0, *(len(idx) for idx in child_idx)])
+    return [([best_w[q, : width[q]].copy() for q in range(lo, hi)],
+             [best_b[q, : width[q]].copy() for q in range(lo, hi)],
+             [epoch_risks[lo:hi] for epoch_risks in history]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +631,9 @@ def train_hierarchies(
     - one artifact encoder lookup per distinct subtree, as the encoder a
       node takes depends on the subtree below it;
     - one scorer set per distinct (encoder, child partition), all trained
-      in one ``train_node_erm_stack`` call; the partitions of one encoder
-      share its rows and batch order.
+      in one ``train_node_erm_stack`` call, where each encoder's problem is
+      one stack member: its partitions share its rows and batch order, and
+      a child that several of them have trains once for all of them.
 
     The data must hold at least 2 concepts and rows of each
     (:func:`check_training_rows`), and artifacts must be over its catalog
@@ -828,7 +925,9 @@ def exhaustive_search(
     mistake costs 2, so its mean is 2 (1 - accuracy) up to rounding.
 
     The classifiers come from one ``train_hierarchies`` call, so each is
-    what its tree gets trained alone, and no node trains twice.
+    what its tree gets trained alone, no node trains twice, and no
+    one-vs-rest scorer either: the child partitions of a concept set share
+    the scorers of the children they have in common.
     """
     if metric != "accuracy":
         raise ValueError(f"unknown metric {metric!r}")

@@ -57,11 +57,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
+    """One dense layer. A layer, and a network of them, is a value: equal to
+    another when their activations are and their arrays hold the same
+    numbers, and unhashable, as its arrays are."""
+
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Layer):
+            return NotImplemented
+        return (self.activation == other.activation and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.bias, other.bias))
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
@@ -78,7 +90,9 @@ class Layer:
 
 @dataclass(frozen=True)
 class Mlp:
-    layers: tuple[Layer, ...]
+    layers: tuple[Layer, ...]  # compared layer by layer, as values
+
+    __hash__ = None
 
     def __post_init__(self) -> None:
         if not self.layers:

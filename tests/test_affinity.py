@@ -308,21 +308,11 @@ def _plain_build(dataset, cfg):
     return tuple(records), encoders
 
 
-def _same_mlp(a, b):
-    return all(
-        la.activation == lb.activation
-        and np.array_equal(la.weights, lb.weights)
-        and np.array_equal(la.bias, lb.bias)
-        for la, lb in zip(a.layers, b.layers, strict=True)
-    )
-
-
 def _assert_build_matches_plain(dataset, cfg):
     artifacts = build_affinity_artifacts(dataset, cfg)
     records, encoders = _plain_build(dataset, cfg)
     assert artifacts.matrix.records == records  # exact float equality
-    assert len(artifacts.concept_encoders) == len(encoders)
-    assert all(_same_mlp(got, want) for got, want in zip(artifacts.concept_encoders, encoders))
+    assert list(artifacts.concept_encoders) == list(encoders)
     return artifacts
 
 
@@ -386,16 +376,12 @@ def test_autoencoder_stack_members_match_the_plain_path(triple_data_module):
     data = [triple_data_module.of_concept(c) for c in range(3)]
     seeds = [4, 9, 2]
     plain = [_plain_autoencoder(d, cfg, seed) for d, seed in zip(data, seeds)]
-
-    def same(got, want):
-        return _same_mlp(got[0], want[0]) and _same_mlp(got[1], want[1]) and got[2] == want[2]
-
-    assert all(same(train_autoencoder_stack([d], cfg.encoder, cfg.pretrain, [seed])[0], p)
+    assert all(tuple(train_autoencoder_stack([d], cfg.encoder, cfg.pretrain, [seed])[0]) == tuple(p)
                for d, seed, p in zip(data, seeds, plain))
     for members in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one
         stacked = train_autoencoder_stack([data[s] for s in members], cfg.encoder, cfg.pretrain,
                                           [seeds[s] for s in members])
-        assert all(same(got, plain[s]) for s, got in zip(members, stacked))
+        assert all(tuple(got) == tuple(plain[s]) for s, got in zip(members, stacked))
 
 
 def test_one_diverging_pretrain_member_names_its_concept():
@@ -742,8 +728,7 @@ def test_artifacts_json_round_trip_is_exact(triple_artifacts):
     back = artifacts_from_json(obj)
     assert set(obj) == {"matrix", "config", "concept_encoders"}
     assert (back.matrix, back.config, back.input_dim) == (triple_artifacts.matrix, triple_artifacts.config, 10)
-    assert len(back.concept_encoders) == len(triple_artifacts.concept_encoders)
-    assert all(_same_mlp(got, want) for got, want in zip(back.concept_encoders, triple_artifacts.concept_encoders))
+    assert back == triple_artifacts and back.concept_encoders is not triple_artifacts.concept_encoders
     assert json.dumps(artifacts_to_json(back)) == json.dumps(obj)
     with pytest.raises(DataError, match=r"^bad artifacts file: unknown keys \['input_dim'\]$"):
         artifacts_from_json({**obj, "input_dim": 10})

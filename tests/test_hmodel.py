@@ -679,8 +679,9 @@ FAST_CFG = HierTrainConfig(
 
 
 def _search_split(k):
-    catalog = Catalog(tuple("abcd"[:k]))
-    planted = internal([internal([leaf(0), leaf(1)]), *([leaf(2)] if k == 3 else [internal([leaf(2), leaf(3)])])])
+    catalog = Catalog(tuple("abcde"[:k]))
+    rest = {3: [leaf(2)], 4: [internal([leaf(2), leaf(3)])], 5: [internal([leaf(2), leaf(3)]), leaf(4)]}[k]
+    planted = internal([internal([leaf(0), leaf(1)]), *rest])
     data = generate_planted(PlantedSpec(catalog, planted, 6, 40, (6.0, 2.0), 2.0), seed=k)
     return split(data, (0.7, 0.3), seed=k, stratified=True)
 
@@ -715,11 +716,13 @@ def test_planned_search_equals_training_every_tree(monkeypatch, k, rep_mode):
 
 
 def _count_stacks(monkeypatch):
-    """Count stacked scratch-encoder and ERM calls and their members, with
+    """Count stacked scratch-encoder and ERM calls and their members, the
+    ERM groupings and the stack members and scorers that train them, with
     each ERM stack's row counts."""
-    calls = {"encoder_stacks": 0, "encoders": 0, "erm_stacks": 0, "erms": 0}
+    calls = {"encoder_stacks": 0, "encoders": 0, "erm_stacks": 0, "erms": 0, "members": 0, "scorers": 0}
     erm_rows = []
     real_autoencoders, real_erms = hmodel.train_autoencoder_stack, hmodel.train_node_erm_stack
+    real_blocks = hmodel._child_blocks
 
     def count_autoencoders(data, *args):
         calls["encoder_stacks"] += 1
@@ -732,18 +735,30 @@ def _count_stacks(monkeypatch):
         erm_rows.append({len(f) for f in features})
         return real_erms(encoders, features, child_idx, *args)
 
+    def count_blocks(*args):
+        out = real_blocks(*args)
+        calls["members"] += 1
+        calls["scorers"] += out[1].shape[1]  # its sign table's columns
+        return out
+
     monkeypatch.setattr(hmodel, "train_autoencoder_stack", count_autoencoders)
     monkeypatch.setattr(hmodel, "train_node_erm_stack", count_erms)
+    monkeypatch.setattr(hmodel, "_child_blocks", count_blocks)
     return calls, erm_rows
 
 
 def test_search_trains_each_distinct_node_once(monkeypatch):
-    train, val = _search_split(4)
-    calls, _ = _count_stacks(monkeypatch)
-    exhaustive_search(train, val, FAST_CFG)
-    # 2^4-4-1 concept sets in one stack, whatever their row counts;
-    # sum C(4,s)(B_s-1) groupings in one stack, whatever their child counts
-    assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36}
+    # 2^k-k-1 concept sets in one stack, whatever their row counts;
+    # sum C(k,s)(B_s-1) groupings in one stack, whatever their child counts,
+    # trained by one member per concept set, which holds its 2^s-2 distinct
+    # children: 50 and 180 scorers, where the groupings have 84 and 440 children
+    for k, sets, groupings, blocks in [(4, 11, 36, 50), (5, 26, 171, 180)]:
+        train, val = _search_split(k)
+        with monkeypatch.context() as patch:
+            calls, _ = _count_stacks(patch)
+            exhaustive_search(train, val, FAST_CFG, cap=k)
+        assert calls == {"encoder_stacks": 1, "encoders": sets, "erm_stacks": 1, "erms": groupings,
+                         "members": sets, "scorers": blocks}
 
 
 def _unequal_split():
@@ -765,7 +780,7 @@ def test_search_on_unequal_supports_equals_training_every_tree(monkeypatch):
     # one stack each, though the 11 concept sets have 8 distinct row
     # counts (4 among pairs, 3 among triples) and the 36 groupings fall
     # into 13 (row count, child count) pairs
-    assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36}
+    assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36, "members": 11, "scorers": 50}
     assert erm_rows == [{34, 42, 48, 56, 62, 70, 76, 90}]
 
 
@@ -839,8 +854,9 @@ def test_train_hierarchies_trains_each_concept_set_once(monkeypatch):
     calls, _ = _count_stacks(monkeypatch)
     hmodel.train_hierarchies([_T, _T, _U], train, FAST_CFG)
     # concept sets {0,1,2,3}, {2,3}, {0,1} and {0,2} in one stack; the root
-    # splits two ways and three ways, the pairs two ways, all in one stack
-    assert calls == {"encoder_stacks": 1, "encoders": 4, "erm_stacks": 1, "erms": 5}
+    # splits two ways and three ways, the pairs two ways, all in one stack,
+    # the root's member training its 5 distinct children {0,1}, {2,3}, {0,2}, {1}, {3}
+    assert calls == {"encoder_stacks": 1, "encoders": 4, "erm_stacks": 1, "erms": 5, "members": 4, "scorers": 11}
 
 
 def test_diverging_scratch_encoder_names_its_concept_set():
@@ -929,6 +945,19 @@ def test_classifier_json_roundtrip(trained_triple):
     assert json.dumps(classifier_to_json(back), sort_keys=True) == json.dumps(
         classifier_to_json(clf), sort_keys=True
     )
+
+
+def test_node_models_and_classifiers_compare_by_value(trained_triple):
+    clf, _ = trained_triple
+    back = classifier_from_json(json.loads(json.dumps(classifier_to_json(clf))))
+    assert back == clf and all(back.models[key] == model for key, model in clf.models.items())
+    key = node_key(clf.tree)
+    w = clf.models[key].scorer_weights.copy()
+    w[0, 0] = np.nextafter(w[0, 0], -np.inf)  # one ulp in one scorer weight
+    bumped = replace(clf.models[key], scorer_weights=w)
+    assert bumped != clf.models[key] and replace(clf, models={**clf.models, key: bumped}) != clf
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(bumped)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # the whole finite range: -0.0, subnormals, extremes

@@ -491,6 +491,41 @@ def test_erm_stack_of_over_a_hundred_members():
     assert len(list(_each_member_alone(_problems_over(rng, rows, counts), [80 + g for g in range(8)], cfg))) == 104
 
 
+# per grouping, each concept's child: children shared by groupings at other
+# positions and in other orders, and a grouping repeated
+_SHARED_CHILDREN = (
+    [(0, 0, 1, 2, 2), (1, 1, 0, 2, 2), (1, 1, 1, 0, 0), (0, 0, 1, 2, 2), (0, 1, 2, 3, 3)],
+    [(0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 2, 2)],
+)
+
+
+@pytest.mark.parametrize("budget", [None, 2 * BATCH], ids=["default", "small-sub-steps"])
+def test_erm_stack_trains_each_shared_child_once(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(hmodel, "STEP_SCORES", budget)
+    scorers, real = [], hmodel._child_blocks
+
+    def spy(*args):
+        out = real(*args)
+        scorers.append(out[1].shape[1])  # its sign table's columns
+        return out
+
+    monkeypatch.setattr(hmodel, "_child_blocks", spy)
+    rng = np.random.default_rng(31)
+    problems = []
+    for groupings, rows in zip(_SHARED_CHILDREN, (45, 38)):
+        table = np.array(groupings)
+        concepts = rng.permutation(np.arange(rows) % table.shape[1])
+        features = read_only(rng.normal(size=(rows, 4)) + concepts[:, None])
+        problems.append((init_mlp((4, 6, 3), ("relu", "sigmoid"), rng), features, read_only(table[:, concepts], int),
+                         [len(set(g)) for g in groupings]))
+    cfg = ErmConfig(epochs=6, batch_size=BATCH, learning_rate=0.3, l2=1e-2)
+    assert len(list(_each_member_alone(problems, [90, 91], cfg))) == 8
+    # one member per problem, training its distinct children once: {0,1}, {2}, {3,4},
+    # {0,1,2}, {0} and {1}; and {0,3}, {1,2}, {0}, {1} and {2,3}
+    assert scorers == [6, 5]
+
+
 def test_diverging_member_of_a_ragged_autoencoder_stack_is_named_by_caller_index():
     cfg = AffinityConfig(encoder=EncoderConfig(hidden_dim=4, latent_dim=2))
     rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from hierclass.nets import (
     stack_params,
     task_seed,
 )
+from hierclass.serialize import mlp_from_json, mlp_to_json
 
 
 def test_init_is_deterministic_and_shapes_chain():
@@ -49,6 +52,21 @@ def test_layers_are_read_only():
     net = init_mlp((3, 2), ("identity",), np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.layers[0].weights[0, 0] = 1.0
+
+
+def test_networks_compare_by_value():
+    net = init_mlp((4, 5, 2), ("relu", "sigmoid"), np.random.default_rng(3))
+    back = mlp_from_json(json.loads(json.dumps(mlp_to_json(net))))
+    assert back is not net and back == net and back.layers[1] == net.layers[1]
+    w = net.layers[1].weights.copy()
+    w[1, 2] = np.nextafter(w[1, 2], np.inf)  # one ulp in one weight
+    bumped = Mlp((net.layers[0], Layer(w, net.layers[1].bias, "sigmoid")))
+    assert bumped != net and bumped.layers[1] != net.layers[1] and bumped.layers[0] == net.layers[0]
+    assert Layer(net.layers[0].weights, net.layers[0].bias, "identity") != net.layers[0]
+    assert net != "net" and net.layers[0] != net
+    for value in (net, net.layers[0]):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def test_forward_identity_net_is_affine():
