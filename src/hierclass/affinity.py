@@ -311,9 +311,6 @@ class AffinityMatrix:
             raise ValueError(f"an affinity matrix relates at least 2 concepts, got {len(self.catalog)}")
         _check_pairs(self.catalog, [(r.source, r.target) for r in self.records], "affinity matrix")
 
-    def score(self, source: int, target: int) -> float:
-        return next(r.score for r in self.records if (r.source, r.target) == (source, target))
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:

@@ -230,13 +230,21 @@ def _read_tree_file(path: str, catalog: treespace.Catalog):
     return tree, hashlib.sha256(data).hexdigest()
 
 
+def _epochs(flag: str, epochs: int) -> int:
+    """The value of an epochs flag, or a usage error naming the flag."""
+    if epochs < 0:
+        raise ValueError(f"{flag} must be >= 0, got {epochs}")
+    return epochs
+
+
+# The configs are built, and so checked, before a command opens any input.
 def _affinity_config(args) -> aff.AffinityConfig:
     d = _AFFINITY
     return replace(
         d,
         encoder=replace(d.encoder, hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
-        pretrain=replace(d.pretrain, epochs=args.pretrain_epochs),
-        warmup=replace(d.warmup, epochs=args.warmup_epochs),
+        pretrain=replace(d.pretrain, epochs=_epochs("--pretrain-epochs", args.pretrain_epochs)),
+        warmup=replace(d.warmup, epochs=_epochs("--warmup-epochs", args.warmup_epochs)),
         budget=args.budget,
         b_max=args.b_max,
         alpha=args.alpha,
@@ -250,9 +258,9 @@ def _train_config(args) -> hmodel.HierTrainConfig:
     d = _TRAIN
     return replace(
         d,
-        erm=replace(d.erm, epochs=args.erm_epochs),
+        erm=replace(d.erm, epochs=_epochs("--erm-epochs", args.erm_epochs)),
         encoder=replace(d.encoder, hidden_dim=args.hidden_dim, latent_dim=args.latent_dim),
-        pretrain=replace(d.pretrain, epochs=args.pretrain_epochs),
+        pretrain=replace(d.pretrain, epochs=_epochs("--pretrain-epochs", args.pretrain_epochs)),
         seed=args.seed,
     )
 
@@ -292,8 +300,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_affinity(args) -> int:
-    dataset = synth.load_csv(args.data)
     cfg = _affinity_config(args)
+    dataset = synth.load_csv(args.data)
     artifacts = aff.build_affinity_artifacts(dataset, cfg)
     obj = aff.affinity_to_json(artifacts.matrix)
     obj["provenance"] = _provenance(
@@ -342,10 +350,11 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    hmodel.check_refinement(args.lambda_orth, args.refine_epochs)  # the settings land in provenance too
+    # checked even with no refinement: the settings land in provenance too
+    hmodel.check_refinement(args.lambda_orth, _epochs("--refine-epochs", args.refine_epochs))
+    cfg = _train_config(args)
     dataset = synth.load_csv(args.data)
     tree, tree_sha256 = _read_tree_file(args.tree, dataset.catalog)
-    cfg = _train_config(args)
     artifacts, hashes = None, [dataset.provenance["sha256"], tree_sha256]
     if args.artifacts:
         artifacts, artifacts_sha256 = _read_json(args.artifacts, aff.artifacts_from_json)
@@ -420,9 +429,9 @@ def _val_fraction(args) -> float:
 
 def _cmd_search(args) -> int:
     fraction = _val_fraction(args)
+    cfg = _train_config(args)
     dataset = synth.load_csv(args.data)
     train, val = synth.split(dataset, (1.0 - fraction, fraction), seed=args.seed, stratified=True)
-    cfg = _train_config(args)
     result = hmodel.exhaustive_search(train, val, cfg, cap=args.cap)
     lines = ["tree,score"]
     for tree, score in result.table:
@@ -443,6 +452,7 @@ def _cmd_compare(args) -> int:
     if not items or not all(s.isdecimal() for s in items):
         raise ValueError(f"--train-seeds must be comma-separated non-negative integers, got {args.train_seeds!r}")
     seeds = [int(s) for s in items]
+    base_cfg = _train_config(args)
     dataset = synth.load_csv(args.data)
     derived, derived_sha256 = _read_tree_file(args.derived, dataset.catalog)
     expert, expert_sha256 = _read_tree_file(args.expert, dataset.catalog)
@@ -451,7 +461,6 @@ def _cmd_compare(args) -> int:
         treespace.sample_hierarchy(dataset.catalog.ids, rng) for _ in range(args.random_samples)
     ]
 
-    base_cfg = _train_config(args)
     trees = [expert, *random_trees, derived]
     accs = {}  # (tree index, seed) -> accuracy; the trees of one seed share their nodes
     for seed in seeds:

@@ -330,112 +330,88 @@ def _windows(steps, batch_major, width: int):
     return out
 
 
-def _distinct_rows(a):
-    """For a 2-D array of booleans or small non-negative integers, the first
-    occurrence of each distinct row and the index of each row's distinct
-    row. Rows are compared as bytes, which sorts far faster than
-    ``np.unique(axis=0)``, which compares them field by field."""
-    a = np.ascontiguousarray(a, dtype=np.min_scalar_type(a.max(initial=0)))
-    rows = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).reshape(-1)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+def _blocks(partitions) -> dict:
+    """A member's scorers: its partitions' distinct children, each with its place in order of first appearance."""
+    return {child: j for j, child in enumerate(dict.fromkeys(c for part in partitions for c in part))}
 
 
-def _child_blocks(child_idx, n_children):
-    """The scorers of a member holding groupings ``child_idx`` (P, m) of one
-    problem's rows into ``n_children`` children: the distinct children, as
-    row sets, in order of first appearance. Returns each row's pattern (the
-    index of its line of child indices among the distinct lines), the
-    (patterns, blocks) +-1 table of which blocks hold each pattern, and each
-    grouping's children as block indices."""
-    first_row, pattern = _distinct_rows(child_idx.T)
-    lines = child_idx[:, first_row].T
-    holds = np.concatenate([lines[:, p, None] == np.arange(n) for p, n in enumerate(n_children)], axis=1)
-    first, block = _distinct_rows(holds.T)
-    rank = np.argsort(np.argsort(first))  # each distinct block's place in order of first appearance
-    table = np.where(holds[:, np.sort(first)], 1.0, -1.0)
-    return pattern, table, np.split(rank[block], np.cumsum(n_children)[:-1])
-
-
-def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConfig, seeds):
+def train_node_erm_stack(encoders, features, labels, partitions, cfg: ErmConfig, seeds):
     """Stochastic subgradient descent on the hinge risks of several node
     problems as one stacked SGD.
 
     Problem g has its own frozen encoder ``encoders[g]``, rows
-    ``features[g]`` (m_g, in), seed ``seeds[g]`` and child indices
-    ``child_idx[g]`` (P_g, m_g): P_g groupings of its rows, grouping p into
-    ``n_children[g][p]`` children. Problems may differ in row count and
-    groupings in child count. Grouping p of problem g gets bit for bit what
-    it gets trained alone, in a stack of one problem and one grouping.
-    Scorers start at zero and each grouping keeps its best iterate by its
+    ``features[g]`` (m_g, in), their concept ids ``labels[g]``, seed
+    ``seeds[g]`` and child partitions ``partitions[g]``, each a tuple of
+    children in the scorers' order, each child a tuple of concept ids.
+    Precondition: every partition has at least 2 children, as every
+    internal node of a tree has, one of which holds each row's concept.
+    Partition p of problem g gets bit for bit what it gets trained alone.
+    Scorers start at zero and each partition keeps its best iterate by its
     full-data risk, so its reported risk never exceeds the initial one.
     Returns one (weights, biases, risk history) per problem: a list of the
-    (n, d) weights and a list of the (n,) biases of its groupings, and one
-    (P_g,) risk array per epoch. Every child of a grouping holds rows.
+    (n, d) weights and one of the (n,) biases of its partitions, and one
+    (P_g,) risk array per epoch.
 
     Members: a child's one-vs-rest scorer sees the same rows, labels, zero
     start and batch order (the Generator of the problem's seed) in every
-    grouping of the problem that has the child, so the stack member of a
-    problem trains each of its distinct children, its blocks, once
-    (:func:`_child_blocks`), with +-1 labels gathered per (row pattern,
-    block). Only the best epoch differs between groupings: every epoch each
-    grouping's risk sums its blocks' hinges in its own (rows, children)
-    order. That holds because one scorer's sums in a matrix-matrix product
-    do not depend on the other scorers in it. A matrix-vector product's do,
-    so a problem that would take one (one-dimensional latents, a one-row
-    batch, a single-child grouping) keeps one member per grouping, its
-    blocks that grouping's children.
+    partition of the problem that has the child, so the stack member of a
+    problem trains each distinct child concept set, a block, once
+    (:func:`_blocks`). A row's +-1 labels are its concept's row of a
+    (concepts, blocks) table, and a partition's scorers are its children's
+    blocks. Only the best epoch differs between partitions: each sums its
+    blocks' hinges in its own (rows, children) order, as one scorer's sums
+    in a matrix-matrix product do not depend on the other scorers in it. A
+    matrix-vector product's do, so a problem that would take one
+    (one-dimensional latents, a one-row batch) has one member per partition.
 
     Layout: one latent array per problem. A window of consecutive steps,
     at most STEP_SCORES latent values, gathers its rows batch-major, (rows,
-    members, d), and their patterns with one ``take`` each per epoch. A step
-    reads its slice of the window, builds its +-1 labels and scores (rows,
-    members, n), and multiplies member-major views of them, so each member
-    gets the gemm and the sequential row sum it gets alone while the bias
-    add and its gradient run over members and scorers at once. Where numpy
-    would take a matrix-vector product instead, a step stays member-major
-    and gathers its own rows. The per-epoch risks run per group of equal
-    row and block count, each run of a group's members that share a problem
-    reading that problem's latents through one broadcast product; each
-    grouping's hinges are then gathered into one contiguous (rows, n) block,
-    up to STEP_SCORES hinges of groupings of one child count at a time, and
-    summed as one pairwise sum.
+    members, d), and their table rows with one ``take`` each per epoch. A
+    step multiplies member-major views of its slice, so each member gets
+    the gemm and the row sums it gets alone while the bias add and its
+    gradient run over members and scorers at once; where numpy would take
+    a matrix-vector product, a step stays member-major and gathers its own
+    rows. The per-epoch risks run per group of equal row and block count,
+    the members of a group that share a problem reading its latents through
+    one broadcast product; each partition's hinges are then gathered into
+    one contiguous (rows, n) block, up to STEP_SCORES hinges of partitions
+    of one child count at a time, and summed as one pairwise sum.
     """
     m = np.array([len(f) for f in features])
     z = np.concatenate([mlp_forward(enc, f) for enc, f in zip(encoders, features)])
-    owner, tables, patterns, placed = [], [], [], []  # per member; per grouping its member and blocks
-    for g, (idx, ns) in enumerate(zip(child_idx, n_children)):
-        idx = np.asarray(idx)
-        matrix = z.shape[-1] > 1 and min(ns) > 1 and cfg.batch_size > 1 and m[g] % cfg.batch_size != 1
-        for ps in [list(range(len(idx)))] if matrix else [[p] for p in range(len(idx))]:
-            pattern, table, blocks = _child_blocks(idx[ps], [ns[p] for p in ps])
-            placed += [(len(owner), bl) for bl in blocks]
+    owner, members, placed = [], [], []  # per member its problem and blocks; per partition its member and blocks
+    for g, parts in enumerate(partitions):
+        matrix = z.shape[-1] > 1 and cfg.batch_size > 1 and m[g] % cfg.batch_size != 1
+        for ps in [parts] if matrix else [[p] for p in parts]:
+            blocks = _blocks(ps)
+            placed += [(len(owner), [blocks[child] for child in p]) for p in ps]
             owner.append(g)
-            tables.append(table)
-            patterns.append(pattern)
+            members.append(blocks)
     owner = np.array(owner)
-    counts = np.array([t.shape[1] for t in tables])  # scorers per member
+    counts = np.array([len(blocks) for blocks in members])  # scorers per member
     generators = [np.random.default_rng(seed) for seed in seeds]
     order, position, groups, steps, shuffle = ragged_schedule(
         m[owner], cfg.batch_size, [generators[g] for g in owner], key=counts
     )
     problem, rows, counts = owner[order], m[owner][order], counts[order]
 
-    # one latent array per problem, and each member's row patterns, as rows of one sign table
+    # one latent array per problem; one sign table, a row per member and concept id, a column
+    # per block; and each member's rows as their concepts' rows of the table
     first = np.cumsum([0, *m[:-1]])  # each problem's first row in z
     latents = [z[lo : lo + n] for lo, n in zip(first, m)]
-    table_at = np.cumsum([0, *(len(t) for t in tables)])
+    table_at = np.cumsum([0, *(1 + max(map(max, blocks)) for blocks in members)])
     table = np.full((table_at[-1], counts.max()), -1.0)
-    for t, at in zip(tables, table_at):
-        table[at : at + len(t), : t.shape[1]] = t
+    for blocks, at in zip(members, table_at):
+        for child, j in blocks.items():
+            table[[at + c for c in child], j] = 1.0
     signs = {n: np.ascontiguousarray(table[:, :n]) for n in set(counts.tolist())}
-    labels = np.zeros((len(order), m.max()), dtype=np.min_scalar_type(len(table)))
+    lines = np.zeros((len(order), m.max()), dtype=np.min_scalar_type(len(table)))
     for i, s in enumerate(order):
-        labels[i, : len(patterns[s])] = patterns[s] + table_at[s]
+        lines[i, : m[owner[s]]] = labels[owner[s]] + table_at[s]
     first = first[problem, None]  # each sorted member's first row in z
-    first_label = np.arange(len(order))[:, None] * labels.shape[1]  # ... and in labels, flattened
+    first_line = np.arange(len(order))[:, None] * lines.shape[1]  # ... and in lines, flattened
 
-    # per grouping its sorted member and blocks, padded, for the best iterates; the risks'
+    # per partition its sorted member and blocks, padded, for the best iterates; the risks'
     # labels per group of equal row and block count (int8 holds +-1 exactly), and the group's
     # runs of members that share a problem, so read its one latent array
     held = position[[s for s, _ in placed]]
@@ -445,11 +421,11 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
         blocks[q, : len(bl)] = bl
     risk_labels, shared = [], []
     for lo, hi in groups:
-        risk_labels.append(signs[counts[lo]].astype(np.int8).take(labels[lo:hi, : rows[lo]], axis=0))
+        risk_labels.append(signs[counts[lo]].astype(np.int8).take(lines[lo:hi, : rows[lo]], axis=0))
         ends = [lo, *(lo + np.flatnonzero(np.diff(problem[lo:hi])) + 1).tolist(), hi]
         shared.append([(slice(a - lo, c - lo), latents[problem[a]]) for a, c in zip(ends, ends[1:])])
-    # the groupings of each group by child count, in chunks of at most STEP_SCORES hinges, each
-    # chunk with the flat indices of its groupings' (rows, children) hinges in the group's
+    # the partitions of each group by child count, in chunks of at most STEP_SCORES hinges, each
+    # chunk with the flat indices of its partitions' (rows, children) hinges in the group's
     # (members, rows, blocks) hinges, held in one array of the smallest integer type they fit
     group_of = np.searchsorted([hi for _, hi in groups], held, side="right")
     chunks = []
@@ -469,7 +445,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
         parts[k].append((q, index, held[q, None], blocks[q, :c]))
     at_buffer, hinge_buffer = np.empty(max(sizes), dtype=np.intp), np.empty(max(sizes))
     # batch-major steps, except where numpy would take a matrix-vector product
-    batch_major = [size > 1 and z.shape[-1] > 1 and counts.min() > 1 for _, _, _, size in steps]
+    batch_major = [size > 1 and z.shape[-1] > 1 for _, _, _, size in steps]
     substeps = [_substeps(groups, counts, lo, hi, size, major)
                 for (lo, hi, _, size), major in zip(steps, batch_major)]
     windows = _windows(steps, batch_major, z.shape[-1])
@@ -481,7 +457,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
         for (lo, hi), y, runs, part in zip(groups, risk_labels, shared, parts):
             n = counts[lo]
             hinges = _hinges(_signed_scores(w[lo:hi, :n], b[lo:hi, :n], runs, y, out=np.empty(y.shape)))
-            for q, index, member, bl in part:  # each grouping's hinges, gathered contiguous
+            for q, index, member, bl in part:  # each partition's hinges, gathered contiguous
                 at = at_buffer[: index.size].reshape(index.shape)
                 np.copyto(at, index)
                 hinge = hinge_buffer[: index.size].reshape(index.shape)
@@ -501,13 +477,13 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
                 if window is not gathered:  # once per window and epoch
                     at = perms[m0:m1, s0:s1]  # each member's rows of its problem in batch order
                     zw = z.take((first[m0:m1] + at).T, axis=0)
-                    yw = labels.take(first_label[m0:m1] + at)
+                    yw = lines.take(first_line[m0:m1] + at)
                     gathered = window
                 zb = zw[start - s0 : start - s0 + size, lo - m0 : hi - m0]
                 yb = yw[lo - m0 : hi - m0, start - s0 : start - s0 + size]
             else:
                 at = perms[lo:hi, start : start + size]
-                zb, yb = z.take(first[lo:hi] + at, axis=0), labels.take(first_label[lo:hi] + at)
+                zb, yb = z.take(first[lo:hi] + at, axis=0), lines.take(first_line[lo:hi] + at)
             for a, c, n in sub:
                 wp, bp = w[a:c, :n], b[a:c, :n]
                 if major:  # (size, members, width) arrays, read through member-major views
@@ -529,7 +505,7 @@ def train_node_erm_stack(encoders, features, child_idx, n_children, cfg: ErmConf
         best_risk = np.where(risk < best_risk, risk, best_risk)
         best_w[better] = w[held[better, None], blocks[better]]
         best_b[better] = b[held[better, None], blocks[better]]
-    bounds = np.cumsum([0, *(len(idx) for idx in child_idx)])
+    bounds = np.cumsum([0, *(len(parts) for parts in partitions)])
     return [([best_w[q, : width[q]].copy() for q in range(lo, hi)],
              [best_b[q, : width[q]].copy() for q in range(lo, hi)],
              [epoch_risks[lo:hi] for epoch_risks in history]) for lo, hi in zip(bounds, bounds[1:])]
@@ -631,9 +607,9 @@ def train_hierarchies(
     - one artifact encoder lookup per distinct subtree, as the encoder a
       node takes depends on the subtree below it;
     - one scorer set per distinct (encoder, child partition), all trained
-      in one ``train_node_erm_stack`` call, where each encoder's problem is
-      one stack member: its partitions share its rows and batch order, and
-      a child that several of them have trains once for all of them.
+      in one ``train_node_erm_stack`` call on the table's own keys, rows'
+      concepts and child concept sets: an encoder's partitions share its rows
+      and batch order, and a child set that several have trains once for all.
 
     The data must hold at least 2 concepts and rows of each
     (:func:`check_training_rows`), and artifacts must be over its catalog
@@ -674,9 +650,8 @@ def train_hierarchies(
     stack = train_node_erm_stack(
         [encoders[problem] for problem in problems],
         [subs[key].features for key, _ in problems],
-        [np.stack([child_index_labels(ck, subs[key].labels) for ck in parts])
-         for (key, _), parts in problems.items()],
-        [[len(ck) for ck in parts] for parts in problems.values()],
+        [subs[key].labels for key, _ in problems],
+        [list(parts) for parts in problems.values()],
         cfg.erm,
         [task_seed(cfg.seed, 6, *key) for key, _ in problems],
     )

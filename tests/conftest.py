@@ -249,6 +249,12 @@ def _plain_node_erm(encoder, features, child_idx, n_children, cfg, seed):
     return best[1], best[2], history
 
 
+def as_partition(child_of, n_children):
+    """The partition of concepts 0..len(child_of)-1 whose child c holds the
+    concepts with ``child_of`` c: the form ``train_node_erm_stack`` takes."""
+    return tuple(tuple(np.flatnonzero(np.asarray(child_of) == c).tolist()) for c in range(n_children))
+
+
 def _plain_hierarchy(tree, dataset, cfg, artifacts=None):
     """One hierarchy trained node by node: representations from
     ``_plain_assignment`` or a plain scratch autoencoder per node, and the

@@ -262,12 +262,9 @@ def test_matrix_has_all_ordered_pairs(triple_artifacts):
 
 
 def test_overlapping_pair_scores_dominate_remote(triple_artifacts):
-    matrix = triple_artifacts.matrix
-    close = min(matrix.score(0, 1), matrix.score(1, 0))
-    remote = max(
-        matrix.score(i, j)
-        for i, j in [(0, 2), (2, 0), (1, 2), (2, 1)]
-    )
+    score = {(r.source, r.target): r.score for r in triple_artifacts.matrix.records}
+    close = min(score[0, 1], score[1, 0])
+    remote = max(score[i, j] for i, j in [(0, 2), (2, 0), (1, 2), (2, 1)])
     assert close > remote
 
 
@@ -277,9 +274,9 @@ def test_identical_distribution_pair_beats_half():
     feats = base + rng.normal(size=(400, 8))
     labels = np.array([0] * 200 + [1] * 200)
     data = LabeledDataset(feats, labels, Catalog(("u", "v")))
-    matrix = build_affinity_artifacts(data, AffinityConfig(seed=2)).matrix
-    assert matrix.score(0, 1) > 0.5
-    assert matrix.score(1, 0) > 0.5
+    records = build_affinity_artifacts(data, AffinityConfig(seed=2)).matrix.records
+    assert {(r.source, r.target) for r in records} == {(0, 1), (1, 0)}
+    assert all(r.score > 0.5 for r in records)
 
 
 # --- batched build against the plain per-pair path -------------------------

@@ -240,14 +240,25 @@ def test_val_fraction_leaving_a_split_part_empty_is_a_data_error(tmp_path, plant
     ("compare", ["--train-seeds", ""], "--train-seeds must be comma-separated non-negative integers, got ''"),
     ("compare", ["--train-seeds", "1,x"], "--train-seeds must be comma-separated non-negative integers, got '1,x'"),
     ("compare", ["--train-seeds", "-1"], "--train-seeds must be comma-separated non-negative integers, got '-1'"),
-], ids=["search-1.5", "search-nan", "search-0", "compare-1", "random-samples", "no-seeds", "bad-seed", "negative-seed"])
+    # the training flags, of train and affinity too; an epochs error names its flag
+    ("train", ["--erm-epochs", "-1"], "--erm-epochs must be >= 0, got -1"),
+    ("train", ["--pretrain-epochs", "-1"], "--pretrain-epochs must be >= 0, got -1"),
+    ("train", ["--refine-epochs", "-1"], "--refine-epochs must be >= 0, got -1"),
+    ("search", ["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+    ("compare", ["--pretrain-epochs", "-1"], "--pretrain-epochs must be >= 0, got -1"),
+    ("affinity", ["--warmup-epochs", "-1"], "--warmup-epochs must be >= 0, got -1"),
+    ("affinity", ["--pretrain-epochs", "-1"], "--pretrain-epochs must be >= 0, got -1"),
+], ids=["search-1.5", "search-nan", "search-0", "compare-1", "random-samples", "no-seeds", "bad-seed", "negative-seed",
+        "train-erm-epochs", "train-pretrain-epochs", "train-refine-epochs", "search-hidden-dim",
+        "compare-pretrain-epochs", "affinity-warmup-epochs", "affinity-pretrain-epochs"])
 def test_search_and_compare_flags_are_checked_before_the_data(tmp_path, capsys, command, flags, message):
-    trees = ["--derived", tmp_path / "t.nwk", "--expert", tmp_path / "t.nwk"] if command == "compare" else []
-    # the data file does not exist: reading it first would be a data error (exit 2)
+    tree = tmp_path / "t.nwk"
+    trees = {"train": ["--tree", tree], "compare": ["--derived", tree, "--expert", tree]}.get(command, [])
+    # neither the data nor a tree file exists: reading one first would be a data error (exit 2)
     assert run("--out-dir", tmp_path, command, "--data", tmp_path / "missing.csv", *trees, *flags,
                "--out", "out.json") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_identical_trees_reports_full_agreement(tmp_path, planted_csv, capsys):
@@ -370,7 +381,8 @@ def test_impossible_sizes_are_usage_errors_naming_the_field(tmp_path, planted_cs
     outputs = {"train": ["--tree", tree, "--out", "clf.json"], "affinity": ["--out", "a.json"],
                "search": ["--out", "table.csv"]}
     assert run("--out-dir", tmp_path, command, "--data", data, *outputs[command], *flags) == 1
-    assert f"error: {field} must" in capsys.readouterr().err
+    name = flags[0] if field == "epochs" else field  # an epochs error names its flag
+    assert f"error: {name} must" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tree]  # nothing trained, nothing written
 
 
@@ -394,7 +406,8 @@ def test_impossible_refinement_is_a_usage_error_naming_the_argument(
     monkeypatch.setattr("hierclass.synth.load_csv", load_csv)
     assert run("--out-dir", tmp_path, "train", "--data", data, "--tree", tree, "--out", "clf.json",
                *FAST, *flags) == 1
-    assert f"error: {argument} must" in capsys.readouterr().err
+    name = flags[0] if argument == "epochs" else argument  # an epochs error names its flag
+    assert f"error: {name} must" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tree]
 
 
@@ -1186,7 +1199,7 @@ def test_provenance_takes_the_loaded_data_hash(tmp_path, planted_csv, monkeypatc
 
 
 def _run_script(name, *args):
-    """Run a script under the suite's warning rule: a RuntimeWarning is an error."""
+    """Run a script with a RuntimeWarning an error, as the suite has it."""
     root = Path(__file__).resolve().parents[1]
     src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1194,12 +1207,6 @@ def _run_script(name, *args):
         [sys.executable, "-W", "error::RuntimeWarning", str(root / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
-
-
-def test_planted_pipeline_script_runs():
-    proc = _run_script("run_planted_pipeline.py", "--seed", "0", "--refine-epochs", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert "mean H-loss" in proc.stdout
 
 
 def test_flat_vs_hier_script_runs():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _plain_hierarchy, _plain_node_erm, central_difference, rel_err, same_classifier
+from conftest import _plain_hierarchy, _plain_node_erm, as_partition, central_difference, rel_err, same_classifier
 from hierclass import hmodel
 from hierclass.affinity import AffinityConfig, EncoderConfig, build_affinity_artifacts
 from hierclass.errors import DataError, NumericError, UnscorableRowError
@@ -18,6 +18,7 @@ from hierclass.hmodel import (
     HierarchicalClassifier,
     HierTrainConfig,
     NodeModel,
+    child_index_labels,
     classifier_from_json,
     classifier_to_json,
     erm_risk_and_grads,
@@ -94,7 +95,7 @@ def test_train_node_erm_separates_separable_groups():
     features = np.vstack([rng.normal(size=(40, 4)) - 3, rng.normal(size=(40, 4)) + 3])
     labels = np.array([0] * 40 + [1] * 40)
     encoder = _identity_encoder(4)
-    (w, b, history), = train_node_erm_stack([encoder], [features], [labels[None]], [[2]], ErmConfig(), [0])
+    (w, b, history), = train_node_erm_stack([encoder], [features], [labels], [[((0,), (1,))]], ErmConfig(), [0])
     routed = route_child(_node(w[0], b[0]), features)
     assert np.array_equal(routed, labels)
     # the returned scorers are the best iterate: risk never above the start
@@ -123,11 +124,12 @@ def test_stacked_erm_equals_serial_one_member_calls(n_children, expected):
     cfg = ErmConfig(epochs=12, batch_size=16, learning_rate=0.1)
     groupings = _groupings(4, n_children)
     assert len(groupings) == expected  # Stirling numbers S(4, n)
-    child_idx = np.stack([g[concepts] for g in groupings])
-    (w, b, history), = train_node_erm_stack([encoder], [features], [child_idx], [[n_children] * expected], cfg, [7])
+    partitions = [as_partition(g, n_children) for g in groupings]
+    (w, b, history), = train_node_erm_stack([encoder], [features], [concepts], [partitions], cfg, [7])
     assert np.shape(w) == (expected, n_children, 3) and np.shape(b) == (expected, n_children)
     assert len(history) == cfg.epochs + 1 and history[0].shape == (expected,)
-    for p, idx in enumerate(child_idx):
+    for p, partition in enumerate(partitions):
+        idx = child_index_labels(partition, concepts)
         w1, b1, h1 = _plain_node_erm(encoder, features, idx, n_children, cfg, seed=7)
         assert np.array_equal(w[p], w1) and np.array_equal(b[p], b1)
         assert [h[p] for h in history] == h1
@@ -144,14 +146,14 @@ def test_erm_stack_over_problems_equals_the_plain_loop():
         features = rng.normal(size=(60, 5)) + concepts[:, None] * (g + 1)
         encoder = init_mlp((5, 6, 3), ("relu", "sigmoid"), rng)
         groupings = [rng.permutation(_groupings(4, 3))[0] for _ in range(n_groupings)]
-        problems.append((encoder, features, np.stack([grp[concepts] for grp in groupings]), 30 + g))
+        problems.append((encoder, features, concepts, [as_partition(grp, 3) for grp in groupings], 30 + g))
     plain = [
-        [_plain_node_erm(enc, f, idx, 3, cfg, seed) for idx in child_idx]
-        for enc, f, child_idx, seed in problems
+        [_plain_node_erm(enc, f, child_index_labels(partition, concepts), 3, cfg, seed) for partition in partitions]
+        for enc, f, concepts, partitions, seed in problems
     ]
     for order in ([0, 1, 2], [2, 0, 1], [1]):  # permuted, and a stack of one problem with one grouping
-        encoders, features, child_idx, seeds = zip(*[problems[g] for g in order])
-        stacked = train_node_erm_stack(encoders, features, child_idx, [[3] * len(idx) for idx in child_idx], cfg, seeds)
+        encoders, features, labels, partitions, seeds = zip(*[problems[g] for g in order])
+        stacked = train_node_erm_stack(encoders, features, labels, partitions, cfg, seeds)
         assert len(stacked) == len(order)
         for g, (w, b, history) in zip(order, stacked):
             assert np.shape(w) == (len(plain[g]), 3, 3) and len(history) == cfg.epochs + 1
@@ -722,28 +724,28 @@ def _count_stacks(monkeypatch):
     calls = {"encoder_stacks": 0, "encoders": 0, "erm_stacks": 0, "erms": 0, "members": 0, "scorers": 0}
     erm_rows = []
     real_autoencoders, real_erms = hmodel.train_autoencoder_stack, hmodel.train_node_erm_stack
-    real_blocks = hmodel._child_blocks
+    real_blocks = hmodel._blocks
 
     def count_autoencoders(data, *args):
         calls["encoder_stacks"] += 1
         calls["encoders"] += len(data)
         return real_autoencoders(data, *args)
 
-    def count_erms(encoders, features, child_idx, *args):
+    def count_erms(encoders, features, labels, partitions, *args):
         calls["erm_stacks"] += 1
-        calls["erms"] += sum(len(idx) for idx in child_idx)
+        calls["erms"] += sum(len(parts) for parts in partitions)
         erm_rows.append({len(f) for f in features})
-        return real_erms(encoders, features, child_idx, *args)
+        return real_erms(encoders, features, labels, partitions, *args)
 
-    def count_blocks(*args):
-        out = real_blocks(*args)
+    def count_blocks(partitions):
+        out = real_blocks(partitions)
         calls["members"] += 1
-        calls["scorers"] += out[1].shape[1]  # its sign table's columns
+        calls["scorers"] += len(out)
         return out
 
     monkeypatch.setattr(hmodel, "train_autoencoder_stack", count_autoencoders)
     monkeypatch.setattr(hmodel, "train_node_erm_stack", count_erms)
-    monkeypatch.setattr(hmodel, "_child_blocks", count_blocks)
+    monkeypatch.setattr(hmodel, "_blocks", count_blocks)
     return calls, erm_rows
 
 
@@ -761,10 +763,10 @@ def test_search_trains_each_distinct_node_once(monkeypatch):
                          "members": sets, "scorers": blocks}
 
 
-def _unequal_split():
-    """The K=4 search split with concept supports 28, 20, 28 and 14."""
+def _unequal_split(supports=(28, 20, 28, 14)):
+    """The K=4 search split with the given concept supports."""
     train, val = _search_split(4)
-    keep = {0: 28, 1: 20, 2: 28, 3: 14}
+    keep = dict(enumerate(supports))
     rows = np.concatenate([np.flatnonzero(train.labels == c)[:n] for c, n in keep.items()])
     train = train.take(rows)
     assert train.support() == keep
@@ -782,6 +784,23 @@ def test_search_on_unequal_supports_equals_training_every_tree(monkeypatch):
     # into 13 (row count, child count) pairs
     assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36, "members": 11, "scorers": 50}
     assert erm_rows == [{34, 42, 48, 56, 62, 70, 76, 90}]
+
+
+def test_search_through_matrix_vector_steps_equals_training_every_tree(monkeypatch):
+    # supports 28, 20, 28 and 17 put (a,b,d) and (b,c,d) at 65 rows, whose
+    # last batch of 32 holds one row: numpy would take a matrix-vector
+    # product there, so each of their 4 partitions trains as its own member,
+    # 8 members with 18 scorers in place of 2 with 12
+    train, val = _unequal_split((28, 20, 28, 17))
+    plain = _plain_search(train, val, FAST_CFG)
+    calls, erm_rows = _count_stacks(monkeypatch)
+    composed, real_predict = [], hmodel.predict_batch
+    monkeypatch.setattr(hmodel, "predict_batch", lambda clf, x: composed.append(clf) or real_predict(clf, x))
+    result = exhaustive_search(train, val, FAST_CFG)
+    assert result.table == tuple((row[0], row[2]) for row in plain)
+    assert len(composed) == len(plain) and all(same_classifier(c, row[1]) for c, row in zip(composed, plain))
+    assert calls == {"encoder_stacks": 1, "encoders": 11, "erm_stacks": 1, "erms": 36, "members": 17, "scorers": 56}
+    assert 65 in erm_rows[0] and FAST_CFG.erm.batch_size == 32
 
 
 # children listed out of canonical order, which construction sorts

@@ -13,12 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import _plain_node_erm
+from conftest import _plain_node_erm, as_partition
 from hierclass import hmodel
 from hierclass import nets as nets_module
 from hierclass.affinity import AffinityConfig, EncoderConfig, train_autoencoder_stack
 from hierclass.errors import NumericError
-from hierclass.hmodel import ErmConfig, erm_risk_and_grads, train_node_erm_stack
+from hierclass.hmodel import ErmConfig, child_index_labels, erm_risk_and_grads, train_node_erm_stack
 from hierclass.nets import (
     Layer,
     Mlp,
@@ -326,7 +326,8 @@ def check_erm_stack(rows, batch):
     child_idx = [read_only([np.arange(rows) % 3, (np.arange(rows) // 2) % 3], int),
                  read_only([np.arange(rows) % 3], int)]
     cfg = ErmConfig(epochs=7, batch_size=batch, learning_rate=0.3, l2=1e-2)
-    got = train_node_erm_stack(encoders, features, child_idx, [[3, 3], [3]], cfg, [21, 22])
+    partitions = [[as_partition(row, 3) for row in idx] for idx in child_idx]  # each row its own concept
+    got = train_node_erm_stack(encoders, features, [np.arange(rows)] * 2, partitions, cfg, [21, 22])
     best_w, best_b, history = ref_erm_stack(encoders, features, child_idx, 3, cfg, [21, 22])
     lo = 0
     for w, b, risks in got:
@@ -402,21 +403,17 @@ def test_ragged_reconstruction_stack_equals_each_member_alone(shuffled):
 
 
 def _ragged_problems(rng, latent, one_row):
-    """Problems over the ragged row counts, each with groupings into 2, 3
-    and 4 children (as many as its rows allow), and a one-row problem with
-    one child when ``one_row``."""
+    """Problems over the ragged row counts, each row its own concept, each
+    with groupings into 2, 3 and 4 children (as many as its rows allow),
+    and when ``one_row`` a one-row problem whose second child holds no row."""
     problems = []
     for n in RAGGED_ROWS[1:]:
-        groupings, counts = [], []
-        for c in (2, 3, 4, 3):
-            if c <= n:
-                groupings.append(rng.permutation(np.arange(n) % c))
-                counts.append(c)
+        partitions = [as_partition(rng.permutation(np.arange(n) % c), c) for c in (2, 3, 4, 3) if c <= n]
         encoder = init_mlp((4, 6, latent), ("relu", "sigmoid"), rng)
-        problems.append((encoder, read_only(rng.normal(size=(n, 4))), np.stack(groupings), counts))
+        problems.append((encoder, read_only(rng.normal(size=(n, 4))), np.arange(n), partitions))
     if one_row:
         problems.append((init_mlp((4, 6, latent), ("relu", "sigmoid"), rng), read_only(rng.normal(size=(1, 4))),
-                         np.zeros((1, 1), dtype=int), [1]))
+                         np.zeros(1, dtype=int), [((0,), (1,))]))
     return problems
 
 
@@ -437,35 +434,36 @@ def test_ragged_erm_stack_equals_each_member_alone(shuffled, latent, one_row, ba
         problems = [problems[g] for g in rng.permutation(len(problems))]
     seeds = [60 + g for g in range(len(problems))]
     cfg = ErmConfig(epochs=6, batch_size=batch, learning_rate=0.3, l2=1e-2)
-    for encoder, f, row, n, seed, w1, b1 in _each_member_alone(problems, seeds, cfg):
-        (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [row[None]], [[n]], cfg, [seed])
+    for encoder, f, labels, partition, seed, w1, b1 in _each_member_alone(problems, seeds, cfg):
+        (alone_w, alone_b, alone_h), = train_node_erm_stack([encoder], [f], [labels], [[partition]], cfg, [seed])
         assert same_bits(alone_w[0], w1) and same_bits(alone_b[0], b1)
 
 
 def _each_member_alone(problems, seeds, cfg):
-    """Train the problems as one stack and check every member bit for bit
-    against the plain loop run on it alone; yields each member's problem,
-    its child indices and count, and the plain result."""
-    encoders, features, child_idx, counts = zip(*problems)
-    stacked = train_node_erm_stack(encoders, features, child_idx, counts, cfg, seeds)
+    """Train the problems as one stack and check every partition bit for bit
+    against the plain loop run on its child indices alone; yields each
+    partition's problem, the partition and the plain result."""
+    encoders, features, labels, partitions = zip(*problems)
+    stacked = train_node_erm_stack(encoders, features, labels, partitions, cfg, seeds)
     assert len(stacked) == len(problems)
-    for (encoder, f, idx, n_children), seed, (w, b, history) in zip(problems, seeds, stacked):
-        assert len(w) == len(b) == len(idx) and len(history) == cfg.epochs + 1
-        for p, (row, n) in enumerate(zip(idx, n_children)):
-            w1, b1, h1 = _plain_node_erm(encoder, f, row, n, cfg, seed)
+    for (encoder, f, concepts, parts), seed, (w, b, history) in zip(problems, seeds, stacked):
+        assert len(w) == len(b) == len(parts) and len(history) == cfg.epochs + 1
+        for p, partition in enumerate(parts):
+            idx = child_index_labels(partition, concepts)
+            w1, b1, h1 = _plain_node_erm(encoder, f, idx, len(partition), cfg, seed)
             assert same_bits(w[p], w1) and same_bits(b[p], b1)
             assert [float(h[p]) for h in history] == h1
-            yield encoder, f, row, n, seed, w1, b1
+            yield encoder, f, concepts, partition, seed, w1, b1
 
 
 def _problems_over(rng, rows, counts, latent=3):
-    """Problem g over ``rows[g]`` rows with one grouping per child count in
-    ``counts[g]``."""
+    """Problem g over ``rows[g]`` rows, each its own concept, with one
+    grouping per child count in ``counts[g]``."""
     problems = []
     for n, cs in zip(rows, counts):
-        groupings = np.stack([rng.permutation(np.arange(n) % c) for c in cs])
+        partitions = [as_partition(rng.permutation(np.arange(n) % c), c) for c in cs]
         encoder = init_mlp((4, 6, latent), ("relu", "sigmoid"), rng)
-        problems.append((encoder, read_only(rng.normal(size=(n, 4))), read_only(groupings, int), list(cs)))
+        problems.append((encoder, read_only(rng.normal(size=(n, 4))), read_only(np.arange(n), int), partitions))
     return problems
 
 
@@ -503,22 +501,21 @@ _SHARED_CHILDREN = (
 def test_erm_stack_trains_each_shared_child_once(budget, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(hmodel, "STEP_SCORES", budget)
-    scorers, real = [], hmodel._child_blocks
+    scorers, real = [], hmodel._blocks
 
-    def spy(*args):
-        out = real(*args)
-        scorers.append(out[1].shape[1])  # its sign table's columns
+    def spy(partitions):
+        out = real(partitions)
+        scorers.append(len(out))
         return out
 
-    monkeypatch.setattr(hmodel, "_child_blocks", spy)
+    monkeypatch.setattr(hmodel, "_blocks", spy)
     rng = np.random.default_rng(31)
     problems = []
     for groupings, rows in zip(_SHARED_CHILDREN, (45, 38)):
-        table = np.array(groupings)
-        concepts = rng.permutation(np.arange(rows) % table.shape[1])
+        concepts = rng.permutation(np.arange(rows) % len(groupings[0]))
         features = read_only(rng.normal(size=(rows, 4)) + concepts[:, None])
-        problems.append((init_mlp((4, 6, 3), ("relu", "sigmoid"), rng), features, read_only(table[:, concepts], int),
-                         [len(set(g)) for g in groupings]))
+        problems.append((init_mlp((4, 6, 3), ("relu", "sigmoid"), rng), features, read_only(concepts, int),
+                         [as_partition(g, len(set(g))) for g in groupings]))
     cfg = ErmConfig(epochs=6, batch_size=BATCH, learning_rate=0.3, l2=1e-2)
     assert len(list(_each_member_alone(problems, [90, 91], cfg))) == 8
     # one member per problem, training its distinct children once: {0,1}, {2}, {3,4},
